@@ -6,6 +6,12 @@ cycle simulator, and extract a statistic.  This module centralises the
 repetitive parts (building overlays, seeding runs, generating value
 distributions) so each figure reads as a declarative description of the
 paper's experiment.
+
+Eligible configurations run on the one stacked array engine
+(:mod:`repro.simulator.replicated`): a single run through
+:func:`~repro.simulator.make_simulator`, the repeats of a :class:`RunPlan`
+as one ``R``-replica simulation.  Everything else runs per repetition on
+the reference engine, with bit-identical per-seed streams either way.
 """
 
 from __future__ import annotations
@@ -163,8 +169,8 @@ def run_average_once(
     The engine is chosen by :func:`~repro.simulator.make_simulator`
     (``engine="auto"`` by default): configurations whose function and
     overlay support the array codec — including the array-native
-    NEWSCAST overlay — run on the vectorized fast path, everything else
-    on the reference engine, with identical results either way.
+    NEWSCAST overlay — run on the array engine, everything else on the
+    reference engine, with identical results either way.
     """
     overlay = build_overlay(topology, size, rng.child("topology"))
     simulator = make_simulator(

@@ -6,7 +6,7 @@ Python-level merge — fine at a few thousand nodes, hopeless at the
 paper's 10^5.  This module stores *all* caches in one ``(rows, c)``
 matrix and runs the whole per-cycle maintenance round as a handful of
 batched NumPy passes, which is what lets ``make_simulator`` keep the
-dynamic-membership figures (4b, 6b, 7b) on the vectorized fast path.
+dynamic-membership figures (4b, 6b, 7b) on the array engine.
 
 Representation
 --------------
@@ -31,11 +31,12 @@ Equivalence to the dict implementation (documented per property)
   entry-for-entry against the dict merge (hypothesis property).
 * **Bit-level — the two engines.**  Given the *same*
   ``VectorizedNewscastOverlay`` class on both sides, the reference
-  ``CycleSimulator`` and the ``VectorizedCycleSimulator`` consume
-  identical overlay randomness (both call ``after_cycle`` with the
-  engine's ``overlay`` stream and draw peers through
-  ``select_peers_batch``), so a root seed produces the same exchange
-  schedule and the same caches in either engine.
+  ``CycleSimulator`` and the stacked array engine (through either entry,
+  ``VectorizedCycleSimulator`` or ``ReplicatedCycleSimulator``) consume
+  identical overlay randomness (both maintain the overlay with the run's
+  ``overlay`` stream and draw peers through ``select_peers_batch``), so
+  a root seed produces the same exchange schedule and the same caches in
+  either engine.
 * **Distribution-level — the maintenance round.**  The dict overlay
   runs its exchanges strictly sequentially: a node's *peer choice* can
   read a cache that an earlier exchange of the same round already

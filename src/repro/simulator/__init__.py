@@ -2,10 +2,13 @@
 
 Two cycle engines are provided: the reference
 :class:`~repro.simulator.cycle_sim.CycleSimulator`, which handles any
-opaque-state aggregation function, and the array-native
-:class:`~repro.simulator.vectorized.VectorizedCycleSimulator` fast path
-for functions implementing the array codec.  :func:`make_simulator` picks
-between them automatically.
+opaque-state aggregation function and serves as the scalar oracle, and the
+stacked array engine of :mod:`repro.simulator.replicated` for functions
+implementing the array codec.  The array engine has two entry points —
+:class:`~repro.simulator.vectorized.VectorizedCycleSimulator` for one run
+and :class:`~repro.simulator.replicated.ReplicatedCycleSimulator` for ``R``
+repetitions in one tensor.  :func:`make_simulator` picks between the
+reference engine and the single-run entry automatically.
 """
 
 from typing import Optional
@@ -149,13 +152,8 @@ __all__ = [
 ]
 
 
-def supports_fast_path(
-    function: AggregationFunction,
-    overlay: OverlayProvider,
-    transport: Optional[TransportModel] = None,
-    failure_model: Optional[FailureModel] = None,
-) -> bool:
-    """Whether the vectorised engine can run this configuration.
+def supports_fast_path(function: AggregationFunction, overlay: OverlayProvider) -> bool:
+    """Whether the array engine can run this configuration.
 
     The fast path needs an aggregation function with the array codec and
     an overlay with batched peer selection (``select_peers_batch``):
@@ -164,11 +162,8 @@ def supports_fast_path(
     dict-based reference ``NewscastOverlay`` stays on the reference
     engine.  Every transport and failure model is supported — transports
     classify outcomes in batch and failure models drive the engines
-    through the identical public membership API — so the two extra
-    parameters exist only so future models can veto the fast path without
-    changing call sites.
+    through the identical public membership API.
     """
-    del transport, failure_model
     return function.supports_vectorized() and hasattr(overlay, "select_peers_batch")
 
 
@@ -186,17 +181,16 @@ def make_simulator(
     """Build the fastest cycle engine that supports the configuration.
 
     Parameters match :class:`CycleSimulator`; ``engine`` may be ``"auto"``
-    (default: vectorised when :func:`supports_fast_path` allows, reference
-    otherwise), ``"vectorized"`` or ``"reference"``.  Both engines consume
-    randomness through the same batched cycle-plan discipline, so the
-    choice changes speed, not results: a given root seed produces the same
-    exchange schedule either way.
+    (default: the array engine when :func:`supports_fast_path` allows,
+    reference otherwise), ``"vectorized"`` or ``"reference"``.  Both
+    engines consume randomness through the same batched cycle-plan
+    discipline, so the choice changes speed, not results: a given root
+    seed produces the same exchange schedule either way.
     """
     if engine not in ("auto", "vectorized", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
     use_fast = engine == "vectorized" or (
-        engine == "auto"
-        and supports_fast_path(function, overlay, transport, failure_model)
+        engine == "auto" and supports_fast_path(function, overlay)
     )
     simulator_class = VectorizedCycleSimulator if use_fast else CycleSimulator
     return simulator_class(

@@ -11,9 +11,8 @@ value at the start of every cycle, overwriting whatever state the honest
 dynamics gave it.  Because the forgery happens at cycle granularity it is
 implemented as a *batched value-override pass*: the model computes one
 ``(byzantine, instances)`` matrix of forged values and hands it to the
-engine's ``override_values`` method — one scatter on the vectorised and
-replicated fast paths, a per-node loop through the identical state codec
-on the reference engine.  The colluding set is drawn once from the sorted
+engine's ``override_values`` method — one scatter on the array engine, a
+per-node loop through the identical state codec on the reference engine.  The colluding set is drawn once from the sorted
 participant list, so the reference and vectorised engines recruit the
 same nodes from the same seed and stay bit-identical — honest nodes and
 forged nodes alike.
@@ -160,7 +159,7 @@ class ByzantineReporterModel(FailureModel):
             self._recruit(simulator, cycle_index, rng)
         assert self._recruited is not None
         present_mask = np.fromiter(
-            (self._is_participant(simulator, int(node)) for node in self._recruited),
+            (simulator.is_participant(int(node)) for node in self._recruited),
             dtype=bool,
             count=self._recruited.size,
         )
@@ -202,13 +201,6 @@ class ByzantineReporterModel(FailureModel):
         self._recruit_cycle = int(cycle_index)
         if self._strategy in ("stuck", "drift") and self._recruited.size:
             self._stuck_rows = self._current_rows(simulator, self._recruited)
-
-    @staticmethod
-    def _is_participant(simulator, node_id: int) -> bool:
-        checker = getattr(simulator, "_is_participant", None)
-        if checker is not None:
-            return bool(checker(node_id))
-        return node_id in simulator._participants
 
     def _component_count(self, simulator) -> int:
         function = simulator.function

@@ -21,9 +21,10 @@ same engine.
 Each cycle's randomness (shuffle order, peer choices, transport
 outcomes) is drawn up front in batched form through
 :func:`~repro.simulator.sampling.draw_cycle_plan` — the same discipline
-the vectorised fast path uses — so the two engines produce identical
+the stacked array engine uses — so the two engines produce identical
 exchange schedules from the same root seed, and even the reference
-per-exchange loop spends no time in scalar generator calls.
+per-exchange loop spends no time in scalar generator calls.  This engine
+is the scalar oracle the array engine's parity suites compare against.
 """
 
 from __future__ import annotations
@@ -48,76 +49,28 @@ from .transport import (
     apply_reachability,
 )
 
-__all__ = ["CycleSimulator", "RecordingScheduleMixin"]
+__all__ = ["CycleSimulator", "InitialValues", "normalise_initial_values"]
 
 InitialValues = Union[Sequence[Any], Mapping[int, Any]]
 
 
-class RecordingScheduleMixin:
-    """``record_every`` cadence bookkeeping shared by both cycle engines.
-
-    Hosts the pending exchange counters, the sampled-recording decision,
-    and the run loop; the concrete engine provides ``run_cycle`` and a
-    ``_flush_record`` that computes its metrics and calls
-    :meth:`_emit_record`.
-    """
-
-    _trace: SimulationTrace
-    _cycle_index: int
-
-    def _init_recording(self, record_every: int) -> None:
-        if record_every < 1:
-            raise ConfigurationError("record_every must be at least 1")
-        self._record_every = int(record_every)
-        self._pending_completed = 0
-        self._pending_failed = 0
-
-    def _maybe_record(self, completed: int, failed: int) -> Optional[CycleRecord]:
-        self._pending_completed += completed
-        self._pending_failed += failed
-        if self._cycle_index % self._record_every == 0:
-            return self._flush_record()
-        return None
-
-    def _emit_record(
-        self,
-        participant_count: int,
-        mean: float,
-        variance: float,
-        minimum: float,
-        maximum: float,
-    ) -> CycleRecord:
-        record = CycleRecord(
-            cycle=self._cycle_index,
-            participant_count=participant_count,
-            mean=mean,
-            variance=variance,
-            minimum=minimum,
-            maximum=maximum,
-            completed_exchanges=self._pending_completed,
-            failed_exchanges=self._pending_failed,
+def normalise_initial_values(
+    initial_values: InitialValues, node_ids: Iterable[int]
+) -> Dict[int, Any]:
+    """``initial_values`` as a mapping covering every id in ``node_ids``."""
+    if isinstance(initial_values, Mapping):
+        values = dict(initial_values)
+    else:
+        values = {index: value for index, value in enumerate(initial_values)}
+    missing = [node for node in node_ids if node not in values]
+    if missing:
+        raise ConfigurationError(
+            f"initial values missing for {len(missing)} nodes (e.g. {missing[:5]})"
         )
-        self._pending_completed = 0
-        self._pending_failed = 0
-        self._trace.add(record)
-        return record
-
-    def run(self, cycles: int) -> SimulationTrace:
-        """Run ``cycles`` consecutive cycles and return the trace.
-
-        With ``record_every > 1`` the final executed cycle is always
-        recorded, so ``trace.final`` reflects the end of the run.
-        """
-        if cycles < 0:
-            raise ConfigurationError("cycles must be non-negative")
-        for _ in range(cycles):
-            self.run_cycle()
-        if self._trace.final.cycle != self._cycle_index:
-            self._flush_record()
-        return self._trace
+    return values
 
 
-class CycleSimulator(RecordingScheduleMixin):
+class CycleSimulator:
     """Run the push–pull aggregation protocol over an overlay, cycle by cycle.
 
     Parameters
@@ -164,7 +117,11 @@ class CycleSimulator(RecordingScheduleMixin):
         record_every: int = 1,
         reachability=None,
     ) -> None:
-        self._init_recording(record_every)
+        if record_every < 1:
+            raise ConfigurationError("record_every must be at least 1")
+        self._record_every = int(record_every)
+        self._pending_completed = 0
+        self._pending_failed = 0
         self._overlay = overlay
         self._function = function
         self._transport = transport
@@ -181,7 +138,7 @@ class CycleSimulator(RecordingScheduleMixin):
         self._membership_rng = rng.child("membership")
 
         node_ids = overlay.node_ids()
-        values = self._normalise_initial_values(initial_values, node_ids)
+        values = normalise_initial_values(initial_values, node_ids)
         self._states: Dict[int, Any] = {
             node: function.initial_state(values[node]) for node in node_ids
         }
@@ -233,6 +190,10 @@ class CycleSimulator(RecordingScheduleMixin):
     def crashed_ids(self) -> List[int]:
         """Identifiers of nodes that crashed during this run."""
         return sorted(self._crashed)
+
+    def is_participant(self, node_id: int) -> bool:
+        """Whether ``node_id`` currently takes part in the protocol."""
+        return node_id in self._participants
 
     def state_of(self, node_id: int) -> Any:
         """The protocol state currently held by ``node_id``."""
@@ -292,9 +253,6 @@ class CycleSimulator(RecordingScheduleMixin):
         if participating:
             self._states[node_id] = self._function.initial_state(value)
             self._participants.add(node_id)
-            # Pre-seed the contact-count ledger so a node added mid-cycle
-            # (by a reentrant caller) can be counted without a .get fallback.
-            self.last_cycle_contact_counts.setdefault(node_id, 0)
         else:
             self._non_participants.add(node_id)
         return node_id
@@ -427,7 +385,25 @@ class CycleSimulator(RecordingScheduleMixin):
             contact_counts[peer] += 1
 
         self._overlay.after_cycle(self._overlay_rng)
-        return self._maybe_record(completed, failed)
+        self._pending_completed += completed
+        self._pending_failed += failed
+        if self._cycle_index % self._record_every == 0:
+            return self._flush_record()
+        return None
+
+    def run(self, cycles: int) -> SimulationTrace:
+        """Run ``cycles`` consecutive cycles and return the trace.
+
+        With ``record_every > 1`` the final executed cycle is always
+        recorded, so ``trace.final`` reflects the end of the run.
+        """
+        if cycles < 0:
+            raise ConfigurationError("cycles must be non-negative")
+        for _ in range(cycles):
+            self.run_cycle()
+        if self._trace.final.cycle != self._cycle_index:
+            self._flush_record()
+        return self._trace
 
     # ------------------------------------------------------------------
     # Internals
@@ -444,29 +420,20 @@ class CycleSimulator(RecordingScheduleMixin):
             variance = 0.0
             minimum = math.nan
             maximum = math.nan
-        return self._emit_record(
+        record = CycleRecord(
+            cycle=self._cycle_index,
             participant_count=len(self._participants),
             mean=mean,
             variance=variance,
             minimum=minimum,
             maximum=maximum,
+            completed_exchanges=self._pending_completed,
+            failed_exchanges=self._pending_failed,
         )
-
-    @staticmethod
-    def _normalise_initial_values(
-        initial_values: InitialValues, node_ids: Iterable[int]
-    ) -> Dict[int, Any]:
-        node_ids = list(node_ids)
-        if isinstance(initial_values, Mapping):
-            values = dict(initial_values)
-        else:
-            values = {index: value for index, value in enumerate(initial_values)}
-        missing = [node for node in node_ids if node not in values]
-        if missing:
-            raise ConfigurationError(
-                f"initial values missing for {len(missing)} nodes (e.g. {missing[:5]})"
-            )
-        return values
+        self._pending_completed = 0
+        self._pending_failed = 0
+        self._trace.add(record)
+        return record
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

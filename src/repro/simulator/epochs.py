@@ -255,7 +255,7 @@ class EpochDriver:
             # the shared predicate.
             engine = (
                 "vectorized"
-                if supports_fast_path(AverageFunction(), overlay, transport, None)
+                if supports_fast_path(AverageFunction(), overlay)
                 else "reference"
             )
         if engine == "vectorized" and not hasattr(overlay, "select_peers_batch"):

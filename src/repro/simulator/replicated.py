@@ -1,47 +1,71 @@
-"""Replica-batched tensor engine: R repetitions as one stacked simulation.
+"""The stacked cycle engine: R independent runs as one tensor simulation.
 
 Every figure of the paper is a sweep of repeats × parameter points —
-e.g. 50 independent runs per plotted value.  After the vectorised fast
-path made a *single* run cheap, the experiment layer still launched each
-repetition as its own engine instance, serially.  This module batches
-the replication axis itself: a :class:`ReplicatedCycleSimulator` holds
+e.g. 50 independent runs per plotted value.  This module is the one
+array engine behind all of them: a :class:`StackedCycleEngine` holds
 ``R`` independent repetitions in one stacked state tensor (block layout
 ``(R * stride, width)``, replica ``r``'s node ``u`` at row
 ``r * stride + u``) and executes the heavy per-cycle passes — conflict
 scheduling, gather/merge/scatter rounds, transport filtering, metric
-extraction — once across the whole block.
+extraction — once across the whole block.  It has two entry points:
+
+* :class:`ReplicatedCycleSimulator` runs ``R`` repetitions and hands out
+  one :class:`ReplicaView` per repetition;
+* :class:`~repro.simulator.vectorized.VectorizedCycleSimulator` is the
+  ``R = 1`` entry, a :class:`ReplicaView` that owns its engine and so
+  carries the constructor and ``run``/``run_cycle`` signatures of the
+  reference :class:`~repro.simulator.cycle_sim.CycleSimulator`.
+
+:class:`ReplicaView` is the single implementation of the per-run
+simulator surface (state accessors, membership operations, contact
+counts) that failure models, experiment plumbing and tests drive.
+
+Each cycle
+
+1. applies every replica's failure model through its view (the public
+   membership API is the reference engine's, so every failure model
+   works unchanged),
+2. draws each replica's shuffle order, peer choices and transport
+   outcomes as *batched* generator calls through the shared
+   :func:`~repro.simulator.sampling.draw_cycle_plan`,
+3. stacks the plans with block offsets
+   (:func:`~repro.simulator.sampling.stack_cycle_plans`), filters the
+   state-touching exchanges (:func:`effective_exchange_filter`) and
+   applies the push–pull merges (:func:`apply_merge_rounds`), using
+   :func:`~repro.simulator.sampling.ordered_conflict_rounds` to resolve
+   the sequential dependency chain as a short series of conflict-free
+   gather/merge/scatter passes, and
+4. records each replica's mean/variance/min/max with one vectorised
+   pass over its slice of the estimate array.
 
 Bit-identity contract
 ---------------------
 Each replica keeps its *own* random streams: replica ``r`` is
 constructed from the same ``root.child("run", r)`` stream the serial
 ``repeat_traces`` helper hands to run ``r``, and every cycle draws that
-replica's plan (shuffle, peer choices, transport outcomes) and failure
-injections from those streams through the very same code paths
-(:func:`~repro.simulator.sampling.draw_cycle_plan`, the public
-membership API).  Only the *execution* is fused: the per-replica plans
-are stacked with block offsets
-(:func:`~repro.simulator.sampling.stack_cycle_plans`), scheduled with
-one :func:`~repro.simulator.sampling.ordered_conflict_rounds` pass
-(replicas are node-disjoint, so the stacked rounds refine into exactly
-the per-replica rounds), and merged with the shared
-:func:`~repro.simulator.vectorized.apply_merge_rounds` kernel, whose
-arithmetic is elementwise per exchange.  Every replica's trace and
-final states are therefore **bit-identical** to what the serial fast
-path produces for the same root seed — asserted run-for-run by the
-equivalence suite.
+replica's plan and failure injections from those streams through the
+very same code paths.  Only the *execution* is fused: replicas are
+node-disjoint, so the stacked conflict rounds refine into exactly the
+per-replica rounds, and the merge arithmetic is elementwise per
+exchange.  Every replica's trace and final states are therefore
+**bit-identical** to a one-replica run of the same stream, and — both
+engines consuming randomness through the same cycle-plan discipline,
+the array merges using bit-identical float64 expressions — the *same
+exchange schedule and node states* as the reference engine, traces
+agreeing to within floating-point summation order.  The equivalence
+suites assert both, run for run.
 
-Use :func:`~repro.experiments.runner.repeat_traces` with a
-:class:`~repro.experiments.runner.RunPlan` to get this engine
-automatically; it falls back to the serial path whenever a
-configuration is not fast-path eligible.
+Use :func:`~repro.simulator.make_simulator` for a single run and
+:func:`~repro.experiments.runner.repeat_traces` with a
+:class:`~repro.experiments.runner.RunPlan` for repeats; both fall back
+to the reference engine whenever a configuration is not eligible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,14 +73,116 @@ from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
-from .cycle_sim import CycleSimulator, InitialValues
+from .cycle_sim import InitialValues, normalise_initial_values
 from .failures import FailureModel, NoFailures
 from .metrics import CycleRecord, SimulationTrace, estimate_statistics
-from .sampling import draw_cycle_plan, stack_cycle_plans
-from .transport import PERFECT_TRANSPORT, TransportModel, apply_reachability
-from .vectorized import apply_merge_rounds, effective_exchange_filter
+from .sampling import draw_cycle_plan, ordered_conflict_rounds, stack_cycle_plans
+from .transport import (
+    OUTCOME_COMPLETED,
+    OUTCOME_DROPPED,
+    PERFECT_TRANSPORT,
+    TransportModel,
+    apply_reachability,
+)
 
-__all__ = ["ReplicaConfig", "ReplicatedCycleSimulator", "ReplicaView"]
+__all__ = [
+    "ReplicaConfig",
+    "StackedCycleEngine",
+    "ReplicatedCycleSimulator",
+    "ReplicaView",
+    "effective_exchange_filter",
+    "apply_merge_rounds",
+]
+
+
+def effective_exchange_filter(
+    initiators: np.ndarray,
+    peers: np.ndarray,
+    outcomes: np.ndarray,
+    participant_mask: np.ndarray,
+    all_present: bool,
+    perfect: bool,
+):
+    """Select the state-touching exchanges of one (possibly stacked) cycle.
+
+    An exchange touches state unless the peer is unusable (no neighbour,
+    crashed, or refusing this epoch) or the transport dropped it
+    outright.  Indexing the mask with ``-1`` wraps to the last entry; the
+    ``peers >= 0`` term discards those lookups.
+
+    Returns ``(eff_initiators, eff_peers, eff_completed, effective_index)``:
+    the filtered exchange endpoints, the per-effective-slot completed
+    flags (``None`` on perfect transports, where every effective exchange
+    completes), and the indices of the effective slots in the input
+    arrays (``None`` when nothing was filtered out).
+    """
+    if all_present and (peers.size == 0 or int(peers.min()) >= 0):
+        # Every node participates and every initiator found a peer, so
+        # the validity filter would keep everything — skip it.
+        valid = None
+    else:
+        valid = participant_mask[peers] & (peers >= 0)
+    if valid is None and perfect:
+        return initiators, peers, None, None
+    effective = (
+        valid
+        if perfect
+        else (
+            (outcomes != OUTCOME_DROPPED)
+            if valid is None
+            else valid & (outcomes != OUTCOME_DROPPED)
+        )
+    )
+    effective_index = np.flatnonzero(effective)
+    eff_initiators = initiators[effective_index]
+    eff_peers = peers[effective_index]
+    # effective_index is always materialised on the lossy path, so the
+    # completed flags stay aligned with the effective exchange list.
+    eff_completed = (
+        None if perfect else outcomes[effective_index] == OUTCOME_COMPLETED
+    )
+    return eff_initiators, eff_peers, eff_completed, effective_index
+
+
+def apply_merge_rounds(
+    state_block: np.ndarray,
+    function: AggregationFunction,
+    eff_initiators: np.ndarray,
+    eff_peers: np.ndarray,
+    eff_completed: Optional[np.ndarray],
+    scratch: np.ndarray,
+) -> None:
+    """Apply one cycle's effective exchanges to a ``(rows, width)`` block.
+
+    The sequential dependency chain (a node's state may be read by a
+    later exchange of the same cycle) is resolved through
+    :func:`~repro.simulator.sampling.ordered_conflict_rounds`; each round
+    is one gather/merge/scatter pass.  The block may hold a single run or
+    ``R`` stacked replicas — node-disjoint rows merge independently, so
+    the kernel is oblivious to the replica dimension.
+    """
+    # Codecs that accept flat state vectors (the width-1 scalar
+    # functions) run on the flat column: 1-D gathers and scatters are
+    # markedly faster than row-wise fancy indexing.  Width-1 functions
+    # without the flag (e.g. a single-component VectorFunction, whose
+    # merge slices columns) stay on the 2-D path.
+    states = state_block[:, 0] if function.flat_state_codec else state_block
+    merge = function.merge_arrays
+    rounds = ordered_conflict_rounds(
+        eff_initiators, eff_peers, scratch, track_positions=eff_completed is not None
+    )
+    for batch_initiators, batch_peers, batch_positions in rounds:
+        new_initiator, new_responder = merge(
+            states[batch_initiators], states[batch_peers]
+        )
+        if eff_completed is None:
+            states[batch_initiators] = new_initiator
+        else:
+            # Response-lost exchanges update only the responder; the
+            # initiator never saw the reply and keeps its old state.
+            completed_mask = eff_completed[batch_positions]
+            states[batch_initiators[completed_mask]] = new_initiator[completed_mask]
+        states[batch_peers] = new_responder
 
 
 @dataclass
@@ -66,8 +192,7 @@ class ReplicaConfig:
     Attributes
     ----------
     overlay:
-        The replica's own overlay (a block view or a standalone overlay
-        with ``select_peers_batch``).
+        The replica's own overlay (a block view or a standalone overlay).
     initial_values:
         Per-node initial values, sequence or mapping — the same formats
         :class:`~repro.simulator.cycle_sim.CycleSimulator` accepts.
@@ -103,12 +228,13 @@ class _Replica:
         "pending_completed",
         "pending_failed",
         "participants_cache",
+        "last_participants",
     )
 
     def __init__(self, config: ReplicaConfig) -> None:
         self.overlay = config.overlay
         rng = config.rng
-        # The exact child-stream fan-out of the serial engines.
+        # The exact child-stream fan-out of the reference engine.
         self.selection_rng = rng.child("selection")
         self.transport_rng = rng.child("transport")
         self.failure_rng = rng.child("failures")
@@ -121,48 +247,51 @@ class _Replica:
         self.pending_completed = 0
         self.pending_failed = 0
         self.participants_cache: Optional[np.ndarray] = None
+        self.last_participants = np.empty(0, dtype=np.int64)
 
 
-class ReplicatedCycleSimulator:
-    """Run ``R`` independent repetitions as one stacked tensor simulation.
+class StackedCycleEngine:
+    """State tensor, membership masks and cycle pipeline of ``R`` stacked runs.
+
+    The shared core behind :class:`ReplicatedCycleSimulator` and
+    :class:`~repro.simulator.vectorized.VectorizedCycleSimulator`; build
+    one of those rather than this class.
 
     Parameters
     ----------
     replicas:
-        One :class:`ReplicaConfig` per repetition.  Every overlay must
-        support batched peer selection and the function must implement
-        the array codec (the same eligibility rule as the serial fast
-        path).
+        One :class:`ReplicaConfig` per repetition.
     function:
         The aggregation function shared by all repetitions (aggregation
         functions are stateless; per-replica state lives in the tensor).
+        It must implement the array codec.
     transport:
         Communication failure model (outcomes are still drawn from each
         replica's own transport stream).
     record_every:
-        Per-cycle metrics cadence, as in the serial engines.
+        Collect the per-cycle metrics only every this-many cycles; the
+        cycle-0 snapshot is always recorded and exchange counters
+        accumulate across skipped cycles into the next record.
     reachability:
         Optional pairwise connectivity constraint
         (:class:`~repro.simulator.failures.ReachabilityModel`) shared by
         all replicas.  Each replica's plan is filtered on its *local* node
         ids before stacking, so the blocked slots are identical to what
-        the serial engines would block for the same seed.
+        the reference engine would block for the same seed.
     """
 
     def __init__(
         self,
         replicas: Sequence[ReplicaConfig],
         function: AggregationFunction,
-        transport: TransportModel = PERFECT_TRANSPORT,
-        record_every: int = 1,
-        reachability=None,
+        transport: TransportModel,
+        record_every: int,
+        reachability,
     ) -> None:
-        if not replicas:
-            raise ConfigurationError("need at least one replica")
         if not function.supports_vectorized():
             raise ConfigurationError(
                 f"{type(function).__name__} does not implement the array codec; "
-                "use the serial repeat path instead"
+                "use CycleSimulator (or make_simulator / the serial repeat path)"
             )
         if record_every < 1:
             raise ConfigurationError("record_every must be at least 1")
@@ -174,18 +303,15 @@ class ReplicatedCycleSimulator:
         self._count = len(replicas)
         self._replicas: List[_Replica] = []
 
-        node_sets = []
-        stride = 1
-        for config in replicas:
-            if not hasattr(config.overlay, "select_peers_batch"):
-                raise ConfigurationError(
-                    f"overlay {type(config.overlay).__name__} has no batched peer "
-                    "selection; the replicated engine cannot drive it"
-                )
-            node_ids = config.overlay.node_ids()
-            node_sets.append(node_ids)
-            if node_ids:
-                stride = max(stride, max(node_ids) + 1)
+        node_sets = [config.overlay.node_ids() for config in replicas]
+        for config, node_ids in zip(replicas, node_sets):
+            replica = _Replica(config)
+            replica.next_node_id = max(node_ids) + 1 if node_ids else 0
+            set_reachability = getattr(config.overlay, "set_reachability", None)
+            if reachability is not None and set_reachability is not None:
+                set_reachability(reachability)
+            self._replicas.append(replica)
+        stride = max([1] + [replica.next_node_id for replica in self._replicas])
         self._stride = stride
         capacity = self._count * stride
         self._states = np.zeros((capacity, self._width), dtype=np.float64)
@@ -194,33 +320,25 @@ class ReplicatedCycleSimulator:
         self._scratch = np.empty(capacity, dtype=np.int64)
 
         for index, (config, node_ids) in enumerate(zip(replicas, node_sets)):
-            replica = _Replica(config)
-            replica.next_node_id = max(node_ids) + 1 if node_ids else 0
-            if reachability is not None and hasattr(
-                config.overlay, "set_reachability"
-            ):
-                config.overlay.set_reachability(reachability)
-            self._replicas.append(replica)
             if not node_ids:
                 continue
             base = index * stride
             count = len(node_ids)
             initial = config.initial_values
-            # Overlays report their ids sorted, so first == 0 and
-            # last == n - 1 certify the dense 0..n-1 id space — the
+            # Identifiers are distinct and non-negative, so the largest
+            # being count - 1 certifies the dense 0..n-1 id space — the
             # common case, initialised with one contiguous block write.
             if (
                 not isinstance(initial, Mapping)
                 and len(initial) == count
-                and node_ids[0] == 0
-                and node_ids[-1] == count - 1
+                and self._replicas[index].next_node_id == count
             ):
                 self._states[base : base + count] = function.initial_state_array(
                     np.asarray(initial, dtype=np.float64)
                 )
                 self._participant_mask[base : base + count] = True
                 continue
-            values = CycleSimulator._normalise_initial_values(initial, node_ids)
+            values = normalise_initial_values(initial, node_ids)
             ordered = np.asarray(sorted(node_ids), dtype=np.int64)
             rows = base + ordered
             ordered_values = [values[int(node)] for node in ordered]
@@ -230,7 +348,6 @@ class ReplicatedCycleSimulator:
             self._participant_mask[rows] = True
 
         self._cycle_index = 0
-        self._views = [ReplicaView(self, index) for index in range(self._count)]
         self._last_eff_initiators = np.empty(0, dtype=np.int64)
         self._last_eff_peers = np.empty(0, dtype=np.int64)
         self._last_eff_bounds = np.zeros(self._count + 1, dtype=np.int64)
@@ -259,14 +376,6 @@ class ReplicatedCycleSimulator:
         """Block rows reserved per replica."""
         return self._stride
 
-    def views(self) -> List["ReplicaView"]:
-        """Per-replica facades mirroring the serial simulator API."""
-        return list(self._views)
-
-    def view(self, replica: int) -> "ReplicaView":
-        """The facade of one replica."""
-        return self._views[replica]
-
     def traces(self) -> List[SimulationTrace]:
         """Per-replica traces, in replica order."""
         return [replica.trace for replica in self._replicas]
@@ -274,40 +383,33 @@ class ReplicatedCycleSimulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, cycles: int) -> List[SimulationTrace]:
-        """Run ``cycles`` cycles across every replica; return the traces.
+    def step(self, views: Sequence["ReplicaView"]) -> bool:
+        """Execute one full cycle for every replica in stacked form.
 
-        With ``record_every > 1`` the final executed cycle is always
-        recorded, so each trace's ``final`` reflects the end of the run.
+        ``views`` are the per-replica surfaces the failure models act on,
+        in replica order.  Returns whether this cycle was recorded
+        (``record_every`` may skip it).
         """
-        if cycles < 0:
-            raise ConfigurationError("cycles must be non-negative")
-        for _ in range(cycles):
-            self.run_cycle()
-        if self._replicas[0].trace.final.cycle != self._cycle_index:
-            self._flush_records()
-        return self.traces()
-
-    def run_cycle(self) -> None:
-        """Execute one full cycle for every replica in stacked form."""
         self._cycle_index += 1
-        for view, replica in zip(self._views, self._replicas):
+        for view, replica in zip(views, self._replicas):
             replica.failure_model.apply(view, self._cycle_index, replica.failure_rng)
 
-        # Per-replica randomness, exactly as the serial engines draw it.
-        plans = [
-            draw_cycle_plan(
-                replica.overlay,
-                self._participants_local(index),
-                replica.selection_rng,
-                self._transport,
-                replica.transport_rng,
+        # Per-replica randomness, exactly as the reference engine draws it.
+        plans = []
+        for index, replica in enumerate(self._replicas):
+            replica.last_participants = self._participants_local(index)
+            plans.append(
+                draw_cycle_plan(
+                    replica.overlay,
+                    replica.last_participants,
+                    replica.selection_rng,
+                    self._transport,
+                    replica.transport_rng,
+                )
             )
-            for index, replica in enumerate(self._replicas)
-        ]
         # Correlated connectivity blocks apply to each replica's plan in
         # *local* node ids (the model's view), before block offsets shift
-        # the rows — same slots the serial engines would drop.
+        # the rows — same slots the reference engine would drop.
         blocked_any = False
         for plan in plans:
             blocked_any |= apply_reachability(
@@ -317,17 +419,20 @@ class ReplicatedCycleSimulator:
                 plan.outcomes,
                 self._cycle_index,
             )
-        offsets = [index * self._stride for index in range(self._count)]
-        stacked = stack_cycle_plans(plans, offsets)
+        stacked = stack_cycle_plans(
+            plans, range(0, self._count * self._stride, self._stride)
+        )
 
-        participants_total = int(np.count_nonzero(self._participant_mask))
         eff_initiators, eff_peers, eff_completed, effective_index = (
             effective_exchange_filter(
                 stacked.initiators,
                 stacked.peers,
                 stacked.outcomes,
                 self._participant_mask,
-                all_present=participants_total == self._participant_mask.size,
+                # Every participant initiates exactly once per cycle.
+                all_present=stacked.initiators.size == self._participant_mask.size,
+                # A reachability block turns outcomes to DROPPED even under
+                # a perfect transport, so the filter must consult them.
                 perfect=self._transport.is_perfect() and not blocked_any,
             )
         )
@@ -343,6 +448,8 @@ class ReplicatedCycleSimulator:
         # Split the stacked exchange ledger back into per-replica counts:
         # effective slots are ascending, so each replica owns a contiguous
         # range found with one searchsorted over the slot boundaries.
+        # Every non-completed slot failed: unusable peer, dropped
+        # exchange, or lost response.
         if effective_index is None:
             eff_bounds = stacked.bounds
         else:
@@ -377,7 +484,24 @@ class ReplicatedCycleSimulator:
         self._last_eff_peers = eff_peers
         self._last_eff_bounds = eff_bounds
 
-        if self._cycle_index % self._record_every == 0:
+        if self._cycle_index % self._record_every:
+            return False
+        self._flush_records()
+        return True
+
+    def run_cycles(self, run_cycle: Callable[[], Any], cycles: int) -> None:
+        """Call ``run_cycle`` ``cycles`` times, then record the final cycle.
+
+        ``run_cycle`` is the entry point's own method, so every cycle of
+        a run passes through the public ``run_cycle``.  With
+        ``record_every > 1`` the final executed cycle is always recorded,
+        so each trace's ``final`` reflects the end of the run.
+        """
+        if cycles < 0:
+            raise ConfigurationError("cycles must be non-negative")
+        for _ in range(cycles):
+            run_cycle()
+        if self._replicas[0].trace.final.cycle != self._cycle_index:
             self._flush_records()
 
     # ------------------------------------------------------------------
@@ -394,13 +518,20 @@ class ReplicatedCycleSimulator:
         return replica.participants_cache
 
     def _flush_records(self) -> None:
+        stride = self._stride
         for index, replica in enumerate(self._replicas):
             participants = self._participants_local(index)
-            if participants.size:
-                block = self._states[index * self._stride + participants]
-                estimates = self._function.estimate_array(block)
+            base = index * stride
+            if participants.size == stride:
+                # Fully populated replica: its slice is the block, no gather.
+                rows = slice(base, base + stride)
             else:
-                estimates = np.empty(0, dtype=np.float64)
+                rows = base + participants
+            estimates = (
+                self._function.estimate_array(self._states[rows])
+                if participants.size
+                else np.empty(0, dtype=np.float64)
+            )
             mean, variance, minimum, maximum = estimate_statistics(estimates)
             replica.trace.add(
                 CycleRecord(
@@ -430,8 +561,7 @@ class ReplicatedCycleSimulator:
         capacity = self._count * new_stride
         # The last cycle's exchange ledger holds block rows under the old
         # stride; remap them so last_cycle_contact_counts stays valid
-        # after growth (the serial engine's ledger survives its capacity
-        # growth the same way — ids there never move).
+        # after growth.
         for name in ("_last_eff_initiators", "_last_eff_peers"):
             rows = getattr(self, name)
             if rows.size:
@@ -463,24 +593,74 @@ class ReplicatedCycleSimulator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ReplicatedCycleSimulator(replicas={self._count}, "
+            f"{type(self).__name__}(replicas={self._count}, "
             f"stride={self._stride}, function={self._function.name}, "
             f"cycle={self._cycle_index})"
         )
 
 
-class ReplicaView:
-    """One replica of the stacked engine, wearing the serial simulator API.
+class ReplicatedCycleSimulator(StackedCycleEngine):
+    """Run ``R`` independent repetitions as one stacked tensor simulation.
 
-    Failure models, experiment plumbing and post-processing helpers
-    (`trace`, `estimates()`, `states()`, membership operations...) treat
-    a view exactly like a :class:`VectorizedCycleSimulator` for that
-    repetition — which is what lets stateful failure models drive each
-    replica through the identical public surface, and what lets figure
-    code collect per-replica results without knowing about the block.
+    Parameters are those of :class:`StackedCycleEngine`; there must be at
+    least one replica and every overlay must support batched peer
+    selection (the eligibility rule of
+    :func:`~repro.simulator.supports_fast_path`).
     """
 
-    def __init__(self, engine: ReplicatedCycleSimulator, index: int) -> None:
+    # __init__ and run_cycle are defined here, and on the R=1 entry,
+    # rather than inherited: each entry point then has its own function
+    # objects for callers (and tracers) that tell the two apart.
+    def __init__(
+        self,
+        replicas: Sequence[ReplicaConfig],
+        function: AggregationFunction,
+        transport: TransportModel = PERFECT_TRANSPORT,
+        record_every: int = 1,
+        reachability=None,
+    ) -> None:
+        if not replicas:
+            raise ConfigurationError("need at least one replica")
+        for config in replicas:
+            if not hasattr(config.overlay, "select_peers_batch"):
+                raise ConfigurationError(
+                    f"overlay {type(config.overlay).__name__} has no batched peer "
+                    "selection; the replicated engine cannot drive it"
+                )
+        super().__init__(replicas, function, transport, record_every, reachability)
+        self._views = [ReplicaView(self, index) for index in range(self._count)]
+
+    def views(self) -> List["ReplicaView"]:
+        """Per-replica facades mirroring the serial simulator API."""
+        return list(self._views)
+
+    def view(self, replica: int) -> "ReplicaView":
+        """The facade of one replica."""
+        return self._views[replica]
+
+    def run(self, cycles: int) -> List[SimulationTrace]:
+        """Run ``cycles`` cycles across every replica; return the traces."""
+        self.run_cycles(self.run_cycle, cycles)
+        return self.traces()
+
+    def run_cycle(self) -> None:
+        """Execute one full cycle for every replica in stacked form."""
+        self.step(self._views)
+
+
+class ReplicaView:
+    """One run of the stacked engine, wearing the reference simulator API.
+
+    Failure models, experiment plumbing and post-processing helpers
+    (``trace``, ``estimates()``, ``states()``, membership operations...)
+    drive a view exactly as they drive a
+    :class:`~repro.simulator.cycle_sim.CycleSimulator` — which is what
+    lets stateful failure models act on each replica through the
+    identical public surface, and what lets figure code collect
+    per-replica results without knowing about the block.
+    """
+
+    def __init__(self, engine: StackedCycleEngine, index: int) -> None:
         self._engine = engine
         self._index = index
 
@@ -493,7 +673,7 @@ class ReplicaView:
     @property
     def overlay(self) -> OverlayProvider:
         """The replica's own overlay."""
-        return self._engine._replicas[self._index].overlay
+        return self._replica.overlay
 
     @property
     def function(self) -> AggregationFunction:
@@ -503,7 +683,7 @@ class ReplicaView:
     @property
     def trace(self) -> SimulationTrace:
         """The replica's per-cycle measurement trace."""
-        return self._engine._replicas[self._index].trace
+        return self._replica.trace
 
     @property
     def cycle_index(self) -> int:
@@ -522,32 +702,37 @@ class ReplicaView:
     def _participants(self) -> np.ndarray:
         return self._engine._participants_local(self._index)
 
-    def _invalidate(self) -> None:
-        self._engine._replicas[self._index].participants_cache = None
+    def _estimate_values(self, participants: np.ndarray) -> np.ndarray:
+        return self._engine._function.estimate_array(
+            self._engine._states[self._base + participants]
+        )
 
     # -- state accessors ------------------------------------------------
     def participant_ids(self) -> List[int]:
-        """Identifiers of the nodes participating in the current epoch."""
-        return [int(node) for node in self._participants()]
+        """Identifiers of the nodes participating in the current epoch (sorted)."""
+        return self._participants().tolist()
 
     def non_participant_ids(self) -> List[int]:
         """Identifiers of joined nodes waiting for the next epoch."""
-        engine = self._engine
         base = self._base
-        return [
-            int(node)
-            for node in np.flatnonzero(
-                engine._non_participant_mask[base : base + engine._stride]
-            )
-        ]
+        return np.flatnonzero(
+            self._engine._non_participant_mask[base : base + self._engine._stride]
+        ).tolist()
 
     def crashed_ids(self) -> List[int]:
         """Identifiers of nodes that crashed during this run."""
         return sorted(self._replica.crashed)
 
+    def is_participant(self, node_id: int) -> bool:
+        """Whether ``node_id`` currently takes part in the protocol."""
+        engine = self._engine
+        return 0 <= node_id < engine._stride and bool(
+            engine._participant_mask[self._base + node_id]
+        )
+
     def state_of(self, node_id: int) -> Any:
         """The protocol state currently held by ``node_id``."""
-        if not self._is_participant(node_id):
+        if not self.is_participant(node_id):
             raise SimulationError(f"node {node_id} is not participating")
         return self._engine._function.decode_state(
             self._engine._states[self._base + node_id]
@@ -564,19 +749,16 @@ class ReplicaView:
 
     def state_array(self) -> np.ndarray:
         """The raw ``(participants, width)`` state block, in id order."""
-        return self._engine._states[self._base + self._participants()].copy()
+        return self._engine._states[self._base + self._participants()]
 
     def estimates(self) -> Dict[int, Optional[float]]:
         """Current aggregate estimate at every participating node."""
         participants = self._participants()
         if participants.size == 0:
             return {}
-        values = self._engine._function.estimate_array(
-            self._engine._states[self._base + participants]
-        )
         return {
             int(node): (None if math.isnan(value) else float(value))
-            for node, value in zip(participants, values)
+            for node, value in zip(participants, self._estimate_values(participants))
         }
 
     def finite_estimates(self) -> List[float]:
@@ -584,14 +766,16 @@ class ReplicaView:
         participants = self._participants()
         if participants.size == 0:
             return []
-        values = self._engine._function.estimate_array(
-            self._engine._states[self._base + participants]
-        )
+        values = self._estimate_values(participants)
         return values[np.isfinite(values)].tolist()
 
     @property
     def last_cycle_contact_counts(self) -> Dict[int, int]:
-        """Per-node exchange participation counts of the last cycle."""
+        """Per-node exchange participation counts of the last cycle.
+
+        Keyed by the participants of the last executed cycle: a node
+        crashed since is still listed, a node joined since is not.
+        """
         engine = self._engine
         low = int(engine._last_eff_bounds[self._index])
         high = int(engine._last_eff_bounds[self._index + 1])
@@ -603,7 +787,9 @@ class ReplicaView:
             ]
         )
         counts = np.bincount(touched, minlength=engine._stride)
-        return {int(node): int(counts[node]) for node in self._participants()}
+        return {
+            int(node): int(counts[node]) for node in self._replica.last_participants
+        }
 
     # -- membership operations ------------------------------------------
     def crash_node(self, node_id: int) -> None:
@@ -616,12 +802,12 @@ class ReplicaView:
             row = self._base + node_id
             engine._participant_mask[row] = False
             engine._non_participant_mask[row] = False
-            self._invalidate()
+            replica.participants_cache = None
         replica.crashed.add(node_id)
         replica.overlay.on_node_removed(node_id)
 
     def add_node(self, value: Any = 0.0, participating: bool = False) -> int:
-        """Add a brand-new node to this replica's overlay."""
+        """Add a brand-new node to this run's overlay and return its identifier."""
         replica = self._replica
         engine = self._engine
         node_id = replica.next_node_id
@@ -632,7 +818,7 @@ class ReplicaView:
         if participating:
             engine._states[row] = engine._encode_value(value)
             engine._participant_mask[row] = True
-            self._invalidate()
+            replica.participants_cache = None
         else:
             engine._non_participant_mask[row] = True
         return node_id
@@ -653,8 +839,8 @@ class ReplicaView:
         engine._participant_mask[base + promoted] = True
         engine._non_participant_mask[base + promoted] = False
         if promoted.size:
-            self._invalidate()
-        return [int(node) for node in promoted]
+            self._replica.participants_cache = None
+        return promoted.tolist()
 
     def restart_epoch(self, values: Mapping[int, Any]) -> None:
         """Re-initialise every participant's state from fresh local values."""
@@ -675,18 +861,25 @@ class ReplicaView:
             )
 
     def override_values(self, node_ids: Sequence[int], values: Any) -> None:
-        """Forcibly re-assert local values on ``node_ids`` (one scatter).
+        """Re-assert local values at selected participants, mid-epoch.
 
-        The batched hook byzantine reporter models use to inject forged
-        values; semantics match the serial engines' ``override_values``.
+        The batched form of
+        :meth:`~repro.simulator.cycle_sim.CycleSimulator.override_values`:
+        one ``initial_state_array`` encode plus one scatter.  The codec
+        contract (array encoding bit-identical to the scalar
+        ``initial_state``) keeps the two engines in lockstep.
         """
         engine = self._engine
-        ids = np.asarray(list(node_ids), dtype=np.int64)
+        ids = np.asarray(node_ids, dtype=np.int64)
         if ids.size == 0:
             return
-        for node in ids:
-            if not self._is_participant(int(node)):
-                raise SimulationError(f"node {int(node)} is not participating")
+        if (
+            int(ids.min()) < 0
+            or int(ids.max()) >= engine._stride
+            or not bool(np.all(engine._participant_mask[self._base + ids]))
+        ):
+            bad = next(int(node) for node in ids if not self.is_participant(int(node)))
+            raise SimulationError(f"node {bad} is not participating")
         encoded = engine._function.initial_state_array(
             np.asarray(values, dtype=np.float64)
         )
@@ -697,11 +890,10 @@ class ReplicaView:
             )
         engine._states[self._base + ids] = encoded
 
-    def _is_participant(self, node_id: int) -> bool:
-        engine = self._engine
-        return 0 <= node_id < engine._stride and bool(
-            engine._participant_mask[self._base + node_id]
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ReplicaView(replica={self._index}, engine={self._engine!r})"
+        return (
+            f"{type(self).__name__}(replica={self._index}, "
+            f"function={self._engine._function.name}, "
+            f"participants={self._participants().size}, "
+            f"cycle={self._engine._cycle_index})"
+        )

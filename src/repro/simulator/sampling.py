@@ -7,14 +7,16 @@ three as *batched* generator calls and packages them in a
 :class:`CyclePlan`.
 
 Both the reference :class:`~repro.simulator.cycle_sim.CycleSimulator` and
-the fast-path :class:`~repro.simulator.vectorized.VectorizedCycleSimulator`
-consume their randomness exclusively through :func:`draw_cycle_plan`, so
-the two engines see bit-identical exchange schedules from the same root
-seed — which is what makes the fast path an exact drop-in, not merely a
-statistically equivalent one.
+the stacked array engine (:mod:`repro.simulator.replicated`, for one run
+or ``R``) consume their randomness exclusively through
+:func:`draw_cycle_plan`, one plan per run, so the two engines see
+bit-identical exchange schedules from the same root seed — which is what
+makes the fast path an exact drop-in, not merely a statistically
+equivalent one.  :func:`stack_cycle_plans` fuses the per-run plans of the
+array engine into one block-offset schedule.
 
 The module also provides :func:`ordered_conflict_rounds`, the scheduling
-core of the vectorised engine: it partitions a cycle's in-order exchange
+core of the array engine: it partitions a cycle's in-order exchange
 list into conflict-free batches that can each be applied with one gather /
 merge / scatter pass while preserving the sequential read-after-write
 semantics of the reference engine.
@@ -169,6 +171,15 @@ def stack_cycle_plans(
     offsets:
         Block-row offset of each replica (``r * stride``).
     """
+    if len(plans) == 1 and offsets[0] == 0:
+        # A single unshifted plan is already its own block schedule.
+        (plan,) = plans
+        return StackedCyclePlan(
+            initiators=plan.initiators,
+            peers=plan.peers,
+            outcomes=plan.outcomes,
+            bounds=np.array([0, plan.initiators.size], dtype=np.int64),
+        )
     counts = [plan.initiators.size for plan in plans]
     bounds = np.zeros(len(plans) + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])

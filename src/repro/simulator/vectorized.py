@@ -1,58 +1,44 @@
-"""Vectorised fast-path cycle engine.
+"""Single-run entry point of the stacked array engine.
 
-A struct-of-arrays drop-in for :class:`~repro.simulator.cycle_sim.CycleSimulator`
-restricted to aggregation functions that implement the array codec of
+:class:`VectorizedCycleSimulator` is a drop-in for
+:class:`~repro.simulator.cycle_sim.CycleSimulator` restricted to
+aggregation functions that implement the array codec of
 :class:`~repro.core.functions.AggregationFunction` (AVERAGE, MIN/MAX,
 geometric mean, push-sum, and vectors thereof — which covers COUNT via the
-peak distribution, SUM, PRODUCT and VARIANCE).  Node states live in one
-``(capacity, state_width)`` float64 array indexed by node id; each cycle
+peak distribution, SUM, PRODUCT and VARIANCE).  It holds no state of its
+own: it is the :class:`~repro.simulator.replicated.ReplicaView` of a
+one-replica :class:`~repro.simulator.replicated.StackedCycleEngine`, so the
+cycle pipeline, the state tensor and the whole simulator surface are the
+ones :mod:`repro.simulator.replicated` defines for ``R`` stacked runs.
 
-1. applies the failure model exactly as the reference engine does (the
-   public membership API is identical, so every failure model works
-   unchanged),
-2. draws the cycle's shuffle order, peer choices and transport outcomes as
-   *batched* generator calls through the shared
-   :func:`~repro.simulator.sampling.draw_cycle_plan`,
-3. applies the push–pull merges with array arithmetic, using
-   :func:`~repro.simulator.sampling.ordered_conflict_rounds` to resolve
-   the sequential dependency chain (a node's state may be read by a later
-   exchange in the same cycle) as a short series of conflict-free
-   gather/merge/scatter passes, and
-4. records the per-cycle mean/variance/min/max with one vectorised pass
-   over the estimate array.
-
-Because both engines consume randomness through the same cycle-plan
-discipline and the array merges use bit-identical float64 expressions, a
-run from a given root seed produces the *same exchange schedule and the
-same node states* as the reference engine — traces agree to within
+A run from a given root seed produces the same exchange schedule and the
+same node states as the reference engine — traces agree to within
 floating-point summation order.  Use
-:func:`~repro.simulator.make_simulator` to pick the fast path
-automatically when the function and overlay support it.
+:func:`~repro.simulator.make_simulator` to pick this engine automatically
+when the function and overlay support it.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Optional
 
-import numpy as np
-
-from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
-from .cycle_sim import CycleSimulator, InitialValues, RecordingScheduleMixin
-from .failures import FailureModel, NoFailures
-from .metrics import CycleRecord, SimulationTrace, estimate_statistics
-from .sampling import draw_cycle_plan, ordered_conflict_rounds
-from .transport import (
-    OUTCOME_COMPLETED,
-    OUTCOME_DROPPED,
-    PERFECT_TRANSPORT,
-    TransportModel,
-    apply_reachability,
+from .cycle_sim import InitialValues
+from .failures import FailureModel
+from .metrics import CycleRecord, SimulationTrace
+from .replicated import (
+    ReplicaConfig,
+    ReplicaView,
+    StackedCycleEngine,
+    apply_merge_rounds,
+    effective_exchange_filter,
 )
+from .transport import PERFECT_TRANSPORT, TransportModel
 
+# The two kernels are re-exported: this module is their established
+# import path, though they now live beside the engine that calls them.
 __all__ = [
     "VectorizedCycleSimulator",
     "effective_exchange_filter",
@@ -60,99 +46,7 @@ __all__ = [
 ]
 
 
-def effective_exchange_filter(
-    initiators: np.ndarray,
-    peers: np.ndarray,
-    outcomes: np.ndarray,
-    participant_mask: np.ndarray,
-    all_present: bool,
-    perfect: bool,
-):
-    """Select the state-touching exchanges of one (possibly stacked) cycle.
-
-    An exchange touches state unless the peer is unusable (no neighbour,
-    crashed, or refusing this epoch) or the transport dropped it
-    outright.  Indexing the mask with ``-1`` wraps to the last entry; the
-    ``peers >= 0`` term discards those lookups.
-
-    Returns ``(eff_initiators, eff_peers, eff_completed, effective_index)``:
-    the filtered exchange endpoints, the per-effective-slot completed
-    flags (``None`` on perfect transports, where every effective exchange
-    completes), and the indices of the effective slots in the input
-    arrays (``None`` when nothing was filtered out).  Shared by the
-    serial fast path and the replicated engine — one filter definition,
-    any block size.
-    """
-    if all_present and (peers.size == 0 or int(peers.min()) >= 0):
-        # Every node participates and every initiator found a peer, so
-        # the validity filter would keep everything — skip it.
-        valid = None
-    else:
-        valid = participant_mask[peers] & (peers >= 0)
-    if valid is None and perfect:
-        return initiators, peers, None, None
-    effective = (
-        valid
-        if perfect
-        else (
-            (outcomes != OUTCOME_DROPPED)
-            if valid is None
-            else valid & (outcomes != OUTCOME_DROPPED)
-        )
-    )
-    effective_index = np.flatnonzero(effective)
-    eff_initiators = initiators[effective_index]
-    eff_peers = peers[effective_index]
-    # effective_index is always materialised on the lossy path, so the
-    # completed flags stay aligned with the effective exchange list.
-    eff_completed = (
-        None if perfect else outcomes[effective_index] == OUTCOME_COMPLETED
-    )
-    return eff_initiators, eff_peers, eff_completed, effective_index
-
-
-def apply_merge_rounds(
-    state_block: np.ndarray,
-    function: AggregationFunction,
-    eff_initiators: np.ndarray,
-    eff_peers: np.ndarray,
-    eff_completed: Optional[np.ndarray],
-    scratch: np.ndarray,
-) -> None:
-    """Apply one cycle's effective exchanges to a ``(rows, width)`` block.
-
-    The sequential dependency chain (a node's state may be read by a
-    later exchange of the same cycle) is resolved through
-    :func:`~repro.simulator.sampling.ordered_conflict_rounds`; each round
-    is one gather/merge/scatter pass.  The block may hold a single run or
-    ``R`` stacked replicas — node-disjoint rows merge independently, so
-    the kernel is oblivious to the replica dimension.
-    """
-    # Codecs that accept flat state vectors (the width-1 scalar
-    # functions) run on the flat column: 1-D gathers and scatters are
-    # markedly faster than row-wise fancy indexing.  Width-1 functions
-    # without the flag (e.g. a single-component VectorFunction, whose
-    # merge slices columns) stay on the 2-D path.
-    states = state_block[:, 0] if function.flat_state_codec else state_block
-    merge = function.merge_arrays
-    rounds = ordered_conflict_rounds(
-        eff_initiators, eff_peers, scratch, track_positions=eff_completed is not None
-    )
-    for batch_initiators, batch_peers, batch_positions in rounds:
-        new_initiator, new_responder = merge(
-            states[batch_initiators], states[batch_peers]
-        )
-        if eff_completed is None:
-            states[batch_initiators] = new_initiator
-        else:
-            # Response-lost exchanges update only the responder; the
-            # initiator never saw the reply and keeps its old state.
-            completed_mask = eff_completed[batch_positions]
-            states[batch_initiators[completed_mask]] = new_initiator[completed_mask]
-        states[batch_peers] = new_responder
-
-
-class VectorizedCycleSimulator(RecordingScheduleMixin):
+class VectorizedCycleSimulator(ReplicaView):
     """Array-native cycle engine for codec-capable aggregation functions.
 
     Accepts the same constructor arguments as
@@ -178,334 +72,27 @@ class VectorizedCycleSimulator(RecordingScheduleMixin):
         record_every: int = 1,
         reachability=None,
     ) -> None:
-        if not function.supports_vectorized():
-            raise ConfigurationError(
-                f"{type(function).__name__} does not implement the array codec; "
-                "use CycleSimulator (or make_simulator) instead"
-            )
-        self._init_recording(record_every)
-        self._overlay = overlay
-        self._function = function
-        self._transport = transport
-        self._failure_model = failure_model or NoFailures()
-        self._reachability = reachability
-        set_reachability = getattr(overlay, "set_reachability", None)
-        if reachability is not None and set_reachability is not None:
-            set_reachability(reachability)
-
-        self._selection_rng = rng.child("selection")
-        self._transport_rng = rng.child("transport")
-        self._failure_rng = rng.child("failures")
-        self._overlay_rng = rng.child("overlay")
-        self._membership_rng = rng.child("membership")
-
-        node_ids = overlay.node_ids()
-        values = CycleSimulator._normalise_initial_values(initial_values, node_ids)
-        self._width = function.state_width()
-        self._next_node_id = max(node_ids) + 1 if node_ids else 0
-        self._capacity = max(self._next_node_id, 1)
-        self._states = np.zeros((self._capacity, self._width), dtype=np.float64)
-        self._participant_mask = np.zeros(self._capacity, dtype=bool)
-        self._non_participant_mask = np.zeros(self._capacity, dtype=bool)
-        self._scratch = np.empty(self._capacity, dtype=np.int64)
-        self._crashed: set[int] = set()
-
-        if node_ids:
-            ordered = np.asarray(sorted(node_ids), dtype=np.int64)
-            ordered_values = [values[int(node)] for node in ordered]
-            self._states[ordered] = function.initial_state_array(
-                np.asarray(ordered_values, dtype=np.float64)
-            )
-            self._participant_mask[ordered] = True
-
-        self._cycle_index = 0
-        self._trace = SimulationTrace()
-        self._participants_cache: Optional[np.ndarray] = None
-        self._last_contact_participants = np.empty(0, dtype=np.int64)
-        self._last_eff_initiators = np.empty(0, dtype=np.int64)
-        self._last_eff_peers = np.empty(0, dtype=np.int64)
-        self._flush_record()
-
-    # ------------------------------------------------------------------
-    # Public accessors (mirrors CycleSimulator)
-    # ------------------------------------------------------------------
-    @property
-    def overlay(self) -> OverlayProvider:
-        """The overlay network driving peer selection."""
-        return self._overlay
-
-    @property
-    def function(self) -> AggregationFunction:
-        """The aggregation function in use."""
-        return self._function
-
-    @property
-    def trace(self) -> SimulationTrace:
-        """The per-cycle measurement trace collected so far."""
-        return self._trace
-
-    @property
-    def cycle_index(self) -> int:
-        """Number of cycles executed so far."""
-        return self._cycle_index
-
-    @property
-    def last_cycle_contact_counts(self) -> Dict[int, int]:
-        """Per-node exchange participation counts of the last cycle.
-
-        Materialised lazily from the last cycle's exchange endpoints; the
-        reference engine keeps an identical dict-shaped ledger.
-        """
-        touched = np.concatenate([self._last_eff_initiators, self._last_eff_peers])
-        counts = np.bincount(touched, minlength=self._capacity)
-        return {int(node): int(counts[node]) for node in self._last_contact_participants}
-
-    def participant_ids(self) -> List[int]:
-        """Identifiers of the nodes participating in the current epoch (sorted)."""
-        return [int(node) for node in np.flatnonzero(self._participant_mask)]
-
-    def non_participant_ids(self) -> List[int]:
-        """Identifiers of joined nodes waiting for the next epoch."""
-        return [int(node) for node in np.flatnonzero(self._non_participant_mask)]
-
-    def crashed_ids(self) -> List[int]:
-        """Identifiers of nodes that crashed during this run."""
-        return sorted(self._crashed)
-
-    def state_of(self, node_id: int) -> Any:
-        """The protocol state currently held by ``node_id``."""
-        if not self._is_participant(node_id):
-            raise SimulationError(f"node {node_id} is not participating")
-        return self._function.decode_state(self._states[node_id])
-
-    def states(self) -> Dict[int, Any]:
-        """Mapping from participant id to (decoded) protocol state."""
-        decode = self._function.decode_state
-        return {
-            int(node): decode(self._states[node])
-            for node in np.flatnonzero(self._participant_mask)
-        }
-
-    def state_array(self) -> np.ndarray:
-        """The raw ``(participants, state_width)`` state block, in id order."""
-        return self._states[self._participant_mask].copy()
-
-    def estimates(self) -> Dict[int, Optional[float]]:
-        """Current aggregate estimate at every participating node."""
-        participants = np.flatnonzero(self._participant_mask)
-        if participants.size == 0:
-            return {}
-        values = self._function.estimate_array(self._states[participants])
-        return {
-            int(node): (None if math.isnan(value) else float(value))
-            for node, value in zip(participants, values)
-        }
-
-    def finite_estimates(self) -> List[float]:
-        """All current estimates that are actual finite numbers."""
-        participants = np.flatnonzero(self._participant_mask)
-        if participants.size == 0:
-            return []
-        values = self._function.estimate_array(self._states[participants])
-        return values[np.isfinite(values)].tolist()
-
-    # ------------------------------------------------------------------
-    # Membership operations (used by failure models and by callers)
-    # ------------------------------------------------------------------
-    def crash_node(self, node_id: int) -> None:
-        """Remove a node: its state becomes permanently inaccessible."""
-        if node_id in self._crashed:
-            return
-        if 0 <= node_id < self._capacity:
-            self._participant_mask[node_id] = False
-            self._non_participant_mask[node_id] = False
-            self._participants_cache = None
-        self._crashed.add(node_id)
-        self._overlay.on_node_removed(node_id)
-
-    def add_node(self, value: Any = 0.0, participating: bool = False) -> int:
-        """Add a brand-new node to the overlay and return its identifier."""
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        self._ensure_capacity(node_id)
-        self._overlay.on_node_added(node_id, self._membership_rng)
-        if participating:
-            self._states[node_id] = self._encode_value(value)
-            self._participant_mask[node_id] = True
-            self._participants_cache = None
-        else:
-            self._non_participant_mask[node_id] = True
-        return node_id
-
-    def promote_non_participants(self, values: Optional[Mapping[int, Any]] = None) -> List[int]:
-        """Let all waiting nodes join the protocol (an epoch restart)."""
-        promoted = np.flatnonzero(self._non_participant_mask)
-        for node in promoted:
-            node_id = int(node)
-            value = 0.0 if values is None else values.get(node_id, 0.0)
-            self._states[node_id] = self._encode_value(value)
-        self._participant_mask[promoted] = True
-        self._non_participant_mask[promoted] = False
-        if promoted.size:
-            self._participants_cache = None
-        return [int(node) for node in promoted]
-
-    def restart_epoch(self, values: Mapping[int, Any]) -> None:
-        """Re-initialise every participant's state from fresh local values."""
-        self.promote_non_participants()
-        participants = np.flatnonzero(self._participant_mask)
-        fresh = []
-        for node in participants:
-            node_id = int(node)
-            if node_id not in values:
-                raise ConfigurationError(f"missing restart value for node {node_id}")
-            fresh.append(values[node_id])
-        if participants.size:
-            self._states[participants] = self._function.initial_state_array(
-                np.asarray(fresh, dtype=np.float64)
-            )
-
-    def override_values(self, node_ids: Sequence[int], values: Any) -> None:
-        """Re-assert local values at selected participants, mid-epoch.
-
-        The batched form of
-        :meth:`~repro.simulator.cycle_sim.CycleSimulator.override_values`:
-        one ``initial_state_array`` encode plus one scatter.  The codec
-        contract (array encoding bit-identical to the scalar
-        ``initial_state``) keeps the two engines in lockstep.
-        """
-        ids = np.asarray(node_ids, dtype=np.int64)
-        if ids.size == 0:
-            return
-        if (
-            int(ids.min()) < 0
-            or int(ids.max()) >= self._capacity
-            or not bool(np.all(self._participant_mask[ids]))
-        ):
-            bad = next(
-                int(node) for node in ids if not self._is_participant(int(node))
-            )
-            raise SimulationError(f"node {bad} is not participating")
-        encoded = self._function.initial_state_array(
-            np.asarray(values, dtype=np.float64)
+        config = ReplicaConfig(overlay, initial_values, rng, failure_model)
+        super().__init__(
+            StackedCycleEngine(
+                [config], function, transport, record_every, reachability
+            ),
+            0,
         )
-        if encoded.shape[0] != ids.size:
-            raise ConfigurationError(
-                f"override_values got {ids.size} nodes but "
-                f"{encoded.shape[0]} value rows"
-            )
-        self._states[ids] = encoded
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run_cycle(self) -> Optional[CycleRecord]:
         """Execute one full cycle and return its measurement record.
 
         Returns ``None`` on cycles skipped by ``record_every``.
         """
-        self._cycle_index += 1
-        self._failure_model.apply(self, self._cycle_index, self._failure_rng)
+        # The failure model acts on this very object.
+        return self.trace.final if self._engine.step((self,)) else None
 
-        participants = self._participants_array()
-        plan = draw_cycle_plan(
-            self._overlay,
-            participants,
-            self._selection_rng,
-            self._transport,
-            self._transport_rng,
-        )
-        blocked_any = apply_reachability(
-            self._reachability, plan.initiators, plan.peers, plan.outcomes,
-            self._cycle_index,
-        )
-        eff_initiators, eff_peers, eff_completed, _ = effective_exchange_filter(
-            plan.initiators,
-            plan.peers,
-            plan.outcomes,
-            self._participant_mask,
-            all_present=participants.size == self._capacity,
-            # A reachability block turns outcomes to DROPPED even under a
-            # perfect transport, so the filter must consult them.
-            perfect=self._transport.is_perfect() and not blocked_any,
-        )
-        apply_merge_rounds(
-            self._states,
-            self._function,
-            eff_initiators,
-            eff_peers,
-            eff_completed,
-            self._scratch,
-        )
+    def run(self, cycles: int) -> SimulationTrace:
+        """Run ``cycles`` consecutive cycles and return the trace.
 
-        completed = (
-            int(eff_initiators.size)
-            if eff_completed is None
-            else int(np.count_nonzero(eff_completed))
-        )
-        # Every non-completed slot failed: unusable peer, dropped exchange,
-        # or lost response.
-        failed = int(plan.initiators.size) - completed
-
-        self._last_eff_initiators = eff_initiators
-        self._last_eff_peers = eff_peers
-        self._last_contact_participants = participants
-
-        self._overlay.after_cycle(self._overlay_rng)
-        return self._maybe_record(completed, failed)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _participants_array(self) -> np.ndarray:
-        """Sorted participant ids, cached until membership changes."""
-        if self._participants_cache is None:
-            self._participants_cache = np.flatnonzero(self._participant_mask)
-        return self._participants_cache
-
-    def _is_participant(self, node_id: int) -> bool:
-        return 0 <= node_id < self._capacity and bool(self._participant_mask[node_id])
-
-    def _encode_value(self, value: Any) -> np.ndarray:
-        return self._function.initial_state_array(np.asarray([value], dtype=np.float64))[0]
-
-    def _ensure_capacity(self, node_id: int) -> None:
-        if node_id < self._capacity:
-            return
-        new_capacity = max(self._capacity * 2, node_id + 1)
-        states = np.zeros((new_capacity, self._width), dtype=np.float64)
-        states[: self._capacity] = self._states
-        self._states = states
-        for name in ("_participant_mask", "_non_participant_mask"):
-            mask = np.zeros(new_capacity, dtype=bool)
-            mask[: self._capacity] = getattr(self, name)
-            setattr(self, name, mask)
-        self._scratch = np.empty(new_capacity, dtype=np.int64)
-        self._capacity = new_capacity
-
-    def _flush_record(self) -> CycleRecord:
-        participants = self._participants_array()
-        if participants.size:
-            block = (
-                self._states
-                if participants.size == self._capacity
-                else self._states[participants]
-            )
-            estimates = self._function.estimate_array(block)
-        else:
-            estimates = np.empty(0, dtype=np.float64)
-        mean, variance, minimum, maximum = estimate_statistics(estimates)
-        return self._emit_record(
-            participant_count=int(participants.size),
-            mean=mean,
-            variance=variance,
-            minimum=minimum,
-            maximum=maximum,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"VectorizedCycleSimulator(function={self._function.name}, "
-            f"participants={int(np.count_nonzero(self._participant_mask))}, "
-            f"cycle={self._cycle_index})"
-        )
+        With ``record_every > 1`` the final executed cycle is always
+        recorded, so ``trace.final`` reflects the end of the run.
+        """
+        self._engine.run_cycles(self.run_cycle, cycles)
+        return self.trace

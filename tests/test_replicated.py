@@ -10,12 +10,14 @@ churn} grid, plus a hypothesis property that the plan-based
 ``repeat_traces`` fast path reproduces the serial output list-for-list.
 """
 
+from typing import Callable, NamedTuple, Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import RandomSource
 from repro.core.functions import AverageFunction, MinFunction, PushSumFunction
 from repro.experiments.runner import (
@@ -25,9 +27,15 @@ from repro.experiments.runner import (
     uniform_initial_values,
 )
 from repro.newscast.vectorized_cache import ReplicatedNewscastBlock, VectorizedNewscastOverlay
+from repro.simulator.cycle_sim import CycleSimulator
 from repro.simulator.failures import ChurnModel, ProportionalCrashModel
-from repro.simulator.replicated import ReplicaConfig, ReplicatedCycleSimulator
+from repro.simulator.replicated import (
+    ReplicaConfig,
+    ReplicatedCycleSimulator,
+    ReplicaView,
+)
 from repro.simulator.transport import PERFECT_TRANSPORT, TransportModel
+from repro.simulator.vectorized import VectorizedCycleSimulator
 from repro.topology import StaticTopology, TopologySpec
 from repro.topology.random_regular import random_k_out_topology
 from repro.topology.replicated import ReplicatedStaticBlock, draw_k_out_peers
@@ -354,25 +362,52 @@ class TestReplicatedNewscastBlock:
         assert block.overlay(1).clock == before + 1
 
 
-class TestReplicaViewSurface:
-    def build_engine(self):
-        root = RandomSource(5)
-        views = [
-            random_k_out_topology(30, 4, root.child("t", index)) for index in range(2)
-        ]
-        configs = [
-            ReplicaConfig(
-                overlay=views[index],
-                initial_values=[float(i) for i in range(30)],
-                rng=root.child("s", index),
-            )
-            for index in range(2)
-        ]
-        return ReplicatedCycleSimulator(configs, AverageFunction())
+def build_replicated_engine():
+    root = RandomSource(5)
+    configs = [
+        ReplicaConfig(
+            overlay=random_k_out_topology(30, 4, root.child("t", index)),
+            initial_values=[float(i) for i in range(30)],
+            rng=root.child("s", index),
+        )
+        for index in range(2)
+    ]
+    return ReplicatedCycleSimulator(configs, AverageFunction())
 
-    def test_membership_round_trip(self):
-        engine = self.build_engine()
-        view = engine.view(0)
+
+def build_vectorized_simulator():
+    """The R=1 door over the streams of replica 0 of the engine above."""
+    root = RandomSource(5)
+    return VectorizedCycleSimulator(
+        random_k_out_topology(30, 4, root.child("t", 0)),
+        AverageFunction(),
+        [float(i) for i in range(30)],
+        root.child("s", 0),
+    )
+
+
+class Door(NamedTuple):
+    """One entry onto the shared per-run surface."""
+
+    surface: ReplicaView
+    run: Callable[[int], object]
+    sibling: Optional[ReplicaView]
+
+
+@pytest.fixture(params=["replica-view", "vectorized"])
+def door(request):
+    if request.param == "vectorized":
+        simulator = build_vectorized_simulator()
+        return Door(simulator, simulator.run, None)
+    engine = build_replicated_engine()
+    return Door(engine.view(0), engine.run, engine.view(1))
+
+
+class TestReplicaViewSurface:
+    """The per-run surface, through view 0 of an R=2 engine and the R=1 door."""
+
+    def test_membership_round_trip(self, door):
+        view = door.surface
         assert view.participant_ids() == list(range(30))
         view.crash_node(7)
         assert 7 in view.crashed_ids()
@@ -383,42 +418,70 @@ class TestReplicaViewSurface:
         assert promoted == [joined]
         assert view.state_of(joined) == 3.0
         # The sibling replica is untouched throughout.
-        assert engine.view(1).participant_ids() == list(range(30))
+        if door.sibling is not None:
+            assert door.sibling.participant_ids() == list(range(30))
 
-    def test_restart_epoch_requires_every_value(self):
-        engine = self.build_engine()
-        view = engine.view(0)
+    def test_restart_epoch_requires_every_value(self, door):
+        view = door.surface
         with pytest.raises(ConfigurationError):
             view.restart_epoch({0: 1.0})
         view.restart_epoch({node: 1.0 for node in view.participant_ids()})
         assert set(view.finite_estimates()) == {1.0}
 
-    def test_stride_growth_preserves_states(self):
-        engine = self.build_engine()
-        view = engine.view(0)
-        sibling_states = engine.view(1).states()
+    def test_stride_growth_preserves_states(self, door):
+        view = door.surface
+        door.run(2)
+        states = view.states()
+        sibling_states = None if door.sibling is None else door.sibling.states()
         for _ in range(40):  # force at least one stride growth
             view.add_node(participating=True)
-        assert engine.view(1).states() == sibling_states
+        assert {node: view.state_of(node) for node in states} == states
         assert view.state_of(45) == 0.0
+        if door.sibling is not None:
+            assert door.sibling.states() == sibling_states
 
-    def test_contact_counts_cover_participants(self):
-        engine = self.build_engine()
-        engine.run_cycle()
-        counts = engine.view(0).last_cycle_contact_counts
-        assert set(counts) == set(engine.view(0).participant_ids())
+    def test_contact_counts_cover_participants(self, door):
+        door.run(1)
+        counts = door.surface.last_cycle_contact_counts
+        assert set(counts) == set(door.surface.participant_ids())
         assert sum(counts.values()) > 0
 
     def test_contact_counts_survive_stride_growth(self):
         # Regression: stride growth remaps the last cycle's exchange
         # ledger; reading contact counts of a later replica used to hit
         # negative rows (ValueError from bincount).
-        engine = self.build_engine()
+        engine = build_replicated_engine()
         engine.run(3)
         before = engine.view(1).last_cycle_contact_counts
         engine.view(1).add_node(participating=False)  # grows the stride
-        after = engine.view(1).last_cycle_contact_counts
-        assert {node: count for node, count in after.items() if node < 30} == before
+        assert engine.view(1).last_cycle_contact_counts == before
+
+    def test_contact_counts_keyed_by_last_cycle_participants(self):
+        # Regression: the three surfaces used to answer differently after a
+        # crash and a join — the view dropped the crashed node and listed
+        # the joined one, the reference engine listed both.
+        root = RandomSource(5)
+        reference = CycleSimulator(
+            random_k_out_topology(30, 4, root.child("t", 0)),
+            AverageFunction(),
+            [float(i) for i in range(30)],
+            root.child("s", 0),
+        )
+        vectorized = build_vectorized_simulator()
+        engine = build_replicated_engine()
+        answers = []
+        for run, view in [
+            (reference.run, reference),
+            (vectorized.run, vectorized),
+            (engine.run, engine.view(0)),
+        ]:
+            run(2)
+            view.crash_node(7)
+            joined = view.add_node(participating=True)
+            counts = view.last_cycle_contact_counts
+            assert 7 in counts and joined not in counts
+            answers.append(counts)
+        assert answers[0] == answers[1] == answers[2]
 
     def test_rejects_non_codec_function(self):
         from repro.core.count import CountMapFunction
@@ -428,30 +491,62 @@ class TestReplicaViewSurface:
         config = ReplicaConfig(overlay, [{0: 1.0}] * 20, root.child("s"))
         with pytest.raises(ConfigurationError):
             ReplicatedCycleSimulator([config], CountMapFunction())
+        with pytest.raises(ConfigurationError):
+            VectorizedCycleSimulator(
+                overlay, CountMapFunction(), [{0: 1.0}] * 20, root.child("s")
+            )
 
     def test_rejects_empty_replica_list(self):
         with pytest.raises(ConfigurationError):
             ReplicatedCycleSimulator([], AverageFunction())
 
-    def test_state_array_matches_serial_layout(self):
-        engine = self.build_engine()
-        engine.run(3)
-        view = engine.view(1)
+    def test_state_array_matches_serial_layout(self, door):
+        door.run(3)
+        view = door.surface
         array = view.state_array()
         assert array.shape == (30, 1)
         assert array[:, 0].tolist() == [view.state_of(node) for node in range(30)]
 
-    def test_run_rejects_negative_cycles(self):
-        engine = self.build_engine()
+    def test_run_rejects_negative_cycles(self, door):
         with pytest.raises(ConfigurationError):
-            engine.run(-1)
+            door.run(-1)
 
-    def test_state_of_unknown_node_raises(self):
-        from repro.common.errors import SimulationError
-
-        engine = self.build_engine()
+    def test_state_of_unknown_node_raises(self, door):
         with pytest.raises(SimulationError):
-            engine.view(0).state_of(999)
+            door.surface.state_of(999)
+
+    def test_is_participant(self, door):
+        view = door.surface
+        view.crash_node(3)
+        waiting = view.add_node(participating=False)
+        assert view.is_participant(0)
+        assert not view.is_participant(3)
+        assert not view.is_participant(waiting)
+        assert not view.is_participant(-1)
+        assert not view.is_participant(10_000)
+
+    @pytest.mark.parametrize(
+        "node_ids", [[-1], [0, 10_000], [0, 3]], ids=["negative", "beyond-stride", "crashed"]
+    )
+    def test_override_values_rejects_non_participants(self, door, node_ids):
+        view = door.surface
+        view.crash_node(3)
+        before = view.states()
+        with pytest.raises(SimulationError, match=f"node {node_ids[-1]} "):
+            view.override_values(node_ids, [1.0] * len(node_ids))
+        assert view.states() == before
+
+    def test_override_values_rejects_row_count_mismatch(self, door):
+        with pytest.raises(ConfigurationError):
+            door.surface.override_values([0, 1], [1.0, 2.0, 3.0])
+
+    def test_override_values_scatters_encoded_rows(self, door):
+        view = door.surface
+        view.override_values(np.array([4, 2]), [40.0, 20.0])
+        view.override_values([], [])
+        assert (view.state_of(4), view.state_of(2)) == (40.0, 20.0)
+        if door.sibling is not None:
+            assert door.sibling.state_of(4) == 4.0
 
 
 class TestBlockViewScalarSurface:

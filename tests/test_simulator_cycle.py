@@ -115,8 +115,10 @@ class TestOtherFunctions:
 class TestMembershipOperations:
     def test_crash_node_removes_state_and_overlay_entry(self):
         simulator = make_simulator()
+        assert simulator.is_participant(3)
         simulator.crash_node(3)
         assert 3 not in simulator.participant_ids()
+        assert not simulator.is_participant(3)
         assert 3 in simulator.crashed_ids()
         assert not simulator.overlay.contains(3)
 
@@ -130,6 +132,7 @@ class TestMembershipOperations:
         simulator = make_simulator()
         node = simulator.add_node(value=5.0)
         assert node not in simulator.participant_ids()
+        assert not simulator.is_participant(node)
         assert node in simulator.non_participant_ids()
         assert simulator.overlay.contains(node)
 
