@@ -71,7 +71,7 @@ def run_adaptive(epochs: int = 6, seed: int = 7) -> None:
     """The practical protocol: multi-epoch adaptive COUNT on the fast path."""
     initial_guess = NETWORK_SIZE // 4
     result = run_epoched_count(
-        TopologySpec("newscast", degree=30, params={"vectorized": True}),
+        TopologySpec("newscast", degree=30),
         NETWORK_SIZE,
         epochs,
         RandomSource(seed),

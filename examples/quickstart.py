@@ -79,18 +79,14 @@ def main() -> None:
         f"(variance {final.variance:.3e})"
     )
 
-    # The fast path is not limited to static overlays: the array-native
-    # NEWSCAST implementation (params={"vectorized": True}) keeps even
+    # The fast path is not limited to static overlays: a "newscast" spec
+    # builds the array-native NEWSCAST implementation, which keeps even
     # dynamic-membership runs on the vectorized engine, at the paper's
     # 10^5-node scale.  Every cycle below runs one push-pull aggregation
     # round AND one full NEWSCAST cache-exchange round for all nodes.
     size = 100_000
     rng = RandomSource(2004)
-    overlay = build_overlay(
-        TopologySpec("newscast", degree=30, params={"vectorized": True}),
-        size,
-        rng.child("topology"),
-    )
+    overlay = build_overlay(TopologySpec("newscast", degree=30), size, rng.child("topology"))
     simulator = make_simulator(
         overlay,
         AverageFunction(),

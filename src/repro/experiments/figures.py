@@ -182,18 +182,15 @@ def _count_node_size_extremes(simulator: CycleSimulator) -> tuple:
     return min(finite), (math.inf if has_infinite else max(finite))
 
 
-def _newscast_spec(size: int, cache: int = 30, vectorized: bool = True) -> TopologySpec:
-    """The NEWSCAST overlay spec used by the dynamic-membership figures.
+def _newscast_spec(size: int, cache: int = 30) -> TopologySpec:
+    """The NEWSCAST overlay spec every figure uses: cache ``c`` capped for tiny networks."""
+    return TopologySpec("newscast", degree=min(cache, max(2, size - 1)))
 
-    Defaults to the array-native implementation so the robustness
-    figures (4b, 6b, 7b, ...) stay on the vectorized fast path and run
-    at the paper's 10^5-node scale; pass ``vectorized=False`` for the
-    dict-based reference overlay.
-    """
-    return TopologySpec(
-        "newscast",
-        degree=min(cache, max(2, size - 1)),
-        params={"vectorized": True} if vectorized else {},
+
+def _figure3_topologies(size: int) -> List[TopologySpec]:
+    """Figure 3's overlays with the paper's view and cache sizes capped for ``size`` nodes."""
+    return standard_topologies(
+        degree=_effective_degree(size), newscast_cache=_newscast_spec(size).degree
     )
 
 
@@ -259,8 +256,7 @@ def figure3a_convergence_vs_size(
         )
     rows = []
     for size in sizes:
-        degree = _effective_degree(size)
-        specs = topologies or standard_topologies(degree=degree, newscast_cache=min(30, size - 1))
+        specs = topologies or _figure3_topologies(size)
         for spec in specs:
             plan = RunPlan(
                 topology=spec, size=size, cycles=cycles, values=uniform_initial_values
@@ -292,8 +288,7 @@ def figure3b_variance_reduction(
 ) -> FigureResult:
     """Figure 3(b): normalised variance vs cycle for every topology family."""
     size = scale.network_size
-    degree = _effective_degree(size)
-    specs = topologies or standard_topologies(degree=degree, newscast_cache=min(30, size - 1))
+    specs = topologies or _figure3_topologies(size)
     rows = []
     for spec in specs:
         plan = RunPlan(

@@ -415,13 +415,15 @@ class RunPlan:
         function must implement the array codec and the overlay family
         must offer batched peer selection — every static topology, the
         complete overlay, and array-native NEWSCAST.  Only the
-        dict-based NEWSCAST overlay stays serial.
+        dict-based NEWSCAST oracle (``{"vectorized": False}``) stays
+        serial.
         """
         if not self.function_factory().supports_vectorized():
             return False
-        if self.topology.kind.lower() == "newscast":
-            return bool(self.topology.params.get("vectorized", False))
-        return True
+        return (
+            self.topology.kind.lower() != "newscast"
+            or self.topology.builds_array_newscast()
+        )
 
     def build_replica_overlays(
         self, rngs: Sequence[RandomSource]
@@ -452,7 +454,7 @@ class RunPlan:
                 lambda replica: build_overlay(self.topology, self.size, rngs[replica]),
             )
             return [block.view(replica) for replica in range(len(rngs))]
-        if kind == "newscast" and self.topology.params.get("vectorized", False):
+        if self.topology.builds_array_newscast():
             extra = {
                 key: value
                 for key, value in self.topology.params.items()

@@ -1,10 +1,12 @@
 """NEWSCAST: the epidemic membership protocol used as the dynamic overlay.
 
-Two interchangeable implementations are provided: the dict-based
-reference :class:`NewscastOverlay` (one ``NewscastCache`` per node) and
-the array-native :class:`VectorizedNewscastOverlay` (all caches in one
-packed matrix, batched maintenance, ``select_peers_batch``), which is
-what keeps NEWSCAST configurations on the vectorized fast-path engine.
+Two interchangeable implementations are provided: the array-native
+:class:`VectorizedNewscastOverlay` (all caches in one packed matrix,
+batched maintenance, ``select_peers_batch``), which a ``"newscast"``
+:class:`~repro.topology.TopologySpec` builds by default and which keeps
+NEWSCAST configurations on the vectorized fast-path engine, and the
+dict-based :class:`NewscastOverlay` (one ``NewscastCache`` per node),
+kept as its parity oracle.
 """
 
 from .cache import CacheEntry, NewscastCache

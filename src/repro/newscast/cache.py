@@ -6,6 +6,13 @@ merge their caches (together with fresh descriptors of themselves) and
 keep the ``c`` freshest entries.  Because a crashed node stops injecting
 fresh descriptors of itself, its entries age out of every cache and the
 overlay "repairs" itself — the property the paper relies on for robustness.
+
+Contract: :class:`NewscastCache` is the scalar parity oracle of the
+batched kernel :func:`~repro.newscast.vectorized_cache.merge_packed_pairs`,
+which must reproduce :meth:`NewscastCache.merged_with` bit for bit
+(``tests/test_newscast_vectorized.py::TestMergeKernelProperty``).  Its only
+other user is the dict-based :class:`~repro.newscast.protocol.NewscastOverlay`,
+itself an oracle; default runs keep their caches in the packed matrix.
 """
 
 from __future__ import annotations

@@ -1,4 +1,14 @@
-"""The NEWSCAST membership protocol as an overlay provider.
+"""The NEWSCAST membership protocol as an overlay provider (dict-based parity oracle).
+
+Contract: :class:`NewscastOverlay` is the reference implementation the
+array-native :class:`~repro.newscast.vectorized_cache.VectorizedNewscastOverlay`
+is tested against, not a production path.  ``build_overlay`` builds it
+only for ``TopologySpec("newscast", params={"vectorized": False})``; no
+figure, example or benchmark workload does.  It stays because
+``tests/test_newscast_vectorized.py::TestOverlayDistributionEquivalence``
+compares the array overlay's convergence factors with this one's, and
+because it is the only overlay without ``select_peers_batch`` — the one
+the reference-engine and serial-repeat fallbacks are tested with.
 
 NEWSCAST maintains, at every node, a small cache of recently-heard-of peers
 (see :mod:`repro.newscast.cache`).  Once per cycle every live node picks a

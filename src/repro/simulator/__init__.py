@@ -159,10 +159,10 @@ def supports_fast_path(function: AggregationFunction, overlay: OverlayProvider) 
     an overlay with batched peer selection (``select_peers_batch``):
     every static topology, the complete overlay, and the array-native
     :class:`~repro.newscast.VectorizedNewscastOverlay`.  Only the
-    dict-based reference ``NewscastOverlay`` stays on the reference
-    engine.  Every transport and failure model is supported — transports
-    classify outcomes in batch and failure models drive the engines
-    through the identical public membership API.
+    dict-based ``NewscastOverlay`` oracle (never built by default) stays
+    on the reference engine.  Every transport and failure model is
+    supported — transports classify outcomes in batch and failure models
+    drive the engines through the identical public membership API.
     """
     return function.supports_vectorized() and hasattr(overlay, "select_peers_batch")
 

@@ -12,8 +12,9 @@ Two families of overlays are provided:
   The concrete generators in this package (random regular, complete,
   ring lattice, Watts–Strogatz, Barabási–Albert) all build instances of
   this class.
-* :class:`repro.newscast.NewscastOverlay` — a dynamic overlay maintained
-  by the NEWSCAST epidemic membership protocol.
+* :class:`repro.newscast.VectorizedNewscastOverlay` — a dynamic overlay
+  maintained by the NEWSCAST epidemic membership protocol (and its
+  dict-based parity oracle :class:`repro.newscast.NewscastOverlay`).
 """
 
 from __future__ import annotations

@@ -33,6 +33,12 @@ TOPOLOGY_KINDS = (
     "newscast",
 )
 
+#: ``params`` keys each kind accepts; kinds not listed accept none.
+_PARAM_KEYS = {
+    "complete": ("materialise",),
+    "newscast": ("vectorized", "warmup_cycles"),
+}
+
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -49,13 +55,43 @@ class TopologySpec:
     beta:
         Watts–Strogatz rewiring probability (ignored by other kinds).
     params:
-        Extra keyword parameters forwarded to the generator.
+        Extra keyword parameters forwarded to the generator:
+        ``materialise`` for ``complete``; ``warmup_cycles`` and
+        ``vectorized`` for ``newscast`` (``False`` selects the dict-based
+        parity oracle instead of the array-native overlay).  Any other
+        key is a :class:`ConfigurationError`.
     """
 
     kind: str
     degree: int = 20
     beta: float = 0.0
     params: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        kind = self.kind.lower()
+        if kind not in TOPOLOGY_KINDS:
+            return  # build_overlay reports the unknown kind
+        accepted = _PARAM_KEYS.get(kind, ())
+        unknown = sorted(set(self.params) - set(accepted))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown params {unknown} for topology kind {self.kind!r}; "
+                f"accepted keys: {list(accepted)}"
+            )
+        if not isinstance(self.params.get("vectorized", True), bool):
+            raise ConfigurationError(
+                f"params['vectorized'] must be a bool, got {self.params['vectorized']!r}"
+            )
+
+    def builds_array_newscast(self) -> bool:
+        """Whether this spec builds the array-native NEWSCAST overlay.
+
+        The one reading of the ``vectorized`` key, shared by
+        :func:`build_overlay` and
+        :class:`~repro.experiments.runner.RunPlan`: array-native unless
+        the dict-based oracle is requested with ``{"vectorized": False}``.
+        """
+        return self.kind.lower() == "newscast" and self.params.get("vectorized", True)
 
     def label(self) -> str:
         """Short human-readable label used in reports and figures."""
@@ -96,13 +132,10 @@ def build_overlay(spec: TopologySpec, size: int, rng: RandomSource) -> OverlayPr
         # topology.base for the OverlayProvider interface.
         from ..newscast import NewscastOverlay, VectorizedNewscastOverlay
 
-        params = dict(spec.params)
-        # ``params={"vectorized": True}`` selects the array-native
-        # implementation, which supports batched peer selection and
-        # therefore keeps the configuration on the fast-path engine.
         overlay_class = (
-            VectorizedNewscastOverlay if params.pop("vectorized", False) else NewscastOverlay
+            VectorizedNewscastOverlay if spec.builds_array_newscast() else NewscastOverlay
         )
+        params = {key: value for key, value in spec.params.items() if key != "vectorized"}
         return overlay_class.bootstrap(size, cache_size=spec.degree, rng=rng, **params)
     raise ConfigurationError(
         f"unknown topology kind {spec.kind!r}; expected one of {TOPOLOGY_KINDS}"

@@ -75,7 +75,8 @@ def build_average(seed=3, scenario=LAN, size=SIZE, kind="random", record_every=1
 class TestEngineBasics:
     def test_rejects_overlay_without_batched_selection(self):
         rng = RandomSource(1)
-        overlay = build_overlay(TopologySpec("newscast", degree=10), 40, rng.child("o"))
+        dict_oracle = TopologySpec("newscast", degree=10, params={"vectorized": False})
+        overlay = build_overlay(dict_oracle, 40, rng.child("o"))
         with pytest.raises(ConfigurationError):
             AsyncPracticalSimulator(
                 overlay, AsyncAverageProtocol({0: 1.0}), EpochConfig(), rng

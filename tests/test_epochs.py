@@ -206,7 +206,9 @@ class TestEpochDriverEquivalence:
         assert build_driver("auto", "complete").engine == "vectorized"
         rng = RandomSource(3)
         dict_overlay = build_overlay(
-            TopologySpec("newscast", degree=8), SIZE, rng.child("t")
+            TopologySpec("newscast", degree=8, params={"vectorized": False}),
+            SIZE,
+            rng.child("t"),
         )
         election = LeaderElection(concurrent_target=5.0, estimated_size=float(SIZE))
         driver = EpochDriver(

@@ -28,6 +28,8 @@ from repro.experiments.figures import (
     figure8b_instances_under_loss,
     standard_topologies,
 )
+from repro.newscast import NewscastOverlay
+from repro.simulator.cycle_sim import CycleSimulator
 from repro.topology import TopologySpec
 
 TINY = ExperimentScale(name="tiny", network_size=150, repeats=3, sweep_points=3, seed=7)
@@ -237,3 +239,18 @@ class TestCostAnalysis:
         result = cost_analysis(TINY, cycles=5)
         zero_row = [row for row in result.rows if row["exchanges_per_cycle"] == 0][0]
         assert zero_row["observed_fraction"] == 0.0
+
+
+class TestFiguresStayOffTheOraclePaths:
+    """Falling back to an oracle costs seconds, not correctness, so no other test notices."""
+
+    @pytest.mark.parametrize("figure_id", sorted(ALL_FIGURES))
+    def test_no_dict_newscast_and_no_reference_engine(self, figure_id, monkeypatch):
+        def oracle_reached(*args, **kwargs):
+            raise AssertionError(f"figure {figure_id} reached an oracle path")
+
+        monkeypatch.setattr(NewscastOverlay, "bootstrap", oracle_reached)
+        if figure_id != "cost":  # measures the reference engine's contact counts
+            monkeypatch.setattr(CycleSimulator, "__init__", oracle_reached)
+        scale = ExperimentScale(name="smoke", network_size=60, repeats=1, sweep_points=2)
+        assert ALL_FIGURES[figure_id](scale).rows

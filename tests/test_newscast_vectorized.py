@@ -56,7 +56,7 @@ SIZE = 60
 CYCLES = 8
 
 ARRAY_NEWSCAST = TopologySpec("newscast", degree=8, params={"vectorized": True})
-DICT_NEWSCAST = TopologySpec("newscast", degree=8)
+DICT_NEWSCAST = TopologySpec("newscast", degree=8, params={"vectorized": False})
 
 SCENARIOS = {
     "perfect": (TransportModel(), None),

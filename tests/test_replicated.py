@@ -36,7 +36,7 @@ from repro.simulator.replicated import (
 )
 from repro.simulator.transport import PERFECT_TRANSPORT, TransportModel
 from repro.simulator.vectorized import VectorizedCycleSimulator
-from repro.topology import StaticTopology, TopologySpec
+from repro.topology import StaticTopology, TopologySpec, build_overlay
 from repro.topology.random_regular import random_k_out_topology
 from repro.topology.replicated import ReplicatedStaticBlock, draw_k_out_peers
 
@@ -188,7 +188,7 @@ class TestTraceSplittingProperty:
 class TestRunPlanPlumbing:
     def test_dict_newscast_falls_back_to_serial(self):
         plan = RunPlan(
-            topology=TopologySpec("newscast", degree=DEGREE),
+            topology=TopologySpec("newscast", degree=DEGREE, params={"vectorized": False}),
             size=SIZE,
             cycles=3,
             values=uniform_initial_values,
@@ -198,6 +198,18 @@ class TestRunPlanPlumbing:
         assert len(traces) == 2
         with pytest.raises(ConfigurationError):
             repeat_traces(2, SEED, plan=plan, engine="replicated")
+
+    @pytest.mark.parametrize("params", [{}, {"vectorized": True}, {"vectorized": False}])
+    def test_run_plan_and_build_overlay_agree_on_the_newscast_class(self, params):
+        spec = TopologySpec("newscast", degree=DEGREE, params=params)
+        plan = RunPlan(topology=spec, size=SIZE, cycles=1, values=uniform_initial_values)
+        overlay = build_overlay(spec, SIZE, RandomSource(SEED))
+        array_native = params.get("vectorized", True)
+        assert isinstance(overlay, VectorizedNewscastOverlay) == array_native
+        assert hasattr(overlay, "select_peers_batch") == array_native
+        assert plan.supports_replication() == array_native
+        (replica_overlay,) = plan.build_replica_overlays([RandomSource(SEED)])
+        assert type(replica_overlay) is type(overlay)
 
     def test_engine_validation(self):
         plan = RunPlan(

@@ -17,7 +17,7 @@ from repro.topology import (
     ring_lattice_topology,
     watts_strogatz_topology,
 )
-from repro.newscast import NewscastOverlay
+from repro.newscast import NewscastOverlay, VectorizedNewscastOverlay
 
 
 class TestRandomKOut:
@@ -163,9 +163,48 @@ class TestFactory:
         assert overlay.size() == 25
 
     def test_builds_newscast(self, rng):
-        overlay = build_overlay(TopologySpec("newscast", degree=8), 40, rng)
+        spec = TopologySpec("newscast", degree=8, params={"vectorized": False})
+        overlay = build_overlay(spec, 40, rng)
         assert isinstance(overlay, NewscastOverlay)
         assert overlay.size() == 40
+
+    @pytest.mark.parametrize("params", [{}, {"vectorized": True}, {"warmup_cycles": 2}])
+    def test_newscast_is_array_native_unless_the_oracle_is_named(self, rng, params):
+        spec = TopologySpec("newscast", degree=8, params=params)
+        assert spec.builds_array_newscast()
+        overlay = build_overlay(spec, 40, rng)
+        assert isinstance(overlay, VectorizedNewscastOverlay)
+        assert overlay.size() == 40
+
+    @pytest.mark.parametrize(
+        "kind, params, accepted",
+        [
+            ("newscast", {"vectorised": True}, "['vectorized', 'warmup_cycles']"),
+            ("complete", {"materialize": True}, "['materialise']"),
+            ("random", {"bogus": 1}, "[]"),
+            ("Watts-Strogatz", {"beta": 0.5}, "[]"),
+        ],
+    )
+    def test_unknown_params_key_rejected_naming_accepted_keys(self, kind, params, accepted):
+        with pytest.raises(ConfigurationError, match="accepted keys") as error:
+            TopologySpec(kind, degree=4, params=params)
+        assert accepted in str(error.value)
+        assert repr(next(iter(params))) in str(error.value)
+
+    @pytest.mark.parametrize("value", [1, 0, "yes", None])
+    def test_non_bool_vectorized_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="must be a bool"):
+            TopologySpec("newscast", params={"vectorized": value})
+
+    def test_accepted_params_reach_the_generator(self, rng):
+        materialised = build_overlay(
+            TopologySpec("complete", params={"materialise": True}), 6, rng
+        )
+        assert not isinstance(materialised, CompleteOverlay)
+        cold = build_overlay(
+            TopologySpec("newscast", degree=4, params={"warmup_cycles": 0}), 20, rng
+        )
+        assert cold.clock == 0
 
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(ConfigurationError):

@@ -247,7 +247,8 @@ class TestDispatch:
 
     def test_auto_falls_back_for_newscast_overlay(self):
         rng = RandomSource(3)
-        overlay = build_overlay(TopologySpec("newscast", degree=8), SIZE, rng.child("t"))
+        dict_oracle = TopologySpec("newscast", degree=8, params={"vectorized": False})
+        overlay = build_overlay(dict_oracle, SIZE, rng.child("t"))
         assert not supports_fast_path(AverageFunction(), overlay)
         simulator = make_simulator(
             overlay, AverageFunction(), [1.0] * SIZE, rng.child("s")
