@@ -446,9 +446,9 @@ class RunPlan:
             )
             return [block.view(replica) for replica in range(len(rngs))]
         if kind in ("regular", "ring-lattice", "watts-strogatz", "scale-free"):
-            # Build each dict-of-sets graph once, pack it into the int32
-            # block and release it, so peak memory holds one graph plus
-            # the block — not R graphs at once.
+            # Build each graph once, copy its rows into the block and
+            # release it, so peak memory holds one standalone overlay
+            # (and its generator's scratch) plus the block — not R.
             block = ReplicatedStaticBlock.from_builder(
                 len(rngs),
                 lambda replica: build_overlay(self.topology, self.size, rngs[replica]),

@@ -68,16 +68,15 @@ def clustering_coefficient(topology: StaticTopology, sample: int = 200, rng: Ran
         nodes = rng.sample(nodes, sample)
     coefficients: List[float] = []
     for node in nodes:
-        neighbours = list(topology.neighbors(node))
+        neighbours = set(topology.neighbors(node))
         k = len(neighbours)
         if k < 2:
             coefficients.append(0.0)
             continue
-        links = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                if topology.has_edge(neighbours[i], neighbours[j]):
-                    links += 1
+        # Every link among the neighbours is seen from both of its ends.
+        links = sum(
+            len(neighbours.intersection(topology.neighbors(peer))) for peer in neighbours
+        ) // 2
         coefficients.append(2.0 * links / (k * (k - 1)))
     return float(np.mean(coefficients))
 

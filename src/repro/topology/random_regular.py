@@ -17,10 +17,13 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
+import numpy as np
+
 from ..common.errors import TopologyError
 from ..common.rng import RandomSource
 from ..common.validation import require, require_positive
 from .base import StaticTopology
+from .replicated import draw_k_out_peers, rows_from_edges
 
 __all__ = ["random_k_out_topology", "random_regular_topology"]
 
@@ -29,10 +32,12 @@ def random_k_out_topology(size: int, degree: int, rng: RandomSource) -> StaticTo
     """Build the paper's random overlay: each node samples ``degree`` peers.
 
     The draws come from the batched
-    :func:`~repro.topology.replicated.draw_k_out_peers` sampler — the
-    same one the replicated block topology consumes — so a serial sweep
-    and a replica-batched sweep build the *same* graphs from the same
-    seeds.
+    :func:`~repro.topology.replicated.draw_k_out_peers` sampler and go
+    straight into block rows through
+    :func:`~repro.topology.replicated.rows_from_edges` — the same two
+    steps the replicated block topology takes — so a serial sweep and a
+    replica-batched sweep build the *same* graphs from the same seeds,
+    and neither assembles a Python set along the way.
 
     Parameters
     ----------
@@ -44,14 +49,10 @@ def random_k_out_topology(size: int, degree: int, rng: RandomSource) -> StaticTo
     rng:
         Randomness source.
     """
-    # Imported here to avoid a module cycle (replicated builds on base).
-    from .replicated import draw_k_out_peers
-
     peers = draw_k_out_peers(size, degree, rng)
-    adjacency: Dict[int, Set[int]] = {
-        node: set(row) for node, row in enumerate(peers.tolist())
-    }
-    return StaticTopology(adjacency, name=f"random(k={degree})")
+    sources = np.repeat(np.arange(size, dtype=np.int64), degree)
+    rows, degrees = rows_from_edges(size, sources, peers.ravel())
+    return StaticTopology.from_rows(rows, degrees, name=f"random(k={degree})")
 
 
 def random_regular_topology(size: int, degree: int, rng: RandomSource, max_retries: int = 50) -> StaticTopology:

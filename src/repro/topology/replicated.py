@@ -1,29 +1,31 @@
-"""Block replication of static overlays for the replicated cycle engine.
+"""The array store behind every static overlay: padded block rows.
 
-A replicated simulation holds ``R`` independent repetitions of the same
-scenario in one stacked state tensor.  Each repetition needs its own
-overlay (drawn from its own random stream), but building ``R`` separate
-:class:`~repro.topology.base.StaticTopology` instances — one Python
-dict-of-sets each — costs far more than the simulation cycles themselves
-at experiment scale.  This module keeps all ``R`` adjacency structures in
-one padded block matrix instead:
+A static overlay is kept as rows of one padded int32 matrix, never as
+Python containers: node ``u`` of replica ``r`` owns block row
+``r * stride + u``, the row lists ``u``'s neighbours ascending, and a
+sentinel pads it to the block width.  Peer selection, crash removal and
+churn joins are array passes over those rows.
+:class:`~repro.topology.base.StaticTopology` is the one-replica case; a
+replicated simulation holds its ``R`` independent repetitions (each drawn
+from its own random stream) in one block, at offsets ``r * stride``.
 
-* rows of replica ``r`` live at block offset ``r * stride``,
-* every row stores its neighbours ascending, padded with a sentinel, and
-* peer selection, crash removal and churn joins are batched array passes.
+The ascending row order is the load-bearing part: a peer draw maps a
+uniform variate ``u`` to the neighbour at index ``floor(u * degree)``, so
+a serial overlay and a replica view that consume the same generator calls
+make **bit-identical peer choices** — which is what lets the replicated
+engine reproduce serial fast-path traces exactly.
 
-The row order is the load-bearing part: `StaticTopology` lays its CSR
-rows out in ascending neighbour order (see ``_csr_arrays``), and both
-implementations map a uniform variate ``u`` to the neighbour at index
-``floor(u * degree)``.  Identical row order + identical generator calls
-therefore give **bit-identical peer choices**, which is what lets the
-replicated engine reproduce serial fast-path traces exactly.
+Memory law: a block costs ``rows x max_degree x 4`` bytes, where
+``rows = R x (largest node id + 1)``.  Rows are as wide as the highest
+degree in the block, so a scale-free graph pays for its hubs on every
+row and sparse identifiers pay for the gaps.
 
-:func:`draw_k_out_peers` is the shared sampler behind the paper's
-"random" overlay: one batched redraw-until-distinct pass that both the
-serial :func:`~repro.topology.random_regular.random_k_out_topology`
-builder and :meth:`ReplicatedStaticBlock.build_k_out` consume, so the
-serial and replicated paths see the very same graphs.
+:func:`rows_from_edges` is the one edge-list -> rows kernel, and
+:func:`draw_k_out_peers` the shared sampler behind the paper's "random"
+overlay: the serial
+:func:`~repro.topology.random_regular.random_k_out_topology` builder and
+:meth:`ReplicatedStaticBlock.build_k_out` feed the same draws to the same
+kernel, so the serial and replicated paths see the very same graphs.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ import numpy as np
 from ..common.errors import TopologyError
 from ..common.rng import RandomSource
 from ..common.validation import require, require_positive
-from .base import OverlayProvider, StaticTopology
+from .provider import OverlayProvider
 
 __all__ = [
     "draw_k_out_peers",
     "sample_distinct_peers",
+    "rows_from_edges",
     "ReplicatedStaticBlock",
     "StaticBlockView",
 ]
@@ -104,94 +107,88 @@ def sample_distinct_peers(
     return draws
 
 
-def _assemble_rows(size: int, peers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrised, deduped, row-sorted padded adjacency from k-out draws.
+def rows_from_edges(
+    size: int, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Padded ascending adjacency rows of the undirected graph on an edge list.
 
-    Returns ``(adjacency, degrees)`` where ``adjacency`` is a padded
-    ``(size, width)`` matrix (ascending neighbours, sentinel padding) —
-    entry-for-entry the same rows that ``StaticTopology`` exposes through
-    its sorted CSR, but assembled with array passes instead of Python
-    sets.
+    ``(sources[i], targets[i])`` are int64 node identifiers in
+    ``[0, size)``; an edge may be listed in one direction, in both, or
+    several times.  One sort of the ``owner * size + neighbour`` keys of
+    both directions symmetrises, deduplicates and row-sorts at once, and
+    a row-major masked write lays the keys out as rows without any
+    per-entry index array.  Returns ``(adjacency, degrees)``: a ``(size, max_degree)`` int32
+    matrix whose row ``u`` lists ``u``'s neighbours ascending, padded
+    with the sentinel, and the int64 row lengths.
     """
-    degree = peers.shape[1]
-    flat_peers = peers.ravel()
-    in_degrees = np.bincount(flat_peers, minlength=size)
-    width = degree + int(in_degrees.max()) if size else degree
+    keys = np.concatenate((sources * size + targets, targets * size + sources))
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    # The sorted keys are the rows laid end to end: row u spans the keys
+    # in [u * size, (u + 1) * size), and key % size is the neighbour.
+    starts = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * size)
+    degrees = np.diff(starts)
+    width = max(1, int(degrees.max())) if size else 1
+    np.remainder(keys, size, out=keys)
     adjacency = np.full((size, width), _SENTINEL, dtype=np.int32)
-    # Out-links: node i's own draws fill its first `degree` columns.
-    adjacency[:, :degree] = peers
-    # In-links: group the reverse direction by target.  The within-group
-    # order is irrelevant (rows are value-sorted below), so the cheaper
-    # unstable argsort does.
-    order = np.argsort(flat_peers)
-    targets = flat_peers[order]
-    sources = np.repeat(np.arange(size, dtype=np.int64), degree)[order]
-    starts = np.zeros(size, dtype=np.int64)
-    np.cumsum(in_degrees[:-1], out=starts[1:])
-    columns = degree + (np.arange(targets.size, dtype=np.int64) - starts[targets])
-    adjacency[targets, columns] = sources
-    adjacency.sort(axis=1)
-    # Dedup: an undirected edge appears twice iff both endpoints drew each
-    # other; collapse adjacent duplicates and re-sort the padding away.
-    duplicate = np.zeros_like(adjacency, dtype=bool)
-    duplicate[:, 1:] = (adjacency[:, 1:] == adjacency[:, :-1]) & (
-        adjacency[:, 1:] != _SENTINEL
-    )
-    degrees = degree + in_degrees - np.count_nonzero(duplicate, axis=1)
-    if duplicate.any():
-        adjacency[duplicate] = _SENTINEL
-        adjacency.sort(axis=1)
-    return adjacency, degrees.astype(np.int64)
+    adjacency[np.arange(width) < degrees[:, None]] = keys
+    return adjacency, degrees
 
 
 class ReplicatedStaticBlock:
     """``R`` static overlays stored as one padded block adjacency matrix.
 
     Replica ``r``'s node ``u`` occupies block row ``r * stride + u``.
-    Each row keeps its neighbours ascending with sentinel padding, which
-    matches ``StaticTopology``'s sorted CSR layout, so peer draws from
-    the same generator stream pick the same neighbours.
+    Each row keeps its neighbours ascending with sentinel padding, so
+    peer draws from the same generator stream pick the same neighbours
+    whichever replica — or standalone ``StaticTopology`` — holds the row.
 
     Use :meth:`build_k_out` to construct the block for the paper's
-    random overlay, or :meth:`from_topologies` to adopt already-built
-    ``StaticTopology`` instances (any static family).  :meth:`view`
-    returns a per-replica :class:`StaticBlockView` implementing the
-    ``OverlayProvider`` surface the simulation engines drive.
+    random overlay, or :meth:`from_topologies` / :meth:`from_builder` to
+    adopt already-built static overlays (any static family).
+    :meth:`view` returns a per-replica :class:`StaticBlockView`
+    implementing the ``OverlayProvider`` surface the simulation engines
+    drive.
+
+    Parameters
+    ----------
+    adjacency, degrees:
+        The ``(replicas * stride, width)`` padded rows and their lengths.
+    stride:
+        Row capacity reserved per replica (largest node id + 1).
+    orders:
+        Per replica, the identifiers of its nodes in insertion order —
+        the order ``node_ids()`` reports and churn attachment samples
+        from.
     """
 
     def __init__(
         self,
         adjacency: np.ndarray,
         degrees: np.ndarray,
-        replicas: int,
         stride: int,
-        sizes: Sequence[int],
+        orders: Sequence[Sequence[int]],
         name: str = "static-block",
     ) -> None:
         self._adj = adjacency
         self._degrees = degrees
-        self._replicas = int(replicas)
+        self._replicas = len(orders)
         self._stride = int(stride)
         self.name = name
-        # Per-replica membership bookkeeping mirroring StaticTopology:
-        # alive flags, the dict-insertion key order (drives churn
-        # attachment sampling), edge sums for average_degree().
-        self._alive = np.zeros(replicas * stride, dtype=bool)
-        self._insertion_order: List[List[int]] = []
-        self._existing_cache: List[Optional[List[int]]] = []
-        self._next_local: List[int] = []
+        # Per-replica membership bookkeeping: alive flags, node ids in
+        # insertion order (removed ids linger until _existing() compacts
+        # the list), degree sums for average_degree().
+        self._alive = np.zeros(self._replicas * self._stride, dtype=bool)
+        self._insertion_order: List[List[int]] = [list(order) for order in orders]
         self._edge_sum: List[int] = []
         self._node_count: List[int] = []
-        for replica in range(replicas):
-            size = int(sizes[replica])
-            base = replica * stride
-            self._alive[base : base + size] = True
-            self._insertion_order.append(list(range(size)))
-            self._existing_cache.append(list(range(size)))
-            self._next_local.append(size)
-            block = degrees[base : base + size]
-            self._edge_sum.append(int(block.sum()))
-            self._node_count.append(size)
+        for replica, order in enumerate(self._insertion_order):
+            base = replica * self._stride
+            self._alive[base + np.asarray(order, dtype=np.int64)] = True
+            self._edge_sum.append(int(degrees[base : base + self._stride].sum()))
+            self._node_count.append(len(order))
 
     # ------------------------------------------------------------------
     # Construction
@@ -209,66 +206,61 @@ class ReplicatedStaticBlock:
         Replica ``r`` draws its graph from ``rngs[r]`` exactly as the
         serial :func:`~repro.topology.random_regular.random_k_out_topology`
         does, so the block holds the very same graphs a serial sweep
-        would build — just without ``R`` Python dict-of-sets assemblies.
+        would build.
         """
         replicas = len(rngs)
         require_positive(replicas, "replicas")
         pieces = []
-        width = 0
         for rng in rngs:
             peers = draw_k_out_peers(size, degree, rng)
-            adjacency, degrees = _assemble_rows(size, peers)
-            width = max(width, adjacency.shape[1])
-            pieces.append((adjacency, degrees))
-        stride = size
-        block = np.full((replicas * stride, width), _SENTINEL, dtype=np.int32)
-        block_degrees = np.zeros(replicas * stride, dtype=np.int64)
+            sources = np.repeat(np.arange(size, dtype=np.int64), degree)
+            pieces.append(rows_from_edges(size, sources, peers.ravel()))
+        width = max(adjacency.shape[1] for adjacency, _ in pieces)
+        block = np.full((replicas * size, width), _SENTINEL, dtype=np.int32)
+        block_degrees = np.zeros(replicas * size, dtype=np.int64)
         for replica, (adjacency, degrees) in enumerate(pieces):
-            base = replica * stride
+            base = replica * size
             block[base : base + size, : adjacency.shape[1]] = adjacency
             block_degrees[base : base + size] = degrees
         return cls(
             block,
             block_degrees,
-            replicas,
-            stride,
-            [size] * replicas,
+            size,
+            [range(size)] * replicas,
             name=name or f"random(k={degree})",
         )
 
     @classmethod
     def from_topologies(
-        cls, topologies: Sequence[StaticTopology]
+        cls, topologies: "Sequence[StaticBlockView]"
     ) -> "ReplicatedStaticBlock":
         """Adopt already-built static overlays into one block.
 
-        Preserves each topology's node identifiers, neighbour sets and
-        dict-insertion key order, so a replica view behaves exactly like
-        the original instance (including churn attachment draws).
+        Preserves each topology's node identifiers, neighbour rows and
+        insertion order, so a replica view behaves exactly like the
+        original instance (including churn attachment draws).
         """
         require_positive(len(topologies), "topologies")
         return cls.from_builder(len(topologies), lambda replica: topologies[replica])
 
     @classmethod
     def from_builder(
-        cls, count: int, build: "Callable[[int], StaticTopology]"
+        cls, count: int, build: "Callable[[int], StaticBlockView]"
     ) -> "ReplicatedStaticBlock":
         """Build ``count`` overlays one at a time, adopting each in turn.
 
         ``build(r)`` constructs replica ``r``'s ``StaticTopology``; its
-        rows are packed into the int32 block and the dict-of-sets
-        representation is released before the next replica is built, so
-        peak memory holds **one** dict graph plus the compact block —
-        not ``count`` dict graphs at once, as a naive list of serial
-        overlays would.
+        rows are copied into the block and the instance is released
+        before the next replica is built, so peak memory holds the block
+        plus **one** standalone overlay (and whatever Python containers
+        its generator assembled it from) — not ``count`` of them.
         """
         require_positive(count, "count")
         instance = cls(
             np.full((count, 1), _SENTINEL, dtype=np.int32),
             np.zeros(count, dtype=np.int64),
-            count,
             1,
-            [0] * count,
+            [()] * count,
         )
         for replica in range(count):
             topology = build(replica)
@@ -278,30 +270,20 @@ class ReplicatedStaticBlock:
             del topology
         return instance
 
-    def _adopt(self, replica: int, topology: StaticTopology) -> None:
-        """Copy one built topology's rows and bookkeeping into the block."""
-        adjacency = topology.adjacency_copy()
-        if adjacency:
-            top = max(adjacency)
-            if top + 1 >= _SENTINEL:
-                raise TopologyError("node identifiers exceed the int32 block range")
-            self._ensure_local_capacity(top)
-            self._ensure_width(max(len(n) for n in adjacency.values()))
-        base = replica * self._stride
-        for node, neighbours in adjacency.items():
-            row = base + node
-            ordered = sorted(neighbours)
-            self._adj[row, : len(ordered)] = ordered
-            self._degrees[row] = len(ordered)
-            self._alive[row] = True
-        order = list(adjacency.keys())
-        self._insertion_order[replica] = list(order)
-        self._existing_cache[replica] = list(order)
-        self._next_local[replica] = (max(adjacency) + 1) if adjacency else 0
-        self._edge_sum[replica] = int(
-            sum(len(neighbours) for neighbours in adjacency.values())
-        )
-        self._node_count[replica] = len(adjacency)
+    def _adopt(self, replica: int, topology: "StaticBlockView") -> None:
+        """Copy one built overlay's rows and bookkeeping into the block."""
+        source, origin = topology._block, topology._replica
+        span, width = source._stride, source._adj.shape[1]
+        self._ensure_local_capacity(span - 1)
+        self._ensure_width(width)
+        rows = slice(replica * self._stride, replica * self._stride + span)
+        source_rows = slice(origin * span, (origin + 1) * span)
+        self._adj[rows, :width] = source._adj[source_rows]
+        self._degrees[rows] = source._degrees[source_rows]
+        self._alive[rows] = source._alive[source_rows]
+        self._insertion_order[replica] = list(source._existing(origin))
+        self._edge_sum[replica] = source._edge_sum[origin]
+        self._node_count[replica] = source._node_count[origin]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -325,10 +307,6 @@ class ReplicatedStaticBlock:
     # ------------------------------------------------------------------
     # Per-replica operations (called through the views)
     # ------------------------------------------------------------------
-    def _node_ids(self, replica: int) -> List[int]:
-        base = replica * self._stride
-        return np.flatnonzero(self._alive[base : base + self._stride]).tolist()
-
     def _contains(self, replica: int, node_id: int) -> bool:
         if not 0 <= node_id < self._stride:
             return False
@@ -341,8 +319,7 @@ class ReplicatedStaticBlock:
         if not self._contains(replica, node_id):
             raise TopologyError(f"unknown node {node_id}")
         row = replica * self._stride + node_id
-        count = int(self._degrees[row])
-        return tuple(int(peer) for peer in self._adj[row, :count])
+        return tuple(self._adj[row, : self._degrees[row]].tolist())
 
     def _average_degree(self, replica: int) -> float:
         if self._node_count[replica] == 0:
@@ -352,15 +329,18 @@ class ReplicatedStaticBlock:
     def _select_peers_batch(
         self, replica: int, node_ids: np.ndarray, generator: np.random.Generator
     ) -> np.ndarray:
-        """Bit-identical twin of ``StaticTopology.select_peers_batch``."""
         node_ids = np.asarray(node_ids, dtype=np.int64)
         if node_ids.size == 0:
             return np.empty(0, dtype=np.int64)
         rows = replica * self._stride + node_ids
         row_degrees = self._degrees[rows]
+        # Floor-multiply instead of per-element bounded integers: one
+        # uniform block plus a multiply is several times faster than the
+        # rejection-based integer path, and the bias is O(degree / 2^53).
         draws = (generator.random(node_ids.size) * row_degrees).astype(np.int64)
         # One flat gather instead of 2-D fancy indexing (severalfold
-        # cheaper), widened back to the int64 the engines work in.
+        # cheaper), widened back to the int64 the engines work in.  An
+        # isolated node gathers its first padding slot, masked below.
         draws += rows * self._adj.shape[1]
         peers = self._adj.ravel()[draws].astype(np.int64)
         peers[row_degrees == 0] = -1
@@ -389,7 +369,6 @@ class ReplicatedStaticBlock:
         self._alive[row] = False
         self._node_count[replica] -= 1
         self._edge_sum[replica] -= 2 * count
-        self._existing_cache[replica] = None
         if count:
             # Delete node_id from every neighbour's sorted row: mark the
             # entry and let one batched sort push the hole into padding.
@@ -401,6 +380,14 @@ class ReplicatedStaticBlock:
             self._degrees[neighbour_rows] -= 1
 
     def _add_node(self, replica: int, node_id: int, rng: RandomSource) -> None:
+        """Attach a new node to ``degree``-many random existing nodes.
+
+        The attachment degree mirrors the average degree of the current
+        graph (at least one edge) so the graph stays roughly regular as
+        churn replaces nodes.
+        """
+        if node_id < 0:
+            raise TopologyError(f"node identifiers must be non-negative, got {node_id}")
         if self._contains(replica, node_id):
             raise TopologyError(f"node {node_id} already exists")
         self._ensure_local_capacity(node_id)
@@ -408,53 +395,39 @@ class ReplicatedStaticBlock:
         row = base + node_id
         existing = self._existing(replica)
         self._alive[row] = True
-        self._adj[row] = _SENTINEL
-        self._degrees[row] = 0
-        self._insertion_order[replica].append(int(node_id))
-        existing_after = existing + [int(node_id)]
-        self._existing_cache[replica] = existing_after
         self._node_count[replica] += 1
-        self._next_local[replica] = max(self._next_local[replica], node_id + 1)
-        if not existing:
-            return
-        # Average degree over the graph *including* the fresh empty row —
-        # exactly what StaticTopology.on_node_added computes.
-        average = self._edge_sum[replica] / self._node_count[replica]
-        count = min(max(1, round(average)), len(existing))
-        peers = sorted(int(peer) for peer in rng.sample(existing, count))
-        self._ensure_width(len(peers))
-        self._adj[row, : len(peers)] = peers
-        self._degrees[row] = len(peers)
-        for peer in peers:
-            peer_row = base + peer
-            degree = int(self._degrees[peer_row])
-            if degree + 1 > self._adj.shape[1]:
+        if existing:
+            # Average degree over the graph *including* the fresh empty row.
+            average = self._edge_sum[replica] / self._node_count[replica]
+            count = min(max(1, round(average)), len(existing))
+            peers = sorted(int(peer) for peer in rng.sample(existing, count))
+            self._ensure_width(len(peers))
+            self._adj[row, : len(peers)] = peers
+            self._degrees[row] = len(peers)
+            for peer in peers:
+                peer_row = base + peer
+                degree = int(self._degrees[peer_row])
                 self._ensure_width(degree + 1)
-            position = int(np.searchsorted(self._adj[peer_row, :degree], node_id))
-            self._adj[peer_row, position + 1 : degree + 1] = self._adj[
-                peer_row, position:degree
-            ]
-            self._adj[peer_row, position] = node_id
-            self._degrees[peer_row] = degree + 1
-        self._edge_sum[replica] += 2 * len(peers)
+                position = int(np.searchsorted(self._adj[peer_row, :degree], node_id))
+                self._adj[peer_row, position + 1 : degree + 1] = self._adj[
+                    peer_row, position:degree
+                ]
+                self._adj[peer_row, position] = node_id
+                self._degrees[peer_row] = degree + 1
+            self._edge_sum[replica] += 2 * len(peers)
+        existing.append(int(node_id))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _existing(self, replica: int) -> List[int]:
-        """Alive node ids in dict-insertion order (StaticTopology's
-        ``list(adjacency.keys())``), rebuilt lazily after removals."""
-        cached = self._existing_cache[replica]
-        if cached is None:
-            base = replica * self._stride
-            alive = self._alive
-            order = [
-                node for node in self._insertion_order[replica] if alive[base + node]
-            ]
-            self._insertion_order[replica] = order
-            cached = list(order)
-            self._existing_cache[replica] = cached
-        return cached
+        """Alive node ids in insertion order (the live list, not a copy)."""
+        # A list longer than the node count still names removed nodes.
+        if len(self._insertion_order[replica]) != self._node_count[replica]:
+            order = np.asarray(self._insertion_order[replica], dtype=np.int64)
+            alive = self._alive[replica * self._stride + order]
+            self._insertion_order[replica] = order[alive].tolist()
+        return self._insertion_order[replica]
 
     def _ensure_local_capacity(self, node_id: int) -> None:
         if node_id < self._stride:
@@ -503,7 +476,7 @@ class StaticBlockView(OverlayProvider):
     Implements the full ``OverlayProvider`` surface (plus
     ``select_peers_batch``), so the simulation engines — and their
     failure models — drive a block replica exactly like a standalone
-    ``StaticTopology``.
+    ``StaticTopology``, which is this view of a block of its own.
     """
 
     def __init__(self, block: ReplicatedStaticBlock, replica: int) -> None:
@@ -517,9 +490,11 @@ class StaticBlockView(OverlayProvider):
         return self._replica
 
     def node_ids(self) -> List[int]:
-        return self._block._node_ids(self._replica)
+        """Identifiers of all current nodes, in insertion order."""
+        return list(self._block._existing(self._replica))
 
     def neighbors(self, node_id: int) -> Sequence[int]:
+        """The neighbours of ``node_id``, ascending."""
         return self._block._neighbors(self._replica, node_id)
 
     def select_peer(self, node_id: int, rng: RandomSource) -> Optional[int]:
@@ -528,6 +503,13 @@ class StaticBlockView(OverlayProvider):
     def select_peers_batch(
         self, node_ids: np.ndarray, generator: np.random.Generator
     ) -> np.ndarray:
+        """Draw one uniform neighbour for every node in ``node_ids`` at once.
+
+        Returns an int64 array aligned with ``node_ids``; ``-1`` marks nodes
+        that currently have no neighbour (the batched equivalent of
+        :meth:`select_peer` returning ``None``).  One vectorised draw per
+        call replaces ``len(node_ids)`` scalar generator round-trips.
+        """
         return self._block._select_peers_batch(self._replica, node_ids, generator)
 
     def on_node_removed(self, node_id: int) -> None:
@@ -543,14 +525,12 @@ class StaticBlockView(OverlayProvider):
         return self._block._contains(self._replica, node_id)
 
     def average_degree(self) -> float:
-        """Mean degree over this replica's nodes (StaticTopology parity)."""
+        """Mean degree over this replica's nodes (0 for an empty graph)."""
         return self._block._average_degree(self._replica)
 
     def adjacency_copy(self) -> Dict[int, Set[int]]:
-        """Adjacency of this replica as a dict of sets (for tests)."""
-        return {
-            node: set(self.neighbors(node)) for node in self.node_ids()
-        }
+        """The adjacency as a fresh dict of sets (for analysis code)."""
+        return {node: set(self.neighbors(node)) for node in self.node_ids()}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StaticBlockView(replica={self._replica}, block={self._block!r})"

@@ -292,6 +292,40 @@ class TestReplicatedStaticBlock:
             view.select_peers_batch(alive, g2),
         )
 
+    def test_scalar_and_batched_picks_follow_the_ascending_row(self):
+        # One rule for every door: index floor(u * degree) of the
+        # ascending neighbour row, on the scalar path the per-message
+        # engine uses as on the batched one.
+        topology = random_k_out_topology(SIZE, DEGREE, RandomSource(9))
+        view = ReplicatedStaticBlock.build_k_out(
+            SIZE, DEGREE, [RandomSource(8), RandomSource(9)]
+        ).view(1)
+
+        def picks(overlay):
+            rng = RandomSource(77)
+            nodes = overlay.node_ids()
+            scalar = [overlay.select_peer(node, rng) for node in nodes]
+            batched = overlay.select_peers_batch(
+                np.asarray(nodes, dtype=np.int64), rng.generator
+            )
+            return nodes, scalar, batched.tolist()
+
+        def assert_same_picks():
+            nodes, scalar, batched = picks(topology)
+            assert (nodes, scalar, batched) == picks(view)
+            rng = RandomSource(77)
+            for node, peer in zip(nodes, scalar):
+                row = sorted(topology.neighbors(node))
+                assert peer == row[rng.choice_index(len(row))]
+
+        assert_same_picks()
+        for overlay in (topology, view):
+            for victim in (3, 40, SIZE - 1):
+                overlay.on_node_removed(victim)
+            overlay.on_node_added(SIZE, RandomSource(5))
+            overlay.on_node_added(SIZE + 1, RandomSource(6))
+        assert_same_picks()
+
     def test_from_topologies_adopts_existing_graphs(self):
         topologies = [
             random_k_out_topology(40, 5, RandomSource(seed)) for seed in (1, 2)

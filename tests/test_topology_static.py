@@ -1,9 +1,16 @@
 """Tests for the StaticTopology container and the OverlayProvider contract."""
 
+import tracemalloc
+
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import TopologyError
 from repro.common.rng import RandomSource
+from repro.topology import ReplicatedStaticBlock, TopologySpec, build_overlay
 from repro.topology.base import StaticTopology
 
 
@@ -24,6 +31,19 @@ class TestConstruction:
     def test_unknown_neighbour_rejected(self):
         with pytest.raises(TopologyError):
             StaticTopology({0: {5}})
+        with pytest.raises(TopologyError):
+            StaticTopology({0: {-1}, 1: set()})
+
+    @pytest.mark.parametrize("bad", [-1, 2**31 - 1, 2**40, 2**70])
+    def test_identifiers_outside_the_int32_rows_rejected(self, bad):
+        with pytest.raises(TopologyError):
+            StaticTopology({0: set(), bad: set()})
+        with pytest.raises(TopologyError):
+            StaticTopology({0: {bad}})
+
+    def test_negative_join_rejected(self, rng):
+        with pytest.raises(TopologyError):
+            triangle().on_node_added(-1, rng)
 
     def test_name_is_kept(self):
         assert triangle().name == "triangle"
@@ -126,3 +146,135 @@ class TestMutation:
         topology.on_node_added(0, rng)
         assert topology.contains(0)
         assert topology.degree(0) == 0
+
+
+def assert_matches_oracle(overlay, graph, order):
+    """``overlay`` holds exactly ``graph``, its nodes in ``order``."""
+    assert overlay.node_ids() == order
+    assert overlay.size() == len(order)
+    for node in order:
+        assert overlay.neighbors(node) == tuple(sorted(graph[node]))
+    mean_degree = 2 * graph.number_of_edges() / len(order) if order else 0.0
+    assert overlay.average_degree() == mean_degree
+
+
+class TestAgainstNetworkxOracle:
+    """Random graphs through random crash / join sequences, checked against
+    a ``networkx.Graph`` plus an insertion-order list kept by the test."""
+
+    @settings(max_examples=75, deadline=None)
+    @given(data=st.data())
+    def test_membership_sequences(self, data):
+        ids = data.draw(st.lists(st.integers(0, 40), unique=True, max_size=12))
+        adjacency = {
+            node: data.draw(
+                st.lists(
+                    st.sampled_from([other for other in ids if other != node]),
+                    unique=True,
+                    max_size=4,
+                )
+                if len(ids) > 1
+                else st.just([])
+            )
+            for node in ids
+        }
+        graph = nx.Graph()
+        graph.add_nodes_from(ids)
+        graph.add_edges_from(
+            (node, peer) for node, peers in adjacency.items() for peer in peers
+        )
+        order = list(ids)
+        topology = StaticTopology(adjacency, name="oracle")
+        # The same graph adopted into the second slot of a two-replica
+        # block: its view goes through every step, the first slot none.
+        block = ReplicatedStaticBlock.from_topologies(
+            [StaticTopology(adjacency), StaticTopology(adjacency)]
+        )
+        untouched, view = block.view(0), block.view(1)
+        before = untouched.adjacency_copy()
+
+        operations = data.draw(
+            st.lists(
+                st.tuples(st.booleans(), st.integers(0, 45), st.integers(0, 2**16)),
+                max_size=8,
+            )
+        )
+        for join, node, seed in operations:
+            if not join:
+                for overlay in (topology, view):
+                    overlay.on_node_removed(node)
+                if node in graph:
+                    graph.remove_node(node)
+                    order.remove(node)
+            elif node in graph:
+                for overlay in (topology, view):
+                    with pytest.raises(TopologyError):
+                        overlay.on_node_added(node, RandomSource(seed))
+            else:
+                for overlay in (topology, view):
+                    overlay.on_node_added(node, RandomSource(seed))
+                # The documented rule: round(mean degree counting the
+                # newcomer), at least one, sampled from the existing
+                # nodes in insertion order.
+                graph.add_node(node)
+                if order:
+                    mean = 2 * graph.number_of_edges() / graph.number_of_nodes()
+                    count = min(max(1, round(mean)), len(order))
+                    peers = RandomSource(seed).sample(order, count)
+                    graph.add_edges_from((node, peer) for peer in peers)
+                order.append(node)
+            assert_matches_oracle(topology, graph, order)
+            assert_matches_oracle(view, graph, order)
+
+        assert_matches_oracle(topology, graph, order)
+        assert_matches_oracle(view, graph, order)
+        assert untouched.adjacency_copy() == before
+        assert topology.adjacency_copy() == {node: set(graph[node]) for node in order}
+        assert list(topology.adjacency_copy()) == order
+        assert [topology.degree(node) for node in order] == [
+            graph.degree(node) for node in order
+        ]
+        assert topology.degree_sequence() == [graph.degree(node) for node in sorted(order)]
+        assert topology.edge_count() == graph.number_of_edges()
+        assert sorted(topology.edges()) == sorted(
+            (min(a, b), max(a, b)) for a, b in graph.edges()
+        )
+        for a in range(0, 46):
+            assert topology.contains(a) == (a in graph)
+            for b in range(0, 46):
+                assert topology.has_edge(a, b) == graph.has_edge(a, b)
+        assert {frozenset(c) for c in topology.connected_components()} == {
+            frozenset(c) for c in nx.connected_components(graph)
+        }
+        assert topology.is_connected() == (not order or nx.is_connected(graph))
+        assert nx.utils.graphs_equal(topology.to_networkx(), graph)
+
+
+class TestRowStore:
+    """The graph lives in block rows — by construction, not by stopwatch."""
+
+    def test_random_overlay_build_stays_within_the_array_budget(self):
+        size = 20_000
+        tracemalloc.start()
+        try:
+            topology = build_overlay(
+                TopologySpec("random", degree=20), size, RandomSource(3)
+            )
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Measured: boxed sets 110 MB peak / 67 MB retained, rows 22 MB
+        # peak / 7 MB retained (the padded rows are size x width x 4 = 5 MB).
+        assert peak < 50e6
+        assert retained < 20e6
+        assert topology.size() == size
+
+    def test_membership_and_peer_draws_leave_no_python_containers(self):
+        topology = build_overlay(TopologySpec("random", degree=5), 200, RandomSource(3))
+        topology.on_node_removed(7)
+        topology.on_node_added(200, RandomSource(4))
+        generator = np.random.Generator(np.random.PCG64(0))
+        topology.select_peers_batch(np.asarray(topology.node_ids()), generator)
+        for holder in (topology, topology._block):
+            for name, value in vars(holder).items():
+                assert not isinstance(value, (dict, set, frozenset)), name
