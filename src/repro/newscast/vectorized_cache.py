@@ -10,15 +10,36 @@ dynamic-membership figures (4b, 6b, 7b) on the array engine.
 
 Representation
 --------------
-A cache entry ``(timestamp, peer_id)`` is packed into one ``int64`` as
-``(timestamp << ID_BITS) | peer_id`` (``-1`` marks an empty slot).  With
-integral timestamps — the overlay clock only ever advances by 1 — the
-numeric order of packed values *is* the ``CacheEntry`` order
+A cache entry ``(timestamp, peer_id)`` is packed into one integer as
+``((timestamp - base) << ID_BITS) | peer_id`` (``-1`` marks an empty
+slot), where ``base`` is the matrix's *timestamp base*.  With integral
+timestamps — the overlay clock only ever advances by 1 — the numeric
+order of packed values *is* the ``CacheEntry`` order
 ``(timestamp, peer_id)``, so plain value sorts replace object
 comparisons, and "keep the ``c`` freshest with deterministic
 ``(timestamp, peer_id)`` tie-breaking" becomes "sort descending, slice".
 Each row stores its valid entries first (freshest first), then ``-1``
 padding; ``_counts[row]`` holds the number of valid entries.
+
+The matrix is int32 — 7 timestamp bits above the 24 id bits — and the
+storage dtype is the kernel dtype: :func:`merge_packed_pairs` works in
+whatever dtype its rows have and never converts.
+
+* **Slide rule.**  Right after the clock advances, if ``clock - base``
+  no longer fits the timestamp bits, one ``O(rows * c)`` pass moves the
+  oldest live timestamp from every valid entry into the base.  A shift
+  of all timestamps preserves the entry order, so the slide is exact;
+  live descriptors are a few cycles old, so it runs every ~120 rounds.
+* **Widening rule.**  Only if the live spread itself cannot fit (a tiny
+  overlay whose caches never fill keeps a dead node's descriptor for
+  good) is the matrix converted to int64, one way; ``packing`` and
+  ``widened_at`` report it.  Overlays attached to a
+  :class:`ReplicatedNewscastBlock` share one base: they slide together
+  and, if the block widens, are re-homed onto the new matrix.
+* **Memory law.**  The matrix is ``rows * c * 4`` bytes (12 MB at
+  N = 10^5, c = 30); a round is applied in blocks of ``_MERGE_BLOCK``
+  exchanges, so the gather/kernel/scatter scratch is bounded by that
+  constant, not by the round size, and stays cache-resident.
 
 Equivalence to the dict implementation (documented per property)
 ----------------------------------------------------------------
@@ -87,14 +108,10 @@ __all__ = [
 ID_BITS = 24
 #: Largest representable node identifier (24 bits: ~16.7M nodes).
 MAX_NODE_ID = (1 << ID_BITS) - 1
-#: Bits reserved for the timestamp (value bits of int64 minus ID_BITS).
-TS_BITS = 63 - ID_BITS
-#: Timestamp bits of the narrow (int32) packing used by the merge kernel
-#: while the logical clock still fits: 31 value bits minus ID_BITS.
-NARROW_TS_BITS = 31 - ID_BITS
-_ID_MASK = np.int64(MAX_NODE_ID)
-_TS_MASK = np.int64((1 << TS_BITS) - 1)
-_EMPTY = np.int64(-1)
+_EMPTY = -1
+#: Exchanges merged per kernel call (see "Memory law" above); 1024-4096
+#: measure the same.
+_MERGE_BLOCK = 2048
 
 #: Below this network size the bootstrap uses the exact scalar sampler;
 #: above it, the batched redraw-until-distinct sampler (same guarantees,
@@ -105,25 +122,37 @@ _SCALAR_BOOTSTRAP_LIMIT = 2048
 # ----------------------------------------------------------------------
 # Packing helpers (shared with the tests)
 # ----------------------------------------------------------------------
-def pack_entries(entries: Sequence[CacheEntry], capacity: int) -> np.ndarray:
-    """Pack ``entries`` into one padded cache row (freshest first)."""
+def pack_entries(entries: Sequence[CacheEntry], capacity: int, base: int = 0) -> np.ndarray:
+    """Pack ``entries`` into one padded int64 row (freshest first).
+
+    Timestamps are stored relative to ``base``; a row whose relative
+    timestamps stay below 128 may be narrowed with ``astype(np.int32)``.
+    """
     row = np.full(capacity, _EMPTY, dtype=np.int64)
     ordered = sorted(entries, reverse=True)[:capacity]
     for column, entry in enumerate(ordered):
         timestamp = int(entry.timestamp)
         if timestamp != entry.timestamp:
             raise ValueError("packed caches require integral timestamps")
-        row[column] = (np.int64(timestamp) << ID_BITS) | np.int64(entry.peer_id)
+        row[column] = ((timestamp - base) << ID_BITS) | entry.peer_id
     return row
 
 
-def unpack_entries(row: np.ndarray) -> List[CacheEntry]:
-    """The valid entries of a packed row as ``CacheEntry`` objects."""
+def unpack_entries(row: np.ndarray, base: int = 0) -> List[CacheEntry]:
+    """The valid entries of a packed row (either dtype) as ``CacheEntry`` objects."""
     valid = row[row >= 0]
     return [
-        CacheEntry(timestamp=float(int(value) >> ID_BITS), peer_id=int(value) & MAX_NODE_ID)
+        CacheEntry(
+            timestamp=float(base + (int(value) >> ID_BITS)),
+            peer_id=int(value) & MAX_NODE_ID,
+        )
         for value in valid
     ]
+
+
+def _timestamp_bits(dtype: np.dtype) -> int:
+    """Timestamp bits of a packed entry: the value bits above the id field."""
+    return 8 * dtype.itemsize - 1 - ID_BITS
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +165,6 @@ def merge_packed_pairs(
     ids_b: np.ndarray,
     now: int,
     capacity: int,
-    ts_bound: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Merge ``k`` cache pairs at once; return both directions' new rows.
 
@@ -144,21 +172,16 @@ def merge_packed_pairs(
     ----------
     rows_a, rows_b:
         ``(k, capacity)`` packed cache rows of the initiators and their
-        exchange partners (start-of-exchange states).
+        exchange partners (start-of-exchange states), int32 or int64.
+        The kernel computes — and returns — in that dtype.
     ids_a, ids_b:
         The participants' node identifiers, aligned with the rows.
     now:
-        The (integral) logical time stamped onto the fresh descriptors.
+        The (integral) logical time stamped onto the fresh descriptors,
+        relative to the rows' timestamp base; no stored timestamp may
+        exceed it, and it must fit the dtype's timestamp bits.
     capacity:
         The cache capacity ``c``.
-    ts_bound:
-        Optional upper bound (inclusive) the *caller guarantees* for
-        every timestamp in ``rows_a`` / ``rows_b``.  When the bound fits
-        the narrow packing (`< 2**NARROW_TS_BITS`), the kernel runs on
-        int32 — half the memory traffic, bit-identical results, because
-        the narrow packing is still injective and order-preserving.  The
-        overlay passes its clock here (no stored entry can be fresher
-        than the clock); external callers may omit it.
 
     Returns
     -------
@@ -168,31 +191,26 @@ def merge_packed_pairs(
     """
     k = int(ids_a.size)
     width = 2 * capacity + 2
+    dtype = rows_a.dtype.type
     if k == 0:
-        empty = np.empty((0, capacity), dtype=np.int64)
+        empty = np.empty((0, capacity), dtype=dtype)
         return empty, empty
-    narrow = (
-        ts_bound is not None
-        and 0 <= int(now) <= int(ts_bound)
-        and int(ts_bound) < (1 << NARROW_TS_BITS)
-    )
-    dtype = np.int32 if narrow else np.int64
-    ts_bits = NARROW_TS_BITS if narrow else TS_BITS
-    id_mask = dtype(MAX_NODE_ID)
+    ts_bits = _timestamp_bits(rows_a.dtype)
+    if not 0 <= now < (1 << ts_bits):
+        raise ValueError(f"timestamp {now} does not fit a {rows_a.dtype} packing")
     ts_mask = dtype((1 << ts_bits) - 1)
-    now_packed = dtype(int(now) << ID_BITS)
 
     candidates = np.empty((k, width), dtype=dtype)
     candidates[:, :capacity] = rows_a
     candidates[:, capacity : 2 * capacity] = rows_b
-    fresh_a = now_packed | ids_a.astype(dtype)
-    fresh_b = now_packed | ids_b.astype(dtype)
-    candidates[:, width - 2] = fresh_a
-    candidates[:, width - 1] = fresh_b
+    candidates[:, width - 2] = ids_a
+    candidates[:, width - 1] = ids_b
+    candidates[:, width - 2 :] |= dtype(int(now) << ID_BITS)
+    fresh = candidates[:, width - 2 :].copy()
 
     # Repack id-major: (id << ts_bits) | ts.  Empty slots stay -1 because
     # (x >> ID_BITS) == -1 for x == -1 and (y | -1) == -1.
-    id_major = candidates & id_mask
+    id_major = candidates & dtype(MAX_NODE_ID)
     id_major <<= ts_bits
     candidates >>= ID_BITS
     id_major |= candidates
@@ -204,16 +222,20 @@ def merge_packed_pairs(
     # (-1 ^ -1 == 0 keeps dropping empties, and -1 ^ valid is negative, so
     # the boundary empty is dropped too).  The final column is always the
     # largest value of the row — a valid entry, since the fresh
-    # descriptors are always present — and always survives.
-    keep = np.empty((k, width), dtype=bool)
-    np.greater(id_major[:, :-1] ^ id_major[:, 1:], ts_mask, out=keep[:, :-1])
-    keep[:, -1] = True
-    # Back to timestamp-major order; dropped entries become -1 again.
+    # descriptors are always present — and always survives.  The XOR runs
+    # over the flat matrix (one contiguous pass); what it computes across
+    # a row end is overwritten by that rule.
+    flat = id_major.reshape(-1)
+    keep = np.empty(k * width, dtype=bool)
+    np.greater(flat[:-1] ^ flat[1:], ts_mask, out=keep[:-1])
+    keep.reshape(k, width)[:, -1] = True
+    # Back to timestamp-major order; dropped entries become -1 again
+    # (OR with keep - 1: 0 for a survivor, -1 for a dropped entry).
     survivors = id_major & ts_mask
     survivors <<= ID_BITS
     id_major >>= ts_bits
     survivors |= id_major
-    survivors[~keep] = dtype(-1)
+    survivors |= np.subtract(keep.view(np.int8), 1, dtype=dtype).reshape(k, width)
     survivors.sort(axis=1)
     # The pool's top (capacity + 1), freshest first.  Both fresh
     # descriptors carry the maximal timestamp, so after dedup the only
@@ -221,20 +243,37 @@ def merge_packed_pairs(
     top = survivors[:, : width - capacity - 2 : -1].copy()
     head = top[:, :capacity]
     tail = top[:, 1:]
-    columns = np.arange(capacity, dtype=np.int32)
-    result = []
-    for own_fresh in (fresh_a, fresh_b):
-        # Rank of the own descriptor in the (descending) top slice.  The
-        # pool always contains it, so either rank <= capacity and
-        # top[rank] IS the descriptor (delete it, shifting the tail up),
-        # or rank == capacity + 1 and the top `capacity` entries are
-        # already own-free (the surplus last element just drops).
-        position = (top > own_fresh[:, None]).sum(axis=1, dtype=np.int32)
-        result.append(np.where(columns >= position[:, None], tail, head))
-    new_a, new_b = result
-    if narrow:
-        return new_a.astype(np.int64), new_b.astype(np.int64)
+    # Each side deletes its own descriptor from the (descending) top
+    # slice: entries greater than it stay put, the rest shift up by one.
+    # The pool always contains the descriptor, so if it ranks below the
+    # top `capacity`, every kept entry is greater and the surplus last
+    # element just drops.
+    new_a = np.where(head > fresh[:, :1], head, tail)
+    new_b = np.where(head > fresh[:, 1:], head, tail)
     return new_a, new_b
+
+
+def _apply_rounds(
+    packed: np.ndarray, id_by_row: np.ndarray, rounds, now: int, capacity: int
+) -> None:
+    """Apply conflict rounds of exchanges to ``packed`` in place.
+
+    The pairs of one round are row-disjoint, so a round may be applied
+    in any partition: blocks of ``_MERGE_BLOCK`` pairs keep the gathered
+    rows and the kernel's temporaries cache-resident.
+    """
+    for batch_a, batch_b, _ in rounds:
+        for start in range(0, batch_a.size, _MERGE_BLOCK):
+            rows_a = batch_a[start : start + _MERGE_BLOCK]
+            rows_b = batch_b[start : start + _MERGE_BLOCK]
+            packed[rows_a], packed[rows_b] = merge_packed_pairs(
+                packed.take(rows_a, axis=0),
+                packed.take(rows_b, axis=0),
+                id_by_row.take(rows_a),
+                id_by_row.take(rows_b),
+                now,
+                capacity,
+            )
 
 
 class ReplicatedNewscastBlock:
@@ -277,7 +316,13 @@ class ReplicatedNewscastBlock:
         self._stride = max(overlay._row_capacity for overlay in overlays)
         count = len(overlays)
         stride = self._stride
-        self._packed = np.full((count * stride, cache_size), _EMPTY, dtype=np.int64)
+        # One base (the oldest) and one dtype for all: int64 if any overlay
+        # is wide already or its clock does not fit above the shared base.
+        ts_base = min(overlay._ts_base for overlay in overlays)
+        dtype = np.result_type(*(overlay._packed.dtype for overlay in overlays))
+        if (max(o._clock for o in overlays) - ts_base) >> _timestamp_bits(dtype):
+            dtype = np.dtype(np.int64)
+        self._packed = np.full((count * stride, cache_size), _EMPTY, dtype=dtype)
         self._counts = np.zeros(count * stride, dtype=np.int64)
         self._id_by_row = np.full(count * stride, -1, dtype=np.int64)
         self._scratch = np.empty(count * stride, dtype=np.int64)
@@ -287,7 +332,8 @@ class ReplicatedNewscastBlock:
             self._packed[base : base + rows] = overlay._packed
             self._counts[base : base + rows] = overlay._counts
             self._id_by_row[base : base + rows] = overlay._id_by_row
-            overlay._packed = self._packed[base : base + stride]
+            overlay._rehome(self._packed[base : base + stride], overlay._clock)
+            overlay._shift_base(ts_base - overlay._ts_base)
             overlay._counts = self._counts[base : base + stride]
             overlay._id_by_row = self._id_by_row[base : base + stride]
             if rows < stride:
@@ -376,7 +422,7 @@ class ReplicatedNewscastBlock:
 
         stacked_initiators = []
         stacked_peers = []
-        clock = None
+        lead = None
         for overlay, rng in pairs:
             if not self._attached(overlay):
                 # Detached (grew beyond its slice): private maintenance.
@@ -384,9 +430,9 @@ class ReplicatedNewscastBlock:
                 continue
             replica = overlay.block_index
             initiators, peer_rows = overlay._draw_maintenance_round(rng)
-            if clock is None:
-                clock = overlay._clock
-            elif overlay._clock != clock:
+            if lead is None:
+                lead = overlay
+            elif overlay._clock != lead._clock:
                 # Clocks diverged (caller drove an overlay on its own);
                 # the shared `now` stamp would be wrong — run privately.
                 overlay._apply_maintenance_round(initiators, peer_rows)
@@ -395,33 +441,19 @@ class ReplicatedNewscastBlock:
             if initiators.size:
                 stacked_initiators.append(initiators + base)
                 stacked_peers.append(peer_rows + base)
-        if not stacked_initiators or clock is None:
+        if not stacked_initiators:
             return
         initiators = np.concatenate(stacked_initiators)
         peer_rows = np.concatenate(stacked_peers)
         rounds = ordered_conflict_rounds(
             initiators, peer_rows, self._scratch, track_positions=False
         )
-        capacity = self._cache_size
-        for batch_a, batch_b, _ in rounds:
-            new_a, new_b = merge_packed_pairs(
-                self._packed[batch_a],
-                self._packed[batch_b],
-                self._id_by_row[batch_a],
-                self._id_by_row[batch_b],
-                clock,
-                capacity,
-                ts_bound=clock,
-            )
-            self._packed[batch_a] = new_a
-            self._packed[batch_b] = new_b
-        # One deferred count refresh per replica (cheap row slices).
+        # Attached overlays share the base, whichever draw last slid it.
+        now = lead._clock - lead._ts_base
+        _apply_rounds(self._packed, self._id_by_row, rounds, now, self._cache_size)
         for overlay, _ in pairs:
             if self._attached(overlay):
-                rows = overlay._alive_rows[: overlay._alive_count]
-                overlay._counts[rows] = np.count_nonzero(
-                    overlay._packed[rows] >= 0, axis=1
-                )
+                overlay._refresh_counts()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -454,6 +486,8 @@ class VectorizedNewscastOverlay(OverlayProvider):
         self._cache_size = int(cache_size)
         self._rng = rng
         self._clock = 0
+        self._ts_base = 0
+        self._widened_at: Optional[int] = None
         self._reachability = None
         self._reachability_round = 0
         self.name = f"newscast-array(c={cache_size})"
@@ -468,14 +502,14 @@ class VectorizedNewscastOverlay(OverlayProvider):
         self.block_index = -1
 
         self._row_capacity = 0
-        self._packed = np.empty((0, self._cache_size), dtype=np.int64)
+        self._packed = np.empty((0, self._cache_size), dtype=np.int32)
         self._counts = np.empty(0, dtype=np.int64)
         self._id_by_row = np.empty(0, dtype=np.int64)
         self._row_pos = np.empty(0, dtype=np.int64)
         self._alive_rows = np.empty(0, dtype=np.int64)
         self._alive_count = 0
         self._free_rows: List[int] = []
-        self._row_by_id = np.full(1, -1, dtype=np.int64)
+        self._row_by_id = np.empty(0, dtype=np.int64)
         self._scratch = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -546,8 +580,7 @@ class VectorizedNewscastOverlay(OverlayProvider):
     # ------------------------------------------------------------------
     def node_ids(self) -> List[int]:
         ids = self._id_by_row[self._alive_rows[: self._alive_count]]
-        ids = np.sort(ids)
-        return [int(node) for node in ids]
+        return np.sort(ids).tolist()
 
     def neighbors(self, node_id: int) -> Sequence[int]:
         row = self._row_of(node_id)
@@ -571,17 +604,25 @@ class VectorizedNewscastOverlay(OverlayProvider):
         """Draw one uniform cache entry for every node in ``node_ids``.
 
         Returns an int64 array aligned with ``node_ids``; ``-1`` marks
-        nodes with an empty (or unknown) cache.  The returned peers may
-        be crashed — exactly like the dict overlay's ``select_peer``, the
+        nodes with an empty cache and identifiers the overlay does not
+        know (which consume no randomness).  The returned peers may be
+        crashed — exactly like the dict overlay's ``select_peer``, the
         caller decides what a stale descriptor means.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
         if node_ids.size == 0:
             return np.empty(0, dtype=np.int64)
+        if node_ids.min() < 0 or node_ids.max() >= self._row_by_id.size:
+            known = (node_ids >= 0) & (node_ids < self._row_by_id.size)
+            peers = np.full(node_ids.size, -1, dtype=np.int64)
+            peers[known] = self.select_peers_batch(node_ids[known], generator)
+            return peers
         rows = self._row_by_id[node_ids]
         counts = np.where(rows >= 0, self._counts[rows], 0)
         draws = (generator.random(node_ids.size) * counts).astype(np.int64)
-        peers = self._packed[rows, draws] & _ID_MASK
+        # Removed nodes (row -1, count 0) gather the last row's first slot.
+        draws += rows * self._cache_size
+        peers = (self._packed.ravel()[draws] & MAX_NODE_ID).astype(np.int64)
         peers[counts == 0] = -1
         return peers
 
@@ -620,19 +661,19 @@ class VectorizedNewscastOverlay(OverlayProvider):
         row = self._allocate_row(node_id)
         if contact_row >= 0:
             contact_id = int(self._id_by_row[contact_row])
-            now_packed = np.int64(self._clock) << ID_BITS
+            now_packed = (self._clock - self._ts_base) << ID_BITS
             # The joining node learns the contact plus the contact's view
             # (minus any stale descriptor of itself).
             pool = np.concatenate(
-                (self._packed[contact_row], [now_packed | np.int64(contact_id)])
+                (self._packed[contact_row], [now_packed | contact_id])
             )
-            pool[(pool & _ID_MASK) == node_id] = _EMPTY
+            pool[(pool & MAX_NODE_ID) == node_id] = _EMPTY
             pool[::-1].sort()
             self._packed[row] = pool[: self._cache_size]
             self._counts[row] = int(np.count_nonzero(self._packed[row] >= 0))
             # The contact also hears about the new node right away.
             contact_pool = np.concatenate(
-                (self._packed[contact_row], [now_packed | np.int64(node_id)])
+                (self._packed[contact_row], [now_packed | node_id])
             )
             contact_pool[::-1].sort()
             self._packed[contact_row] = contact_pool[: self._cache_size]
@@ -678,6 +719,8 @@ class VectorizedNewscastOverlay(OverlayProvider):
         the usable exchanges (empty arrays when nobody can gossip).
         """
         self._clock += 1
+        if (self._clock - self._ts_base) >> _timestamp_bits(self._packed.dtype):
+            self._slide_base()
         self._reachability_round += 1
         count = self._alive_count
         if count == 0:
@@ -688,7 +731,8 @@ class VectorizedNewscastOverlay(OverlayProvider):
         initiators = self._alive_rows[:count][generator.permutation(count)]
         cache_sizes = self._counts[initiators]
         draws = (generator.random(count) * cache_sizes).astype(np.int64)
-        peer_ids = self._packed[initiators, draws] & _ID_MASK
+        draws += initiators * self._cache_size
+        peer_ids = self._packed.ravel()[draws] & MAX_NODE_ID
         # Empty caches produce a garbage id from the -1 padding; pin them
         # to a safe in-range id before the row lookup, then filter.
         peer_ids[cache_sizes == 0] = 0
@@ -718,25 +762,60 @@ class VectorizedNewscastOverlay(OverlayProvider):
         rounds = ordered_conflict_rounds(
             initiators, peer_rows, self._scratch, track_positions=False
         )
-        capacity = self._cache_size
-        for batch_a, batch_b, _ in rounds:
-            new_a, new_b = merge_packed_pairs(
-                self._packed[batch_a],
-                self._packed[batch_b],
-                self._id_by_row[batch_a],
-                self._id_by_row[batch_b],
-                self._clock,
-                capacity,
-                # No stored entry can be fresher than the clock, so the
-                # kernel may use the narrow packing while the clock fits.
-                ts_bound=self._clock,
-            )
-            self._packed[batch_a] = new_a
-            self._packed[batch_b] = new_b
-        # One deferred count pass over the live rows replaces per-round
-        # bookkeeping; merges never read counts (padding is -1).
+        now = self._clock - self._ts_base
+        _apply_rounds(self._packed, self._id_by_row, rounds, now, self._cache_size)
+        self._refresh_counts()
+
+    def _refresh_counts(self) -> None:
+        """Recount the live rows, once per round (merges never read counts)."""
+        # Valid entries come first, so a valid last slot means a full row;
+        # only the short rows are gathered and counted.
         rows = self._alive_rows[: self._alive_count]
-        self._counts[rows] = np.count_nonzero(self._packed[rows] >= 0, axis=1)
+        self._counts[rows] = self._cache_size
+        short = rows[self._packed[:, -1][rows] < 0]
+        self._counts[short] = np.count_nonzero(self._packed[short] >= 0, axis=1)
+
+    # ------------------------------------------------------------------
+    # The sliding timestamp base (module docstring, "Representation")
+    # ------------------------------------------------------------------
+    def _slide_base(self) -> None:
+        """Make ``clock - base`` fit the packing again: slide, else widen."""
+        block = self.maintenance_block
+        attached = block is not None and block._attached(self)
+        members = [o for o in block._overlays if block._attached(o)] if attached else [self]
+        oldest = min(member._oldest_live() for member in members)
+        if (self._clock - self._ts_base - oldest) >> _timestamp_bits(self._packed.dtype):
+            if attached:
+                block._packed = block._packed.astype(np.int64)
+                for member in members:
+                    first = member.block_index * block._stride
+                    rows = block._packed[first : first + block._stride]
+                    member._rehome(rows, self._clock)
+            else:
+                self._rehome(self._packed.astype(np.int64), self._clock)
+        for member in members:
+            member._shift_base(oldest)
+
+    def _oldest_live(self) -> int:
+        """Oldest stored timestamp above the base (the clock if none is stored)."""
+        # Viewed unsigned, the empty slots (-1) are the largest values.
+        unsigned = self._packed.view(f"u{self._packed.itemsize}")
+        oldest = int(unsigned.min(initial=np.iinfo(unsigned.dtype).max)) >> ID_BITS
+        return min(self._clock - self._ts_base, oldest)
+
+    def _shift_base(self, delta: int) -> None:
+        """Move the base by ``delta`` and every stored timestamp with it."""
+        # An entry-less matrix has nothing to move (and slides by the whole
+        # clock span, which need not fit the dtype).
+        if delta and (valid := self._packed >= 0).any():
+            np.subtract(self._packed, delta << ID_BITS, out=self._packed, where=valid)
+        self._ts_base += delta
+
+    def _rehome(self, packed: np.ndarray, clock: int) -> None:
+        """Adopt ``packed`` as the cache matrix; a dtype change is a widening."""
+        if packed.dtype != self._packed.dtype:
+            self._widened_at = clock
+        self._packed = packed
 
     # ------------------------------------------------------------------
     # Introspection helpers used by tests and analysis
@@ -751,12 +830,23 @@ class VectorizedNewscastOverlay(OverlayProvider):
         """The overlay's logical clock (one tick per NEWSCAST cycle)."""
         return float(self._clock)
 
+    @property
+    def packing(self) -> str:
+        """Dtype of the cache matrix: ``"int32"``, or ``"int64"`` once widened."""
+        return self._packed.dtype.name
+
+    @property
+    def widened_at(self) -> Optional[int]:
+        """Clock of the one-way widening to int64, ``None`` while int32."""
+        return self._widened_at
+
     def cache_of(self, node_id: int) -> NewscastCache:
         """The cache of ``node_id`` as a ``NewscastCache`` (for tests)."""
         row = self._row_of(node_id)
         if row < 0:
             raise MembershipError(f"unknown node {node_id}")
-        return NewscastCache(self._cache_size, unpack_entries(self._packed[row]))
+        entries = unpack_entries(self._packed[row], self._ts_base)
+        return NewscastCache(self._cache_size, entries)
 
     def stale_reference_fraction(self) -> float:
         """Fraction of cache entries across live nodes pointing to dead peers."""
@@ -770,7 +860,7 @@ class VectorizedNewscastOverlay(OverlayProvider):
             return 0.0
         # Mask the padding out *before* deriving ids: -1 slots would
         # otherwise alias to id MAX_NODE_ID and index out of bounds.
-        ids = entries[valid] & _ID_MASK
+        ids = entries[valid] & MAX_NODE_ID
         stale = int(np.count_nonzero(self._row_by_id[ids] < 0))
         return stale / total
 
@@ -779,7 +869,7 @@ class VectorizedNewscastOverlay(OverlayProvider):
         rows = self._alive_rows[: self._alive_count]
         counts: Dict[int, int] = {int(self._id_by_row[row]): 0 for row in rows}
         entries = self._packed[rows]
-        ids = (entries[entries >= 0] & _ID_MASK).ravel()
+        ids = (entries[entries >= 0] & MAX_NODE_ID).ravel()
         alive = ids[self._row_by_id[ids] >= 0]
         for node, count in zip(*np.unique(alive, return_counts=True)):
             if int(node) in counts:
@@ -818,7 +908,7 @@ class VectorizedNewscastOverlay(OverlayProvider):
         old = self._row_capacity
         if new_capacity <= old:
             return
-        packed = np.full((new_capacity, self._cache_size), _EMPTY, dtype=np.int64)
+        packed = np.full((new_capacity, self._cache_size), _EMPTY, self._packed.dtype)
         packed[:old] = self._packed
         self._packed = packed
         for name in ("_counts", "_id_by_row", "_row_pos", "_alive_rows"):

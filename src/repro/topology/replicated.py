@@ -332,6 +332,13 @@ class ReplicatedStaticBlock:
         node_ids = np.asarray(node_ids, dtype=np.int64)
         if node_ids.size == 0:
             return np.empty(0, dtype=np.int64)
+        if node_ids.min() < 0 or node_ids.max() >= self._stride:
+            # Unknown ids answer -1 (and consume no randomness) instead of
+            # wrapping onto another node's — or another replica's — row.
+            known = (node_ids >= 0) & (node_ids < self._stride)
+            peers = np.full(node_ids.size, -1, dtype=np.int64)
+            peers[known] = self._select_peers_batch(replica, node_ids[known], generator)
+            return peers
         rows = replica * self._stride + node_ids
         row_degrees = self._degrees[rows]
         # Floor-multiply instead of per-element bounded integers: one
@@ -506,9 +513,10 @@ class StaticBlockView(OverlayProvider):
         """Draw one uniform neighbour for every node in ``node_ids`` at once.
 
         Returns an int64 array aligned with ``node_ids``; ``-1`` marks nodes
-        that currently have no neighbour (the batched equivalent of
-        :meth:`select_peer` returning ``None``).  One vectorised draw per
-        call replaces ``len(node_ids)`` scalar generator round-trips.
+        that currently have no neighbour or are unknown (the batched
+        equivalent of :meth:`select_peer` returning ``None``).  One
+        vectorised draw per call replaces ``len(node_ids)`` scalar
+        generator round-trips.
         """
         return self._block._select_peers_batch(self._replica, node_ids, generator)
 

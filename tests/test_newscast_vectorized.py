@@ -6,7 +6,9 @@ documentation of :mod:`repro.newscast.vectorized_cache` claims:
 * **bit-level, merge kernel** — the batched merge keeps exactly the
   ``c`` freshest entries with the same per-peer dedup and
   ``(timestamp, peer_id)`` tie-breaking as ``NewscastCache.merged_with``
-  (hypothesis property, both the narrow-int32 and wide-int64 kernels);
+  (hypothesis property, int32 and int64 rows over a random timestamp
+  base), and the overlay's int32 matrix with its sliding base holds the
+  same caches as an int64 twin, entry for entry;
 * **bit-level, engines** — with the *same* array-native overlay on both
   sides, the reference ``CycleSimulator`` and the
   ``VectorizedCycleSimulator`` produce identical traces and states from
@@ -20,6 +22,7 @@ documentation of :mod:`repro.newscast.vectorized_cache` claims:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +43,7 @@ from repro.newscast import (
     pack_entries,
     unpack_entries,
 )
+from repro.newscast.vectorized_cache import _MERGE_BLOCK, _apply_rounds
 from repro.simulator import (
     ChurnModel,
     CycleSimulator,
@@ -75,7 +79,7 @@ def entries_sorted(cache) -> list:
 # ----------------------------------------------------------------------
 # Bit-level: the batched merge kernel vs NewscastCache.merged_with
 # ----------------------------------------------------------------------
-def entry_lists(draw, now, own_id, capacity, id_pool):
+def entry_lists(draw, now, own_id, capacity, id_pool, oldest=0):
     count = draw(st.integers(min_value=0, max_value=capacity))
     entries = []
     seen = set()
@@ -84,9 +88,13 @@ def entry_lists(draw, now, own_id, capacity, id_pool):
         if peer == own_id or peer in seen:
             continue
         seen.add(peer)
-        timestamp = draw(st.integers(min_value=0, max_value=now))
+        timestamp = draw(st.integers(min_value=oldest, max_value=now))
         entries.append(CacheEntry(timestamp=float(timestamp), peer_id=peer))
     return entries
+
+
+def unpacked(row, base=0):
+    return [(e.timestamp, e.peer_id) for e in unpack_entries(row, base)]
 
 
 class TestMergeKernelProperty:
@@ -94,41 +102,42 @@ class TestMergeKernelProperty:
     @given(data=st.data())
     def test_batched_merge_matches_merged_with(self, data):
         capacity = data.draw(st.integers(min_value=1, max_value=8), label="capacity")
-        # Timestamps beyond the narrow packing exercise the int64 kernel.
-        now = data.draw(
-            st.one_of(
-                st.integers(min_value=1, max_value=120),
-                st.integers(min_value=128, max_value=100_000),
-            ),
-            label="now",
-        )
+        base = data.draw(st.integers(min_value=0, max_value=10**6), label="base")
+        dtype = data.draw(st.sampled_from([np.int32, np.int64]), label="dtype")
+        # int32 rows hold timestamps in [base, base + 127]; int64 any spread.
+        spread = 127 if dtype is np.int32 else 100_000
+        now = base + data.draw(st.integers(min_value=1, max_value=spread), label="now")
         id_pool = list(range(40))
         own_a = data.draw(st.sampled_from(id_pool), label="a")
         own_b = data.draw(
             st.sampled_from([i for i in id_pool if i != own_a]), label="b"
         )
-        cache_a = NewscastCache(capacity, entry_lists(data.draw, now, own_a, capacity, id_pool))
-        cache_b = NewscastCache(capacity, entry_lists(data.draw, now, own_b, capacity, id_pool))
+        cache_a = NewscastCache(
+            capacity, entry_lists(data.draw, now, own_a, capacity, id_pool, base)
+        )
+        cache_b = NewscastCache(
+            capacity, entry_lists(data.draw, now, own_b, capacity, id_pool, base)
+        )
 
         expected_a = cache_a.merged_with(cache_b, own_id=own_a, other_id=own_b, now=float(now))
         expected_b = cache_b.merged_with(cache_a, own_id=own_b, other_id=own_a, now=float(now))
         new_a, new_b = merge_packed_pairs(
-            pack_entries(cache_a.entries(), capacity)[None, :],
-            pack_entries(cache_b.entries(), capacity)[None, :],
+            pack_entries(cache_a.entries(), capacity, base)[None, :].astype(dtype),
+            pack_entries(cache_b.entries(), capacity, base)[None, :].astype(dtype),
             np.array([own_a], dtype=np.int64),
             np.array([own_b], dtype=np.int64),
-            now,
+            now - base,
             capacity,
-            ts_bound=now,
         )
-        assert [(e.timestamp, e.peer_id) for e in unpack_entries(new_a[0])] == entries_sorted(expected_a)
-        assert [(e.timestamp, e.peer_id) for e in unpack_entries(new_b[0])] == entries_sorted(expected_b)
+        assert new_a.dtype == new_b.dtype == dtype
+        assert unpacked(new_a[0], base) == entries_sorted(expected_a)
+        assert unpacked(new_b[0], base) == entries_sorted(expected_b)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_narrow_and_wide_kernels_agree(self, data):
+    def test_int32_and_int64_kernels_agree(self, data):
         capacity = data.draw(st.integers(min_value=1, max_value=6))
-        now = data.draw(st.integers(min_value=1, max_value=120))
+        now = data.draw(st.integers(min_value=1, max_value=127))
         own_a, own_b = 1, 2
         cache_a = NewscastCache(capacity, entry_lists(data.draw, now, own_a, capacity, list(range(30))))
         cache_b = NewscastCache(capacity, entry_lists(data.draw, now, own_b, capacity, list(range(30))))
@@ -136,10 +145,43 @@ class TestMergeKernelProperty:
         rows_b = pack_entries(cache_b.entries(), capacity)[None, :]
         ids_a = np.array([own_a], dtype=np.int64)
         ids_b = np.array([own_b], dtype=np.int64)
-        narrow = merge_packed_pairs(rows_a, rows_b, ids_a, ids_b, now, capacity, ts_bound=now)
-        wide = merge_packed_pairs(rows_a, rows_b, ids_a, ids_b, now, capacity, ts_bound=None)
+        narrow = merge_packed_pairs(
+            rows_a.astype(np.int32), rows_b.astype(np.int32), ids_a, ids_b, now, capacity
+        )
+        wide = merge_packed_pairs(rows_a, rows_b, ids_a, ids_b, now, capacity)
+        assert narrow[0].dtype == np.int32 and wide[0].dtype == np.int64
         assert np.array_equal(narrow[0], wide[0])
         assert np.array_equal(narrow[1], wide[1])
+
+    def test_timestamp_beyond_the_packing_is_rejected(self):
+        rows = np.full((1, 3), -1, dtype=np.int32)
+        ids = np.array([1], dtype=np.int64)
+        with pytest.raises(ValueError, match="does not fit"):
+            merge_packed_pairs(rows, rows, ids, ids + 1, 128, 3)
+        new_a, _ = merge_packed_pairs(rows.astype(np.int64), rows.astype(np.int64), ids, ids + 1, 128, 3)
+        assert unpacked(new_a[0]) == [(128.0, 2)]
+
+    def test_round_applied_in_blocks_equals_one_call(self):
+        # 5 000 row-disjoint exchanges: the block loop (three kernel calls)
+        # must leave the matrix exactly as one kernel call over the round.
+        pairs, capacity = 5_000, 8
+        assert pairs > 2 * _MERGE_BLOCK
+        overlay = VectorizedNewscastOverlay.bootstrap(
+            2 * pairs, capacity, RandomSource(41), warmup_cycles=2
+        )
+        order = np.random.default_rng(5).permutation(2 * pairs)
+        batch_a, batch_b = order[:pairs], order[pairs:]
+        ids, now = overlay._id_by_row, 3
+        blocked = overlay._packed.copy()
+        _apply_rounds(blocked, ids, [(batch_a, batch_b, None)], now, capacity)
+        whole = overlay._packed.copy()
+        new_a, new_b = merge_packed_pairs(
+            whole[batch_a], whole[batch_b], ids[batch_a], ids[batch_b], now, capacity
+        )
+        whole[batch_a] = new_a
+        whole[batch_b] = new_b
+        assert not np.array_equal(whole, overlay._packed)
+        assert np.array_equal(blocked, whole)
 
     def test_merge_keeps_c_freshest_and_excludes_own(self):
         capacity = 3
@@ -154,13 +196,13 @@ class TestMergeKernelProperty:
             capacity,
         )
         # Direction A: fresh (6, 2) + freshest per peer, own id 1 excluded.
-        assert [(e.timestamp, e.peer_id) for e in unpack_entries(new_a[0])] == [
+        assert unpacked(new_a[0]) == [
             (6.0, 2),
             (5.0, 13),
             (5.0, 10),
         ]
         # Direction B: fresh (6, 1) replaces B's stale (2.0, 1) descriptor.
-        assert [(e.timestamp, e.peer_id) for e in unpack_entries(new_b[0])] == [
+        assert unpacked(new_b[0]) == [
             (6.0, 1),
             (5.0, 13),
             (5.0, 10),
@@ -383,14 +425,45 @@ class TestVectorizedOverlayBehaviour:
         assert peers.tolist() == [-1]
         assert overlay.select_peer(0, RandomSource(4)) is None
 
-    def test_long_run_crosses_narrow_packing_boundary(self):
-        # The kernel switches from int32 to int64 packing once the clock
-        # outgrows the narrow timestamp field; invariants must survive.
+    def test_select_peers_batch_unknown_ids_return_minus_one(self):
+        # Regression: -1 wrapped onto the last node's row (a real peer came
+        # back) and an id past the table raised IndexError; select_peer
+        # answers None for both.
+        overlay = self.bootstrap(size=50, cache=5)
+        overlay.on_node_removed(7)
+        ids = np.array([3, -1, 50, 7, 10**9, 4], dtype=np.int64)
+        peers = overlay.select_peers_batch(ids, np.random.default_rng(1))
+        assert peers[[1, 2, 3, 4]].tolist() == [-1, -1, -1, -1]
+        assert int(peers[0]) in overlay.cache_of(3).peer_ids()
+        assert int(peers[5]) in overlay.cache_of(4).peer_ids()
+        # Unknown ids consume no randomness: the known ones draw as alone.
+        alone = overlay.select_peers_batch(ids[[0, 3, 5]], np.random.default_rng(1))
+        assert peers[[0, 3, 5]].tolist() == alone.tolist()
+        for unknown in (-1, 50, 7, 10**9):
+            assert overlay.select_peer(unknown, RandomSource(1)) is None
+        never_populated = VectorizedNewscastOverlay(cache_size=4, rng=RandomSource(2))
+        assert never_populated.select_peers_batch(
+            np.array([0, 5]), np.random.default_rng(1)
+        ).tolist() == [-1, -1]
+
+    def test_node_ids_are_sorted_python_ints(self):
+        overlay = self.bootstrap(size=12)
+        overlay.on_node_removed(4)
+        overlay.on_node_added(40, RandomSource(1))
+        ids = overlay.node_ids()
+        assert ids == [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 40]
+        assert all(type(node) is int for node in ids)
+
+    def test_long_run_crosses_the_first_base_slide(self):
+        # The clock outgrows the 7 timestamp bits of the int32 packing at
+        # 128: the base slides, the matrix stays int32, invariants survive.
         overlay = self.bootstrap(size=30, cache=5)
         rng = RandomSource(31)
         for _ in range(135):
             overlay.after_cycle(rng)
         assert overlay.clock == 140.0  # 5 warmup cycles + 135
+        assert overlay.packing == "int32" and overlay.widened_at is None
+        assert overlay._ts_base > 0
         for node in overlay.node_ids():
             cache = overlay.cache_of(node)
             assert len(cache) == 5
@@ -403,6 +476,125 @@ class TestVectorizedOverlayBehaviour:
         assert set(degrees) == set(overlay.node_ids())
         total_entries = sum(len(overlay.cache_of(n)) for n in overlay.node_ids())
         assert sum(degrees.values()) == total_entries
+
+
+# ----------------------------------------------------------------------
+# One dtype per matrix: the sliding timestamp base and the widening
+# ----------------------------------------------------------------------
+def twin_overlays(size, cache, seed):
+    """The same overlay twice; the twin's matrix is int64 from bootstrap on.
+
+    An int64 matrix holds 39 timestamp bits, so the twin never slides its
+    base: it is the plain absolute-timestamp packing to compare against.
+    """
+    overlay = VectorizedNewscastOverlay.bootstrap(size, cache, RandomSource(seed))
+    twin = VectorizedNewscastOverlay.bootstrap(size, cache, RandomSource(seed))
+    twin._packed = twin._packed.astype(np.int64)
+    return overlay, twin
+
+
+def assert_same_caches(overlay, twin, draw_seed):
+    assert overlay.node_ids() == twin.node_ids()
+    for node in overlay.node_ids():
+        assert entries_sorted(overlay.cache_of(node)) == entries_sorted(twin.cache_of(node))
+    ids = np.asarray(overlay.node_ids(), dtype=np.int64)
+    assert np.array_equal(
+        overlay.select_peers_batch(ids, np.random.default_rng(draw_seed)),
+        twin.select_peers_batch(ids, np.random.default_rng(draw_seed)),
+    )
+
+
+def churn_engine(overlay, size, replacements, seed=77):
+    return make_simulator(
+        overlay=overlay,
+        function=AverageFunction(),
+        initial_values=[float(i % 17) for i in range(size)],
+        rng=RandomSource(seed),
+        failure_model=ChurnModel(replacements),
+        engine="vectorized",
+    )
+
+
+class TestSlidingTimestampBase:
+    def test_churn_run_slides_twice_and_stays_int32(self):
+        size = 2_000
+        overlay, twin = twin_overlays(size, 30, seed=19)
+        engines = [churn_engine(o, size, replacements=5) for o in (overlay, twin)]
+        slides = 0
+        for cycle in range(300):
+            base = overlay._ts_base
+            for engine in engines:
+                engine.run(1)
+            if overlay._ts_base != base:
+                slides += 1
+                assert_same_caches(overlay, twin, draw_seed=cycle)
+        assert slides >= 2
+        assert overlay.packing == "int32" and overlay.widened_at is None
+        assert twin._ts_base == 0
+        assert_same_caches(overlay, twin, draw_seed=300)
+        assert engines[0].states() == engines[1].states()
+
+    def test_slides_are_rare_at_n10k_under_heavy_churn(self):
+        size = 10_000
+        overlay = VectorizedNewscastOverlay.bootstrap(size, 30, RandomSource(23))
+        engine = churn_engine(overlay, size, replacements=50)
+        slide_clocks = []
+        for _ in range(300):
+            base = overlay._ts_base
+            engine.run(1)
+            if overlay._ts_base != base:
+                slide_clocks.append(overlay.clock)
+        assert overlay.packing == "int32" and overlay.widened_at is None
+        # The O(rows * c) slide pass runs at most once per 64 rounds.
+        assert len(slide_clocks) >= 2
+        assert min(np.diff([0.0] + slide_clocks)) >= 64
+
+    def test_stale_descriptor_widens_at_the_expected_clock(self):
+        # N = 8 < c: caches never fill, so the crashed node's descriptor is
+        # never evicted and the live spread grows with the clock.
+        overlay, twin = twin_overlays(8, 30, seed=3)
+        rngs = [RandomSource(5), RandomSource(5)]
+        for o in (overlay, twin):
+            o.on_node_removed(3)
+        for cycle in range(200):
+            for o, rng in zip((overlay, twin), rngs):
+                o.after_cycle(rng)
+            assert_same_caches(overlay, twin, draw_seed=cycle)
+        stale = min(e.timestamp for n in twin.node_ids() for e in twin.cache_of(n).entries())
+        assert stale <= 5.0 and overlay.clock == 205.0
+        # Slid once at clock 128 (base -> stale); at stale + 128 the spread
+        # itself no longer fits 7 bits.
+        assert overlay.packing == "int64"
+        assert overlay.widened_at == int(stale) + 128
+        assert overlay._ts_base == int(stale)
+
+    def test_entry_less_overlay_slides_by_the_whole_clock_span(self):
+        # Regression: with no valid entry the base moves by clock - base =
+        # 128, and 128 << 24 does not fit int32 — nothing to subtract then.
+        overlay = VectorizedNewscastOverlay.bootstrap(5, 3, RandomSource(1))
+        for node in range(5):
+            overlay.on_node_removed(node)
+        rng = RandomSource(2)
+        for _ in range(200):
+            overlay.after_cycle(rng)
+        assert overlay.packing == "int32" and overlay._ts_base == 128
+        overlay.on_node_added(9, rng)
+        overlay.on_node_added(10, rng)
+        overlay.after_cycle(rng)
+        assert entries_sorted(overlay.cache_of(9)) == [(206.0, 10)]
+        assert entries_sorted(overlay.cache_of(10)) == [(206.0, 9)]
+
+    def test_int32_matrix_memory_law(self):
+        # Retained after bootstrap(2e4, 30): 4.95 MB, of which the matrix is
+        # rows * c * 4 = 2.4 MB; the int64 matrix retained 7.36 MB.
+        tracemalloc.start()
+        try:
+            overlay = VectorizedNewscastOverlay.bootstrap(20_000, 30, RandomSource(3))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert overlay._packed.nbytes == 20_000 * 30 * 4
+        assert retained < 6.0e6
 
 
 class TestDispatch:

@@ -363,6 +363,23 @@ class TestReplicatedStaticBlock:
         assert peers[2] == -1
         assert peers[0] == 1 and peers[1] == 0
 
+    def test_unknown_ids_draw_no_peer(self):
+        # Regression: -1 wrapped onto the last row of the block (another
+        # replica's node at R > 1) and came back with a real peer.
+        rngs = [RandomSource(3), RandomSource(4)]
+        block = ReplicatedStaticBlock.build_k_out(40, 5, rngs)
+        ids = np.array([3, -1, 40, 10**9], dtype=np.int64)
+        for view in (block.view(0), block.view(1)):
+            peers = view.select_peers_batch(ids, np.random.default_rng(1))
+            assert peers[1:].tolist() == [-1, -1, -1]
+            assert int(peers[0]) in view.neighbors(3)
+            # Unknown ids consume no randomness.
+            alone = view.select_peers_batch(ids[:1], np.random.default_rng(1))
+            assert peers[0] == alone[0]
+            assert view.select_peer(-1, RandomSource(1)) is None
+        empty = StaticTopology({}, name="empty")
+        assert empty.select_peers_batch(ids, np.random.default_rng(1)).tolist() == [-1] * 4
+
 
 class TestReplicatedNewscastBlock:
     def test_bootstrap_matches_standalone_overlays(self):
@@ -406,6 +423,86 @@ class TestReplicatedNewscastBlock:
         )
         assert overlay.clock == before + 1  # detached replica still maintained
         assert block.overlay(1).clock == before + 1
+
+    @pytest.mark.parametrize("detach", [False, True])
+    def test_block_crosses_a_base_slide_bit_identically(self, detach):
+        # Past clock 128 the block's shared timestamp base slides: the three
+        # replicas must stay bit-identical to standalone overlays — also
+        # when one of them left the block (grew) before the slide.
+        seeds = (7, 8, 9)
+        block = ReplicatedNewscastBlock.bootstrap(
+            3, 60, 6, [RandomSource(seed) for seed in seeds]
+        )
+        solos = [
+            VectorizedNewscastOverlay.bootstrap(60, 6, RandomSource(seed))
+            for seed in seeds
+        ]
+        if detach:
+            block.overlay(1)._grow_rows(block.stride * 2)
+        block_rngs = [RandomSource(20 + seed) for seed in seeds]
+        solo_rngs = [RandomSource(20 + seed) for seed in seeds]
+        for _ in range(140):
+            block.after_cycle_stacked(list(zip(block.views(), block_rngs)))
+            for solo, rng in zip(solos, solo_rngs):
+                solo.after_cycle(rng)
+        attached = [block._attached(view) for view in block.views()]
+        assert attached == [True, not detach, True]
+        for view, solo in zip(block.views(), solos):
+            assert view.clock == solo.clock == 145.0
+            assert view.packing == solo.packing == "int32"
+            assert view._ts_base > 0
+            for node in range(60):
+                assert view.cache_of(node).entries() == solo.cache_of(node).entries()
+        # Attached replicas share one base; the abandoned slice of the
+        # detached one does not hold it back.
+        assert block.overlay(0)._ts_base == block.overlay(2)._ts_base
+
+    def test_block_widens_once_and_rehomes_its_overlays(self):
+        # N = 8 < c with a crashed node: the stale descriptor is never
+        # evicted, so the live spread outgrows int32 and the block widens.
+        seeds = (3, 4)
+        block = ReplicatedNewscastBlock.bootstrap(
+            2, 8, 30, [RandomSource(seed) for seed in seeds]
+        )
+        solos = [
+            VectorizedNewscastOverlay.bootstrap(8, 30, RandomSource(seed))
+            for seed in seeds
+        ]
+        for overlay in block.views() + solos:
+            overlay.on_node_removed(3)
+        block_rngs = [RandomSource(20 + seed) for seed in seeds]
+        solo_rngs = [RandomSource(20 + seed) for seed in seeds]
+        for _ in range(200):
+            block.after_cycle_stacked(list(zip(block.views(), block_rngs)))
+            for solo, rng in zip(solos, solo_rngs):
+                solo.after_cycle(rng)
+        for view, solo in zip(block.views(), solos):
+            assert block._attached(view)
+            assert view.packing == "int64" and view.widened_at is not None
+            for node in view.node_ids():
+                assert view.cache_of(node).entries() == solo.cache_of(node).entries()
+        assert block.overlay(0).widened_at == block.overlay(1).widened_at
+
+    def test_adoption_aligns_bases_and_packings(self):
+        # Overlays with a history: different bases (and one already wide)
+        # are brought onto one base and one dtype, caches unchanged.
+        old = VectorizedNewscastOverlay.bootstrap(20, 4, RandomSource(1))
+        rng = RandomSource(2)
+        for _ in range(130):
+            old.after_cycle(rng)
+        young = VectorizedNewscastOverlay.bootstrap(20, 4, RandomSource(3))
+        assert old._ts_base > young._ts_base == 0
+        expected = [
+            [overlay.cache_of(node).entries() for node in range(20)]
+            for overlay in (old, young)
+        ]
+        block = ReplicatedNewscastBlock([old, young])
+        assert old._ts_base == young._ts_base == 0
+        # The old overlay's clock (135) does not fit 7 bits above base 0.
+        assert old.packing == young.packing == "int64"
+        assert old.widened_at == 135 and young.widened_at == 5
+        for overlay, caches in zip(block.views(), expected):
+            assert [overlay.cache_of(node).entries() for node in range(20)] == caches
 
 
 def build_replicated_engine():
