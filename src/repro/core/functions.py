@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Any, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -481,6 +482,19 @@ class VectorFunction(AggregationFunction):
             offset += width
         return slices
 
+    @cached_property
+    def _merge_blocks(self) -> List[Tuple[AggregationFunction, slice]]:
+        """Column slices with each run of same-class flat codecs fused: their
+        merges are elementwise ufuncs, so one call per run is exact."""
+        blocks: List[Tuple[AggregationFunction, slice]] = []
+        for function, columns in self._column_slices():
+            previous = blocks[-1][0] if blocks else None
+            if function.flat_state_codec and type(previous) is type(function):
+                blocks[-1] = (previous, slice(blocks[-1][1].start, columns.stop))
+            else:
+                blocks.append((function, columns))
+        return blocks
+
     def initial_state_array(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == 1:
@@ -503,7 +517,7 @@ class VectorFunction(AggregationFunction):
     ) -> Tuple[np.ndarray, np.ndarray]:
         new_initiator = np.empty_like(initiator_states)
         new_responder = np.empty_like(responder_states)
-        for function, columns in self._column_slices():
+        for function, columns in self._merge_blocks:
             merged_i, merged_r = function.merge_arrays(
                 initiator_states[:, columns], responder_states[:, columns]
             )

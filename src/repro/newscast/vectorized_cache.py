@@ -91,6 +91,7 @@ import numpy as np
 from ..common.errors import MembershipError
 from ..common.rng import RandomSource
 from ..common.validation import require_positive
+from ..simulator.sampling import conflict_scratch, ordered_conflict_rounds
 from ..topology.base import OverlayProvider
 from .cache import CacheEntry, NewscastCache
 
@@ -325,7 +326,7 @@ class ReplicatedNewscastBlock:
         self._packed = np.full((count * stride, cache_size), _EMPTY, dtype=dtype)
         self._counts = np.zeros(count * stride, dtype=np.int64)
         self._id_by_row = np.full(count * stride, -1, dtype=np.int64)
-        self._scratch = np.empty(count * stride, dtype=np.int64)
+        self._scratch = conflict_scratch(count * stride)
         for index, overlay in enumerate(overlays):
             base = index * stride
             rows = overlay._row_capacity
@@ -418,8 +419,6 @@ class ReplicatedNewscastBlock:
         calling ``overlay.after_cycle(rng)`` one by one); the conflict
         scheduling and the packed merges run once over the stacked rows.
         """
-        from ..simulator.sampling import ordered_conflict_rounds
-
         stacked_initiators = []
         stacked_peers = []
         lead = None
@@ -510,7 +509,7 @@ class VectorizedNewscastOverlay(OverlayProvider):
         self._alive_count = 0
         self._free_rows: List[int] = []
         self._row_by_id = np.empty(0, dtype=np.int64)
-        self._scratch = np.empty(0, dtype=np.int64)
+        self._scratch = conflict_scratch(0)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -753,12 +752,10 @@ class VectorizedNewscastOverlay(OverlayProvider):
         self, initiators: np.ndarray, peer_rows: np.ndarray
     ) -> None:
         """Apply one drawn maintenance round to this overlay's own rows."""
-        from ..simulator.sampling import ordered_conflict_rounds
-
         if initiators.size == 0:
             return
         if self._scratch.size < self._row_capacity:
-            self._scratch = np.empty(self._row_capacity, dtype=np.int64)
+            self._scratch = conflict_scratch(self._row_capacity)
         rounds = ordered_conflict_rounds(
             initiators, peer_rows, self._scratch, track_positions=False
         )

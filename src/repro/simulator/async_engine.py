@@ -70,7 +70,7 @@ from ..core.count import LeaderElection, count_estimates_from_matrix
 from ..core.epoch import EpochConfig
 from ..topology.base import OverlayProvider
 from .metrics import CycleRecord, SimulationTrace
-from .sampling import ordered_conflict_rounds
+from .sampling import conflict_scratch, ordered_conflict_rounds
 from .transport import (
     DelayModel,
     OUTCOME_COMPLETED,
@@ -453,7 +453,7 @@ class AsyncPracticalSimulator:
         self._next_tick = np.full(self._capacity, np.inf, dtype=np.float64)
         self._next_restart = np.full(self._capacity, np.inf, dtype=np.float64)
         self._epoch_of = np.full(self._capacity, -1, dtype=np.int64)
-        self._scratch = np.empty(self._capacity, dtype=np.int64)
+        self._scratch = conflict_scratch(self._capacity)
         # Per-window flag: nodes whose pending restart event was voided by
         # an epidemic jump re-anchoring their schedule.
         self._restart_suppressed = np.zeros(self._capacity, dtype=bool)
@@ -695,7 +695,7 @@ class AsyncPracticalSimulator:
         self._next_restart = grow(self._next_restart, np.inf)
         self._epoch_of = grow(self._epoch_of, -1)
         self._restart_suppressed = grow(self._restart_suppressed, False)
-        self._scratch = np.empty(new_capacity, dtype=np.int64)
+        self._scratch = conflict_scratch(new_capacity)
         for epoch, states in self._epoch_states.items():
             grown = np.zeros((new_capacity, states.shape[1]), dtype=np.float64)
             grown[: states.shape[0]] = states

@@ -76,7 +76,9 @@ from ..topology.base import OverlayProvider
 from .cycle_sim import InitialValues, normalise_initial_values
 from .failures import FailureModel, NoFailures
 from .metrics import CycleRecord, SimulationTrace, estimate_statistics
-from .sampling import draw_cycle_plan, ordered_conflict_rounds, stack_cycle_plans
+from .sampling import (
+    conflict_scratch, draw_cycle_plan, ordered_conflict_rounds, stack_cycle_plans
+)
 from .transport import (
     OUTCOME_COMPLETED,
     OUTCOME_DROPPED,
@@ -317,7 +319,7 @@ class StackedCycleEngine:
         self._states = np.zeros((capacity, self._width), dtype=np.float64)
         self._participant_mask = np.zeros(capacity, dtype=bool)
         self._non_participant_mask = np.zeros(capacity, dtype=bool)
-        self._scratch = np.empty(capacity, dtype=np.int64)
+        self._scratch = conflict_scratch(capacity)
 
         for index, (config, node_ids) in enumerate(zip(replicas, node_sets)):
             if not node_ids:
@@ -586,7 +588,7 @@ class StackedCycleEngine:
         self._states = states
         self._participant_mask = participant
         self._non_participant_mask = non_participant
-        self._scratch = np.empty(capacity, dtype=np.int64)
+        self._scratch = conflict_scratch(capacity)
         self._stride = new_stride
         for replica in self._replicas:
             replica.participants_cache = None

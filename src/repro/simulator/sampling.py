@@ -19,7 +19,11 @@ The module also provides :func:`ordered_conflict_rounds`, the scheduling
 core of the array engine: it partitions a cycle's in-order exchange
 list into conflict-free batches that can each be applied with one gather /
 merge / scatter pass while preserving the sequential read-after-write
-semantics of the reference engine.
+semantics of the reference engine.  Its rank plane is int32 — the rank
+templates and the per-node scratch :func:`conflict_scratch` allocates —
+which halves the peel's memory traffic; node ids and positions stay
+int64.  Two ranks must sum without overflow, so a call takes fewer than
+``2**30`` exchanges and raises ``ValueError`` otherwise.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "draw_cycle_plan",
     "stack_cycle_plans",
     "ordered_conflict_rounds",
+    "conflict_scratch",
 ]
 
 #: Grow-only rank templates shared by every peel call.  All three
@@ -61,7 +66,8 @@ def _peel_templates(total: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     size, arrays = _PEEL_TEMPLATES[0]
     if arrays is None or size < total:
         ascending = np.arange(total, dtype=np.int64)
-        arrays = (ascending, ascending + ascending, np.repeat(ascending, 2))
+        ranks = np.arange(total, dtype=np.int32)
+        arrays = (ascending, ranks + ranks, np.repeat(ranks, 2))
         _PEEL_TEMPLATES[0] = (total, arrays)
         return arrays
     ascending, doubled, ascending_pairs = arrays
@@ -202,6 +208,11 @@ def stack_cycle_plans(
     )
 
 
+def conflict_scratch(size: int) -> np.ndarray:
+    """Rank scratch for :func:`ordered_conflict_rounds` over ``size`` nodes."""
+    return np.empty(size, dtype=np.int32)
+
+
 def ordered_conflict_rounds(
     initiators: np.ndarray,
     peers: np.ndarray,
@@ -226,8 +237,8 @@ def ordered_conflict_rounds(
         Aligned int64 arrays of the effective (state-touching) exchanges,
         in initiation order.
     scratch:
-        Reusable int64 buffer with at least ``max(node id) + 1`` entries;
-        its contents are overwritten.
+        Reusable rank buffer (see :func:`conflict_scratch`) with at least
+        ``max(node id) + 1`` entries; its contents are overwritten.
     track_positions:
         Whether to also return each round's indices into the input arrays
         (needed when per-exchange outcome flags must be consulted); skip
@@ -242,6 +253,8 @@ def ordered_conflict_rounds(
     total = int(initiators.size)
     if total == 0:
         return []
+    if total >= 1 << 30:
+        raise ValueError(f"{total} exchanges exceed the int32 rank plane")
     # The peel runs back to front: a remaining exchange joins the *last*
     # round as soon as no later remaining exchange touches either of its
     # nodes, i.e. both its endpoints' last-occurrence ranks equal its own

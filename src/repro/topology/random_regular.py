@@ -49,9 +49,8 @@ def random_k_out_topology(size: int, degree: int, rng: RandomSource) -> StaticTo
     rng:
         Randomness source.
     """
-    peers = draw_k_out_peers(size, degree, rng)
-    sources = np.repeat(np.arange(size, dtype=np.int64), degree)
-    rows, degrees = rows_from_edges(size, sources, peers.ravel())
+    owners = np.arange(size, dtype=np.int64)[:, None]
+    rows, degrees = rows_from_edges(size, owners, draw_k_out_peers(size, degree, rng))
     return StaticTopology.from_rows(rows, degrees, name=f"random(k={degree})")
 
 

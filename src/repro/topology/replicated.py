@@ -18,7 +18,10 @@ engine reproduce serial fast-path traces exactly.
 Memory law: a block costs ``rows x max_degree x 4`` bytes, where
 ``rows = R x (largest node id + 1)``.  Rows are as wide as the highest
 degree in the block, so a scale-free graph pays for its hubs on every
-row and sparse identifiers pay for the gaps.
+row and sparse identifiers pay for the gaps.  Building a k-out overlay
+of ``N`` nodes holds, transiently, ``2 * N * k * 8`` bytes of int64 sort
+keys plus ``2 * N * k * 4`` bytes of int32 neighbour column plus the
+rows, while the caller holds the ``N * k * 8``-byte draw matrix.
 
 :func:`rows_from_edges` is the one edge-list -> rows kernel, and
 :func:`draw_k_out_peers` the shared sampler behind the paper's "random"
@@ -112,28 +115,40 @@ def rows_from_edges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Padded ascending adjacency rows of the undirected graph on an edge list.
 
-    ``(sources[i], targets[i])`` are int64 node identifiers in
-    ``[0, size)``; an edge may be listed in one direction, in both, or
-    several times.  One sort of the ``owner * size + neighbour`` keys of
-    both directions symmetrises, deduplicates and row-sorts at once, and
-    a row-major masked write lays the keys out as rows without any
-    per-entry index array.  Returns ``(adjacency, degrees)``: a ``(size, max_degree)`` int32
-    matrix whose row ``u`` lists ``u``'s neighbours ascending, padded
-    with the sentinel, and the int64 row lengths.
+    ``sources`` and ``targets`` are int64 node identifiers in ``[0, size)``
+    that broadcast together (flat edge arrays, or a k-out draw's
+    ``(size, 1)`` owner column against its ``(size, k)`` draw matrix); an
+    edge may be listed in one direction, in both, or several times.  One
+    in-place sort of the ``owner * size + neighbour`` keys of both
+    directions symmetrises, deduplicates and row-sorts at once.  Returns
+    ``(adjacency, degrees)``: a ``(size, max_degree)`` int32 matrix whose
+    row ``u`` lists ``u``'s neighbours ascending, sentinel-padded, and the
+    int64 row lengths.
     """
-    keys = np.concatenate((sources * size + targets, targets * size + sources))
+    keys = np.empty((2,) + np.broadcast(sources, targets).shape, dtype=np.int64)
+    np.multiply(sources, size, out=keys[0])
+    np.add(keys[0], targets, out=keys[0])
+    np.multiply(targets, size, out=keys[1])
+    np.add(keys[1], sources, out=keys[1])
+    keys = keys.reshape(-1)
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
     # The sorted keys are the rows laid end to end: row u spans the keys
     # in [u * size, (u + 1) * size), and key % size is the neighbour.
     starts = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * size)
     degrees = np.diff(starts)
+    degrees -= np.bincount(keys[~first] // size, minlength=size)
     width = max(1, int(degrees.max())) if size else 1
-    np.remainder(keys, size, out=keys)
+    neighbours = np.remainder(
+        keys, size, out=np.empty(keys.size, dtype=np.int32), casting="unsafe"
+    )
+    # Freeing each temporary once consumed, before the rows, sets the peak.
+    del keys
+    neighbours = neighbours[first]
+    del first
     adjacency = np.full((size, width), _SENTINEL, dtype=np.int32)
-    adjacency[np.arange(width) < degrees[:, None]] = keys
+    adjacency[np.arange(width) < degrees[:, None]] = neighbours
     return adjacency, degrees
 
 
@@ -210,11 +225,11 @@ class ReplicatedStaticBlock:
         """
         replicas = len(rngs)
         require_positive(replicas, "replicas")
-        pieces = []
-        for rng in rngs:
-            peers = draw_k_out_peers(size, degree, rng)
-            sources = np.repeat(np.arange(size, dtype=np.int64), degree)
-            pieces.append(rows_from_edges(size, sources, peers.ravel()))
+        owners = np.arange(size, dtype=np.int64)[:, None]
+        pieces = [
+            rows_from_edges(size, owners, draw_k_out_peers(size, degree, rng))
+            for rng in rngs
+        ]
         width = max(adjacency.shape[1] for adjacency, _ in pieces)
         block = np.full((replicas * size, width), _SENTINEL, dtype=np.int32)
         block_degrees = np.zeros(replicas * size, dtype=np.int64)

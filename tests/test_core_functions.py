@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ProtocolError
@@ -147,3 +148,44 @@ class TestVectorFunction:
 
     def test_len(self):
         assert len(VectorFunction([AverageFunction()] * 4)) == 4
+
+    def test_merge_arrays_equals_the_per_component_loop(self):
+        # merge_arrays fuses runs of same-class flat-codec components into
+        # one column block; the per-component loop it replaced is kept here
+        # as the reference, bit for bit.
+        components = [
+            AverageFunction(),
+            AverageFunction(),
+            GeometricMeanFunction(),
+            AverageFunction(),
+            MinFunction(),
+            MinFunction(),
+            PushSumFunction(),
+        ]
+        vector = VectorFunction(components)
+        rng = np.random.default_rng(8)
+        initiators = rng.random((64, vector.state_width()))
+        responders = rng.random((64, vector.state_width()))
+        expected_i = np.empty_like(initiators)
+        expected_r = np.empty_like(responders)
+        offset = 0
+        for function in components:
+            columns = slice(offset, offset + function.state_width())
+            offset = columns.stop
+            expected_i[:, columns], expected_r[:, columns] = function.merge_arrays(
+                initiators[:, columns], responders[:, columns]
+            )
+        new_i, new_r = vector.merge_arrays(initiators, responders)
+        assert new_i.tobytes() == expected_i.tobytes()
+        assert new_r.tobytes() == expected_r.tobytes()
+        # Non-flat components and class changes start a new block.
+        assert [
+            (type(function).__name__, columns.start, columns.stop)
+            for function, columns in vector._merge_blocks
+        ] == [
+            ("AverageFunction", 0, 2),
+            ("GeometricMeanFunction", 2, 3),
+            ("AverageFunction", 3, 4),
+            ("MinFunction", 4, 6),
+            ("PushSumFunction", 6, 8),
+        ]

@@ -2,19 +2,37 @@
 
 The peel-template cache is shared, mutable, process-global state read by
 both engines — including from the thread executor of ``repeat_traces`` —
-so its publication discipline gets its own regression tests here.
+so its publication discipline gets its own regression tests here, next
+to the int32 rank plane of the conflict-round kernel.
 """
 
 import threading
 
 import numpy as np
+import pytest
 
-from repro.simulator import sampling
-from repro.simulator.sampling import _peel_templates
+from repro.common.rng import RandomSource
+from repro.core.functions import AverageFunction
+from repro.newscast.vectorized_cache import (
+    ReplicatedNewscastBlock,
+    VectorizedNewscastOverlay,
+)
+from repro.simulator import VectorizedCycleSimulator, sampling
+from repro.simulator.asynchrony import LAN, build_async_average
+from repro.simulator.sampling import (
+    _peel_templates,
+    conflict_scratch,
+    ordered_conflict_rounds,
+)
+from repro.topology import TopologySpec, build_overlay
 
 
 def assert_templates_consistent(total, templates):
     ascending, doubled, ascending_pairs = templates
+    # Positions index the caller's arrays (int64); ranks are int32.
+    assert ascending.dtype == np.int64
+    assert doubled.dtype == np.int32
+    assert ascending_pairs.dtype == np.int32
     assert ascending.shape == (total,)
     assert doubled.shape == (total,)
     assert ascending_pairs.shape == (2 * total,)
@@ -74,3 +92,52 @@ class TestPeelTemplates:
         for thread in threads:
             thread.join()
         assert not errors, errors[:1]
+
+
+class TestInt32RankPlane:
+    def test_two_to_the_thirty_exchanges_are_refused(self):
+        # Two int32 ranks must sum without overflow.  Broadcast views give
+        # the kernel 2^30 exchanges without allocating them.
+        exchanges = np.broadcast_to(np.int64(0), (1 << 30,))
+        with pytest.raises(ValueError):
+            ordered_conflict_rounds(exchanges, exchanges, conflict_scratch(1))
+
+    def test_every_scratch_owner_holds_int32_across_capacity_growth(self):
+        rng = RandomSource(5)
+        scratches = []
+        # The stacked engine: allocated in __init__, regrown by a join.
+        static = VectorizedCycleSimulator(
+            build_overlay(TopologySpec("random", degree=3), 8, rng.child("static")),
+            AverageFunction(),
+            [float(node) for node in range(8)],
+            rng.child("run"),
+        )
+        scratches.append(static._engine._scratch)
+        static.add_node(1.0, participating=True)
+        static.run(2)
+        assert static._engine.stride > 8
+        scratches.append(static._engine._scratch)
+        # Array NEWSCAST: a fresh overlay, one regrown by a join, a block.
+        scratches.append(VectorizedNewscastOverlay(4, rng.child("empty"))._scratch)
+        overlay = VectorizedNewscastOverlay.bootstrap(8, 4, rng.child("newscast"))
+        overlay.on_node_added(8, rng.child("join"))
+        overlay.after_cycle(rng.child("round"))
+        assert overlay._scratch.size >= overlay._row_capacity > 8
+        scratches.append(overlay._scratch)
+        block = ReplicatedNewscastBlock.bootstrap(
+            2, 8, 4, [rng.child("replica", index) for index in range(2)]
+        )
+        scratches.append(block._scratch)
+        # The asynchronous engine: allocated in __init__, regrown by a join.
+        simulator, _ = build_async_average(
+            build_overlay(TopologySpec("random", degree=3), 8, rng.child("async")),
+            {node: float(node) for node in range(8)},
+            rng.child("async-run"),
+            LAN,
+        )
+        scratches.append(simulator._scratch)
+        simulator.add_nodes(1, rng.child("async-join"))
+        simulator.run(2)
+        assert simulator._capacity > 8
+        scratches.append(simulator._scratch)
+        assert [scratch.dtype for scratch in scratches] == [np.dtype(np.int32)] * 7

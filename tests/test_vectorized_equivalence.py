@@ -349,9 +349,14 @@ class TestRecordEvery:
 
 
 class TestConflictRounds:
+    # The engines pass int32 scratch (conflict_scratch); an int64 buffer
+    # must schedule identically.
+    @pytest.mark.parametrize("scratch_dtype", [np.int32, np.int64])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_rounds_partition_preserves_order_and_disjointness(self, data):
+    def test_rounds_partition_preserves_order_and_disjointness(
+        self, data, scratch_dtype
+    ):
         node_count = data.draw(st.integers(min_value=2, max_value=30))
         exchange_count = data.draw(st.integers(min_value=0, max_value=80))
         initiators = np.asarray(
@@ -375,7 +380,7 @@ class TestConflictRounds:
             ],
             dtype=np.int64,
         )
-        scratch = np.empty(node_count, dtype=np.int64)
+        scratch = np.empty(node_count, dtype=scratch_dtype)
         rounds = ordered_conflict_rounds(initiators, peers, scratch)
 
         seen_positions = []
