@@ -1,11 +1,8 @@
-"""Micro-benchmarks of the asynchronous engines.
+"""Micro-benchmarks of the asynchronous engine at N=10^4.
 
-The acceptance gate of the asynchronous subsystem rework: the batched
-windowed engine must push practical-protocol exchanges at least 10x as
-fast as the per-message event simulator at N=10^4.  The per-message
-baseline (AggregationNode processes on EventDrivenNetwork) is still the
-faithful reference for small-N protocol tests; the batched engine is what
-makes asynchronous runs at 10^4–10^5 nodes routine.
+One δ-window of AVERAGE (its exchange throughput goes into
+``extra_info``) and one full practical-protocol COUNT epoch in a
+wall-clock budget, both under 1% clock drift and 5% message loss.
 """
 
 import time
@@ -14,39 +11,11 @@ import pytest
 
 from repro.common.rng import RandomSource
 from repro.core.epoch import EpochConfig
-from repro.core.functions import AverageFunction
-from repro.core.node import AggregationNode
 from repro.simulator.asynchrony import LAN, build_async_average, build_async_count
-from repro.simulator.event_sim import EventDrivenNetwork
-from repro.simulator.transport import DelayModel
 from repro.topology import TopologySpec, build_overlay
 
-#: The asynchrony impairments shared by both sides of the comparison.
-DRIFT = 0.01
-SCENARIO = LAN.with_overrides(name="bench", clock_drift=DRIFT, message_loss=0.05)
-
-
-def build_per_message_network(size, seed=5):
-    """The pre-rework execution model: one Python event per message."""
-    rng = RandomSource(seed)
-    overlay = build_overlay(TopologySpec("random", degree=20), size, rng.child("t"))
-    network = EventDrivenNetwork(
-        rng.child("n"),
-        delay_model=DelayModel(),
-        transport=SCENARIO.transport(),
-        clock_drift=DRIFT,
-    )
-    config = EpochConfig(cycle_length=1.0, cycles_per_epoch=1_000_000)
-    for index in range(size):
-        node = AggregationNode(
-            AverageFunction(),
-            lambda value=float(index): value,
-            overlay,
-            config,
-            rng.child("node", index),
-        )
-        network.add_process(node, node_id=index)
-    return network
+#: The asynchrony impairments shared by both benchmarks.
+SCENARIO = LAN.with_overrides(name="bench", clock_drift=0.01, message_loss=0.05)
 
 
 def build_batched_simulator(size, seed=5):
@@ -65,54 +34,20 @@ def build_batched_simulator(size, seed=5):
 def test_async_window_n10k(benchmark, scale):
     """One δ-window of the batched engine at N=10^4."""
     simulator = build_batched_simulator(10_000)
-    benchmark.pedantic(lambda: simulator.run(1), rounds=5, iterations=1, warmup_rounds=1)
+    elapsed = []
+
+    def one_window():
+        start = time.perf_counter()
+        simulator.run(1)
+        elapsed.append(time.perf_counter() - start)
+
+    benchmark.pedantic(one_window, rounds=5, iterations=1, warmup_rounds=1)
+    ticks_per_window = simulator.statistics["ticks"] / simulator.window_index
+    exchanges_per_second = ticks_per_window / min(elapsed)
+    benchmark.extra_info["exchanges_per_second"] = exchanges_per_second
+    print(f"\nN=10^4 async exchanges/s: {exchanges_per_second:,.0f}")
     assert simulator.window_index >= 6
     assert simulator.statistics["completed"] > 0
-
-
-@pytest.mark.benchmark(group="async-n10k")
-def test_async_engine_speedup_over_per_message(benchmark, scale):
-    """Acceptance measurement: ≥10x the per-message engine's exchange
-    throughput at N=10^4 on the same impairment scenario."""
-
-    def measure():
-        # Best-of loops on both sides so a noisy scheduler slice on
-        # shared CI hardware cannot fail the acceptance gate.
-        best = (0.0, 0.0, 0.0)
-        for _ in range(2):
-            network = build_per_message_network(10_000)
-            start = time.perf_counter()
-            network.run_until(2.0)
-            baseline_elapsed = time.perf_counter() - start
-            baseline_ticks = sum(
-                process.statistics["initiated"] for process in network.processes()
-            )
-            baseline_eps = baseline_ticks / baseline_elapsed
-
-            simulator = build_batched_simulator(10_000)
-            start = time.perf_counter()
-            simulator.run(30)
-            batched_elapsed = time.perf_counter() - start
-            batched_eps = simulator.statistics["ticks"] / batched_elapsed
-
-            ratio = batched_eps / baseline_eps
-            if ratio > best[0]:
-                best = (ratio, baseline_eps, batched_eps)
-            if best[0] >= 10.0:
-                break
-        return best
-
-    speedup, baseline_eps, batched_eps = benchmark.pedantic(
-        measure, rounds=1, iterations=1, warmup_rounds=0
-    )
-    benchmark.extra_info["per_message_exchanges_per_second"] = baseline_eps
-    benchmark.extra_info["batched_exchanges_per_second"] = batched_eps
-    benchmark.extra_info["speedup"] = speedup
-    print(
-        f"\nN=10^4 async exchanges/s: per-message {baseline_eps:,.0f}, "
-        f"batched {batched_eps:,.0f}, speedup {speedup:.1f}x"
-    )
-    assert speedup >= 10.0
 
 
 @pytest.mark.benchmark(group="async-n10k")

@@ -4,9 +4,9 @@ A faithful, pure-Python reproduction of Montresor, Jelasity & Babaoglu,
 *Robust Aggregation Protocols for Large-Scale Overlay Networks* (DSN 2004):
 push–pull anti-entropy aggregation (AVERAGE, COUNT, SUM, PRODUCT, MIN, MAX,
 VARIANCE), epochs with epidemic synchronisation, the NEWSCAST membership
-protocol, static overlay generators, cycle- and event-driven simulators,
-failure models, the paper's theoretical predictions, and an experiment
-harness that regenerates every figure of the paper's evaluation.
+protocol, static overlay generators, cycle simulators and an asynchronous
+engine, failure models, the paper's theoretical predictions, and an
+experiment harness that regenerates every figure of the paper's evaluation.
 
 Quickstart::
 
@@ -17,7 +17,6 @@ Quickstart::
 
 from .common import RandomSource
 from .core import (
-    AggregationNode,
     AggregationResult,
     AverageFunction,
     CountArrayFunction,
@@ -45,7 +44,6 @@ from .simulator import (
     CycleSimulator,
     EpochDriver,
     EpochedRunResult,
-    EventDrivenNetwork,
     NoFailures,
     ProportionalCrashModel,
     SuddenDeathModel,
@@ -79,7 +77,6 @@ __all__ = [
     "ProductAggregate",
     "VarianceAggregate",
     "MultiInstanceCount",
-    "AggregationNode",
     "EpochConfig",
     "NewscastOverlay",
     "CycleSimulator",
@@ -88,7 +85,6 @@ __all__ = [
     "EpochedRunResult",
     "make_simulator",
     "supports_fast_path",
-    "EventDrivenNetwork",
     "TransportModel",
     "NoFailures",
     "ProportionalCrashModel",

@@ -34,14 +34,6 @@ from .instances import (
     multi_instance_peak_values,
     reduce_size_estimates,
 )
-from .messages import (
-    ExchangeRequest,
-    ExchangeResponse,
-    JoinRequest,
-    JoinResponse,
-    StaleEpochNotice,
-)
-from .node import AggregationNode, collect_estimates
 from .protocol import KNOWN_AGGREGATES, AggregationResult, aggregate
 
 __all__ = [
@@ -73,13 +65,6 @@ __all__ = [
     "REDUCERS",
     "multi_instance_peak_values",
     "reduce_size_estimates",
-    "ExchangeRequest",
-    "ExchangeResponse",
-    "StaleEpochNotice",
-    "JoinRequest",
-    "JoinResponse",
-    "AggregationNode",
-    "collect_estimates",
     "AggregationResult",
     "aggregate",
     "KNOWN_AGGREGATES",

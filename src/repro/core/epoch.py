@@ -12,8 +12,8 @@ its current one and joins the newer epoch, so the whole network follows
 the pace set by the fastest nodes.
 
 This module provides the configuration record shared by the practical
-protocol and the per-node :class:`EpochTracker` state machine used by
-:class:`~repro.core.node.AggregationNode`.
+protocol and the per-node :class:`EpochTracker` state machine used by the
+reference :class:`~repro.simulator.epochs.EpochDriver`.
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ the concrete functions discussed in Sections 3 and 5:
   states, which is how SUM/VARIANCE/PRODUCT and multi-instance COUNT are
   assembled from the primitives.
 
-All functions are *stateless*: per-node state is an opaque value handled by
-the simulator or by :class:`~repro.core.node.AggregationNode`, and the
-function only knows how to initialise, merge and read it.
+All functions are *stateless*: per-node state is an opaque value (or an
+array-codec row) held by the engine, and the function only knows how to
+initialise, merge and read it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Simulation substrates: cycle-driven and event-driven engines, failures.
+"""Simulation substrates: cycle engines, the asynchronous engine, failures.
 
 Two cycle engines are provided: the reference
 :class:`~repro.simulator.cycle_sim.CycleSimulator`, which handles any
@@ -8,7 +8,9 @@ implementing the array codec.  The array engine has two entry points —
 :class:`~repro.simulator.vectorized.VectorizedCycleSimulator` for one run
 and :class:`~repro.simulator.replicated.ReplicatedCycleSimulator` for ``R``
 repetitions in one tensor.  :func:`make_simulator` picks between the
-reference engine and the single-run entry automatically.
+reference engine and the single-run entry automatically.  The practical
+protocol on an asynchronous network runs on the windowed
+:class:`~repro.simulator.async_engine.AsyncPracticalSimulator`.
 """
 
 from typing import Optional
@@ -40,14 +42,12 @@ from .adversarial import (
     targeted_instance_attack,
 )
 from .cycle_sim import CycleSimulator, InitialValues
-from .engine import EventHandle, EventScheduler
 from .epochs import (
     EpochDriver,
     EpochRecord,
     EpochedRunResult,
     epoch_config_for_accuracy,
 )
-from .event_sim import EventDrivenNetwork, Message, SimulatedProcess
 from .failures import (
     ChurnModel,
     CompositeFailureModel,
@@ -111,11 +111,6 @@ __all__ = [
     "epoch_config_for_accuracy",
     "make_simulator",
     "supports_fast_path",
-    "EventScheduler",
-    "EventHandle",
-    "EventDrivenNetwork",
-    "Message",
-    "SimulatedProcess",
     "FailureModel",
     "NoFailures",
     "ProportionalCrashModel",

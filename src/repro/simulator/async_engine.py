@@ -1,13 +1,12 @@
 """Batched asynchronous engine for the full practical protocol.
 
-The per-message event simulator (:mod:`repro.simulator.event_sim` driving
-:class:`~repro.core.node.AggregationNode`) models every request, response
-and timer as an individual Python event — faithful, but unusable beyond a
-few hundred nodes.  This module provides the scalable counterpart: an
-asynchronous engine that keeps the paper's asynchrony axes — per-node
-clock drift, message latencies, exchange timeouts, message loss, epochs
-that start at different real times at different nodes, staggered boot and
-churn — while executing them as *batched* array passes.
+Executing every request, response and timer as an individual Python
+event would be faithful but unusable beyond a few hundred nodes.  This
+module is the library's asynchronous engine: it keeps the paper's
+asynchrony axes — per-node clock drift, message latencies, exchange
+timeouts, message loss, epochs that start at different real times at
+different nodes, staggered boot and churn — while executing them as
+*batched* array passes.
 
 How it works
 ------------
@@ -43,15 +42,17 @@ What the protocol state *is* (plain AVERAGE rows, or the multi-leader
 COUNT maps of Section 5 with per-epoch self-election and trimmed-mean
 reduction) is delegated to an :class:`AsyncProtocol` adapter, so the same
 engine runs the convergence-validation workloads and the full adaptive
-size-monitoring protocol.
+size-monitoring protocol.  The adapters take their state encoding and
+merge rule from the :class:`~repro.core.functions.AggregationFunction`
+array codec the cycle engines use, so AVERAGE and COUNT are defined once.
 
-The approximation relative to the per-message simulator is only *where
-inside a window* concurrent effects interleave: exchanges are ordered by
-initiation time rather than delivery time.  Everything coarser — who
-exchanges with whom, which exchanges fail and how, when epochs start,
-drift between nodes — is modelled identically, which is why the
-cross-engine statistical validation in ``tests/test_async_engine.py``
-holds and why the engine is two orders of magnitude faster.
+The approximation relative to a true event-at-a-time execution is only
+*where inside a window* concurrent effects interleave: exchanges are
+ordered by initiation time rather than delivery time.  Everything coarser
+— who exchanges with whom, which exchanges fail and how, when epochs
+start, drift between nodes — is modelled exactly, which is why the
+statistical validation against the cycle model in
+``tests/test_async_engine.py`` holds.
 """
 
 from __future__ import annotations
@@ -63,11 +64,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..common.errors import ConfigurationError
+from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
 from ..common.validation import require_non_negative
-from ..core.count import LeaderElection, count_estimates_from_matrix
+from ..core.count import CountArrayFunction, LeaderElection, count_estimates_from_matrix
 from ..core.epoch import EpochConfig
+from ..core.functions import AggregationFunction, AverageFunction
 from ..topology.base import OverlayProvider
 from .metrics import CycleRecord, SimulationTrace
 from .sampling import conflict_scratch, ordered_conflict_rounds
@@ -95,13 +97,21 @@ _KIND_RESTART = 1
 _KIND_TICK = 2
 
 
+def _require_node_id(node_id: int) -> None:
+    if node_id < 0:
+        raise ConfigurationError(f"node ids are non-negative, got {node_id}")
+
+
 class AsyncProtocol(abc.ABC):
     """Adapter giving the asynchronous engine its protocol semantics.
 
     The engine owns node timers, epochs, membership and exchange
     plumbing; the adapter owns what a state row *means*: how fresh rows
     look when nodes enter an epoch, how two rows merge, and what happens
-    to a node's row when it finishes (or abandons) an epoch.
+    to a node's row when it finishes (or abandons) an epoch.  Rows are
+    the array codec of the epoch's
+    :class:`~repro.core.functions.AggregationFunction` (:meth:`codec`),
+    which also supplies the merge rule.
     """
 
     @abc.abstractmethod
@@ -113,14 +123,21 @@ class AsyncProtocol(abc.ABC):
         """
 
     @abc.abstractmethod
+    def codec(self, epoch_id: int) -> Optional[AggregationFunction]:
+        """The array codec of ``epoch_id``'s rows (``None``: zero width)."""
+
+    @abc.abstractmethod
     def enter_rows(self, epoch_id: int, node_ids: np.ndarray) -> np.ndarray:
         """Fresh state rows for ``node_ids`` entering ``epoch_id``."""
 
-    @abc.abstractmethod
     def merge_rows(
         self, epoch_id: int, initiator_rows: np.ndarray, responder_rows: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The push–pull merge for same-epoch exchanges."""
+        """The push–pull merge for same-epoch exchanges: the codec's."""
+        codec = self.codec(epoch_id)
+        if codec is None:
+            return initiator_rows, responder_rows
+        return codec.merge_arrays(initiator_rows, responder_rows)
 
     @abc.abstractmethod
     def estimate_rows(self, epoch_id: int, rows: np.ndarray) -> np.ndarray:
@@ -148,9 +165,16 @@ class AsyncProtocol(abc.ABC):
 
 
 class AsyncAverageProtocol(AsyncProtocol):
-    """Plain AVERAGE with per-epoch restarts from fresh local values."""
+    """Plain AVERAGE with per-epoch restarts from fresh local values.
+
+    Node ids are non-negative; a node without a value enters with 0.0.
+    """
+
+    _AVERAGE = AverageFunction()
 
     def __init__(self, values: Mapping[int, float]) -> None:
+        if values:
+            _require_node_id(min(values))
         capacity = max(values) + 1 if values else 0
         self._values = np.zeros(capacity, dtype=np.float64)
         for node, value in values.items():
@@ -159,12 +183,14 @@ class AsyncAverageProtocol(AsyncProtocol):
         self.epoch_estimates: Dict[int, List[float]] = {}
 
     def value_of(self, node_id: int) -> float:
+        _require_node_id(node_id)
         if node_id < self._values.size:
             return float(self._values[node_id])
         return 0.0
 
     def set_value(self, node_id: int, value: float) -> None:
         """Change a node's local value (picked up at its next epoch entry)."""
+        _require_node_id(node_id)
         if node_id >= self._values.size:
             grown = np.zeros(max(node_id + 1, 2 * self._values.size), dtype=np.float64)
             grown[: self._values.size] = self._values
@@ -174,16 +200,13 @@ class AsyncAverageProtocol(AsyncProtocol):
     def begin_epoch(self, epoch_id: int, alive_ids: np.ndarray, rng: RandomSource) -> int:
         return 1
 
+    def codec(self, epoch_id: int) -> AverageFunction:
+        return self._AVERAGE
+
     def enter_rows(self, epoch_id: int, node_ids: np.ndarray) -> np.ndarray:
         if node_ids.size and int(node_ids.max()) >= self._values.size:
             self.set_value(int(node_ids.max()), 0.0)
-        return self._values[node_ids].reshape(-1, 1)
-
-    def merge_rows(
-        self, epoch_id: int, initiator_rows: np.ndarray, responder_rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        merged = (initiator_rows + responder_rows) / 2.0
-        return merged, merged
+        return self._AVERAGE.initial_state_array(self._values[node_ids])
 
     def estimate_rows(self, epoch_id: int, rows: np.ndarray) -> np.ndarray:
         return rows[:, 0]
@@ -238,9 +261,9 @@ class AsyncCountProtocol(AsyncProtocol):
     When an epoch comes into existence — the first node restarts into it —
     every then-alive node self-elects with ``P_lead = C / N̂`` through the
     shared :meth:`~repro.core.count.LeaderElection.elect_batch`, fixing
-    the epoch's leader universe; the state row is the array form of the
-    COUNT map (``[values(L), mask(L)]``, identical merge arithmetic to
-    :class:`~repro.core.count.CountArrayFunction`).  Nodes reduce their
+    the epoch's leader universe; the state row is the array codec of the
+    epoch's :class:`~repro.core.count.CountArrayFunction`
+    (``[values(L), mask(L)]``), which also merges it.  Nodes reduce their
     map with the trimmed-mean rule of Section 7.3 when they finish the
     epoch, and every report feeds the running estimate back into the
     election — the adaptive loop of the paper, asynchronously.
@@ -258,6 +281,7 @@ class AsyncCountProtocol(AsyncProtocol):
         self._discard = discard_fraction
         self._initial_estimate = election.estimated_size
         self._leaders: Dict[int, np.ndarray] = {}
+        self._codecs: Dict[int, Optional[CountArrayFunction]] = {}
         self.records: Dict[int, AsyncEpochRecord] = {}
         self._feedback_epoch = -1
 
@@ -270,6 +294,9 @@ class AsyncCountProtocol(AsyncProtocol):
             self.election.elect_batch(alive_ids, rng.child("election"))
         ).astype(np.int64)
         self._leaders[epoch_id] = leaders
+        # CountArrayFunction rejects an empty universe: a dry epoch keeps
+        # zero-width rows and no codec.
+        self._codecs[epoch_id] = CountArrayFunction(leaders) if leaders.size else None
         self.records[epoch_id] = AsyncEpochRecord(
             epoch_id=epoch_id,
             leader_count=int(leaders.size),
@@ -277,26 +304,19 @@ class AsyncCountProtocol(AsyncProtocol):
         )
         return 2 * int(leaders.size)
 
-    def enter_rows(self, epoch_id: int, node_ids: np.ndarray) -> np.ndarray:
-        leaders = self._leaders[epoch_id]
-        width = leaders.size
-        rows = np.zeros((node_ids.size, 2 * width), dtype=np.float64)
-        if width:
-            slots = np.searchsorted(leaders, node_ids)
-            hits = (slots < width) & (leaders[np.minimum(slots, width - 1)] == node_ids)
-            where = np.flatnonzero(hits)
-            rows[where, slots[where]] = 1.0
-            rows[where, width + slots[where]] = 1.0
-        return rows
+    def codec(self, epoch_id: int) -> Optional[CountArrayFunction]:
+        return self._codecs[epoch_id]
 
-    def merge_rows(
-        self, epoch_id: int, initiator_rows: np.ndarray, responder_rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        width = self._leaders[epoch_id].size
-        merged = np.empty_like(initiator_rows)
-        merged[:, :width] = (initiator_rows[:, :width] + responder_rows[:, :width]) / 2.0
-        merged[:, width:] = np.maximum(initiator_rows[:, width:], responder_rows[:, width:])
-        return merged, merged
+    def enter_rows(self, epoch_id: int, node_ids: np.ndarray) -> np.ndarray:
+        codec = self._codecs[epoch_id]
+        if codec is None:
+            return np.zeros((node_ids.size, 0), dtype=np.float64)
+        # Leaders start with their own id, everyone else with -1 ("not a
+        # leader"): the codec's initial-value encoding.
+        leader_ids = np.where(
+            np.isin(node_ids, self._leaders[epoch_id]), node_ids, -1
+        )
+        return codec.initial_state_array(leader_ids)
 
     def estimate_rows(self, epoch_id: int, rows: np.ndarray) -> np.ndarray:
         width = self._leaders[epoch_id].size
@@ -543,6 +563,8 @@ class AsyncPracticalSimulator:
 
     def epoch_of(self, node_id: int) -> int:
         """The epoch ``node_id`` currently participates in (-1 when none)."""
+        if not 0 <= node_id < self._capacity:
+            return -1
         return int(self._epoch_of[node_id])
 
     def active_epochs(self) -> List[int]:
@@ -567,6 +589,8 @@ class AsyncPracticalSimulator:
 
     def clock_rate(self, node_id: int) -> float:
         """The drifted clock rate of a node (1.0 = perfect clock)."""
+        if not 0 <= node_id < self._next_node_id:
+            raise SimulationError(f"unknown node {node_id}")
         return float(self._rates[node_id])
 
     # ------------------------------------------------------------------
@@ -842,8 +866,8 @@ class AsyncPracticalSimulator:
             # exchange), but the *physical* response delivery is kept
             # separate from the timeout: a reply that arrives after the
             # initiator gave up is merge-wise a lost response, yet its
-            # epoch id still reaches the initiator — the per-message
-            # engine processes late stale notices the same way.
+            # epoch id still reaches the initiator, as it would in an
+            # event-at-a-time execution.
             physical = self._transport.classify_exchanges(
                 self._transport_rng, tick_count
             )
@@ -969,10 +993,10 @@ class AsyncPracticalSimulator:
 
         # Initiator behind: the responder answers with a stale-epoch
         # notice instead of a state; the initiator jumps iff the notice
-        # is physically delivered — even *after* the timeout, exactly as
-        # the per-message engine processes a late StaleEpochNotice — and
-        # no merge happens either way.  The exchange is refused, which
-        # the ledger records as a failure.
+        # is physically delivered — even *after* the timeout, as a late
+        # notice would be in an event-at-a-time execution — and no merge
+        # happens either way.  The exchange is refused, which the ledger
+        # records as a failure.
         ahead = epochs_r > epochs_i
         if ahead.any():
             self.statistics["stale_refused"] += int(np.count_nonzero(ahead))

@@ -13,7 +13,7 @@ failure modes that this module captures:
   has not, so conservation of the global sum is violated — the damaging
   case studied in Figure 7(b).
 
-For the event-driven simulator a :class:`DelayModel` provides message
+For the asynchronous engine a :class:`DelayModel` provides message
 latencies (and therefore timeout behaviour).
 """
 
@@ -176,7 +176,7 @@ DELAY_DISTRIBUTIONS = ("fixed", "uniform", "lognormal")
 
 @dataclass(frozen=True)
 class DelayModel:
-    """Message latency model for the event-driven simulators.
+    """Message latency model for the asynchronous engine.
 
     The model also carries the timeout the initiating node uses to detect
     a silent peer; exchanges whose response would arrive after the timeout

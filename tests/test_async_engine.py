@@ -19,7 +19,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import RandomSource
 from repro.core.count import LeaderElection
 from repro.core.epoch import EpochConfig
@@ -128,6 +128,47 @@ class TestEngineBasics:
         # deltas, not cumulative counters.
         assert all(0 < count <= SIZE + 5 for count in per_window)
         assert sum(per_window) == simulator.statistics["completed"]
+
+
+class TestUnknownIds:
+    """Unknown node ids never wrap to the last row or raise raw errors."""
+
+    SMALL = 10
+
+    def small_run(self):
+        simulator, protocol = build_average(seed=2, size=self.SMALL, kind="complete")
+        simulator.run(2)
+        return simulator, protocol
+
+    def test_epoch_of_negative_id_is_unknown(self):
+        simulator, _ = self.small_run()
+        assert simulator.epoch_of(self.SMALL - 1) == 0
+        assert simulator.epoch_of(-1) == -1
+
+    def test_epoch_of_out_of_table_id_is_unknown(self):
+        simulator, _ = self.small_run()
+        assert simulator.epoch_of(10**6) == -1
+
+    def test_clock_rate_of_unknown_id_raises(self):
+        simulator, _ = self.small_run()
+        for node in (-1, self.SMALL, 10**6):
+            with pytest.raises(SimulationError):
+                simulator.clock_rate(node)
+
+    def test_value_of_negative_id_raises(self):
+        _, protocol = self.small_run()
+        with pytest.raises(ConfigurationError):
+            protocol.value_of(-1)
+
+    def test_set_value_negative_id_raises(self):
+        _, protocol = self.small_run()
+        with pytest.raises(ConfigurationError):
+            protocol.set_value(-1, 999.0)
+        assert protocol.value_of(self.SMALL - 1) == float((self.SMALL - 1) % 101)
+
+    def test_constructor_rejects_negative_ids(self):
+        with pytest.raises(ConfigurationError):
+            AsyncAverageProtocol({0: 1.0, 1: 2.0, -1: 7.0})
 
 
 class TestTimeoutsAndLatency:
@@ -284,6 +325,47 @@ class TestAsyncCount:
         assert records[0].leader_count > 2 * records[-2].leader_count
         final = protocol.size_estimates()[records[-2].epoch_id]
         assert final == pytest.approx(SIZE, rel=0.15)
+
+
+class TestDryEpochs:
+    def test_dry_epochs_carry_the_estimate_forward(self):
+        """A zero-leader epoch is dry: infinite reports, estimate carried
+        forward, and the next epoch with a leader recovers.  With one
+        concurrent leader expected at N=200, seed 7 elects nobody in
+        epochs 1 and 4 and at least one leader in every other epoch."""
+        size, gamma = 200, 20
+        rng = RandomSource(7)
+        overlay = overlay_factory("random")(rng.child("overlay"), size)
+        simulator, protocol = build_async_count(
+            overlay,
+            rng.child("run"),
+            LAN.with_overrides(name="sparse", clock_drift=0.01, message_loss=0.05),
+            epoch_config=EpochConfig(cycles_per_epoch=gamma),
+            concurrent_target=1.0,
+        )
+        simulator.run(6 * gamma + 3)
+        # The newest epoch has only just started: nobody reported yet.
+        records = [record for record in protocol.epoch_records() if record.reporters]
+        dry = [record for record in records if record.dry]
+        assert dry and len(dry) < len(records)
+        for record in dry:
+            assert record.leader_count == 0
+            assert math.isinf(record.mean_estimate)
+
+        estimates = protocol.size_estimates()
+        previous = float(size)  # the election's initial estimate
+        for record in records:
+            expected = previous if record.dry else record.mean_estimate
+            assert estimates[record.epoch_id] == expected
+            previous = expected
+
+        recovering = [
+            later for earlier, later in zip(records, records[1:])
+            if earlier.dry and not later.dry
+        ]
+        assert recovering
+        for record in recovering:
+            assert record.mean_estimate == pytest.approx(size, rel=0.15)
 
 
 class TestChurnAndStagger:
