@@ -32,16 +32,16 @@ def scale() -> ExperimentScale:
 def figure_runner(benchmark, scale):
     """Run one figure reproduction under pytest-benchmark timing.
 
-    The figure functions are far too heavy for statistical benchmarking
+    Figures are far too heavy for statistical benchmarking
     rounds; a single timed round per figure keeps the harness usable while
     still recording the cost and the reproduced rows (attached to
     ``benchmark.extra_info`` and printed for inspection with ``-s``).
     """
 
-    def run(figure_function, scale_override=None, **kwargs):
+    def run(figure, scale_override=None, **kwargs):
         used_scale = scale_override or scale
         result = benchmark.pedantic(
-            figure_function,
+            figure,
             args=(used_scale,),
             kwargs=kwargs,
             rounds=1,

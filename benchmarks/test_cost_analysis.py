@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.experiments.figures import cost_analysis
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="cost-analysis")
 def test_cost_analysis_exchange_distribution(figure_runner):
-    result = figure_runner(cost_analysis, cycles=10)
+    result = figure_runner(ALL_FIGURES["cost"], cycles=10)
     # Shape 1: on average a node takes part in two exchanges per cycle
     # (one it initiates plus a Poisson(1) number initiated by others).
     assert result.parameters["observed_mean"] == pytest.approx(2.0, abs=0.05)

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.experiments.figures import figure2_average_peak
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-2")
 def test_figure2_average_peak(figure_runner):
-    result = figure_runner(figure2_average_peak, cycles=30)
+    result = figure_runner(ALL_FIGURES["2"], cycles=30)
     first, last = result.rows[0], result.rows[-1]
     # Shape: the initial spread covers [0, N]; after 30 cycles both the
     # minimum and the maximum estimate are within a percent of the true

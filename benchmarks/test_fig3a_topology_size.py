@@ -3,12 +3,12 @@
 import pytest
 
 from repro.analysis.theory import PUSH_PULL_CONVERGENCE_FACTOR
-from repro.experiments.figures import figure3a_convergence_vs_size
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-3a")
 def test_figure3a_convergence_vs_size(figure_runner):
-    result = figure_runner(figure3a_convergence_vs_size, cycles=20)
+    result = figure_runner(ALL_FIGURES["3a"], cycles=20)
     by_topology = {}
     for row in result.rows:
         by_topology.setdefault(row["topology"], []).append(row["convergence_factor"])

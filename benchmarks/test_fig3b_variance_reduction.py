@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.experiments.figures import figure3b_variance_reduction
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-3b")
 def test_figure3b_variance_reduction(figure_runner):
-    result = figure_runner(figure3b_variance_reduction, cycles=40)
+    result = figure_runner(ALL_FIGURES["3b"], cycles=40)
     curves = {}
     for row in result.rows:
         curves.setdefault(row["topology"], []).append(row["normalized_variance"])

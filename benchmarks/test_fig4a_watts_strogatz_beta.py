@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments.figures import figure4a_watts_strogatz_beta
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-4a")
 def test_figure4a_watts_strogatz_beta(figure_runner):
     result = figure_runner(
-        figure4a_watts_strogatz_beta, betas=[0.0, 0.25, 0.5, 0.75, 1.0], cycles=20
+        ALL_FIGURES["4a"], points=[0.0, 0.25, 0.5, 0.75, 1.0], cycles=20
     )
     by_beta = {row["beta"]: row["convergence_factor"] for row in result.rows}
     # Shape: increased randomness (larger beta) gives a better (smaller)

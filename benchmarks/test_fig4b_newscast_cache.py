@@ -3,13 +3,13 @@
 import pytest
 
 from repro.analysis.theory import PUSH_PULL_CONVERGENCE_FACTOR
-from repro.experiments.figures import figure4b_newscast_cache_size
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-4b")
 def test_figure4b_newscast_cache_size(figure_runner):
     result = figure_runner(
-        figure4b_newscast_cache_size, cache_sizes=[2, 5, 10, 20, 30, 40], cycles=20
+        ALL_FIGURES["4b"], points=[2, 5, 10, 20, 30, 40], cycles=20
     )
     by_cache = {row["cache_size"]: row["convergence_factor"] for row in result.rows}
     # Shape 1: by c = 30 the convergence factor has reached the random-overlay

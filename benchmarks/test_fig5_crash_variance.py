@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.figures import figure5_crash_variance
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-5")
@@ -11,9 +11,9 @@ def test_figure5_crash_variance(figure_runner, scale):
     # other figures to be meaningful.
     boosted = scale.with_overrides(repeats=max(scale.repeats, 20))
     result = figure_runner(
-        figure5_crash_variance,
+        ALL_FIGURES["5"],
         scale_override=boosted,
-        crash_probabilities=[0.0, 0.1, 0.2, 0.3],
+        points=[0.0, 0.1, 0.2, 0.3],
         cycles=20,
     )
     for topology in ("complete", "newscast"):

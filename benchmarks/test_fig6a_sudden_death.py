@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments.figures import figure6a_sudden_death
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-6a")
 def test_figure6a_sudden_death(figure_runner, scale):
     result = figure_runner(
-        figure6a_sudden_death, crash_cycles=[2, 6, 12, 18], cycles=30, fraction=0.5
+        ALL_FIGURES["6a"], points=[2, 6, 12, 18], cycles=30
     )
     truth = result.parameters["network_size"]
     by_cycle = {row["crash_cycle"]: row for row in result.rows}

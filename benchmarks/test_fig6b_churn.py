@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.experiments.figures import figure6b_churn
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-6b")
 def test_figure6b_churn(figure_runner, scale):
     size = scale.network_size
     rates = [0, max(1, size // 200), max(2, size // 100), max(4, size // 40)]
-    result = figure_runner(figure6b_churn, substitution_rates=rates, cycles=30)
+    result = figure_runner(ALL_FIGURES["6b"], points=rates, cycles=30)
     by_rate = {row["substitutions_per_cycle"]: row for row in result.rows}
     # Shape 1: without churn the size estimate is essentially exact.
     assert by_rate[rates[0]]["mean_estimated_size"] == pytest.approx(size, rel=0.03)

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.experiments.figures import figure7a_link_failures
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-7a")
 def test_figure7a_link_failures(figure_runner):
     result = figure_runner(
-        figure7a_link_failures,
-        link_failure_probabilities=[0.0, 0.2, 0.4, 0.6, 0.8],
+        ALL_FIGURES["7a"],
+        points=[0.0, 0.2, 0.4, 0.6, 0.8],
         cycles=20,
     )
     rows = sorted(result.rows, key=lambda row: row["link_failure_probability"])

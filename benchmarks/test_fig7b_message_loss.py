@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments.figures import figure7b_message_loss
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-7b")
 def test_figure7b_message_loss(figure_runner, scale):
     result = figure_runner(
-        figure7b_message_loss, loss_fractions=[0.0, 0.1, 0.3, 0.5], cycles=30
+        ALL_FIGURES["7b"], points=[0.0, 0.1, 0.3, 0.5], cycles=30
     )
     size = result.parameters["network_size"]
     by_loss = {row["message_loss_fraction"]: row for row in result.rows}

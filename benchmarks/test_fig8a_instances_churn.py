@@ -2,17 +2,12 @@
 
 import pytest
 
-from repro.experiments.figures import figure8a_instances_under_churn
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-8a")
 def test_figure8a_instances_under_churn(figure_runner, scale):
-    result = figure_runner(
-        figure8a_instances_under_churn,
-        instance_counts=[1, 5, 20, 50],
-        cycles=30,
-        crash_fraction_per_cycle=0.01,
-    )
+    result = figure_runner(ALL_FIGURES["8a"], points=[1, 5, 20, 50], cycles=30)
     size = result.parameters["network_size"]
     by_count = {row["instances"]: row for row in result.rows}
 

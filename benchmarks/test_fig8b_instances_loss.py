@@ -2,17 +2,12 @@
 
 import pytest
 
-from repro.experiments.figures import figure8b_instances_under_loss
+from repro.experiments.figures import ALL_FIGURES
 
 
 @pytest.mark.benchmark(group="figure-8b")
 def test_figure8b_instances_under_loss(figure_runner, scale):
-    result = figure_runner(
-        figure8b_instances_under_loss,
-        instance_counts=[1, 5, 20, 50],
-        cycles=30,
-        message_loss=0.2,
-    )
+    result = figure_runner(ALL_FIGURES["8b"], points=[1, 5, 20, 50], cycles=30)
     size = result.parameters["network_size"]
     by_count = {row["instances"]: row for row in result.rows}
 

@@ -8,18 +8,19 @@ Usage::
     python examples/reproduce_figures.py all           # reproduce everything
 
 The experiment scale is controlled by the ``REPRO_SCALE`` environment
-variable (``smoke``, ``default`` or ``paper``); the default used here is
-the ``default`` preset (a few thousand nodes), which produces recognisable
-shapes in minutes.  ``paper`` uses the publication's 10^5 nodes and 50
-repetitions.
+variable (``smoke``, ``bench``, ``default`` or ``paper``); the default
+used here is the ``default`` preset (a few thousand nodes), which
+produces recognisable shapes in minutes.  ``paper`` uses the
+publication's 10^5 nodes and 50 repetitions.
 
-Repeats are batched: every sweep point of the convergence and robustness
-figures describes its repetitions as a declarative
+Every figure is one record of the ``ALL_FIGURES`` table
+(:mod:`repro.experiments.figures`), and calling it runs the figure's
+default sweep at the chosen scale.  Repeats are batched: each sweep
+point describes its repetitions as a declarative
 :class:`~repro.experiments.runner.RunPlan`, so all repeats of a point run
-as ONE stacked simulation on the replicated tensor engine (several times
-faster than serial repeats, bit-identical results).  Configurations the
-fast path cannot serve — e.g. the dict-based NEWSCAST overlay — fall
-back to serial repetition automatically.
+as ONE stacked simulation on the replicated tensor engine (bit-identical
+to serial repeats).  Only the two adaptive epoch figures repeat one run
+at a time.
 """
 
 from __future__ import annotations

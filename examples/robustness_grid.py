@@ -31,9 +31,8 @@ import json
 import math
 import sys
 
-from repro.experiments import scale_from_environment
+from repro.experiments import ALL_FIGURES, scale_from_environment
 from repro.experiments.config import BENCH
-from repro.experiments.figures import byzantine_degradation, partition_recovery
 
 
 def finite_or_str(value: float):
@@ -42,7 +41,7 @@ def finite_or_str(value: float):
 
 
 def byzantine_summary(scale) -> dict:
-    figure = byzantine_degradation(scale, cycles=25)
+    figure = ALL_FIGURES["byzantine"](scale, cycles=25)
     points = []
     hardened_strictly_better = True
     for row in figure.rows:
@@ -66,18 +65,14 @@ def byzantine_summary(scale) -> dict:
 
 
 def partition_summary(scale) -> dict:
-    partition_start, partition_length, cycles = 4, 5, 22
-    figure = partition_recovery(
-        scale,
-        cycles=cycles,
-        partition_start=partition_start,
-        partition_length=partition_length,
-    )
+    cycles = 22
+    figure = ALL_FIGURES["partition"](scale, cycles=cycles)
+    # The outage window is a constant of the figure: "[start, heal)".
+    heal_cycle = int(figure.parameters["partition_window"].strip("[)").split(",")[1])
     by_cycle = {row["cycle"]: row for row in figure.rows}
     split_components = max(
         row["components"] for row in figure.rows if row["partition_active"]
     )
-    heal_cycle = partition_start + partition_length
     remerged_at = next(
         (
             cycle

@@ -13,17 +13,14 @@ Run with:  python examples/topology_comparison.py
 from __future__ import annotations
 
 from repro.analysis.theory import PUSH_PULL_CONVERGENCE_FACTOR
-from repro.experiments import ExperimentScale, render_table
-from repro.experiments.figures import figure3a_convergence_vs_size, standard_topologies
+from repro.experiments import ALL_FIGURES, ExperimentScale, render_table, standard_topologies
 
 
 def main() -> None:
     scale = ExperimentScale(name="example", network_size=1000, repeats=5, sweep_points=3, seed=13)
-    result = figure3a_convergence_vs_size(
-        scale,
-        sizes=[1000],
-        cycles=20,
-        topologies=standard_topologies(degree=20, newscast_cache=30),
+    topologies = standard_topologies(degree=20, newscast_cache=30)
+    result = ALL_FIGURES["3a"](
+        scale, points=[(1000, spec) for spec in topologies], cycles=20
     )
     rows = sorted(result.rows, key=lambda row: row["convergence_factor"])
     print(render_table(rows, title="Convergence factor per topology (1000 nodes, 20 cycles)"))

@@ -1,4 +1,4 @@
-"""Experiment harness: per-figure reproductions, scaling presets, reporting."""
+"""Experiment harness: the figure table, scaling presets, repeat runners, reporting."""
 
 from .config import (
     ASYNC_SCENARIOS,
@@ -10,26 +10,7 @@ from .config import (
     async_scenario_from_environment,
     scale_from_environment,
 )
-from .figures import (
-    ALL_FIGURES,
-    FigureResult,
-    adaptive_count_epochs,
-    async_adaptive_count,
-    cost_analysis,
-    figure2_average_peak,
-    figure3a_convergence_vs_size,
-    figure3b_variance_reduction,
-    figure4a_watts_strogatz_beta,
-    figure4b_newscast_cache_size,
-    figure5_crash_variance,
-    figure6a_sudden_death,
-    figure6b_churn,
-    figure7a_link_failures,
-    figure7b_message_loss,
-    figure8a_instances_under_churn,
-    figure8b_instances_under_loss,
-    standard_topologies,
-)
+from .figures import ALL_FIGURES, Figure, FigureResult, standard_topologies
 from .reporting import format_value, render_series, render_table
 from .runner import (
     peak_values_for_count,
@@ -51,24 +32,10 @@ __all__ = [
     "scale_from_environment",
     "ASYNC_SCENARIOS",
     "async_scenario_from_environment",
+    "Figure",
     "FigureResult",
     "ALL_FIGURES",
     "standard_topologies",
-    "figure2_average_peak",
-    "figure3a_convergence_vs_size",
-    "figure3b_variance_reduction",
-    "figure4a_watts_strogatz_beta",
-    "figure4b_newscast_cache_size",
-    "figure5_crash_variance",
-    "figure6a_sudden_death",
-    "figure6b_churn",
-    "figure7a_link_failures",
-    "figure7b_message_loss",
-    "figure8a_instances_under_churn",
-    "figure8b_instances_under_loss",
-    "adaptive_count_epochs",
-    "async_adaptive_count",
-    "cost_analysis",
     "render_table",
     "render_series",
     "format_value",

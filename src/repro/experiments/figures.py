@@ -1,50 +1,42 @@
-"""Reproductions of every figure in the paper's evaluation.
+"""Reproductions of every figure in the paper's evaluation, as data.
 
-Each public function regenerates the data behind one figure of the paper
-(the paper has no numbered tables; all quantitative results are figures)
-and returns a :class:`FigureResult` whose rows are the series the paper
-plots.  The functions accept an
-:class:`~repro.experiments.config.ExperimentScale` so the same code can
-run as a smoke test, at example scale, or at the paper's original scale.
+All the paper's quantitative results are figures (it has no numbered
+tables), and nearly all have one shape: a swept parameter, each point
+repeated with independent seeds and reduced to rows.  So each figure is
+one :class:`Figure` record in :data:`ALL_FIGURES` — the table at the end
+of this module, and the figure → paper map — and one runner,
+:meth:`Figure.__call__`, owns the sweep → :class:`RunPlan` → repeats →
+rows loop.  Figures that are not independent repeats per point (the
+adaptive epoch runs, the partition trace, the cost model) supply their
+own body behind the same call::
 
-Overview (paper figure → function):
+    ALL_FIGURES["7a"](scale, points=[0.0, 0.5], cycles=20)  # -> FigureResult
 
-==========  ===========================================================
-Figure 2    :func:`figure2_average_peak` — min/max estimate trajectories
-Figure 3a   :func:`figure3a_convergence_vs_size`
-Figure 3b   :func:`figure3b_variance_reduction`
-Figure 4a   :func:`figure4a_watts_strogatz_beta`
-Figure 4b   :func:`figure4b_newscast_cache_size`
-Figure 5    :func:`figure5_crash_variance`
-Figure 6a   :func:`figure6a_sudden_death`
-Figure 6b   :func:`figure6b_churn`
-Figure 7a   :func:`figure7a_link_failures`
-Figure 7b   :func:`figure7b_message_loss`
-Figure 8a   :func:`figure8a_instances_under_churn`
-Figure 8b   :func:`figure8b_instances_under_loss`
-Sec. 4.5    :func:`cost_analysis` — exchanges per node per cycle
-==========  ===========================================================
+``points`` replaces the swept axis (``None``: the figure's default at
+this scale) and ``cycles`` the cycle count (per epoch for the adaptive
+figures); the rest of a figure is constants of its record, reported in
+:attr:`FigureResult.parameters`.  The :class:`ExperimentScale` sets size,
+repeats, sweep density and seed, so the same table runs as a smoke test,
+at example scale, or at the paper's.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..analysis.convergence import (
-    mean_convergence_factor,
-    normalized_mean_variance,
-    variance_reduction_curve,
+    mean_convergence_factor, normalized_mean_variance, variance_reduction_curve,
 )
 from ..analysis.theory import (
-    PUSH_PULL_CONVERGENCE_FACTOR,
-    crash_variance_prediction,
-    exchange_count_pmf,
+    PUSH_PULL_CONVERGENCE_FACTOR, crash_variance_prediction, exchange_count_pmf,
     link_failure_convergence_bound,
 )
+from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
 from ..core.count import network_size_from_estimate
 from ..core.epoch import EpochConfig
@@ -52,53 +44,24 @@ from ..core.functions import AverageFunction, VectorFunction
 from ..core.instances import MultiInstanceCount
 from ..simulator import make_simulator
 from ..simulator.adversarial import targeted_instance_attack
+from ..simulator.asynchrony import LAN
 from ..simulator.cycle_sim import CycleSimulator
 from ..simulator.failures import (
-    ChurnModel,
-    CountCrashModel,
-    FailureModel,
-    PartitionOutageModel,
-    ProportionalCrashModel,
-    SuddenDeathModel,
+    ChurnModel, CountCrashModel, PartitionOutageModel, ProportionalCrashModel, SuddenDeathModel,
 )
 from ..simulator.transport import TransportModel
 from ..topology import effective_component_count
 from ..topology.generators import TopologySpec, build_overlay
 from .config import DEFAULT, ExperimentScale
 from .reporting import render_table
-from ..simulator.asynchrony import LAN, AsynchronyScenario
 from .runner import (
-    RunPlan,
-    peak_values_for_count,
-    repeat_simulations,
-    repeat_traces,
-    run_async_count,
-    run_epoched_count,
-    uniform_initial_values,
+    RunPlan, ValuesSpec, peak_values_for_count, repeat_simulations, run_async_count,
+    run_epoched_count, uniform_initial_values,
 )
 
-__all__ = [
-    "FigureResult",
-    "standard_topologies",
-    "figure2_average_peak",
-    "figure3a_convergence_vs_size",
-    "figure3b_variance_reduction",
-    "figure4a_watts_strogatz_beta",
-    "figure4b_newscast_cache_size",
-    "figure5_crash_variance",
-    "figure6a_sudden_death",
-    "figure6b_churn",
-    "figure7a_link_failures",
-    "figure7b_message_loss",
-    "figure8a_instances_under_churn",
-    "figure8b_instances_under_loss",
-    "adaptive_count_epochs",
-    "async_adaptive_count",
-    "byzantine_degradation",
-    "partition_recovery",
-    "cost_analysis",
-    "ALL_FIGURES",
-]
+__all__ = ["Figure", "FigureResult", "Setting", "standard_topologies", "ALL_FIGURES"]
+
+Row = Dict[str, object]
 
 
 @dataclass
@@ -137,6 +100,116 @@ class FigureResult:
         return [row[name] for row in self.rows]
 
 
+@dataclass(frozen=True)
+class Setting:
+    """What one figure call runs with: the scale's size, repeats (at least
+    the figure's ``min_repeats``) and seed, the resolved cycles, and the
+    figure's constants, read as ``setting["name"]``."""
+
+    size: int
+    cycles: int
+    repeats: int
+    seed: int
+    constants: Mapping[str, object]
+
+    def __getitem__(self, name: str) -> object:
+        return self.constants[name]
+
+
+def _standard_parameters(s: Setting, points: Sequence) -> Row:
+    return {"network_size": s.size, "cycles": s.cycles, **s.constants, "repeats": s.repeats}
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure of the paper as data; calling it reproduces the figure.
+
+    Attributes
+    ----------
+    figure_id, title, paper:
+        Registry key, one-line description, and the figure or section of
+        the paper it reproduces.
+    cycles:
+        Default cycle count (cycles per epoch for the adaptive figures).
+    points:
+        Default points of the swept axis at a scale; ``None`` for a figure
+        without one (which then rejects ``points``).
+    axis:
+        ``(column, type)``: points are converted to ``type`` and lead their
+        rows under ``column``.
+    plan, reduce:
+        ``(setting, point) -> RunPlan`` for one point's repetition, and
+        ``(setting, point, results) -> row or rows`` over its repeats.
+    series:
+        Fixed curves (Figure 5's two overlays) per network size: the sweep
+        runs once per curve with ``(curve, point)`` as the point.
+    parameters:
+        ``(setting, points) -> dict`` reported with the rows; by default
+        the size, the cycles, the constants and the repeats.
+    constants:
+        The fixed settings of the paper's setup, read as ``setting[name]``.
+    min_repeats:
+        Lower bound on the repeats per point.
+    body:
+        ``(setting, points) -> (rows, parameters)`` replacing the sweep,
+        for figures that are not independent repeats per point.
+    """
+
+    figure_id: str
+    title: str
+    paper: str
+    cycles: int
+    points: Optional[Callable[[ExperimentScale], Sequence]] = None
+    axis: Optional[Tuple[str, type]] = None
+    plan: Optional[Callable[[Setting, Any], RunPlan]] = None
+    reduce: Optional[Callable[[Setting, Any, List], Union[Row, List[Row]]]] = None
+    series: Optional[Callable[[int], Sequence]] = None
+    parameters: Callable[[Setting, Sequence], Row] = _standard_parameters
+    constants: Mapping[str, object] = field(default_factory=dict)
+    min_repeats: int = 1
+    body: Optional[Callable[[Setting, Sequence], Tuple[List[Row], Row]]] = None
+
+    def __call__(
+        self,
+        scale: ExperimentScale = DEFAULT,
+        points: Optional[Sequence] = None,
+        cycles: Optional[int] = None,
+    ) -> FigureResult:
+        """Reproduce the figure at ``scale`` over ``points`` for ``cycles``."""
+        if points is not None and self.points is None:
+            raise ConfigurationError(
+                f"figure {self.figure_id} has no swept axis, so it takes no points"
+            )
+        setting = Setting(
+            size=scale.network_size,
+            cycles=self.cycles if cycles is None else cycles,
+            repeats=max(scale.repeats, self.min_repeats),
+            seed=scale.seed,
+            constants=self.constants,
+        )
+        if self.points is None:
+            swept: List = [None]
+        else:
+            swept = list(self.points(scale) if points is None else points)
+        if self.axis is not None:
+            swept = [self.axis[1](point) for point in swept]
+        if self.body is not None:
+            rows, parameters = self.body(setting, swept)
+            return FigureResult(self.figure_id, self.title, rows, parameters)
+        runs = swept
+        if self.series is not None:
+            runs = [(curve, point) for curve in self.series(setting.size) for point in swept]
+        rows = []
+        for point in runs:
+            results = repeat_simulations(
+                setting.repeats, setting.seed, plan=self.plan(setting, point)
+            )
+            reduced = self.reduce(setting, point, results)
+            for row in [reduced] if isinstance(reduced, dict) else reduced:
+                rows.append({self.axis[0]: point, **row} if self.axis else row)
+        return FigureResult(self.figure_id, self.title, rows, self.parameters(setting, swept))
+
+
 # ----------------------------------------------------------------------
 # Shared building blocks
 # ----------------------------------------------------------------------
@@ -155,31 +228,11 @@ def standard_topologies(degree: int = 20, newscast_cache: int = 30) -> List[Topo
 
 
 def _effective_degree(size: int, degree: int = 20) -> int:
-    """Cap the paper's 20-neighbour views for very small test networks."""
-    capped = min(degree, size - 1)
-    # Lattice-based topologies need an even degree.
+    """Cap the paper's 20-neighbour views for very small test networks:
+    the largest even degree below ``size - 1``, which Watts–Strogatz needs
+    (every other family accepts any degree below ``size``)."""
+    capped = min(degree, size - 2)
     return capped if capped % 2 == 0 else capped - 1
-
-
-def _count_size_estimate(simulator: CycleSimulator) -> float:
-    """The network size a COUNT epoch reports: reciprocal of the mean estimate."""
-    mean_estimate = simulator.trace.final.mean
-    if not math.isfinite(mean_estimate):
-        return math.inf
-    return network_size_from_estimate(mean_estimate)
-
-
-def _count_node_size_extremes(simulator: CycleSimulator) -> tuple:
-    """Min and max size estimate over the individual nodes of one run."""
-    sizes = [
-        network_size_from_estimate(estimate)
-        for estimate in simulator.estimates().values()
-    ]
-    finite = [size for size in sizes if math.isfinite(size)]
-    if not finite:
-        return math.inf, math.inf
-    has_infinite = any(math.isinf(size) for size in sizes)
-    return min(finite), (math.inf if has_infinite else max(finite))
 
 
 def _newscast_spec(size: int, cache: int = 30) -> TopologySpec:
@@ -194,883 +247,376 @@ def _figure3_topologies(size: int) -> List[TopologySpec]:
     )
 
 
-# ----------------------------------------------------------------------
-# Figure 2 — behaviour of AVERAGE on the peak distribution
-# ----------------------------------------------------------------------
-def figure2_average_peak(
-    scale: ExperimentScale = DEFAULT, cycles: int = 30
-) -> FigureResult:
-    """Figure 2: min/max estimates of AVERAGE started from a peak distribution.
+def _sweep(low: float, high, integer: bool = False) -> Callable[[ExperimentScale], list]:
+    """Default points: ``max(3, sweep_points)`` evenly spaced on ``[low, high]``
+    (``high`` may depend on the size); integer axes are rounded and deduplicated."""
 
-    One node holds the value N, all others hold 0, so the true average is
-    exactly 1; the network is a random overlay with 20-neighbour views.
-    The reproduced rows give, per cycle, the minimum and maximum estimate
-    over all nodes averaged over the repetitions.
-    """
-    size = scale.network_size
-    degree = _effective_degree(size)
-    topology = TopologySpec("random", degree=degree)
-    values = peak_values_for_count(size, peak_value=float(size))
+    def points(scale: ExperimentScale) -> list:
+        top = high(scale.network_size) if callable(high) else high
+        values = np.linspace(low, top, max(3, scale.sweep_points))
+        if integer:
+            return sorted({int(round(value)) for value in values})
+        return [float(value) for value in values]
 
-    # All repeats of the point run as one stacked replicated simulation.
-    plan = RunPlan(topology=topology, size=size, cycles=cycles, values=values)
-    traces = repeat_traces(scale.repeats, scale.seed, plan=plan)
-    rows = []
-    for cycle in range(cycles + 1):
-        minima = [trace.record_at(cycle).minimum for trace in traces]
-        maxima = [trace.record_at(cycle).maximum for trace in traces]
-        rows.append(
-            {
-                "cycle": cycle,
-                "min_estimate": float(np.mean(minima)),
-                "max_estimate": float(np.mean(maxima)),
-                "true_average": 1.0,
-            }
-        )
-    return FigureResult(
-        figure_id="2",
-        title="AVERAGE protocol on the peak distribution (min/max estimates per cycle)",
-        rows=rows,
-        parameters={"network_size": size, "cycles": cycles, "repeats": scale.repeats},
-    )
+    return points
 
 
-# ----------------------------------------------------------------------
-# Figure 3a — convergence factor vs network size, per topology
-# ----------------------------------------------------------------------
-def figure3a_convergence_vs_size(
-    scale: ExperimentScale = DEFAULT,
-    sizes: Optional[Sequence[int]] = None,
-    cycles: int = 20,
-    topologies: Optional[Sequence[TopologySpec]] = None,
-) -> FigureResult:
-    """Figure 3(a): average convergence factor over 20 cycles vs network size."""
-    if sizes is None:
-        smallest = min(100, scale.network_size)
-        points = max(2, min(scale.sweep_points, 6))
-        sizes = sorted(
-            {
-                int(round(value))
-                for value in np.geomspace(smallest, scale.network_size, points)
-            }
-        )
-    rows = []
-    for size in sizes:
-        specs = topologies or _figure3_topologies(size)
-        for spec in specs:
-            plan = RunPlan(
-                topology=spec, size=size, cycles=cycles, values=uniform_initial_values
-            )
-            traces = repeat_traces(scale.repeats, scale.seed, plan=plan)
-            rows.append(
-                {
-                    "topology": spec.label(),
-                    "network_size": size,
-                    "convergence_factor": mean_convergence_factor(traces, cycles),
-                    "theory_random": PUSH_PULL_CONVERGENCE_FACTOR,
-                }
-            )
-    return FigureResult(
-        figure_id="3a",
-        title="Convergence factor over 20 cycles vs network size, per topology",
-        rows=rows,
-        parameters={"sizes": list(sizes), "cycles": cycles, "repeats": scale.repeats},
-    )
+def _plan(s: Setting, values: ValuesSpec, topology: Optional[TopologySpec] = None, **options):
+    """One point's repetition at the setting's size and cycles, on the
+    figures' NEWSCAST overlay unless another ``topology`` is given."""
+    options.setdefault("size", s.size)
+    topology = topology or _newscast_spec(options["size"])
+    return RunPlan(topology=topology, cycles=s.cycles, values=values, **options)
 
 
-# ----------------------------------------------------------------------
-# Figure 3b — variance reduction per cycle, per topology
-# ----------------------------------------------------------------------
-def figure3b_variance_reduction(
-    scale: ExperimentScale = DEFAULT,
-    cycles: int = 50,
-    topologies: Optional[Sequence[TopologySpec]] = None,
-) -> FigureResult:
-    """Figure 3(b): normalised variance vs cycle for every topology family."""
-    size = scale.network_size
-    specs = topologies or _figure3_topologies(size)
-    rows = []
-    for spec in specs:
-        plan = RunPlan(
-            topology=spec, size=size, cycles=cycles, values=uniform_initial_values
-        )
-        traces = repeat_traces(scale.repeats, scale.seed, plan=plan)
-        curve = variance_reduction_curve(traces)
-        for cycle, value in enumerate(curve):
-            rows.append(
-                {
-                    "topology": spec.label(),
-                    "cycle": cycle,
-                    "normalized_variance": value,
-                }
-            )
-    return FigureResult(
-        figure_id="3b",
-        title="Variance reduction (normalised by initial variance) per cycle",
-        rows=rows,
-        parameters={"network_size": size, "cycles": cycles, "repeats": scale.repeats},
-    )
+def _count_plan(s: Setting, **options) -> RunPlan:
+    """COUNT (peak distribution) on the figures' NEWSCAST overlay."""
+    return _plan(s, peak_values_for_count(s.size), **options)
 
 
-# ----------------------------------------------------------------------
-# Figure 4a — Watts–Strogatz rewiring probability sweep
-# ----------------------------------------------------------------------
-def figure4a_watts_strogatz_beta(
-    scale: ExperimentScale = DEFAULT,
-    betas: Optional[Sequence[float]] = None,
-    cycles: int = 20,
-) -> FigureResult:
-    """Figure 4(a): convergence factor as a function of the rewiring β."""
-    size = scale.network_size
-    degree = _effective_degree(size)
-    if betas is None:
-        betas = [float(b) for b in np.linspace(0.0, 1.0, max(3, scale.sweep_points))]
-    rows = []
-    for beta in betas:
-        spec = TopologySpec("watts-strogatz", degree=degree, beta=float(beta))
-        plan = RunPlan(
-            topology=spec, size=size, cycles=cycles, values=uniform_initial_values
-        )
-        traces = repeat_traces(scale.repeats, scale.seed, plan=plan)
-        rows.append(
-            {
-                "beta": float(beta),
-                "convergence_factor": mean_convergence_factor(traces, cycles),
-            }
-        )
-    return FigureResult(
-        figure_id="4a",
-        title="Convergence factor vs Watts-Strogatz rewiring probability",
-        rows=rows,
-        parameters={"network_size": size, "cycles": cycles, "repeats": scale.repeats},
-    )
+def _count_size_estimate(simulator) -> float:
+    """The network size a COUNT epoch reports: reciprocal of the mean estimate."""
+    mean_estimate = simulator.trace.final.mean
+    if not math.isfinite(mean_estimate):
+        return math.inf
+    return network_size_from_estimate(mean_estimate)
 
 
-# ----------------------------------------------------------------------
-# Figure 4b — NEWSCAST cache size sweep
-# ----------------------------------------------------------------------
-def figure4b_newscast_cache_size(
-    scale: ExperimentScale = DEFAULT,
-    cache_sizes: Optional[Sequence[int]] = None,
-    cycles: int = 20,
-) -> FigureResult:
-    """Figure 4(b): convergence factor as a function of the NEWSCAST cache size c."""
-    size = scale.network_size
-    if cache_sizes is None:
-        upper = min(50, size - 1)
-        cache_sizes = sorted(
-            {int(round(c)) for c in np.linspace(2, upper, max(3, scale.sweep_points))}
-        )
-    rows = []
-    for cache in cache_sizes:
-        spec = _newscast_spec(size, cache=int(cache))
-        plan = RunPlan(
-            topology=spec, size=size, cycles=cycles, values=uniform_initial_values
-        )
-        traces = repeat_traces(scale.repeats, scale.seed, plan=plan)
-        rows.append(
-            {
-                "cache_size": int(cache),
-                "convergence_factor": mean_convergence_factor(traces, cycles),
-            }
-        )
-    return FigureResult(
-        figure_id="4b",
-        title="Convergence factor vs NEWSCAST cache size",
-        rows=rows,
-        parameters={"network_size": size, "cycles": cycles, "repeats": scale.repeats},
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 5 — node crashes: variance of the estimated mean vs Pf
-# ----------------------------------------------------------------------
-def figure5_crash_variance(
-    scale: ExperimentScale = DEFAULT,
-    crash_probabilities: Optional[Sequence[float]] = None,
-    cycles: int = 20,
-) -> FigureResult:
-    """Figure 5: Var(µ_20)/E(σ²_0) under per-cycle crashes, vs Theorem 1."""
-    size = scale.network_size
-    if crash_probabilities is None:
-        crash_probabilities = [
-            float(p) for p in np.linspace(0.0, 0.3, max(3, scale.sweep_points))
-        ]
-    repeats = max(scale.repeats, 10)
-    specs = [
-        ("complete", TopologySpec("complete")),
-        ("newscast", _newscast_spec(size)),
+def _count_node_size_extremes(simulator) -> tuple:
+    """Min and max size estimate over the individual nodes of one run."""
+    sizes = [
+        network_size_from_estimate(estimate)
+        for estimate in simulator.estimates().values()
     ]
-    rows = []
-    for label, spec in specs:
-        for probability in crash_probabilities:
-            failure_factory = (
-                (lambda probability=probability: ProportionalCrashModel(probability))
-                if probability > 0
-                else None
-            )
-            plan = RunPlan(
-                topology=spec,
-                size=size,
-                cycles=cycles,
-                values=uniform_initial_values,
-                failure_factory=failure_factory,
-            )
-            traces = repeat_traces(repeats, scale.seed, plan=plan)
-            if probability > 0.0:
-                measured = normalized_mean_variance(traces, at_cycle=cycles)
-            else:
-                measured = 0.0
-            rows.append(
-                {
-                    "topology": label,
-                    "crash_probability": float(probability),
-                    "measured_normalized_variance": measured,
-                    "predicted_normalized_variance": crash_variance_prediction(
-                        probability, size, cycles
-                    ),
-                }
-            )
-    return FigureResult(
-        figure_id="5",
-        title="Variance of the estimated mean after 20 cycles vs crash probability",
-        rows=rows,
-        parameters={"network_size": size, "cycles": cycles, "repeats": repeats},
-    )
+    finite = [size for size in sizes if math.isfinite(size)]
+    if not finite:
+        return math.inf, math.inf
+    has_infinite = any(math.isinf(size) for size in sizes)
+    return min(finite), (math.inf if has_infinite else max(finite))
 
 
-# ----------------------------------------------------------------------
-# Figure 6a — COUNT under sudden death of half the network
-# ----------------------------------------------------------------------
-def figure6a_sudden_death(
-    scale: ExperimentScale = DEFAULT,
-    crash_cycles: Optional[Sequence[int]] = None,
-    cycles: int = 30,
-    fraction: float = 0.5,
-) -> FigureResult:
-    """Figure 6(a): size reported by COUNT when 50% of nodes die at cycle x."""
-    size = scale.network_size
-    spec = _newscast_spec(size)
-    if crash_cycles is None:
-        crash_cycles = sorted(
-            {int(round(c)) for c in np.linspace(1, 20, max(3, scale.sweep_points))}
-        )
-    values = peak_values_for_count(size)
-    rows = []
-    for crash_cycle in crash_cycles:
-        plan = RunPlan(
-            topology=spec,
-            size=size,
-            cycles=cycles,
-            values=values,
-            failure_factory=lambda crash_cycle=crash_cycle: SuddenDeathModel(
-                fraction, at_cycle=int(crash_cycle)
-            ),
-            collect=_count_size_estimate,
-        )
-        estimates = repeat_simulations(scale.repeats, scale.seed, plan=plan)
-        finite = [e for e in estimates if math.isfinite(e)]
-        rows.append(
-            {
-                "crash_cycle": int(crash_cycle),
-                "mean_estimated_size": float(np.mean(finite)) if finite else math.inf,
-                "min_estimated_size": float(np.min(finite)) if finite else math.inf,
-                "max_estimated_size": float(np.max(finite)) if finite else math.inf,
-                "diverged_runs": len(estimates) - len(finite),
-                "true_size": size,
-            }
-        )
-    return FigureResult(
-        figure_id="6a",
-        title="COUNT under sudden death of 50% of the nodes at a given cycle",
-        rows=rows,
-        parameters={
-            "network_size": size,
-            "cycles": cycles,
-            "fraction": fraction,
-            "repeats": scale.repeats,
-        },
-    )
+def _instances_plan(s: Setting, count: int, measure: Callable, **options) -> RunPlan:
+    """``count``-instance COUNT on NEWSCAST; ``measure(bundle, simulator)`` is a run's result.
 
-
-# ----------------------------------------------------------------------
-# Figure 6b — COUNT under continuous churn
-# ----------------------------------------------------------------------
-def figure6b_churn(
-    scale: ExperimentScale = DEFAULT,
-    substitution_rates: Optional[Sequence[int]] = None,
-    cycles: int = 30,
-) -> FigureResult:
-    """Figure 6(b): size reported by COUNT under continuous node substitution.
-
-    At every cycle a fixed number of nodes crash and the same number of
-    brand-new nodes join (but do not participate in the running epoch);
-    the paper sweeps 0–2500 substitutions per cycle at N = 10^5, i.e. up to
-    2.5% of the network per cycle, which is the range reproduced here.
+    Each repetition draws its leaders from ``child("values").child("instances")``
+    and queues its bundle.  Both repeat paths resolve a repetition's values
+    before collecting it, and collect in order, so ``collect`` takes the oldest.
     """
-    size = scale.network_size
-    spec = _newscast_spec(size)
-    if substitution_rates is None:
-        top = max(1, int(round(0.025 * size)))
-        substitution_rates = sorted(
-            {int(round(r)) for r in np.linspace(0, top, max(3, scale.sweep_points))}
-        )
-    values = peak_values_for_count(size)
-    rows = []
-    for rate in substitution_rates:
-        failure_factory = (
-            (lambda rate=rate: ChurnModel(int(rate))) if rate > 0 else None
-        )
-        plan = RunPlan(
-            topology=spec,
-            size=size,
-            cycles=cycles,
-            values=values,
-            failure_factory=failure_factory,
-            collect=_count_size_estimate,
-        )
-        estimates = repeat_simulations(scale.repeats, scale.seed, plan=plan)
-        finite = [e for e in estimates if math.isfinite(e)]
-        rows.append(
-            {
-                "substitutions_per_cycle": int(rate),
-                "mean_estimated_size": float(np.mean(finite)) if finite else math.inf,
-                "min_estimated_size": float(np.min(finite)) if finite else math.inf,
-                "max_estimated_size": float(np.max(finite)) if finite else math.inf,
-                "diverged_runs": len(estimates) - len(finite),
-                "true_size": size,
-            }
-        )
-    return FigureResult(
-        figure_id="6b",
-        title="COUNT in a constant-size network with continuous churn",
-        rows=rows,
-        parameters={"network_size": size, "cycles": cycles, "repeats": scale.repeats},
+    queued: Deque[MultiInstanceCount] = deque()
+
+    def values(size: int, rng: RandomSource) -> List[tuple]:
+        bundle = MultiInstanceCount.create(list(range(size)), count, rng.child("instances"))
+        queued.append(bundle)
+        return [bundle.initial_values[node] for node in range(size)]
+
+    return _plan(
+        s,
+        values,
+        function_factory=lambda: VectorFunction([AverageFunction() for _ in range(count)]),
+        collect=lambda simulator: measure(queued.popleft(), simulator),
+        **options,
     )
 
 
-# ----------------------------------------------------------------------
-# Figure 7a — link failures slow convergence down
-# ----------------------------------------------------------------------
-def figure7a_link_failures(
-    scale: ExperimentScale = DEFAULT,
-    link_failure_probabilities: Optional[Sequence[float]] = None,
-    cycles: int = 20,
-) -> FigureResult:
-    """Figure 7(a): convergence factor vs link failure probability P_d."""
-    size = scale.network_size
-    spec = _newscast_spec(size)
-    if link_failure_probabilities is None:
-        link_failure_probabilities = [
-            float(p) for p in np.linspace(0.0, 0.9, max(3, scale.sweep_points))
-        ]
-    values = peak_values_for_count(size)
-    rows = []
-    for probability in link_failure_probabilities:
-        transport = TransportModel(link_failure_probability=float(probability))
-        plan = RunPlan(
-            topology=spec, size=size, cycles=cycles, values=values, transport=transport
-        )
-        traces = repeat_traces(scale.repeats, scale.seed, plan=plan)
-        rows.append(
-            {
-                "link_failure_probability": float(probability),
-                "convergence_factor": mean_convergence_factor(traces, cycles),
-                "theoretical_upper_bound": link_failure_convergence_bound(float(probability)),
-            }
-        )
-    return FigureResult(
-        figure_id="7a",
-        title="Convergence factor of COUNT vs link failure probability",
-        rows=rows,
-        parameters={"network_size": size, "cycles": cycles, "repeats": scale.repeats},
-    )
+def _instance_size_extremes(bundle: MultiInstanceCount, simulator) -> tuple:
+    """Min and max trimmed-mean size estimate over the nodes of one run."""
+    sizes = bundle.size_estimates_array(simulator.state_array())
+    finite = sizes[np.isfinite(sizes)]
+    if not finite.size:
+        return math.inf, math.inf
+    return float(finite.min()), float(finite.max())
+
+
+def _convergence(s: Setting, _, traces) -> Row:
+    """The convergence factor over the run's cycles (Figures 3a, 4a, 4b, 7a)."""
+    return {"convergence_factor": mean_convergence_factor(traces, s.cycles)}
+
+
+def _size_spread(estimates: Sequence[float]) -> Row:
+    """Mean/min/max of the finite size estimates (``inf`` when none is)."""
+    finite = [value for value in estimates if math.isfinite(value)]
+    return {
+        "mean_estimated_size": float(np.mean(finite)) if finite else math.inf,
+        "min_estimated_size": float(np.min(finite)) if finite else math.inf,
+        "max_estimated_size": float(np.max(finite)) if finite else math.inf,
+    }
+
+
+def _count_spread(s: Setting, _, estimates: Sequence[float]) -> Row:
+    """Figure 6's row: the size spread over the runs and how many diverged."""
+    return {
+        **_size_spread(estimates),
+        "diverged_runs": sum(not math.isfinite(value) for value in estimates),
+        "true_size": s.size,
+    }
+
+
+def _envelope(s: Setting, _, extremes: Sequence[tuple]) -> Row:
+    """Mean and worst of the per-run min/max size estimates (7b, 8a, 8b)."""
+    minima = [low for low, _ in extremes if math.isfinite(low)]
+    maxima = [high for _, high in extremes if math.isfinite(high)]
+    return {
+        "mean_min_size": float(np.mean(minima)) if minima else math.inf,
+        "mean_max_size": float(np.mean(maxima)) if maxima else math.inf,
+        "worst_min_size": float(np.min(minima)) if minima else math.inf,
+        "worst_max_size": float(np.max(maxima)) if maxima else math.inf,
+        "true_size": s.size,
+    }
 
 
 # ----------------------------------------------------------------------
-# Figure 7b — message omissions distort the estimate
+# Figure 2 — AVERAGE on the peak distribution.  One node holds the value
+# N, all others hold 0, so the true average is exactly 1; the network is
+# a random overlay with 20-neighbour views.  Per cycle, the minimum and
+# maximum estimate over all nodes, averaged over the repetitions.
 # ----------------------------------------------------------------------
-def figure7b_message_loss(
-    scale: ExperimentScale = DEFAULT,
-    loss_fractions: Optional[Sequence[float]] = None,
-    cycles: int = 30,
-) -> FigureResult:
-    """Figure 7(b): min/max size reported by COUNT vs fraction of lost messages."""
-    size = scale.network_size
-    spec = _newscast_spec(size)
-    if loss_fractions is None:
-        loss_fractions = [
-            float(p) for p in np.linspace(0.0, 0.5, max(3, scale.sweep_points))
-        ]
-    values = peak_values_for_count(size)
-    rows = []
-    for fraction in loss_fractions:
-        transport = TransportModel(message_loss_probability=float(fraction))
-        plan = RunPlan(
-            topology=spec,
-            size=size,
-            cycles=cycles,
-            values=values,
-            transport=transport,
-            collect=_count_node_size_extremes,
-        )
-        extremes = repeat_simulations(scale.repeats, scale.seed, plan=plan)
-        minima = [low for low, _ in extremes if math.isfinite(low)]
-        maxima = [high for _, high in extremes if math.isfinite(high)]
-        rows.append(
-            {
-                "message_loss_fraction": float(fraction),
-                "mean_min_size": float(np.mean(minima)) if minima else math.inf,
-                "mean_max_size": float(np.mean(maxima)) if maxima else math.inf,
-                "worst_min_size": float(np.min(minima)) if minima else math.inf,
-                "worst_max_size": float(np.max(maxima)) if maxima else math.inf,
-                "true_size": size,
-            }
-        )
-    return FigureResult(
-        figure_id="7b",
-        title="Min/max size estimated by COUNT vs fraction of messages lost",
-        rows=rows,
-        parameters={"network_size": size, "cycles": cycles, "repeats": scale.repeats},
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 8 — multiple concurrent instances
-# ----------------------------------------------------------------------
-def _run_multi_instance(
-    scale: ExperimentScale,
-    instance_counts: Sequence[int],
-    cycles: int,
-    transport: TransportModel,
-    failure_factory,
-    figure_id: str,
-    title: str,
-    extra_parameters: Dict[str, object],
-) -> FigureResult:
-    size = scale.network_size
-    spec = _newscast_spec(size)
-    rows = []
-    for count in instance_counts:
-        def one_run(index: int, rng: RandomSource, count=count):
-            overlay = build_overlay(spec, size, rng.child("topology"))
-            bundle = MultiInstanceCount.create(
-                overlay.node_ids(), int(count), rng.child("instances")
-            )
-            simulator = make_simulator(
-                overlay=overlay,
-                function=bundle.function,
-                initial_values=bundle.initial_values,
-                rng=rng.child("simulation"),
-                transport=transport,
-                failure_model=failure_factory() if failure_factory else None,
-            )
-            simulator.run(cycles)
-            reported = bundle.size_estimates(simulator.states())
-            finite = [value for value in reported.values() if math.isfinite(value)]
-            if not finite:
-                return math.inf, math.inf
-            return min(finite), max(finite)
-
-        extremes = repeat_simulations(scale.repeats, scale.seed, one_run)
-        minima = [low for low, _ in extremes if math.isfinite(low)]
-        maxima = [high for _, high in extremes if math.isfinite(high)]
-        rows.append(
-            {
-                "instances": int(count),
-                "mean_min_size": float(np.mean(minima)) if minima else math.inf,
-                "mean_max_size": float(np.mean(maxima)) if maxima else math.inf,
-                "worst_min_size": float(np.min(minima)) if minima else math.inf,
-                "worst_max_size": float(np.max(maxima)) if maxima else math.inf,
-                "true_size": size,
-            }
-        )
-    parameters = {"network_size": size, "cycles": cycles, "repeats": scale.repeats}
-    parameters.update(extra_parameters)
-    return FigureResult(figure_id=figure_id, title=title, rows=rows, parameters=parameters)
-
-
-def figure8a_instances_under_churn(
-    scale: ExperimentScale = DEFAULT,
-    instance_counts: Optional[Sequence[int]] = None,
-    cycles: int = 30,
-    crash_fraction_per_cycle: float = 0.01,
-) -> FigureResult:
-    """Figure 8(a): multi-instance COUNT accuracy under 1%-per-cycle crashes.
-
-    The paper crashes 1000 of 10^5 nodes per cycle (1%); the same fraction
-    of the scaled network is used here.
-    """
-    size = scale.network_size
-    if instance_counts is None:
-        instance_counts = sorted(
-            {int(round(c)) for c in np.linspace(1, 50, max(3, scale.sweep_points))}
-        )
-    crashes = max(1, int(round(crash_fraction_per_cycle * size)))
-    return _run_multi_instance(
-        scale,
-        instance_counts,
-        cycles,
-        TransportModel(),
-        lambda: CountCrashModel(crashes),
-        figure_id="8a",
-        title="Multi-instance COUNT (trimmed mean) under per-cycle crashes",
-        extra_parameters={"crashes_per_cycle": crashes},
-    )
-
-
-def figure8b_instances_under_loss(
-    scale: ExperimentScale = DEFAULT,
-    instance_counts: Optional[Sequence[int]] = None,
-    cycles: int = 30,
-    message_loss: float = 0.2,
-) -> FigureResult:
-    """Figure 8(b): multi-instance COUNT accuracy with 20% of messages lost."""
-    if instance_counts is None:
-        instance_counts = sorted(
-            {int(round(c)) for c in np.linspace(1, 50, max(3, scale.sweep_points))}
-        )
-    return _run_multi_instance(
-        scale,
-        instance_counts,
-        cycles,
-        TransportModel(message_loss_probability=message_loss),
-        None,
-        figure_id="8b",
-        title="Multi-instance COUNT (trimmed mean) with message loss",
-        extra_parameters={"message_loss": message_loss},
-    )
-
-
-# ----------------------------------------------------------------------
-# Sections 4.1/4.3/5 — the practical protocol: adaptive epoched COUNT
-# ----------------------------------------------------------------------
-def adaptive_count_epochs(
-    scale: ExperimentScale = DEFAULT,
-    epochs: int = 10,
-    cycles_per_epoch: int = 30,
-    concurrent_target: float = 20.0,
-    churn_fraction_per_cycle: float = 0.005,
-    message_loss: float = 0.05,
-    initial_estimate_factor: float = 0.25,
-) -> FigureResult:
-    """The size-monitoring scenario the paper is named for, end to end.
-
-    A NEWSCAST network under continuous churn and message loss runs the
-    practical protocol for ``epochs`` consecutive epochs: per-epoch
-    multi-leader self-election at ``P_lead = C/N̂``, γ cycles of map-based
-    COUNT, trimmed-mean reduction, and the estimate fed back into the
-    next election.  The election is seeded with a deliberately wrong size
-    (``initial_estimate_factor`` times the truth), so the rows show the
-    feedback loop pulling ``N̂`` — and with it the number of concurrent
-    leaders — back to the true size within the first epochs.
-
-    The paper has no single figure for this composite run (it is the
-    protocol of Sections 4.1/4.3/5 with the technique of 7.3); the rows
-    report, per epoch, the mean/min/max adopted estimate over the
-    repetitions, the average leader count, and the churn-driven
-    synchronisation events.
-    """
-    size = scale.network_size
-    spec = _newscast_spec(size)
-    churn = max(1, int(round(churn_fraction_per_cycle * size)))
-    transport = TransportModel(message_loss_probability=float(message_loss))
-    config = EpochConfig(cycles_per_epoch=cycles_per_epoch)
-
-    def one_run(index: int, rng: RandomSource):
-        result = run_epoched_count(
-            spec,
-            size,
-            epochs,
-            rng,
-            concurrent_target=concurrent_target,
-            initial_estimate=max(2.0, initial_estimate_factor * size),
-            epoch_config=config,
-            transport=transport,
-            failure_factory=lambda epoch_id: ChurnModel(churn),
-            record_every=cycles_per_epoch,
-        )
-        return result.records
-
-    runs = repeat_simulations(scale.repeats, scale.seed, one_run)
-    rows = []
-    for position in range(epochs):
-        records = [run[position] for run in runs]
-        estimates = [record.size_estimate for record in records]
-        finite = [value for value in estimates if math.isfinite(value)]
-        rows.append(
-            {
-                "epoch": records[0].epoch_id,
-                "mean_estimated_size": float(np.mean(finite)) if finite else math.inf,
-                "min_estimated_size": float(np.min(finite)) if finite else math.inf,
-                "max_estimated_size": float(np.max(finite)) if finite else math.inf,
-                "mean_leaders": float(np.mean([record.leader_count for record in records])),
-                "mean_joined": float(np.mean([record.joined_count for record in records])),
-                "dry_runs": sum(record.dry for record in records),
-                "true_size": size,
-            }
-        )
-    return FigureResult(
-        figure_id="adaptive",
-        title="Adaptive multi-epoch COUNT under churn and message loss (practical protocol)",
-        rows=rows,
-        parameters={
-            "network_size": size,
-            "epochs": epochs,
-            "cycles_per_epoch": cycles_per_epoch,
-            "concurrent_target": concurrent_target,
-            "churn_per_cycle": churn,
-            "message_loss": message_loss,
-            "initial_estimate_factor": initial_estimate_factor,
-            "repeats": scale.repeats,
-        },
-    )
-
-
-def async_adaptive_count(
-    scale: ExperimentScale = DEFAULT,
-    epochs: int = 6,
-    cycles_per_epoch: int = 25,
-    concurrent_target: float = 20.0,
-    scenario: Optional[AsynchronyScenario] = None,
-    initial_estimate_factor: float = 0.25,
-) -> FigureResult:
-    """The adaptive size-monitoring run of :func:`adaptive_count_epochs`,
-    executed *asynchronously*.
-
-    Same protocol, same feedback loop, same deliberately wrong initial
-    estimate — but per-node drifted timers instead of global cycles,
-    sampled message latencies with exchange timeouts, message loss during
-    epochs, and epidemic epoch synchronisation doing real work.  The
-    default scenario is 1% clock drift with 5% message loss; the rows
-    report the per-epoch mean/min/max size estimate over the repetitions
-    together with leader counts and the synchronisation traffic, and
-    should match the cycle-model figure within sampling noise — the
-    central cross-engine claim of the reproduction.
-    """
-    size = scale.network_size
-    used_scenario = scenario or LAN.with_overrides(
-        name="adaptive-async", clock_drift=0.01, message_loss=0.05
-    )
-    spec = TopologySpec("random", degree=_effective_degree(size))
-    config = EpochConfig(cycles_per_epoch=cycles_per_epoch)
-
-    def one_run(index: int, rng: RandomSource):
-        protocol = run_async_count(
-            spec,
-            size,
-            epochs,
-            rng,
-            scenario=used_scenario,
-            concurrent_target=concurrent_target,
-            initial_estimate=max(2.0, initial_estimate_factor * size),
-            epoch_config=config,
-            record_every=cycles_per_epoch,
-        )
-        return protocol
-
-    runs = repeat_simulations(scale.repeats, scale.seed, one_run)
-    per_run = [
-        (protocol.epoch_records(), protocol.size_estimates()) for protocol in runs
+def _peak_rows(s: Setting, _, traces) -> List[Row]:
+    return [
+        {
+            "cycle": cycle,
+            "min_estimate": float(np.mean([trace.record_at(cycle).minimum for trace in traces])),
+            "max_estimate": float(np.mean([trace.record_at(cycle).maximum for trace in traces])),
+            "true_average": 1.0,
+        }
+        for cycle in range(s.cycles + 1)
     ]
+
+
+# ----------------------------------------------------------------------
+# Figure 3(a) — convergence factor over 20 cycles vs network size, per
+# topology.  Points are (size, topology) pairs.
+# ----------------------------------------------------------------------
+def _sizes_and_topologies(scale: ExperimentScale) -> list:
+    smallest = min(100, scale.network_size)
+    count = max(2, min(scale.sweep_points, 6))
+    sizes = sorted(
+        {int(round(value)) for value in np.geomspace(smallest, scale.network_size, count)}
+    )
+    return [(size, spec) for size in sizes for spec in _figure3_topologies(size)]
+
+
+# ----------------------------------------------------------------------
+# Figure 5 — Var(µ_20)/E(σ²_0) under per-cycle crashes with probability
+# Pf, on the complete overlay and on NEWSCAST, vs Theorem 1.
+# ----------------------------------------------------------------------
+def _crash_plan(s: Setting, point) -> RunPlan:
+    (_, spec), probability = point
+    failure_factory = (
+        (lambda: ProportionalCrashModel(probability)) if probability > 0 else None
+    )
+    return _plan(s, uniform_initial_values, spec, failure_factory=failure_factory)
+
+
+def _crash_row(s: Setting, point, traces) -> Row:
+    (label, _), probability = point
+    return {
+        "topology": label,
+        "crash_probability": float(probability),
+        "measured_normalized_variance": (
+            normalized_mean_variance(traces, at_cycle=s.cycles) if probability > 0.0 else 0.0
+        ),
+        "predicted_normalized_variance": crash_variance_prediction(
+            probability, s.size, s.cycles
+        ),
+    }
+
+
+# ----------------------------------------------------------------------
+# Robustness extension — COUNT degradation vs byzantine reporter
+# fraction.  A colluding fraction of the nodes mounts a targeted attack
+# on multi-instance COUNT: every cycle they overwrite the first
+# ⌈attacked_instance_fraction · t⌉ instance components of their own
+# state with 0, draining mass from exactly those instances (see
+# targeted_instance_attack).  Per byzantine fraction, the median relative
+# error of the size estimate an *honest* node reports under three
+# reduction rules: a single (attacked) instance, the paper's trimmed
+# mean, and the byzantine-hardened median-of-instances — the
+# quantitative case for the hardened reducer.  All repeats of one point
+# run as a single replica-batched simulation on the vectorized NEWSCAST
+# fast path.
+# ----------------------------------------------------------------------
+def _byzantine_plan(s: Setting, fraction: float) -> RunPlan:
+    attacks: Deque = deque()  # queued like the instance bundles
+
+    def attack():
+        fraction_attacked = s["attacked_instance_fraction"]
+        attacks.append(
+            targeted_instance_attack(fraction, instance_fraction=fraction_attacked)
+            if fraction > 0 else None
+        )
+        return attacks[-1]
+
+    def honest_errors(bundle: MultiInstanceCount, simulator) -> Dict[str, float]:
+        model = attacks.popleft()
+        ids = np.asarray(simulator.participant_ids(), dtype=np.int64)
+        honest = np.array(simulator.state_array(), dtype=np.float64)
+        if model is not None:
+            honest = honest[~np.isin(ids, model.byzantine_ids)]
+        single = np.full(honest.shape[0], np.inf)
+        positive = honest[:, 0] > 0.0
+        single[positive] = 1.0 / honest[positive, 0]
+        reduced = {
+            "single_instance_error": single,
+            "trimmed_error": bundle.size_estimates_array(honest),
+            "median_error": replace(bundle, reducer="median").size_estimates_array(honest),
+        }
+        return {
+            column: float(np.median(np.abs(sizes - s.size) / s.size))
+            for column, sizes in reduced.items()
+        }
+
+    return _instances_plan(s, s["instances"], honest_errors, failure_factory=attack)
+
+
+def _mean_errors(s: Setting, _, errors: List[Dict[str, float]]) -> Row:
+    """Each reducer's error averaged over the runs."""
+    return {
+        **{column: float(np.mean([run[column] for run in errors])) for column in errors[0]},
+        "true_size": s.size,
+    }
+
+
+# ----------------------------------------------------------------------
+# Sections 4.1/4.3/5 — the practical protocol: adaptive epoched COUNT.
+# The size-monitoring scenario the paper is named for, end to end: a
+# NEWSCAST network under continuous churn and message loss runs
+# consecutive epochs of per-epoch multi-leader self-election at
+# P_lead = C/N̂, γ cycles of map-based COUNT, trimmed-mean reduction, and
+# the estimate fed back into the next election.  The election is seeded
+# with a deliberately wrong size (initial_estimate_factor times the
+# truth), so the rows show the feedback loop pulling N̂ — and with it the
+# number of concurrent leaders — back to the true size within the first
+# epochs.  The paper has no single figure for this composite run (it is
+# the protocol of Sections 4.1/4.3/5 with the technique of 7.3).
+#
+# The "adaptive-async" figure executes the same run *asynchronously*:
+# same protocol, same feedback loop, same deliberately wrong initial
+# estimate — but per-node drifted timers instead of global cycles,
+# sampled message latencies with exchange timeouts, message loss during
+# epochs, and epidemic epoch synchronisation doing real work.  Its
+# scenario is 1% clock drift with 5% message loss, and its rows should
+# match the cycle-model figure within sampling noise — the central
+# cross-engine claim of the reproduction.
+#
+# Points are epoch positions: the runs last up to the last one, and each
+# row is one epoch's adopted estimate over the repetitions, its leader
+# count, and the synchronisation traffic (churned-in nodes joined, or
+# nodes reporting an epoch jump).
+# ----------------------------------------------------------------------
+def _epoch_sweep(
+    s: Setting, positions: Sequence[int], run_epochs: Callable, traffic: Tuple[str, str], **reported
+) -> Tuple[List[Row], Row]:
+    """Run ``run_epochs`` per repeat and reduce its ``(record, estimate)`` pairs per epoch."""
+    epochs = max(positions) + 1
+    config = EpochConfig(cycles_per_epoch=s.cycles)
+    initial_estimate = max(2.0, s["initial_estimate_factor"] * s.size)
+    runs = repeat_simulations(
+        s.repeats, s.seed, lambda index, rng: run_epochs(rng, epochs, config, initial_estimate)
+    )
+    column, attribute = traffic
     rows = []
-    for position in range(epochs):
-        records = []
-        estimates = []
-        for epoch_records, adopted in per_run:
-            if position < len(epoch_records):
-                records.append(epoch_records[position])
-                estimates.append(adopted[epoch_records[position].epoch_id])
-        finite = [value for value in estimates if math.isfinite(value)]
+    for position in positions:
+        pairs = [run[position] for run in runs if position < len(run)]
+        records = [record for record, _ in pairs]
+
+        def mean(name: str) -> float:
+            return float(np.mean([getattr(record, name) for record in records])) if records else 0.0
+
         rows.append(
             {
                 "epoch": records[0].epoch_id if records else position,
-                "mean_estimated_size": float(np.mean(finite)) if finite else math.inf,
-                "min_estimated_size": float(np.min(finite)) if finite else math.inf,
-                "max_estimated_size": float(np.max(finite)) if finite else math.inf,
-                "mean_leaders": float(
-                    np.mean([record.leader_count for record in records])
-                ) if records else 0.0,
-                "mean_jump_reporters": float(
-                    np.mean([record.jump_reporters for record in records])
-                ) if records else 0.0,
+                **_size_spread([estimate for _, estimate in pairs]),
+                "mean_leaders": mean("leader_count"),
+                column: mean(attribute),
                 "dry_runs": sum(record.dry for record in records),
-                "true_size": size,
+                "true_size": s.size,
             }
         )
-    return FigureResult(
-        figure_id="adaptive-async",
-        title="Adaptive COUNT on the asynchronous engine (drift + loss + timeouts)",
-        rows=rows,
-        parameters={
-            "network_size": size,
-            "epochs": epochs,
-            "cycles_per_epoch": cycles_per_epoch,
-            "concurrent_target": concurrent_target,
-            "scenario": used_scenario.label(),
-            "clock_drift": used_scenario.clock_drift,
-            "message_loss": used_scenario.message_loss,
-            "initial_estimate_factor": initial_estimate_factor,
-            "repeats": scale.repeats,
-        },
+    return rows, {
+        "network_size": s.size,
+        "epochs": epochs,
+        "cycles_per_epoch": s.cycles,
+        "concurrent_target": s["concurrent_target"],
+        **reported,
+        "initial_estimate_factor": s["initial_estimate_factor"],
+        "repeats": s.repeats,
+    }
+
+
+def _adaptive_epochs(s: Setting, positions: Sequence[int]) -> Tuple[List[Row], Row]:
+    churn = max(1, int(round(s["churn_fraction_per_cycle"] * s.size)))
+    transport = TransportModel(message_loss_probability=float(s["message_loss"]))
+
+    def run_epochs(rng, epochs, config, initial_estimate):
+        result = run_epoched_count(
+            _newscast_spec(s.size), s.size, epochs, rng,
+            concurrent_target=s["concurrent_target"], initial_estimate=initial_estimate,
+            epoch_config=config, transport=transport,
+            failure_factory=lambda epoch_id: ChurnModel(churn), record_every=s.cycles,
+        )
+        return [(record, record.size_estimate) for record in result.records]
+
+    return _epoch_sweep(
+        s, positions, run_epochs, ("mean_joined", "joined_count"),
+        churn_per_cycle=churn, message_loss=s["message_loss"],
+    )
+
+
+def _async_adaptive_epochs(s: Setting, positions: Sequence[int]) -> Tuple[List[Row], Row]:
+    scenario = s["scenario"]
+
+    def run_epochs(rng, epochs, config, initial_estimate):
+        protocol = run_async_count(
+            TopologySpec("random", degree=_effective_degree(s.size)), s.size, epochs, rng,
+            scenario=scenario, concurrent_target=s["concurrent_target"],
+            initial_estimate=initial_estimate, epoch_config=config, record_every=s.cycles,
+        )
+        adopted = protocol.size_estimates()
+        return [(record, adopted[record.epoch_id]) for record in protocol.epoch_records()]
+
+    return _epoch_sweep(
+        s, positions, run_epochs, ("mean_jump_reporters", "jump_reporters"),
+        scenario=scenario.label(), clock_drift=scenario.clock_drift,
+        message_loss=scenario.message_loss,
     )
 
 
 # ----------------------------------------------------------------------
-# Robustness extensions — byzantine reporters and partition outages
+# Robustness extension — AVERAGE through a partition outage: split,
+# diverge, heal, re-converge.  A NEWSCAST network runs AVERAGE while a
+# PartitionOutageModel severs the lower boundary_fraction of the id space
+# for partition_length cycles.  Per cycle, the number of connected
+# components of the *effective* communication graph (overlay edges minus
+# blocked pairs), each side's mean estimate, and the global variance:
+# during the outage the overlay demonstrably splits in two and the side
+# means drift to the two local averages; after the heal the halves
+# re-merge through surviving cross-side cache entries and the gap between
+# the side means collapses again.
 # ----------------------------------------------------------------------
-def byzantine_degradation(
-    scale: ExperimentScale = DEFAULT,
-    fractions: Optional[Sequence[float]] = None,
-    cycles: int = 30,
-    instance_count: int = 16,
-    instance_fraction: float = 0.4,
-) -> FigureResult:
-    """COUNT estimate degradation vs byzantine reporter fraction.
-
-    A colluding fraction of the nodes mounts a targeted attack on
-    multi-instance COUNT: every cycle they overwrite the first
-    ``⌈instance_fraction · t⌉`` instance components of their own state
-    with 0, draining mass from exactly those instances (see
-    :func:`~repro.simulator.adversarial.targeted_instance_attack`).  The
-    rows compare, per byzantine fraction, the median relative error of
-    the size estimate an *honest* node reports under three reduction
-    rules: a single (attacked) instance, the paper's trimmed mean, and
-    the byzantine-hardened median-of-instances — the quantitative case
-    for the hardened reducer.
-
-    All repeats of one sweep point run as a single replica-batched
-    simulation on the vectorized NEWSCAST fast path.
-    """
-    size = scale.network_size
-    spec = _newscast_spec(size)
-    if fractions is None:
-        fractions = [float(f) for f in np.linspace(0.0, 0.2, max(3, scale.sweep_points))]
-    rows = []
-    for fraction in fractions:
-        # resolve_values / _failure_model run once per repetition in
-        # replica order on both execution paths, so these side lists
-        # line up with the collected results by index.
-        bundles: List[MultiInstanceCount] = []
-        models: List[object] = []
-
-        def make_values(count: int, rng: RandomSource) -> List[tuple]:
-            bundle = MultiInstanceCount.create(
-                list(range(count)), instance_count, rng.child("instances")
-            )
-            bundles.append(bundle)
-            return [bundle.initial_values[node] for node in range(count)]
-
-        def make_failure(fraction=fraction):
-            model = (
-                targeted_instance_attack(
-                    float(fraction), instance_fraction=instance_fraction
-                )
-                if fraction > 0
-                else None
-            )
-            models.append(model)
-            return model
-
-        def collect(simulator):
-            ids = np.asarray(simulator.participant_ids(), dtype=np.int64)
-            return ids, np.array(simulator.state_array(), dtype=np.float64)
-
-        plan = RunPlan(
-            topology=spec,
-            size=size,
-            cycles=cycles,
-            values=make_values,
-            function_factory=lambda: VectorFunction(
-                [AverageFunction() for _ in range(instance_count)]
-            ),
-            failure_factory=make_failure,
-            collect=collect,
-        )
-        results = repeat_simulations(scale.repeats, scale.seed, plan=plan)
-        errors: Dict[str, List[float]] = {"single": [], "trimmed": [], "median": []}
-        for index, (ids, block) in enumerate(results):
-            bundle = bundles[index]
-            model = models[index]
-            honest = np.ones(ids.size, dtype=bool)
-            if model is not None:
-                honest &= ~np.isin(ids, model.byzantine_ids)
-            honest_block = block[honest]
-            single = np.full(honest_block.shape[0], np.inf)
-            positive = honest_block[:, 0] > 0.0
-            single[positive] = 1.0 / honest_block[positive, 0]
-            reduced = {
-                "single": single,
-                "trimmed": bundle.size_estimates_array(honest_block),
-                "median": replace(bundle, reducer="median").size_estimates_array(
-                    honest_block
-                ),
-            }
-            for key, sizes in reduced.items():
-                errors[key].append(float(np.median(np.abs(sizes - size) / size)))
-        rows.append(
-            {
-                "byzantine_fraction": float(fraction),
-                "single_instance_error": float(np.mean(errors["single"])),
-                "trimmed_error": float(np.mean(errors["trimmed"])),
-                "median_error": float(np.mean(errors["median"])),
-                "true_size": size,
-            }
-        )
-    return FigureResult(
-        figure_id="byzantine",
-        title="COUNT error of honest nodes vs byzantine reporter fraction, per reducer",
-        rows=rows,
-        parameters={
-            "network_size": size,
-            "cycles": cycles,
-            "instances": instance_count,
-            "attacked_instance_fraction": instance_fraction,
-            "repeats": scale.repeats,
-        },
+def _average_run(s: Setting, spec: TopologySpec, engine: Callable = make_simulator, **options):
+    """One AVERAGE run over uniform values, drawn from the root seed's
+    streams: ``(values, overlay, simulator)``, not yet stepped."""
+    rng = RandomSource(s.seed)
+    values = uniform_initial_values(s.size, rng.child("values"))
+    overlay = build_overlay(spec, s.size, rng.child("topology"))
+    simulator = engine(
+        overlay=overlay, function=AverageFunction(), initial_values=values,
+        rng=rng.child("simulation"), **options,
     )
+    return values, overlay, simulator
 
 
-def partition_recovery(
-    scale: ExperimentScale = DEFAULT,
-    cycles: int = 30,
-    partition_start: int = 5,
-    partition_length: int = 5,
-    boundary_fraction: float = 0.5,
-) -> FigureResult:
-    """AVERAGE through a partition outage: split, diverge, heal, re-converge.
-
-    A NEWSCAST network runs AVERAGE while a
-    :class:`~repro.simulator.failures.PartitionOutageModel` severs the
-    lower ``boundary_fraction`` of the id space for
-    ``partition_length`` cycles.  The rows track, per cycle, the number
-    of connected components of the *effective* communication graph
-    (overlay edges minus blocked pairs), each side's mean estimate, and
-    the global variance: during the outage the overlay demonstrably
-    splits in two and the side means drift to the two local averages;
-    after the heal the halves re-merge through surviving cross-side
-    cache entries and the gap between the side means collapses again.
-    """
-    size = scale.network_size
-    spec = _newscast_spec(size)
-    heal_cycle = partition_start + partition_length
+def _partition_trace(s: Setting, _) -> Tuple[List[Row], Row]:
+    heal_cycle = s["partition_start"] + s["partition_length"]
     reachability = PartitionOutageModel.split(
-        size, boundary_fraction, partition_start, heal_cycle
+        s.size, s["boundary_fraction"], s["partition_start"], heal_cycle
     )
-    rng = RandomSource(scale.seed)
-    values = uniform_initial_values(size, rng.child("values"))
-    overlay = build_overlay(spec, size, rng.child("topology"))
-    simulator = make_simulator(
-        overlay=overlay,
-        function=AverageFunction(),
-        initial_values=values,
-        rng=rng.child("simulation"),
-        reachability=reachability,
+    values, overlay, simulator = _average_run(
+        s, _newscast_spec(s.size), reachability=reachability
     )
     boundary = reachability.boundary
-    true_mean = float(np.mean(values))
     rows = []
-    for cycle in range(1, cycles + 1):
+    for cycle in range(1, s.cycles + 1):
         simulator.run_cycle()
         active = reachability.is_active(cycle)
         components = effective_component_count(
@@ -1093,90 +639,257 @@ def partition_recovery(
                 "variance": float(np.var(states)),
             }
         )
-    return FigureResult(
-        figure_id="partition",
-        title="AVERAGE through a partition outage: overlay split and re-convergence",
-        rows=rows,
-        parameters={
-            "network_size": size,
-            "cycles": cycles,
-            "partition_window": f"[{partition_start}, {heal_cycle})",
-            "boundary": boundary,
-            "true_mean": true_mean,
-        },
-    )
+    return rows, {
+        "network_size": s.size,
+        "cycles": s.cycles,
+        "partition_window": f"[{s['partition_start']}, {heal_cycle})",
+        "boundary": boundary,
+        "true_mean": float(np.mean(values)),
+    }
 
 
 # ----------------------------------------------------------------------
-# Section 4.5 — cost analysis
+# Section 4.5 — distribution of exchanges per node per cycle vs the
+# 1 + Poisson(1) model, measured on the reference engine's contact counts.
 # ----------------------------------------------------------------------
-def cost_analysis(
-    scale: ExperimentScale = DEFAULT, cycles: int = 10, max_count: int = 8
-) -> FigureResult:
-    """Section 4.5: distribution of exchanges per node per cycle vs 1 + Poisson(1)."""
-    size = scale.network_size
-    degree = _effective_degree(size)
-    spec = TopologySpec("random", degree=degree)
-    rng = RandomSource(scale.seed)
-    values = uniform_initial_values(size, rng.child("values"))
-    overlay = build_overlay(spec, size, rng.child("topology"))
-    simulator = CycleSimulator(
-        overlay=overlay,
-        function=AverageFunction(),
-        initial_values=values,
-        rng=rng.child("simulation"),
+def _exchange_counts(s: Setting, _) -> Tuple[List[Row], Row]:
+    _, _, simulator = _average_run(
+        s, TopologySpec("random", degree=_effective_degree(s.size)), CycleSimulator
     )
     observed: Dict[int, int] = {}
     samples = 0
-    for _ in range(cycles):
+    for _ in range(s.cycles):
         simulator.run_cycle()
         for count in simulator.last_cycle_contact_counts.values():
             observed[count] = observed.get(count, 0) + 1
             samples += 1
-    rows = []
-    for count in range(0, max_count + 1):
-        rows.append(
-            {
-                "exchanges_per_cycle": count,
-                "observed_fraction": observed.get(count, 0) / samples if samples else 0.0,
-                "predicted_fraction": exchange_count_pmf(count),
-            }
-        )
+    rows = [
+        {
+            "exchanges_per_cycle": count,
+            "observed_fraction": observed.get(count, 0) / samples if samples else 0.0,
+            "predicted_fraction": exchange_count_pmf(count),
+        }
+        for count in range(0, s["max_count"] + 1)
+    ]
     mean_observed = (
         sum(count * frequency for count, frequency in observed.items()) / samples
         if samples
         else 0.0
     )
-    return FigureResult(
-        figure_id="cost",
-        title="Exchanges per node per cycle vs the 1 + Poisson(1) model",
-        rows=rows,
-        parameters={
-            "network_size": size,
-            "cycles": cycles,
-            "observed_mean": mean_observed,
-            "predicted_mean": 2.0,
-        },
+    return rows, {
+        "network_size": s.size,
+        "cycles": s.cycles,
+        "observed_mean": mean_observed,
+        "predicted_mean": 2.0,
+    }
+
+
+def _crashes_per_cycle(s: Setting) -> int:
+    """Figure 8(a)'s crash fraction of the network, in whole nodes per cycle."""
+    return max(1, int(round(s["crash_fraction_per_cycle"] * s.size)))
+
+
+#: Every reproduced figure, keyed by the paper's figure number — the
+#: registry used by the examples, the benchmarks and EXPERIMENTS.md.
+ALL_FIGURES: Dict[str, Figure] = {
+    figure.figure_id: figure
+    for figure in (
+        Figure(
+            "2", "AVERAGE protocol on the peak distribution (min/max estimates per cycle)",
+            paper="Figure 2", cycles=30,
+            plan=lambda s, _: _plan(
+                s,
+                peak_values_for_count(s.size, peak_value=float(s.size)),
+                TopologySpec("random", degree=_effective_degree(s.size)),
+            ),
+            reduce=_peak_rows,
+        ),
+        Figure(
+            "3a", "Convergence factor over 20 cycles vs network size, per topology",
+            paper="Figure 3(a)", cycles=20, points=_sizes_and_topologies,
+            plan=lambda s, point: _plan(s, uniform_initial_values, point[1], size=point[0]),
+            reduce=lambda s, point, traces: {
+                "topology": point[1].label(),
+                "network_size": point[0],
+                **_convergence(s, point, traces),
+                "theory_random": PUSH_PULL_CONVERGENCE_FACTOR,
+            },
+            parameters=lambda s, points: {
+                "sizes": list(dict.fromkeys(size for size, _ in points)),
+                "cycles": s.cycles,
+                "repeats": s.repeats,
+            },
+        ),
+        # Normalised variance vs cycle for every topology family; points
+        # are the topologies.
+        Figure(
+            "3b", "Variance reduction (normalised by initial variance) per cycle",
+            paper="Figure 3(b)", cycles=50,
+            points=lambda scale: _figure3_topologies(scale.network_size),
+            plan=lambda s, spec: _plan(s, uniform_initial_values, spec),
+            reduce=lambda s, spec, traces: [
+                {"topology": spec.label(), "cycle": cycle, "normalized_variance": value}
+                for cycle, value in enumerate(variance_reduction_curve(traces))
+            ],
+        ),
+        Figure(
+            "4a", "Convergence factor vs Watts-Strogatz rewiring probability",
+            paper="Figure 4(a)", cycles=20, points=_sweep(0.0, 1.0), axis=("beta", float),
+            plan=lambda s, beta: _plan(s, uniform_initial_values, TopologySpec(
+                "watts-strogatz", degree=_effective_degree(s.size), beta=beta
+            )),
+            reduce=_convergence,
+        ),
+        Figure(
+            "4b", "Convergence factor vs NEWSCAST cache size",
+            paper="Figure 4(b)", cycles=20, axis=("cache_size", int),
+            points=_sweep(2, lambda size: min(50, size - 1), integer=True),
+            plan=lambda s, cache: _plan(
+                s, uniform_initial_values, _newscast_spec(s.size, cache=cache)
+            ),
+            reduce=_convergence,
+        ),
+        # The variance of the mean needs several runs per point.
+        Figure(
+            "5", "Variance of the estimated mean after 20 cycles vs crash probability",
+            paper="Figure 5", cycles=20, points=_sweep(0.0, 0.3), min_repeats=10,
+            series=lambda size: [
+                ("complete", TopologySpec("complete")),
+                ("newscast", _newscast_spec(size)),
+            ],
+            plan=_crash_plan,
+            reduce=_crash_row,
+        ),
+        # Size reported by COUNT when a fraction of the nodes dies at
+        # cycle x; points are the crash cycles.
+        Figure(
+            "6a", "COUNT under sudden death of 50% of the nodes at a given cycle",
+            paper="Figure 6(a)", cycles=30, points=_sweep(1, 20, integer=True),
+            axis=("crash_cycle", int), constants={"fraction": 0.5},
+            plan=lambda s, crash_cycle: _count_plan(
+                s,
+                failure_factory=lambda: SuddenDeathModel(s["fraction"], at_cycle=crash_cycle),
+                collect=_count_size_estimate,
+            ),
+            reduce=_count_spread,
+        ),
+        # Size reported by COUNT under continuous node substitution: at
+        # every cycle a fixed number of nodes crash and the same number of
+        # brand-new nodes join (but do not participate in the running
+        # epoch).  The paper sweeps 0-2500 substitutions per cycle at
+        # N = 10^5, i.e. up to 2.5% of the network per cycle, the range
+        # reproduced here.
+        Figure(
+            "6b", "COUNT in a constant-size network with continuous churn",
+            paper="Figure 6(b)", cycles=30, axis=("substitutions_per_cycle", int),
+            points=_sweep(0, lambda size: max(1, int(round(0.025 * size))), integer=True),
+            plan=lambda s, rate: _count_plan(
+                s,
+                failure_factory=(lambda: ChurnModel(rate)) if rate > 0 else None,
+                collect=_count_size_estimate,
+            ),
+            reduce=_count_spread,
+        ),
+        Figure(
+            "7a", "Convergence factor of COUNT vs link failure probability",
+            paper="Figure 7(a)", cycles=20, points=_sweep(0.0, 0.9),
+            axis=("link_failure_probability", float),
+            plan=lambda s, probability: _count_plan(
+                s, transport=TransportModel(link_failure_probability=probability)
+            ),
+            reduce=lambda s, probability, traces: {
+                **_convergence(s, probability, traces),
+                "theoretical_upper_bound": link_failure_convergence_bound(probability),
+            },
+        ),
+        # Min/max size reported by COUNT vs the fraction of lost messages.
+        Figure(
+            "7b", "Min/max size estimated by COUNT vs fraction of messages lost",
+            paper="Figure 7(b)", cycles=30, points=_sweep(0.0, 0.5),
+            axis=("message_loss_fraction", float),
+            plan=lambda s, fraction: _count_plan(
+                s,
+                transport=TransportModel(message_loss_probability=fraction),
+                collect=_count_node_size_extremes,
+            ),
+            reduce=_envelope,
+        ),
+        # Multi-instance COUNT (trimmed mean of t instances) under
+        # per-cycle crashes: the paper crashes 1000 of 10^5 nodes per
+        # cycle (1%); the same fraction of the scaled network is used here.
+        Figure(
+            "8a", "Multi-instance COUNT (trimmed mean) under per-cycle crashes",
+            paper="Figure 8(a)", cycles=30, points=_sweep(1, 50, integer=True),
+            axis=("instances", int), constants={"crash_fraction_per_cycle": 0.01},
+            plan=lambda s, count: _instances_plan(
+                s, count, _instance_size_extremes,
+                failure_factory=lambda: CountCrashModel(_crashes_per_cycle(s)),
+            ),
+            reduce=_envelope,
+            parameters=lambda s, points: {
+                "network_size": s.size, "cycles": s.cycles, "repeats": s.repeats,
+                "crashes_per_cycle": _crashes_per_cycle(s),
+            },
+        ),
+        # Multi-instance COUNT with 20% of the messages lost.
+        Figure(
+            "8b", "Multi-instance COUNT (trimmed mean) with message loss",
+            paper="Figure 8(b)", cycles=30, points=_sweep(1, 50, integer=True),
+            axis=("instances", int), constants={"message_loss": 0.2},
+            plan=lambda s, count: _instances_plan(
+                s, count, _instance_size_extremes,
+                transport=TransportModel(message_loss_probability=s["message_loss"]),
+            ),
+            reduce=_envelope,
+            parameters=lambda s, points: {
+                "network_size": s.size, "cycles": s.cycles, "repeats": s.repeats,
+                "message_loss": s["message_loss"],
+            },
+        ),
+        Figure(
+            "adaptive",
+            "Adaptive multi-epoch COUNT under churn and message loss (practical protocol)",
+            paper="Sections 4.1/4.3/5 with the technique of Section 7.3", cycles=30,
+            points=lambda scale: range(10), body=_adaptive_epochs,
+            constants={
+                "concurrent_target": 20.0,
+                "churn_fraction_per_cycle": 0.005,
+                "message_loss": 0.05,
+                "initial_estimate_factor": 0.25,
+            },
+        ),
+        Figure(
+            "adaptive-async",
+            "Adaptive COUNT on the asynchronous engine (drift + loss + timeouts)",
+            paper="Sections 4.1-4.3 on an asynchronous network", cycles=25,
+            points=lambda scale: range(6), body=_async_adaptive_epochs,
+            constants={
+                "concurrent_target": 20.0,
+                "scenario": LAN.with_overrides(
+                    name="adaptive-async", clock_drift=0.01, message_loss=0.05
+                ),
+                "initial_estimate_factor": 0.25,
+            },
+        ),
+        Figure(
+            "byzantine",
+            "COUNT error of honest nodes vs byzantine reporter fraction, per reducer",
+            paper="Section 7.3's instances against byzantine reporters (extension)",
+            cycles=30, points=_sweep(0.0, 0.2), axis=("byzantine_fraction", float),
+            constants={"instances": 16, "attacked_instance_fraction": 0.4},
+            plan=_byzantine_plan,
+            reduce=_mean_errors,
+        ),
+        Figure(
+            "partition",
+            "AVERAGE through a partition outage: overlay split and re-convergence",
+            paper="correlated failures: a partition outage (extension)", cycles=30,
+            body=_partition_trace,
+            constants={"partition_start": 5, "partition_length": 5, "boundary_fraction": 0.5},
+        ),
+        Figure(
+            "cost", "Exchanges per node per cycle vs the 1 + Poisson(1) model",
+            paper="Section 4.5", cycles=10, body=_exchange_counts, constants={"max_count": 8},
+        ),
     )
-
-
-#: Registry used by the examples and by EXPERIMENTS.md generation.
-ALL_FIGURES = {
-    "2": figure2_average_peak,
-    "3a": figure3a_convergence_vs_size,
-    "3b": figure3b_variance_reduction,
-    "4a": figure4a_watts_strogatz_beta,
-    "4b": figure4b_newscast_cache_size,
-    "5": figure5_crash_variance,
-    "6a": figure6a_sudden_death,
-    "6b": figure6b_churn,
-    "7a": figure7a_link_failures,
-    "7b": figure7b_message_loss,
-    "8a": figure8a_instances_under_churn,
-    "8b": figure8b_instances_under_loss,
-    "adaptive": adaptive_count_epochs,
-    "adaptive-async": async_adaptive_count,
-    "byzantine": byzantine_degradation,
-    "partition": partition_recovery,
-    "cost": cost_analysis,
 }

@@ -1,11 +1,13 @@
 """Plumbing shared by every figure reproduction.
 
-The figure functions all follow the same pattern: for a sweep of parameter
-values, repeat a scenario several times with independent seeds, run the
-cycle simulator, and extract a statistic.  This module centralises the
-repetitive parts (building overlays, seeding runs, generating value
-distributions) so each figure reads as a declarative description of the
-paper's experiment.
+Every figure of :mod:`repro.experiments.figures` is a record in one table,
+run by one sweep loop: per swept point, a :class:`RunPlan` states what one
+repetition does and :func:`repeat_simulations` runs the repetitions with
+independent seeds, whose results the figure reduces to rows.  This module
+holds the repetitive parts — plans, repeat helpers, seeding, value
+distributions, and the one-run helpers of the practical protocol — so a
+figure record reads as a declarative description of the paper's
+experiment.
 
 Eligible configurations run on the one stacked array engine
 (:mod:`repro.simulator.replicated`): a single run through
@@ -445,7 +447,7 @@ class RunPlan:
                 self.size, self.topology.degree, rngs
             )
             return [block.view(replica) for replica in range(len(rngs))]
-        if kind in ("regular", "ring-lattice", "watts-strogatz", "scale-free"):
+        if kind in ("ring-lattice", "watts-strogatz", "scale-free"):
             # Build each graph once, copy its rows into the block and
             # release it, so peak memory holds one standalone overlay
             # (and its generator's scratch) plus the block — not R.

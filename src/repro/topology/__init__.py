@@ -21,7 +21,7 @@ from .partitions import (
     effective_components,
     overlay_is_split,
 )
-from .random_regular import random_k_out_topology, random_regular_topology
+from .random_regular import random_k_out_topology
 from .replicated import (
     ReplicatedStaticBlock,
     StaticBlockView,
@@ -37,7 +37,6 @@ __all__ = [
     "CompleteOverlay",
     "complete_topology",
     "random_k_out_topology",
-    "random_regular_topology",
     "ReplicatedStaticBlock",
     "StaticBlockView",
     "draw_k_out_peers",

@@ -5,7 +5,7 @@ Two families of overlays implement the
 here, its established import path):
 
 * :class:`StaticTopology` — a fixed graph.  The concrete generators in
-  this package (random regular, complete, ring lattice, Watts–Strogatz,
+  this package (random k-out, complete, ring lattice, Watts–Strogatz,
   Barabási–Albert) all build instances of this class.  It keeps no
   Python containers: it is the one-replica view of a
   :class:`~repro.topology.replicated.ReplicatedStaticBlock`, the padded

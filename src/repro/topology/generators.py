@@ -14,7 +14,7 @@ from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
 from .base import OverlayProvider
 from .complete import complete_topology
-from .random_regular import random_k_out_topology, random_regular_topology
+from .random_regular import random_k_out_topology
 from .ring_lattice import ring_lattice_topology
 from .scale_free import barabasi_albert_topology
 from .watts_strogatz import watts_strogatz_topology
@@ -25,7 +25,6 @@ __all__ = ["TopologySpec", "build_overlay", "TOPOLOGY_KINDS"]
 #: :mod:`repro.newscast` because it is a protocol, not a static graph).
 TOPOLOGY_KINDS = (
     "random",
-    "regular",
     "complete",
     "ring-lattice",
     "watts-strogatz",
@@ -117,8 +116,6 @@ def build_overlay(spec: TopologySpec, size: int, rng: RandomSource) -> OverlayPr
     kind = spec.kind.lower()
     if kind == "random":
         return random_k_out_topology(size, spec.degree, rng)
-    if kind == "regular":
-        return random_regular_topology(size, spec.degree, rng)
     if kind == "complete":
         return complete_topology(size, **spec.params)
     if kind == "ring-lattice":

@@ -92,6 +92,12 @@ def sample_distinct_peers(
     over the ``size - 1`` other identifiers, duplicate slots redrawn
     until every row is distinct, then the skip-self shift.  Rows come
     back sorted ascending (per row) in ``(size, fill)`` int64 form.
+
+    When ``fill`` is close to ``size - 1`` the redraws keep colliding;
+    rows still holding a duplicate after 64 passes are completed exactly
+    from a per-row permutation of the other identifiers.  That fallback
+    draws only after the passes run out, so every draw the passes finish
+    consumes the generator exactly as before.
     """
     draws = generator.integers(0, size - 1, size=(size, fill), dtype=np.int64)
     draws.sort(axis=1)
@@ -103,8 +109,11 @@ def sample_distinct_peers(
             break
         draws[duplicate] = generator.integers(0, size - 1, size=count, dtype=np.int64)
         draws.sort(axis=1)
-    else:  # pragma: no cover - astronomically unlikely for fill << size
-        raise TopologyError("peer sampling failed to produce distinct draws")
+    else:
+        stuck = np.flatnonzero((draws[:, 1:] == draws[:, :-1]).any(axis=1))
+        if stuck.size:
+            others = np.broadcast_to(np.arange(size - 1, dtype=np.int64), (stuck.size, size - 1))
+            draws[stuck] = np.sort(generator.permuted(others, axis=1)[:, :fill], axis=1)
     rows = np.arange(size, dtype=np.int64)[:, None]
     draws[draws >= rows] += 1
     return draws

@@ -18,7 +18,7 @@ from repro.common.rng import RandomSource
 from repro.core.functions import AverageFunction, VectorFunction
 from repro.core.instances import MultiInstanceCount, reduce_size_estimates
 from repro.experiments.config import ExperimentScale
-from repro.experiments.figures import byzantine_degradation, partition_recovery
+from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.runner import (
     RunPlan,
     TimeVaryingValues,
@@ -605,9 +605,15 @@ class TestValueGenerators:
 TINY = ExperimentScale(name="tiny", network_size=80, repeats=2, sweep_points=3)
 
 
+def partition_window(figure):
+    """The ``[start, heal)`` cycle window the partition figure reports."""
+    start, heal = figure.parameters["partition_window"].strip("[)").split(",")
+    return int(start), int(heal)
+
+
 class TestRobustnessFigures:
     def test_byzantine_degradation_orders_reducers(self):
-        figure = byzantine_degradation(TINY, cycles=15, instance_count=12)
+        figure = ALL_FIGURES["byzantine"](TINY, cycles=15)
         fractions = figure.column("byzantine_fraction")
         assert fractions[0] == 0.0 and fractions[-1] == pytest.approx(0.2)
         for row in figure.rows:
@@ -619,20 +625,17 @@ class TestRobustnessFigures:
                 assert row["median_error"] <= row["trimmed_error"]
 
     def test_partition_recovery_splits_and_heals(self):
-        figure = partition_recovery(
-            TINY, cycles=18, partition_start=3, partition_length=4
-        )
+        figure = ALL_FIGURES["partition"](TINY, cycles=20)
+        start, heal = partition_window(figure)
         by_cycle = {row["cycle"]: row for row in figure.rows}
-        assert by_cycle[4]["partition_active"]
-        assert by_cycle[4]["components"] >= 2
-        assert not by_cycle[10]["partition_active"]
-        assert by_cycle[18]["components"] == 1
-        assert by_cycle[18]["side_gap"] < 0.1
-        assert by_cycle[18]["variance"] < by_cycle[2]["variance"]
+        assert by_cycle[start + 1]["partition_active"]
+        assert by_cycle[start + 1]["components"] >= 2
+        assert not by_cycle[heal]["partition_active"]
+        assert by_cycle[20]["components"] == 1
+        assert by_cycle[20]["side_gap"] < 0.1
+        assert by_cycle[20]["variance"] < by_cycle[start - 1]["variance"]
 
     def test_figures_registered(self):
-        from repro.experiments.figures import ALL_FIGURES
-
         assert "byzantine" in ALL_FIGURES and "partition" in ALL_FIGURES
 
     def test_plan_reachability_replicated_matches_serial(self):

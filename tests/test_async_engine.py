@@ -532,12 +532,12 @@ class TestAsyncScaleAcceptance:
         reducer is strictly more robust than a single instance, and stays
         accurate across the whole sweep."""
         from repro.experiments.config import ExperimentScale
-        from repro.experiments.figures import byzantine_degradation
+        from repro.experiments.figures import ALL_FIGURES
 
         scale = ExperimentScale(
             name="byz-acceptance", network_size=10_000, repeats=3, sweep_points=5
         )
-        figure = byzantine_degradation(scale, cycles=30)
+        figure = ALL_FIGURES["byzantine"](scale, cycles=30)
         fractions = figure.column("byzantine_fraction")
         assert fractions[0] == 0.0 and fractions[-1] == pytest.approx(0.2)
         for row in figure.rows:
@@ -550,17 +550,20 @@ class TestAsyncScaleAcceptance:
         during the outage and re-converges within bounded cycles after
         the heal."""
         from repro.experiments.config import ExperimentScale
-        from repro.experiments.figures import partition_recovery
+        from repro.experiments.figures import ALL_FIGURES
 
         scale = ExperimentScale(
             name="partition-acceptance", network_size=10_000, repeats=1, sweep_points=3
         )
-        figure = partition_recovery(
-            scale, cycles=28, partition_start=5, partition_length=6
+        figure = ALL_FIGURES["partition"](scale, cycles=28)
+        start, heal = (
+            int(cycle)
+            for cycle in figure.parameters["partition_window"].strip("[)").split(",")
         )
         by_cycle = {row["cycle"]: row for row in figure.rows}
-        assert by_cycle[8]["partition_active"] and by_cycle[8]["components"] >= 2
-        assert not by_cycle[12]["partition_active"]
+        middle = (start + heal) // 2
+        assert by_cycle[middle]["partition_active"] and by_cycle[middle]["components"] >= 2
+        assert not by_cycle[heal + 1]["partition_active"]
         assert by_cycle[28]["components"] == 1
         assert by_cycle[28]["side_gap"] < 0.05
         assert by_cycle[28]["variance"] < 1e-4 * by_cycle[1]["variance"]

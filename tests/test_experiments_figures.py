@@ -1,33 +1,21 @@
-"""Smoke-scale tests of the per-figure experiment reproductions.
+"""Smoke-scale tests of the figure table.
 
-These run every figure function at a very small scale and check the
-structural properties and qualitative shapes that must hold regardless of
-network size (who wins, what is monotone, what stays near the truth).
+These run every figure at a very small scale and check the structural
+properties and qualitative shapes that must hold regardless of network
+size (who wins, what is monotone, what stays near the truth), plus
+golden digests of every figure's rows.
 """
 
-import math
+import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from repro.analysis.theory import PUSH_PULL_CONVERGENCE_FACTOR
+from repro.common.errors import ConfigurationError
 from repro.experiments.config import ExperimentScale
-from repro.experiments.figures import (
-    ALL_FIGURES,
-    cost_analysis,
-    figure2_average_peak,
-    figure3a_convergence_vs_size,
-    figure3b_variance_reduction,
-    figure4a_watts_strogatz_beta,
-    figure4b_newscast_cache_size,
-    figure5_crash_variance,
-    figure6a_sudden_death,
-    figure6b_churn,
-    figure7a_link_failures,
-    figure7b_message_loss,
-    figure8a_instances_under_churn,
-    figure8b_instances_under_loss,
-    standard_topologies,
-)
+from repro.experiments.figures import ALL_FIGURES, standard_topologies
 from repro.newscast import NewscastOverlay
 from repro.simulator.cycle_sim import CycleSimulator
 from repro.topology import TopologySpec
@@ -51,15 +39,88 @@ class TestRegistryAndHelpers:
         assert "scale-free" in labels
 
     def test_render_produces_text(self):
-        result = figure2_average_peak(TINY, cycles=5)
+        result = ALL_FIGURES["2"](TINY, cycles=5)
         text = result.render()
         assert "Figure 2" in text
         assert "cycle" in text
 
+    @pytest.mark.parametrize("figure_id", ["2", "partition", "cost"])
+    def test_figures_without_a_swept_axis_reject_points(self, figure_id):
+        with pytest.raises(ConfigurationError, match="no swept axis"):
+            ALL_FIGURES[figure_id](TINY, points=[1])
+
+    def test_constants_are_reported_in_the_parameters(self):
+        result = ALL_FIGURES["6a"](TINY, points=[18], cycles=20)
+        assert result.parameters == {
+            "network_size": TINY.network_size, "cycles": 20, "fraction": 0.5,
+            "repeats": TINY.repeats,
+        }
+        assert result.column("crash_cycle") == [18]
+
+    def test_every_figure_names_its_place_in_the_paper(self):
+        for figure_id, figure in ALL_FIGURES.items():
+            assert figure.figure_id == figure_id
+            assert figure.paper and figure.title
+
+
+class TestTinyNetworks:
+    """Every figure must run where the paper's 20-neighbour views cannot fit."""
+
+    @pytest.mark.parametrize("size", [5, 17, 21])
+    @pytest.mark.parametrize("figure_id", sorted(ALL_FIGURES))
+    def test_every_figure_runs(self, figure_id, size):
+        scale = ExperimentScale(name="tiny", network_size=size, repeats=1, sweep_points=2)
+        assert ALL_FIGURES[figure_id](scale).rows
+
+
+def rows_digest(rows):
+    """sha256 of the rows, floats at 10 significant digits (platform-stable)."""
+    def cell(value):
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".10g")
+        return str(value)
+
+    flat = [[column, cell(value)] for row in rows for column, value in row.items()]
+    return hashlib.sha256(json.dumps(flat).encode()).hexdigest()
+
+
+#: Rows of every figure at N=60, one repeat, two sweep points, seed 2004.
+GOLDEN_ROWS = {
+    "2": "2108b745167373b173ef096982fe5e8905f8b9272d860669432885377f14a9ce",
+    "3a": "cbf87d2b920da3eff4efaaf6f5c089d816bb27800c2bbb450733d780aa9cdaa0",
+    "3b": "43eb614f7dfe83ac7f8cd66a293e22fc2abc190aee491aefc8906a28fbd6ebaa",
+    "4a": "9cd9a6e4eac457625fb7de32122513b8ee4754d796dc10a6730b672c9fd2826e",
+    "4b": "4527c09fc3514550f4c90e97896c612cf79f67c37aeb4e81307a3685bad792e7",
+    "5": "5dadcf42359981b7576ce1c4b7dee548a260b660896095581441667ab0546874",
+    "6a": "327e836abe64b54a7074539b14f3e0ac5d5dabf29a4268bbc9b43381dcc4fc6d",
+    "6b": "54fe00bd2db082ef3d4badd6f285f46bf8757a617dc0b482e1d4321d2a0b62ee",
+    "7a": "7ee74bd94fd48550a1d734aae0e675a005ca7bac1aa32b00f2f0faf686b0b481",
+    "7b": "81886f6c55767ef6a773bf9151e30baad0dcdb72aba9f2f9308b5c0ccf045af4",
+    "8a": "29cc93e2518b497474c2486844672eb270a5a4db6c79c1ecb727c10b1e2d7211",
+    "8b": "51dfc98141a8a6135def397d4ccd256026cabd9eab7806bfd4bd16b7d306abc1",
+    "adaptive": "26cb5a00d01dbca2d1986860047ad5967a5cea4a426e6806b56680f0002c4800",
+    "adaptive-async": "4b82a39745f915117a93935793165b7a2632c867af6cfd6144e170de2eeee7e5",
+    "byzantine": "2f46f58c89c69c10c0ba15bed12c6b7689a2bdcc868c63063150cc29eae46ecb",
+    "partition": "9adc36145e87fb709ca4f7e0db6d8c06a730ad8ea215000f8f4db47a116ec5db",
+    "cost": "3571dcea258d082f95f28015b4cd7e5c6780b58b5efed225c76cb299d66bef36",
+}
+
+
+class TestGoldenRows:
+    def test_every_figure_has_a_golden_digest(self):
+        assert set(GOLDEN_ROWS) == set(ALL_FIGURES)
+
+    @pytest.mark.parametrize("figure_id", sorted(GOLDEN_ROWS))
+    def test_rows_match_the_golden_digest(self, figure_id):
+        scale = ExperimentScale(
+            name="golden", network_size=60, repeats=1, sweep_points=2, seed=2004
+        )
+        assert rows_digest(ALL_FIGURES[figure_id](scale).rows) == GOLDEN_ROWS[figure_id]
+
 
 class TestFigure2:
     def test_min_and_max_converge_towards_true_average(self):
-        result = figure2_average_peak(TINY, cycles=25)
+        result = ALL_FIGURES["2"](TINY, cycles=25)
         first, last = result.rows[0], result.rows[-1]
         assert first["min_estimate"] == 0.0
         assert first["max_estimate"] == pytest.approx(TINY.network_size)
@@ -67,7 +128,7 @@ class TestFigure2:
         assert last["max_estimate"] == pytest.approx(1.0, rel=0.05)
 
     def test_row_per_cycle(self):
-        result = figure2_average_peak(TINY, cycles=10)
+        result = ALL_FIGURES["2"](TINY, cycles=10)
         assert len(result.rows) == 11
         assert result.column("cycle") == list(range(11))
 
@@ -78,26 +139,22 @@ class TestFigure3:
             TopologySpec("random", degree=10),
             TopologySpec("watts-strogatz", degree=10, beta=0.0),
         ]
-        result = figure3a_convergence_vs_size(
-            TINY, sizes=[150], cycles=15, topologies=topologies
+        result = ALL_FIGURES["3a"](
+            TINY, points=[(150, spec) for spec in topologies], cycles=15
         )
         by_topology = {row["topology"]: row["convergence_factor"] for row in result.rows}
         assert by_topology["random"] == pytest.approx(PUSH_PULL_CONVERGENCE_FACTOR, abs=0.06)
         assert by_topology["W-S (beta=0.00)"] > by_topology["random"] + 0.15
 
     def test_convergence_factor_roughly_size_independent(self):
-        result = figure3a_convergence_vs_size(
-            TINY,
-            sizes=[80, 240],
-            cycles=15,
-            topologies=[TopologySpec("random", degree=10)],
-        )
+        random = TopologySpec("random", degree=10)
+        result = ALL_FIGURES["3a"](TINY, points=[(80, random), (240, random)], cycles=15)
         factors = result.column("convergence_factor")
         assert abs(factors[0] - factors[1]) < 0.06
 
     def test_figure3b_curves_decrease(self):
-        result = figure3b_variance_reduction(
-            TINY, cycles=15, topologies=[TopologySpec("random", degree=10)]
+        result = ALL_FIGURES["3b"](
+            TINY, points=[TopologySpec("random", degree=10)], cycles=15
         )
         values = [row["normalized_variance"] for row in result.rows]
         assert values[0] == 1.0
@@ -106,12 +163,12 @@ class TestFigure3:
 
 class TestFigure4:
     def test_more_rewiring_improves_convergence(self):
-        result = figure4a_watts_strogatz_beta(TINY, betas=[0.0, 1.0], cycles=15)
+        result = ALL_FIGURES["4a"](TINY, points=[0.0, 1.0], cycles=15)
         by_beta = {row["beta"]: row["convergence_factor"] for row in result.rows}
         assert by_beta[1.0] < by_beta[0.0] - 0.1
 
     def test_larger_cache_not_worse(self):
-        result = figure4b_newscast_cache_size(TINY, cache_sizes=[2, 30], cycles=15)
+        result = ALL_FIGURES["4b"](TINY, points=[2, 30], cycles=15)
         by_cache = {row["cache_size"]: row["convergence_factor"] for row in result.rows}
         assert by_cache[30] <= by_cache[2] + 0.02
         assert by_cache[30] == pytest.approx(PUSH_PULL_CONVERGENCE_FACTOR, abs=0.08)
@@ -120,7 +177,7 @@ class TestFigure4:
 class TestFigure5:
     def test_measured_variance_grows_with_crash_probability(self):
         scale = TINY.with_overrides(network_size=400, repeats=12)
-        result = figure5_crash_variance(scale, crash_probabilities=[0.0, 0.3], cycles=12)
+        result = ALL_FIGURES["5"](scale, points=[0.0, 0.3], cycles=12)
         complete_rows = [row for row in result.rows if row["topology"] == "complete"]
         by_pf = {row["crash_probability"]: row for row in complete_rows}
         assert by_pf[0.0]["measured_normalized_variance"] == 0.0
@@ -129,7 +186,7 @@ class TestFigure5:
 
     def test_measured_within_order_of_magnitude_of_theory(self):
         scale = TINY.with_overrides(network_size=500, repeats=20)
-        result = figure5_crash_variance(scale, crash_probabilities=[0.2], cycles=12)
+        result = ALL_FIGURES["5"](scale, points=[0.2], cycles=12)
         for row in result.rows:
             if row["crash_probability"] == 0.0:
                 continue
@@ -139,7 +196,7 @@ class TestFigure5:
 
 class TestFigure6:
     def test_late_crashes_hurt_less_than_early_ones(self):
-        result = figure6a_sudden_death(TINY, crash_cycles=[2, 18], cycles=25)
+        result = ALL_FIGURES["6a"](TINY, points=[2, 18], cycles=25)
         by_cycle = {row["crash_cycle"]: row for row in result.rows}
         error_early = abs(by_cycle[2]["mean_estimated_size"] - TINY.network_size)
         error_late = abs(by_cycle[18]["mean_estimated_size"] - TINY.network_size)
@@ -149,12 +206,12 @@ class TestFigure6:
     def test_churn_estimates_stay_in_reasonable_range(self):
         scale = TINY.with_overrides(network_size=200, repeats=3)
         rate = max(1, int(0.01 * scale.network_size))
-        result = figure6b_churn(scale, substitution_rates=[0, rate], cycles=25)
+        result = ALL_FIGURES["6b"](scale, points=[0, rate], cycles=25)
         for row in result.rows:
             assert row["mean_estimated_size"] == pytest.approx(scale.network_size, rel=0.5)
 
     def test_no_churn_is_accurate(self):
-        result = figure6b_churn(TINY, substitution_rates=[0], cycles=25)
+        result = ALL_FIGURES["6b"](TINY, points=[0], cycles=25)
         assert result.rows[0]["mean_estimated_size"] == pytest.approx(
             TINY.network_size, rel=0.02
         )
@@ -162,7 +219,7 @@ class TestFigure6:
 
 class TestFigure7:
     def test_link_failures_slow_convergence_and_respect_bound(self):
-        result = figure7a_link_failures(TINY, link_failure_probabilities=[0.0, 0.6], cycles=15)
+        result = ALL_FIGURES["7a"](TINY, points=[0.0, 0.6], cycles=15)
         by_pd = {row["link_failure_probability"]: row for row in result.rows}
         assert by_pd[0.6]["convergence_factor"] > by_pd[0.0]["convergence_factor"]
         # The bound must hold (with a small tolerance for noise).
@@ -170,7 +227,7 @@ class TestFigure7:
         assert row["convergence_factor"] <= row["theoretical_upper_bound"] + 0.1
 
     def test_message_loss_widens_the_estimate_spread(self):
-        result = figure7b_message_loss(TINY, loss_fractions=[0.0, 0.4], cycles=25)
+        result = ALL_FIGURES["7b"](TINY, points=[0.0, 0.4], cycles=25)
         by_loss = {row["message_loss_fraction"]: row for row in result.rows}
         spread_clean = by_loss[0.0]["mean_max_size"] - by_loss[0.0]["mean_min_size"]
         spread_lossy = by_loss[0.4]["worst_max_size"] - by_loss[0.4]["worst_min_size"]
@@ -181,9 +238,7 @@ class TestFigure7:
 class TestFigure8:
     def test_more_instances_tighten_the_estimate_under_churn(self):
         scale = TINY.with_overrides(network_size=200, repeats=3)
-        result = figure8a_instances_under_churn(
-            scale, instance_counts=[1, 20], cycles=25, crash_fraction_per_cycle=0.01
-        )
+        result = ALL_FIGURES["8a"](scale, points=[1, 20], cycles=25)
         by_count = {row["instances"]: row for row in result.rows}
         spread_one = by_count[1]["worst_max_size"] - by_count[1]["worst_min_size"]
         spread_many = by_count[20]["worst_max_size"] - by_count[20]["worst_min_size"]
@@ -192,9 +247,7 @@ class TestFigure8:
 
     def test_more_instances_help_under_message_loss(self):
         scale = TINY.with_overrides(network_size=200, repeats=3)
-        result = figure8b_instances_under_loss(
-            scale, instance_counts=[1, 20], cycles=25, message_loss=0.2
-        )
+        result = ALL_FIGURES["8b"](scale, points=[1, 20], cycles=25)
         by_count = {row["instances"]: row for row in result.rows}
         error_one = max(
             abs(by_count[1]["worst_max_size"] - scale.network_size),
@@ -209,10 +262,8 @@ class TestFigure8:
 
 class TestAsyncAdaptiveFigure:
     def test_feedback_corrects_wrong_estimate_asynchronously(self):
-        from repro.experiments.figures import async_adaptive_count
-
         scale = TINY.with_overrides(network_size=200, repeats=2)
-        result = async_adaptive_count(scale, epochs=3, cycles_per_epoch=20)
+        result = ALL_FIGURES["adaptive-async"](scale, points=range(3), cycles=20)
         assert result.figure_id == "adaptive-async"
         assert len(result.rows) == 3
         truth = scale.network_size
@@ -227,7 +278,7 @@ class TestAsyncAdaptiveFigure:
 
 class TestCostAnalysis:
     def test_observed_distribution_matches_poisson_model(self):
-        result = cost_analysis(TINY, cycles=8)
+        result = ALL_FIGURES["cost"](TINY, cycles=8)
         assert result.parameters["observed_mean"] == pytest.approx(2.0, abs=0.05)
         for row in result.rows:
             if row["exchanges_per_cycle"] in (1, 2, 3):
@@ -236,7 +287,7 @@ class TestCostAnalysis:
                 )
 
     def test_no_node_sits_out_a_cycle(self):
-        result = cost_analysis(TINY, cycles=5)
+        result = ALL_FIGURES["cost"](TINY, cycles=5)
         zero_row = [row for row in result.rows if row["exchanges_per_cycle"] == 0][0]
         assert zero_row["observed_fraction"] == 0.0
 

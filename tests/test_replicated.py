@@ -10,6 +10,7 @@ churn} grid, plus a hypothesis property that the plan-based
 ``repeat_traces`` fast path reproduces the serial output list-for-list.
 """
 
+import hashlib
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -341,6 +342,26 @@ class TestReplicatedStaticBlock:
         for node, row in enumerate(peers):
             assert len(set(row.tolist())) == 7
             assert node not in row
+
+    def test_draw_k_out_peers_with_every_other_node(self):
+        # degree == size - 1: the redraw passes can never finish, so the
+        # sampler completes the stuck rows exactly.
+        peers = draw_k_out_peers(60, 59, RandomSource(0))
+        for node, row in enumerate(peers):
+            assert row.tolist() == [peer for peer in range(60) if peer != node]
+
+    def test_draw_k_out_peers_near_complete_rows_are_distinct(self):
+        peers = draw_k_out_peers(21, 18, RandomSource(16))
+        for node, row in enumerate(peers):
+            assert len(set(row.tolist())) == 18
+            assert node not in row
+
+    def test_draw_k_out_peers_stream_is_pinned(self):
+        peers = draw_k_out_peers(400, 20, RandomSource(2004))
+        assert peers.dtype == np.int64
+        assert hashlib.sha256(peers.tobytes()).hexdigest() == (
+            "c046862792506758e558b8d03678fc43e14cfeb73a59a2f6d1ba194f346d6979"
+        )
 
     def test_isolated_last_csr_row_draws_no_peer(self):
         # Regression: an isolated node owning the LAST CSR row made

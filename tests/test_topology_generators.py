@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError, TopologyError
+from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomSource
 from repro.topology import (
     TOPOLOGY_KINDS,
@@ -13,7 +13,6 @@ from repro.topology import (
     complete_topology,
     compute_graph_statistics,
     random_k_out_topology,
-    random_regular_topology,
     ring_lattice_topology,
     watts_strogatz_topology,
 )
@@ -43,18 +42,6 @@ class TestRandomKOut:
         a = random_k_out_topology(40, 4, RandomSource(5))
         b = random_k_out_topology(40, 4, RandomSource(5))
         assert sorted(a.edges()) == sorted(b.edges())
-
-
-class TestRandomRegular:
-    def test_exact_degree(self, rng):
-        topology = random_regular_topology(60, 6, rng)
-        degrees = topology.degree_sequence()
-        assert max(degrees) == 6
-        assert min(degrees) >= 5  # greedy fallback may leave a tiny deficit
-
-    def test_odd_product_rejected(self, rng):
-        with pytest.raises(TopologyError):
-            random_regular_topology(5, 3, rng)
 
 
 class TestRingLattice:
@@ -152,7 +139,7 @@ class TestCompleteOverlay:
 
 
 class TestFactory:
-    @pytest.mark.parametrize("kind", ["random", "regular", "ring-lattice", "watts-strogatz", "scale-free"])
+    @pytest.mark.parametrize("kind", ["random", "ring-lattice", "watts-strogatz", "scale-free"])
     def test_builds_static_kinds(self, kind, rng):
         spec = TopologySpec(kind, degree=4, beta=0.2)
         overlay = build_overlay(spec, 40, rng)
@@ -209,6 +196,12 @@ class TestFactory:
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             build_overlay(TopologySpec("hypercube"), 16, rng)
+
+    def test_retired_regular_kind_rejected_naming_the_accepted_kinds(self, rng):
+        with pytest.raises(ConfigurationError, match="unknown topology kind 'regular'") as error:
+            build_overlay(TopologySpec("regular", degree=4), 16, rng)
+        for kind in TOPOLOGY_KINDS:
+            assert repr(kind) in str(error.value)
 
     def test_all_declared_kinds_buildable(self, rng):
         for kind in TOPOLOGY_KINDS:
