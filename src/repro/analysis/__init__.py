@@ -1,17 +1,14 @@
 """Theory, empirical convergence measures and robust statistics."""
 
 from .convergence import (
-    ConvergenceSummary,
     mean_convergence_factor,
     normalized_mean_variance,
-    summarize_convergence,
     variance_reduction_curve,
 )
 from .statistics import (
     finite_mean,
     median,
     relative_error,
-    summary_quantiles,
     trimmed_mean,
 )
 from .theory import (
@@ -39,11 +36,8 @@ __all__ = [
     "mean_convergence_factor",
     "variance_reduction_curve",
     "normalized_mean_variance",
-    "summarize_convergence",
-    "ConvergenceSummary",
     "trimmed_mean",
     "median",
     "finite_mean",
     "relative_error",
-    "summary_quantiles",
 ]

@@ -11,7 +11,6 @@ estimated mean across runs relative to the initial variance (Figure 5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -23,8 +22,6 @@ __all__ = [
     "mean_convergence_factor",
     "variance_reduction_curve",
     "normalized_mean_variance",
-    "ConvergenceSummary",
-    "summarize_convergence",
 ]
 
 
@@ -91,53 +88,3 @@ def normalized_mean_variance(
     if expected_initial <= 0.0:
         raise ExperimentError("initial variance is zero; nothing to normalise by")
     return float(np.var(finite_means, ddof=1)) / expected_initial
-
-
-@dataclass(frozen=True)
-class ConvergenceSummary:
-    """Aggregated convergence behaviour of one experimental configuration."""
-
-    runs: int
-    cycles: int
-    convergence_factor: float
-    convergence_factor_std: float
-    final_variance_reduction: float
-    final_mean: float
-    final_mean_std: float
-
-    def as_dict(self) -> dict:
-        """Plain-dictionary view used by the reporting code."""
-        return {
-            "runs": self.runs,
-            "cycles": self.cycles,
-            "convergence_factor": self.convergence_factor,
-            "convergence_factor_std": self.convergence_factor_std,
-            "final_variance_reduction": self.final_variance_reduction,
-            "final_mean": self.final_mean,
-            "final_mean_std": self.final_mean_std,
-        }
-
-
-def summarize_convergence(traces: Sequence[SimulationTrace], cycles: Optional[int] = None) -> ConvergenceSummary:
-    """Build a :class:`ConvergenceSummary` from repeated runs."""
-    if not traces:
-        raise ExperimentError("no traces supplied")
-    factors = np.array(
-        [trace.average_convergence_factor(cycles) for trace in traces], dtype=float
-    )
-    reductions = np.array(
-        [trace.variance_reduction()[-1] for trace in traces], dtype=float
-    )
-    finals = np.array([trace.final.mean for trace in traces], dtype=float)
-    finite_finals = finals[np.isfinite(finals)]
-    if finite_finals.size == 0:
-        finite_finals = np.array([math.nan])
-    return ConvergenceSummary(
-        runs=len(traces),
-        cycles=min(len(trace) - 1 for trace in traces),
-        convergence_factor=float(factors.mean()),
-        convergence_factor_std=float(factors.std()),
-        final_variance_reduction=float(reductions.mean()),
-        final_mean=float(finite_finals.mean()),
-        final_mean_std=float(finite_finals.std()),
-    )

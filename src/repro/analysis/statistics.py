@@ -10,9 +10,7 @@ few companions used by the experiment harness and the ablation benchmarks
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..common.errors import ConfigurationError
 from ..common.validation import require_probability
@@ -22,7 +20,6 @@ __all__ = [
     "median",
     "finite_mean",
     "relative_error",
-    "summary_quantiles",
 ]
 
 
@@ -87,12 +84,3 @@ def relative_error(estimate: float, true_value: float) -> float:
     if true_value == 0.0:
         return abs(estimate)
     return abs(estimate - true_value) / abs(true_value)
-
-
-def summary_quantiles(values: Sequence[float], quantiles: Sequence[float] = (0.05, 0.5, 0.95)) -> dict:
-    """Selected quantiles of the finite part of a sample, for reports."""
-    finite = [value for value in values if math.isfinite(value)]
-    if not finite:
-        return {f"q{int(q * 100)}": math.inf for q in quantiles}
-    array = np.asarray(finite, dtype=float)
-    return {f"q{int(q * 100)}": float(np.quantile(array, q)) for q in quantiles}

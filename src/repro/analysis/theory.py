@@ -17,7 +17,6 @@ the experiment harness (Figures 5 and 7a) and by the test suite:
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from ..common.errors import ConfigurationError
 from ..common.validation import require_positive, require_probability
@@ -154,15 +153,3 @@ def peak_distribution_variance(network_size: int, peak_value: float = 1.0) -> fl
     mean = peak_value / n
     total = (peak_value - mean) ** 2 + (n - 1.0) * mean ** 2
     return total / (n - 1.0)
-
-
-def geometric_mean_factor(factors: Sequence[float]) -> float:
-    """Geometric mean of per-cycle convergence factors (helper for reports)."""
-    if not factors:
-        raise ConfigurationError("factors must not be empty")
-    product = 1.0
-    for factor in factors:
-        if factor < 0:
-            raise ConfigurationError("convergence factors must be non-negative")
-        product *= factor
-    return product ** (1.0 / len(factors))

@@ -18,7 +18,9 @@ presets are provided:
 
 The preset can be chosen globally through the ``REPRO_SCALE`` environment
 variable (``smoke`` / ``bench`` / ``default`` / ``paper``) so benchmark
-runs can be scaled without touching code.
+runs can be scaled without touching code.  The scale is the only
+environment knob: asynchronous runs name their impairments in code, as an
+:class:`~repro.simulator.asynchrony.AsynchronyScenario` constant.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ __all__ = [
     "DEFAULT",
     "PAPER",
     "scale_from_environment",
-    "ASYNC_SCENARIOS",
-    "async_scenario_from_environment",
 ]
 
 
@@ -114,18 +114,3 @@ def scale_from_environment(default: ExperimentScale = SMOKE) -> ExperimentScale:
             f"REPRO_SCALE must be one of {sorted(_PRESETS)}, got {value!r}"
         )
     return _PRESETS[value]
-
-
-# ----------------------------------------------------------------------
-# Asynchrony scenarios
-# ----------------------------------------------------------------------
-# The asynchronous experiments take a second, orthogonal knob: which
-# bundle of asynchrony impairments (latency distribution, clock drift,
-# loss, churn, staggered start) the run is subjected to.  The presets and
-# the ``REPRO_ASYNC_SCENARIO`` environment override live with the engine
-# in :mod:`repro.simulator.asynchrony`; they are re-exported here so an
-# experiment is fully described by (scale, scenario) from this module.
-from ..simulator.asynchrony import (  # noqa: E402  (re-export)
-    SCENARIOS as ASYNC_SCENARIOS,
-    scenario_from_environment as async_scenario_from_environment,
-)

@@ -9,9 +9,9 @@ without any plotting dependency.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
-__all__ = ["format_value", "render_table", "render_series"]
+__all__ = ["format_value", "render_table"]
 
 
 def format_value(value, precision: int = 4) -> str:
@@ -48,9 +48,3 @@ def render_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
     for rendered in rendered_rows:
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(rendered, widths)))
     return "\n".join(lines)
-
-
-def render_series(name: str, xs: Iterable, ys: Iterable, x_label: str = "x", y_label: str = "y") -> str:
-    """Render one (x, y) series as a two-column table."""
-    rows = [{x_label: x, y_label: y} for x, y in zip(xs, ys)]
-    return render_table(rows, title=name)

@@ -5,9 +5,10 @@ run by one sweep loop: per swept point, a :class:`RunPlan` states what one
 repetition does and :func:`repeat_simulations` runs the repetitions with
 independent seeds, whose results the figure reduces to rows.  This module
 holds the repetitive parts — plans, repeat helpers, seeding, value
-distributions, and the one-run helpers of the practical protocol — so a
-figure record reads as a declarative description of the paper's
-experiment.
+distributions, and the two practical-protocol runs behind the adaptive
+figures (:func:`run_epoched_count` on the cycle engines,
+:func:`run_async_count` on the asynchronous one) — so a figure record
+reads as a declarative description of the paper's experiment.
 
 Eligible configurations run on the one stacked array engine
 (:mod:`repro.simulator.replicated`): a single run through
@@ -23,20 +24,18 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource, derive_seed
-from ..common.validation import require_non_negative, require_positive, require_probability
 from ..core.count import LeaderElection, peak_initial_values
 from ..core.epoch import EpochConfig
 from ..core.functions import AggregationFunction, AverageFunction
 from ..simulator import make_simulator
-from ..simulator.async_engine import AsyncCountProtocol, AsyncPracticalSimulator
+from ..simulator.async_engine import AsyncCountProtocol
 from ..simulator.asynchrony import (
     LAN,
     AsynchronyScenario,
-    build_async_average,
     build_async_count,
 )
 from ..simulator.epochs import EpochDriver, EpochedRunResult, FailureFactory
@@ -49,17 +48,12 @@ from ..topology.replicated import ReplicatedStaticBlock
 
 __all__ = [
     "uniform_initial_values",
-    "pareto_initial_values",
-    "TimeVaryingValues",
     "peak_values_for_count",
-    "run_average_once",
     "run_epoched_count",
-    "run_async_average",
     "run_async_count",
     "RunPlan",
     "repeat_traces",
     "repeat_simulations",
-    "sweep",
 ]
 
 T = TypeVar("T")
@@ -76,116 +70,9 @@ def uniform_initial_values(size: int, rng: RandomSource, low: float = 0.0, high:
     return rng.generator.uniform(low, high, size).tolist()
 
 
-def pareto_initial_values(
-    size: int, rng: RandomSource, alpha: float = 1.5, scale: float = 1.0
-) -> List[float]:
-    """Heavy-tailed local values: shifted Pareto with tail index ``alpha``.
-
-    Models populations where a few nodes hold most of the mass (file
-    counts, storage, load) — the regime where AVERAGE's variance
-    reduction is stress-tested hardest, because one straggler node can
-    carry a large share of the global sum.  Element ``i`` equals
-    ``scale * (1 + X_i)`` with ``X_i ~ Pareto(alpha)``, so the minimum
-    is ``scale`` and the mean is ``scale * alpha / (alpha - 1)`` for
-    ``alpha > 1`` (infinite for ``alpha <= 1``).
-    """
-    require_positive(alpha, "alpha")
-    require_positive(scale, "scale")
-    return (scale * (1.0 + rng.generator.pareto(alpha, size))).tolist()
-
-
-@dataclass
-class TimeVaryingValues(FailureModel):
-    """Re-randomise a slice of local values each cycle around a drifting mean.
-
-    The paper's protocol is *proactive*: estimates adapt when the
-    underlying values change.  This model exercises that claim by
-    resampling ``fraction`` of the participants' local values every
-    cycle from ``Normal(mean(c), jitter)``, where the mean follows a
-    sinusoid ``base + amplitude * sin(2π c / period)``.  A converged
-    AVERAGE run should track the moving mean with a lag of a few cycles.
-
-    Despite living in the failure-model slot (the one per-cycle hook all
-    three cycle engines share), nothing crashes: the model only calls
-    ``override_values`` through the engines' public API, so it composes
-    with crash/churn models via
-    :class:`~repro.simulator.failures.CompositeFailureModel`.
-    """
-
-    base: float = 50.0
-    amplitude: float = 25.0
-    period: int = 20
-    fraction: float = 0.1
-    jitter: float = 1.0
-
-    def __post_init__(self) -> None:
-        require_positive(self.period, "period")
-        require_probability(self.fraction, "fraction")
-        require_non_negative(self.amplitude, "amplitude")
-        require_non_negative(self.jitter, "jitter")
-
-    def current_mean(self, cycle_index: int) -> float:
-        """The drifting population mean at cycle ``cycle_index``."""
-        return self.base + self.amplitude * math.sin(
-            2.0 * math.pi * cycle_index / self.period
-        )
-
-    def apply(self, simulator, cycle_index: int, rng: RandomSource) -> None:
-        participants = simulator.participant_ids()
-        count = int(self.fraction * len(participants) + 0.5)
-        if count <= 0:
-            return
-        chosen = sorted(rng.sample(participants, count))
-        fresh = rng.child("values", cycle_index).generator.normal(
-            self.current_mean(cycle_index), self.jitter, len(chosen)
-        )
-        simulator.override_values(chosen, fresh.reshape(-1, 1))
-
-    def describe(self) -> str:
-        return (
-            f"values of {self.fraction:.0%} of nodes resampled per cycle "
-            f"around {self.base}±{self.amplitude} (period {self.period})"
-        )
-
-
 def peak_values_for_count(size: int, peak_value: Optional[float] = None) -> List[float]:
     """The peak distribution used by COUNT (leader holds 1, or ``peak_value``)."""
     return peak_initial_values(size, leader=0, peak_value=1.0 if peak_value is None else peak_value)
-
-
-def run_average_once(
-    topology: TopologySpec,
-    size: int,
-    values: Sequence[float],
-    cycles: int,
-    rng: RandomSource,
-    transport: TransportModel = PERFECT_TRANSPORT,
-    failure_model: Optional[FailureModel] = None,
-    function: Optional[AggregationFunction] = None,
-    engine: str = "auto",
-):
-    """Build and run one cycle-driven simulation; return the simulator.
-
-    The returned simulator exposes both the trace (for convergence
-    measures) and the final states (for COUNT-style post-processing).
-    The engine is chosen by :func:`~repro.simulator.make_simulator`
-    (``engine="auto"`` by default): configurations whose function and
-    overlay support the array codec — including the array-native
-    NEWSCAST overlay — run on the array engine, everything else on the
-    reference engine, with identical results either way.
-    """
-    overlay = build_overlay(topology, size, rng.child("topology"))
-    simulator = make_simulator(
-        overlay=overlay,
-        function=function or AverageFunction(),
-        initial_values=list(values),
-        rng=rng.child("simulation"),
-        transport=transport,
-        failure_model=failure_model,
-        engine=engine,
-    )
-    simulator.run(cycles)
-    return simulator
 
 
 def run_epoched_count(
@@ -212,9 +99,9 @@ def run_epoched_count(
     returned :class:`~repro.simulator.epochs.EpochedRunResult` carries
     per-epoch size estimates, leader counts and synchronisation events.
 
-    Like :func:`run_average_once`, the engine is selected automatically:
-    overlays with batched peer selection (including array-native
-    NEWSCAST) run every epoch on the vectorised fast path.
+    The engine is selected automatically: overlays with batched peer
+    selection (including array-native NEWSCAST) run every epoch on the
+    vectorised fast path.
     """
     overlay = build_overlay(topology, size, rng.child("topology"))
     election = LeaderElection(
@@ -234,37 +121,6 @@ def run_epoched_count(
         keep_cycle_traces=keep_cycle_traces,
     )
     return driver.run(epochs)
-
-
-def run_async_average(
-    topology: TopologySpec,
-    size: int,
-    values: Sequence[float],
-    cycles: int,
-    rng: RandomSource,
-    scenario: AsynchronyScenario = LAN,
-    record_every: int = 1,
-) -> AsyncPracticalSimulator:
-    """Run AVERAGE on the asynchronous engine; return the simulator.
-
-    The counterpart of :func:`run_average_once` on the other side of the
-    synchrony divide: per-node drifted timers instead of global cycles,
-    sampled latencies and timeouts instead of instantaneous exchanges,
-    with every impairment coming from the
-    :class:`~repro.simulator.asynchrony.AsynchronyScenario`.  The trace
-    is binned into cycle-equivalent windows, so convergence measures are
-    directly comparable with the cycle engines'.
-    """
-    overlay = build_overlay(topology, size, rng.child("topology"))
-    simulator, _ = build_async_average(
-        overlay,
-        {node: float(value) for node, value in enumerate(values)},
-        rng.child("simulation"),
-        scenario,
-        record_every=record_every,
-    )
-    simulator.run(cycles)
-    return simulator
 
 
 def run_async_count(
@@ -361,11 +217,10 @@ class RunPlan:
         Builds one *fresh* (stateful) failure model per repetition, or
         ``None`` for the benign scenario.
     reachability:
-        Optional correlated-failure reachability model (partition
-        outage, NAT asymmetry, or a composite), shared by all
-        repetitions — the models are stateless pair predicates, so
-        sharing is safe.  Applied identically on the serial and
-        replicated paths.
+        Optional correlated-failure reachability model (a partition
+        outage), shared by all repetitions — the models are stateless
+        pair predicates, so sharing is safe.  Applied identically on the
+        serial and replicated paths.
     record_every:
         Metrics cadence forwarded to the engines.
     collect:
@@ -643,8 +498,3 @@ def repeat_simulations(
             pool.submit(_run_one, make_run, seed, index) for index in range(repeats)
         ]
         return [future.result() for future in futures]
-
-
-def sweep(values: Sequence, runner: Callable[[object], T]) -> Dict[object, T]:
-    """Apply ``runner`` to every swept parameter value, preserving order."""
-    return {value: runner(value) for value in values}

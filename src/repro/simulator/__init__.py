@@ -11,6 +11,13 @@ repetitions in one tensor.  :func:`make_simulator` picks between the
 reference engine and the single-run entry automatically.  The practical
 protocol on an asynchronous network runs on the windowed
 :class:`~repro.simulator.async_engine.AsyncPracticalSimulator`.
+
+The cycle engines share one failure surface: the paper's crash, sudden
+death and churn models, a partition outage
+(:class:`~repro.simulator.failures.PartitionOutageModel`) and byzantine
+reporters (:mod:`repro.simulator.adversarial`).  The asynchronous engine
+takes benign loss, drift and churn from an
+:class:`~repro.simulator.asynchrony.AsynchronyScenario`.
 """
 
 from typing import Optional
@@ -31,14 +38,11 @@ from .asynchrony import (
     build_async_average,
     build_async_count,
     compare_average_convergence,
-    scenario_from_environment,
     validation_grid,
 )
 from .adversarial import (
     BYZANTINE_STRATEGIES,
     ByzantineReporterModel,
-    count_deflation_attack,
-    count_inflation_attack,
     targeted_instance_attack,
 )
 from .cycle_sim import CycleSimulator, InitialValues
@@ -50,25 +54,19 @@ from .epochs import (
 )
 from .failures import (
     ChurnModel,
-    CompositeFailureModel,
-    CompositeReachabilityModel,
     CountCrashModel,
     FailureModel,
-    HeavyTailedChurnModel,
-    NatReachabilityModel,
     NoFailures,
     PartitionOutageModel,
     ProportionalCrashModel,
     ReachabilityModel,
     SuddenDeathModel,
-    TraceChurnModel,
 )
 from .metrics import (
     CycleRecord,
     SimulationTrace,
     empirical_mean,
     empirical_variance,
-    summarize_traces,
 )
 from .replicated import ReplicaConfig, ReplicatedCycleSimulator, ReplicaView
 from .sampling import (
@@ -103,7 +101,6 @@ __all__ = [
     "build_async_average",
     "build_async_count",
     "compare_average_convergence",
-    "scenario_from_environment",
     "validation_grid",
     "EpochDriver",
     "EpochRecord",
@@ -117,17 +114,10 @@ __all__ = [
     "SuddenDeathModel",
     "ChurnModel",
     "CountCrashModel",
-    "CompositeFailureModel",
-    "TraceChurnModel",
-    "HeavyTailedChurnModel",
     "ReachabilityModel",
     "PartitionOutageModel",
-    "NatReachabilityModel",
-    "CompositeReachabilityModel",
     "BYZANTINE_STRATEGIES",
     "ByzantineReporterModel",
-    "count_inflation_attack",
-    "count_deflation_attack",
     "targeted_instance_attack",
     "apply_reachability",
     "CycleRecord",
@@ -139,7 +129,6 @@ __all__ = [
     "ordered_conflict_rounds",
     "empirical_mean",
     "empirical_variance",
-    "summarize_traces",
     "TransportModel",
     "DelayModel",
     "ExchangeOutcome",

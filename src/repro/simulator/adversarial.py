@@ -63,8 +63,6 @@ from .failures import FailureModel
 __all__ = [
     "BYZANTINE_STRATEGIES",
     "ByzantineReporterModel",
-    "count_inflation_attack",
-    "count_deflation_attack",
     "targeted_instance_attack",
 ]
 
@@ -226,30 +224,6 @@ class ByzantineReporterModel(FailureModel):
                 [simulator.state_of(int(node)) for node in ids], dtype=np.float64
             )
         return rows.reshape(ids.size, -1)
-
-
-def count_inflation_attack(fraction: float) -> ByzantineReporterModel:
-    """The inflation attack on COUNT: forged zeros swallow conserved mass.
-
-    Every byzantine node claims the value 0 in every instance, every
-    cycle; the average decays, and the size estimate ``1 / avg`` inflates
-    without bound.
-    """
-    return ByzantineReporterModel(fraction, strategy="constant", lie_value=0.0)
-
-
-def count_deflation_attack(
-    fraction: float, claimed_mass: float = 1.0
-) -> ByzantineReporterModel:
-    """The deflation attack on COUNT: forged leader-sized mass everywhere.
-
-    Every byzantine node claims ``claimed_mass`` (a leader's worth by
-    default) in every instance; the average is dragged up and the network
-    appears smaller than it is.
-    """
-    return ByzantineReporterModel(
-        fraction, strategy="constant", lie_value=float(claimed_mass)
-    )
 
 
 def targeted_instance_attack(

@@ -149,20 +149,6 @@ class AsyncProtocol(abc.ABC):
     ) -> None:
         """Nodes finished ``epoch_id`` (``jumped``: via epidemic sync)."""
 
-    def forge_rows(
-        self, epoch_id: int, node_ids: np.ndarray, value: float
-    ) -> np.ndarray:
-        """State rows asserting the forged local ``value`` for ``node_ids``.
-
-        The byzantine hook: :meth:`AsyncPracticalSimulator.override_values`
-        replaces the nodes' current rows with these, modelling reporters
-        that re-assert a lie every window.  Protocols that cannot express
-        a forged value leave this unimplemented.
-        """
-        raise ConfigurationError(
-            f"{type(self).__name__} does not support forged value injection"
-        )
-
 
 class AsyncAverageProtocol(AsyncProtocol):
     """Plain AVERAGE with per-epoch restarts from fresh local values.
@@ -215,14 +201,6 @@ class AsyncAverageProtocol(AsyncProtocol):
         self, epoch_id: int, node_ids: np.ndarray, rows: np.ndarray, jumped: bool
     ) -> None:
         self.epoch_estimates.setdefault(epoch_id, []).extend(rows[:, 0].tolist())
-
-    def forge_rows(
-        self, epoch_id: int, node_ids: np.ndarray, value: float
-    ) -> np.ndarray:
-        # Persist the lie so the nodes also *enter* future epochs with it.
-        for node in node_ids:
-            self.set_value(int(node), value)
-        return np.full((node_ids.size, 1), float(value), dtype=np.float64)
 
 
 @dataclass
@@ -344,19 +322,6 @@ class AsyncCountProtocol(AsyncProtocol):
                 self._feedback_epoch = epoch_id
                 self.election.update_estimate(record.mean_estimate)
 
-    def forge_rows(
-        self, epoch_id: int, node_ids: np.ndarray, value: float
-    ) -> np.ndarray:
-        # A forged COUNT map claims to have heard every leader report the
-        # lie: value columns all `value`, mask columns all set — the
-        # strongest version of the Section 7 "malicious nodes can attack
-        # COUNT easily" observation.
-        width = self._leaders[epoch_id].size
-        rows = np.empty((node_ids.size, 2 * width), dtype=np.float64)
-        rows[:, :width] = float(value)
-        rows[:, width:] = 1.0
-        return rows
-
     # ------------------------------------------------------------------
     # Summaries
     # ------------------------------------------------------------------
@@ -409,13 +374,6 @@ class AsyncPracticalSimulator:
         Optional callable ``(simulator, window_index, rng)`` run after
         every window — the hook point for churn and other scenario
         scripting.
-    reachability:
-        Optional pairwise connectivity constraint
-        (:class:`~repro.simulator.failures.ReachabilityModel`).  Blocked
-        exchanges behave like dropped requests (no state change, no
-        stale-epoch notice); the model's cycle indices align with window
-        indices (1-based), and the overlay's membership gossip is
-        constrained too when it supports ``set_reachability``.
     """
 
     def __init__(
@@ -430,7 +388,6 @@ class AsyncPracticalSimulator:
         start_stagger: float = 0.0,
         record_every: int = 1,
         window_hook: Optional[Callable[["AsyncPracticalSimulator", int, RandomSource], None]] = None,
-        reachability=None,
     ) -> None:
         if not hasattr(overlay, "select_peers_batch"):
             raise ConfigurationError(
@@ -447,9 +404,6 @@ class AsyncPracticalSimulator:
         self._config = epoch_config
         self._delay_model = delay_model or DelayModel()
         self._transport = transport
-        self._reachability = reachability
-        if reachability is not None and hasattr(overlay, "set_reachability"):
-            overlay.set_reachability(reachability)
         self._drift = clock_drift
         self._rng = rng
         self._selection_rng = rng.child("selection")
@@ -642,31 +596,6 @@ class AsyncPracticalSimulator:
             )
             joined.append(node_id)
         return joined
-
-    def override_values(self, node_ids: Sequence[int], value: float) -> None:
-        """Forcibly re-assert the local ``value`` on active nodes.
-
-        The byzantine-injection hook: each node's state row in its
-        *current* epoch is replaced by the protocol's forged row
-        (:meth:`AsyncProtocol.forge_rows`).  Crashed, waiting or unknown
-        nodes are skipped silently — the asynchronous membership makes
-        "currently active" a moving target, unlike the cycle engines'
-        strict participant check.
-        """
-        ids = np.asarray(list(node_ids), dtype=np.int64)
-        ids = ids[(ids >= 0) & (ids < self._capacity)]
-        ids = ids[self._active[ids]]
-        if ids.size == 0:
-            return
-        epochs = self._epoch_of[ids]
-        for epoch in np.unique(epochs):
-            if epoch < 0:
-                continue
-            epoch_id = int(epoch)
-            group = ids[epochs == epoch]
-            self._epoch_states[epoch_id][group] = self._protocol.forge_rows(
-                epoch_id, group, float(value)
-            )
 
     # ------------------------------------------------------------------
     # Execution
@@ -884,18 +813,6 @@ class AsyncPracticalSimulator:
             effective[(physical == OUTCOME_COMPLETED) & timed_out] = (
                 OUTCOME_RESPONSE_LOST
             )
-            if self._reachability is not None:
-                # Blocked pairs behave like lost requests: nothing is
-                # merged and no stale-epoch notice gets through.  Windows
-                # are 1-based like engine cycles; _window_index still
-                # holds the previous window's count here.
-                blocked = self._reachability.blocked_pairs(
-                    tick_nodes, drawn_peers, self._window_index + 1
-                )
-                if blocked is not None:
-                    blocked = blocked & (drawn_peers >= 0)
-                    effective[blocked] = OUTCOME_DROPPED
-                    physical[blocked] = OUTCOME_DROPPED
             peers[tick_positions] = drawn_peers
             outcomes[tick_positions] = effective
             delivered[tick_positions] = physical == OUTCOME_COMPLETED

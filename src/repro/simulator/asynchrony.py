@@ -25,25 +25,15 @@ Scenario axes:
   simultaneously.
 * **Churn** — a fixed number of crash+join pairs per cycle-equivalent
   window, applied through the engine's window hook.
-* **Byzantine reporters** — a colluding fraction of nodes re-asserting a
-  forged value every window (the COUNT attack of Section 7), via the
-  engine's ``override_values`` hook.
-* **Partition outages** — a correlated failure severing a fraction of the
-  id space for a window range, expressed as a
-  :class:`~repro.simulator.failures.PartitionOutageModel` threaded into
-  the engine's transport outcomes and the overlay's membership gossip.
-* **Flash crowds** — a one-shot mass join of a population fraction at a
-  chosen window.
 
-Use :data:`SCENARIOS` / :func:`scenario_from_environment` to pick a named
-preset (``REPRO_ASYNC_SCENARIO`` environment variable), or build custom
-grids with :meth:`AsynchronyScenario.with_overrides` /
-:func:`validation_grid`.
+Three presets cover the library's runs: :data:`LAN` (the default),
+:data:`WAN` (heavy-tailed latencies) and :data:`HOSTILE` (everything at
+once).  Build custom scenarios and grids with
+:meth:`AsynchronyScenario.with_overrides` / :func:`validation_grid`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,14 +54,7 @@ __all__ = [
     "AsynchronyScenario",
     "LAN",
     "WAN",
-    "DRIFTY",
-    "LOSSY",
     "HOSTILE",
-    "BYZANTINE",
-    "PARTITIONED",
-    "FLASH_CROWD",
-    "SCENARIOS",
-    "scenario_from_environment",
     "validation_grid",
     "build_async_average",
     "build_async_count",
@@ -100,21 +83,6 @@ class AsynchronyScenario:
     link_failure: float = 0.0
     start_stagger: float = 0.0
     churn_per_window: int = 0
-    #: Fraction of the initially-active nodes recruited as byzantine
-    #: reporters re-asserting ``byzantine_value`` every window (0 = off).
-    byzantine_fraction: float = 0.0
-    byzantine_value: float = 0.0
-    #: Partition outage: the lowest ``partition_fraction`` of the id space
-    #: is severed for ``partition_cycles`` windows starting at window
-    #: ``partition_start`` (fraction 0 = off).
-    partition_fraction: float = 0.0
-    partition_start: int = 1
-    partition_cycles: int = 0
-    #: Flash crowd: at window ``flash_crowd_window`` a mass join of
-    #: ``flash_crowd_fraction`` of the then-alive population (window 0 =
-    #: off).
-    flash_crowd_window: int = 0
-    flash_crowd_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         if self.latency not in DELAY_DISTRIBUTIONS:
@@ -125,24 +93,10 @@ class AsynchronyScenario:
         require_non_negative(self.start_stagger, "start_stagger")
         require_probability(self.message_loss, "message_loss")
         require_probability(self.link_failure, "link_failure")
-        require_probability(self.byzantine_fraction, "byzantine_fraction")
-        require_probability(self.partition_fraction, "partition_fraction")
-        require_probability(self.flash_crowd_fraction, "flash_crowd_fraction")
         if self.clock_drift >= 1.0:
             raise ConfigurationError("clock_drift must be below 1 (a clock cannot stop)")
         if self.churn_per_window < 0:
             raise ConfigurationError("churn_per_window must be non-negative")
-        if self.partition_fraction > 0.0:
-            if self.partition_start < 1:
-                raise ConfigurationError(
-                    "partition_start is a 1-based window index and must be >= 1"
-                )
-            if self.partition_cycles < 1:
-                raise ConfigurationError(
-                    "partition_cycles must be >= 1 when a partition is configured"
-                )
-        if self.flash_crowd_window < 0:
-            raise ConfigurationError("flash_crowd_window must be non-negative")
 
     # ------------------------------------------------------------------
     # Derived models
@@ -168,79 +122,19 @@ class AsynchronyScenario:
         """A copy of this scenario with selected fields replaced."""
         return replace(self, **overrides)
 
-    def reachability_model(self, size: int):
-        """The partition outage as a reachability model (``None`` when off).
-
-        ``size`` is the node population the partition boundary cuts
-        through; the model is shared by the engine's transport outcomes
-        and the overlay's membership gossip.
-        """
-        if self.partition_fraction <= 0.0 or size < 2:
-            return None
-        from .failures import PartitionOutageModel
-
-        return PartitionOutageModel.split(
-            size,
-            self.partition_fraction,
-            self.partition_start,
-            self.partition_start + self.partition_cycles,
-        )
-
-    def cycle_failure_model(self):
-        """The byzantine reporters as a cycle-engine failure model.
-
-        The cycle half of the cross-engine harness sees the same adversary
-        class (a colluding fraction asserting ``byzantine_value``) through
-        the standard :class:`~repro.simulator.failures.FailureModel`
-        surface; returns ``None`` when no byzantine axis is configured.
-        """
-        if self.byzantine_fraction <= 0.0:
-            return None
-        from .adversarial import ByzantineReporterModel
-
-        return ByzantineReporterModel(
-            self.byzantine_fraction,
-            strategy="constant",
-            lie_value=self.byzantine_value,
-        )
-
     def window_hook(self):
-        """The engine window hook: churn, byzantine forgery, flash crowds."""
+        """The engine window hook applying churn (``None`` when off)."""
         churn = self.churn_per_window
-        byz_fraction = self.byzantine_fraction
-        byz_value = self.byzantine_value
-        crowd_window = self.flash_crowd_window
-        crowd_fraction = self.flash_crowd_fraction
-        if (
-            churn <= 0
-            and byz_fraction <= 0.0
-            and (crowd_window <= 0 or crowd_fraction <= 0.0)
-        ):
+        if churn <= 0:
             return None
-        recruited: Dict[str, Optional[List[int]]] = {"byzantine": None}
 
         def hook(simulator: AsyncPracticalSimulator, window_index: int, rng: RandomSource) -> None:
-            if churn > 0:
-                active = simulator.active_ids()
-                count = min(churn, max(0, active.size - 1))
-                if count > 0:
-                    victims = active[rng.sample_indices(active.size, count)]
-                    simulator.crash_nodes(victims)
-                    simulator.add_nodes(count, rng)
-            if crowd_window > 0 and crowd_fraction > 0.0 and window_index == crowd_window:
-                alive = int(simulator.alive_ids().size)
-                joining = int(crowd_fraction * alive + 0.5)
-                if joining > 0:
-                    simulator.add_nodes(joining, rng.child("flash-crowd"))
-            if byz_fraction > 0.0:
-                if recruited["byzantine"] is None:
-                    active = [int(node) for node in simulator.active_ids()]
-                    count = int(byz_fraction * len(active) + 0.5)
-                    recruited["byzantine"] = sorted(
-                        rng.child("byzantine-recruit").sample(active, count)
-                    )
-                if recruited["byzantine"]:
-                    simulator.override_values(recruited["byzantine"], byz_value)
+            active = simulator.active_ids()
+            count = min(churn, max(0, active.size - 1))
+            if count > 0:
+                victims = active[rng.sample_indices(active.size, count)]
+                simulator.crash_nodes(victims)
+                simulator.add_nodes(count, rng)
 
         return hook
 
@@ -255,17 +149,6 @@ class AsynchronyScenario:
             parts.append(f"linkfail={self.link_failure:.0%}")
         if self.churn_per_window:
             parts.append(f"churn={self.churn_per_window}/cycle")
-        if self.byzantine_fraction:
-            parts.append(f"byzantine={self.byzantine_fraction:.0%}")
-        if self.partition_fraction:
-            parts.append(
-                f"partition={self.partition_fraction:.0%}@"
-                f"[{self.partition_start},{self.partition_start + self.partition_cycles})"
-            )
-        if self.flash_crowd_window and self.flash_crowd_fraction:
-            parts.append(
-                f"flashcrowd={self.flash_crowd_fraction:.0%}@{self.flash_crowd_window}"
-            )
         return " ".join(parts)
 
 
@@ -282,12 +165,6 @@ WAN = AsynchronyScenario(
     timeout=0.6,
 )
 
-#: Perfect transport but badly drifting clocks (the Section 4.3 stress).
-DRIFTY = AsynchronyScenario(name="drifty", clock_drift=0.05)
-
-#: The damaging failure mode of Figure 7(b): messages vanish.
-LOSSY = AsynchronyScenario(name="lossy", message_loss=0.05)
-
 #: Everything at once: drift, loss, WAN latencies and churn.
 HOSTILE = AsynchronyScenario(
     name="hostile",
@@ -300,49 +177,6 @@ HOSTILE = AsynchronyScenario(
     message_loss=0.05,
     churn_per_window=1,
 )
-
-#: A colluding tenth of the network runs the COUNT inflation attack
-#: (forged zeros) while the transport itself stays quiet.
-BYZANTINE = AsynchronyScenario(
-    name="byzantine",
-    byzantine_fraction=0.1,
-    byzantine_value=0.0,
-)
-
-#: A correlated outage: half the id space is severed for six windows
-#: starting at window four, then heals.
-PARTITIONED = AsynchronyScenario(
-    name="partitioned",
-    partition_fraction=0.5,
-    partition_start=4,
-    partition_cycles=6,
-)
-
-#: A flash crowd: half the current population joins at once at window
-#: five, on top of mild steady churn.
-FLASH_CROWD = AsynchronyScenario(
-    name="flash-crowd",
-    churn_per_window=1,
-    flash_crowd_window=5,
-    flash_crowd_fraction=0.5,
-)
-
-SCENARIOS: Dict[str, AsynchronyScenario] = {
-    scenario.name: scenario
-    for scenario in (LAN, WAN, DRIFTY, LOSSY, HOSTILE, BYZANTINE, PARTITIONED, FLASH_CROWD)
-}
-
-
-def scenario_from_environment(default: AsynchronyScenario = LAN) -> AsynchronyScenario:
-    """Resolve a scenario preset from ``REPRO_ASYNC_SCENARIO``."""
-    value = os.environ.get("REPRO_ASYNC_SCENARIO", "").strip().lower()
-    if not value:
-        return default
-    if value not in SCENARIOS:
-        raise ConfigurationError(
-            f"REPRO_ASYNC_SCENARIO must be one of {sorted(SCENARIOS)}, got {value!r}"
-        )
-    return SCENARIOS[value]
 
 
 def validation_grid(
@@ -388,7 +222,6 @@ def build_async_average(
         start_stagger=scenario.start_stagger * config.cycle_length,
         record_every=record_every,
         window_hook=scenario.window_hook(),
-        reachability=scenario.reachability_model(overlay.size()),
     )
     return simulator, protocol
 
@@ -422,7 +255,6 @@ def build_async_count(
         start_stagger=scenario.start_stagger * config.cycle_length,
         record_every=record_every,
         window_hook=scenario.window_hook(),
-        reachability=scenario.reachability_model(size),
     )
     return simulator, protocol
 
@@ -481,8 +313,6 @@ def compare_average_convergence(
         initial_values={node: value for node, value in values.items()},
         rng=rng.child("cycle", "run"),
         transport=scenario.transport(),
-        failure_model=scenario.cycle_failure_model(),
-        reachability=scenario.reachability_model(cycle_overlay.size()),
     )
     cycle_simulator.run(cycles)
     cycle_trace = cycle_simulator.trace

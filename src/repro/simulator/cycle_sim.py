@@ -244,8 +244,9 @@ class CycleSimulator:
 
         ``participating=False`` (the default) models the paper's rule that
         joining nodes wait for the next epoch: the node becomes part of the
-        overlay, and refuses aggregation exchanges until
-        :meth:`promote_non_participants` (an epoch restart) is called.
+        overlay but refuses aggregation exchanges for the rest of this run
+        (the :class:`~repro.simulator.epochs.EpochDriver` admits it to the
+        next epoch's engine).
         """
         node_id = self._next_node_id
         self._next_node_id += 1
@@ -256,40 +257,6 @@ class CycleSimulator:
         else:
             self._non_participants.add(node_id)
         return node_id
-
-    def promote_non_participants(self, values: Optional[Mapping[int, Any]] = None) -> List[int]:
-        """Let all waiting nodes join the protocol (an epoch restart).
-
-        Parameters
-        ----------
-        values:
-            Optional mapping from node id to the local value the node
-            enters the new epoch with (default 0.0).
-
-        Returns
-        -------
-        The identifiers that were promoted.
-        """
-        promoted = sorted(self._non_participants)
-        for node_id in promoted:
-            value = 0.0 if values is None else values.get(node_id, 0.0)
-            self._states[node_id] = self._function.initial_state(value)
-            self._participants.add(node_id)
-        self._non_participants.clear()
-        return promoted
-
-    def restart_epoch(self, values: Mapping[int, Any]) -> None:
-        """Re-initialise every participant's state from fresh local values.
-
-        Models the automatic restarting of Section 4.1: the previous
-        estimates are discarded and aggregation starts again from the
-        current local values.  Waiting (joined) nodes are promoted first.
-        """
-        self.promote_non_participants()
-        for node_id in self._participants:
-            if node_id not in values:
-                raise ConfigurationError(f"missing restart value for node {node_id}")
-            self._states[node_id] = self._function.initial_state(values[node_id])
 
     def override_values(self, node_ids: Sequence[int], values: Any) -> None:
         """Re-assert local values at selected participants, mid-epoch.

@@ -16,25 +16,19 @@ through its public ``crash_node`` / ``add_node`` API.
   changes and the newcomers refuse to participate in the running epoch
   (Figure 6b and 8a).
 * :class:`CountCrashModel` — an absolute number of crashes per cycle.
-* :class:`CompositeFailureModel` — applies several models in sequence.
 
-Beyond the paper's i.i.d. benign failures, this module also provides
-*realistic dynamics* (:class:`TraceChurnModel` replays join/leave events
-from a trace; :class:`HeavyTailedChurnModel` draws Pareto session
-lengths, the empirical shape of peer-to-peer uptimes) and *correlated
-connectivity failures* (:class:`ReachabilityModel` and friends), which do
-not remove nodes at all: they sever pairs of live nodes, expressed
-through the transport outcome codes via
-:func:`~repro.simulator.transport.apply_reachability`.  Byzantine value
-forgery lives in :mod:`repro.simulator.adversarial`.
+Beyond the paper's i.i.d. benign failures, this module also provides one
+*correlated connectivity failure*: :class:`PartitionOutageModel`, a
+:class:`ReachabilityModel` that removes no nodes but severs pairs of live
+nodes for a window of cycles, expressed through the transport outcome
+codes via :func:`~repro.simulator.transport.apply_reachability`.
+Byzantine value forgery lives in :mod:`repro.simulator.adversarial`.
 """
 
 from __future__ import annotations
 
 import abc
-import csv
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -53,13 +47,8 @@ __all__ = [
     "SuddenDeathModel",
     "ChurnModel",
     "CountCrashModel",
-    "CompositeFailureModel",
-    "TraceChurnModel",
-    "HeavyTailedChurnModel",
     "ReachabilityModel",
     "PartitionOutageModel",
-    "NatReachabilityModel",
-    "CompositeReachabilityModel",
 ]
 
 
@@ -219,165 +208,6 @@ class CountCrashModel(FailureModel):
         return f"{self.crashes_per_cycle} crashes per cycle"
 
 
-class CompositeFailureModel(FailureModel):
-    """Apply several failure models in order at every cycle."""
-
-    def __init__(self, models: Sequence[FailureModel]) -> None:
-        self.models: List[FailureModel] = list(models)
-
-    def apply(self, simulator, cycle_index: int, rng: RandomSource) -> None:
-        for index, model in enumerate(self.models):
-            model.apply(simulator, cycle_index, rng.child("composite", index, cycle_index))
-
-    def describe(self) -> str:
-        return " + ".join(model.describe() for model in self.models)
-
-
-# ----------------------------------------------------------------------
-# Trace-driven and heavy-tailed dynamics
-# ----------------------------------------------------------------------
-class TraceChurnModel(FailureModel):
-    """Replay a recorded sequence of join/leave events, cycle by cycle.
-
-    Events are ``(cycle, event, count)`` triples: at the start of
-    ``cycle`` (1-based), ``count`` uniformly drawn participants leave
-    (``"leave"``) or ``count`` fresh nodes join the overlay (``"join"``,
-    non-participating until the next epoch, like :class:`ChurnModel`'s
-    replacements).  Events sharing a cycle apply in input order.  This is
-    how measured availability traces — flash crowds, diurnal patterns,
-    mass departures — are fed into any engine.
-    """
-
-    _EVENTS = ("join", "leave")
-
-    def __init__(
-        self,
-        events: Sequence[Tuple[int, str, int]],
-        new_node_value: float = 0.0,
-    ) -> None:
-        self._schedule: Dict[int, List[Tuple[str, int]]] = {}
-        self._event_count = 0
-        for position, (cycle, event, count) in enumerate(events):
-            require(
-                int(cycle) >= 1,
-                f"trace event {position}: cycle is a 1-based index, got {cycle!r}",
-            )
-            require(
-                event in self._EVENTS,
-                f"trace event {position}: event must be one of {self._EVENTS}, "
-                f"got {event!r}",
-            )
-            require_non_negative(int(count), f"trace event {position} count")
-            self._schedule.setdefault(int(cycle), []).append((event, int(count)))
-            self._event_count += 1
-        self.new_node_value = new_node_value
-
-    @classmethod
-    def from_csv(cls, path, new_node_value: float = 0.0) -> "TraceChurnModel":
-        """Load a trace from a CSV file with columns ``cycle,event,count``.
-
-        A header row (any first field that is not an integer) is skipped;
-        blank lines are ignored.
-        """
-        events: List[Tuple[int, str, int]] = []
-        with open(path, newline="") as handle:
-            for row in csv.reader(handle):
-                if not row or not row[0].strip():
-                    continue
-                first = row[0].strip()
-                try:
-                    cycle = int(first)
-                except ValueError:
-                    continue  # header row
-                if len(row) < 3:
-                    raise ValueError(f"trace row {row!r} needs cycle,event,count")
-                events.append((cycle, row[1].strip().lower(), int(row[2])))
-        return cls(events, new_node_value=new_node_value)
-
-    @property
-    def last_cycle(self) -> int:
-        """The latest cycle the trace touches (0 for an empty trace)."""
-        return max(self._schedule, default=0)
-
-    def apply(self, simulator, cycle_index: int, rng: RandomSource) -> None:
-        for event, count in self._schedule.get(cycle_index, ()):
-            if count <= 0:
-                continue
-            if event == "leave":
-                participants = simulator.participant_ids()
-                for victim in rng.sample(participants, min(count, len(participants))):
-                    simulator.crash_node(victim)
-            else:
-                for _ in range(count):
-                    simulator.add_node(value=self.new_node_value, participating=False)
-
-    def describe(self) -> str:
-        return (
-            f"trace churn ({self._event_count} events through "
-            f"cycle {self.last_cycle})"
-        )
-
-
-class HeavyTailedChurnModel(FailureModel):
-    """Churn with Pareto-distributed session lengths.
-
-    Measured peer-to-peer uptimes are heavy-tailed: most sessions are
-    short while a few nodes stay for a very long time — very different
-    from the constant-rate :class:`ChurnModel`.  Every participant is
-    assigned a session length ``min_session * (1 + Pareto(alpha))`` when
-    first seen; once its session expires the node crashes and (when
-    ``replace`` is set) a fresh node joins in its place, keeping the
-    population size stable while its composition churns realistically.
-
-    Session draws come from a per-cycle child stream with a count that
-    depends only on the (engine-independent) participant list, so the
-    reference and vectorised engines see identical dynamics.
-    """
-
-    def __init__(
-        self,
-        alpha: float = 1.5,
-        min_session: float = 1.0,
-        new_node_value: float = 0.0,
-        replace: bool = True,
-    ) -> None:
-        require_positive(alpha, "alpha")
-        require_positive(min_session, "min_session")
-        self.alpha = float(alpha)
-        self.min_session = float(min_session)
-        self.new_node_value = new_node_value
-        self.replace = bool(replace)
-        self._expiry: Dict[int, float] = {}
-
-    def apply(self, simulator, cycle_index: int, rng: RandomSource) -> None:
-        participants = simulator.participant_ids()
-        fresh = [node for node in participants if node not in self._expiry]
-        if fresh:
-            draws = rng.child("sessions", cycle_index).generator.pareto(
-                self.alpha, len(fresh)
-            )
-            sessions = self.min_session * (1.0 + draws)
-            for node, session in zip(fresh, sessions):
-                self._expiry[node] = cycle_index - 1 + float(session)
-        expired = [
-            node
-            for node in participants
-            if self._expiry.get(node, math.inf) <= cycle_index
-        ]
-        for victim in expired:
-            simulator.crash_node(victim)
-            del self._expiry[victim]
-        if self.replace:
-            for _ in expired:
-                simulator.add_node(value=self.new_node_value, participating=False)
-
-    def describe(self) -> str:
-        return (
-            f"heavy-tailed churn (Pareto alpha={self.alpha}, "
-            f"min session {self.min_session} cycles)"
-        )
-
-
 # ----------------------------------------------------------------------
 # Correlated connectivity failures (reachability models)
 # ----------------------------------------------------------------------
@@ -394,7 +224,7 @@ class ReachabilityModel(abc.ABC):
     is what makes a partition visibly split the overlay itself.
 
     Reachability may be asymmetric: ``blocked(a → b)`` says nothing about
-    ``blocked(b → a)`` (NAT-style connectivity).
+    ``blocked(b → a)``.
     """
 
     @abc.abstractmethod
@@ -453,10 +283,19 @@ class PartitionOutageModel(ReachabilityModel):
     def split(
         cls, size: int, fraction: float, start_cycle: int, heal_cycle: int
     ) -> "PartitionOutageModel":
-        """Partition off the lowest ``fraction`` of an ``N``-node id space."""
+        """Partition off the lowest ``fraction`` of an ``N``-node id space.
+
+        ``round(fraction * size)`` must leave at least one node on each
+        side; a split that would sever nobody is rejected, not clamped.
+        """
         require_positive(size, "size")
         require_probability(fraction, "fraction")
-        boundary = max(1, min(size - 1, int(round(fraction * size))))
+        boundary = int(round(fraction * size))
+        require(
+            1 <= boundary <= size - 1,
+            f"a {fraction!r} split of {size} nodes puts {boundary} on the low "
+            f"side; each side needs at least one node",
+        )
         return cls(boundary, start_cycle, heal_cycle)
 
     def is_active(self, cycle_index: int) -> bool:
@@ -475,55 +314,3 @@ class PartitionOutageModel(ReachabilityModel):
             f"partition outage (ids < {self.boundary} severed, "
             f"cycles [{self.start_cycle}, {self.heal_cycle}))"
         )
-
-
-class NatReachabilityModel(ReachabilityModel):
-    """NAT-style asymmetric reachability: inbound-blocked nodes.
-
-    Nodes in ``nat_ids`` sit behind a NAT without hole punching: they can
-    *initiate* exchanges with anyone, but nobody can initiate an exchange
-    *towards* them — ``A → B`` succeeds while ``B → A`` is blocked
-    whenever ``B`` is public and ``A`` is NATed.  The asymmetry is
-    permanent (no cycle window).
-    """
-
-    def __init__(self, nat_ids: Sequence[int]) -> None:
-        self._nat = np.unique(np.asarray(list(nat_ids), dtype=np.int64))
-        require(self._nat.size > 0, "nat_ids must not be empty")
-        require_non_negative(int(self._nat[0]), "nat_ids entries")
-
-    @property
-    def nat_ids(self) -> List[int]:
-        """The inbound-blocked node identifiers, sorted."""
-        return [int(node) for node in self._nat]
-
-    def blocked_pairs(
-        self, initiators: np.ndarray, peers: np.ndarray, cycle_index: int
-    ) -> Optional[np.ndarray]:
-        del initiators, cycle_index
-        return np.isin(peers, self._nat)
-
-    def describe(self) -> str:
-        return f"NAT reachability ({self._nat.size} inbound-blocked nodes)"
-
-
-class CompositeReachabilityModel(ReachabilityModel):
-    """Union of several reachability constraints (a pair blocked by any)."""
-
-    def __init__(self, models: Sequence[ReachabilityModel]) -> None:
-        require(len(models) > 0, "CompositeReachabilityModel needs at least one model")
-        self.models: List[ReachabilityModel] = list(models)
-
-    def blocked_pairs(
-        self, initiators: np.ndarray, peers: np.ndarray, cycle_index: int
-    ) -> Optional[np.ndarray]:
-        combined: Optional[np.ndarray] = None
-        for model in self.models:
-            mask = model.blocked_pairs(initiators, peers, cycle_index)
-            if mask is None:
-                continue
-            combined = mask.copy() if combined is None else (combined | mask)
-        return combined
-
-    def describe(self) -> str:
-        return " + ".join(model.describe() for model in self.models)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -246,26 +246,3 @@ class SimulationTrace:
     def total_failed_exchanges(self) -> int:
         """Total number of failed/dropped exchanges across all cycles."""
         return sum(record.failed_exchanges for record in self.records)
-
-
-def summarize_traces(traces: Iterable[SimulationTrace]) -> dict:
-    """Aggregate statistics over repeated experiment runs.
-
-    Returns a dictionary with the mean and standard deviation of the final
-    mean/variance and of the average convergence factor over the traces.
-    """
-    traces = list(traces)
-    if not traces:
-        raise SimulationError("no traces to summarise")
-    final_means = np.array([trace.final.mean for trace in traces], dtype=float)
-    final_variances = np.array([trace.final.variance for trace in traces], dtype=float)
-    factors = np.array([trace.average_convergence_factor() for trace in traces], dtype=float)
-    return {
-        "runs": len(traces),
-        "final_mean_avg": float(final_means.mean()),
-        "final_mean_std": float(final_means.std()),
-        "final_variance_avg": float(final_variances.mean()),
-        "final_variance_std": float(final_variances.std()),
-        "convergence_factor_avg": float(factors.mean()),
-        "convergence_factor_std": float(factors.std()),
-    }

@@ -825,43 +825,6 @@ class ReplicaView:
             engine._non_participant_mask[row] = True
         return node_id
 
-    def promote_non_participants(
-        self, values: Optional[Mapping[int, Any]] = None
-    ) -> List[int]:
-        """Let all waiting nodes join the protocol (an epoch restart)."""
-        engine = self._engine
-        base = self._base
-        promoted = np.flatnonzero(
-            engine._non_participant_mask[base : base + engine._stride]
-        )
-        for node in promoted:
-            node_id = int(node)
-            value = 0.0 if values is None else values.get(node_id, 0.0)
-            engine._states[base + node_id] = engine._encode_value(value)
-        engine._participant_mask[base + promoted] = True
-        engine._non_participant_mask[base + promoted] = False
-        if promoted.size:
-            self._replica.participants_cache = None
-        return promoted.tolist()
-
-    def restart_epoch(self, values: Mapping[int, Any]) -> None:
-        """Re-initialise every participant's state from fresh local values."""
-        self.promote_non_participants()
-        engine = self._engine
-        participants = self._participants()
-        fresh = []
-        for node in participants:
-            node_id = int(node)
-            if node_id not in values:
-                raise ConfigurationError(f"missing restart value for node {node_id}")
-            fresh.append(values[node_id])
-        if participants.size:
-            engine._states[self._base + participants] = (
-                engine._function.initial_state_array(
-                    np.asarray(fresh, dtype=np.float64)
-                )
-            )
-
     def override_values(self, node_ids: Sequence[int], values: Any) -> None:
         """Re-assert local values at selected participants, mid-epoch.
 

@@ -142,8 +142,7 @@ def apply_reachability(
 ) -> bool:
     """Overwrite ``outcomes`` with ``DROPPED`` for unreachable pairs.
 
-    Correlated connectivity failures (partition outages, NAT-style
-    asymmetric reachability — see
+    Correlated connectivity failures (partition outages — see
     :class:`~repro.simulator.failures.ReachabilityModel`) express
     themselves through the same outcome codes as probabilistic transport
     loss: an exchange whose initiator cannot reach its peer silently

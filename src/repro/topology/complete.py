@@ -84,14 +84,21 @@ class CompleteOverlay(OverlayProvider):
         Uses the classic skip-self trick: draw a position in ``[0, n-1)``
         and shift it past the caller's own position, which is exactly a
         uniform draw over the ``n - 1`` other nodes — no rejection loop.
+        ``-1`` marks negative, unknown and removed identifiers, which
+        consume no randomness.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
+        peers = np.full(node_ids.size, -1, dtype=np.int64)
         if len(self._nodes) <= 1 or node_ids.size == 0:
-            return np.full(node_ids.size, -1, dtype=np.int64)
+            return peers
         ids, position_of = self._node_arrays()
-        positions = position_of[node_ids]
-        draws = generator.integers(0, ids.size - 1, size=node_ids.size)
-        return ids[draws + (draws >= positions)]
+        in_table = (node_ids >= 0) & (node_ids < position_of.size)
+        positions = np.where(in_table, position_of[np.where(in_table, node_ids, 0)], -1)
+        known = positions >= 0
+        positions = positions[known]
+        draws = generator.integers(0, ids.size - 1, size=positions.size)
+        peers[known] = ids[draws + (draws >= positions)]
+        return peers
 
     def on_node_removed(self, node_id: int) -> None:
         self._nodes.discard(node_id)

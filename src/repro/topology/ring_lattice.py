@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from ..common.rng import RandomSource  # noqa: F401  (kept for signature symmetry)
 from ..common.validation import require, require_positive
 from .base import StaticTopology
 

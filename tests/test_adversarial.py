@@ -1,11 +1,10 @@
 """Tests for the adversarial & correlated-failure subsystem.
 
-Covers the byzantine reporter models, partition outages and NAT-style
-asymmetric reachability, trace-driven and heavy-tailed churn, the
+Covers the byzantine reporter models, partition outages, the
 median-of-instances hardened COUNT reducer, and the threading of all of
-the above through every engine: reference vs vectorized bit-parity,
-replicated-vs-serial parity, async value injection, and the overlay
-split / re-merge behaviour of NEWSCAST under a partition.
+the above through the cycle engines: reference vs vectorized bit-parity,
+replicated-vs-serial parity, and the overlay split / re-merge behaviour
+of NEWSCAST under a partition.
 """
 
 import math
@@ -21,8 +20,6 @@ from repro.experiments.config import ExperimentScale
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.runner import (
     RunPlan,
-    TimeVaryingValues,
-    pareto_initial_values,
     repeat_simulations,
     uniform_initial_values,
 )
@@ -30,18 +27,9 @@ from repro.simulator import make_simulator
 from repro.simulator.adversarial import (
     BYZANTINE_STRATEGIES,
     ByzantineReporterModel,
-    count_deflation_attack,
-    count_inflation_attack,
     targeted_instance_attack,
 )
-from repro.simulator.asynchrony import BYZANTINE, PARTITIONED, build_async_average
-from repro.simulator.failures import (
-    CompositeReachabilityModel,
-    HeavyTailedChurnModel,
-    NatReachabilityModel,
-    PartitionOutageModel,
-    TraceChurnModel,
-)
+from repro.simulator.failures import PartitionOutageModel
 from repro.simulator.transport import (
     OUTCOME_COMPLETED,
     OUTCOME_DROPPED,
@@ -192,10 +180,6 @@ class TestByzantineReporterModel:
         assert set(BYZANTINE_STRATEGIES) == {"constant", "targeted", "stuck", "drift"}
 
     def test_attack_factories(self):
-        inflation = count_inflation_attack(0.1)
-        assert inflation.lie_value == 0.0
-        deflation = count_deflation_attack(0.1, claimed_mass=4.0)
-        assert deflation.lie_value == 4.0
         targeted = targeted_instance_attack(0.1, instance_fraction=0.5)
         assert targeted.strategy == "targeted"
 
@@ -220,7 +204,7 @@ class TestByzantineEngineParity:
             size=60,
             cycles=8,
             values=uniform_initial_values,
-            failure_factory=lambda: count_inflation_attack(0.1),
+            failure_factory=lambda: ByzantineReporterModel(0.1, strategy="constant"),
         )
         replicated = repeat_simulations(3, 21, plan=plan, engine="replicated")
         serial = repeat_simulations(3, 21, plan=plan, engine="serial")
@@ -234,7 +218,7 @@ class TestByzantineEngineParity:
 
 
 # ----------------------------------------------------------------------
-# Reachability: partitions, NAT, composition
+# Reachability: partition outages
 # ----------------------------------------------------------------------
 class TestPartitionOutageModel:
     def test_window_and_boundary(self):
@@ -269,49 +253,20 @@ class TestPartitionOutageModel:
         with pytest.raises(ConfigurationError):
             PartitionOutageModel.split(100, 1.5, 1, 2)
 
+    def test_split_rejects_a_side_with_no_nodes(self):
+        # round(fraction * size) must leave one node on each side; the
+        # split used to clamp to 1 / size - 1 silently instead.
+        with pytest.raises(ConfigurationError, match="each side"):
+            PartitionOutageModel.split(10, 0.0, 1, 2)
+        with pytest.raises(ConfigurationError, match="each side"):
+            PartitionOutageModel.split(10, 1.0, 1, 2)
+        with pytest.raises(ConfigurationError, match="each side"):
+            PartitionOutageModel.split(10, 0.02, 1, 2)
+        assert PartitionOutageModel.split(10, 0.1, 1, 2).boundary == 1
+        assert PartitionOutageModel.split(10, 0.9, 1, 2).boundary == 9
+
     def test_describe_mentions_window(self):
         assert "[2, 7)" in PartitionOutageModel(10, 2, 7).describe()
-
-
-class TestNatReachabilityModel:
-    def test_asymmetric_inbound_block(self):
-        model = NatReachabilityModel([3, 7])
-        # NATed nodes can initiate, nobody can reach them.
-        assert model.blocks(0, 3, 1)
-        assert not model.blocks(3, 0, 1)
-        assert model.blocks(3, 7, 1)
-        assert model.nat_ids == [3, 7]
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            NatReachabilityModel([])
-        with pytest.raises(ConfigurationError):
-            NatReachabilityModel([-1, 2])
-
-    def test_engine_parity_under_nat(self):
-        assert_engines_bit_identical(reachability=NatReachabilityModel(range(0, 20)))
-
-
-class TestCompositeReachabilityModel:
-    def test_union_of_blocked_pairs(self):
-        partition = PartitionOutageModel(boundary=50, start_cycle=1, heal_cycle=5)
-        nat = NatReachabilityModel([60])
-        combined = CompositeReachabilityModel([partition, nat])
-        initiators = np.array([10, 55, 10])
-        peers = np.array([60, 60, 20])
-        active = combined.blocked_pairs(initiators, peers, 2)
-        assert active.tolist() == [True, True, False]
-        healed = combined.blocked_pairs(initiators, peers, 8)
-        assert healed.tolist() == [True, True, False]
-
-    def test_all_inert_returns_none(self):
-        partition = PartitionOutageModel(boundary=50, start_cycle=5, heal_cycle=6)
-        combined = CompositeReachabilityModel([partition])
-        assert combined.blocked_pairs(np.array([1]), np.array([60]), 1) is None
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CompositeReachabilityModel([])
 
 
 class TestApplyReachability:
@@ -395,86 +350,6 @@ class TestNewscastSplitAndRemerge:
 
 
 # ----------------------------------------------------------------------
-# Trace-driven and heavy-tailed churn
-# ----------------------------------------------------------------------
-class TestTraceChurnModel:
-    def test_replays_schedule(self):
-        model = TraceChurnModel([(2, "leave", 10), (3, "join", 4)])
-        simulator = build_simulator(failure_model=model, size=60)
-        simulator.run_cycle()
-        assert len(simulator.participant_ids()) == 60
-        simulator.run_cycle()
-        assert len(simulator.participant_ids()) == 50
-        simulator.run_cycle()
-        # Joins enter as non-participating members of the epoch.
-        assert len(simulator.participant_ids()) == 50
-        assert model.last_cycle == 3
-
-    def test_leave_caps_at_population(self):
-        model = TraceChurnModel([(1, "leave", 15), (2, "leave", 1000)])
-        simulator = build_simulator(failure_model=model, size=20)
-        simulator.run_cycle()
-        assert len(simulator.participant_ids()) == 5
-
-    def test_from_csv(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("cycle,event,count\n1,leave,5\n2,join,3\n")
-        model = TraceChurnModel.from_csv(path)
-        assert model.last_cycle == 2
-        simulator = build_simulator(failure_model=model, size=40)
-        simulator.run(2)
-        assert len(simulator.participant_ids()) == 35
-
-    def test_from_csv_rejects_short_rows(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,leave\n")
-        with pytest.raises(ValueError):
-            TraceChurnModel.from_csv(path)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            TraceChurnModel([(0, "leave", 1)])
-        with pytest.raises(ConfigurationError):
-            TraceChurnModel([(1, "reboot", 1)])
-        with pytest.raises(ConfigurationError):
-            TraceChurnModel([(1, "join", -1)])
-
-    def test_describe_mentions_span(self):
-        model = TraceChurnModel([(1, "leave", 2), (9, "join", 1)])
-        assert "9" in model.describe()
-
-
-class TestHeavyTailedChurnModel:
-    def test_sessions_expire_and_replacements_join(self):
-        model = HeavyTailedChurnModel(alpha=1.1, min_session=1.0, replace=True)
-        simulator = build_simulator(failure_model=model, size=100)
-        before = set(simulator.participant_ids())
-        simulator.run(8)
-        # Short heavy-tailed sessions must have expired someone by now,
-        # and every departure is matched by a (non-participating) join.
-        assert simulator.crashed_ids()
-        assert set(simulator.participant_ids()) < before
-
-    def test_without_replacement_population_shrinks(self):
-        model = HeavyTailedChurnModel(alpha=1.1, min_session=1.0, replace=False)
-        simulator = build_simulator(failure_model=model, size=100)
-        simulator.run(8)
-        assert len(simulator.participant_ids()) < 100
-
-    def test_long_min_session_keeps_everyone(self):
-        model = HeavyTailedChurnModel(alpha=2.0, min_session=50.0)
-        simulator = build_simulator(failure_model=model, size=40)
-        simulator.run(5)
-        assert len(simulator.participant_ids()) == 40
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            HeavyTailedChurnModel(alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            HeavyTailedChurnModel(min_session=-1.0)
-
-
-# ----------------------------------------------------------------------
 # Median-of-instances hardened COUNT
 # ----------------------------------------------------------------------
 class TestMedianReducer:
@@ -514,94 +389,8 @@ class TestMedianReducer:
 
 
 # ----------------------------------------------------------------------
-# Async engine: forged values and scenario presets
+# Experiment layer: plans and figures
 # ----------------------------------------------------------------------
-class TestAsyncAdversarial:
-    def test_byzantine_scenario_drags_estimate(self):
-        size = 100
-        rng = RandomSource(5)
-        overlay = build_overlay(TopologySpec("random", degree=8), size, rng.child("overlay"))
-        simulator, protocol = build_async_average(
-            overlay,
-            {node: float(node % 10) for node in range(size)},
-            rng.child("run"),
-            BYZANTINE,
-        )
-        simulator.run(10)
-        del protocol
-        assert simulator.trace.final.mean < 4.0  # honest mean is 4.5
-
-    def test_partitioned_scenario_preserves_mass(self):
-        size = 100
-        rng = RandomSource(5)
-        overlay = build_overlay(TopologySpec("random", degree=8), size, rng.child("overlay"))
-        simulator, _ = build_async_average(
-            overlay,
-            {node: float(node % 10) for node in range(size)},
-            rng.child("run"),
-            PARTITIONED,
-        )
-        simulator.run(12)
-        assert simulator.trace.records[-1].mean == pytest.approx(4.5)
-
-    def test_async_override_skips_departed_nodes(self):
-        size = 50
-        rng = RandomSource(8)
-        overlay = build_overlay(TopologySpec("random", degree=6), size, rng.child("overlay"))
-        simulator, _ = build_async_average(
-            overlay,
-            {node: 1.0 for node in range(size)},
-            rng.child("run"),
-        )
-        simulator.run(1)
-        simulator.override_values(np.array([0, 1, size + 99]), -5.0)
-        simulator.run(1)  # must not raise on the out-of-range id
-
-
-# ----------------------------------------------------------------------
-# Experiment layer: value generators, plans and figures
-# ----------------------------------------------------------------------
-class TestValueGenerators:
-    def test_pareto_values_bounded_below_by_scale(self):
-        rng = RandomSource(3)
-        values = pareto_initial_values(500, rng, alpha=2.0, scale=2.0)
-        assert len(values) == 500
-        assert min(values) >= 2.0
-        assert np.mean(values) == pytest.approx(2.0 * 2.0 / (2.0 - 1.0), rel=0.25)
-
-    def test_pareto_validation(self):
-        rng = RandomSource(3)
-        with pytest.raises(ConfigurationError):
-            pareto_initial_values(10, rng, alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            pareto_initial_values(10, rng, scale=-1.0)
-
-    def test_time_varying_values_track_moving_mean(self):
-        model = TimeVaryingValues(base=50.0, amplitude=0.0, period=10, fraction=0.2, jitter=0.5)
-        simulator = build_simulator(
-            failure_model=model, cycles=20, values=[0.0] * SIZE
-        )
-        final = simulator.trace.records[-1].mean
-        # Repeated re-injection around 50 pulls the estimate off 0 toward 50.
-        assert final > 25.0
-        assert "per cycle" in model.describe()
-
-    def test_time_varying_engine_parity(self):
-        assert_engines_bit_identical(
-            make_failure=lambda: TimeVaryingValues(
-                base=10.0, amplitude=5.0, period=7, fraction=0.1, jitter=1.0
-            )
-        )
-
-    def test_time_varying_validation(self):
-        with pytest.raises(ConfigurationError):
-            TimeVaryingValues(period=0)
-        with pytest.raises(ConfigurationError):
-            TimeVaryingValues(fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            TimeVaryingValues(amplitude=-1.0)
-
-
 TINY = ExperimentScale(name="tiny", network_size=80, repeats=2, sweep_points=3)
 
 

@@ -1,13 +1,10 @@
 """Tests for the empirical convergence measures."""
 
-import math
-
 import pytest
 
 from repro.analysis.convergence import (
     mean_convergence_factor,
     normalized_mean_variance,
-    summarize_convergence,
     variance_reduction_curve,
 )
 from repro.common.errors import ExperimentError
@@ -98,19 +95,3 @@ class TestNormalizedMeanVariance:
         traces = [trace_from([0.0, 0.0]), trace_from([0.0, 0.0])]
         with pytest.raises(ExperimentError):
             normalized_mean_variance(traces)
-
-
-class TestSummarizeConvergence:
-    def test_summary_contents(self):
-        traces = [trace_from([1.0, 0.25, 0.0625]), trace_from([1.0, 0.25, 0.0625])]
-        summary = summarize_convergence(traces)
-        assert summary.runs == 2
-        assert summary.cycles == 2
-        assert summary.convergence_factor == pytest.approx(0.25)
-        assert summary.final_variance_reduction == pytest.approx(0.0625)
-        assert summary.final_mean == pytest.approx(1.0)
-        assert summary.as_dict()["runs"] == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ExperimentError):
-            summarize_convergence([])

@@ -8,7 +8,6 @@ from repro.analysis.statistics import (
     finite_mean,
     median,
     relative_error,
-    summary_quantiles,
     trimmed_mean,
 )
 from repro.common.errors import ConfigurationError
@@ -77,16 +76,3 @@ class TestRelativeError:
 
     def test_zero_truth(self):
         assert relative_error(0.5, 0.0) == 0.5
-
-
-class TestSummaryQuantiles:
-    def test_quantiles_of_finite_sample(self):
-        data = list(range(101))
-        result = summary_quantiles(data)
-        assert result["q50"] == 50.0
-        assert result["q5"] == pytest.approx(5.0)
-        assert result["q95"] == pytest.approx(95.0)
-
-    def test_all_infinite(self):
-        result = summary_quantiles([math.inf, math.inf])
-        assert result["q50"] == math.inf

@@ -12,7 +12,6 @@ from repro.analysis.theory import (
     exchange_count_pmf,
     expected_exchanges_per_cycle,
     expected_variance_after_cycles,
-    geometric_mean_factor,
     is_crash_variance_bounded,
     link_failure_convergence_bound,
     peak_distribution_variance,
@@ -136,16 +135,3 @@ class TestPeakDistributionVariance:
         assert peak_distribution_variance(100, peak_value=2.0) == pytest.approx(
             4 * peak_distribution_variance(100, peak_value=1.0)
         )
-
-
-class TestGeometricMeanFactor:
-    def test_geometric_mean(self):
-        assert geometric_mean_factor([0.25, 1.0]) == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean_factor([])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean_factor([-0.1])

@@ -29,14 +29,13 @@ from repro.simulator.async_engine import (
     AsyncPracticalSimulator,
 )
 from repro.simulator.asynchrony import (
+    HOSTILE,
     LAN,
-    SCENARIOS,
     WAN,
     AsynchronyScenario,
     build_async_average,
     build_async_count,
     compare_average_convergence,
-    scenario_from_environment,
     validation_grid,
 )
 from repro.simulator.epochs import EpochDriver
@@ -85,7 +84,9 @@ class TestEngineBasics:
     def test_deterministic_from_seed(self):
         results = []
         for _ in range(2):
-            simulator, _ = build_average(seed=11, scenario=SCENARIOS["lossy"])
+            simulator, _ = build_average(
+                seed=11, scenario=LAN.with_overrides(message_loss=0.05)
+            )
             simulator.run(12)
             results.append(
                 (simulator.trace.variances(), dict(simulator.statistics))
@@ -396,18 +397,6 @@ class TestChurnAndStagger:
 
 
 class TestScenarioLayer:
-    def test_presets_are_registered(self):
-        assert {"lan", "wan", "drifty", "lossy", "hostile"} <= set(SCENARIOS)
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ASYNC_SCENARIO", raising=False)
-        assert scenario_from_environment() is LAN
-        monkeypatch.setenv("REPRO_ASYNC_SCENARIO", "wan")
-        assert scenario_from_environment() is WAN
-        monkeypatch.setenv("REPRO_ASYNC_SCENARIO", "marswide")
-        with pytest.raises(ConfigurationError):
-            scenario_from_environment()
-
     def test_validation_grid_shape(self):
         grid = validation_grid()
         assert len(grid) == 6
@@ -433,62 +422,8 @@ class TestScenarioLayer:
         assert model.distribution == "lognormal"
 
     def test_labels_mention_impairments(self):
-        label = SCENARIOS["hostile"].label()
+        label = HOSTILE.label()
         assert "drift" in label and "loss" in label and "churn" in label
-
-
-class TestAdversarialScenarios:
-    """The robustness presets: byzantine reporters, partitions, flash crowds."""
-
-    def test_presets_registered(self):
-        assert {"byzantine", "partitioned", "flash-crowd"} <= set(SCENARIOS)
-
-    def test_environment_error_lists_new_presets(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASYNC_SCENARIO", "nonsense")
-        with pytest.raises(ConfigurationError, match="byzantine"):
-            scenario_from_environment()
-
-    def test_new_field_validation(self):
-        with pytest.raises(ConfigurationError):
-            AsynchronyScenario(byzantine_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            AsynchronyScenario(partition_fraction=0.5, partition_cycles=0)
-        with pytest.raises(ConfigurationError):
-            AsynchronyScenario(
-                partition_fraction=0.5, partition_start=0, partition_cycles=3
-            )
-        with pytest.raises(ConfigurationError):
-            AsynchronyScenario(flash_crowd_window=-1)
-
-    def test_labels_mention_adversaries(self):
-        assert "byz" in SCENARIOS["byzantine"].label()
-        assert "partition" in SCENARIOS["partitioned"].label()
-        assert "flashcrowd" in SCENARIOS["flash-crowd"].label()
-
-    def test_flash_crowd_grows_population(self):
-        simulator, _ = build_average(
-            seed=9, scenario=SCENARIOS["flash-crowd"], size=100, kind="random"
-        )
-        simulator.run(8)
-        # +50% at window five, steady churn replaces its own departures.
-        assert simulator.alive_ids().size == 150
-
-    @pytest.mark.parametrize("name", ["byzantine", "partitioned"])
-    def test_cross_engine_agreement_under_adversary(self, name):
-        """Async vs cycle-model convergence must still agree when the same
-        adversary (forged values / partition outage) runs on both engines;
-        measured factor differences are ~0.05 at this scale."""
-        agreement = compare_average_convergence(
-            overlay_factory("random"),
-            linear_values(),
-            cycles=15,
-            rng=RandomSource(5),
-            scenario=SCENARIOS[name],
-        )
-        assert agreement.agree_within(0.15), (
-            f"{name}: async={agreement.async_factor:.3f} "
-            f"cycle={agreement.cycle_factor:.3f}"
-        )
 
 
 @pytest.mark.skipif(

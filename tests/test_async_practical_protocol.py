@@ -9,14 +9,12 @@ protocol's individual rules on small networks instead:
 * epochs restart on the Δ schedule, every node reports every epoch it
   finishes, and epidemic epoch sync keeps drifting clocks together
   (Sections 4.1 and 4.3);
-* crashes, message loss, link failures and reachability constraints slow
-  the protocol down without breaking it, and the exchange ledger always
+* crashes, message loss and link failures slow the protocol down
+  without breaking it, and the exchange ledger always
   reconciles (Section 4.2);
 * joining nodes wait for the next epoch boundary (Section 4.2);
 * the public accessors and constructor validate their arguments.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -30,10 +28,8 @@ from repro.simulator.async_engine import (
     AsyncAverageProtocol,
     AsyncCountProtocol,
     AsyncPracticalSimulator,
-    AsyncProtocol,
 )
 from repro.simulator.asynchrony import LAN, build_async_average, build_async_count
-from repro.simulator.failures import NatReachabilityModel, PartitionOutageModel
 from repro.simulator.transport import DelayModel, TransportModel
 from repro.topology import TopologySpec, build_overlay
 from repro.topology.complete import CompleteOverlay
@@ -202,44 +198,6 @@ class TestAdapterCodec:
         left, right = protocol.merge_rows(0, rows, rows)
         assert left.shape == right.shape == (5, 0)
         assert np.all(np.isinf(protocol.estimate_rows(0, rows)))
-
-    def test_count_forge_rows_claim_every_leader(self):
-        protocol, width = self.count_protocol()
-        forged = protocol.forge_rows(0, np.array([3, 4]), 0.25)
-        half = width // 2
-        assert forged.shape == (2, width)
-        assert np.all(forged[:, :half] == 0.25)
-        assert np.all(forged[:, half:] == 1.0)
-
-    def test_average_forge_rows_persist_the_lie(self):
-        protocol = AsyncAverageProtocol(node_values(4))
-        forged = protocol.forge_rows(0, np.array([1, 3]), 99.0)
-        assert forged[:, 0].tolist() == [99.0, 99.0]
-        assert protocol.enter_rows(1, np.array([1, 2, 3]))[:, 0].tolist() == [
-            99.0,
-            2.0,
-            99.0,
-        ]
-
-    def test_forge_rows_unsupported_by_default(self):
-        class Silent(AsyncProtocol):
-            def begin_epoch(self, epoch_id, alive_ids, rng):
-                return 1
-
-            def codec(self, epoch_id):
-                return AverageFunction()
-
-            def enter_rows(self, epoch_id, node_ids):
-                return np.zeros((node_ids.size, 1))
-
-            def estimate_rows(self, epoch_id, rows):
-                return rows[:, 0]
-
-            def report(self, epoch_id, node_ids, rows, jumped):
-                pass
-
-        with pytest.raises(ConfigurationError):
-            Silent().forge_rows(0, np.array([0]), 1.0)
 
 
 class TestEpochLifecycle:
@@ -459,53 +417,6 @@ class TestRobustness:
         assert simulator.alive_ids().size == SIZE
 
 
-class TestReachability:
-    def test_partition_sides_converge_separately(self):
-        rng = RandomSource(6)
-        simulator = AsyncPracticalSimulator(
-            make_overlay(rng, "complete"),
-            AsyncAverageProtocol(node_values()),
-            EpochConfig(cycles_per_epoch=100),
-            rng.child("run"),
-            reachability=PartitionOutageModel(SIZE // 2, start_cycle=1, heal_cycle=50),
-        )
-        simulator.run(20)
-        assert simulator.statistics["dropped"] > 0
-        estimates = simulator.current_estimates()
-        low, high = estimates[: SIZE // 2], estimates[SIZE // 2 :]
-        assert low.mean() == pytest.approx(np.mean(np.arange(SIZE // 2)), rel=1e-12)
-        assert high.mean() == pytest.approx(np.mean(np.arange(SIZE // 2, SIZE)), rel=1e-12)
-        assert low.max() < high.min()
-
-    def test_healed_partition_reconverges_globally(self):
-        rng = RandomSource(6)
-        simulator = AsyncPracticalSimulator(
-            make_overlay(rng, "complete"),
-            AsyncAverageProtocol(node_values()),
-            EpochConfig(cycles_per_epoch=100),
-            rng.child("run"),
-            reachability=PartitionOutageModel(SIZE // 2, start_cycle=1, heal_cycle=8),
-        )
-        simulator.run(40)
-        estimates = simulator.current_estimates()
-        for estimate in estimates:
-            assert estimate == pytest.approx(truth(), rel=0.01)
-
-    def test_unreachable_peers_block_every_exchange(self):
-        rng = RandomSource(6)
-        simulator = AsyncPracticalSimulator(
-            make_overlay(rng, "complete"),
-            AsyncAverageProtocol(node_values()),
-            EpochConfig(cycles_per_epoch=100),
-            rng.child("run"),
-            reachability=NatReachabilityModel(range(SIZE)),
-        )
-        simulator.run(5)
-        stats = simulator.statistics
-        assert stats["dropped"] == stats["ticks"] == 5 * SIZE
-        assert simulator.current_estimates().tolist() == [float(n) for n in range(SIZE)]
-
-
 class TestJoins:
     def test_joining_node_waits_for_the_next_epoch(self):
         simulator, protocol = build_average(cycles_per_epoch=8)
@@ -616,19 +527,3 @@ class TestAccessorsAndValidation:
         assert simulator.overlay is overlay
         assert simulator.protocol is protocol
         assert simulator.epoch_config is config
-
-    def test_override_values_rewrites_current_rows(self):
-        simulator, _ = build_average(kind="complete")
-        simulator.run(2)
-        simulator.override_values([0, 1], 500.0)
-        estimates = simulator.current_estimates()
-        assert estimates[0] == estimates[1] == 500.0
-
-    def test_override_values_skips_unknown_and_waiting_nodes(self):
-        simulator, _ = build_average(kind="complete")
-        simulator.run(2)
-        (joiner,) = simulator.add_nodes(1, RandomSource(4))
-        before = simulator.current_estimates().copy()
-        simulator.override_values([-1, 10**6, joiner], 500.0)
-        assert np.array_equal(simulator.current_estimates(), before)
-        assert math.isfinite(simulator.trace.final.mean)

@@ -10,7 +10,7 @@ from repro.experiments.config import (
     ExperimentScale,
     scale_from_environment,
 )
-from repro.experiments.reporting import format_value, render_series, render_table
+from repro.experiments.reporting import format_value, render_table
 
 
 class TestExperimentScale:
@@ -69,9 +69,3 @@ class TestReporting:
 
     def test_render_table_empty(self):
         assert "(no data)" in render_table([], title="empty")
-
-    def test_render_series(self):
-        text = render_series("series", [1, 2], [0.1, 0.2], x_label="cycle", y_label="var")
-        assert "cycle" in text
-        assert "var" in text
-        assert "0.2" in text

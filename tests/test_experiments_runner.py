@@ -4,23 +4,23 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomSource
+from repro.core.functions import AverageFunction
 from repro.experiments.runner import (
     peak_values_for_count,
     repeat_simulations,
     repeat_traces,
-    run_average_once,
-    sweep,
     uniform_initial_values,
 )
-from repro.simulator.failures import CountCrashModel
-from repro.simulator.transport import TransportModel
-from repro.topology import TopologySpec
+from repro.simulator import make_simulator
+from repro.topology import TopologySpec, build_overlay
 
 
 def _trace_run(index, rng):
     """Module-level run callable so the process pool can pickle it."""
     values = uniform_initial_values(30, rng)
-    return run_average_once(TopologySpec("random", degree=4), 30, values, 3, rng).trace
+    overlay = build_overlay(TopologySpec("random", degree=4), 30, rng.child("topology"))
+    simulator = make_simulator(overlay, AverageFunction(), values, rng.child("simulation"))
+    return simulator.run(3)
 
 
 def _draw_run(index, rng):
@@ -45,42 +45,9 @@ class TestValueGenerators:
         assert values[0] == 10.0
 
 
-class TestRunAverageOnce:
-    def test_returns_simulator_with_trace(self):
-        rng = RandomSource(2)
-        values = [float(i) for i in range(80)]
-        simulator = run_average_once(
-            TopologySpec("random", degree=8), 80, values, cycles=10, rng=rng
-        )
-        assert simulator.cycle_index == 10
-        assert len(simulator.trace) == 11
-        assert simulator.trace.final.mean == pytest.approx(sum(values) / 80)
-
-    def test_transport_and_failures_are_honoured(self):
-        rng = RandomSource(3)
-        values = [float(i) for i in range(60)]
-        simulator = run_average_once(
-            TopologySpec("random", degree=6),
-            60,
-            values,
-            cycles=5,
-            rng=rng,
-            transport=TransportModel(link_failure_probability=1.0),
-            failure_model=CountCrashModel(2),
-        )
-        assert simulator.trace.final.completed_exchanges == 0
-        assert len(simulator.participant_ids()) == 50
-
-
 class TestRepetitionHelpers:
     def test_repeat_traces_uses_independent_seeds(self):
-        def make_run(index, rng):
-            values = uniform_initial_values(30, rng)
-            return run_average_once(
-                TopologySpec("random", degree=4), 30, values, 3, rng
-            ).trace
-
-        traces = repeat_traces(3, seed=9, make_run=make_run)
+        traces = repeat_traces(3, seed=9, make_run=_trace_run)
         assert len(traces) == 3
         means = [trace.initial.mean for trace in traces]
         assert len(set(means)) == 3  # different initial draws per run
@@ -90,11 +57,6 @@ class TestRepetitionHelpers:
             return rng.random()
 
         assert repeat_simulations(4, 7, make_run) == repeat_simulations(4, 7, make_run)
-
-    def test_sweep_preserves_order_and_values(self):
-        result = sweep([3, 1, 2], lambda value: value * 10)
-        assert list(result.keys()) == [3, 1, 2]
-        assert result[2] == 20
 
 
 class TestParallelRepetition:

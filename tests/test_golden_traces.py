@@ -1,0 +1,145 @@
+"""Golden digests of engine-level traces.
+
+Each test runs one small, seeded configuration on one engine path and
+compares a sha256 of its records with a committed value, so any change to
+a random stream (draw order, a new child stream, a different reduction)
+shows up as a failing digest instead of a changelog sentence.  Floats
+enter at 10 significant digits, which is stable across platforms and
+NumPy versions while still catching every real stream change.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
+
+from repro.common.rng import RandomSource
+from repro.core.count import LeaderElection
+from repro.core.epoch import EpochConfig
+from repro.core.functions import AverageFunction
+from repro.experiments.runner import RunPlan, repeat_traces, uniform_initial_values
+from repro.simulator import (
+    ChurnModel,
+    CountCrashModel,
+    EpochDriver,
+    TransportModel,
+    build_async_count,
+    make_simulator,
+)
+from repro.simulator.asynchrony import HOSTILE
+from repro.topology import TopologySpec, build_overlay
+
+SEED = 2004
+SIZE = 60
+CYCLES = 10
+RANDOM_6 = TopologySpec("random", degree=6)
+NEWSCAST_10 = TopologySpec("newscast", degree=10)
+TEN_PERCENT_LOSS = TransportModel(message_loss_probability=0.1)
+
+
+def records_digest(records):
+    """sha256 of dataclass records, floats at 10 significant digits.
+
+    The ``trace`` field of epoch records (a nested trace, when kept) is
+    left out; everything else enters in field order.
+    """
+
+    def cell(value):
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".10g")
+        return str(value)
+
+    flat = [
+        [field.name, cell(getattr(record, field.name))]
+        for record in records
+        for field in dataclasses.fields(record)
+        if field.name != "trace"
+    ]
+    return hashlib.sha256(json.dumps(flat).encode()).hexdigest()
+
+
+#: Seed 2004; N=60 and 10 cycles unless a test says otherwise.
+GOLDEN = {
+    "average-random-lossy": "b38e97621cf8974849a7445590e5d77a3af91474c8a1a006d2576bf16ca42749",
+    "average-newscast-churn": "eca2033ab46c568414c5ecdf7997bd2a568c16642e1c4f485b09c516687275d8",
+    "repeat-traces-r3": "ab09d8817a8856fccec502968ae7e06bc9fcf7d254fea841ff6258ea090421b6",
+    "epoch-driver-3": "61a2f1a9b34b647160ef56ebfe2ba90fccdf3a3ec9a4707d722a82d466761961",
+    "async-count-hostile": "70cfe24f8d73efbeae9eb692bf989b95c8e7d9039788f87185efb5144fdff60d",
+}
+
+
+def _average_trace(engine):
+    rng = RandomSource(SEED)
+    overlay = build_overlay(RANDOM_6, SIZE, rng.child("topology"))
+    simulator = make_simulator(
+        overlay,
+        AverageFunction(),
+        uniform_initial_values(SIZE, rng.child("values")),
+        rng.child("simulation"),
+        transport=TEN_PERCENT_LOSS,
+        engine=engine,
+    )
+    return simulator.run(CYCLES)
+
+
+class TestGoldenTraces:
+    def test_reference_and_array_engines_match_the_golden_digest(self):
+        reference = records_digest(_average_trace("reference").records)
+        array = records_digest(_average_trace("auto").records)
+        assert reference == array
+        assert array == GOLDEN["average-random-lossy"]
+
+    def test_array_newscast_under_churn(self):
+        rng = RandomSource(SEED)
+        overlay = build_overlay(NEWSCAST_10, SIZE, rng.child("topology"))
+        simulator = make_simulator(
+            overlay,
+            AverageFunction(),
+            uniform_initial_values(SIZE, rng.child("values")),
+            rng.child("simulation"),
+            transport=TEN_PERCENT_LOSS,
+            failure_model=ChurnModel(2),
+        )
+        trace = simulator.run(CYCLES)
+        assert records_digest(trace.records) == GOLDEN["average-newscast-churn"]
+
+    def test_repeat_traces_with_a_plan(self):
+        plan = RunPlan(
+            topology=RANDOM_6,
+            size=SIZE,
+            cycles=CYCLES,
+            values=uniform_initial_values,
+            transport=TEN_PERCENT_LOSS,
+            failure_factory=lambda: CountCrashModel(1),
+        )
+        traces = repeat_traces(3, SEED, plan=plan)
+        records = [record for trace in traces for record in trace.records]
+        assert records_digest(records) == GOLDEN["repeat-traces-r3"]
+
+    def test_epoch_driver(self):
+        rng = RandomSource(SEED)
+        overlay = build_overlay(NEWSCAST_10, 100, rng.child("topology"))
+        driver = EpochDriver(
+            overlay=overlay,
+            election=LeaderElection(concurrent_target=5.0, estimated_size=100.0),
+            epoch_config=EpochConfig(cycles_per_epoch=CYCLES),
+            rng=rng.child("epochs"),
+            transport=TEN_PERCENT_LOSS,
+            failure_factory=lambda epoch_id: ChurnModel(1),
+        )
+        result = driver.run(3)
+        assert records_digest(result.records) == GOLDEN["epoch-driver-3"]
+
+    def test_async_count_under_hostile(self):
+        rng = RandomSource(SEED)
+        overlay = build_overlay(NEWSCAST_10, 200, rng.child("topology"))
+        simulator, protocol = build_async_count(
+            overlay,
+            rng.child("simulation"),
+            HOSTILE,
+            epoch_config=EpochConfig(cycles_per_epoch=CYCLES),
+        )
+        trace = simulator.run(3 * CYCLES)
+        records = list(trace.records) + protocol.epoch_records()
+        assert records_digest(records) == GOLDEN["async-count-hostile"]

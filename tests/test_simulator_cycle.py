@@ -142,26 +142,6 @@ class TestMembershipOperations:
         assert node in simulator.participant_ids()
         assert simulator.state_of(node) == 5.0
 
-    def test_promote_non_participants(self):
-        simulator = make_simulator()
-        node = simulator.add_node()
-        promoted = simulator.promote_non_participants({node: 7.0})
-        assert promoted == [node]
-        assert simulator.state_of(node) == 7.0
-        assert simulator.non_participant_ids() == []
-
-    def test_restart_epoch_reinitialises_states(self):
-        simulator = make_simulator()
-        simulator.run(3)
-        new_values = {node: 1.0 for node in simulator.participant_ids()}
-        simulator.restart_epoch(new_values)
-        assert all(state == 1.0 for state in simulator.states().values())
-
-    def test_restart_epoch_requires_all_values(self):
-        simulator = make_simulator()
-        with pytest.raises(ConfigurationError):
-            simulator.restart_epoch({0: 1.0})
-
     def test_non_participants_do_not_skew_estimates(self):
         simulator = make_simulator(values=[10.0] * 50)
         simulator.add_node(value=0.0)

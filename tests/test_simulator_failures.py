@@ -1,8 +1,6 @@
 """Tests for the node failure and churn models."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomSource
@@ -10,7 +8,6 @@ from repro.core.functions import AverageFunction
 from repro.simulator.cycle_sim import CycleSimulator
 from repro.simulator.failures import (
     ChurnModel,
-    CompositeFailureModel,
     CountCrashModel,
     NoFailures,
     ProportionalCrashModel,
@@ -130,66 +127,3 @@ class TestCountCrashModel:
         simulator = make_simulator(size=10, failure_model=CountCrashModel(50))
         simulator.run_cycle()
         assert simulator.participant_ids() == []
-
-
-class TestCompositeFailureModel:
-    def test_applies_all_models(self):
-        model = CompositeFailureModel([CountCrashModel(2), CountCrashModel(3)])
-        simulator = make_simulator(size=50, failure_model=model)
-        simulator.run_cycle()
-        assert len(simulator.participant_ids()) == 45
-
-    def test_describe_joins_descriptions(self):
-        model = CompositeFailureModel([NoFailures(), CountCrashModel(3)])
-        description = model.describe()
-        assert "no failures" in description
-        assert "3 crashes" in description
-
-    def test_submodels_apply_in_list_order(self):
-        # 10% then 10%-of-the-remainder: 100 -> 90 -> 81.  A simultaneous
-        # application over the initial population would leave 80.
-        model = CompositeFailureModel(
-            [ProportionalCrashModel(0.1), ProportionalCrashModel(0.1)]
-        )
-        simulator = make_simulator(size=100, failure_model=model)
-        simulator.run_cycle()
-        assert len(simulator.participant_ids()) == 81
-
-
-class TestCompositeFailureProperties:
-    """Hypothesis: composition is exactly sequential application.
-
-    The composite derives the child stream ``("composite", index, cycle)``
-    for submodel ``index`` at every cycle, so replaying the submodels by
-    hand from the same root seed must reproduce the engine-driven run
-    bit for bit — crashes, populations and estimates alike.
-    """
-
-    @given(
-        p1=st.floats(min_value=0.0, max_value=0.25),
-        p2=st.floats(min_value=0.0, max_value=0.25),
-        seed=st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_composite_matches_sequential_application(self, p1, p2, seed):
-        models = lambda: [ProportionalCrashModel(p1), ProportionalCrashModel(p2)]
-        cycles = 3
-
-        engine_run = make_simulator(
-            size=40, seed=seed, failure_model=CompositeFailureModel(models())
-        )
-        engine_run.run(cycles)
-
-        manual_run = make_simulator(size=40, seed=seed)
-        failure_rng = RandomSource(seed).child("sim").child("failures")
-        manual_models = models()
-        for cycle in range(1, cycles + 1):
-            for index, model in enumerate(manual_models):
-                model.apply(
-                    manual_run, cycle, failure_rng.child("composite", index, cycle)
-                )
-            manual_run.run_cycle()
-
-        assert engine_run.participant_ids() == manual_run.participant_ids()
-        assert sorted(engine_run.crashed_ids()) == sorted(manual_run.crashed_ids())
-        assert engine_run.estimates() == manual_run.estimates()

@@ -10,7 +10,6 @@ from repro.simulator.metrics import (
     SimulationTrace,
     empirical_mean,
     empirical_variance,
-    summarize_traces,
 )
 
 
@@ -126,16 +125,3 @@ class TestSimulationTrace:
         trace = make_trace([1.0, 0.5, 0.2])
         assert trace.total_completed_exchanges() == 270
         assert trace.total_failed_exchanges() == 30
-
-
-class TestSummarizeTraces:
-    def test_summary_fields(self):
-        traces = [make_trace([1.0, 0.5, 0.25]), make_trace([2.0, 1.0, 0.5])]
-        summary = summarize_traces(traces)
-        assert summary["runs"] == 2
-        assert summary["convergence_factor_avg"] == pytest.approx(0.5)
-        assert summary["final_mean_avg"] == pytest.approx(1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            summarize_traces([])

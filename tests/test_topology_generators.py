@@ -1,5 +1,6 @@
 """Tests for the overlay graph generators and the factory."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -136,6 +137,27 @@ class TestCompleteOverlay:
     def test_neighbors_excludes_self(self):
         overlay = CompleteOverlay(4)
         assert set(overlay.neighbors(1)) == {0, 2, 3}
+
+    def test_batch_returns_minus_one_for_negative_unknown_and_removed_ids(self):
+        # The contract the static and NEWSCAST stores keep: -1 never wraps
+        # to the last position, out-of-table ids never raise IndexError.
+        overlay = CompleteOverlay(10)
+        overlay.on_node_removed(3)
+        ids = np.array([-1, 10, 1000, 3, 0, 9])
+        peers = overlay.select_peers_batch(ids, np.random.default_rng(1))
+        assert peers[:4].tolist() == [-1] * 4
+        for node, peer in zip(ids[4:], peers[4:]):
+            assert 0 <= peer < 10 and peer not in (3, node)
+
+    def test_batch_draws_only_for_known_ids(self):
+        # Unknown ids consume no randomness: the known ids get exactly the
+        # peers an all-known call draws, so engine streams are unchanged.
+        overlay = CompleteOverlay(10)
+        mixed = overlay.select_peers_batch(
+            np.array([2, -1, 5, 42, 7]), np.random.default_rng(8)
+        )
+        known = overlay.select_peers_batch(np.array([2, 5, 7]), np.random.default_rng(8))
+        assert mixed[[0, 2, 4]].tolist() == known.tolist()
 
 
 class TestFactory:

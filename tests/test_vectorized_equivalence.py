@@ -174,18 +174,6 @@ class TestEngineEquivalence:
         simulator.run(5)
         assert simulator.trace.final.mean == pytest.approx((SIZE - 1) / 2)
 
-    def test_epoch_restart_parity(self):
-        reference = build_engine("reference", "average", "random", "perfect")
-        vectorized = build_engine("vectorized", "average", "random", "perfect")
-        for simulator in (reference, vectorized):
-            simulator.run(3)
-            simulator.add_node(value=4.0)
-            simulator.run(2)
-            simulator.restart_epoch({node: 1.0 for node in range(SIZE + 1)})
-            simulator.run(2)
-        assert_traces_match(reference, vectorized, "epoch-restart")
-        assert reference.states() == vectorized.states()
-
 
 class TestMassConservation:
     @settings(max_examples=25, deadline=None)
