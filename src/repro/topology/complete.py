@@ -67,7 +67,9 @@ class CompleteOverlay(OverlayProvider):
         return tuple(node for node in self._node_list if node != node_id)
 
     def select_peer(self, node_id: int, rng: RandomSource) -> Optional[int]:
-        if len(self._nodes) <= 1:
+        # Unknown and removed ids get no peer, as in the static and NEWSCAST
+        # stores (and as the batched draw answers -1 for them).
+        if node_id not in self._nodes or len(self._nodes) <= 1:
             return None
         self._refresh()
         # Rejection sampling: with >= 2 nodes this terminates quickly.
@@ -105,6 +107,8 @@ class CompleteOverlay(OverlayProvider):
         self._dirty = True
 
     def on_node_added(self, node_id: int, rng: RandomSource) -> None:
+        if node_id < 0:
+            raise TopologyError(f"node identifiers must be non-negative, got {node_id}")
         if node_id in self._nodes:
             raise TopologyError(f"node {node_id} already exists")
         self._nodes.add(node_id)

@@ -1,0 +1,109 @@
+"""The peer-selection contract every overlay store keeps.
+
+The engines draw peers through ``select_peers_batch`` (one vectorised call
+per cycle) and fall back to the scalar ``select_peer``; failure models
+remove and add nodes through ``on_node_removed`` / ``on_node_added``.
+Every store the factory builds — the static row store behind the four
+generated graphs and the materialised complete graph, the O(N) complete
+overlay, and array NEWSCAST — answers those calls the same way:
+
+* negative, out-of-table and removed identifiers get no peer (``-1`` from
+  the batch, ``None`` from the scalar call), and the first two consume no
+  randomness, so a batch that mixes them in draws exactly what the
+  all-known batch draws;
+* every peer drawn comes from the caller's own ``neighbors`` list;
+* a joined node is known at once, and a negative join is refused.
+"""
+
+import numpy as np
+import pytest
+
+from repro.common.errors import ReproError
+from repro.common.rng import RandomSource
+from repro.topology import TopologySpec, build_overlay
+
+SIZE = 30
+
+STORES = {
+    "random": TopologySpec("random", degree=4),
+    "ring-lattice": TopologySpec("ring-lattice", degree=4),
+    "watts-strogatz": TopologySpec("watts-strogatz", degree=4, beta=0.2),
+    "scale-free": TopologySpec("scale-free", degree=3),
+    "complete": TopologySpec("complete"),
+    "complete-materialised": TopologySpec("complete", params={"materialise": True}),
+    "newscast": TopologySpec("newscast", degree=8),
+}
+
+
+@pytest.fixture(params=sorted(STORES))
+def overlay(request):
+    return build_overlay(STORES[request.param], SIZE, RandomSource(41).child(request.param))
+
+
+def draw(overlay, node_ids, seed=5):
+    return overlay.select_peers_batch(
+        np.asarray(node_ids, dtype=np.int64), np.random.default_rng(seed)
+    )
+
+
+class TestUnknownIdentifiers:
+    def test_negative_ids_get_no_peer(self, overlay):
+        assert draw(overlay, [-1, -2, -SIZE]).tolist() == [-1, -1, -1]
+
+    def test_out_of_table_ids_get_no_peer(self, overlay):
+        assert draw(overlay, [SIZE, SIZE + 1, 1000 * SIZE]).tolist() == [-1, -1, -1]
+
+    def test_removed_ids_get_no_peer(self, overlay):
+        overlay.on_node_removed(3)
+        overlay.on_node_removed(SIZE - 1)
+        peers = draw(overlay, [3, SIZE - 1, 0])
+        assert peers[:2].tolist() == [-1, -1]
+        assert peers[2] >= 0
+
+    def test_unknown_ids_consume_no_randomness(self, overlay):
+        known = [2, 5, 7, 11]
+        mixed = draw(overlay, [2, -1, 5, SIZE, 7, 10 * SIZE, 11])
+        assert mixed[[0, 2, 4, 6]].tolist() == draw(overlay, known).tolist()
+        assert mixed[[1, 3, 5]].tolist() == [-1, -1, -1]
+
+    def test_scalar_select_peer_matches_the_batch(self, overlay):
+        overlay.on_node_removed(4)
+        rng = RandomSource(9)
+        for node in (-1, SIZE, 1000 * SIZE, 4):
+            assert overlay.select_peer(node, rng) is None
+        assert overlay.select_peer(0, rng) in overlay.neighbors(0)
+
+    def test_neighbors_of_an_unknown_id_raise(self, overlay):
+        overlay.on_node_removed(6)
+        for node in (-1, SIZE, 6):
+            with pytest.raises(ReproError):
+                overlay.neighbors(node)
+
+
+class TestDraws:
+    def test_empty_batch(self, overlay):
+        peers = draw(overlay, [])
+        assert peers.size == 0 and peers.dtype == np.int64
+
+    def test_every_peer_is_a_neighbour(self, overlay):
+        nodes = overlay.node_ids()
+        for seed in range(3):
+            peers = draw(overlay, nodes, seed)
+            for node, peer in zip(nodes, peers.tolist()):
+                assert peer != node
+                assert peer in overlay.neighbors(node)
+
+
+class TestMembership:
+    def test_joined_node_is_known_at_once(self, overlay):
+        joined = SIZE + 5
+        overlay.on_node_added(joined, RandomSource(3))
+        assert overlay.contains(joined)
+        assert overlay.size() == SIZE + 1
+        (peer,) = draw(overlay, [joined]).tolist()
+        assert peer in overlay.neighbors(joined)
+
+    def test_negative_join_rejected(self, overlay):
+        with pytest.raises(ReproError):
+            overlay.on_node_added(-1, RandomSource(3))
+        assert overlay.size() == SIZE
