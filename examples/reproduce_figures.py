@@ -44,7 +44,7 @@ def main(argv: list[str]) -> int:
         return 1
     print(f"Reproducing {len(wanted)} figure(s) at scale '{scale.name}' "
           f"({scale.network_size} nodes, {scale.repeats} repetitions; "
-          f"repeats batched on the replicated engine where eligible)\n")
+          f"repeats batched on the replicated engine)\n")
     for figure_id in wanted:
         result = ALL_FIGURES[figure_id](scale)
         print(result.render())

@@ -16,42 +16,8 @@ Quickstart::
 """
 
 from .common import RandomSource
-from .core import (
-    AggregationResult,
-    AverageFunction,
-    CountArrayFunction,
-    CountMapFunction,
-    EpochConfig,
-    LeaderElection,
-    GeometricMeanFunction,
-    KNOWN_AGGREGATES,
-    MaxFunction,
-    MeanAggregate,
-    MinFunction,
-    MultiInstanceCount,
-    NetworkSizeAggregate,
-    ProductAggregate,
-    PushSumFunction,
-    SumAggregate,
-    VarianceAggregate,
-    VectorFunction,
-    aggregate,
-)
-from .newscast import NewscastOverlay
-from .simulator import (
-    ChurnModel,
-    CountCrashModel,
-    CycleSimulator,
-    EpochDriver,
-    EpochedRunResult,
-    NoFailures,
-    ProportionalCrashModel,
-    SuddenDeathModel,
-    TransportModel,
-    VectorizedCycleSimulator,
-    make_simulator,
-    supports_fast_path,
-)
+from .core import AverageFunction, EpochConfig, aggregate
+from .simulator import make_simulator
 from .topology import TopologySpec, build_overlay
 
 __version__ = "1.0.0"
@@ -59,38 +25,10 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "aggregate",
-    "AggregationResult",
-    "KNOWN_AGGREGATES",
     "RandomSource",
     "AverageFunction",
-    "MinFunction",
-    "MaxFunction",
-    "GeometricMeanFunction",
-    "PushSumFunction",
-    "VectorFunction",
-    "CountMapFunction",
-    "CountArrayFunction",
-    "LeaderElection",
-    "MeanAggregate",
-    "NetworkSizeAggregate",
-    "SumAggregate",
-    "ProductAggregate",
-    "VarianceAggregate",
-    "MultiInstanceCount",
     "EpochConfig",
-    "NewscastOverlay",
-    "CycleSimulator",
-    "VectorizedCycleSimulator",
-    "EpochDriver",
-    "EpochedRunResult",
     "make_simulator",
-    "supports_fast_path",
-    "TransportModel",
-    "NoFailures",
-    "ProportionalCrashModel",
-    "SuddenDeathModel",
-    "ChurnModel",
-    "CountCrashModel",
     "TopologySpec",
     "build_overlay",
 ]

@@ -13,7 +13,7 @@ import math
 from typing import Sequence
 
 from ..common.errors import ConfigurationError
-from ..common.validation import require_probability
+from ..common.validation import require_trim_fraction
 
 __all__ = [
     "trimmed_mean",
@@ -41,14 +41,10 @@ def trimmed_mean(values: Sequence[float], discard_fraction: float = 1.0 / 3.0) -
     """
     if not values:
         raise ConfigurationError("cannot reduce an empty sample")
-    require_probability(discard_fraction, "discard_fraction")
-    if discard_fraction >= 0.5:
-        raise ConfigurationError("discard_fraction must be below 0.5")
+    require_trim_fraction(discard_fraction, "discard_fraction")
     ordered = sorted(values)
     drop = int(len(ordered) * discard_fraction)
     kept = ordered[drop: len(ordered) - drop]
-    if not kept:
-        kept = ordered
     finite = [value for value in kept if math.isfinite(value)]
     if not finite:
         return math.inf

@@ -16,6 +16,7 @@ __all__ = [
     "require_positive",
     "require_non_negative",
     "require_probability",
+    "require_trim_fraction",
     "require_in_range",
     "require_at_least",
     "require_fraction_of",
@@ -44,6 +45,12 @@ def require_probability(value: float, name: str) -> None:
     """Require ``0 <= value <= 1``."""
     if not 0.0 <= value <= 1.0:
         raise ConfigurationError(f"{name} must be a probability in [0, 1], got {value!r}")
+
+
+def require_trim_fraction(value: float, name: str) -> None:
+    """Require ``0 <= value < 0.5``, so a symmetric trim always keeps an entry."""
+    if not 0.0 <= value < 0.5:
+        raise ConfigurationError(f"{name} must be in [0, 0.5), got {value!r}")
 
 
 def require_in_range(value: float, low: float, high: float, name: str) -> None:

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..common.errors import ConfigurationError, ProtocolError
 from ..common.rng import RandomSource
-from ..common.validation import require_positive, require_probability
+from ..common.validation import require_positive, require_trim_fraction
 from .functions import AggregationFunction
 
 __all__ = [
@@ -153,17 +153,18 @@ def count_estimate_from_map(
     """Network-size estimate derived from a COUNT map.
 
     Each map entry yields the estimate ``1 / value``; entries are combined
-    with a symmetric trimmed mean controlled by ``discard_fraction`` (the
-    paper discards the lowest and highest thirds, i.e. ``1/3``).
+    with a symmetric trimmed mean controlled by ``discard_fraction`` in
+    ``[0, 0.5)`` (the paper discards the lowest and highest thirds, i.e.
+    ``1/3``), which always keeps at least one entry.
 
     Returns ``inf`` for an empty map.
     """
-    require_probability(discard_fraction, "discard_fraction")
+    require_trim_fraction(discard_fraction, "discard_fraction")
     if not state:
         return math.inf
     estimates = sorted(network_size_from_estimate(value) for value in state.values())
     drop = int(len(estimates) * discard_fraction)
-    kept = estimates[drop: len(estimates) - drop] or estimates
+    kept = estimates[drop: len(estimates) - drop]
     finite = [value for value in kept if math.isfinite(value)]
     if not finite:
         return math.inf
@@ -333,10 +334,9 @@ def count_estimates_from_matrix(
     node's map holds that leader's entry).  Returns one size estimate per
     row, reproducing the scalar reduction's semantics exactly: per-entry
     sizes ``1/value`` (``inf`` for non-positive values), symmetric trim of
-    ``int(map_size * discard_fraction)`` entries from each end, fall back
-    to the untrimmed entries when the trim would discard everything, and
-    ``inf`` for rows whose kept entries are all non-finite (including
-    empty maps).
+    ``int(map_size * discard_fraction)`` entries from each end (a fraction
+    in ``[0, 0.5)`` always keeps one), and ``inf`` for rows whose kept
+    entries are all non-finite (including empty maps).
 
     The per-row arithmetic mean uses one :func:`numpy.sum` pass, so
     results can differ from the scalar reduction in the last few ulps
@@ -344,7 +344,7 @@ def count_estimates_from_matrix(
     helper, which is what makes their per-epoch estimates bit-identical
     to each other.
     """
-    require_probability(discard_fraction, "discard_fraction")
+    require_trim_fraction(discard_fraction, "discard_fraction")
     values = np.asarray(values, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     rows, width = values.shape
@@ -364,15 +364,8 @@ def count_estimates_from_matrix(
     sizes.sort(axis=1)
 
     map_sizes = mask.sum(axis=1)
-    drop = (map_sizes * discard_fraction).astype(np.int64)
-    low = drop
-    high = map_sizes - drop
-    # ``kept = estimates[drop:-drop] or estimates``: an empty trim window
-    # falls back to the whole map.
-    empty_window = high <= low
-    low = np.where(empty_window, 0, low)
-    high = np.where(empty_window, map_sizes, high)
-
+    low = (map_sizes * discard_fraction).astype(np.int64)
+    high = map_sizes - low
     columns = np.arange(width)
     kept = (
         (columns >= low[:, None])

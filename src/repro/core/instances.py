@@ -23,7 +23,7 @@ import numpy as np
 
 from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
-from ..common.validation import require_positive
+from ..common.validation import require_positive, require_trim_fraction
 from ..analysis.statistics import trimmed_mean
 from .count import count_estimates_from_matrix, network_size_from_estimate
 from .functions import AverageFunction, VectorFunction
@@ -123,7 +123,8 @@ class MultiInstanceCount:
     leaders:
         The leader selected by each instance.
     discard_fraction:
-        Trim fraction used when reducing the final estimates.
+        Trim fraction used when reducing the final estimates, in
+        ``[0, 0.5)``.
     reducer:
         Reduction rule, one of :data:`REDUCERS` (``"trimmed"`` is the
         paper's default; ``"median"`` is the byzantine-hardened variant).
@@ -140,6 +141,7 @@ class MultiInstanceCount:
             raise ConfigurationError(
                 f"reducer must be one of {REDUCERS}, got {self.reducer!r}"
             )
+        require_trim_fraction(self.discard_fraction, "discard_fraction")
 
     @classmethod
     def create(
@@ -183,15 +185,11 @@ class MultiInstanceCount:
         instance.  Every instance is present at every node, so the trimmed
         reducer is :func:`~repro.core.count.count_estimates_from_matrix`
         with a full mask; results match :meth:`size_estimates` up to
-        floating-point summation order — including the validation:
-        fractions at or above 0.5 are rejected exactly as ``trimmed_mean``
-        rejects them on the scalar path.  The median reducer mirrors
+        floating-point summation order.  The median reducer mirrors
         :func:`~repro.core.count.network_size_from_estimate` per cell
         (non-positive averages invert to an infinite size guess) before
         taking the per-node median.
         """
-        if self.discard_fraction >= 0.5:
-            raise ConfigurationError("discard_fraction must be below 0.5")
         block = np.asarray(state_block, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != self.instance_count:
             raise ConfigurationError(

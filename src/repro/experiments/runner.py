@@ -10,11 +10,10 @@ figures (:func:`run_epoched_count` on the cycle engines,
 :func:`run_async_count` on the asynchronous one) — so a figure record
 reads as a declarative description of the paper's experiment.
 
-Eligible configurations run on the one stacked array engine
-(:mod:`repro.simulator.replicated`): a single run through
-:func:`~repro.simulator.make_simulator`, the repeats of a :class:`RunPlan`
-as one ``R``-replica simulation.  Everything else runs per repetition on
-the reference engine, with bit-identical per-seed streams either way.
+Runs use the one stacked array engine (:mod:`repro.simulator.replicated`):
+a single run through :func:`~repro.simulator.make_simulator`, the repeats
+of a :class:`RunPlan` as one ``R``-replica simulation, or one by one with
+``engine="serial"`` — with bit-identical per-seed streams either way.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ def run_epoched_count(
     transport: TransportModel = PERFECT_TRANSPORT,
     failure_factory: FailureFactory = None,
     discard_fraction: float = 1.0 / 3.0,
-    engine: str = "auto",
+    engine: str = "vectorized",
     record_every: int = 1,
     keep_cycle_traces: bool = False,
 ) -> EpochedRunResult:
@@ -99,9 +98,8 @@ def run_epoched_count(
     returned :class:`~repro.simulator.epochs.EpochedRunResult` carries
     per-epoch size estimates, leader counts and synchronisation events.
 
-    The engine is selected automatically: overlays with batched peer
-    selection (including array-native NEWSCAST) run every epoch on the
-    vectorised fast path.
+    ``engine`` names the cycle engine every epoch runs on:
+    ``"vectorized"`` (default) or ``"reference"``.
     """
     overlay = build_overlay(topology, size, rng.child("topology"))
     election = LeaderElection(
@@ -190,12 +188,12 @@ class RunPlan:
     it.  A plan states what one repetition does — topology, size,
     cycles, values, transport, failures, post-processing — so the
     repeat helpers can run all repetitions as one stacked
-    :class:`~repro.simulator.replicated.ReplicatedCycleSimulator` when
-    the configuration is fast-path eligible, and fall back to the
-    serial path (via :meth:`serial_run`, byte-compatible with the
-    historical closure-based runs) otherwise.  Both paths consume the
-    same per-repetition child streams, so their results are
-    bit-identical.
+    :class:`~repro.simulator.replicated.ReplicatedCycleSimulator`, or
+    one by one on request (``engine="serial"``, via :meth:`serial_run`,
+    byte-compatible with the historical closure-based runs).  Both paths
+    run on the array engine, so the function must implement the array
+    codec, and both consume the same per-repetition child streams, so
+    their results are bit-identical.
 
     Attributes
     ----------
@@ -264,23 +262,6 @@ class RunPlan:
         )
         simulator.run(self.cycles)
         return self.collect(simulator)
-
-    def supports_replication(self) -> bool:
-        """Whether the replicated tensor engine can run this plan.
-
-        Mirrors :func:`~repro.simulator.supports_fast_path`: the
-        function must implement the array codec and the overlay family
-        must offer batched peer selection — every static topology, the
-        complete overlay, and array-native NEWSCAST.  Only the
-        dict-based NEWSCAST oracle (``{"vectorized": False}``) stays
-        serial.
-        """
-        if not self.function_factory().supports_vectorized():
-            return False
-        return (
-            self.topology.kind.lower() != "newscast"
-            or self.topology.builds_array_newscast()
-        )
 
     def build_replica_overlays(
         self, rngs: Sequence[RandomSource]
@@ -427,15 +408,14 @@ def repeat_simulations(
         GIL, e.g. vectorised runs).
     plan:
         Optional :class:`RunPlan` describing the repetition
-        declaratively.  Fast-path-eligible plans run all repetitions as
-        one stacked :class:`~repro.simulator.replicated.ReplicatedCycleSimulator`
-        — typically several times faster than serial repeats — with
-        per-repetition results bit-identical to the serial path.
+        declaratively.  A plan runs all repetitions as one stacked
+        :class:`~repro.simulator.replicated.ReplicatedCycleSimulator`
+        — typically several times faster than serial repeats at small
+        N — with per-repetition results bit-identical to the serial path.
     engine:
-        ``"auto"`` (default) picks the replicated engine whenever the
-        plan supports it; ``"replicated"`` requires it (raising on
-        ineligible configurations); ``"serial"`` forces the historical
-        per-repetition path.
+        ``"auto"`` (default) and ``"replicated"`` stack the repetitions
+        of a plan (``"replicated"`` also requires one); ``"serial"``
+        forces the historical per-repetition path.
     """
     if repeats < 0:
         raise ConfigurationError("repeats must be non-negative")
@@ -453,23 +433,16 @@ def repeat_simulations(
             )
     else:
         if make_run is not None:
-            # Ambiguous: the replicated path would use plan.collect while
-            # the serial fallback would use make_run, so the result shape
-            # could flip on an eligibility check the caller never sees.
+            # Ambiguous: the stacked path would use plan.collect while a
+            # serial run would use make_run, so the result shape would
+            # depend on the engine name.
             raise ConfigurationError(
                 "pass either make_run or a plan, not both (put per-run "
                 "post-processing in the plan's collect)"
             )
-        replicable = plan.supports_replication()
-        if engine == "replicated" and not replicable:
-            raise ConfigurationError(
-                "this plan is not fast-path eligible (function without the "
-                "array codec, or an overlay without batched peer selection)"
-            )
-        if engine in ("auto", "replicated") and replicable:
+        if engine != "serial":
             return _run_replicated(repeats, seed, plan)
-        if make_run is None:
-            make_run = plan.serial_run
+        make_run = plan.serial_run
     if max_workers is None or max_workers <= 1 or repeats <= 1:
         root = RandomSource(seed)
         return [make_run(index, root.child("run", index)) for index in range(repeats)]

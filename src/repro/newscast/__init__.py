@@ -2,11 +2,11 @@
 
 Two interchangeable implementations are provided: the array-native
 :class:`VectorizedNewscastOverlay` (all caches in one packed matrix,
-batched maintenance, ``select_peers_batch``), which a ``"newscast"``
-:class:`~repro.topology.TopologySpec` builds by default and which keeps
-NEWSCAST configurations on the vectorized fast-path engine, and the
+batched maintenance and peer draws), which a ``"newscast"``
+:class:`~repro.topology.TopologySpec` builds by default, and the
 dict-based :class:`NewscastOverlay` (one ``NewscastCache`` per node),
-kept as its parity oracle.
+kept as its parity oracle.  Both answer the same batched peer draw, so
+both run on every engine.
 """
 
 from .cache import CacheEntry, NewscastCache

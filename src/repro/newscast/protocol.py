@@ -6,9 +6,9 @@ is tested against, not a production path.  ``build_overlay`` builds it
 only for ``TopologySpec("newscast", params={"vectorized": False})``; no
 figure, example or benchmark workload does.  It stays because
 ``tests/test_newscast_vectorized.py::TestOverlayDistributionEquivalence``
-compares the array overlay's convergence factors with this one's, and
-because it is the only overlay without ``select_peers_batch`` — the one
-the reference-engine and serial-repeat fallbacks are tested with.
+compares the array overlay's convergence factors with this one's.  It
+answers the same peer-sampling contract as every other overlay, so it
+runs on both cycle engines and in stacked repeats alike.
 
 NEWSCAST maintains, at every node, a small cache of recently-heard-of peers
 (see :mod:`repro.newscast.cache`).  Once per cycle every live node picks a
@@ -20,7 +20,7 @@ protocol needs from its underlying topology.
 
 The class implements :class:`~repro.topology.base.OverlayProvider`:
 
-* ``select_peer`` draws a random cache entry for the *aggregation*
+* ``select_peers_batch`` draws a random cache entry for the *aggregation*
   protocol to gossip with (the returned peer may have crashed, in which
   case the aggregation exchange simply times out and is skipped — the
   behaviour the paper describes);
@@ -32,6 +32,8 @@ The class implements :class:`~repro.topology.base.OverlayProvider`:
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from ..common.errors import MembershipError
 from ..common.rng import RandomSource
@@ -114,11 +116,23 @@ class NewscastOverlay(OverlayProvider):
             raise MembershipError(f"unknown node {node_id}")
         return tuple(cache.peer_ids())
 
-    def select_peer(self, node_id: int, rng: RandomSource) -> Optional[int]:
-        cache = self._caches.get(node_id)
-        if cache is None:
-            return None
-        return cache.random_peer(rng)
+    def select_peers_batch(
+        self, node_ids: np.ndarray, generator: np.random.Generator
+    ) -> np.ndarray:
+        """Draw one random cache entry for every node in ``node_ids``.
+
+        A Python loop over the caches: one ``integers(0, len(cache))``
+        call per known node with a non-empty cache, in order.  Unknown
+        ids and empty caches get ``-1`` and consume no randomness.
+        """
+        ids = np.asarray(node_ids, dtype=np.int64)
+        peers = np.full(ids.size, -1, dtype=np.int64)
+        for position, node in enumerate(ids.tolist()):
+            cache = self._caches.get(node)
+            if cache is not None and not cache.is_empty():
+                candidates = cache.peer_ids()
+                peers[position] = candidates[int(generator.integers(0, len(candidates)))]
+        return peers
 
     def contains(self, node_id: int) -> bool:
         """O(1) membership check (the base fallback scans all node ids)."""
@@ -131,6 +145,8 @@ class NewscastOverlay(OverlayProvider):
         self._caches.pop(node_id, None)
 
     def on_node_added(self, node_id: int, rng: RandomSource) -> None:
+        if node_id < 0:
+            raise MembershipError(f"node identifiers must be non-negative, got {node_id}")
         if node_id in self._alive:
             raise MembershipError(f"node {node_id} already exists")
         self._alive.add(node_id)

@@ -464,11 +464,9 @@ class ReplicatedNewscastBlock:
 class VectorizedNewscastOverlay(OverlayProvider):
     """NEWSCAST maintained as struct-of-arrays matrices.
 
-    A drop-in for :class:`~repro.newscast.protocol.NewscastOverlay` that
-    additionally implements ``select_peers_batch``, making it eligible
-    for the vectorized fast-path engine (see
-    :func:`repro.simulator.supports_fast_path`).  Node identifiers must
-    stay below :data:`MAX_NODE_ID`.
+    A drop-in for :class:`~repro.newscast.protocol.NewscastOverlay` whose
+    peer draw and maintenance round are array passes.  Node identifiers
+    must stay below :data:`MAX_NODE_ID`.
 
     Membership churn is wired through *row recycling*: every node owns
     one matrix row, rows of removed nodes go to a free list and are
@@ -588,15 +586,6 @@ class VectorizedNewscastOverlay(OverlayProvider):
         count = int(self._counts[row])
         return tuple(int(value) & MAX_NODE_ID for value in self._packed[row, :count])
 
-    def select_peer(self, node_id: int, rng: RandomSource) -> Optional[int]:
-        row = self._row_of(node_id)
-        if row < 0:
-            return None
-        count = int(self._counts[row])
-        if count == 0:
-            return None
-        return int(self._packed[row, rng.choice_index(count)]) & MAX_NODE_ID
-
     def select_peers_batch(
         self, node_ids: np.ndarray, generator: np.random.Generator
     ) -> np.ndarray:
@@ -605,8 +594,8 @@ class VectorizedNewscastOverlay(OverlayProvider):
         Returns an int64 array aligned with ``node_ids``; ``-1`` marks
         nodes with an empty cache and identifiers the overlay does not
         know (which consume no randomness).  The returned peers may be
-        crashed — exactly like the dict overlay's ``select_peer``, the
-        caller decides what a stale descriptor means.
+        crashed — exactly like the dict overlay's draw, the caller
+        decides what a stale descriptor means.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
         if node_ids.size == 0:

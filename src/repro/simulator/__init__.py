@@ -7,8 +7,10 @@ stacked array engine of :mod:`repro.simulator.replicated` for functions
 implementing the array codec.  The array engine has two entry points —
 :class:`~repro.simulator.vectorized.VectorizedCycleSimulator` for one run
 and :class:`~repro.simulator.replicated.ReplicatedCycleSimulator` for ``R``
-repetitions in one tensor.  :func:`make_simulator` picks between the
-reference engine and the single-run entry automatically.  The practical
+repetitions in one tensor.  :func:`make_simulator` builds the engine the
+caller names — ``"vectorized"`` (default) or ``"reference"`` — and never
+infers one.  Every overlay answers the same batched peer draw, so both
+engines run on every overlay.  The practical
 protocol on an asynchronous network runs on the windowed
 :class:`~repro.simulator.async_engine.AsyncPracticalSimulator`.
 
@@ -22,6 +24,7 @@ takes benign loss, drift and churn from an
 
 from typing import Optional
 
+from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
@@ -107,7 +110,6 @@ __all__ = [
     "EpochedRunResult",
     "epoch_config_for_accuracy",
     "make_simulator",
-    "supports_fast_path",
     "FailureModel",
     "NoFailures",
     "ProportionalCrashModel",
@@ -136,19 +138,7 @@ __all__ = [
 ]
 
 
-def supports_fast_path(function: AggregationFunction, overlay: OverlayProvider) -> bool:
-    """Whether the array engine can run this configuration.
-
-    The fast path needs an aggregation function with the array codec and
-    an overlay with batched peer selection (``select_peers_batch``):
-    every static topology, the complete overlay, and the array-native
-    :class:`~repro.newscast.VectorizedNewscastOverlay`.  Only the
-    dict-based ``NewscastOverlay`` oracle (never built by default) stays
-    on the reference engine.  Every transport and failure model is
-    supported — transports classify outcomes in batch and failure models
-    drive the engines through the identical public membership API.
-    """
-    return function.supports_vectorized() and hasattr(overlay, "select_peers_batch")
+_ENGINES = {"vectorized": VectorizedCycleSimulator, "reference": CycleSimulator}
 
 
 def make_simulator(
@@ -159,24 +149,24 @@ def make_simulator(
     transport: TransportModel = PERFECT_TRANSPORT,
     failure_model: Optional[FailureModel] = None,
     record_every: int = 1,
-    engine: str = "auto",
+    engine: str = "vectorized",
     reachability: Optional[ReachabilityModel] = None,
 ):
-    """Build the fastest cycle engine that supports the configuration.
+    """Build the named cycle engine for one run.
 
-    Parameters match :class:`CycleSimulator`; ``engine`` may be ``"auto"``
-    (default: the array engine when :func:`supports_fast_path` allows,
-    reference otherwise), ``"vectorized"`` or ``"reference"``.  Both
-    engines consume randomness through the same batched cycle-plan
+    Parameters match :class:`CycleSimulator`; ``engine`` is
+    ``"vectorized"`` (default, the array engine) or ``"reference"``.  The
+    caller names it — nothing is inferred, and a function without the
+    array codec on the array engine raises :class:`ConfigurationError`.
+    Both engines consume randomness through the same batched cycle-plan
     discipline, so the choice changes speed, not results: a given root
     seed produces the same exchange schedule either way.
     """
-    if engine not in ("auto", "vectorized", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    use_fast = engine == "vectorized" or (
-        engine == "auto" and supports_fast_path(function, overlay)
-    )
-    simulator_class = VectorizedCycleSimulator if use_fast else CycleSimulator
+    simulator_class = _ENGINES.get(engine)
+    if simulator_class is None:
+        raise ConfigurationError(
+            f"engine must be 'vectorized' or 'reference', got {engine!r}"
+        )
     return simulator_class(
         overlay=overlay,
         function=function,

@@ -66,7 +66,7 @@ import numpy as np
 
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
-from ..common.validation import require_non_negative
+from ..common.validation import require_non_negative, require_trim_fraction
 from ..core.count import CountArrayFunction, LeaderElection, count_estimates_from_matrix
 from ..core.epoch import EpochConfig
 from ..core.functions import AggregationFunction, AverageFunction
@@ -255,6 +255,7 @@ class AsyncCountProtocol(AsyncProtocol):
         election: LeaderElection,
         discard_fraction: float = 1.0 / 3.0,
     ) -> None:
+        require_trim_fraction(discard_fraction, "discard_fraction")
         self.election = election
         self._discard = discard_fraction
         self._initial_estimate = election.estimated_size
@@ -347,9 +348,8 @@ class AsyncPracticalSimulator:
     Parameters
     ----------
     overlay:
-        Peer sampling service; must expose ``select_peers_batch`` (every
-        static topology, the complete overlay, and the array-native
-        NEWSCAST overlay do).  One overlay maintenance round
+        Peer sampling service (any overlay: peers are drawn through
+        ``select_peers_batch``).  One overlay maintenance round
         (``after_cycle``) runs per window, so NEWSCAST membership gossip
         proceeds alongside aggregation exactly as in the cycle engines.
     protocol:
@@ -389,12 +389,6 @@ class AsyncPracticalSimulator:
         record_every: int = 1,
         window_hook: Optional[Callable[["AsyncPracticalSimulator", int, RandomSource], None]] = None,
     ) -> None:
-        if not hasattr(overlay, "select_peers_batch"):
-            raise ConfigurationError(
-                f"{type(overlay).__name__} has no batched peer selection; "
-                "the asynchronous engine needs select_peers_batch "
-                "(use a static topology or the array-native NEWSCAST overlay)"
-            )
         require_non_negative(clock_drift, "clock_drift")
         require_non_negative(start_stagger, "start_stagger")
         if record_every < 1:

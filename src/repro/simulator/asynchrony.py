@@ -34,6 +34,7 @@ once).  Build custom scenarios and grids with
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +49,7 @@ from .async_engine import (
     AsyncCountProtocol,
     AsyncPracticalSimulator,
 )
-from .transport import DELAY_DISTRIBUTIONS, DelayModel, TransportModel
+from .transport import DelayModel, TransportModel
 
 __all__ = [
     "AsynchronyScenario",
@@ -85,18 +86,19 @@ class AsynchronyScenario:
     churn_per_window: int = 0
 
     def __post_init__(self) -> None:
-        if self.latency not in DELAY_DISTRIBUTIONS:
-            raise ConfigurationError(
-                f"latency must be one of {DELAY_DISTRIBUTIONS}, got {self.latency!r}"
-            )
+        # Every field is checked here, at construction: the latency fields
+        # by building the delay model once (its checks are the only ones).
+        self.delay_model()
         require_non_negative(self.clock_drift, "clock_drift")
         require_non_negative(self.start_stagger, "start_stagger")
         require_probability(self.message_loss, "message_loss")
         require_probability(self.link_failure, "link_failure")
         if self.clock_drift >= 1.0:
             raise ConfigurationError("clock_drift must be below 1 (a clock cannot stop)")
-        if self.churn_per_window < 0:
-            raise ConfigurationError("churn_per_window must be non-negative")
+        if not isinstance(self.churn_per_window, numbers.Integral) or self.churn_per_window < 0:
+            raise ConfigurationError(
+                f"churn_per_window must be a non-negative int, got {self.churn_per_window!r}"
+            )
 
     # ------------------------------------------------------------------
     # Derived models

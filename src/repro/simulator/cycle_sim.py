@@ -127,9 +127,8 @@ class CycleSimulator:
         self._transport = transport
         self._failure_model = failure_model or NoFailures()
         self._reachability = reachability
-        set_reachability = getattr(overlay, "set_reachability", None)
-        if reachability is not None and set_reachability is not None:
-            set_reachability(reachability)
+        if reachability is not None:
+            overlay.set_reachability(reachability)
 
         self._selection_rng = rng.child("selection")
         self._transport_rng = rng.child("transport")

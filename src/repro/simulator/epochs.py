@@ -56,6 +56,7 @@ import numpy as np
 from ..analysis.theory import PUSH_PULL_CONVERGENCE_FACTOR
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
+from ..common.validation import require_trim_fraction
 from ..core.count import (
     CountArrayFunction,
     CountMapFunction,
@@ -219,10 +220,13 @@ class EpochDriver:
         ``failure_factory`` may be a shared stateless model or a callable
         receiving the epoch id (for models with per-run state).
     discard_fraction:
-        Trim fraction of the end-of-epoch reduction (the paper's 1/3).
+        Trim fraction of the end-of-epoch reduction, in ``[0, 0.5)`` (the
+        paper's 1/3).
     engine:
-        ``"auto"`` (vectorised when the overlay supports batched peer
-        selection), ``"vectorized"`` or ``"reference"``.
+        The cycle engine every epoch runs on, named by the caller:
+        ``"vectorized"`` (default, array COUNT rows) or ``"reference"``
+        (dict COUNT maps and real per-node epoch trackers).  Every
+        overlay supports both.
     record_every / keep_cycle_traces:
         Per-cycle metrics cadence inside each epoch, and whether each
         epoch's :class:`~repro.simulator.metrics.SimulationTrace` is kept
@@ -238,31 +242,15 @@ class EpochDriver:
         transport: TransportModel = PERFECT_TRANSPORT,
         failure_factory: FailureFactory = None,
         discard_fraction: float = 1.0 / 3.0,
-        engine: str = "auto",
+        engine: str = "vectorized",
         record_every: int = 1,
         keep_cycle_traces: bool = False,
     ) -> None:
-        if engine not in ("auto", "vectorized", "reference"):
-            raise ConfigurationError(f"unknown engine {engine!r}")
-        if engine == "auto":
-            # Deferred import: this module is loaded by the package init
-            # before the dispatch helpers are defined.
-            from . import supports_fast_path
-
-            # Every function the driver builds (CountArrayFunction, the
-            # dry-epoch AverageFunction placeholder) implements the array
-            # codec, so the overlay's capability is the only variable in
-            # the shared predicate.
-            engine = (
-                "vectorized"
-                if supports_fast_path(AverageFunction(), overlay)
-                else "reference"
-            )
-        if engine == "vectorized" and not hasattr(overlay, "select_peers_batch"):
+        if engine not in ("vectorized", "reference"):
             raise ConfigurationError(
-                f"{type(overlay).__name__} has no batched peer selection; "
-                "use the reference epoch driver"
+                f"engine must be 'vectorized' or 'reference', got {engine!r}"
             )
+        require_trim_fraction(discard_fraction, "discard_fraction")
         self._overlay = overlay
         self._election = election
         self._config = epoch_config
@@ -502,8 +490,8 @@ class EpochDriver:
         epoch_rng: RandomSource,
         failure_model: Optional[FailureModel],
     ):
-        # Deferred import, as in __init__; the engine string was resolved
-        # there, so this is the one dispatch implementation for both.
+        # Deferred import: this module is loaded by the package init
+        # before make_simulator is defined.
         from . import make_simulator
 
         return make_simulator(

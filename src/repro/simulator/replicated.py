@@ -57,8 +57,11 @@ suites assert both, run for run.
 
 Use :func:`~repro.simulator.make_simulator` for a single run and
 :func:`~repro.experiments.runner.repeat_traces` with a
-:class:`~repro.experiments.runner.RunPlan` for repeats; both fall back
-to the reference engine whenever a configuration is not eligible.
+:class:`~repro.experiments.runner.RunPlan` for repeats.  Every overlay
+offers the batched peer draw, so only the aggregation function limits
+this engine: one without the array codec raises
+:class:`~repro.common.errors.ConfigurationError` naming the reference
+engine, instead of silently running elsewhere.
 """
 
 from __future__ import annotations
@@ -293,7 +296,7 @@ class StackedCycleEngine:
         if not function.supports_vectorized():
             raise ConfigurationError(
                 f"{type(function).__name__} does not implement the array codec; "
-                "use CycleSimulator (or make_simulator / the serial repeat path)"
+                'run it with engine="reference"'
             )
         if record_every < 1:
             raise ConfigurationError("record_every must be at least 1")
@@ -309,9 +312,8 @@ class StackedCycleEngine:
         for config, node_ids in zip(replicas, node_sets):
             replica = _Replica(config)
             replica.next_node_id = max(node_ids) + 1 if node_ids else 0
-            set_reachability = getattr(config.overlay, "set_reachability", None)
-            if reachability is not None and set_reachability is not None:
-                set_reachability(reachability)
+            if reachability is not None:
+                config.overlay.set_reachability(reachability)
             self._replicas.append(replica)
         stride = max([1] + [replica.next_node_id for replica in self._replicas])
         self._stride = stride
@@ -605,9 +607,7 @@ class ReplicatedCycleSimulator(StackedCycleEngine):
     """Run ``R`` independent repetitions as one stacked tensor simulation.
 
     Parameters are those of :class:`StackedCycleEngine`; there must be at
-    least one replica and every overlay must support batched peer
-    selection (the eligibility rule of
-    :func:`~repro.simulator.supports_fast_path`).
+    least one replica.
     """
 
     # __init__ and run_cycle are defined here, and on the R=1 entry,
@@ -623,12 +623,6 @@ class ReplicatedCycleSimulator(StackedCycleEngine):
     ) -> None:
         if not replicas:
             raise ConfigurationError("need at least one replica")
-        for config in replicas:
-            if not hasattr(config.overlay, "select_peers_batch"):
-                raise ConfigurationError(
-                    f"overlay {type(config.overlay).__name__} has no batched peer "
-                    "selection; the replicated engine cannot drive it"
-                )
         super().__init__(replicas, function, transport, record_every, reachability)
         self._views = [ReplicaView(self, index) for index in range(self._count)]
 

@@ -3,8 +3,9 @@
 A cycle of the push–pull protocol consumes three kinds of randomness: the
 order in which participants initiate, the peer each initiator gossips
 with, and the transport fate of every exchange.  This module draws all
-three as *batched* generator calls and packages them in a
-:class:`CyclePlan`.
+three as *batched* generator calls — the peers through the overlay's
+``select_peers_batch``, the one peer-sampling method every overlay
+offers — and packages them in a :class:`CyclePlan`.
 
 Both the reference :class:`~repro.simulator.cycle_sim.CycleSimulator` and
 the stacked array engine (:mod:`repro.simulator.replicated`, for one run
@@ -107,10 +108,8 @@ def draw_cycle_plan(
     Parameters
     ----------
     overlay:
-        The overlay providing peer selection.  Overlays exposing
-        ``select_peers_batch`` (static topologies, the complete overlay)
-        are sampled with one vectorised call; others (NEWSCAST) fall back
-        to per-node scalar ``select_peer`` draws from the same stream.
+        The overlay providing peer selection, sampled with one
+        ``select_peers_batch`` call over the shuffled initiators.
     participants:
         Sorted array of currently participating node identifiers.
     selection_rng:
@@ -124,21 +123,7 @@ def draw_cycle_plan(
     count = participants.size
     permutation = selection_rng.generator.permutation(count)
     initiators = participants[permutation]
-    batch_select = getattr(overlay, "select_peers_batch", None)
-    if batch_select is not None:
-        peers = batch_select(initiators, selection_rng.generator)
-    else:
-        peers = np.fromiter(
-            (
-                -1 if peer is None else peer
-                for peer in (
-                    overlay.select_peer(int(initiator), selection_rng)
-                    for initiator in initiators
-                )
-            ),
-            dtype=np.int64,
-            count=count,
-        )
+    peers = overlay.select_peers_batch(initiators, selection_rng.generator)
     outcomes = transport.classify_exchanges(transport_rng, count)
     return CyclePlan(initiators=initiators, peers=peers, outcomes=outcomes)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..common.rng import RandomSource
-from ..common.validation import require_non_negative, require_probability
+from ..common.validation import require, require_non_negative, require_probability
 
 __all__ = [
     "ExchangeOutcome",
@@ -204,17 +204,17 @@ class DelayModel:
         require_non_negative(self.min_delay, "min_delay")
         require_non_negative(self.max_delay, "max_delay")
         require_non_negative(self.timeout, "timeout")
-        if self.max_delay < self.min_delay:
-            raise ValueError("max_delay must be at least min_delay")
-        if self.distribution not in DELAY_DISTRIBUTIONS:
-            raise ValueError(
-                f"distribution must be one of {DELAY_DISTRIBUTIONS}, "
-                f"got {self.distribution!r}"
-            )
+        require(self.max_delay >= self.min_delay, "max_delay must be at least min_delay")
+        require(
+            self.distribution in DELAY_DISTRIBUTIONS,
+            f"distribution must be one of {DELAY_DISTRIBUTIONS}, got {self.distribution!r}",
+        )
         if self.distribution == "lognormal":
             require_non_negative(self.sigma, "sigma")
-            if self.min_delay + self.max_delay <= 0.0:
-                raise ValueError("lognormal delays need a positive median")
+            require(
+                self.min_delay + self.max_delay > 0.0,
+                "lognormal delays need a positive median",
+            )
 
     @property
     def median_delay(self) -> float:

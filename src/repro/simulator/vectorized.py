@@ -13,9 +13,8 @@ ones :mod:`repro.simulator.replicated` defines for ``R`` stacked runs.
 
 A run from a given root seed produces the same exchange schedule and the
 same node states as the reference engine — traces agree to within
-floating-point summation order.  Use
-:func:`~repro.simulator.make_simulator` to pick this engine automatically
-when the function and overlay support it.
+floating-point summation order.  It is the default engine of
+:func:`~repro.simulator.make_simulator` and runs on every overlay.
 """
 
 from __future__ import annotations

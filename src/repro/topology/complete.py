@@ -66,18 +66,6 @@ class CompleteOverlay(OverlayProvider):
         self._refresh()
         return tuple(node for node in self._node_list if node != node_id)
 
-    def select_peer(self, node_id: int, rng: RandomSource) -> Optional[int]:
-        # Unknown and removed ids get no peer, as in the static and NEWSCAST
-        # stores (and as the batched draw answers -1 for them).
-        if node_id not in self._nodes or len(self._nodes) <= 1:
-            return None
-        self._refresh()
-        # Rejection sampling: with >= 2 nodes this terminates quickly.
-        while True:
-            peer = self._node_list[rng.choice_index(len(self._node_list))]
-            if peer != node_id:
-                return peer
-
     def select_peers_batch(
         self, node_ids: np.ndarray, generator: np.random.Generator
     ) -> np.ndarray:

@@ -1,10 +1,13 @@
 """The overlay interface the simulation engines drive.
 
-The aggregation protocol only needs one service from the overlay: *give me
-a random neighbour to gossip with*.  The simulation engines additionally
-inform the overlay about node arrivals and departures and give it a chance
-to run its own maintenance once per cycle (which is how the NEWSCAST
-membership protocol is plugged in).
+The aggregation protocol only needs one service from the overlay, the
+paper's ``GETNEIGHBOR()``: *give me a random neighbour to gossip with*.
+Every engine asks for it in one form only, the batched
+:meth:`OverlayProvider.select_peers_batch` (one draw per initiator of a
+cycle or window).  The simulation engines additionally inform the overlay
+about node arrivals and departures and give it a chance to run its own
+maintenance once per cycle (which is how the NEWSCAST membership protocol
+is plugged in).
 
 The interface lives in its own module so that both the array store of the
 static overlays (:mod:`repro.topology.replicated`) and
@@ -16,7 +19,9 @@ established path.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+from typing import List, Sequence
+
+import numpy as np
 
 from ..common.rng import RandomSource
 
@@ -35,12 +40,15 @@ class OverlayProvider(abc.ABC):
         """Return the neighbour identifiers known by ``node_id``."""
 
     @abc.abstractmethod
-    def select_peer(self, node_id: int, rng: RandomSource) -> Optional[int]:
-        """Return a uniformly random neighbour of ``node_id`` (or ``None``).
+    def select_peers_batch(
+        self, node_ids: np.ndarray, generator: np.random.Generator
+    ) -> np.ndarray:
+        """Draw one uniformly random neighbour for every id in ``node_ids``.
 
-        ``None`` means the node currently has no usable neighbour and the
-        exchange for this cycle is skipped, exactly as a timed-out exchange
-        would be in the paper's protocol.
+        Returns an int64 array aligned with ``node_ids``.  ``-1`` means the
+        node has no usable neighbour (or is unknown to the overlay) and its
+        exchange is skipped, exactly as a timed-out exchange would be in
+        the paper's protocol.  Unknown identifiers consume no randomness.
         """
 
     @abc.abstractmethod
@@ -53,6 +61,9 @@ class OverlayProvider(abc.ABC):
 
     def after_cycle(self, rng: RandomSource) -> None:
         """Hook run once per cycle for overlay maintenance (default: no-op)."""
+
+    def set_reachability(self, model) -> None:
+        """Constrain overlay maintenance by a reachability model (default: no-op)."""
 
     # Convenience -------------------------------------------------------
     def size(self) -> int:

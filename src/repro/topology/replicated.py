@@ -377,17 +377,6 @@ class ReplicatedStaticBlock:
         peers[row_degrees == 0] = -1
         return peers
 
-    def _select_peer(
-        self, replica: int, node_id: int, rng: RandomSource
-    ) -> Optional[int]:
-        if not self._contains(replica, node_id):
-            return None
-        row = replica * self._stride + node_id
-        count = int(self._degrees[row])
-        if count == 0:
-            return None
-        return int(self._adj[row, rng.choice_index(count)])
-
     def _remove_node(self, replica: int, node_id: int) -> None:
         if not self._contains(replica, node_id):
             return
@@ -504,10 +493,10 @@ class ReplicatedStaticBlock:
 class StaticBlockView(OverlayProvider):
     """One replica of a :class:`ReplicatedStaticBlock` as an overlay.
 
-    Implements the full ``OverlayProvider`` surface (plus
-    ``select_peers_batch``), so the simulation engines — and their
-    failure models — drive a block replica exactly like a standalone
-    ``StaticTopology``, which is this view of a block of its own.
+    Implements the full ``OverlayProvider`` surface, so the simulation
+    engines — and their failure models — drive a block replica exactly
+    like a standalone ``StaticTopology``, which is this view of a block
+    of its own.
     """
 
     def __init__(self, block: ReplicatedStaticBlock, replica: int) -> None:
@@ -528,19 +517,14 @@ class StaticBlockView(OverlayProvider):
         """The neighbours of ``node_id``, ascending."""
         return self._block._neighbors(self._replica, node_id)
 
-    def select_peer(self, node_id: int, rng: RandomSource) -> Optional[int]:
-        return self._block._select_peer(self._replica, node_id, rng)
-
     def select_peers_batch(
         self, node_ids: np.ndarray, generator: np.random.Generator
     ) -> np.ndarray:
         """Draw one uniform neighbour for every node in ``node_ids`` at once.
 
         Returns an int64 array aligned with ``node_ids``; ``-1`` marks nodes
-        that currently have no neighbour or are unknown (the batched
-        equivalent of :meth:`select_peer` returning ``None``).  One
-        vectorised draw per call replaces ``len(node_ids)`` scalar
-        generator round-trips.
+        that currently have no neighbour or are unknown.  One vectorised
+        draw per call: a uniform per node, mapped onto its ascending row.
         """
         return self._block._select_peers_batch(self._replica, node_ids, generator)
 

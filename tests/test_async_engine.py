@@ -26,7 +26,6 @@ from repro.core.epoch import EpochConfig
 from repro.simulator.async_engine import (
     AsyncAverageProtocol,
     AsyncCountProtocol,
-    AsyncPracticalSimulator,
 )
 from repro.simulator.asynchrony import (
     HOSTILE,
@@ -72,14 +71,14 @@ def build_average(seed=3, scenario=LAN, size=SIZE, kind="random", record_every=1
 
 
 class TestEngineBasics:
-    def test_rejects_overlay_without_batched_selection(self):
+    def test_runs_on_the_dict_newscast_oracle(self):
+        # Every overlay answers the batched peer draw, the dict oracle too.
         rng = RandomSource(1)
         dict_oracle = TopologySpec("newscast", degree=10, params={"vectorized": False})
         overlay = build_overlay(dict_oracle, 40, rng.child("o"))
-        with pytest.raises(ConfigurationError):
-            AsyncPracticalSimulator(
-                overlay, AsyncAverageProtocol({0: 1.0}), EpochConfig(), rng
-            )
+        simulator, _ = build_async_average(overlay, linear_values(40), rng.child("run"))
+        simulator.run(12)
+        assert simulator.trace.final.variance < 1e-3 * simulator.trace.records[0].variance
 
     def test_deterministic_from_seed(self):
         results = []
@@ -414,6 +413,20 @@ class TestScenarioLayer:
             AsynchronyScenario(latency="pareto")
         with pytest.raises(ConfigurationError):
             AsynchronyScenario(churn_per_window=-1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"min_delay": 0.5, "max_delay": 0.1},
+            {"timeout": -1.0},
+            {"latency": "lognormal", "min_delay": 0.0, "max_delay": 0.0},
+            {"churn_per_window": 1.5},
+        ],
+        ids=["inverted-delays", "negative-timeout", "lognormal-no-median", "fractional-churn"],
+    )
+    def test_every_field_is_checked_at_construction(self, fields):
+        with pytest.raises(ConfigurationError):
+            AsynchronyScenario(**fields)
 
     def test_delay_model_scaling(self):
         model = WAN.delay_model(cycle_length=10.0)

@@ -506,6 +506,12 @@ class TestAccessorsAndValidation:
         with pytest.raises(ConfigurationError):
             simulator_with(AsyncAverageProtocol(node_values()), **{option: -0.1})
 
+    @pytest.mark.parametrize("fraction", [0.5, 1.0])
+    def test_heavy_discard_fraction_rejected(self, fraction):
+        election = LeaderElection(concurrent_target=5.0, estimated_size=float(SIZE))
+        with pytest.raises(ConfigurationError):
+            AsyncCountProtocol(election, discard_fraction=fraction)
+
     def test_empty_overlay_rejected(self):
         overlay = CompleteOverlay(1)
         overlay.on_node_removed(0)

@@ -12,6 +12,8 @@ from repro.core.count import (
     CountMapFunction,
     LeaderElection,
     count_estimate_from_map,
+    count_estimates_from_matrix,
+    encode_count_maps,
     network_size_from_estimate,
     peak_initial_values,
 )
@@ -154,13 +156,16 @@ class TestCountEstimateFromMap:
         trimmed = count_estimate_from_map(state, discard_fraction=1.0 / 3.0)
         assert trimmed == pytest.approx(100.0, rel=0.05)
 
-    def test_heavy_discard_fraction_keeps_fallback(self):
-        # discard_fraction >= 0.5 would trim away every entry; the scalar
-        # reduction falls back to the untrimmed map instead of failing.
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 1.0])
+    def test_heavy_discard_fraction_rejected(self, fraction):
+        # discard_fraction >= 0.5 would trim away every entry; both count
+        # reducers refuse it instead of silently averaging the whole map.
         state = {1: 0.01, 2: 0.02}
-        assert count_estimate_from_map(state, discard_fraction=0.5) == pytest.approx(75.0)
-        assert count_estimate_from_map(state, discard_fraction=0.9) == pytest.approx(75.0)
-        assert count_estimate_from_map({7: 0.1}, discard_fraction=1.0) == pytest.approx(10.0)
+        with pytest.raises(ConfigurationError):
+            count_estimate_from_map(state, discard_fraction=fraction)
+        values, mask = encode_count_maps([state], [1, 2])
+        with pytest.raises(ConfigurationError):
+            count_estimates_from_matrix(values, mask, fraction)
 
     def test_all_infinite_entries_give_infinity(self):
         # Entries whose averaging mass vanished estimate an infinite size;

@@ -35,7 +35,6 @@ from repro.simulator import (
     VectorizedCycleSimulator,
     epoch_config_for_accuracy,
     make_simulator,
-    supports_fast_path,
 )
 from repro.simulator.failures import ChurnModel, ProportionalCrashModel
 from repro.simulator.transport import TransportModel
@@ -48,6 +47,7 @@ GAMMA = 6
 OVERLAYS = {
     "complete": TopologySpec("complete"),
     "newscast": TopologySpec("newscast", degree=8, params={"vectorized": True}),
+    "newscast-dict": TopologySpec("newscast", degree=8, params={"vectorized": False}),
 }
 
 SCENARIOS = {
@@ -202,29 +202,33 @@ class TestEpochDriverEquivalence:
             tracker.latest_result() is not None for tracker in trackers.values()
         )
 
-    def test_auto_engine_follows_overlay_capability(self):
-        assert build_driver("auto", "complete").engine == "vectorized"
+    def test_engine_is_named_not_inferred(self):
         rng = RandomSource(3)
-        dict_overlay = build_overlay(
-            TopologySpec("newscast", degree=8, params={"vectorized": False}),
-            SIZE,
-            rng.child("t"),
-        )
         election = LeaderElection(concurrent_target=5.0, estimated_size=float(SIZE))
         driver = EpochDriver(
-            dict_overlay, election, EpochConfig(cycles_per_epoch=GAMMA), rng.child("d")
+            build_overlay(OVERLAYS["newscast-dict"], SIZE, rng.child("t")),
+            election,
+            EpochConfig(cycles_per_epoch=GAMMA),
+            rng.child("d"),
         )
-        assert driver.engine == "reference"
+        assert driver.engine == "vectorized"
+        for engine in ("auto", "warp"):
+            with pytest.raises(ConfigurationError):
+                build_driver(engine)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 0.5, 0.9, 1.0])
+    def test_trim_fraction_must_be_below_one_half(self, fraction):
+        # Regression: f >= 0.5 emptied the trim window, so the reduction
+        # silently averaged the whole map and reported what f = 0 reports.
+        rng = RandomSource(2)
         with pytest.raises(ConfigurationError):
             EpochDriver(
-                dict_overlay,
-                election,
+                build_overlay(OVERLAYS["newscast"], SIZE, rng.child("t")),
+                LeaderElection(concurrent_target=5.0, estimated_size=float(SIZE)),
                 EpochConfig(cycles_per_epoch=GAMMA),
-                rng.child("d2"),
-                engine="vectorized",
+                rng.child("d"),
+                discard_fraction=fraction,
             )
-        with pytest.raises(ConfigurationError):
-            build_driver("warp")
 
     def test_result_helpers(self):
         result = build_driver("vectorized").run(EPOCHS)
@@ -381,7 +385,6 @@ class TestCountArrayFunction:
             values = {
                 node: (float(node) if node in leaders else -1.0) for node in range(40)
             }
-            assert supports_fast_path(function, overlay)
             return make_simulator(
                 overlay, function, values, rng.child("s"), engine=engine
             )
@@ -408,7 +411,7 @@ class TestBatchedReduction:
         for _ in range(count):
             subset = draw(st.lists(st.sampled_from(leaders), max_size=len(leaders), unique=True))
             maps.append({leader: draw(values) for leader in subset})
-        fraction = draw(st.sampled_from([0.0, 1.0 / 3.0, 0.5, 0.75]))
+        fraction = draw(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.49]))
         return leaders, maps, fraction
 
     @settings(max_examples=60, deadline=None)
@@ -435,13 +438,13 @@ class TestBatchedReduction:
             )
         with pytest.raises(ConfigurationError):
             bundle.size_estimates_array(np.zeros((4, 3)))
-        # Heavy trim fractions are rejected exactly as the scalar
-        # trimmed_mean path rejects them.
-        heavy = MultiInstanceCount.create(
-            list(range(5)), 3, RandomSource(1), discard_fraction=0.5
-        )
-        with pytest.raises(ConfigurationError):
-            heavy.size_estimates_array(np.ones((5, 3)))
+        # Heavy trim fractions are rejected at construction, on every
+        # reducer, exactly as the scalar trimmed_mean rejects them.
+        for reducer in ("trimmed", "median"):
+            with pytest.raises(ConfigurationError):
+                MultiInstanceCount.create(
+                    list(range(5)), 3, RandomSource(1), discard_fraction=0.5, reducer=reducer
+                )
 
 
 class TestBatchedElection:

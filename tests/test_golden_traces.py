@@ -86,7 +86,7 @@ def _average_trace(engine):
 class TestGoldenTraces:
     def test_reference_and_array_engines_match_the_golden_digest(self):
         reference = records_digest(_average_trace("reference").records)
-        array = records_digest(_average_trace("auto").records)
+        array = records_digest(_average_trace("vectorized").records)
         assert reference == array
         assert array == GOLDEN["average-random-lossy"]
 

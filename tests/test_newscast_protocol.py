@@ -1,5 +1,6 @@
 """Tests for the NEWSCAST overlay protocol."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import MembershipError
@@ -42,13 +43,31 @@ class TestExchanges:
         assert overlay.clock == before + 1
         assert overlay.last_cycle_exchanges > 0
 
-    def test_select_peer_comes_from_cache(self, overlay, rng):
-        for node in list(overlay.node_ids())[:10]:
-            peer = overlay.select_peer(node, rng)
+    def test_select_peers_batch_comes_from_cache(self, overlay, rng):
+        nodes = list(overlay.node_ids())[:10]
+        peers = overlay.select_peers_batch(np.asarray(nodes), rng.generator)
+        for node, peer in zip(nodes, peers.tolist()):
             assert peer in overlay.cache_of(node).peer_ids()
 
-    def test_select_peer_unknown_node_returns_none(self, overlay, rng):
-        assert overlay.select_peer(9999, rng) is None
+    def test_select_peers_batch_unknown_node_returns_minus_one(self, overlay, rng):
+        assert overlay.select_peers_batch(np.array([9999]), rng.generator).tolist() == [-1]
+
+    def test_batch_draw_is_one_cache_draw_per_known_node(self, overlay):
+        # The stream the per-node draws consumed before the batch existed:
+        # one integers(0, len(cache)) call per known node, in order.
+        nodes = [3, 9999, 5, -1, 7]
+        peers = overlay.select_peers_batch(np.asarray(nodes), RandomSource(4).generator)
+        rng = RandomSource(4)
+        expected = [
+            overlay.cache_of(node).random_peer(rng) if overlay.contains(node) else -1
+            for node in nodes
+        ]
+        assert peers.tolist() == expected
+
+    def test_negative_join_rejected(self, overlay, rng):
+        with pytest.raises(MembershipError):
+            overlay.on_node_added(-1, rng)
+        assert overlay.size() == 80
 
     def test_neighbors_unknown_node_raises(self, overlay):
         with pytest.raises(MembershipError):

@@ -52,7 +52,6 @@ from repro.simulator import (
     TransportModel,
     VectorizedCycleSimulator,
     make_simulator,
-    supports_fast_path,
 )
 from repro.topology import TopologySpec, build_overlay
 
@@ -423,12 +422,10 @@ class TestVectorizedOverlayBehaviour:
             np.asarray([0], dtype=np.int64), np.random.default_rng(1)
         )
         assert peers.tolist() == [-1]
-        assert overlay.select_peer(0, RandomSource(4)) is None
 
     def test_select_peers_batch_unknown_ids_return_minus_one(self):
         # Regression: -1 wrapped onto the last node's row (a real peer came
-        # back) and an id past the table raised IndexError; select_peer
-        # answers None for both.
+        # back) and an id past the table raised IndexError.
         overlay = self.bootstrap(size=50, cache=5)
         overlay.on_node_removed(7)
         ids = np.array([3, -1, 50, 7, 10**9, 4], dtype=np.int64)
@@ -439,8 +436,6 @@ class TestVectorizedOverlayBehaviour:
         # Unknown ids consume no randomness: the known ones draw as alone.
         alone = overlay.select_peers_batch(ids[[0, 3, 5]], np.random.default_rng(1))
         assert peers[[0, 3, 5]].tolist() == alone.tolist()
-        for unknown in (-1, 50, 7, 10**9):
-            assert overlay.select_peer(unknown, RandomSource(1)) is None
         never_populated = VectorizedNewscastOverlay(cache_size=4, rng=RandomSource(2))
         assert never_populated.select_peers_batch(
             np.array([0, 5]), np.random.default_rng(1)
@@ -598,21 +593,19 @@ class TestSlidingTimestampBase:
 
 
 class TestDispatch:
-    def test_array_newscast_supports_fast_path(self):
+    @pytest.mark.parametrize(
+        "spec, overlay_class",
+        [(ARRAY_NEWSCAST, VectorizedNewscastOverlay), (DICT_NEWSCAST, NewscastOverlay)],
+        ids=["array", "dict"],
+    )
+    def test_both_newscast_overlays_run_on_the_default_engine(self, spec, overlay_class):
         rng = RandomSource(3)
-        overlay = build_overlay(ARRAY_NEWSCAST, SIZE, rng.child("t"))
-        assert isinstance(overlay, VectorizedNewscastOverlay)
-        assert supports_fast_path(AverageFunction(), overlay)
+        overlay = build_overlay(spec, SIZE, rng.child("t"))
+        assert isinstance(overlay, overlay_class)
         simulator = make_simulator(
             overlay, AverageFunction(), [1.0] * SIZE, rng.child("s")
         )
         assert isinstance(simulator, VectorizedCycleSimulator)
-
-    def test_dict_newscast_still_falls_back(self):
-        rng = RandomSource(3)
-        overlay = build_overlay(DICT_NEWSCAST, SIZE, rng.child("t"))
-        assert isinstance(overlay, NewscastOverlay)
-        assert not supports_fast_path(AverageFunction(), overlay)
 
     def test_mass_conservation_on_fast_path(self):
         rng = RandomSource(8)

@@ -1,16 +1,15 @@
 """The peer-selection contract every overlay store keeps.
 
-The engines draw peers through ``select_peers_batch`` (one vectorised call
-per cycle) and fall back to the scalar ``select_peer``; failure models
-remove and add nodes through ``on_node_removed`` / ``on_node_added``.
-Every store the factory builds — the static row store behind the four
-generated graphs and the materialised complete graph, the O(N) complete
-overlay, and array NEWSCAST — answers those calls the same way:
+The engines draw peers only through ``select_peers_batch`` (one call per
+cycle or window); failure models remove and add nodes through
+``on_node_removed`` / ``on_node_added``.  Every store the factory builds —
+the static row store behind the four generated graphs and the
+materialised complete graph, the O(N) complete overlay, array NEWSCAST
+and the dict NEWSCAST oracle — answers those calls the same way:
 
-* negative, out-of-table and removed identifiers get no peer (``-1`` from
-  the batch, ``None`` from the scalar call), and the first two consume no
-  randomness, so a batch that mixes them in draws exactly what the
-  all-known batch draws;
+* negative, out-of-table and removed identifiers get no peer (``-1``),
+  and the first two consume no randomness, so a batch that mixes them in
+  draws exactly what the all-known batch draws;
 * every peer drawn comes from the caller's own ``neighbors`` list;
 * a joined node is known at once, and a negative join is refused.
 """
@@ -21,6 +20,7 @@ import pytest
 from repro.common.errors import ReproError
 from repro.common.rng import RandomSource
 from repro.topology import TopologySpec, build_overlay
+from repro.topology.provider import OverlayProvider
 
 SIZE = 30
 
@@ -32,6 +32,7 @@ STORES = {
     "complete": TopologySpec("complete"),
     "complete-materialised": TopologySpec("complete", params={"materialise": True}),
     "newscast": TopologySpec("newscast", degree=8),
+    "newscast-dict": TopologySpec("newscast", degree=8, params={"vectorized": False}),
 }
 
 
@@ -65,13 +66,6 @@ class TestUnknownIdentifiers:
         mixed = draw(overlay, [2, -1, 5, SIZE, 7, 10 * SIZE, 11])
         assert mixed[[0, 2, 4, 6]].tolist() == draw(overlay, known).tolist()
         assert mixed[[1, 3, 5]].tolist() == [-1, -1, -1]
-
-    def test_scalar_select_peer_matches_the_batch(self, overlay):
-        overlay.on_node_removed(4)
-        rng = RandomSource(9)
-        for node in (-1, SIZE, 1000 * SIZE, 4):
-            assert overlay.select_peer(node, rng) is None
-        assert overlay.select_peer(0, rng) in overlay.neighbors(0)
 
     def test_neighbors_of_an_unknown_id_raise(self, overlay):
         overlay.on_node_removed(6)
@@ -107,3 +101,8 @@ class TestMembership:
         with pytest.raises(ReproError):
             overlay.on_node_added(-1, RandomSource(3))
         assert overlay.size() == SIZE
+
+
+def test_the_batched_draw_is_the_only_peer_method():
+    assert "select_peers_batch" in OverlayProvider.__abstractmethods__
+    assert not hasattr(OverlayProvider, "select_peer")

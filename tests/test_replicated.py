@@ -6,7 +6,7 @@ individual repetition: every trace record and every final node state must
 be bit-identical to what the serial fast path produces from the same root
 seed.  These tests assert that across the
 {complete, static random, NEWSCAST-array} × {none, crash, message-loss,
-churn} grid, plus a hypothesis property that the plan-based
+churn} grid (and the dict NEWSCAST oracle under loss and churn), plus a hypothesis property that the plan-based
 ``repeat_traces`` fast path reproduces the serial output list-for-list.
 """
 
@@ -56,6 +56,8 @@ TOPOLOGIES = {
     ),
 }
 
+DICT_NEWSCAST = TopologySpec("newscast", degree=DEGREE, params={"vectorized": False})
+
 FAILURES = {
     "none": None,
     "crash": lambda: ProportionalCrashModel(0.05),
@@ -99,15 +101,28 @@ class TestBitIdentityGrid:
     def test_traces_and_states_bit_identical(
         self, topology_key, failure_key, transport_key
     ):
+        self.assert_plan_stacks_bit_identically(
+            TOPOLOGIES[topology_key], FAILURES[failure_key], TRANSPORTS[transport_key]
+        )
+
+    @pytest.mark.parametrize("failure_key", ["none", "churn"])
+    def test_dict_newscast_oracle_stacks_bit_identically(self, failure_key):
+        # The dict oracle answers the same batched peer draw as every other
+        # overlay, so its repeats stack too (one standalone overlay each).
+        self.assert_plan_stacks_bit_identically(
+            DICT_NEWSCAST, FAILURES[failure_key], TRANSPORTS["message-loss"]
+        )
+
+    @staticmethod
+    def assert_plan_stacks_bit_identically(topology, failure_factory, transport):
         plan = RunPlan(
-            topology=TOPOLOGIES[topology_key],
+            topology=topology,
             size=SIZE,
             cycles=CYCLES,
             values=uniform_initial_values,
-            transport=TRANSPORTS[transport_key],
-            failure_factory=FAILURES[failure_key],
+            transport=transport,
+            failure_factory=failure_factory,
         )
-        assert plan.supports_replication()
         serial_states = {}
 
         def collect(simulator):
@@ -187,18 +202,19 @@ class TestTraceSplittingProperty:
 
 
 class TestRunPlanPlumbing:
-    def test_dict_newscast_falls_back_to_serial(self):
+    def test_plan_without_the_array_codec_is_rejected(self):
+        from repro.core.count import CountMapFunction
+
         plan = RunPlan(
-            topology=TopologySpec("newscast", degree=DEGREE, params={"vectorized": False}),
-            size=SIZE,
-            cycles=3,
-            values=uniform_initial_values,
+            topology=TOPOLOGIES["static"],
+            size=20,
+            cycles=2,
+            values=[{}] * 20,
+            function_factory=CountMapFunction,
         )
-        assert not plan.supports_replication()
-        traces = repeat_traces(2, SEED, plan=plan)  # auto -> serial fallback
-        assert len(traces) == 2
-        with pytest.raises(ConfigurationError):
-            repeat_traces(2, SEED, plan=plan, engine="replicated")
+        for engine in ("auto", "serial"):
+            with pytest.raises(ConfigurationError, match='engine="reference"'):
+                repeat_traces(2, SEED, plan=plan, engine=engine)
 
     @pytest.mark.parametrize("params", [{}, {"vectorized": True}, {"vectorized": False}])
     def test_run_plan_and_build_overlay_agree_on_the_newscast_class(self, params):
@@ -207,8 +223,6 @@ class TestRunPlanPlumbing:
         overlay = build_overlay(spec, SIZE, RandomSource(SEED))
         array_native = params.get("vectorized", True)
         assert isinstance(overlay, VectorizedNewscastOverlay) == array_native
-        assert hasattr(overlay, "select_peers_batch") == array_native
-        assert plan.supports_replication() == array_native
         (replica_overlay,) = plan.build_replica_overlays([RandomSource(SEED)])
         assert type(replica_overlay) is type(overlay)
 
@@ -285,31 +299,29 @@ class TestReplicatedStaticBlock:
             view.select_peers_batch(alive, g2),
         )
 
-    def test_scalar_and_batched_picks_follow_the_ascending_row(self):
+    def test_batched_picks_follow_the_ascending_row(self):
         # One rule for every door: index floor(u * degree) of the
-        # ascending neighbour row, on the scalar path the per-message
-        # engine uses as on the batched one.
+        # ascending neighbour row, for a standalone topology as for a
+        # replica view of a block.
         topology = random_k_out_topology(SIZE, DEGREE, RandomSource(9))
         view = ReplicatedStaticBlock.build_k_out(
             SIZE, DEGREE, [RandomSource(8), RandomSource(9)]
         ).view(1)
 
         def picks(overlay):
-            rng = RandomSource(77)
             nodes = overlay.node_ids()
-            scalar = [overlay.select_peer(node, rng) for node in nodes]
             batched = overlay.select_peers_batch(
-                np.asarray(nodes, dtype=np.int64), rng.generator
+                np.asarray(nodes, dtype=np.int64), RandomSource(77).generator
             )
-            return nodes, scalar, batched.tolist()
+            return nodes, batched.tolist()
 
         def assert_same_picks():
-            nodes, scalar, batched = picks(topology)
-            assert (nodes, scalar, batched) == picks(view)
-            rng = RandomSource(77)
-            for node, peer in zip(nodes, scalar):
+            nodes, batched = picks(topology)
+            assert (nodes, batched) == picks(view)
+            uniforms = RandomSource(77).generator.random(len(nodes))
+            for node, peer, uniform in zip(nodes, batched, uniforms):
                 row = sorted(topology.neighbors(node))
-                assert peer == row[rng.choice_index(len(row))]
+                assert peer == row[int(uniform * len(row))]
 
         assert_same_picks()
         for overlay in (topology, view):
@@ -389,7 +401,6 @@ class TestReplicatedStaticBlock:
             # Unknown ids consume no randomness.
             alone = view.select_peers_batch(ids[:1], np.random.default_rng(1))
             assert peers[0] == alone[0]
-            assert view.select_peer(-1, RandomSource(1)) is None
         empty = StaticTopology({}, name="empty")
         assert empty.select_peers_batch(ids, np.random.default_rng(1)).tolist() == [-1] * 4
 
@@ -703,17 +714,17 @@ class TestBlockViewScalarSurface:
         block = ReplicatedStaticBlock.build_k_out(40, 5, [RandomSource(3)])
         return block, block.view(0)
 
-    def test_select_peer_draws_a_neighbour(self):
+    def test_batched_draw_picks_a_neighbour(self):
         _, view = self.build_view()
-        peer = view.select_peer(0, RandomSource(1))
+        (peer,) = view.select_peers_batch(np.array([0]), RandomSource(1).generator)
         assert peer in view.neighbors(0)
 
-    def test_select_peer_handles_missing_and_isolated(self):
+    def test_batched_draw_handles_missing_and_isolated(self):
         block, view = self.build_view()
-        assert view.select_peer(999, RandomSource(1)) is None
+        assert view.select_peers_batch(np.array([999]), RandomSource(1).generator).tolist() == [-1]
         topology = StaticTopology({0: [1], 1: [0], 2: []}, name="tiny")
         isolated = ReplicatedStaticBlock.from_topologies([topology]).view(0)
-        assert isolated.select_peer(2, RandomSource(1)) is None
+        assert isolated.select_peers_batch(np.array([2]), RandomSource(1).generator).tolist() == [-1]
 
     def test_neighbors_of_unknown_node_raises(self):
         from repro.common.errors import TopologyError
@@ -787,7 +798,6 @@ class TestReplicatedNewscastWithExtraParams:
         plan = RunPlan(
             topology=spec, size=40, cycles=4, values=uniform_initial_values
         )
-        assert plan.supports_replication()
         serial = repeat_traces(2, SEED, plan=plan, engine="serial")
         replicated = repeat_traces(2, SEED, plan=plan)
         assert_traces_identical(serial, replicated)

@@ -74,7 +74,7 @@ class TestDelayModel:
         assert model.sample_delay(rng) == 0.05
 
     def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             DelayModel(min_delay=0.5, max_delay=0.1)
 
     def test_round_trip_within_timeout(self):

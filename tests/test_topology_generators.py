@@ -116,14 +116,15 @@ class TestCompleteOverlay:
         topology = complete_topology(6, materialise=True)
         assert topology.edge_count() == 15
 
-    def test_select_peer_never_returns_self(self, rng):
+    def test_select_peers_batch_never_returns_self(self, rng):
         overlay = complete_topology(10)
-        for _ in range(50):
-            assert overlay.select_peer(3, rng) != 3
+        peers = overlay.select_peers_batch(np.full(50, 3, dtype=np.int64), rng.generator)
+        assert 3 not in peers.tolist()
+        assert set(peers.tolist()) <= set(range(10))
 
     def test_single_node_has_no_peer(self, rng):
         overlay = CompleteOverlay(1)
-        assert overlay.select_peer(0, rng) is None
+        assert overlay.select_peers_batch(np.array([0]), rng.generator).tolist() == [-1]
 
     def test_remove_and_add_nodes(self, rng):
         overlay = CompleteOverlay(5)

@@ -109,15 +109,13 @@ class TestConnectivity:
 
 
 class TestMutation:
-    def test_select_peer_returns_neighbour(self, rng):
-        topology = triangle()
-        for _ in range(20):
-            peer = topology.select_peer(0, rng)
-            assert peer in (1, 2)
+    def test_select_peers_batch_returns_neighbours(self, rng):
+        peers = triangle().select_peers_batch(np.zeros(20, dtype=np.int64), rng.generator)
+        assert set(peers.tolist()) <= {1, 2}
 
-    def test_select_peer_isolated_node_returns_none(self, rng):
+    def test_select_peers_batch_isolated_node_returns_minus_one(self, rng):
         topology = StaticTopology({0: set(), 1: set()})
-        assert topology.select_peer(0, rng) is None
+        assert topology.select_peers_batch(np.array([0]), rng.generator).tolist() == [-1]
 
     def test_remove_node_removes_incident_edges(self):
         topology = triangle()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomSource
 from repro.simulator.transport import (
     DelayModel,
@@ -192,7 +193,7 @@ class TestValidation:
                 TransportModel(link_failure_probability=probability)
 
     def test_delay_model_rejects_inverted_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             DelayModel(min_delay=0.5, max_delay=0.1)
 
     def test_delay_model_rejects_negative_parameters(self):
@@ -202,9 +203,9 @@ class TestValidation:
             DelayModel(timeout=-1.0)
 
     def test_delay_model_rejects_unknown_distribution(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             DelayModel(distribution="pareto")
 
     def test_lognormal_needs_positive_median(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             DelayModel(min_delay=0.0, max_delay=0.0, distribution="lognormal")

@@ -35,7 +35,6 @@ from repro.simulator import (
     TransportModel,
     VectorizedCycleSimulator,
     make_simulator,
-    supports_fast_path,
 )
 from repro.simulator.sampling import ordered_conflict_rounds
 from repro.topology import TopologySpec, build_overlay
@@ -52,7 +51,11 @@ OVERLAYS = {
     # so it takes part in the full bit-level engine-equivalence grid
     # (tests/test_newscast_vectorized.py adds the overlay-level suite).
     "newscast-array": TopologySpec("newscast", degree=8, params={"vectorized": True}),
+    # The dict NEWSCAST oracle answers the same batched draw, so it runs on
+    # both engines too (one function, every scenario: see below).
+    "newscast-dict": TopologySpec("newscast", degree=8, params={"vectorized": False}),
 }
+GRID_OVERLAYS = sorted(set(OVERLAYS) - {"newscast-dict"})
 
 SCENARIOS = {
     "perfect": (TransportModel(), None),
@@ -106,7 +109,7 @@ def assert_traces_match(reference, vectorized, label):
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("overlay_key", sorted(OVERLAYS))
+    @pytest.mark.parametrize("overlay_key", GRID_OVERLAYS)
     @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
     @pytest.mark.parametrize("function_key", ["average", "count-peak", "push-sum"])
     def test_same_seed_same_trace(self, function_key, overlay_key, scenario_key):
@@ -125,6 +128,15 @@ class TestEngineEquivalence:
         vectorized = build_engine("vectorized", function_key, "random", "perfect")
         reference.run(CYCLES)
         vectorized.run(CYCLES)
+        assert reference.states() == vectorized.states()
+
+    @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
+    def test_dict_newscast_states_bitwise_identical(self, scenario_key):
+        reference = build_engine("reference", "average", "newscast-dict", scenario_key)
+        vectorized = build_engine("vectorized", "average", "newscast-dict", scenario_key)
+        reference.run(CYCLES)
+        vectorized.run(CYCLES)
+        assert_traces_match(reference, vectorized, f"newscast-dict/{scenario_key}")
         assert reference.states() == vectorized.states()
 
     def test_membership_and_contact_parity_under_churn(self):
@@ -216,51 +228,42 @@ class TestMassConservation:
 
 
 class TestDispatch:
-    def test_auto_picks_vectorized_for_codec_function_on_static_overlay(self):
-        simulator = build_engine("auto", "average", "random", "perfect")
+    def test_default_engine_is_vectorized(self):
+        rng = RandomSource(3)
+        overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
+        simulator = make_simulator(overlay, AverageFunction(), [1.0] * SIZE, rng.child("s"))
         assert isinstance(simulator, VectorizedCycleSimulator)
 
-    def test_auto_falls_back_for_map_based_count(self):
+    def test_reference_engine_runs_map_based_count(self):
         rng = RandomSource(3)
         overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
-        function = CountMapFunction()
-        assert not supports_fast_path(function, overlay)
         simulator = make_simulator(
             overlay,
-            function,
+            CountMapFunction(),
             {node: {} for node in range(SIZE)},
             rng.child("s"),
+            engine="reference",
         )
         assert isinstance(simulator, CycleSimulator)
 
-    def test_auto_falls_back_for_newscast_overlay(self):
-        rng = RandomSource(3)
-        dict_oracle = TopologySpec("newscast", degree=8, params={"vectorized": False})
-        overlay = build_overlay(dict_oracle, SIZE, rng.child("t"))
-        assert not supports_fast_path(AverageFunction(), overlay)
-        simulator = make_simulator(
-            overlay, AverageFunction(), [1.0] * SIZE, rng.child("s")
-        )
-        assert isinstance(simulator, CycleSimulator)
-
-    def test_forced_vectorized_rejects_non_codec_function(self):
+    def test_default_engine_rejects_non_codec_function_naming_reference(self):
         rng = RandomSource(3)
         overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match='engine="reference"'):
             make_simulator(
                 overlay,
                 CountMapFunction(),
                 {node: {} for node in range(SIZE)},
                 rng.child("s"),
-                engine="vectorized",
             )
 
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("engine", ["auto", "warp"])
+    def test_unknown_engine_rejected(self, engine):
         rng = RandomSource(3)
         overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             make_simulator(
-                overlay, AverageFunction(), [1.0] * SIZE, rng.child("s"), engine="warp"
+                overlay, AverageFunction(), [1.0] * SIZE, rng.child("s"), engine=engine
             )
 
 
