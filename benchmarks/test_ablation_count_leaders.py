@@ -12,7 +12,7 @@ import math
 import pytest
 
 from repro.common.rng import RandomSource
-from repro.core.count import CountMapFunction, LeaderElection, network_size_from_estimate
+from repro.core.count import CountArrayFunction, LeaderElection, network_size_from_estimate
 from repro.core.functions import AverageFunction
 from repro.core.count import peak_initial_values
 from repro.simulator.cycle_sim import CycleSimulator
@@ -38,11 +38,13 @@ def run_map_variant(size, cycles, seed, concurrent=8):
     rng = RandomSource(seed)
     overlay = build_overlay(TopologySpec("newscast", degree=20), size, rng.child("t"))
     election = LeaderElection(concurrent_target=concurrent, estimated_size=size)
-    initial_maps = election.initial_maps(overlay.node_ids(), rng.child("leaders"))
+    node_ids = overlay.node_ids()
+    leaders = election.elect_batch(node_ids, rng.child("leaders"))
+    leader_set = set(leaders.tolist())
     simulator = CycleSimulator(
         overlay,
-        CountMapFunction(),
-        initial_maps,
+        CountArrayFunction(leaders),
+        {node: (node if node in leader_set else -1) for node in node_ids},
         rng.child("s"),
         failure_model=SuddenDeathModel(0.3, at_cycle=2),
     )

@@ -12,9 +12,6 @@ from .errors import (
 from .rng import RandomSource, derive_seed
 from .validation import (
     require,
-    require_at_least,
-    require_fraction_of,
-    require_in_range,
     require_non_negative,
     require_positive,
     require_probability,
@@ -34,7 +31,4 @@ __all__ = [
     "require_positive",
     "require_non_negative",
     "require_probability",
-    "require_in_range",
-    "require_at_least",
-    "require_fraction_of",
 ]

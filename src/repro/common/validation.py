@@ -7,19 +7,17 @@ and with an actionable error instead of deep inside the engine.
 
 from __future__ import annotations
 
-from typing import Sequence
+from numbers import Integral
 
 from .errors import ConfigurationError
 
 __all__ = [
     "require",
     "require_positive",
+    "require_positive_int",
     "require_non_negative",
     "require_probability",
     "require_trim_fraction",
-    "require_in_range",
-    "require_at_least",
-    "require_fraction_of",
 ]
 
 
@@ -33,6 +31,12 @@ def require_positive(value: float, name: str) -> None:
     """Require ``value > 0``."""
     if not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
+
+
+def require_positive_int(value: int, name: str) -> None:
+    """Require an integer ``value >= 1`` (a ``bool`` or a float is refused)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
 
 
 def require_non_negative(value: float, name: str) -> None:
@@ -51,29 +55,3 @@ def require_trim_fraction(value: float, name: str) -> None:
     """Require ``0 <= value < 0.5``, so a symmetric trim always keeps an entry."""
     if not 0.0 <= value < 0.5:
         raise ConfigurationError(f"{name} must be in [0, 0.5), got {value!r}")
-
-
-def require_in_range(value: float, low: float, high: float, name: str) -> None:
-    """Require ``low <= value <= high``."""
-    if not low <= value <= high:
-        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value!r}")
-
-
-def require_at_least(value: float, minimum: float, name: str) -> None:
-    """Require ``value >= minimum``."""
-    if value < minimum:
-        raise ConfigurationError(f"{name} must be at least {minimum}, got {value!r}")
-
-
-def require_fraction_of(count: int, total: int, name: str) -> None:
-    """Require ``0 <= count <= total`` (e.g. a subset size of a population)."""
-    if not 0 <= count <= total:
-        raise ConfigurationError(
-            f"{name} must be between 0 and {total} (the population size), got {count!r}"
-        )
-
-
-def require_non_empty(sequence: Sequence, name: str) -> None:
-    """Require a non-empty sequence."""
-    if len(sequence) == 0:
-        raise ConfigurationError(f"{name} must not be empty")

@@ -2,11 +2,9 @@
 
 from .count import (
     CountArrayFunction,
-    CountMapFunction,
     LeaderElection,
     count_estimate_from_map,
     count_estimates_from_matrix,
-    encode_count_maps,
     network_size_from_estimate,
     peak_initial_values,
 )
@@ -18,7 +16,7 @@ from .derived import (
     SumAggregate,
     VarianceAggregate,
 )
-from .epoch import EpochConfig, EpochTracker, cycles_for_accuracy
+from .epoch import EpochConfig, cycles_for_accuracy
 from .functions import (
     AggregationFunction,
     AverageFunction,
@@ -44,14 +42,12 @@ __all__ = [
     "GeometricMeanFunction",
     "PushSumFunction",
     "VectorFunction",
-    "CountMapFunction",
     "CountArrayFunction",
     "LeaderElection",
     "peak_initial_values",
     "network_size_from_estimate",
     "count_estimate_from_map",
     "count_estimates_from_matrix",
-    "encode_count_maps",
     "DerivedAggregate",
     "MeanAggregate",
     "NetworkSizeAggregate",
@@ -59,7 +55,6 @@ __all__ = [
     "ProductAggregate",
     "VarianceAggregate",
     "EpochConfig",
-    "EpochTracker",
     "cycles_for_accuracy",
     "MultiInstanceCount",
     "REDUCERS",

@@ -11,12 +11,15 @@ Two realisations are provided:
   simple scheme used for the robustness experiments of Section 7 (the
   leader is a single point of failure, which is precisely why the paper
   uses it as the worst case).
-* :class:`CountMapFunction` — the multi-leader map scheme of Section 5.
+* :class:`CountArrayFunction` — the multi-leader map scheme of Section 5.
   Every node keeps a map from leader identifier to an average estimate;
   exchanging nodes merge maps key-wise, treating a missing key as the
   value 0 (so the entry is halved).  Leaders elect themselves at epoch
   start with probability ``P_lead = C / N̂`` where ``N̂`` is the previous
-  epoch's size estimate, keeping roughly ``C`` concurrent runs alive.
+  epoch's size estimate, keeping roughly ``C`` concurrent runs alive; the
+  function is built over that epoch's leaders and carries both the dict
+  states of the reference engine and the array rows of the vectorised
+  one.
 """
 
 from __future__ import annotations
@@ -35,12 +38,10 @@ from .functions import AggregationFunction
 __all__ = [
     "peak_initial_values",
     "network_size_from_estimate",
-    "CountMapFunction",
     "CountArrayFunction",
     "LeaderElection",
     "count_estimate_from_map",
     "count_estimates_from_matrix",
-    "encode_count_maps",
 ]
 
 
@@ -79,36 +80,105 @@ def network_size_from_estimate(average_estimate: Optional[float]) -> float:
     return 1.0 / average_estimate
 
 
+def count_estimate_from_map(
+    state: Mapping[int, float], discard_fraction: float = 0.0
+) -> float:
+    """Network-size estimate derived from a COUNT map.
+
+    Each map entry yields the estimate ``1 / value``; entries are combined
+    with a symmetric trimmed mean controlled by ``discard_fraction`` in
+    ``[0, 0.5)`` (the paper discards the lowest and highest thirds, i.e.
+    ``1/3``), which always keeps at least one entry.
+
+    Returns ``inf`` for an empty map.
+    """
+    require_trim_fraction(discard_fraction, "discard_fraction")
+    if not state:
+        return math.inf
+    estimates = sorted(network_size_from_estimate(value) for value in state.values())
+    drop = int(len(estimates) * discard_fraction)
+    kept = estimates[drop: len(estimates) - drop]
+    finite = [value for value in kept if math.isfinite(value)]
+    if not finite:
+        return math.inf
+    return sum(finite) / len(finite)
+
+
 # ----------------------------------------------------------------------
 # Map-based COUNT (Section 5)
 # ----------------------------------------------------------------------
-class CountMapFunction(AggregationFunction):
+class CountArrayFunction(AggregationFunction):
     """Multi-leader COUNT state: a map from leader id to average estimate.
 
     The merge rule follows the paper exactly: keys present in only one of
     the two maps are halved (the other node implicitly contributes a 0),
     keys present in both are averaged.  Every node therefore runs one
     averaging instance per leader, and each instance converges to ``1/N``.
+
+    Within one epoch the set of self-elected leaders never changes, so the
+    function is built over that *fixed* leader universe and a node's map
+    is fully described by one value and one presence flag per leader: the
+    array row is ``[values(L), mask(L)]`` with absent entries holding
+    exactly ``0.0``.  Because a missing key is the value 0, the merge
+    collapses to two elementwise expressions — ``(v_i + v_r) / 2`` and
+    ``max(m_i, m_r)`` — that are bit-identical to the dict merge (in
+    IEEE-754 float64, ``(v + 0.0) / 2.0 == v / 2.0`` exactly).  The class
+    therefore runs as dict states on the reference engine and as a dense
+    ``(nodes, 2L)`` block on the vectorised engine, producing the same
+    per-node maps from the same seed.
+
+    Initial values are *leader identifiers*: a node whose local value is
+    the id of one of the known leaders starts with ``{id: 1.0}``; ``None``
+    or any negative value (conventionally ``-1``) means "not a leader"
+    and yields the empty map.
     """
 
     name = "count-map"
 
-    def initial_state(self, local_value) -> Dict[int, float]:
-        """Initial map: ``{leader_id: 1.0}`` for leaders, ``{}`` otherwise.
+    def __init__(self, leaders: Sequence[int]) -> None:
+        unique = sorted({int(leader) for leader in leaders})
+        if not unique:
+            raise ConfigurationError(
+                "CountArrayFunction needs at least one leader; a zero-leader "
+                "(dry) epoch carries no COUNT state to encode"
+            )
+        self._leaders: Tuple[int, ...] = tuple(unique)
+        self._leader_array = np.asarray(unique, dtype=np.int64)
+        self._slot_of: Dict[int, int] = {leader: slot for slot, leader in enumerate(unique)}
 
-        ``local_value`` may be ``None``/``{}`` for a non-leader, an integer
-        leader identifier, or an explicit mapping.
+    @property
+    def leaders(self) -> Tuple[int, ...]:
+        """The fixed leader universe, in slot order (sorted ids)."""
+        return self._leaders
+
+    def _slot(self, leader: int) -> int:
+        try:
+            return self._slot_of[leader]
+        except KeyError as exc:
+            raise ProtocolError(
+                f"leader {leader} is not in this epoch's universe {self._leaders}"
+            ) from exc
+
+    def initial_state(self, local_value) -> Dict[int, float]:
+        """Initial map: ``{id: 1.0}`` for a leader id, ``{}`` otherwise.
+
+        ``local_value`` may be ``None`` or a negative number for a
+        non-leader, a leader identifier, or an explicit mapping; leader
+        identifiers and mapping keys must lie in the fixed universe.
         """
         if local_value is None:
             return {}
         if isinstance(local_value, Mapping):
-            return {int(k): float(v) for k, v in local_value.items()}
-        if isinstance(local_value, (int, float)) and not isinstance(local_value, bool):
-            # Interpreted as "this node is the leader with this identifier".
-            return {int(local_value): 1.0}
-        raise ProtocolError(
-            f"cannot build a COUNT map state from {local_value!r}"
-        )
+            state = {int(k): float(v) for k, v in local_value.items()}
+        elif isinstance(local_value, (int, float)) and not isinstance(local_value, bool):
+            if local_value < 0:
+                return {}
+            state = {int(local_value): 1.0}
+        else:
+            raise ProtocolError(f"cannot build a COUNT map state from {local_value!r}")
+        for leader in state:
+            self._slot(leader)
+        return state
 
     def merge(
         self, initiator_state: Dict[int, float], responder_state: Dict[int, float]
@@ -146,103 +216,9 @@ class CountMapFunction(AggregationFunction):
             "COUNT has no per-node input values; the true value is the network size"
         )
 
-
-def count_estimate_from_map(
-    state: Mapping[int, float], discard_fraction: float = 0.0
-) -> float:
-    """Network-size estimate derived from a COUNT map.
-
-    Each map entry yields the estimate ``1 / value``; entries are combined
-    with a symmetric trimmed mean controlled by ``discard_fraction`` in
-    ``[0, 0.5)`` (the paper discards the lowest and highest thirds, i.e.
-    ``1/3``), which always keeps at least one entry.
-
-    Returns ``inf`` for an empty map.
-    """
-    require_trim_fraction(discard_fraction, "discard_fraction")
-    if not state:
-        return math.inf
-    estimates = sorted(network_size_from_estimate(value) for value in state.values())
-    drop = int(len(estimates) * discard_fraction)
-    kept = estimates[drop: len(estimates) - drop]
-    finite = [value for value in kept if math.isfinite(value)]
-    if not finite:
-        return math.inf
-    return sum(finite) / len(finite)
-
-
-# ----------------------------------------------------------------------
-# Array codec for the map-based COUNT (fast-path form of Section 5)
-# ----------------------------------------------------------------------
-class CountArrayFunction(CountMapFunction):
-    """Map-based COUNT with an array codec over a *fixed* leader universe.
-
-    Within one epoch the set of self-elected leaders never changes, so a
-    node's map is fully described by one value and one presence flag per
-    leader: the state row is ``[values(L), mask(L)]`` with absent entries
-    holding exactly ``0.0``.  Because the paper's merge treats a missing
-    key as the value 0, the whole merge rule collapses to two elementwise
-    expressions — ``(v_i + v_r) / 2`` and ``max(m_i, m_r)`` — that are
-    bit-identical to the dict merge of :class:`CountMapFunction` (in
-    IEEE-754 float64, ``(v + 0.0) / 2.0 == v / 2.0`` exactly).  The same
-    class therefore runs as dict states on the reference engine and as a
-    dense ``(nodes, 2L)`` block on the vectorised engine, producing the
-    same per-node maps from the same seed.
-
-    Initial values are *leader identifiers*: a node whose local value is
-    the id of one of the known leaders starts with ``{id: 1.0}``; any
-    negative value (conventionally ``-1``) means "not a leader" and
-    yields the empty map.
-    """
-
-    name = "count-map-array"
-
-    def __init__(self, leaders: Sequence[int]) -> None:
-        unique = sorted({int(leader) for leader in leaders})
-        if not unique:
-            raise ConfigurationError(
-                "CountArrayFunction needs at least one leader; a zero-leader "
-                "(dry) epoch carries no COUNT state to encode"
-            )
-        self._leaders: Tuple[int, ...] = tuple(unique)
-        self._leader_array = np.asarray(unique, dtype=np.int64)
-        self._slot_of: Dict[int, int] = {leader: slot for slot, leader in enumerate(unique)}
-
-    @property
-    def leaders(self) -> Tuple[int, ...]:
-        """The fixed leader universe, in slot order (sorted ids)."""
-        return self._leaders
-
-    def _slot(self, leader: int) -> int:
-        try:
-            return self._slot_of[leader]
-        except KeyError as exc:
-            raise ProtocolError(
-                f"leader {leader} is not in this epoch's universe {self._leaders}"
-            ) from exc
-
-    def initial_state(self, local_value) -> Dict[int, float]:
-        """Like :meth:`CountMapFunction.initial_state`, plus the ``-1`` sentinel.
-
-        Numbers below zero mean "not a leader" (the array-side encoding);
-        leader identifiers and explicit mappings must stay inside the
-        fixed universe.
-        """
-        if isinstance(local_value, (int, float)) and not isinstance(local_value, bool):
-            if local_value < 0:
-                return {}
-            return {self._leaders[self._slot(int(local_value))]: 1.0}
-        state = super().initial_state(local_value)
-        for leader in state:
-            self._slot(leader)
-        return state
-
     # ------------------------------------------------------------------
     # Array codec
     # ------------------------------------------------------------------
-    def supports_vectorized(self) -> bool:
-        return True
-
     def state_width(self) -> int:
         return 2 * len(self._leaders)
 
@@ -307,24 +283,6 @@ class CountArrayFunction(CountMapFunction):
         return f"CountArrayFunction(leaders={len(self._leaders)})"
 
 
-def encode_count_maps(
-    maps: Sequence[Mapping[int, float]], leaders: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Encode dict COUNT maps into ``(values, mask)`` matrices.
-
-    The columns follow the slot order of :class:`CountArrayFunction`
-    (sorted leader ids); absent entries hold value 0 and mask 0.  This is
-    how the reference epoch driver brings its dict states into the shared
-    batched reduction of :func:`count_estimates_from_matrix`.
-    """
-    codec = CountArrayFunction(leaders)
-    width = len(codec.leaders)
-    block = np.zeros((len(maps), 2 * width), dtype=np.float64)
-    for row, state in enumerate(maps):
-        block[row] = codec.encode_state(state)
-    return block[:, :width], block[:, width:]
-
-
 def count_estimates_from_matrix(
     values: np.ndarray, mask: np.ndarray, discard_fraction: float = 0.0
 ) -> np.ndarray:
@@ -340,9 +298,9 @@ def count_estimates_from_matrix(
 
     The per-row arithmetic mean uses one :func:`numpy.sum` pass, so
     results can differ from the scalar reduction in the last few ulps
-    (floating-point summation order); both epoch drivers consume *this*
-    helper, which is what makes their per-epoch estimates bit-identical
-    to each other.
+    (floating-point summation order); the epoch driver reduces *this*
+    way on both engines, which is what makes their per-epoch estimates
+    bit-identical to each other.
     """
     require_trim_fraction(discard_fraction, "discard_fraction")
     values = np.asarray(values, dtype=np.float64)
@@ -438,16 +396,6 @@ class LeaderElection:
         if probability >= 1.0:
             return ids.copy()
         return ids[rng.generator.random(ids.size) < probability]
-
-    def initial_maps(
-        self, node_ids: Sequence[int], rng: RandomSource
-    ) -> Dict[int, Dict[int, float]]:
-        """Initial COUNT maps for every node given a fresh election."""
-        leaders = set(self.elect(node_ids, rng))
-        return {
-            node: ({node: 1.0} if node in leaders else {})
-            for node in node_ids
-        }
 
     def update_estimate(self, new_estimate: float) -> None:
         """Adopt the size estimate produced by the epoch that just ended."""

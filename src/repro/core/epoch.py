@@ -11,21 +11,23 @@ message, and a node that hears about a later epoch immediately abandons
 its current one and joins the newer epoch, so the whole network follows
 the pace set by the fastest nodes.
 
-This module provides the configuration record shared by the practical
-protocol and the per-node :class:`EpochTracker` state machine used by the
-reference :class:`~repro.simulator.epochs.EpochDriver`.
+This module provides the timing record shared by the practical protocol
+and the rule deriving γ from a target accuracy.  The engines keep the
+per-node epoch identifiers themselves, as arrays: the cycle-driven
+:class:`~repro.simulator.epochs.EpochDriver` and the asynchronous
+:class:`~repro.simulator.async_engine.AsyncPracticalSimulator`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..common.errors import ConfigurationError
-from ..common.validation import require_positive
+from ..common.validation import require_positive, require_positive_int
 
-__all__ = ["EpochConfig", "EpochTracker", "cycles_for_accuracy"]
+__all__ = ["EpochConfig", "cycles_for_accuracy"]
 
 
 def cycles_for_accuracy(accuracy: float, convergence_factor: float) -> int:
@@ -77,7 +79,7 @@ class EpochConfig:
 
     def __post_init__(self) -> None:
         require_positive(self.cycle_length, "cycle_length")
-        require_positive(self.cycles_per_epoch, "cycles_per_epoch")
+        require_positive_int(self.cycles_per_epoch, "cycles_per_epoch")
         if self.epoch_length is not None:
             require_positive(self.epoch_length, "epoch_length")
 
@@ -110,73 +112,3 @@ class EpochConfig:
         if time < 0:
             raise ConfigurationError("time must be non-negative")
         return int(time // self.cycle_length)
-
-
-@dataclass
-class EpochTracker:
-    """Per-node epoch state machine.
-
-    Tracks which epoch the node is participating in, how many cycles it
-    has completed in that epoch, and the estimates reported by completed
-    epochs.  The tracker does not know about wall-clock time; the node
-    drives it from its timers and message handlers.
-    """
-
-    config: EpochConfig
-    current_epoch: int = 0
-    cycles_completed: int = 0
-    #: Estimates reported at the end of each completed epoch.
-    completed_results: Dict[int, float] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def is_terminated(self) -> bool:
-        """Whether the node finished its γ cycles for the current epoch."""
-        return self.cycles_completed >= self.config.cycles_per_epoch
-
-    def latest_result(self) -> Optional[float]:
-        """The most recent completed-epoch estimate, if any."""
-        if not self.completed_results:
-            return None
-        return self.completed_results[max(self.completed_results)]
-
-    # ------------------------------------------------------------------
-    # Transitions
-    # ------------------------------------------------------------------
-    def complete_cycle(self) -> None:
-        """Record that one cycle of the current epoch has elapsed."""
-        self.cycles_completed += 1
-
-    def finish_epoch(self, estimate: Optional[float]) -> None:
-        """Record the estimate of the epoch that just ended.
-
-        ``None`` estimates (e.g. an empty COUNT map) are not recorded.
-        """
-        if estimate is not None and math.isfinite(estimate):
-            self.completed_results[self.current_epoch] = float(estimate)
-
-    def start_epoch(self, epoch_id: int) -> None:
-        """Begin participating in ``epoch_id`` with a fresh cycle counter."""
-        if epoch_id < self.current_epoch:
-            raise ConfigurationError(
-                f"cannot move backwards from epoch {self.current_epoch} to {epoch_id}"
-            )
-        self.current_epoch = epoch_id
-        self.cycles_completed = 0
-
-    def observe_epoch(self, epoch_id: int) -> bool:
-        """React to an epoch identifier seen on an incoming message.
-
-        Returns ``True`` when the identifier is newer than the current
-        epoch, in which case the caller must abandon the current epoch and
-        re-initialise its state for ``epoch_id`` (the epidemic
-        synchronisation rule of Section 4.3).  The tracker itself is
-        advanced; the caller is responsible for resetting protocol state.
-        """
-        if epoch_id <= self.current_epoch:
-            return False
-        self.current_epoch = epoch_id
-        self.cycles_completed = 0
-        return True

@@ -20,9 +20,13 @@ the concrete functions discussed in Sections 3 and 5:
   states, which is how SUM/VARIANCE/PRODUCT and multi-instance COUNT are
   assembled from the primitives.
 
-All functions are *stateless*: per-node state is an opaque value (or an
-array-codec row) held by the engine, and the function only knows how to
-initialise, merge and read it.
+All functions are *stateless*: per-node state is an opaque value held by
+the engine, and the function only knows how to initialise, merge and read
+it.  Every function carries two codecs for that state — the scalar one
+(``initial_state``/``merge``/``estimate``) driven one exchange at a time
+by the reference engine, and the array one (``state_width``,
+``merge_arrays``, …) driven in batches by the array engines — so every
+function runs on every engine.
 """
 
 from __future__ import annotations
@@ -94,20 +98,17 @@ class AggregationFunction(abc.ABC):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Array codec: the opt-in protocol for the vectorised fast path.
+    # Array codec: the array form of the same state, used by the
+    # vectorised engine, the stacked repeats and the asynchronous engine.
     #
-    # A function whose per-node state is a fixed-width vector of floats can
-    # implement these methods and return ``True`` from
-    # :meth:`supports_vectorized`; the vectorised cycle engine then stores
-    # all states in one ``(nodes, state_width)`` float64 array and applies
-    # :meth:`merge_arrays` to whole batches of exchanges at once.  The
-    # array operations must be *bit-identical* to the scalar
-    # :meth:`merge` (same expressions, IEEE-754 float64), which is what
-    # makes the fast path reproduce reference traces from the same seed.
+    # Every function stores its per-node state as a fixed-width vector of
+    # floats as well: the array engines keep all states in one
+    # ``(nodes, state_width)`` float64 array and apply :meth:`merge_arrays`
+    # to whole batches of exchanges at once.  The array operations must be
+    # *bit-identical* to the scalar :meth:`merge` (same expressions,
+    # IEEE-754 float64), which is what makes the array engines reproduce
+    # reference traces from the same seed.
     # ------------------------------------------------------------------
-    def supports_vectorized(self) -> bool:
-        """Whether this function implements the array codec."""
-        return False
 
     #: Whether :meth:`merge_arrays` also accepts flat ``(m,)`` state
     #: vectors (only meaningful for width-1 codecs).  The vectorised
@@ -115,31 +116,31 @@ class AggregationFunction(abc.ABC):
     #: markedly faster than row-wise fancy indexing.
     flat_state_codec = False
 
+    @abc.abstractmethod
     def state_width(self) -> int:
         """Number of float64 slots one node state occupies."""
-        raise NotImplementedError(f"{type(self).__name__} has no array codec")
 
+    @abc.abstractmethod
     def initial_state_array(self, values: np.ndarray) -> np.ndarray:
         """Encode per-node local values into a ``(n, state_width)`` array."""
-        raise NotImplementedError(f"{type(self).__name__} has no array codec")
 
+    @abc.abstractmethod
     def merge_arrays(
         self, initiator_states: np.ndarray, responder_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`merge` over ``(m, state_width)`` state blocks."""
-        raise NotImplementedError(f"{type(self).__name__} has no array codec")
 
+    @abc.abstractmethod
     def estimate_array(self, states: np.ndarray) -> np.ndarray:
         """Batched :meth:`estimate`; NaN marks "no estimate yet"."""
-        raise NotImplementedError(f"{type(self).__name__} has no array codec")
 
+    @abc.abstractmethod
     def encode_state(self, state: Any) -> np.ndarray:
         """Encode one opaque state into a ``(state_width,)`` row."""
-        raise NotImplementedError(f"{type(self).__name__} has no array codec")
 
+    @abc.abstractmethod
     def decode_state(self, row: np.ndarray) -> Any:
         """Decode a ``(state_width,)`` row back into the opaque state."""
-        raise NotImplementedError(f"{type(self).__name__} has no array codec")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -154,9 +155,6 @@ class _ScalarArrayCodec:
     """
 
     flat_state_codec = True
-
-    def supports_vectorized(self) -> bool:
-        return True
 
     def state_width(self) -> int:
         return 1
@@ -353,9 +351,6 @@ class PushSumFunction(AggregationFunction):
         return float(sum(values) / len(values))
 
     # Array codec: column 0 carries the value, column 1 the weight.
-    def supports_vectorized(self) -> bool:
-        return True
-
     def state_width(self) -> int:
         return 2
 
@@ -467,9 +462,6 @@ class VectorFunction(AggregationFunction):
     # ------------------------------------------------------------------
     # Array codec: component states are laid out side by side in columns.
     # ------------------------------------------------------------------
-    def supports_vectorized(self) -> bool:
-        return all(function.supports_vectorized() for function in self._functions)
-
     def state_width(self) -> int:
         return sum(function.state_width() for function in self._functions)
 

@@ -87,7 +87,6 @@ def run_epoched_count(
     discard_fraction: float = 1.0 / 3.0,
     engine: str = "vectorized",
     record_every: int = 1,
-    keep_cycle_traces: bool = False,
 ) -> EpochedRunResult:
     """Run the full practical protocol: adaptive multi-epoch COUNT.
 
@@ -116,7 +115,6 @@ def run_epoched_count(
         discard_fraction=discard_fraction,
         engine=engine,
         record_every=record_every,
-        keep_cycle_traces=keep_cycle_traces,
     )
     return driver.run(epochs)
 

@@ -1,10 +1,10 @@
 """Simulation substrates: cycle engines, the asynchronous engine, failures.
 
-Two cycle engines are provided: the reference
-:class:`~repro.simulator.cycle_sim.CycleSimulator`, which handles any
-opaque-state aggregation function and serves as the scalar oracle, and the
-stacked array engine of :mod:`repro.simulator.replicated` for functions
-implementing the array codec.  The array engine has two entry points —
+Two cycle engines are provided, and both run every aggregation function:
+the reference :class:`~repro.simulator.cycle_sim.CycleSimulator`, the
+per-exchange oracle driving the scalar codec, and the stacked array engine
+of :mod:`repro.simulator.replicated` driving the array codec.  The array
+engine has two entry points —
 :class:`~repro.simulator.vectorized.VectorizedCycleSimulator` for one run
 and :class:`~repro.simulator.replicated.ReplicatedCycleSimulator` for ``R``
 repetitions in one tensor.  :func:`make_simulator` builds the engine the
@@ -156,9 +156,7 @@ def make_simulator(
 
     Parameters match :class:`CycleSimulator`; ``engine`` is
     ``"vectorized"`` (default, the array engine) or ``"reference"``.  The
-    caller names it — nothing is inferred, and a function without the
-    array codec on the array engine raises :class:`ConfigurationError`.
-    Both engines consume randomness through the same batched cycle-plan
+    caller names it — nothing is inferred.  Both engines consume randomness through the same batched cycle-plan
     discipline, so the choice changes speed, not results: a given root
     seed produces the same exchange schedule either way.
     """

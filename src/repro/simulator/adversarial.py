@@ -209,20 +209,11 @@ class ByzantineReporterModel(FailureModel):
     def _current_rows(self, simulator, ids: np.ndarray) -> np.ndarray:
         """Read the current reported values of ``ids`` as a 2-D block.
 
-        Array engines are read through ``state_array`` (one gather);
-        the reference engine through per-node ``state_of``.  Both return
-        the same numbers for value-reporting codecs (state == value).
+        Every engine answers ``state_array`` in participant-id order, and
+        for value-reporting codecs the encoded row is the value itself.
         """
-        if hasattr(simulator, "state_array"):
-            participants = np.asarray(simulator.participant_ids(), dtype=np.int64)
-            block = simulator.state_array()
-            rows = np.array(
-                block[np.searchsorted(participants, ids)], dtype=np.float64
-            )
-        else:
-            rows = np.asarray(
-                [simulator.state_of(int(node)) for node in ids], dtype=np.float64
-            )
+        participants = np.asarray(simulator.participant_ids(), dtype=np.int64)
+        rows = simulator.state_array()[np.searchsorted(participants, ids)]
         return rows.reshape(ids.size, -1)
 
 

@@ -66,12 +66,14 @@ import numpy as np
 
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
-from ..common.validation import require_non_negative, require_trim_fraction
+from ..common.validation import (
+    require_non_negative, require_positive_int, require_trim_fraction
+)
 from ..core.count import CountArrayFunction, LeaderElection, count_estimates_from_matrix
 from ..core.epoch import EpochConfig
 from ..core.functions import AggregationFunction, AverageFunction
 from ..topology.base import OverlayProvider
-from .metrics import CycleRecord, SimulationTrace
+from .metrics import CycleRecord, SimulationTrace, estimate_statistics
 from .sampling import conflict_scratch, ordered_conflict_rounds
 from .transport import (
     DelayModel,
@@ -391,8 +393,7 @@ class AsyncPracticalSimulator:
     ) -> None:
         require_non_negative(clock_drift, "clock_drift")
         require_non_negative(start_stagger, "start_stagger")
-        if record_every < 1:
-            raise ConfigurationError("record_every must be at least 1")
+        require_positive_int(record_every, "record_every")
         self._overlay = overlay
         self._protocol = protocol
         self._config = epoch_config
@@ -975,25 +976,11 @@ class AsyncPracticalSimulator:
             estimates = self._protocol.estimate_rows(
                 epoch, self._epoch_states[epoch][members]
             )
-            finite = estimates[np.isfinite(estimates)]
             participant_count = int(members.size)
         else:
-            finite = np.empty(0, dtype=np.float64)
+            estimates = np.empty(0, dtype=np.float64)
             participant_count = 0
-        if finite.size:
-            mean = float(np.mean(finite))
-            minimum = float(np.min(finite))
-            maximum = float(np.max(finite))
-            if finite.size >= 2:
-                deviations = finite - mean
-                variance = float(deviations.dot(deviations) / (finite.size - 1))
-            else:
-                variance = 0.0
-        else:
-            mean = math.nan
-            variance = 0.0
-            minimum = math.nan
-            maximum = math.nan
+        mean, variance, minimum, maximum = estimate_statistics(estimates)
         completed_total = self.statistics["completed"]
         failed_total = (
             self.statistics["dropped"]

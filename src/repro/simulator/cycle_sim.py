@@ -36,6 +36,7 @@ import numpy as np
 
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
+from ..common.validation import require_positive_int
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
 from .failures import FailureModel, NoFailures
@@ -117,9 +118,8 @@ class CycleSimulator:
         record_every: int = 1,
         reachability=None,
     ) -> None:
-        if record_every < 1:
-            raise ConfigurationError("record_every must be at least 1")
-        self._record_every = int(record_every)
+        require_positive_int(record_every, "record_every")
+        self._record_every = record_every
         self._pending_completed = 0
         self._pending_failed = 0
         self._overlay = overlay
@@ -204,6 +204,19 @@ class CycleSimulator:
     def states(self) -> Dict[int, Any]:
         """A copy of the mapping from participant id to protocol state."""
         return dict(self._states)
+
+    def state_array(self) -> np.ndarray:
+        """The ``(participants, width)`` block of encoded states, in id order.
+
+        The same layout as the array engine's ``state_array``, built from
+        the function's ``encode_state`` one participant at a time.
+        """
+        encode = self._function.encode_state
+        participants = self.participant_ids()
+        block = np.empty((len(participants), self._function.state_width()))
+        for row, node in enumerate(participants):
+            block[row] = encode(self._states[node])
+        return block
 
     def estimates(self) -> Dict[int, Optional[float]]:
         """Current aggregate estimate at every participating node."""

@@ -1,35 +1,33 @@
 """Epoch orchestration: the paper's *practical protocol*, end to end.
 
-The building blocks have lived in :mod:`repro.core` since the seed —
-per-node epoch state machines (:class:`~repro.core.epoch.EpochTracker`),
-multi-leader self-election (:class:`~repro.core.count.LeaderElection`),
-and the map-based COUNT merge — but nothing drove them through a full
-adaptive run.  This module adds that layer: the :class:`EpochDriver`
-executes consecutive epochs of the size-monitoring protocol of Sections
-4.1/4.3/5 on top of either cycle engine:
+The building blocks live in :mod:`repro.core` — epoch timing
+(:class:`~repro.core.epoch.EpochConfig`), multi-leader self-election
+(:class:`~repro.core.count.LeaderElection`) and the map-based COUNT
+(:class:`~repro.core.count.CountArrayFunction`).  The
+:class:`EpochDriver` drives them through consecutive epochs of the
+size-monitoring protocol of Sections 4.1/4.3/5.  Its epoch body is one
+and the same on both cycle engines; ``engine`` only names the cycle
+simulator each epoch runs on:
 
-1. **Epoch synchronisation.**  Every node tracks the epoch it belongs
-   to.  The reference driver keeps one real
-   :class:`~repro.core.epoch.EpochTracker` per node and feeds it
-   ``observe_epoch`` calls; the fast-path driver reproduces exactly those
-   semantics as one batched array pass over a per-node epoch-id vector
-   (advance only forward, reset the cycle counter, count fresh joiners
-   and multi-epoch jumps).  Nodes that joined mid-epoch through churn
-   participate from the next epoch on, matching the paper's rule.
+1. **Epoch synchronisation.**  Every node's epoch identifier lives in
+   one per-node vector, and one batched array pass applies the epidemic
+   rule: advance only forward, count fresh joiners and multi-epoch
+   jumps.  Nodes that joined mid-epoch through churn participate from
+   the next epoch on, matching the paper's rule.
 2. **Leader election.**  At every epoch start each alive node elects
    itself with ``P_lead = C / N̂`` via
    :meth:`~repro.core.count.LeaderElection.elect_batch` (bit-identical
    to the scalar loop, one generator call).
 3. **The epoch run.**  γ cycles (``cycles_per_epoch``, derivable from a
-   target accuracy through :func:`epoch_config_for_accuracy`) of the
-   map-based COUNT: dict states on the reference engine
-   (:class:`~repro.core.count.CountMapFunction` semantics), a dense
-   ``(nodes, 2·leaders)`` block on the vectorised engine
-   (:class:`~repro.core.count.CountArrayFunction`) — the merges are
+   target accuracy through :func:`epoch_config_for_accuracy`) of
+   :class:`~repro.core.count.CountArrayFunction` over the epoch's
+   leaders: dict states on the reference engine, a dense
+   ``(nodes, 2·leaders)`` block on the vectorised engine — the merges are
    bit-identical, so both engines hold the same maps from the same seed.
 4. **End-of-epoch reduction.**  Every surviving node reduces its map
-   with the trimmed-mean rule of Section 7.3; both drivers share the
-   batched :func:`~repro.core.count.count_estimates_from_matrix`, so the
+   with the trimmed-mean rule of Section 7.3: the simulator's
+   ``state_array()`` goes through the batched
+   :func:`~repro.core.count.count_estimates_from_matrix`, so the
    per-epoch size estimates are bit-identical across engines.
 5. **Feedback.**  The epoch's estimate is fed back into the election
    (``update_estimate``), closing the adaptive loop.  An epoch that
@@ -42,12 +40,11 @@ Epoch identifiers follow the nominal schedule of
 clock by γ·δ, and the next identifier is ``epoch_for_time`` of the new
 clock, so configurations with ``epoch_length`` shorter than γ·δ skip
 identifiers exactly as the paper's epidemic synchronisation allows — the
-drivers record how many nodes jumped more than one epoch at once.
+driver records how many nodes jumped more than one epoch at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -57,18 +54,12 @@ from ..analysis.theory import PUSH_PULL_CONVERGENCE_FACTOR
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
 from ..common.validation import require_trim_fraction
-from ..core.count import (
-    CountArrayFunction,
-    CountMapFunction,
-    LeaderElection,
-    count_estimates_from_matrix,
-    encode_count_maps,
-)
-from ..core.epoch import EpochConfig, EpochTracker, cycles_for_accuracy
+from ..core.count import CountArrayFunction, LeaderElection, count_estimates_from_matrix
+from ..core.epoch import EpochConfig, cycles_for_accuracy
 from ..core.functions import AverageFunction
 from ..topology.base import OverlayProvider
 from .failures import FailureModel
-from .metrics import SimulationTrace
+from .metrics import estimate_statistics
 from .transport import PERFECT_TRANSPORT, TransportModel
 
 __all__ = [
@@ -142,9 +133,6 @@ class EpochRecord:
         Extremes of the finite per-node size estimates (NaN when dry).
     finite_reporters:
         Number of surviving nodes whose reduced estimate was finite.
-    trace:
-        The epoch's per-cycle simulation trace (only kept when the driver
-        was built with ``keep_cycle_traces=True``).
     """
 
     epoch_id: int
@@ -161,7 +149,6 @@ class EpochRecord:
     min_estimate: float
     max_estimate: float
     finite_reporters: int
-    trace: Optional[SimulationTrace] = None
 
 
 @dataclass
@@ -214,7 +201,7 @@ class EpochDriver:
     rng:
         Root randomness; epoch ``e`` uses the child streams
         ``rng.child("election", e)`` and ``rng.child("epoch", e)``, so the
-        reference and vectorised drivers draw identically from one seed.
+        two engines draw identically from one seed.
     transport / failure_factory:
         Communication and node-failure models applied within every epoch;
         ``failure_factory`` may be a shared stateless model or a callable
@@ -223,14 +210,12 @@ class EpochDriver:
         Trim fraction of the end-of-epoch reduction, in ``[0, 0.5)`` (the
         paper's 1/3).
     engine:
-        The cycle engine every epoch runs on, named by the caller:
+        The cycle simulator every epoch runs on, named by the caller:
         ``"vectorized"`` (default, array COUNT rows) or ``"reference"``
-        (dict COUNT maps and real per-node epoch trackers).  Every
-        overlay supports both.
-    record_every / keep_cycle_traces:
-        Per-cycle metrics cadence inside each epoch, and whether each
-        epoch's :class:`~repro.simulator.metrics.SimulationTrace` is kept
-        on its record.
+        (dict COUNT maps, one exchange at a time).  It picks nothing
+        else; every overlay supports both.
+    record_every:
+        Per-cycle metrics cadence inside each epoch.
     """
 
     def __init__(
@@ -244,7 +229,6 @@ class EpochDriver:
         discard_fraction: float = 1.0 / 3.0,
         engine: str = "vectorized",
         record_every: int = 1,
-        keep_cycle_traces: bool = False,
     ) -> None:
         if engine not in ("vectorized", "reference"):
             raise ConfigurationError(
@@ -260,14 +244,11 @@ class EpochDriver:
         self._discard_fraction = discard_fraction
         self._engine = engine
         self._record_every = record_every
-        self._keep_cycle_traces = keep_cycle_traces
 
         self._time = 0.0
         self._next_epoch_id = 0
         self._estimate = election.estimated_size
-        # Epoch-synchronisation state: real per-node EpochTrackers on the
-        # reference driver, one packed epoch-id vector on the fast path.
-        self._trackers: Dict[int, EpochTracker] = {}
+        # Epoch-synchronisation state: each node's epoch id, -1 for none.
         self._node_epochs = np.full(0, -1, dtype=np.int64)
         self._result = EpochedRunResult(
             config=epoch_config,
@@ -298,18 +279,8 @@ class EpochDriver:
         """The trace accumulated so far (grows as epochs execute)."""
         return self._result
 
-    @property
-    def trackers(self) -> Dict[int, EpochTracker]:
-        """Per-node epoch state machines (reference driver only)."""
-        return self._trackers
-
     def node_epoch_ids(self) -> Dict[int, int]:
-        """Current per-node epoch membership, engine-independent."""
-        if self._engine == "reference":
-            return {
-                node: tracker.current_epoch
-                for node, tracker in self._trackers.items()
-            }
+        """Current per-node epoch membership."""
         known = np.flatnonzero(self._node_epochs >= 0)
         return {int(node): int(self._node_epochs[node]) for node in known}
 
@@ -341,42 +312,32 @@ class EpochDriver:
         failure_model = self._build_failure_model(epoch_id)
         cycles = self._config.cycles_per_epoch
 
-        if leaders.size == 0:
+        if leaders.size:
+            function = CountArrayFunction(leaders)
+            leader_set = set(function.leaders)
+            values = {
+                node: (float(node) if node in leader_set else -1.0) for node in alive
+            }
+        else:
             # Zero-leader epoch: every map stays empty, so nodes gossip no
             # COUNT information — modelled by a zero placeholder state so
             # overlay maintenance, churn and crashes still advance exactly
             # as in a populated epoch.
-            simulator = self._build_simulator(
-                AverageFunction(), {node: 0.0 for node in alive}, epoch_rng, failure_model
-            )
-            simulator.run(cycles)
-            per_node = None
-        else:
-            simulator = self._build_count_simulator(
-                alive, leaders, epoch_rng, failure_model
-            )
-            simulator.run(cycles)
-            per_node = self._reduce_epoch(simulator, leaders)
+            function, values = AverageFunction(), {node: 0.0 for node in alive}
+        simulator = self._build_simulator(function, values, epoch_rng, failure_model)
+        simulator.run(cycles)
+        per_node = self._reduce_epoch(simulator) if leaders.size else np.empty(0)
 
-        survivors = simulator.participant_ids()
-        self._advance_trackers(survivors, cycles, per_node)
-
-        if per_node is not None and per_node.size:
-            finite = per_node[np.isfinite(per_node)]
-        else:
-            finite = np.empty(0)
-        if finite.size:
-            raw_estimate: Optional[float] = float(np.mean(finite))
-            minimum = float(np.min(finite))
-            maximum = float(np.max(finite))
+        mean, _, minimum, maximum = estimate_statistics(per_node)
+        finite_reporters = int(np.count_nonzero(np.isfinite(per_node)))
+        if finite_reporters:
+            raw_estimate: Optional[float] = mean
             self._estimate = raw_estimate
             self._election.update_estimate(raw_estimate)
         else:
             # Dry epoch: carry the previous estimate forward and leave the
             # election untouched, deterministically.
             raw_estimate = None
-            minimum = math.nan
-            maximum = math.nan
 
         record = EpochRecord(
             epoch_id=epoch_id,
@@ -392,8 +353,7 @@ class EpochDriver:
             size_estimate=self._estimate,
             min_estimate=minimum,
             max_estimate=maximum,
-            finite_reporters=int(finite.size),
-            trace=simulator.trace if self._keep_cycle_traces else None,
+            finite_reporters=finite_reporters,
         )
         self._result.records.append(record)
 
@@ -418,27 +378,7 @@ class EpochDriver:
         first epoch, nodes advancing from an earlier one, and nodes that
         jumped more than one epoch at once.
         """
-        if self._engine == "reference":
-            for dead in set(self._trackers) - set(alive):
-                del self._trackers[dead]
-            joined = advanced = skipped = 0
-            for node in alive:
-                tracker = self._trackers.get(node)
-                if tracker is None:
-                    self._trackers[node] = EpochTracker(
-                        config=self._config, current_epoch=epoch_id
-                    )
-                    joined += 1
-                    continue
-                previous = tracker.current_epoch
-                if tracker.observe_epoch(epoch_id):
-                    advanced += 1
-                    if epoch_id - previous > 1:
-                        skipped += 1
-            return joined, advanced, skipped
-
-        # Fast path: the observe_epoch state machine as one array pass —
-        # advance forward only, reset the (implicit) cycle counters, and
+        # The epidemic rule as one array pass: advance forward only and
         # classify fresh joiners (-1 sentinel) vs multi-epoch jumps.
         ids = np.asarray(alive, dtype=np.int64)
         highest = int(ids[-1])
@@ -446,8 +386,7 @@ class EpochDriver:
             grown = np.full(highest + 1, -1, dtype=np.int64)
             grown[: self._node_epochs.size] = self._node_epochs
             self._node_epochs = grown
-        # Forget crashed nodes (the reference driver prunes their
-        # trackers); crashed identifiers are never reused.
+        # Forget crashed nodes; crashed identifiers are never reused.
         alive_mask = np.zeros(self._node_epochs.size, dtype=bool)
         alive_mask[ids] = True
         self._node_epochs[~alive_mask] = -1
@@ -458,24 +397,6 @@ class EpochDriver:
         skipped = int(np.count_nonzero(~fresh & (epoch_id - previous > 1)))
         self._node_epochs[ids] = epoch_id
         return joined, advanced, skipped
-
-    def _advance_trackers(
-        self,
-        survivors: Sequence[int],
-        cycles: int,
-        per_node: Optional[np.ndarray],
-    ) -> None:
-        """Tick the reference driver's per-node state machines through the epoch."""
-        if self._engine != "reference":
-            return
-        for position, node in enumerate(survivors):
-            tracker = self._trackers.get(node)
-            if tracker is None:
-                continue
-            for _ in range(cycles):
-                tracker.complete_cycle()
-            if per_node is not None:
-                tracker.finish_epoch(float(per_node[position]))
 
     def _build_failure_model(self, epoch_id: int) -> Optional[FailureModel]:
         factory = self._failure_factory
@@ -505,36 +426,10 @@ class EpochDriver:
             engine=self._engine,
         )
 
-    def _build_count_simulator(
-        self,
-        alive: Sequence[int],
-        leaders: np.ndarray,
-        epoch_rng: RandomSource,
-        failure_model: Optional[FailureModel],
-    ):
-        leader_set = set(int(leader) for leader in leaders)
-        if self._engine == "vectorized":
-            function = CountArrayFunction(leaders)
-            values = {
-                node: (float(node) if node in leader_set else -1.0)
-                for node in alive
-            }
-        else:
-            function = CountMapFunction()
-            values = {
-                node: ({node: 1.0} if node in leader_set else {})
-                for node in alive
-            }
-        return self._build_simulator(function, values, epoch_rng, failure_model)
-
-    def _reduce_epoch(self, simulator, leaders: np.ndarray) -> np.ndarray:
-        """Per-surviving-node size estimates through the shared batched reduction."""
-        if self._engine == "vectorized":
-            block = simulator.state_array()
-            width = leaders.size
-            values, mask = block[:, :width], block[:, width:]
-        else:
-            states = simulator.states()
-            maps = [states[node] for node in simulator.participant_ids()]
-            values, mask = encode_count_maps(maps, leaders)
-        return count_estimates_from_matrix(values, mask, self._discard_fraction)
+    def _reduce_epoch(self, simulator) -> np.ndarray:
+        """Per-surviving-node size estimates: every map through the batched reduction."""
+        block = simulator.state_array()
+        width = len(simulator.function.leaders)
+        return count_estimates_from_matrix(
+            block[:, :width], block[:, width:], self._discard_fraction
+        )

@@ -58,10 +58,9 @@ suites assert both, run for run.
 Use :func:`~repro.simulator.make_simulator` for a single run and
 :func:`~repro.experiments.runner.repeat_traces` with a
 :class:`~repro.experiments.runner.RunPlan` for repeats.  Every overlay
-offers the batched peer draw, so only the aggregation function limits
-this engine: one without the array codec raises
-:class:`~repro.common.errors.ConfigurationError` naming the reference
-engine, instead of silently running elsewhere.
+offers the batched peer draw and every aggregation function carries the
+array codec, so this engine runs every scenario the reference engine
+runs.
 """
 
 from __future__ import annotations
@@ -74,6 +73,7 @@ import numpy as np
 
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
+from ..common.validation import require_positive_int
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
 from .cycle_sim import InitialValues, normalise_initial_values
@@ -269,7 +269,6 @@ class StackedCycleEngine:
     function:
         The aggregation function shared by all repetitions (aggregation
         functions are stateless; per-replica state lives in the tensor).
-        It must implement the array codec.
     transport:
         Communication failure model (outcomes are still drawn from each
         replica's own transport stream).
@@ -293,17 +292,11 @@ class StackedCycleEngine:
         record_every: int,
         reachability,
     ) -> None:
-        if not function.supports_vectorized():
-            raise ConfigurationError(
-                f"{type(function).__name__} does not implement the array codec; "
-                'run it with engine="reference"'
-            )
-        if record_every < 1:
-            raise ConfigurationError("record_every must be at least 1")
+        require_positive_int(record_every, "record_every")
         self._function = function
         self._transport = transport
         self._reachability = reachability
-        self._record_every = int(record_every)
+        self._record_every = record_every
         self._width = function.state_width()
         self._count = len(replicas)
         self._replicas: List[_Replica] = []

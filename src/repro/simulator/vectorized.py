@@ -1,12 +1,10 @@
 """Single-run entry point of the stacked array engine.
 
 :class:`VectorizedCycleSimulator` is a drop-in for
-:class:`~repro.simulator.cycle_sim.CycleSimulator` restricted to
-aggregation functions that implement the array codec of
-:class:`~repro.core.functions.AggregationFunction` (AVERAGE, MIN/MAX,
-geometric mean, push-sum, and vectors thereof — which covers COUNT via the
-peak distribution, SUM, PRODUCT and VARIANCE).  It holds no state of its
-own: it is the :class:`~repro.simulator.replicated.ReplicaView` of a
+:class:`~repro.simulator.cycle_sim.CycleSimulator` that runs every
+aggregation function through its array codec (see
+:class:`~repro.core.functions.AggregationFunction`).  It holds no state of
+its own: it is the :class:`~repro.simulator.replicated.ReplicaView` of a
 one-replica :class:`~repro.simulator.replicated.StackedCycleEngine`, so the
 cycle pipeline, the state tensor and the whole simulator surface are the
 ones :mod:`repro.simulator.replicated` defines for ``R`` stacked runs.
@@ -46,18 +44,13 @@ __all__ = [
 
 
 class VectorizedCycleSimulator(ReplicaView):
-    """Array-native cycle engine for codec-capable aggregation functions.
+    """Array-native cycle engine.
 
     Accepts the same constructor arguments as
     :class:`~repro.simulator.cycle_sim.CycleSimulator` and exposes the same
     public API (trace, membership operations, state accessors), so failure
     models, experiment plumbing and tests can treat the two engines
     interchangeably.
-
-    Raises
-    ------
-    ConfigurationError
-        If the aggregation function does not implement the array codec.
     """
 
     def __init__(

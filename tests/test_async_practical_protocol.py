@@ -497,9 +497,12 @@ class TestAccessorsAndValidation:
             simulator.statistics["completed"]
         )
 
-    def test_record_every_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            simulator_with(AsyncAverageProtocol(node_values()), record_every=0)
+    @pytest.mark.parametrize("record_every", [0, 2.5, 2.0, True])
+    def test_record_every_must_be_a_positive_integer(self, record_every):
+        # 2.5 used to record windows [0, 5, 10] here while the cycle
+        # engines truncated it to 2; every engine now refuses it.
+        with pytest.raises(ConfigurationError, match="record_every"):
+            simulator_with(AsyncAverageProtocol(node_values()), record_every=record_every)
 
     @pytest.mark.parametrize("option", ["clock_drift", "start_stagger"])
     def test_negative_timing_options_rejected(self, option):

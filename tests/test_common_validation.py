@@ -1,5 +1,6 @@
 """Tests for the validation helpers and error hierarchy."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import (
@@ -13,12 +14,9 @@ from repro.common.errors import (
 )
 from repro.common.validation import (
     require,
-    require_at_least,
-    require_fraction_of,
-    require_in_range,
-    require_non_empty,
     require_non_negative,
     require_positive,
+    require_positive_int,
     require_probability,
 )
 
@@ -71,27 +69,12 @@ class TestValidationHelpers:
         with pytest.raises(ConfigurationError):
             require_probability(-0.2, "p")
 
-    def test_require_in_range(self):
-        require_in_range(5, 0, 10, "x")
-        with pytest.raises(ConfigurationError):
-            require_in_range(11, 0, 10, "x")
-
-    def test_require_at_least(self):
-        require_at_least(5, 3, "x")
-        with pytest.raises(ConfigurationError):
-            require_at_least(2, 3, "x")
-
-    def test_require_fraction_of(self):
-        require_fraction_of(3, 10, "x")
-        with pytest.raises(ConfigurationError):
-            require_fraction_of(11, 10, "x")
-        with pytest.raises(ConfigurationError):
-            require_fraction_of(-1, 10, "x")
-
-    def test_require_non_empty(self):
-        require_non_empty([1], "items")
-        with pytest.raises(ConfigurationError):
-            require_non_empty([], "items")
+    def test_require_positive_int(self):
+        require_positive_int(1, "n")
+        require_positive_int(np.int64(3), "n")
+        for bad in (0, -2, 2.5, 3.0, True, "3", None):
+            with pytest.raises(ConfigurationError, match="n must be a positive integer"):
+                require_positive_int(bad, "n")
 
     def test_error_messages_name_the_parameter(self):
         with pytest.raises(ConfigurationError, match="cache_size"):

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.rng import RandomSource
 from repro.core.count import (
-    CountMapFunction,
+    CountArrayFunction,
     LeaderElection,
     count_estimate_from_map,
     count_estimates_from_matrix,
-    encode_count_maps,
     network_size_from_estimate,
     peak_initial_values,
 )
@@ -24,6 +23,11 @@ count_maps = st.dictionaries(
     values=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
     max_size=10,
 )
+
+
+def count_map():
+    """The map COUNT over a universe holding every key ``count_maps`` draws."""
+    return CountArrayFunction(range(31))
 
 
 class TestPeakDistribution:
@@ -53,38 +57,44 @@ class TestPeakDistribution:
         assert network_size_from_estimate(-0.5) == math.inf
 
 
-class TestCountMapFunction:
+class TestCountMapScalarCodec:
     def test_initial_state_for_leader(self):
-        assert CountMapFunction().initial_state(7) == {7: 1.0}
+        assert count_map().initial_state(7) == {7: 1.0}
 
     def test_initial_state_for_non_leader(self):
-        assert CountMapFunction().initial_state(None) == {}
+        assert count_map().initial_state(None) == {}
 
     def test_initial_state_from_mapping(self):
-        assert CountMapFunction().initial_state({3: 0.5}) == {3: 0.5}
+        assert count_map().initial_state({3: 0.5}) == {3: 0.5}
 
     def test_initial_state_invalid_type_rejected(self):
         with pytest.raises(ProtocolError):
-            CountMapFunction().initial_state("leader")
+            count_map().initial_state("leader")
+
+    def test_initial_state_outside_the_universe_rejected(self):
+        with pytest.raises(ProtocolError):
+            count_map().initial_state(31)
+        with pytest.raises(ProtocolError):
+            count_map().initial_state({40: 0.5})
 
     def test_merge_shared_key_averaged(self):
-        function = CountMapFunction()
+        function = count_map()
         merged, merged_other = function.merge({1: 0.4}, {1: 0.2})
         assert merged == {1: pytest.approx(0.3)}
         assert merged == merged_other
 
     def test_merge_disjoint_keys_halved(self):
-        function = CountMapFunction()
+        function = count_map()
         merged, _ = function.merge({1: 0.4}, {2: 0.8})
         assert merged == {1: pytest.approx(0.2), 2: pytest.approx(0.4)}
 
     def test_merge_with_empty_map_halves_everything(self):
-        function = CountMapFunction()
+        function = count_map()
         merged, _ = function.merge({5: 1.0}, {})
         assert merged == {5: 0.5}
 
     def test_merge_conserves_total_mass(self):
-        function = CountMapFunction()
+        function = count_map()
         state_a = {1: 0.4, 2: 0.6}
         state_b = {2: 0.2, 3: 1.0}
         merged_a, merged_b = function.merge(state_a, state_b)
@@ -93,7 +103,7 @@ class TestCountMapFunction:
         assert after == pytest.approx(before)
 
     def test_merge_does_not_mutate_inputs(self):
-        function = CountMapFunction()
+        function = count_map()
         state_a = {1: 0.4}
         state_b = {2: 0.8}
         function.merge(state_a, state_b)
@@ -101,14 +111,14 @@ class TestCountMapFunction:
         assert state_b == {2: 0.8}
 
     def test_estimate_of_empty_map_is_none(self):
-        assert CountMapFunction().estimate({}) is None
+        assert count_map().estimate({}) is None
 
     def test_estimate_averages_entries(self):
-        assert CountMapFunction().estimate({1: 0.2, 2: 0.4}) == pytest.approx(0.3)
+        assert count_map().estimate({1: 0.2, 2: 0.4}) == pytest.approx(0.3)
 
     def test_conserved_quantity_counts_total_mass(self):
         states = [{1: 1.0}, {}, {2: 1.0}]
-        assert CountMapFunction().conserved_quantity(states) == 2.0
+        assert count_map().conserved_quantity(states) == 2.0
 
 
 class TestCountMapMergeProperties:
@@ -117,7 +127,7 @@ class TestCountMapMergeProperties:
     @settings(max_examples=80, deadline=None)
     @given(state_a=count_maps, state_b=count_maps)
     def test_merge_conserves_total_mass(self, state_a, state_b):
-        merged_a, merged_b = CountMapFunction().merge(state_a, state_b)
+        merged_a, merged_b = count_map().merge(state_a, state_b)
         before = sum(state_a.values()) + sum(state_b.values())
         after = sum(merged_a.values()) + sum(merged_b.values())
         assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
@@ -125,7 +135,7 @@ class TestCountMapMergeProperties:
     @settings(max_examples=80, deadline=None)
     @given(state_a=count_maps, state_b=count_maps)
     def test_both_peers_install_equal_independent_maps(self, state_a, state_b):
-        merged_a, merged_b = CountMapFunction().merge(state_a, state_b)
+        merged_a, merged_b = count_map().merge(state_a, state_b)
         assert merged_a == merged_b
         assert merged_a is not merged_b  # independent copies, no aliasing
         assert set(merged_a) == set(state_a) | set(state_b)
@@ -133,14 +143,14 @@ class TestCountMapMergeProperties:
     @settings(max_examples=80, deadline=None)
     @given(state_a=count_maps, state_b=count_maps)
     def test_merge_is_symmetric(self, state_a, state_b):
-        forward, _ = CountMapFunction().merge(state_a, state_b)
-        backward, _ = CountMapFunction().merge(state_b, state_a)
+        forward, _ = count_map().merge(state_a, state_b)
+        backward, _ = count_map().merge(state_b, state_a)
         assert forward == backward
 
     @settings(max_examples=60, deadline=None)
     @given(state=count_maps)
     def test_merging_equal_maps_is_identity(self, state):
-        merged, _ = CountMapFunction().merge(state, dict(state))
+        merged, _ = count_map().merge(state, dict(state))
         assert merged == pytest.approx(state)
 
 
@@ -163,9 +173,9 @@ class TestCountEstimateFromMap:
         state = {1: 0.01, 2: 0.02}
         with pytest.raises(ConfigurationError):
             count_estimate_from_map(state, discard_fraction=fraction)
-        values, mask = encode_count_maps([state], [1, 2])
+        row = CountArrayFunction([1, 2]).encode_state(state)[None, :]
         with pytest.raises(ConfigurationError):
-            count_estimates_from_matrix(values, mask, fraction)
+            count_estimates_from_matrix(row[:, :2], row[:, 2:], fraction)
 
     def test_all_infinite_entries_give_infinity(self):
         # Entries whose averaging mass vanished estimate an infinite size;
@@ -219,15 +229,6 @@ class TestLeaderElection:
         election = LeaderElection(concurrent_target=10, estimated_size=500)
         leaders = election.elect(list(range(500)), rng)
         assert 2 <= len(leaders) <= 25  # Poisson(10), generous bounds
-
-    def test_initial_maps(self):
-        rng = RandomSource(3)
-        election = LeaderElection(concurrent_target=3, estimated_size=50)
-        maps = election.initial_maps(list(range(50)), rng)
-        assert len(maps) == 50
-        leader_nodes = [node for node, mapping in maps.items() if mapping]
-        for node in leader_nodes:
-            assert maps[node] == {node: 1.0}
 
     def test_update_estimate(self):
         election = LeaderElection(concurrent_target=3, estimated_size=50)

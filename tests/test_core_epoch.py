@@ -1,11 +1,11 @@
-"""Tests for epoch configuration, tracking and synchronisation rules."""
+"""Tests for epoch configuration and the accuracy-driven γ rule."""
 
 import math
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core.epoch import EpochConfig, EpochTracker, cycles_for_accuracy
+from repro.core.epoch import EpochConfig, cycles_for_accuracy
 
 
 class TestCyclesForAccuracy:
@@ -84,108 +84,9 @@ class TestEpochConfig:
         with pytest.raises(ConfigurationError):
             EpochConfig().epoch_for_time(-0.1)
 
-
-class TestEpochTracker:
-    def make_tracker(self) -> EpochTracker:
-        return EpochTracker(config=EpochConfig(cycle_length=1.0, cycles_per_epoch=3))
-
-    def test_termination_after_gamma_cycles(self):
-        tracker = self.make_tracker()
-        assert not tracker.is_terminated
-        for _ in range(3):
-            tracker.complete_cycle()
-        assert tracker.is_terminated
-
-    def test_start_epoch_resets_cycles(self):
-        tracker = self.make_tracker()
-        tracker.complete_cycle()
-        tracker.start_epoch(1)
-        assert tracker.current_epoch == 1
-        assert tracker.cycles_completed == 0
-
-    def test_cannot_move_backwards(self):
-        tracker = self.make_tracker()
-        tracker.start_epoch(4)
-        with pytest.raises(ConfigurationError):
-            tracker.start_epoch(2)
-
-    def test_observe_newer_epoch_jumps(self):
-        tracker = self.make_tracker()
-        tracker.complete_cycle()
-        jumped = tracker.observe_epoch(5)
-        assert jumped
-        assert tracker.current_epoch == 5
-        assert tracker.cycles_completed == 0
-
-    def test_observe_older_or_equal_epoch_ignored(self):
-        tracker = self.make_tracker()
-        tracker.start_epoch(3)
-        assert not tracker.observe_epoch(3)
-        assert not tracker.observe_epoch(1)
-        assert tracker.current_epoch == 3
-
-    def test_finish_epoch_records_result(self):
-        tracker = self.make_tracker()
-        tracker.finish_epoch(42.0)
-        assert tracker.completed_results == {0: 42.0}
-        assert tracker.latest_result() == 42.0
-
-    def test_finish_epoch_ignores_missing_or_infinite(self):
-        tracker = self.make_tracker()
-        tracker.finish_epoch(None)
-        tracker.finish_epoch(float("inf"))
-        assert tracker.completed_results == {}
-        assert tracker.latest_result() is None
-
-    def test_latest_result_uses_newest_epoch(self):
-        tracker = self.make_tracker()
-        tracker.finish_epoch(1.0)
-        tracker.start_epoch(1)
-        tracker.finish_epoch(2.0)
-        assert tracker.latest_result() == 2.0
-
-    def test_observe_multi_epoch_jump_resets_counter_once(self):
-        # A node hearing about epoch 5 mid-cycle abandons its work and
-        # resets the cycle counter; hearing 5 again later in the same
-        # cycle is a no-op and must NOT reset the progress made since.
-        tracker = self.make_tracker()
-        tracker.complete_cycle()
-        tracker.complete_cycle()
-        assert tracker.observe_epoch(5)
-        assert tracker.current_epoch == 5
-        assert tracker.cycles_completed == 0
-        tracker.complete_cycle()
-        assert not tracker.observe_epoch(5)
-        assert tracker.cycles_completed == 1  # progress preserved
-
-    def test_start_epoch_same_epoch_allowed_backwards_rejected(self):
-        tracker = self.make_tracker()
-        tracker.start_epoch(3)
-        tracker.complete_cycle()
-        # Restarting the current epoch is legal (a local restart) and
-        # resets the counter; moving backwards is not.
-        tracker.start_epoch(3)
-        assert tracker.cycles_completed == 0
-        with pytest.raises(ConfigurationError):
-            tracker.start_epoch(2)
-        assert tracker.current_epoch == 3  # rejection left state intact
-
-    def test_finish_epoch_drops_non_finite_without_corrupting_latest(self):
-        tracker = self.make_tracker()
-        tracker.finish_epoch(42.0)
-        assert tracker.latest_result() == 42.0
-        tracker.start_epoch(1)
-        tracker.finish_epoch(math.nan)
-        tracker.start_epoch(2)
-        tracker.finish_epoch(math.inf)
-        tracker.start_epoch(3)
-        tracker.finish_epoch(-math.inf)
-        tracker.start_epoch(4)
-        tracker.finish_epoch(None)
-        # None of the bad epochs were recorded, and the newest valid
-        # result still wins.
-        assert tracker.completed_results == {0: 42.0}
-        assert tracker.latest_result() == 42.0
-        tracker.finish_epoch(7.0)
-        assert tracker.latest_result() == 7.0
-        assert tracker.completed_results == {0: 42.0, 4: 7.0}
+    @pytest.mark.parametrize("gamma", [2.5, 3.0, True, "4"])
+    def test_non_integer_cycles_per_epoch_rejected(self, gamma):
+        # Regression: 2.5 constructed, then the cycle engines died with a
+        # raw TypeError while the async engine ran without complaint.
+        with pytest.raises(ConfigurationError, match="cycles_per_epoch"):
+            EpochConfig(cycles_per_epoch=gamma)

@@ -1,13 +1,13 @@
 """Epoch-orchestration subsystem: engine equivalence and properties.
 
 The :class:`~repro.simulator.epochs.EpochDriver` runs the full practical
-protocol (election → γ COUNT cycles → trimmed reduction → feedback) on
-either cycle engine.  Both drivers consume the same child rng streams and
-the dict/array COUNT merges are bit-identical, so from one seed the two
-drivers must produce *identical* per-epoch traces — asserted here over a
-grid of overlays and failure scenarios, alongside property tests for the
-COUNT array kernel, the batched reduction, the batched election, and the
-zero-leader regression.
+protocol (election → γ COUNT cycles → trimmed reduction → feedback) with
+one epoch body on either cycle engine.  Both engines consume the same
+child rng streams and the dict/array COUNT merges are bit-identical, so
+from one seed they must produce *identical* per-epoch traces — asserted
+here over a grid of overlays and failure scenarios, alongside hand-counted
+synchronisation events, property tests for the COUNT array kernel, the
+batched reduction, the batched election, and the zero-leader regression.
 """
 
 import math
@@ -21,11 +21,9 @@ from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.rng import RandomSource
 from repro.core.count import (
     CountArrayFunction,
-    CountMapFunction,
     LeaderElection,
     count_estimate_from_map,
     count_estimates_from_matrix,
-    encode_count_maps,
 )
 from repro.core.epoch import EpochConfig
 from repro.core.instances import MultiInstanceCount
@@ -36,7 +34,7 @@ from repro.simulator import (
     epoch_config_for_accuracy,
     make_simulator,
 )
-from repro.simulator.failures import ChurnModel, ProportionalCrashModel
+from repro.simulator.failures import ChurnModel, FailureModel, ProportionalCrashModel
 from repro.simulator.transport import TransportModel
 from repro.topology import TopologySpec, build_overlay
 
@@ -152,8 +150,7 @@ class TestEpochDriverEquivalence:
             record.joined_count == 2 * GAMMA
             for record in vectorized_result.records[1:]
         )
-        # The per-node epoch bookkeeping agrees across engines too
-        # (EpochTracker objects vs the batched array pass).
+        # The per-node epoch bookkeeping agrees across engines too.
         assert reference.node_epoch_ids() == vectorized.node_epoch_ids()
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
@@ -187,20 +184,6 @@ class TestEpochDriverEquivalence:
         assert result.records[-1].lead_probability < 0.15
         assert result.final_estimate == pytest.approx(80, rel=0.15)
         assert driver.election.estimated_size == result.final_estimate
-
-    def test_reference_driver_drives_real_epoch_trackers(self):
-        driver = build_driver("reference")
-        result = driver.run(2)
-        last_epoch = result.records[-1].epoch_id
-        trackers = driver.trackers
-        assert len(trackers) == result.records[-1].participant_count
-        sample = next(iter(trackers.values()))
-        assert sample.current_epoch == last_epoch
-        assert sample.is_terminated  # γ complete_cycle calls per epoch
-        # Per-node completed results recorded through finish_epoch.
-        assert any(
-            tracker.latest_result() is not None for tracker in trackers.values()
-        )
 
     def test_engine_is_named_not_inferred(self):
         rng = RandomSource(3)
@@ -237,6 +220,52 @@ class TestEpochDriverEquivalence:
         assert summary["joined"] == SIZE
         assert summary["advanced"] == (EPOCHS - 1) * SIZE
         assert result.dry_epochs() == []
+
+
+class ScriptedMembership(FailureModel):
+    """Before an epoch's first cycle, crash the lowest-id participants and
+    add non-participating joiners — a membership change counted by hand."""
+
+    def __init__(self, crashes, joins):
+        self.crashes = crashes
+        self.joins = joins
+
+    def apply(self, simulator, cycle_index, rng):
+        if cycle_index != 1:
+            return
+        for victim in simulator.participant_ids()[: self.crashes]:
+            simulator.crash_node(victim)
+        for _ in range(self.joins):
+            simulator.add_node(participating=False)
+
+
+class TestSynchronisationCounts:
+    # 20 nodes (ids 0..19).  Epoch 1 crashes 0, 1, 2 and adds joiners
+    # 20..24; epoch 2 crashes 3, 4; epoch 3 changes nothing.  So epoch 2
+    # syncs ids 3..24 (5 fresh, 17 advancing) and epoch 3 ids 5..24.
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize(
+        "epoch_length, epoch_ids, skipped",
+        [(None, [0, 1, 2], [0, 0, 0]), (GAMMA / 2, [0, 2, 4], [0, 17, 20])],
+    )
+    def test_crashes_and_churn_joins(self, engine, epoch_length, epoch_ids, skipped):
+        script = iter([(3, 5), (2, 0), (0, 0)])
+        rng = RandomSource(21)
+        driver = EpochDriver(
+            build_overlay(OVERLAYS["complete"], 20, rng.child("topology")),
+            LeaderElection(concurrent_target=5.0, estimated_size=20.0),
+            EpochConfig(cycles_per_epoch=GAMMA, epoch_length=epoch_length),
+            rng.child("driver"),
+            failure_factory=lambda epoch_id: ScriptedMembership(*next(script)),
+            engine=engine,
+        )
+        records = driver.run(3).records
+        assert [record.epoch_id for record in records] == epoch_ids
+        assert [record.participant_count for record in records] == [20, 22, 20]
+        assert [record.joined_count for record in records] == [20, 5, 0]
+        assert [record.advanced_count for record in records] == [0, 17, 20]
+        assert [record.skipped_sync_count for record in records] == skipped
+        assert driver.node_epoch_ids() == {node: epoch_ids[-1] for node in range(5, 25)}
 
 
 class TestZeroLeaderEpoch:
@@ -322,7 +351,7 @@ class TestCountArrayFunction:
     def test_array_kernel_matches_dict_merge(self, data):
         leaders, map_a, map_b = data
         function = CountArrayFunction(leaders)
-        merged_dict, other = CountMapFunction().merge(map_a, map_b)
+        merged_dict, other = function.merge(map_a, map_b)
         assert merged_dict == other
         rows_a = function.encode_state(map_a)[None, :]
         rows_b = function.encode_state(map_b)[None, :]
@@ -418,8 +447,10 @@ class TestBatchedReduction:
     @given(data=random_maps())
     def test_matrix_reduction_matches_scalar(self, data):
         leaders, maps, fraction = data
-        values, mask = encode_count_maps(maps, leaders)
-        batched = count_estimates_from_matrix(values, mask, fraction)
+        function = CountArrayFunction(leaders)
+        block = np.vstack([function.encode_state(state) for state in maps])
+        width = len(function.leaders)
+        batched = count_estimates_from_matrix(block[:, :width], block[:, width:], fraction)
         scalar = [count_estimate_from_map(state, fraction) for state in maps]
         for row, expected in zip(batched, scalar):
             if math.isinf(expected):

@@ -13,6 +13,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from repro.common.rng import RandomSource
 from repro.core.count import LeaderElection
@@ -41,8 +42,7 @@ TEN_PERCENT_LOSS = TransportModel(message_loss_probability=0.1)
 def records_digest(records):
     """sha256 of dataclass records, floats at 10 significant digits.
 
-    The ``trace`` field of epoch records (a nested trace, when kept) is
-    left out; everything else enters in field order.
+    Every field enters, in field order.
     """
 
     def cell(value):
@@ -54,7 +54,6 @@ def records_digest(records):
         [field.name, cell(getattr(record, field.name))]
         for record in records
         for field in dataclasses.fields(record)
-        if field.name != "trace"
     ]
     return hashlib.sha256(json.dumps(flat).encode()).hexdigest()
 
@@ -117,7 +116,9 @@ class TestGoldenTraces:
         records = [record for trace in traces for record in trace.records]
         assert records_digest(records) == GOLDEN["repeat-traces-r3"]
 
-    def test_epoch_driver(self):
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_epoch_driver(self, engine):
+        # One epoch body on both engines: the same digest.
         rng = RandomSource(SEED)
         overlay = build_overlay(NEWSCAST_10, 100, rng.child("topology"))
         driver = EpochDriver(
@@ -127,6 +128,7 @@ class TestGoldenTraces:
             rng=rng.child("epochs"),
             transport=TEN_PERCENT_LOSS,
             failure_factory=lambda epoch_id: ChurnModel(1),
+            engine=engine,
         )
         result = driver.run(3)
         assert records_digest(result.records) == GOLDEN["epoch-driver-3"]

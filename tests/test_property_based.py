@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.statistics import trimmed_mean
 from repro.common.rng import RandomSource
-from repro.core.count import CountMapFunction
+from repro.core.count import CountArrayFunction
 from repro.core.functions import (
     AverageFunction,
     GeometricMeanFunction,
@@ -94,24 +94,25 @@ count_maps = st.dictionaries(
 
 
 class TestCountMapInvariants:
+    #: The universe holds every key ``count_maps`` draws.
+    function = CountArrayFunction(range(21))
+
     @given(map_a=count_maps, map_b=count_maps)
     def test_merge_conserves_total_mass(self, map_a, map_b):
-        function = CountMapFunction()
-        merged_a, merged_b = function.merge(map_a, map_b)
+        merged_a, merged_b = self.function.merge(map_a, map_b)
         before = sum(map_a.values()) + sum(map_b.values())
         after = sum(merged_a.values()) + sum(merged_b.values())
         assert after == pytest.approx(before, rel=1e-9, abs=1e-12)
 
     @given(map_a=count_maps, map_b=count_maps)
     def test_merge_domain_is_union(self, map_a, map_b):
-        merged_a, _ = CountMapFunction().merge(map_a, map_b)
+        merged_a, _ = self.function.merge(map_a, map_b)
         assert set(merged_a) == set(map_a) | set(map_b)
 
     @given(map_a=count_maps, map_b=count_maps)
     def test_merge_is_commutative(self, map_a, map_b):
-        function = CountMapFunction()
-        forward, _ = function.merge(map_a, map_b)
-        backward, _ = function.merge(map_b, map_a)
+        forward, _ = self.function.merge(map_a, map_b)
+        backward, _ = self.function.merge(map_b, map_a)
         assert set(forward) == set(backward)
         for key in forward:
             assert forward[key] == pytest.approx(backward[key], rel=1e-12, abs=1e-15)

@@ -202,20 +202,6 @@ class TestTraceSplittingProperty:
 
 
 class TestRunPlanPlumbing:
-    def test_plan_without_the_array_codec_is_rejected(self):
-        from repro.core.count import CountMapFunction
-
-        plan = RunPlan(
-            topology=TOPOLOGIES["static"],
-            size=20,
-            cycles=2,
-            values=[{}] * 20,
-            function_factory=CountMapFunction,
-        )
-        for engine in ("auto", "serial"):
-            with pytest.raises(ConfigurationError, match='engine="reference"'):
-                repeat_traces(2, SEED, plan=plan, engine=engine)
-
     @pytest.mark.parametrize("params", [{}, {"vectorized": True}, {"vectorized": False}])
     def test_run_plan_and_build_overlay_agree_on_the_newscast_class(self, params):
         spec = TopologySpec("newscast", degree=DEGREE, params=params)
@@ -640,19 +626,6 @@ class TestReplicaViewSurface:
             assert 7 in counts and joined not in counts
             answers.append(counts)
         assert answers[0] == answers[1] == answers[2]
-
-    def test_rejects_non_codec_function(self):
-        from repro.core.count import CountMapFunction
-
-        root = RandomSource(5)
-        overlay = random_k_out_topology(20, 4, root.child("t"))
-        config = ReplicaConfig(overlay, [{0: 1.0}] * 20, root.child("s"))
-        with pytest.raises(ConfigurationError):
-            ReplicatedCycleSimulator([config], CountMapFunction())
-        with pytest.raises(ConfigurationError):
-            VectorizedCycleSimulator(
-                overlay, CountMapFunction(), [{0: 1.0}] * 20, root.child("s")
-            )
 
     def test_rejects_empty_replica_list(self):
         with pytest.raises(ConfigurationError):

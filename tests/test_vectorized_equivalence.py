@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomSource
-from repro.core.count import CountMapFunction, peak_initial_values
+import repro.core
+from repro.core.count import CountArrayFunction, peak_initial_values
+from repro.core.derived import SumAggregate
 from repro.core.functions import (
     AverageFunction,
     GeometricMeanFunction,
@@ -239,23 +241,16 @@ class TestDispatch:
         overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
         simulator = make_simulator(
             overlay,
-            CountMapFunction(),
-            {node: {} for node in range(SIZE)},
+            CountArrayFunction(range(SIZE)),
+            {node: ({node: 1.0} if node < 3 else {}) for node in range(SIZE)},
             rng.child("s"),
             engine="reference",
         )
         assert isinstance(simulator, CycleSimulator)
-
-    def test_default_engine_rejects_non_codec_function_naming_reference(self):
-        rng = RandomSource(3)
-        overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
-        with pytest.raises(ConfigurationError, match='engine="reference"'):
-            make_simulator(
-                overlay,
-                CountMapFunction(),
-                {node: {} for node in range(SIZE)},
-                rng.child("s"),
-            )
+        simulator.run(2)
+        assert simulator.function.conserved_quantity(
+            list(simulator.states().values())
+        ) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("engine", ["auto", "warp"])
     def test_unknown_engine_rejected(self, engine):
@@ -265,6 +260,85 @@ class TestDispatch:
             make_simulator(
                 overlay, AverageFunction(), [1.0] * SIZE, rng.child("s"), engine=engine
             )
+
+
+#: One instance of every aggregation function the core exports, with
+#: initial values for SIZE nodes.
+CORE_FUNCTIONS = {
+    "AverageFunction": (AverageFunction(), [float(i) for i in range(SIZE)]),
+    "MinFunction": (MinFunction(), [float(i % 7) for i in range(SIZE)]),
+    "MaxFunction": (MaxFunction(), [float(i % 7) for i in range(SIZE)]),
+    "GeometricMeanFunction": (GeometricMeanFunction(), [1.0 + i for i in range(SIZE)]),
+    "PushSumFunction": (PushSumFunction(), [float(i) for i in range(SIZE)]),
+    "VectorFunction": (
+        VectorFunction([AverageFunction(), MaxFunction()]), [float(i) for i in range(SIZE)]
+    ),
+    "CountArrayFunction": (
+        CountArrayFunction([0, 7, 23]),
+        [float(i) if i in (0, 7, 23) else -1.0 for i in range(SIZE)],
+    ),
+}
+
+
+class TestEveryFunctionOnEveryEngine:
+    def test_the_table_covers_every_core_function(self):
+        exported = {
+            name
+            for name in repro.core.__all__
+            if isinstance(getattr(repro.core, name), type)
+            and issubclass(getattr(repro.core, name), repro.core.AggregationFunction)
+            and name != "AggregationFunction"
+        }
+        assert exported == set(CORE_FUNCTIONS)
+
+    @pytest.mark.parametrize("name", sorted(CORE_FUNCTIONS))
+    def test_runs_on_both_engines_with_identical_states(self, name):
+        function, values = CORE_FUNCTIONS[name]
+
+        def build(engine):
+            rng = RandomSource(6)
+            overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
+            return make_simulator(
+                overlay, function, values, rng.child("s"),
+                transport=TransportModel(message_loss_probability=0.2), engine=engine,
+            )
+
+        reference = build("reference")
+        vectorized = build("vectorized")
+        reference.run(4)
+        vectorized.run(4)
+        assert reference.states() == vectorized.states()
+
+    @pytest.mark.parametrize("kind", ["average", "sum", "count-map"])
+    def test_state_array_bit_identical_across_engines(self, kind):
+        if kind == "average":
+            function, values = AverageFunction(), [float(i) for i in range(SIZE)]
+        elif kind == "sum":
+            aggregate = SumAggregate()
+            function = aggregate.function
+            values = aggregate.initial_values([float(i) for i in range(SIZE)])
+        else:
+            function, values = CORE_FUNCTIONS["CountArrayFunction"]
+
+        def build(engine):
+            rng = RandomSource(2004)
+            overlay = build_overlay(OVERLAYS["newscast-array"], SIZE, rng.child("t"))
+            return make_simulator(
+                overlay, function, values, rng.child("s"),
+                transport=TransportModel(message_loss_probability=0.1),
+                failure_model=ChurnModel(2), engine=engine,
+            )
+
+        reference = build("reference")
+        vectorized = build("vectorized")
+        reference.run(CYCLES)
+        vectorized.run(CYCLES)
+        expected = reference.state_array()
+        actual = vectorized.state_array()
+        assert expected.shape == actual.shape == (
+            len(reference.participant_ids()), function.state_width()
+        )
+        assert expected.tobytes() == actual.tobytes()
 
 
 class TestRecordEvery:
@@ -332,11 +406,18 @@ class TestRecordEvery:
         record = simulator.run_cycle()
         assert record is not None and record.cycle == 2
 
-    def test_invalid_record_every_rejected(self):
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("record_every", [0, 2.5, 2.0, True])
+    def test_invalid_record_every_rejected(self, engine, record_every):
+        # Regression: int() silently truncated 2.5 to 2 on both cycle
+        # engines (cycles [0, 2, 4, 6]).
         rng = RandomSource(4)
         overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
-        with pytest.raises(ConfigurationError):
-            CycleSimulator(overlay, AverageFunction(), [1.0] * SIZE, rng.child("s"), record_every=0)
+        with pytest.raises(ConfigurationError, match="record_every"):
+            make_simulator(
+                overlay, AverageFunction(), [1.0] * SIZE, rng.child("s"),
+                record_every=record_every, engine=engine,
+            )
 
 
 class TestConflictRounds:
