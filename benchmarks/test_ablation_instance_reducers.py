@@ -49,7 +49,7 @@ def test_trimmed_mean_vs_mean_vs_median(benchmark, scale):
                     network_size_from_estimate(estimate)
                     for estimate in bundle.function.estimates(state)
                 ]
-                errors["trimmed_mean"].append(abs(trimmed_mean(sizes, 1 / 3) - size))
+                errors["trimmed_mean"].append(abs(trimmed_mean(sizes) - size))
                 errors["mean"].append(abs(finite_mean(sizes) - size))
                 errors["median"].append(abs(median(sizes) - size))
         return {name: max(values) for name, values in errors.items()}

@@ -1,8 +1,9 @@
 """Micro-benchmarks of the asynchronous engine at N=10^4.
 
 One δ-window of AVERAGE (its exchange throughput goes into
-``extra_info``) and one full practical-protocol COUNT epoch in a
-wall-clock budget, both under 1% clock drift and 5% message loss.
+``extra_info``) and one full practical-protocol COUNT epoch (its wall
+clock goes into ``extra_info``), both under 1% clock drift and 5% message
+loss.  Times are recorded, never asserted.
 """
 
 import time
@@ -53,8 +54,8 @@ def test_async_window_n10k(benchmark, scale):
 @pytest.mark.benchmark(group="async-n10k")
 def test_async_practical_protocol_epoch_n10k(benchmark, scale):
     """A full practical-protocol epoch (election, γ=20 COUNT windows under
-    drift + loss, trimmed reduction, feedback) at N=10^4 in wall-clock
-    budget, with the epoch estimate near the truth."""
+    drift + loss, trimmed reduction, feedback) at N=10^4, with the epoch
+    estimate near the truth."""
     size = 10_000
     gamma = 20
     rng = RandomSource(7)
@@ -80,4 +81,4 @@ def test_async_practical_protocol_epoch_n10k(benchmark, scale):
     assert records
     assert records[0].mean_estimate == pytest.approx(size, rel=0.1)
     print(f"\nN=10^4 practical-protocol epoch: {elapsed:.2f} s")
-    assert elapsed < 10.0
+    assert simulator.statistics["completed"] > 0

@@ -13,7 +13,7 @@ import math
 from typing import Sequence
 
 from ..common.errors import ConfigurationError
-from ..common.validation import require_trim_fraction
+from ..core.count import TRIM_FRACTION
 
 __all__ = [
     "trimmed_mean",
@@ -23,27 +23,21 @@ __all__ = [
 ]
 
 
-def trimmed_mean(values: Sequence[float], discard_fraction: float = 1.0 / 3.0) -> float:
-    """Symmetric trimmed mean: drop ``⌊n·f⌋`` values from each end, average the rest.
+def trimmed_mean(values: Sequence[float]) -> float:
+    """Symmetric trimmed mean: drop ``⌊n/3⌋`` values from each end, average the rest.
 
     Infinite values are allowed in the input: they sort to the extremes and
     are the first to be trimmed, which is exactly why the paper's reducer
     is robust to instances whose estimate diverged.  If everything that
     remains after trimming is non-finite, ``inf`` is returned.
 
-    Parameters
-    ----------
-    values:
-        The sample to reduce (must be non-empty).
-    discard_fraction:
-        Fraction ``f`` of the sample dropped from *each* end; must satisfy
-        ``0 <= f < 0.5``.
+    The trimmed share is :data:`~repro.core.count.TRIM_FRACTION`, the
+    paper's thirds.  ``values`` must be non-empty.
     """
     if not values:
         raise ConfigurationError("cannot reduce an empty sample")
-    require_trim_fraction(discard_fraction, "discard_fraction")
     ordered = sorted(values)
-    drop = int(len(ordered) * discard_fraction)
+    drop = int(len(ordered) * TRIM_FRACTION)
     kept = ordered[drop: len(ordered) - drop]
     finite = [value for value in kept if math.isfinite(value)]
     if not finite:

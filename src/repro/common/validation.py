@@ -16,8 +16,8 @@ __all__ = [
     "require_positive",
     "require_positive_int",
     "require_non_negative",
+    "require_non_negative_int",
     "require_probability",
-    "require_trim_fraction",
 ]
 
 
@@ -45,13 +45,14 @@ def require_non_negative(value: float, name: str) -> None:
         raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
 
 
+def require_non_negative_int(value: int, name: str) -> None:
+    """Require an integer ``value >= 0`` (a ``bool`` or a float is refused)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def require_probability(value: float, name: str) -> None:
     """Require ``0 <= value <= 1``."""
     if not 0.0 <= value <= 1.0:
         raise ConfigurationError(f"{name} must be a probability in [0, 1], got {value!r}")
 
-
-def require_trim_fraction(value: float, name: str) -> None:
-    """Require ``0 <= value < 0.5``, so a symmetric trim always keeps an entry."""
-    if not 0.0 <= value < 0.5:
-        raise ConfigurationError(f"{name} must be in [0, 0.5), got {value!r}")

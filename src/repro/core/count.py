@@ -9,8 +9,8 @@ Two realisations are provided:
 
 * :func:`peak_initial_values` + the plain :class:`AverageFunction` — the
   simple scheme used for the robustness experiments of Section 7 (the
-  leader is a single point of failure, which is precisely why the paper
-  uses it as the worst case).
+  leader, node 0, is a single point of failure, which is precisely why
+  the paper uses it as the worst case).
 * :class:`CountArrayFunction` — the multi-leader map scheme of Section 5.
   Every node keeps a map from leader identifier to an average estimate;
   exchanging nodes merge maps key-wise, treating a missing key as the
@@ -20,6 +20,10 @@ Two realisations are provided:
   function is built over that epoch's leaders and carries both the dict
   states of the reference engine and the array rows of the vectorised
   one.
+
+A node reduces its map to one size estimate with the paper's symmetric
+trimmed mean (Section 7.3), which always drops :data:`TRIM_FRACTION` —
+the lowest and the highest thirds — of the per-leader estimates.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ import numpy as np
 
 from ..common.errors import ConfigurationError, ProtocolError
 from ..common.rng import RandomSource
-from ..common.validation import require_positive, require_trim_fraction
+from ..common.validation import require_positive
 from .functions import AggregationFunction
 
 __all__ = [
+    "TRIM_FRACTION",
     "peak_initial_values",
     "network_size_from_estimate",
     "CountArrayFunction",
@@ -45,25 +50,26 @@ __all__ = [
 ]
 
 
-def peak_initial_values(size: int, leader: int = 0, peak_value: float = 1.0) -> List[float]:
+#: Share of the sorted estimates the paper's symmetric trimmed mean drops
+#: from *each* end (Section 7.3: the lowest and the highest thirds).
+TRIM_FRACTION = 1.0 / 3.0
+
+
+def peak_initial_values(size: int, peak_value: float = 1.0) -> List[float]:
     """Initial values of the peak distribution used by the basic COUNT.
 
     Parameters
     ----------
     size:
         Number of nodes.
-    leader:
-        Identifier (index) of the node holding the peak.
     peak_value:
-        Value held by the leader; every other node holds 0.  The paper
-        also uses this distribution with ``peak_value = size`` to obtain a
-        global average of exactly 1 (Figure 2).
+        Value held by the leader, node 0; every other node holds 0.  The
+        paper also uses this distribution with ``peak_value = size`` to
+        obtain a global average of exactly 1 (Figure 2).
     """
     require_positive(size, "size")
-    if not 0 <= leader < size:
-        raise ConfigurationError(f"leader must be a valid node index, got {leader}")
     values = [0.0] * size
-    values[leader] = float(peak_value)
+    values[0] = float(peak_value)
     return values
 
 
@@ -80,23 +86,19 @@ def network_size_from_estimate(average_estimate: Optional[float]) -> float:
     return 1.0 / average_estimate
 
 
-def count_estimate_from_map(
-    state: Mapping[int, float], discard_fraction: float = 0.0
-) -> float:
+def count_estimate_from_map(state: Mapping[int, float]) -> float:
     """Network-size estimate derived from a COUNT map.
 
     Each map entry yields the estimate ``1 / value``; entries are combined
-    with a symmetric trimmed mean controlled by ``discard_fraction`` in
-    ``[0, 0.5)`` (the paper discards the lowest and highest thirds, i.e.
-    ``1/3``), which always keeps at least one entry.
+    with the paper's symmetric trimmed mean (drop :data:`TRIM_FRACTION`
+    of them from each end), which always keeps at least one entry.
 
     Returns ``inf`` for an empty map.
     """
-    require_trim_fraction(discard_fraction, "discard_fraction")
     if not state:
         return math.inf
     estimates = sorted(network_size_from_estimate(value) for value in state.values())
-    drop = int(len(estimates) * discard_fraction)
+    drop = int(len(estimates) * TRIM_FRACTION)
     kept = estimates[drop: len(estimates) - drop]
     finite = [value for value in kept if math.isfinite(value)]
     if not finite:
@@ -283,18 +285,16 @@ class CountArrayFunction(AggregationFunction):
         return f"CountArrayFunction(leaders={len(self._leaders)})"
 
 
-def count_estimates_from_matrix(
-    values: np.ndarray, mask: np.ndarray, discard_fraction: float = 0.0
-) -> np.ndarray:
+def count_estimates_from_matrix(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Batched :func:`count_estimate_from_map` over ``(nodes, leaders)`` blocks.
 
     ``values`` and ``mask`` are aligned matrices (mask non-zero where the
     node's map holds that leader's entry).  Returns one size estimate per
     row, reproducing the scalar reduction's semantics exactly: per-entry
     sizes ``1/value`` (``inf`` for non-positive values), symmetric trim of
-    ``int(map_size * discard_fraction)`` entries from each end (a fraction
-    in ``[0, 0.5)`` always keeps one), and ``inf`` for rows whose kept
-    entries are all non-finite (including empty maps).
+    ``int(map_size * TRIM_FRACTION)`` entries from each end (always
+    keeping one), and ``inf`` for rows whose kept entries are all
+    non-finite (including empty maps).
 
     The per-row arithmetic mean uses one :func:`numpy.sum` pass, so
     results can differ from the scalar reduction in the last few ulps
@@ -302,7 +302,6 @@ def count_estimates_from_matrix(
     way on both engines, which is what makes their per-epoch estimates
     bit-identical to each other.
     """
-    require_trim_fraction(discard_fraction, "discard_fraction")
     values = np.asarray(values, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     rows, width = values.shape
@@ -322,7 +321,7 @@ def count_estimates_from_matrix(
     sizes.sort(axis=1)
 
     map_sizes = mask.sum(axis=1)
-    low = (map_sizes * discard_fraction).astype(np.int64)
+    low = (map_sizes * TRIM_FRACTION).astype(np.int64)
     high = map_sizes - low
     columns = np.arange(width)
     kept = (

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..common.errors import ConfigurationError
 from ..common.validation import require_positive
@@ -97,19 +97,12 @@ class MeanAggregate(DerivedAggregate):
 
 
 class NetworkSizeAggregate(DerivedAggregate):
-    """COUNT: network size from the peak distribution.
-
-    Parameters
-    ----------
-    leader:
-        Index of the node holding the peak value 1.
-    """
+    """COUNT: network size from the peak distribution (node 0 holds the peak)."""
 
     name = "count"
 
-    def __init__(self, leader: int = 0) -> None:
+    def __init__(self) -> None:
         self._function = AverageFunction()
-        self.leader = leader
 
     @property
     def function(self) -> AggregationFunction:
@@ -118,7 +111,7 @@ class NetworkSizeAggregate(DerivedAggregate):
     def initial_values(self, values: Sequence[float]) -> Dict[int, float]:
         size = len(values)
         require_positive(size, "number of nodes")
-        peaks = peak_initial_values(size, leader=self.leader)
+        peaks = peak_initial_values(size)
         return {index: peaks[index] for index in range(size)}
 
     def finalize(self, state: float) -> float:
@@ -133,9 +126,8 @@ class SumAggregate(DerivedAggregate):
 
     name = "sum"
 
-    def __init__(self, leader: int = 0) -> None:
+    def __init__(self) -> None:
         self._function = VectorFunction([AverageFunction(), AverageFunction()])
-        self.leader = leader
 
     @property
     def function(self) -> AggregationFunction:
@@ -144,7 +136,7 @@ class SumAggregate(DerivedAggregate):
     def initial_values(self, values: Sequence[float]) -> Dict[int, tuple]:
         size = len(values)
         require_positive(size, "number of nodes")
-        peaks = peak_initial_values(size, leader=self.leader)
+        peaks = peak_initial_values(size)
         return {index: (float(values[index]), peaks[index]) for index in range(size)}
 
     def finalize(self, state: tuple) -> float:
@@ -163,9 +155,8 @@ class ProductAggregate(DerivedAggregate):
 
     name = "product"
 
-    def __init__(self, leader: int = 0) -> None:
+    def __init__(self) -> None:
         self._function = VectorFunction([GeometricMeanFunction(), AverageFunction()])
-        self.leader = leader
 
     @property
     def function(self) -> AggregationFunction:
@@ -177,7 +168,7 @@ class ProductAggregate(DerivedAggregate):
         for value in values:
             if value < 0:
                 raise ConfigurationError("PRODUCT requires non-negative local values")
-        peaks = peak_initial_values(size, leader=self.leader)
+        peaks = peak_initial_values(size)
         return {index: (float(values[index]), peaks[index]) for index in range(size)}
 
     def finalize(self, state: tuple) -> float:

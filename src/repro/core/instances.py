@@ -7,10 +7,12 @@ run ``t`` concurrent, independently initialised instances of the protocol
 (their states simply travel together in the same exchange messages), and
 at the end of the epoch have every node combine the ``t`` estimates with a
 symmetric trimmed mean — drop the ⌊t/3⌋ lowest and ⌊t/3⌋ highest values
-and average the rest.
+and average the rest.  The third is the library's one trim share,
+:data:`~repro.core.count.TRIM_FRACTION`.
 
 This module builds the vector function and initial values for
-multi-instance COUNT and provides the reducer.
+multi-instance COUNT and provides the reducers: that trimmed mean, and a
+median for colluding byzantine reporters.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
-from ..common.validation import require_positive, require_trim_fraction
+from ..common.validation import require_positive
 from ..analysis.statistics import trimmed_mean
 from .count import count_estimates_from_matrix, network_size_from_estimate
 from .functions import AverageFunction, VectorFunction
@@ -38,7 +40,7 @@ __all__ = [
 
 #: Reduction rules for combining the ``t`` per-instance size estimates.
 #: ``"trimmed"`` is the paper's Section 7.3 symmetric trimmed mean (drop
-#: ``⌊t·f⌋`` from each end); ``"median"`` is the hardened variant that
+#: ``⌊t/3⌋`` from each end); ``"median"`` is the hardened variant that
 #: stays correct as long as *strictly fewer than half* of the instances
 #: are corrupted — the defence against colluding byzantine reporters that
 #: ruin a coordinated subset of the instances (see
@@ -74,9 +76,7 @@ def multi_instance_peak_values(
 
 
 def reduce_size_estimates(
-    estimates: Sequence[Optional[float]],
-    discard_fraction: float = 1.0 / 3.0,
-    reducer: str = "trimmed",
+    estimates: Sequence[Optional[float]], reducer: str = "trimmed"
 ) -> float:
     """Combine per-instance averaging estimates into one size estimate.
 
@@ -89,12 +89,9 @@ def reduce_size_estimates(
     ----------
     estimates:
         Per-instance converged averaging estimates (``None`` allowed).
-    discard_fraction:
-        The fraction trimmed from each end (the paper uses 1/3; ignored
-        by the median reducer).
     reducer:
         One of :data:`REDUCERS`.  ``"trimmed"`` tolerates up to
-        ``⌊t·discard_fraction⌋`` ruined instances per tail; ``"median"``
+        ``⌊t/3⌋`` ruined instances per tail; ``"median"``
         tolerates any corrupted *minority* regardless of how the lies are
         distributed.
     """
@@ -107,7 +104,7 @@ def reduce_size_estimates(
         return math.inf
     if reducer == "median":
         return float(np.median(sizes))
-    return trimmed_mean(sizes, discard_fraction)
+    return trimmed_mean(sizes)
 
 
 @dataclass
@@ -122,9 +119,6 @@ class MultiInstanceCount:
         Mapping from node id to its t-component initial value tuple.
     leaders:
         The leader selected by each instance.
-    discard_fraction:
-        Trim fraction used when reducing the final estimates, in
-        ``[0, 0.5)``.
     reducer:
         Reduction rule, one of :data:`REDUCERS` (``"trimmed"`` is the
         paper's default; ``"median"`` is the byzantine-hardened variant).
@@ -133,7 +127,6 @@ class MultiInstanceCount:
     function: VectorFunction
     initial_values: Dict[int, Tuple[float, ...]]
     leaders: List[int]
-    discard_fraction: float = 1.0 / 3.0
     reducer: str = "trimmed"
 
     def __post_init__(self) -> None:
@@ -141,7 +134,6 @@ class MultiInstanceCount:
             raise ConfigurationError(
                 f"reducer must be one of {REDUCERS}, got {self.reducer!r}"
             )
-        require_trim_fraction(self.discard_fraction, "discard_fraction")
 
     @classmethod
     def create(
@@ -149,7 +141,6 @@ class MultiInstanceCount:
         node_ids: Sequence[int],
         instance_count: int,
         rng: RandomSource,
-        discard_fraction: float = 1.0 / 3.0,
         reducer: str = "trimmed",
     ) -> "MultiInstanceCount":
         """Build the function and initial values for ``instance_count`` instances."""
@@ -159,7 +150,6 @@ class MultiInstanceCount:
             function=function,
             initial_values=values,
             leaders=leaders,
-            discard_fraction=discard_fraction,
             reducer=reducer,
         )
 
@@ -171,7 +161,7 @@ class MultiInstanceCount:
     def node_size_estimate(self, state: Tuple[float, ...]) -> float:
         """The size estimate a node with vector state ``state`` would report."""
         estimates = self.function.estimates(state)
-        return reduce_size_estimates(estimates, self.discard_fraction, self.reducer)
+        return reduce_size_estimates(estimates, self.reducer)
 
     def size_estimates(self, states: Dict[int, Tuple[float, ...]]) -> Dict[int, float]:
         """Per-node size estimates for a whole population of states."""
@@ -202,4 +192,4 @@ class MultiInstanceCount:
             sizes[positive] = 1.0 / block[positive]
             return np.median(sizes, axis=1)
         mask = np.ones_like(block, dtype=bool)
-        return count_estimates_from_matrix(block, mask, self.discard_fraction)
+        return count_estimates_from_matrix(block, mask)

@@ -43,7 +43,7 @@ from ..core.epoch import EpochConfig
 from ..core.functions import AverageFunction, VectorFunction
 from ..core.instances import MultiInstanceCount
 from ..simulator import make_simulator
-from ..simulator.adversarial import targeted_instance_attack
+from ..simulator.adversarial import ByzantineReporterModel
 from ..simulator.asynchrony import LAN
 from ..simulator.cycle_sim import CycleSimulator
 from ..simulator.failures import (
@@ -427,7 +427,7 @@ def _crash_row(s: Setting, point, traces) -> Row:
 # on multi-instance COUNT: every cycle they overwrite the first
 # ⌈attacked_instance_fraction · t⌉ instance components of their own
 # state with 0, draining mass from exactly those instances (see
-# targeted_instance_attack).  Per byzantine fraction, the median relative
+# ByzantineReporterModel).  Per byzantine fraction, the median relative
 # error of the size estimate an *honest* node reports under three
 # reduction rules: a single (attacked) instance, the paper's trimmed
 # mean, and the byzantine-hardened median-of-instances — the
@@ -441,7 +441,7 @@ def _byzantine_plan(s: Setting, fraction: float) -> RunPlan:
     def attack():
         fraction_attacked = s["attacked_instance_fraction"]
         attacks.append(
-            targeted_instance_attack(fraction, instance_fraction=fraction_attacked)
+            ByzantineReporterModel(fraction, instance_fraction=fraction_attacked)
             if fraction > 0 else None
         )
         return attacks[-1]

@@ -14,19 +14,19 @@ Runs use the one stacked array engine (:mod:`repro.simulator.replicated`):
 a single run through :func:`~repro.simulator.make_simulator`, the repeats
 of a :class:`RunPlan` as one ``R``-replica simulation, or one by one with
 ``engine="serial"`` — with bit-identical per-seed streams either way.
+Every repetition runs in the calling process; an opaque ``make_run``
+callable runs once per repetition, in index order.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from ..common.errors import ConfigurationError
-from ..common.rng import RandomSource, derive_seed
+from ..common.rng import RandomSource
+from ..common.validation import require_non_negative_int
 from ..core.count import LeaderElection, peak_initial_values
 from ..core.epoch import EpochConfig
 from ..core.functions import AggregationFunction, AverageFunction
@@ -38,7 +38,7 @@ from ..simulator.asynchrony import (
     build_async_count,
 )
 from ..simulator.epochs import EpochDriver, EpochedRunResult, FailureFactory
-from ..simulator.failures import FailureModel, ReachabilityModel
+from ..simulator.failures import FailureModel
 from ..simulator.metrics import SimulationTrace
 from ..simulator.replicated import ReplicaConfig, ReplicatedCycleSimulator
 from ..simulator.transport import PERFECT_TRANSPORT, TransportModel
@@ -58,20 +58,19 @@ __all__ = [
 T = TypeVar("T")
 
 
-def uniform_initial_values(size: int, rng: RandomSource, low: float = 0.0, high: float = 100.0) -> List[float]:
-    """Uniformly random local values, the generic workload for AVERAGE runs.
+def uniform_initial_values(size: int, rng: RandomSource) -> List[float]:
+    """Uniformly random local values on ``[0, 100)``, the generic AVERAGE workload.
 
     One batched generator call; element ``i`` equals the ``i``-th scalar
-    ``rng.uniform(low, high)`` draw (the generator consumes one double
-    per value either way), so results are unchanged from the historical
-    scalar loop — just a few orders of magnitude cheaper per run.
+    ``rng.uniform(0, 100)`` draw (the generator consumes one double per
+    value either way).
     """
-    return rng.generator.uniform(low, high, size).tolist()
+    return rng.generator.uniform(0.0, 100.0, size).tolist()
 
 
 def peak_values_for_count(size: int, peak_value: Optional[float] = None) -> List[float]:
-    """The peak distribution used by COUNT (leader holds 1, or ``peak_value``)."""
-    return peak_initial_values(size, leader=0, peak_value=1.0 if peak_value is None else peak_value)
+    """The peak distribution used by COUNT (node 0 holds 1, or ``peak_value``)."""
+    return peak_initial_values(size, peak_value=1.0 if peak_value is None else peak_value)
 
 
 def run_epoched_count(
@@ -84,7 +83,6 @@ def run_epoched_count(
     epoch_config: Optional[EpochConfig] = None,
     transport: TransportModel = PERFECT_TRANSPORT,
     failure_factory: FailureFactory = None,
-    discard_fraction: float = 1.0 / 3.0,
     engine: str = "vectorized",
     record_every: int = 1,
 ) -> EpochedRunResult:
@@ -112,7 +110,6 @@ def run_epoched_count(
         rng=rng.child("epochs"),
         transport=transport,
         failure_factory=failure_factory,
-        discard_fraction=discard_fraction,
         engine=engine,
         record_every=record_every,
     )
@@ -128,9 +125,7 @@ def run_async_count(
     concurrent_target: float = 20.0,
     initial_estimate: Optional[float] = None,
     epoch_config: Optional[EpochConfig] = None,
-    discard_fraction: float = 1.0 / 3.0,
     record_every: int = 1,
-    extra_windows: Optional[int] = None,
 ) -> AsyncCountProtocol:
     """Run the full practical protocol asynchronously; return its protocol.
 
@@ -138,11 +133,11 @@ def run_async_count(
     or static membership, per-epoch leader self-election with
     ``P_lead = C / N̂``, epochs driven by per-node drifted timers and
     synchronised epidemically, trimmed-mean reduction and adaptive
-    feedback.  Runs ``epochs`` nominal epochs plus ``extra_windows``
+    feedback.  Runs ``epochs`` nominal epochs plus a cushion of
     cycle-equivalent windows so the final epoch boundary is crossed even
-    by slow clocks — the default cushion scales with the scenario's
-    drift (a rate-``1+d`` clock reaches its ``k``-th restart
-    ``k·Δ·d`` late) — and returns the
+    by slow clocks — the cushion scales with the scenario's drift (a
+    rate-``1+d`` clock reaches its ``k``-th restart ``k·Δ·d`` late) — and
+    returns the
     :class:`~repro.simulator.async_engine.AsyncCountProtocol` carrying
     the per-epoch records and size estimates.
     """
@@ -155,15 +150,11 @@ def run_async_count(
         epoch_config=config,
         concurrent_target=concurrent_target,
         initial_estimate=initial_estimate,
-        discard_fraction=discard_fraction,
         record_every=record_every,
     )
     windows_per_epoch = int(math.ceil(config.effective_epoch_length / config.cycle_length))
-    if extra_windows is None:
-        extra_windows = 3 + int(
-            math.ceil(epochs * windows_per_epoch * scenario.clock_drift)
-        )
-    simulator.run(epochs * windows_per_epoch + extra_windows)
+    cushion = 3 + int(math.ceil(epochs * windows_per_epoch * scenario.clock_drift))
+    simulator.run(epochs * windows_per_epoch + cushion)
     return protocol
 
 
@@ -181,9 +172,9 @@ def _default_collect(simulator) -> SimulationTrace:
 class RunPlan:
     """Declarative description of one repeated cycle-simulation scenario.
 
-    ``repeat_traces`` / ``repeat_simulations`` can only parallelise an
-    opaque ``make_run`` callable across processes; they cannot *batch*
-    it.  A plan states what one repetition does — topology, size,
+    ``repeat_traces`` / ``repeat_simulations`` can only run an opaque
+    ``make_run`` callable once per repetition; they cannot *batch* it.
+    A plan states what one repetition does — topology, size,
     cycles, values, transport, failures, post-processing — so the
     repeat helpers can run all repetitions as one stacked
     :class:`~repro.simulator.replicated.ReplicatedCycleSimulator`, or
@@ -212,11 +203,6 @@ class RunPlan:
     failure_factory:
         Builds one *fresh* (stateful) failure model per repetition, or
         ``None`` for the benign scenario.
-    reachability:
-        Optional correlated-failure reachability model (a partition
-        outage), shared by all repetitions — the models are stateless
-        pair predicates, so sharing is safe.  Applied identically on the
-        serial and replicated paths.
     record_every:
         Metrics cadence forwarded to the engines.
     collect:
@@ -231,7 +217,6 @@ class RunPlan:
     function_factory: Callable[[], AggregationFunction] = AverageFunction
     transport: TransportModel = PERFECT_TRANSPORT
     failure_factory: Optional[Callable[[], Optional[FailureModel]]] = None
-    reachability: Optional[ReachabilityModel] = None
     record_every: int = 1
     collect: Callable = field(default=_default_collect)
 
@@ -256,7 +241,6 @@ class RunPlan:
             transport=self.transport,
             failure_model=self._failure_model(),
             record_every=self.record_every,
-            reachability=self.reachability,
         )
         simulator.run(self.cycles)
         return self.collect(simulator)
@@ -268,12 +252,13 @@ class RunPlan:
 
         Replica ``r``'s overlay is drawn from ``rngs[r]`` exactly as
         :func:`~repro.topology.build_overlay` would draw it, so the
-        graphs match the serial path graph-for-graph.  The "random"
-        family lands in a :class:`ReplicatedStaticBlock` (no per-replica
-        Python graph assembly) and array-native NEWSCAST in a
+        graphs match the serial path graph-for-graph.  Static families
+        land in a :class:`ReplicatedStaticBlock` (the "random" one with no
+        per-replica Python graph assembly) and array-native NEWSCAST in a
         :class:`~repro.newscast.vectorized_cache.ReplicatedNewscastBlock`
-        (shared packed cache matrix, fused maintenance); other families
-        reuse their standard builders, one overlay per replica.
+        (shared packed cache matrix, fused maintenance); the complete
+        overlay and the dict NEWSCAST oracle reuse their standard
+        builders, one overlay per replica.
         """
         kind = self.topology.kind.lower()
         if kind == "random":
@@ -291,20 +276,13 @@ class RunPlan:
             )
             return [block.view(replica) for replica in range(len(rngs))]
         if self.topology.builds_array_newscast():
-            extra = {
-                key: value
-                for key, value in self.topology.params.items()
-                if key != "vectorized"
-            }
-            if not extra:
-                # Array-native NEWSCAST with default construction knobs:
-                # stack the packed cache matrices and fuse the warm-ups.
-                from ..newscast.vectorized_cache import ReplicatedNewscastBlock
+            # Stack the packed cache matrices and fuse the warm-ups.
+            from ..newscast.vectorized_cache import ReplicatedNewscastBlock
 
-                block = ReplicatedNewscastBlock.bootstrap(
-                    len(rngs), self.size, self.topology.degree, list(rngs)
-                )
-                return block.views()
+            block = ReplicatedNewscastBlock.bootstrap(
+                len(rngs), self.size, self.topology.degree, list(rngs)
+            )
+            return block.views()
         return [build_overlay(self.topology, self.size, rng) for rng in rngs]
 
 
@@ -331,48 +309,29 @@ def _run_replicated(repeats: int, seed: int, plan: RunPlan) -> List[T]:
         plan.function_factory(),
         transport=plan.transport,
         record_every=plan.record_every,
-        reachability=plan.reachability,
     )
     engine.run(plan.cycles)
     return [plan.collect(view) for view in engine.views()]
-
-
-def _run_one(make_run: Callable[[int, RandomSource], T], seed: int, index: int) -> T:
-    """Execute one repetition with its deterministic child stream.
-
-    ``RandomSource(derive_seed(seed, "run", index))`` is exactly the stream
-    ``RandomSource(seed).child("run", index)`` produces, so a repetition
-    computes identical results whether it runs serially in this process or
-    inside a worker — results are bit-for-bit independent of ``max_workers``.
-    """
-    return make_run(index, RandomSource(derive_seed(seed, "run", index)))
 
 
 def repeat_traces(
     repeats: int,
     seed: int,
     make_run: Optional[Callable[[int, RandomSource], SimulationTrace]] = None,
-    max_workers: Optional[int] = None,
-    executor: str = "process",
     plan: Optional[RunPlan] = None,
     engine: str = "auto",
 ) -> List[SimulationTrace]:
     """Run ``make_run`` ``repeats`` times with independent child seeds.
 
-    See :func:`repeat_simulations` for the parallel execution options and
-    the plan-based replicated fast path.
+    See :func:`repeat_simulations` for the plan-based replicated fast path.
     """
-    return repeat_simulations(
-        repeats, seed, make_run, max_workers, executor, plan=plan, engine=engine
-    )
+    return repeat_simulations(repeats, seed, make_run, plan=plan, engine=engine)
 
 
 def repeat_simulations(
     repeats: int,
     seed: int,
     make_run: Optional[Callable[[int, RandomSource], T]] = None,
-    max_workers: Optional[int] = None,
-    executor: str = "process",
     plan: Optional[RunPlan] = None,
     engine: str = "auto",
 ) -> List[T]:
@@ -384,26 +343,11 @@ def repeat_simulations(
         Number of independent repetitions.
     seed:
         Root seed; repetition ``i`` receives the child stream
-        ``RandomSource(seed).child("run", i)`` regardless of where or in
-        what order it executes, so parallel results are bit-identical to
-        serial ones and the list is always ordered by repetition index.
+        ``RandomSource(seed).child("run", i)``, so stacked and serial runs
+        are bit-identical and the list is ordered by repetition index.
     make_run:
         Callable building and running one repetition.  Mutually
         exclusive with ``plan`` (which synthesises its own serial run).
-    max_workers:
-        ``None``, ``0`` or ``1`` keeps the historical serial behaviour;
-        larger values fan the repetitions out over a worker pool.  Only
-        meaningful for the per-repetition paths — a plan taking the
-        replicated fast path runs as one stacked simulation in-process.
-    executor:
-        ``"process"`` (default) uses a :class:`ProcessPoolExecutor`,
-        side-stepping the GIL for the Python-heavy reference engine;
-        callables the worker processes cannot pickle or reconstruct
-        (closures, ``__main__`` definitions under a spawn start method)
-        fall back to threads automatically.  ``"thread"`` forces a
-        thread pool (useful when
-        ``make_run`` captures unpicklable state and the work releases the
-        GIL, e.g. vectorised runs).
     plan:
         Optional :class:`RunPlan` describing the repetition
         declaratively.  A plan runs all repetitions as one stacked
@@ -415,10 +359,7 @@ def repeat_simulations(
         of a plan (``"replicated"`` also requires one); ``"serial"``
         forces the historical per-repetition path.
     """
-    if repeats < 0:
-        raise ConfigurationError("repeats must be non-negative")
-    if executor not in ("process", "thread"):
-        raise ConfigurationError(f"unknown executor {executor!r}")
+    require_non_negative_int(repeats, "repeats")
     if engine not in ("auto", "replicated", "serial"):
         raise ConfigurationError(f"unknown engine {engine!r}")
     if plan is None:
@@ -441,31 +382,5 @@ def repeat_simulations(
         if engine != "serial":
             return _run_replicated(repeats, seed, plan)
         make_run = plan.serial_run
-    if max_workers is None or max_workers <= 1 or repeats <= 1:
-        root = RandomSource(seed)
-        return [make_run(index, root.child("run", index)) for index in range(repeats)]
-    workers = min(max_workers, repeats)
-    if executor == "process":
-        try:
-            pickle.dumps(make_run)
-        except Exception:
-            executor = "thread"
-    if executor == "process":
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_one, make_run, seed, index)
-                    for index in range(repeats)
-                ]
-                return [future.result() for future in futures]
-        except (BrokenProcessPool, pickle.PicklingError, AttributeError, ImportError):
-            # The parent could serialise make_run, but the workers could
-            # not reconstruct it (e.g. defined in __main__ under a spawn
-            # start method).  Repetitions are deterministic, so redoing
-            # the sweep on threads is safe.
-            pass
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_one, make_run, seed, index) for index in range(repeats)
-        ]
-        return [future.result() for future in futures]
+    root = RandomSource(seed)
+    return [make_run(index, root.child("run", index)) for index in range(repeats)]

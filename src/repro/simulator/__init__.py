@@ -43,11 +43,7 @@ from .asynchrony import (
     compare_average_convergence,
     validation_grid,
 )
-from .adversarial import (
-    BYZANTINE_STRATEGIES,
-    ByzantineReporterModel,
-    targeted_instance_attack,
-)
+from .adversarial import ByzantineReporterModel
 from .cycle_sim import CycleSimulator, InitialValues
 from .epochs import (
     EpochDriver,
@@ -82,7 +78,6 @@ from .sampling import (
 from .transport import (
     PERFECT_TRANSPORT,
     DelayModel,
-    ExchangeOutcome,
     TransportModel,
     apply_reachability,
 )
@@ -118,9 +113,7 @@ __all__ = [
     "CountCrashModel",
     "ReachabilityModel",
     "PartitionOutageModel",
-    "BYZANTINE_STRATEGIES",
     "ByzantineReporterModel",
-    "targeted_instance_attack",
     "apply_reachability",
     "CycleRecord",
     "SimulationTrace",
@@ -133,7 +126,6 @@ __all__ = [
     "empirical_variance",
     "TransportModel",
     "DelayModel",
-    "ExchangeOutcome",
     "PERFECT_TRANSPORT",
 ]
 
@@ -156,8 +148,8 @@ def make_simulator(
 
     Parameters match :class:`CycleSimulator`; ``engine`` is
     ``"vectorized"`` (default, the array engine) or ``"reference"``.  The
-    caller names it — nothing is inferred.  Both engines consume randomness through the same batched cycle-plan
-    discipline, so the choice changes speed, not results: a given root
+    caller names it — nothing is inferred.  Both engines consume
+    randomness through the same batched cycle-plan discipline, so the choice changes speed, not results: a given root
     seed produces the same exchange schedule either way.
     """
     simulator_class = _ENGINES.get(engine)

@@ -5,8 +5,8 @@ event would be faithful but unusable beyond a few hundred nodes.  This
 module is the library's asynchronous engine: it keeps the paper's
 asynchrony axes — per-node clock drift, message latencies, exchange
 timeouts, message loss, epochs that start at different real times at
-different nodes, staggered boot and churn — while executing them as
-*batched* array passes.
+different nodes, and churn — while executing them as *batched* array
+passes.
 
 How it works
 ------------
@@ -20,11 +20,10 @@ engine
    where ``rate_i`` is the node's drifted clock rate — and sorts them
    into one global (time, kind, node) order;
 2. draws, in batches aligned with that order, each tick's gossip peer
-   (``select_peers_batch``), its transport fate and its request/response
-   latencies (the same stage-major stream discipline as
-   :func:`~repro.simulator.transport.classify_async_exchanges`), folding
-   the Section 4.2 timeout rule into the merge outcomes while keeping
-   physical delivery separate so late replies still carry epoch ids;
+   (``select_peers_batch``) and, through
+   :func:`~repro.simulator.transport.classify_async_exchanges`, its
+   transport fate with the Section 4.2 timeout rule folded in, plus the
+   physical delivery flag that lets late replies still carry epoch ids;
 3. partitions the ordered event stream into conflict-free rounds with
    :func:`~repro.simulator.sampling.ordered_conflict_rounds` (an epoch
    restart is a self-pair, an exchange a node pair), so the sequential
@@ -67,7 +66,7 @@ import numpy as np
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
 from ..common.validation import (
-    require_non_negative, require_positive_int, require_trim_fraction
+    require_non_negative, require_non_negative_int, require_positive_int
 )
 from ..core.count import CountArrayFunction, LeaderElection, count_estimates_from_matrix
 from ..core.epoch import EpochConfig
@@ -79,9 +78,9 @@ from .transport import (
     DelayModel,
     OUTCOME_COMPLETED,
     OUTCOME_DROPPED,
-    OUTCOME_RESPONSE_LOST,
     PERFECT_TRANSPORT,
     TransportModel,
+    classify_async_exchanges,
 )
 
 __all__ = [
@@ -252,14 +251,8 @@ class AsyncCountProtocol(AsyncProtocol):
     infinite, and the previous estimate carries forward untouched.
     """
 
-    def __init__(
-        self,
-        election: LeaderElection,
-        discard_fraction: float = 1.0 / 3.0,
-    ) -> None:
-        require_trim_fraction(discard_fraction, "discard_fraction")
+    def __init__(self, election: LeaderElection) -> None:
         self.election = election
-        self._discard = discard_fraction
         self._initial_estimate = election.estimated_size
         self._leaders: Dict[int, np.ndarray] = {}
         self._codecs: Dict[int, Optional[CountArrayFunction]] = {}
@@ -301,9 +294,7 @@ class AsyncCountProtocol(AsyncProtocol):
 
     def estimate_rows(self, epoch_id: int, rows: np.ndarray) -> np.ndarray:
         width = self._leaders[epoch_id].size
-        return count_estimates_from_matrix(
-            rows[:, :width], rows[:, width:] != 0.0, self._discard
-        )
+        return count_estimates_from_matrix(rows[:, :width], rows[:, width:] != 0.0)
 
     def report(
         self, epoch_id: int, node_ids: np.ndarray, rows: np.ndarray, jumped: bool
@@ -367,9 +358,6 @@ class AsyncPracticalSimulator:
     clock_drift:
         Maximum relative drift; each node's rate is uniform in
         ``[1 - drift, 1 + drift]``.
-    start_stagger:
-        Nodes boot uniformly over ``[0, start_stagger]`` of simulated
-        time instead of all at t=0.
     record_every:
         Cadence (in windows) of the cycle-equivalent trace records.
     window_hook:
@@ -387,12 +375,10 @@ class AsyncPracticalSimulator:
         delay_model: Optional[DelayModel] = None,
         transport: TransportModel = PERFECT_TRANSPORT,
         clock_drift: float = 0.0,
-        start_stagger: float = 0.0,
         record_every: int = 1,
         window_hook: Optional[Callable[["AsyncPracticalSimulator", int, RandomSource], None]] = None,
     ) -> None:
         require_non_negative(clock_drift, "clock_drift")
-        require_non_negative(start_stagger, "start_stagger")
         require_positive_int(record_every, "record_every")
         self._overlay = overlay
         self._protocol = protocol
@@ -429,19 +415,12 @@ class AsyncPracticalSimulator:
 
         self._alive[node_ids] = True
         self._rates[node_ids] = self._draw_rates(self._drift_rng, node_ids.size)
-        if start_stagger > 0.0:
-            self._start_time[node_ids] = self._phase_rng.generator.uniform(
-                0.0, start_stagger, node_ids.size
-            )
         phases = self._phase_rng.generator.uniform(
             0.0, epoch_config.cycle_length, node_ids.size
         )
-        self._next_tick[node_ids] = (
-            self._start_time[node_ids] + phases * self._rates[node_ids]
-        )
+        self._next_tick[node_ids] = phases * self._rates[node_ids]
         self._next_restart[node_ids] = (
-            self._start_time[node_ids]
-            + epoch_config.effective_epoch_length * self._rates[node_ids]
+            epoch_config.effective_epoch_length * self._rates[node_ids]
         )
 
         self._epoch_states: Dict[int, np.ndarray] = {}
@@ -470,11 +449,9 @@ class AsyncPracticalSimulator:
             "activations": 0,
         }
 
-        # Boot everything that starts at t=0 so cycle 0 is recorded on
+        # Every initial node boots at t=0, so cycle 0 is recorded on
         # initialised states, mirroring the cycle engines.
-        immediate = node_ids[self._start_time[node_ids] <= 0.0]
-        if immediate.size:
-            self._activate(immediate)
+        self._activate(node_ids)
         self._record_window(0)
 
     # ------------------------------------------------------------------
@@ -570,11 +547,12 @@ class AsyncPracticalSimulator:
         starts participating at the next epoch start, entering whatever
         epoch is newest at that moment.
         """
+        require_non_negative_int(count, "count")
         joined: List[int] = []
         boundary = self._config.epoch_start_time(
             self._config.epoch_for_time(max(self._now, 0.0)) + 1
         )
-        for _ in range(int(count)):
+        for _ in range(count):
             node_id = self._next_node_id
             self._next_node_id += 1
             self._ensure_capacity(node_id)
@@ -597,8 +575,7 @@ class AsyncPracticalSimulator:
     # ------------------------------------------------------------------
     def run(self, windows: int) -> SimulationTrace:
         """Execute ``windows`` δ-windows and return the trace."""
-        if windows < 0:
-            raise ConfigurationError("windows must be non-negative")
+        require_non_negative_int(windows, "windows")
         for _ in range(windows):
             self._run_window()
         if self._last_recorded < self._window_index:
@@ -719,7 +696,7 @@ class AsyncPracticalSimulator:
         nodes: List[np.ndarray] = []
         kinds: List[np.ndarray] = []
 
-        # Boot events for staggered / joined nodes whose start falls here.
+        # Boot events for joined nodes whose start falls here.
         starting_mask = self._alive & ~self._active & (self._start_time < t1)
         starting = np.flatnonzero(starting_mask)
         if starting.size:
@@ -781,36 +758,17 @@ class AsyncPracticalSimulator:
         outcomes = np.zeros(total, dtype=np.uint8)
         delivered = np.zeros(total, dtype=bool)
         if tick_count:
-            tick_nodes = event_nodes[tick_positions]
-            drawn_peers = self._overlay.select_peers_batch(
-                tick_nodes, self._selection_rng.generator
+            peers[tick_positions] = self._overlay.select_peers_batch(
+                event_nodes[tick_positions], self._selection_rng.generator
             )
-            # Same stream discipline as classify_async_exchanges (loss
-            # stages first, then one request and one response latency per
-            # exchange), but the *physical* response delivery is kept
-            # separate from the timeout: a reply that arrives after the
-            # initiator gave up is merge-wise a lost response, yet its
-            # epoch id still reaches the initiator, as it would in an
-            # event-at-a-time execution.
-            physical = self._transport.classify_exchanges(
-                self._transport_rng, tick_count
+            # A reply that arrives after the initiator gave up is merge-wise
+            # a lost response, yet its epoch id still reaches the initiator,
+            # as it would in an event-at-a-time execution: hence both arrays.
+            tick_outcomes, tick_delivered = classify_async_exchanges(
+                self._transport, self._delay_model, self._transport_rng, tick_count
             )
-            request_delays = self._delay_model.sample_delays(
-                self._transport_rng, tick_count
-            )
-            response_delays = self._delay_model.sample_delays(
-                self._transport_rng, tick_count
-            )
-            timed_out = (
-                request_delays + response_delays
-            ) > self._delay_model.timeout
-            effective = physical.copy()
-            effective[(physical == OUTCOME_COMPLETED) & timed_out] = (
-                OUTCOME_RESPONSE_LOST
-            )
-            peers[tick_positions] = drawn_peers
-            outcomes[tick_positions] = effective
-            delivered[tick_positions] = physical == OUTCOME_COMPLETED
+            outcomes[tick_positions] = tick_outcomes
+            delivered[tick_positions] = tick_delivered
 
         # An event takes part in the ordered conflict decomposition iff it
         # can touch state: boots and restarts always do (self-pairs);

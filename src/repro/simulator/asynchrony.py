@@ -1,8 +1,8 @@
 """Asynchrony scenarios: declarative impairment bundles for async runs.
 
 The paper's practical protocol is specified against an asynchronous
-network — latencies, exchange timeouts, per-node clock drift, staggered
-boot, churn, message loss.  This module packages those axes into one
+network — latencies, exchange timeouts, per-node clock drift, churn,
+message loss.  This module packages those axes into one
 declarative :class:`AsynchronyScenario` record, builds the matching
 :class:`~repro.simulator.async_engine.AsyncPracticalSimulator` runs, and
 provides the cross-engine validation harness that checks an asynchronous
@@ -11,20 +11,19 @@ justification for analysing the protocol in the cycle abstraction.
 
 Scenario axes:
 
-* **Latency** — ``fixed``, ``uniform`` or heavy-tailed ``lognormal``
-  message delays (see :class:`~repro.simulator.transport.DelayModel`),
-  plus the exchange ``timeout`` of Section 4.2.  With lognormal tails a
+* **Latency** — ``uniform`` or heavy-tailed ``lognormal`` message delays
+  (see :class:`~repro.simulator.transport.DelayModel`), plus the
+  exchange ``timeout`` of Section 4.2.  With lognormal tails a
   finite timeout genuinely bites, turning slow round trips into the
   response-lost failure mode.
 * **Clock drift** — per-node rates in ``[1 - drift, 1 + drift]``; cycles
   and epochs stretch per node, epochs fall out of lock step, and the
   epidemic synchronisation of Section 4.3 has real work to do.
-* **Loss** — per-message omission ``P_m`` and per-exchange link failure
-  ``P_d`` exactly as in the cycle engines.
-* **Staggered start** — nodes boot uniformly over an interval instead of
-  simultaneously.
+* **Loss** — per-message omission ``P_m`` exactly as in the cycle
+  engines.
 * **Churn** — a fixed number of crash+join pairs per cycle-equivalent
-  window, applied through the engine's window hook.
+  window, applied through the engine's window hook; joiners boot at the
+  next epoch boundary.
 
 Three presets cover the library's runs: :data:`LAN` (the default),
 :data:`WAN` (heavy-tailed latencies) and :data:`HOSTILE` (everything at
@@ -34,13 +33,14 @@ once).  Build custom scenarios and grids with
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
-from ..common.validation import require_non_negative, require_probability
+from ..common.validation import (
+    require_non_negative, require_non_negative_int, require_probability
+)
 from ..core.count import LeaderElection
 from ..core.epoch import EpochConfig
 from ..topology.base import OverlayProvider
@@ -81,8 +81,6 @@ class AsynchronyScenario:
     timeout: float = 0.5
     clock_drift: float = 0.0
     message_loss: float = 0.0
-    link_failure: float = 0.0
-    start_stagger: float = 0.0
     churn_per_window: int = 0
 
     def __post_init__(self) -> None:
@@ -90,15 +88,10 @@ class AsynchronyScenario:
         # by building the delay model once (its checks are the only ones).
         self.delay_model()
         require_non_negative(self.clock_drift, "clock_drift")
-        require_non_negative(self.start_stagger, "start_stagger")
         require_probability(self.message_loss, "message_loss")
-        require_probability(self.link_failure, "link_failure")
         if self.clock_drift >= 1.0:
             raise ConfigurationError("clock_drift must be below 1 (a clock cannot stop)")
-        if not isinstance(self.churn_per_window, numbers.Integral) or self.churn_per_window < 0:
-            raise ConfigurationError(
-                f"churn_per_window must be a non-negative int, got {self.churn_per_window!r}"
-            )
+        require_non_negative_int(self.churn_per_window, "churn_per_window")
 
     # ------------------------------------------------------------------
     # Derived models
@@ -115,10 +108,7 @@ class AsynchronyScenario:
 
     def transport(self) -> TransportModel:
         """The loss model shared with the cycle engines."""
-        return TransportModel(
-            link_failure_probability=self.link_failure,
-            message_loss_probability=self.message_loss,
-        )
+        return TransportModel(message_loss_probability=self.message_loss)
 
     def with_overrides(self, **overrides) -> "AsynchronyScenario":
         """A copy of this scenario with selected fields replaced."""
@@ -147,8 +137,6 @@ class AsynchronyScenario:
             parts.append(f"drift={self.clock_drift:.0%}")
         if self.message_loss:
             parts.append(f"loss={self.message_loss:.0%}")
-        if self.link_failure:
-            parts.append(f"linkfail={self.link_failure:.0%}")
         if self.churn_per_window:
             parts.append(f"churn={self.churn_per_window}/cycle")
         return " ".join(parts)
@@ -221,7 +209,6 @@ def build_async_average(
         delay_model=scenario.delay_model(config.cycle_length),
         transport=scenario.transport(),
         clock_drift=scenario.clock_drift,
-        start_stagger=scenario.start_stagger * config.cycle_length,
         record_every=record_every,
         window_hook=scenario.window_hook(),
     )
@@ -235,7 +222,6 @@ def build_async_count(
     epoch_config: Optional[EpochConfig] = None,
     concurrent_target: float = 20.0,
     initial_estimate: Optional[float] = None,
-    discard_fraction: float = 1.0 / 3.0,
     record_every: int = 1,
 ) -> Tuple[AsyncPracticalSimulator, AsyncCountProtocol]:
     """The full asynchronous practical protocol: adaptive epoched COUNT."""
@@ -245,7 +231,7 @@ def build_async_count(
         concurrent_target=concurrent_target,
         estimated_size=float(initial_estimate if initial_estimate is not None else size),
     )
-    protocol = AsyncCountProtocol(election, discard_fraction=discard_fraction)
+    protocol = AsyncCountProtocol(election)
     simulator = AsyncPracticalSimulator(
         overlay=overlay,
         protocol=protocol,
@@ -254,7 +240,6 @@ def build_async_count(
         delay_model=scenario.delay_model(config.cycle_length),
         transport=scenario.transport(),
         clock_drift=scenario.clock_drift,
-        start_stagger=scenario.start_stagger * config.cycle_length,
         record_every=record_every,
         window_hook=scenario.window_hook(),
     )

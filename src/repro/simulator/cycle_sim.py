@@ -36,7 +36,7 @@ import numpy as np
 
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
-from ..common.validation import require_positive_int
+from ..common.validation import require_non_negative_int, require_positive_int
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
 from .failures import FailureModel, NoFailures
@@ -251,23 +251,19 @@ class CycleSimulator:
         self._crashed.add(node_id)
         self._overlay.on_node_removed(node_id)
 
-    def add_node(self, value: Any = 0.0, participating: bool = False) -> int:
+    def add_node(self) -> int:
         """Add a brand-new node to the overlay and return its identifier.
 
-        ``participating=False`` (the default) models the paper's rule that
-        joining nodes wait for the next epoch: the node becomes part of the
-        overlay but refuses aggregation exchanges for the rest of this run
-        (the :class:`~repro.simulator.epochs.EpochDriver` admits it to the
-        next epoch's engine).
+        Joining nodes wait for the next epoch (the paper's rule): the node
+        becomes part of the overlay but refuses aggregation exchanges for
+        the rest of this run (the
+        :class:`~repro.simulator.epochs.EpochDriver` admits it to the next
+        epoch's engine).
         """
         node_id = self._next_node_id
         self._next_node_id += 1
         self._overlay.on_node_added(node_id, self._membership_rng)
-        if participating:
-            self._states[node_id] = self._function.initial_state(value)
-            self._participants.add(node_id)
-        else:
-            self._non_participants.add(node_id)
+        self._non_participants.add(node_id)
         return node_id
 
     def override_values(self, node_ids: Sequence[int], values: Any) -> None:
@@ -279,7 +275,9 @@ class CycleSimulator:
         ``initial_state`` codec — the per-node form of the batched
         scatter the vectorised engine performs, so the two engines stay
         bit-identical.  This is the hook byzantine reporter models use to
-        inject forged values each cycle.
+        inject forged values each cycle.  Every id and value is checked
+        before any state changes, so a rejected call leaves all states as
+        they were.
         """
         array = np.asarray(values, dtype=np.float64)
         if array.ndim == 1:
@@ -289,14 +287,16 @@ class CycleSimulator:
                 f"override_values got {len(node_ids)} nodes but "
                 f"{array.shape[0]} value rows"
             )
-        initial_state = self._function.initial_state
-        for position, node_id in enumerate(node_ids):
-            node = int(node_id)
+        nodes = [int(node_id) for node_id in node_ids]
+        for node in nodes:
             if node not in self._participants:
                 raise SimulationError(f"node {node} is not participating")
-            row = array[position]
-            local = float(row[0]) if row.size == 1 else tuple(row.tolist())
-            self._states[node] = initial_state(local)
+        initial_state = self._function.initial_state
+        forged = [
+            initial_state(float(row[0]) if row.size == 1 else tuple(row.tolist()))
+            for row in array
+        ]
+        self._states.update(zip(nodes, forged))
 
     # ------------------------------------------------------------------
     # Execution
@@ -376,8 +376,7 @@ class CycleSimulator:
         With ``record_every > 1`` the final executed cycle is always
         recorded, so ``trace.final`` reflects the end of the run.
         """
-        if cycles < 0:
-            raise ConfigurationError("cycles must be non-negative")
+        require_non_negative_int(cycles, "cycles")
         for _ in range(cycles):
             self.run_cycle()
         if self._trace.final.cycle != self._cycle_index:

@@ -53,7 +53,7 @@ import numpy as np
 from ..analysis.theory import PUSH_PULL_CONVERGENCE_FACTOR
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
-from ..common.validation import require_trim_fraction
+from ..common.validation import require_non_negative_int
 from ..core.count import CountArrayFunction, LeaderElection, count_estimates_from_matrix
 from ..core.epoch import EpochConfig, cycles_for_accuracy
 from ..core.functions import AverageFunction
@@ -206,9 +206,6 @@ class EpochDriver:
         Communication and node-failure models applied within every epoch;
         ``failure_factory`` may be a shared stateless model or a callable
         receiving the epoch id (for models with per-run state).
-    discard_fraction:
-        Trim fraction of the end-of-epoch reduction, in ``[0, 0.5)`` (the
-        paper's 1/3).
     engine:
         The cycle simulator every epoch runs on, named by the caller:
         ``"vectorized"`` (default, array COUNT rows) or ``"reference"``
@@ -226,7 +223,6 @@ class EpochDriver:
         rng: RandomSource,
         transport: TransportModel = PERFECT_TRANSPORT,
         failure_factory: FailureFactory = None,
-        discard_fraction: float = 1.0 / 3.0,
         engine: str = "vectorized",
         record_every: int = 1,
     ) -> None:
@@ -234,14 +230,12 @@ class EpochDriver:
             raise ConfigurationError(
                 f"engine must be 'vectorized' or 'reference', got {engine!r}"
             )
-        require_trim_fraction(discard_fraction, "discard_fraction")
         self._overlay = overlay
         self._election = election
         self._config = epoch_config
         self._rng = rng
         self._transport = transport
         self._failure_factory = failure_factory
-        self._discard_fraction = discard_fraction
         self._engine = engine
         self._record_every = record_every
 
@@ -289,8 +283,7 @@ class EpochDriver:
     # ------------------------------------------------------------------
     def run(self, epochs: int) -> EpochedRunResult:
         """Execute ``epochs`` consecutive epochs and return the trace."""
-        if epochs < 0:
-            raise ConfigurationError("epochs must be non-negative")
+        require_non_negative_int(epochs, "epochs")
         for _ in range(epochs):
             self._run_epoch()
         return self._result
@@ -430,6 +423,4 @@ class EpochDriver:
         """Per-surviving-node size estimates: every map through the batched reduction."""
         block = simulator.state_array()
         width = len(simulator.function.leaders)
-        return count_estimates_from_matrix(
-            block[:, :width], block[:, width:], self._discard_fraction
-        )
+        return count_estimates_from_matrix(block[:, :width], block[:, width:])

@@ -35,8 +35,9 @@ import numpy as np
 from ..common.rng import RandomSource
 from ..common.validation import (
     require,
-    require_non_negative,
+    require_non_negative_int,
     require_positive,
+    require_positive_int,
     require_probability,
 )
 
@@ -126,12 +127,9 @@ class SuddenDeathModel(FailureModel):
         require_probability(fraction, "fraction")
         # Cycle indices are 1-based (`apply` sees cycle_index >= 1), so
         # at_cycle=0 would be accepted and then silently never fire.
-        require(
-            at_cycle >= 1,
-            f"at_cycle is a 1-based cycle index and must be >= 1, got {at_cycle!r}",
-        )
+        require_positive_int(at_cycle, "at_cycle (a 1-based cycle index)")
         self.fraction = fraction
-        self.at_cycle = int(at_cycle)
+        self.at_cycle = at_cycle
 
     def apply(self, simulator, cycle_index: int, rng: RandomSource) -> None:
         if cycle_index != self.at_cycle:
@@ -159,15 +157,11 @@ class ChurnModel(FailureModel):
     ----------
     replacements_per_cycle:
         How many nodes are substituted before every cycle.
-    new_node_value:
-        The local value assigned to joining nodes (relevant only once they
-        participate in a later epoch).
     """
 
-    def __init__(self, replacements_per_cycle: int, new_node_value: float = 0.0) -> None:
-        require_non_negative(replacements_per_cycle, "replacements_per_cycle")
-        self.replacements_per_cycle = int(replacements_per_cycle)
-        self.new_node_value = new_node_value
+    def __init__(self, replacements_per_cycle: int) -> None:
+        require_non_negative_int(replacements_per_cycle, "replacements_per_cycle")
+        self.replacements_per_cycle = replacements_per_cycle
 
     def apply(self, simulator, cycle_index: int, rng: RandomSource) -> None:
         if self.replacements_per_cycle <= 0:
@@ -178,7 +172,7 @@ class ChurnModel(FailureModel):
         for victim in victims:
             simulator.crash_node(victim)
         for _ in range(count):
-            simulator.add_node(value=self.new_node_value, participating=False)
+            simulator.add_node()
 
     def describe(self) -> str:
         return f"churn ({self.replacements_per_cycle} nodes substituted per cycle)"
@@ -192,8 +186,8 @@ class CountCrashModel(FailureModel):
     """
 
     def __init__(self, crashes_per_cycle: int) -> None:
-        require_non_negative(crashes_per_cycle, "crashes_per_cycle")
-        self.crashes_per_cycle = int(crashes_per_cycle)
+        require_non_negative_int(crashes_per_cycle, "crashes_per_cycle")
+        self.crashes_per_cycle = crashes_per_cycle
 
     def apply(self, simulator, cycle_index: int, rng: RandomSource) -> None:
         if self.crashes_per_cycle <= 0:

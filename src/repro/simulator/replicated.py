@@ -73,7 +73,7 @@ import numpy as np
 
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
-from ..common.validation import require_positive_int
+from ..common.validation import require_non_negative_int, require_positive_int
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
 from .cycle_sim import InitialValues, normalise_initial_values
@@ -278,10 +278,11 @@ class StackedCycleEngine:
         accumulate across skipped cycles into the next record.
     reachability:
         Optional pairwise connectivity constraint
-        (:class:`~repro.simulator.failures.ReachabilityModel`) shared by
-        all replicas.  Each replica's plan is filtered on its *local* node
-        ids before stacking, so the blocked slots are identical to what
-        the reference engine would block for the same seed.
+        (:class:`~repro.simulator.failures.ReachabilityModel`), set only
+        through the ``R = 1`` entry.  Each replica's plan is filtered on
+        its *local* node ids before stacking, so the blocked slots are
+        identical to what the reference engine would block for the same
+        seed.
     """
 
     def __init__(
@@ -494,8 +495,7 @@ class StackedCycleEngine:
         ``record_every > 1`` the final executed cycle is always recorded,
         so each trace's ``final`` reflects the end of the run.
         """
-        if cycles < 0:
-            raise ConfigurationError("cycles must be non-negative")
+        require_non_negative_int(cycles, "cycles")
         for _ in range(cycles):
             run_cycle()
         if self._replicas[0].trace.final.cycle != self._cycle_index:
@@ -544,11 +544,6 @@ class StackedCycleEngine:
             )
             replica.pending_completed = 0
             replica.pending_failed = 0
-
-    def _encode_value(self, value: Any) -> np.ndarray:
-        return self._function.initial_state_array(
-            np.asarray([value], dtype=np.float64)
-        )[0]
 
     def _ensure_stride(self, local_id: int) -> None:
         """Grow the per-replica row capacity to fit ``local_id``."""
@@ -599,8 +594,9 @@ class StackedCycleEngine:
 class ReplicatedCycleSimulator(StackedCycleEngine):
     """Run ``R`` independent repetitions as one stacked tensor simulation.
 
-    Parameters are those of :class:`StackedCycleEngine`; there must be at
-    least one replica.
+    Parameters are those of :class:`StackedCycleEngine` but
+    ``reachability``, which only the ``R = 1`` entry takes; there must be
+    at least one replica.
     """
 
     # __init__ and run_cycle are defined here, and on the R=1 entry,
@@ -612,11 +608,10 @@ class ReplicatedCycleSimulator(StackedCycleEngine):
         function: AggregationFunction,
         transport: TransportModel = PERFECT_TRANSPORT,
         record_every: int = 1,
-        reachability=None,
     ) -> None:
         if not replicas:
             raise ConfigurationError("need at least one replica")
-        super().__init__(replicas, function, transport, record_every, reachability)
+        super().__init__(replicas, function, transport, record_every, None)
         self._views = [ReplicaView(self, index) for index in range(self._count)]
 
     def views(self) -> List["ReplicaView"]:
@@ -795,21 +790,17 @@ class ReplicaView:
         replica.crashed.add(node_id)
         replica.overlay.on_node_removed(node_id)
 
-    def add_node(self, value: Any = 0.0, participating: bool = False) -> int:
-        """Add a brand-new node to this run's overlay and return its identifier."""
+    def add_node(self) -> int:
+        """Add a brand-new node to this run's overlay and return its identifier.
+
+        The node waits for the next epoch, as on the reference engine.
+        """
         replica = self._replica
-        engine = self._engine
         node_id = replica.next_node_id
         replica.next_node_id += 1
-        engine._ensure_stride(node_id)
+        self._engine._ensure_stride(node_id)
         replica.overlay.on_node_added(node_id, replica.membership_rng)
-        row = self._base + node_id
-        if participating:
-            engine._states[row] = engine._encode_value(value)
-            engine._participant_mask[row] = True
-            replica.participants_cache = None
-        else:
-            engine._non_participant_mask[row] = True
+        self._engine._non_participant_mask[self._base + node_id] = True
         return node_id
 
     def override_values(self, node_ids: Sequence[int], values: Any) -> None:

@@ -13,15 +13,18 @@ failure modes that this module captures:
   has not, so conservation of the global sum is violated — the damaging
   case studied in Figure 7(b).
 
-For the asynchronous engine a :class:`DelayModel` provides message
-latencies (and therefore timeout behaviour).
+Both are drawn for a whole cycle at once: one batched contract,
+:meth:`TransportModel.classify_exchanges`, yields an array of integer
+outcome codes.  For the asynchronous engine a :class:`DelayModel` adds
+message latencies, and :func:`classify_async_exchanges` folds the
+exchange timeout of Section 4.2 into the same codes.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from ..common.rng import RandomSource
 from ..common.validation import require, require_non_negative, require_probability
 
 __all__ = [
-    "ExchangeOutcome",
     "OUTCOME_COMPLETED",
     "OUTCOME_DROPPED",
     "OUTCOME_RESPONSE_LOST",
@@ -42,20 +44,11 @@ __all__ = [
 ]
 
 
-class ExchangeOutcome(enum.Enum):
-    """How a single push–pull exchange ends."""
-
-    #: Both request and response delivered; both peers update.
-    COMPLETED = "completed"
-    #: The exchange never happened (link failure or lost request).
-    DROPPED = "dropped"
-    #: The request arrived (responder updates) but the response was lost
-    #: (initiator keeps its old state) — the sum-violating case.
-    RESPONSE_LOST = "response-lost"
-
-
-#: Integer codes used by the batched outcome arrays of
-#: :meth:`TransportModel.classify_exchanges`.
+#: How one push–pull exchange ends, as the codes of the batched outcome
+#: arrays of :meth:`TransportModel.classify_exchanges`: both peers update;
+#: the exchange never happened (link failure or lost request); or the
+#: request arrived (responder updates) but the response was lost
+#: (initiator keeps its old state) — the sum-violating case.
 OUTCOME_COMPLETED = 0
 OUTCOME_DROPPED = 1
 OUTCOME_RESPONSE_LOST = 2
@@ -89,28 +82,15 @@ class TransportModel:
             and self.message_loss_probability == 0.0
         )
 
-    def classify_exchange(self, rng: RandomSource) -> ExchangeOutcome:
-        """Draw the fate of one push–pull exchange."""
-        if self.link_failure_probability > 0.0 and rng.bernoulli(self.link_failure_probability):
-            return ExchangeOutcome.DROPPED
-        if self.message_loss_probability > 0.0:
-            if rng.bernoulli(self.message_loss_probability):
-                # The request never reached the responder.
-                return ExchangeOutcome.DROPPED
-            if rng.bernoulli(self.message_loss_probability):
-                # The response never reached the initiator.
-                return ExchangeOutcome.RESPONSE_LOST
-        return ExchangeOutcome.COMPLETED
-
     def classify_exchanges(self, rng: RandomSource, count: int) -> np.ndarray:
         """Draw the fates of a whole cycle's exchanges in batched form.
 
-        Returns a ``(count,)`` uint8 array of ``OUTCOME_*`` codes.  Unlike
-        :meth:`classify_exchange`, the per-stage Bernoulli variables are
-        drawn for *every* exchange regardless of earlier stages, so the
-        number of generator draws is data-independent — the property the
-        shared cycle-plan discipline relies on to keep the reference and
-        vectorised engines on identical random streams.
+        Returns a ``(count,)`` uint8 array of ``OUTCOME_*`` codes.  The
+        per-stage Bernoulli variables are drawn for *every* exchange
+        regardless of earlier stages, so the number of generator draws is
+        data-independent — the property the shared cycle-plan discipline
+        relies on to keep the reference and vectorised engines on
+        identical random streams.
         """
         outcomes = np.zeros(count, dtype=np.uint8)
         if count == 0:
@@ -170,7 +150,7 @@ def apply_reachability(
 
 
 #: Latency distributions understood by :class:`DelayModel`.
-DELAY_DISTRIBUTIONS = ("fixed", "uniform", "lognormal")
+DELAY_DISTRIBUTIONS = ("uniform", "lognormal")
 
 
 @dataclass(frozen=True)
@@ -181,12 +161,11 @@ class DelayModel:
     a silent peer; exchanges whose response would arrive after the timeout
     are treated as failed, mirroring Section 4.2 of the paper.
 
-    Three latency distributions are supported:
+    Two latency distributions are supported:
 
     * ``"uniform"`` (default) — latencies drawn uniformly from
-      ``[min_delay, max_delay]``, the historical behaviour.
-    * ``"fixed"`` — every message takes exactly ``min_delay``; useful for
-      isolating drift or loss effects from latency jitter.
+      ``[min_delay, max_delay]``; with ``min_delay == max_delay`` every
+      message takes exactly that long and no randomness is drawn.
     * ``"lognormal"`` — a heavy-tailed WAN-like distribution: the
       underlying normal has ``median = (min_delay + max_delay) / 2`` and
       shape ``sigma``; draws are clipped below at ``min_delay`` (a message
@@ -221,27 +200,10 @@ class DelayModel:
         """Centre of the latency distribution (exact for lognormal)."""
         return (self.min_delay + self.max_delay) / 2.0
 
-    def sample_delay(self, rng: RandomSource) -> float:
-        """Draw one message latency."""
-        if self.distribution == "fixed":
-            return self.min_delay
-        if self.distribution == "lognormal":
-            draw = float(
-                rng.generator.lognormal(math.log(self.median_delay), self.sigma)
-            )
-            return max(draw, self.min_delay)
-        if self.max_delay == self.min_delay:
-            return self.min_delay
-        return rng.uniform(self.min_delay, self.max_delay)
-
     def sample_delays(self, rng: RandomSource, count: int) -> np.ndarray:
         """Draw ``count`` latencies in one batched generator call.
 
-        For the uniform distribution the batch consumes the generator
-        stream exactly like ``count`` scalar :meth:`sample_delay` calls
-        (``Generator.uniform(..., n)`` draws the same doubles as ``n``
-        scalar draws), so scalar and batched consumers can share a
-        stream; the fixed distribution consumes no randomness at all.
+        A uniform distribution of zero width consumes no randomness.
         """
         if count <= 0:
             return np.empty(0, dtype=np.float64)
@@ -250,13 +212,9 @@ class DelayModel:
                 math.log(self.median_delay), self.sigma, count
             )
             return np.maximum(draws, self.min_delay)
-        if self.distribution == "fixed" or self.max_delay == self.min_delay:
+        if self.max_delay == self.min_delay:
             return np.full(count, self.min_delay, dtype=np.float64)
         return rng.generator.uniform(self.min_delay, self.max_delay, count)
-
-    def round_trip_within_timeout(self, request_delay: float, response_delay: float) -> bool:
-        """Whether a request/response pair beats the initiator's timeout."""
-        return (request_delay + response_delay) <= self.timeout
 
 
 def classify_async_exchanges(
@@ -264,8 +222,8 @@ def classify_async_exchanges(
     delay_model: DelayModel,
     rng: RandomSource,
     count: int,
-) -> np.ndarray:
-    """Batched exchange fates for the *asynchronous* engines.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched exchange fates for the asynchronous engine.
 
     Extends :meth:`TransportModel.classify_exchanges` with the timeout
     semantics of Section 4.2: an exchange whose request arrived but whose
@@ -274,16 +232,20 @@ def classify_async_exchanges(
     the reply lands, while the initiator gave up waiting — so such slots
     are reclassified from ``COMPLETED`` to ``RESPONSE_LOST``.
 
+    Returns ``(outcomes, delivered)``: the codes with the timeout folded
+    in, and whether each response physically arrived (however late).
+
     Loss variables are drawn first (one batch per stage, data-independent
     counts, same discipline as ``classify_exchanges``), then one request
     and one response latency per exchange regardless of the loss outcome,
     so the stream consumption depends only on ``count``.
     """
     outcomes = transport.classify_exchanges(rng, count)
+    delivered = outcomes == OUTCOME_COMPLETED
     if count == 0:
-        return outcomes
+        return outcomes, delivered
     request_delays = delay_model.sample_delays(rng, count)
     response_delays = delay_model.sample_delays(rng, count)
     timed_out = (request_delays + response_delays) > delay_model.timeout
-    outcomes[(outcomes == OUTCOME_COMPLETED) & timed_out] = OUTCOME_RESPONSE_LOST
-    return outcomes
+    outcomes[delivered & timed_out] = OUTCOME_RESPONSE_LOST
+    return outcomes, delivered

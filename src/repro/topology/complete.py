@@ -4,7 +4,7 @@ In the complete topology every node knows every other node, so peer
 selection is a uniform draw over all other live nodes.  Materialising the
 full adjacency would cost O(N^2) memory, so this overlay is implemented
 directly against the :class:`~repro.topology.base.OverlayProvider`
-interface with O(N) state.
+interface with O(N) state; :func:`complete_topology` always builds it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from ..common.errors import TopologyError
 from ..common.rng import RandomSource
 from ..common.validation import require_positive
-from .base import OverlayProvider, StaticTopology
+from .base import OverlayProvider
 
 __all__ = ["CompleteOverlay", "complete_topology"]
 
@@ -112,22 +112,6 @@ class CompleteOverlay(OverlayProvider):
         return f"CompleteOverlay(nodes={len(self._nodes)})"
 
 
-def complete_topology(size: int, materialise: bool = False) -> OverlayProvider:
-    """Build a complete overlay of ``size`` nodes.
-
-    Parameters
-    ----------
-    size:
-        Number of nodes.
-    materialise:
-        If ``True`` build an explicit :class:`StaticTopology` with all
-        O(N^2) edges (useful for small graphs in tests); otherwise return
-        the memory-efficient :class:`CompleteOverlay`.
-    """
-    require_positive(size, "size")
-    if not materialise:
-        return CompleteOverlay(size)
-    adjacency = {
-        node: set(peer for peer in range(size) if peer != node) for node in range(size)
-    }
-    return StaticTopology(adjacency, name="complete")
+def complete_topology(size: int) -> OverlayProvider:
+    """Build the memory-efficient complete overlay of ``size`` nodes."""
+    return CompleteOverlay(size)

@@ -2,7 +2,9 @@
 
 Experiments sweep over topology families (Figure 3 of the paper); the
 factory maps a short, declarative :class:`TopologySpec` onto the concrete
-generator so experiment configuration stays data-only.
+generator so experiment configuration stays data-only.  A spec's kind,
+degree and ``beta`` are the whole configuration; the one extra key is
+NEWSCAST's ``vectorized``, which names the dict-based parity oracle.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ TOPOLOGY_KINDS = (
 )
 
 #: ``params`` keys each kind accepts; kinds not listed accept none.
-_PARAM_KEYS = {
-    "complete": ("materialise",),
-    "newscast": ("vectorized", "warmup_cycles"),
-}
+_PARAM_KEYS = {"newscast": ("vectorized",)}
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,9 @@ class TopologySpec:
     beta:
         Watts–Strogatz rewiring probability (ignored by other kinds).
     params:
-        Extra keyword parameters forwarded to the generator:
-        ``materialise`` for ``complete``; ``warmup_cycles`` and
-        ``vectorized`` for ``newscast`` (``False`` selects the dict-based
-        parity oracle instead of the array-native overlay).  Any other
-        key is a :class:`ConfigurationError`.
+        Only ``newscast`` takes one: ``{"vectorized": False}`` selects the
+        dict-based parity oracle instead of the array-native overlay.  Any
+        other key is a :class:`ConfigurationError`.
     """
 
     kind: str
@@ -117,7 +114,7 @@ def build_overlay(spec: TopologySpec, size: int, rng: RandomSource) -> OverlayPr
     if kind == "random":
         return random_k_out_topology(size, spec.degree, rng)
     if kind == "complete":
-        return complete_topology(size, **spec.params)
+        return complete_topology(size)
     if kind == "ring-lattice":
         return ring_lattice_topology(size, spec.degree)
     if kind == "watts-strogatz":
@@ -132,8 +129,7 @@ def build_overlay(spec: TopologySpec, size: int, rng: RandomSource) -> OverlayPr
         overlay_class = (
             VectorizedNewscastOverlay if spec.builds_array_newscast() else NewscastOverlay
         )
-        params = {key: value for key, value in spec.params.items() if key != "vectorized"}
-        return overlay_class.bootstrap(size, cache_size=spec.degree, rng=rng, **params)
+        return overlay_class.bootstrap(size, cache_size=spec.degree, rng=rng)
     raise ConfigurationError(
         f"unknown topology kind {spec.kind!r}; expected one of {TOPOLOGY_KINDS}"
     )

@@ -15,15 +15,16 @@ from repro.common.errors import ConfigurationError
 
 class TestTrimmedMean:
     def test_plain_mean_when_nothing_trimmed(self):
-        assert trimmed_mean([1.0, 2.0, 3.0], discard_fraction=0.0) == 2.0
+        # Below three values a third of the sample is less than one value.
+        assert trimmed_mean([1.0, 3.0]) == 2.0
 
     def test_paper_third_trimming(self):
         values = [0.0, 10.0, 10.0, 10.0, 10.0, 1000.0]
-        assert trimmed_mean(values, discard_fraction=1.0 / 3.0) == 10.0
+        assert trimmed_mean(values) == 10.0
 
     def test_infinities_are_trimmed_first(self):
         values = [math.inf, 10.0, 10.0, 10.0, 10.0, -math.inf]
-        assert trimmed_mean(values, discard_fraction=1.0 / 3.0) == 10.0
+        assert trimmed_mean(values) == 10.0
 
     def test_all_infinite_returns_inf(self):
         assert trimmed_mean([math.inf, math.inf, math.inf]) == math.inf
@@ -35,13 +36,9 @@ class TestTrimmedMean:
         with pytest.raises(ConfigurationError):
             trimmed_mean([])
 
-    def test_excessive_fraction_rejected(self):
-        with pytest.raises(ConfigurationError):
-            trimmed_mean([1.0, 2.0], discard_fraction=0.5)
-
     def test_order_does_not_matter(self):
         values = [5.0, 1.0, 9.0, 3.0, 7.0, 100.0]
-        assert trimmed_mean(values, 1.0 / 3.0) == trimmed_mean(sorted(values), 1.0 / 3.0)
+        assert trimmed_mean(values) == trimmed_mean(sorted(values))
 
 
 class TestMedian:

@@ -7,7 +7,7 @@ The acceptance claims of the asynchronous subsystem:
   convergence factor across the {overlay} × {drift} × {loss} grid;
 * the full practical protocol (NEWSCAST membership, epochs, adaptive
   COUNT) tracks the true network size within tolerance under drift,
-  loss, churn and staggered start;
+  loss and churn;
 * epoch identifiers advance at the Δ pace (regression for the epidemic
   epoch-escalation bug, where a jumping node's stale restart timer
   pushed it an extra epoch ahead).
@@ -368,7 +368,7 @@ class TestDryEpochs:
             assert record.mean_estimate == pytest.approx(size, rel=0.15)
 
 
-class TestChurnAndStagger:
+class TestChurn:
     def test_churn_keeps_estimates_reasonable(self):
         runner = TestAsyncCount()
         simulator, protocol = runner.run_count(seed=31, churn=1, epochs=3)
@@ -378,21 +378,6 @@ class TestChurnAndStagger:
             assert record.mean_estimate == pytest.approx(SIZE, rel=0.25)
         # Churn replaced crashed nodes, so the population is steady.
         assert simulator.alive_ids().size == pytest.approx(SIZE, abs=2)
-
-    def test_staggered_start_boots_everyone_eventually(self):
-        scenario = LAN.with_overrides(start_stagger=5.0)
-        simulator, _ = build_average(seed=33, scenario=scenario)
-        assert simulator.active_ids().size < SIZE
-        simulator.run(8)
-        assert simulator.active_ids().size == SIZE
-        assert simulator.statistics["activations"] == SIZE
-        simulator.run(17)
-        truth = np.mean(list(linear_values().values()))
-        assert simulator.trace.final.mean == pytest.approx(truth, rel=0.05)
-        # Cycle 0 has no booted nodes yet; compare against the first
-        # fully-populated window instead.
-        fully_booted = simulator.trace.record_at(8)
-        assert simulator.trace.final.variance < fully_booted.variance
 
 
 class TestScenarioLayer:

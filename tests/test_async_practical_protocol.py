@@ -380,8 +380,11 @@ class TestRobustness:
         assert simulator.current_estimates().tolist() == [float(n) for n in range(SIZE)]
 
     def test_link_failure_drops_without_state_change(self):
-        scenario = LAN.with_overrides(link_failure=1.0)
-        simulator, _ = build_average(seed=9, scenario=scenario)
+        simulator = simulator_with(
+            AsyncAverageProtocol(node_values()),
+            seed=9,
+            transport=TransportModel(link_failure_probability=1.0),
+        )
         simulator.run(5)
         assert simulator.statistics["completed"] == 0
         assert simulator.trace.final.variance == simulator.trace.initial.variance
@@ -504,16 +507,9 @@ class TestAccessorsAndValidation:
         with pytest.raises(ConfigurationError, match="record_every"):
             simulator_with(AsyncAverageProtocol(node_values()), record_every=record_every)
 
-    @pytest.mark.parametrize("option", ["clock_drift", "start_stagger"])
-    def test_negative_timing_options_rejected(self, option):
+    def test_negative_clock_drift_rejected(self):
         with pytest.raises(ConfigurationError):
-            simulator_with(AsyncAverageProtocol(node_values()), **{option: -0.1})
-
-    @pytest.mark.parametrize("fraction", [0.5, 1.0])
-    def test_heavy_discard_fraction_rejected(self, fraction):
-        election = LeaderElection(concurrent_target=5.0, estimated_size=float(SIZE))
-        with pytest.raises(ConfigurationError):
-            AsyncCountProtocol(election, discard_fraction=fraction)
+            simulator_with(AsyncAverageProtocol(node_values()), clock_drift=-0.1)
 
     def test_empty_overlay_rejected(self):
         overlay = CompleteOverlay(1)

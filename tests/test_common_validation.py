@@ -15,6 +15,7 @@ from repro.common.errors import (
 from repro.common.validation import (
     require,
     require_non_negative,
+    require_non_negative_int,
     require_positive,
     require_positive_int,
     require_probability,
@@ -75,6 +76,13 @@ class TestValidationHelpers:
         for bad in (0, -2, 2.5, 3.0, True, "3", None):
             with pytest.raises(ConfigurationError, match="n must be a positive integer"):
                 require_positive_int(bad, "n")
+
+    def test_require_non_negative_int(self):
+        require_non_negative_int(0, "n")
+        require_non_negative_int(np.int64(3), "n")
+        for bad in (-1, 2.5, 0.0, False, True, "3", None):
+            with pytest.raises(ConfigurationError, match="n must be a non-negative integer"):
+                require_non_negative_int(bad, "n")
 
     def test_error_messages_name_the_parameter(self):
         with pytest.raises(ConfigurationError, match="cache_size"):

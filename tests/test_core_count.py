@@ -12,7 +12,6 @@ from repro.core.count import (
     CountArrayFunction,
     LeaderElection,
     count_estimate_from_map,
-    count_estimates_from_matrix,
     network_size_from_estimate,
     peak_initial_values,
 )
@@ -32,17 +31,13 @@ def count_map():
 
 class TestPeakDistribution:
     def test_peak_values(self):
-        values = peak_initial_values(5, leader=2)
-        assert values == [0.0, 0.0, 1.0, 0.0, 0.0]
+        values = peak_initial_values(5)
+        assert values == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_custom_peak_value(self):
-        values = peak_initial_values(4, leader=0, peak_value=4.0)
+        values = peak_initial_values(4, peak_value=4.0)
         assert values[0] == 4.0
         assert sum(values) == 4.0
-
-    def test_leader_must_be_valid(self):
-        with pytest.raises(ConfigurationError):
-            peak_initial_values(3, leader=3)
 
     def test_size_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -163,41 +158,24 @@ class TestCountEstimateFromMap:
 
     def test_trimming_discards_outliers(self):
         state = {1: 1e-9, 2: 0.01, 3: 0.01, 4: 0.01, 5: 0.5, 6: 0.01}
-        trimmed = count_estimate_from_map(state, discard_fraction=1.0 / 3.0)
+        trimmed = count_estimate_from_map(state)
         assert trimmed == pytest.approx(100.0, rel=0.05)
-
-    @pytest.mark.parametrize("fraction", [0.5, 0.9, 1.0])
-    def test_heavy_discard_fraction_rejected(self, fraction):
-        # discard_fraction >= 0.5 would trim away every entry; both count
-        # reducers refuse it instead of silently averaging the whole map.
-        state = {1: 0.01, 2: 0.02}
-        with pytest.raises(ConfigurationError):
-            count_estimate_from_map(state, discard_fraction=fraction)
-        row = CountArrayFunction([1, 2]).encode_state(state)[None, :]
-        with pytest.raises(ConfigurationError):
-            count_estimates_from_matrix(row[:, :2], row[:, 2:], fraction)
 
     def test_all_infinite_entries_give_infinity(self):
         # Entries whose averaging mass vanished estimate an infinite size;
         # if nothing finite remains, the node reports inf.
         assert count_estimate_from_map({1: 0.0, 2: 0.0}) == math.inf
-        assert count_estimate_from_map({1: 0.0}, discard_fraction=1.0 / 3.0) == math.inf
+        assert count_estimate_from_map({1: 0.0}) == math.inf
 
     def test_infinite_entries_are_trimmed_first(self):
         state = {1: 0.0, 2: 0.01, 3: 0.01, 4: 0.01, 5: 0.01, 6: 1.0}
-        trimmed = count_estimate_from_map(state, discard_fraction=1.0 / 3.0)
+        trimmed = count_estimate_from_map(state)
         assert trimmed == pytest.approx(100.0, rel=0.05)
 
-    def test_invalid_discard_fraction_rejected(self):
-        with pytest.raises(ConfigurationError):
-            count_estimate_from_map({1: 0.1}, discard_fraction=-0.1)
-        with pytest.raises(ConfigurationError):
-            count_estimate_from_map({1: 0.1}, discard_fraction=1.5)
-
     @settings(max_examples=60, deadline=None)
-    @given(state=count_maps, fraction=st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.49]))
-    def test_estimate_bounded_by_per_entry_extremes(self, state, fraction):
-        estimate = count_estimate_from_map(state, discard_fraction=fraction)
+    @given(state=count_maps)
+    def test_estimate_bounded_by_per_entry_extremes(self, state):
+        estimate = count_estimate_from_map(state)
         sizes = [network_size_from_estimate(value) for value in state.values()]
         finite = [size for size in sizes if math.isfinite(size)]
         if not finite:

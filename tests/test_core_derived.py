@@ -29,9 +29,9 @@ class TestMeanAggregate:
 
 class TestNetworkSizeAggregate:
     def test_initial_values_form_peak(self):
-        aggregate = NetworkSizeAggregate(leader=1)
+        aggregate = NetworkSizeAggregate()
         values = aggregate.initial_values([0.0] * 4)
-        assert values == {0: 0.0, 1: 1.0, 2: 0.0, 3: 0.0}
+        assert values == {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}
 
     def test_finalize_inverts_estimate(self):
         assert NetworkSizeAggregate().finalize(0.25) == 4.0
@@ -49,7 +49,7 @@ class TestSumAggregate:
         assert len(SumAggregate().function) == 2
 
     def test_initial_values_pair_value_with_peak(self):
-        aggregate = SumAggregate(leader=0)
+        aggregate = SumAggregate()
         values = aggregate.initial_values([3.0, 4.0, 5.0])
         assert values[0] == (3.0, 1.0)
         assert values[1] == (4.0, 0.0)

@@ -49,7 +49,7 @@ class TestReduceSizeEstimates:
     def test_trimming_removes_diverged_instances(self):
         # One instance diverged to infinity (mass lost) and one collapsed.
         estimates = [0.01, 0.01, 0.01, 0.0, 1.0, 0.01]
-        reduced = reduce_size_estimates(estimates, discard_fraction=1.0 / 3.0)
+        reduced = reduce_size_estimates(estimates)
         assert math.isfinite(reduced)
         assert reduced == pytest.approx(100.0, rel=0.2)
 

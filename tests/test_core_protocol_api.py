@@ -52,7 +52,7 @@ class TestBasicAggregates:
         assert result.mean_estimate == pytest.approx(1.1 ** 80, rel=0.05)
 
     def test_custom_derived_aggregate_instance(self):
-        result = aggregate([0.0] * 80, aggregate=NetworkSizeAggregate(leader=3), seed=8)
+        result = aggregate([0.0] * 80, aggregate=NetworkSizeAggregate(), seed=8)
         assert result.mean_estimate == pytest.approx(80.0, rel=1e-3)
 
 

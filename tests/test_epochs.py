@@ -199,20 +199,6 @@ class TestEpochDriverEquivalence:
             with pytest.raises(ConfigurationError):
                 build_driver(engine)
 
-    @pytest.mark.parametrize("fraction", [-0.1, 0.5, 0.9, 1.0])
-    def test_trim_fraction_must_be_below_one_half(self, fraction):
-        # Regression: f >= 0.5 emptied the trim window, so the reduction
-        # silently averaged the whole map and reported what f = 0 reports.
-        rng = RandomSource(2)
-        with pytest.raises(ConfigurationError):
-            EpochDriver(
-                build_overlay(OVERLAYS["newscast"], SIZE, rng.child("t")),
-                LeaderElection(concurrent_target=5.0, estimated_size=float(SIZE)),
-                EpochConfig(cycles_per_epoch=GAMMA),
-                rng.child("d"),
-                discard_fraction=fraction,
-            )
-
     def test_result_helpers(self):
         result = build_driver("vectorized").run(EPOCHS)
         assert result.estimates() == [r.size_estimate for r in result.records]
@@ -236,7 +222,7 @@ class ScriptedMembership(FailureModel):
         for victim in simulator.participant_ids()[: self.crashes]:
             simulator.crash_node(victim)
         for _ in range(self.joins):
-            simulator.add_node(participating=False)
+            simulator.add_node()
 
 
 class TestSynchronisationCounts:
@@ -440,18 +426,17 @@ class TestBatchedReduction:
         for _ in range(count):
             subset = draw(st.lists(st.sampled_from(leaders), max_size=len(leaders), unique=True))
             maps.append({leader: draw(values) for leader in subset})
-        fraction = draw(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.49]))
-        return leaders, maps, fraction
+        return leaders, maps
 
     @settings(max_examples=60, deadline=None)
     @given(data=random_maps())
     def test_matrix_reduction_matches_scalar(self, data):
-        leaders, maps, fraction = data
+        leaders, maps = data
         function = CountArrayFunction(leaders)
         block = np.vstack([function.encode_state(state) for state in maps])
         width = len(function.leaders)
-        batched = count_estimates_from_matrix(block[:, :width], block[:, width:], fraction)
-        scalar = [count_estimate_from_map(state, fraction) for state in maps]
+        batched = count_estimates_from_matrix(block[:, :width], block[:, width:])
+        scalar = [count_estimate_from_map(state) for state in maps]
         for row, expected in zip(batched, scalar):
             if math.isinf(expected):
                 assert math.isinf(row)
@@ -469,13 +454,6 @@ class TestBatchedReduction:
             )
         with pytest.raises(ConfigurationError):
             bundle.size_estimates_array(np.zeros((4, 3)))
-        # Heavy trim fractions are rejected at construction, on every
-        # reducer, exactly as the scalar trimmed_mean rejects them.
-        for reducer in ("trimmed", "median"):
-            with pytest.raises(ConfigurationError):
-                MultiInstanceCount.create(
-                    list(range(5)), 3, RandomSource(1), discard_fraction=0.5, reducer=reducer
-                )
 
 
 class TestBatchedElection:

@@ -59,7 +59,7 @@ class TestConvergenceClaims:
     def test_precision_after_thirty_cycles(self):
         """Figure 2: 30 cycles suffice for very high precision from a peak start."""
         size = 400
-        values = peak_initial_values(size, leader=0, peak_value=float(size))
+        values = peak_initial_values(size, peak_value=float(size))
         simulator = run_average(size, values, cycles=30, seed=3)
         estimates = list(simulator.estimates().values())
         assert max(estimates) == pytest.approx(1.0, rel=0.01)

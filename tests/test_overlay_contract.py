@@ -3,9 +3,8 @@
 The engines draw peers only through ``select_peers_batch`` (one call per
 cycle or window); failure models remove and add nodes through
 ``on_node_removed`` / ``on_node_added``.  Every store the factory builds —
-the static row store behind the four generated graphs and the
-materialised complete graph, the O(N) complete overlay, array NEWSCAST
-and the dict NEWSCAST oracle — answers those calls the same way:
+the static row store behind the four generated graphs, the O(N) complete
+overlay, array NEWSCAST and the dict NEWSCAST oracle — answers those calls the same way:
 
 * negative, out-of-table and removed identifiers get no peer (``-1``),
   and the first two consume no randomness, so a batch that mixes them in
@@ -30,7 +29,6 @@ STORES = {
     "watts-strogatz": TopologySpec("watts-strogatz", degree=4, beta=0.2),
     "scale-free": TopologySpec("scale-free", degree=3),
     "complete": TopologySpec("complete"),
-    "complete-materialised": TopologySpec("complete", params={"materialise": True}),
     "newscast": TopologySpec("newscast", degree=8),
     "newscast-dict": TopologySpec("newscast", degree=8, params={"vectorized": False}),
 }

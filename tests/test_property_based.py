@@ -121,13 +121,13 @@ class TestCountMapInvariants:
 class TestTrimmedMeanProperties:
     @given(values=st.lists(finite_values, min_size=1, max_size=30))
     def test_result_within_sample_range(self, values):
-        result = trimmed_mean(values, discard_fraction=1.0 / 3.0)
+        result = trimmed_mean(values)
         assert min(values) - 1e-9 <= result <= max(values) + 1e-9
 
     @given(values=st.lists(finite_values, min_size=1, max_size=30), scalar=finite_values)
     def test_translation_equivariance(self, values, scalar):
-        base = trimmed_mean(values, 1.0 / 3.0)
-        shifted = trimmed_mean([v + scalar for v in values], 1.0 / 3.0)
+        base = trimmed_mean(values)
+        shifted = trimmed_mean([v + scalar for v in values])
         assert shifted == pytest.approx(base + scalar, rel=1e-6, abs=1e-6)
 
     @given(
@@ -135,8 +135,8 @@ class TestTrimmedMeanProperties:
         outlier=st.floats(min_value=1e8, max_value=1e12, allow_nan=False),
     )
     def test_single_outlier_is_ignored(self, values, outlier):
-        clean = trimmed_mean(values, 1.0 / 3.0)
-        polluted = trimmed_mean(values + [outlier], 1.0 / 3.0)
+        clean = trimmed_mean(values)
+        polluted = trimmed_mean(values + [outlier])
         assert polluted < 1e6
         assert abs(polluted - clean) < 200
 

@@ -1,0 +1,160 @@
+"""The settable surface: every front door's parameters, pinned in one table.
+
+Each entry names a public function, constructor or configuration record
+and the exact parameter (or field) names it accepts, in order.  A new
+option, or a retired one, therefore shows up as a reviewed edit of
+:data:`SURFACE` rather than slipping in through a signature.  The two
+accepted-value registries — the ``params`` keys per topology kind and the
+latency distributions — are pinned the same way.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from repro.analysis.statistics import trimmed_mean
+from repro.core import aggregate
+from repro.core.count import (
+    count_estimate_from_map,
+    count_estimates_from_matrix,
+    peak_initial_values,
+)
+from repro.core.derived import NetworkSizeAggregate, ProductAggregate, SumAggregate
+from repro.core.epoch import EpochConfig
+from repro.core.instances import MultiInstanceCount, reduce_size_estimates
+from repro.experiments.runner import (
+    RunPlan,
+    repeat_simulations,
+    repeat_traces,
+    run_async_count,
+    run_epoched_count,
+    uniform_initial_values,
+)
+from repro.simulator import (
+    AsyncPracticalSimulator,
+    AsynchronyScenario,
+    ByzantineReporterModel,
+    ChurnModel,
+    CountCrashModel,
+    CycleSimulator,
+    DelayModel,
+    EpochDriver,
+    NoFailures,
+    PartitionOutageModel,
+    ProportionalCrashModel,
+    ReplicatedCycleSimulator,
+    SuddenDeathModel,
+    TransportModel,
+    VectorizedCycleSimulator,
+    build_async_average,
+    build_async_count,
+    make_simulator,
+)
+from repro.simulator.transport import DELAY_DISTRIBUTIONS
+from repro.topology.complete import complete_topology
+from repro.topology.generators import _PARAM_KEYS
+
+CYCLE_ENGINE = (
+    "overlay", "function", "initial_values", "rng", "transport", "failure_model",
+    "record_every", "reachability",
+)
+
+#: Front door -> the names a caller can set, in signature (or field) order.
+SURFACE = {
+    # Cycle engines
+    make_simulator: CYCLE_ENGINE[:7] + ("engine", "reachability"),
+    CycleSimulator: CYCLE_ENGINE,
+    VectorizedCycleSimulator: CYCLE_ENGINE,
+    ReplicatedCycleSimulator: ("replicas", "function", "transport", "record_every"),
+    # Repeats and the practical protocol
+    repeat_simulations: ("repeats", "seed", "make_run", "plan", "engine"),
+    repeat_traces: ("repeats", "seed", "make_run", "plan", "engine"),
+    RunPlan: (
+        "topology", "size", "cycles", "values", "function_factory", "transport",
+        "failure_factory", "record_every", "collect",
+    ),
+    EpochDriver: (
+        "overlay", "election", "epoch_config", "rng", "transport", "failure_factory",
+        "engine", "record_every",
+    ),
+    EpochConfig: ("cycle_length", "cycles_per_epoch", "epoch_length"),
+    run_epoched_count: (
+        "topology", "size", "epochs", "rng", "concurrent_target", "initial_estimate",
+        "epoch_config", "transport", "failure_factory", "engine", "record_every",
+    ),
+    # The asynchronous engine
+    run_async_count: (
+        "topology", "size", "epochs", "rng", "scenario", "concurrent_target",
+        "initial_estimate", "epoch_config", "record_every",
+    ),
+    build_async_average: (
+        "overlay", "values", "rng", "scenario", "epoch_config", "record_every",
+    ),
+    build_async_count: (
+        "overlay", "rng", "scenario", "epoch_config", "concurrent_target",
+        "initial_estimate", "record_every",
+    ),
+    AsyncPracticalSimulator: (
+        "overlay", "protocol", "epoch_config", "rng", "delay_model", "transport",
+        "clock_drift", "record_every", "window_hook",
+    ),
+    AsynchronyScenario: (
+        "name", "latency", "min_delay", "max_delay", "latency_sigma", "timeout",
+        "clock_drift", "message_loss", "churn_per_window",
+    ),
+    DelayModel: ("min_delay", "max_delay", "timeout", "distribution", "sigma"),
+    TransportModel: ("link_failure_probability", "message_loss_probability"),
+    # Failure models
+    NoFailures: (),
+    ProportionalCrashModel: ("crash_probability",),
+    SuddenDeathModel: ("fraction", "at_cycle"),
+    ChurnModel: ("replacements_per_cycle",),
+    CountCrashModel: ("crashes_per_cycle",),
+    PartitionOutageModel: ("boundary", "start_cycle", "heal_cycle"),
+    ByzantineReporterModel: ("fraction", "instance_fraction"),
+    # COUNT and its reductions
+    MultiInstanceCount: ("function", "initial_values", "leaders", "reducer"),
+    MultiInstanceCount.create: ("node_ids", "instance_count", "rng", "reducer"),
+    reduce_size_estimates: ("estimates", "reducer"),
+    trimmed_mean: ("values",),
+    count_estimate_from_map: ("state",),
+    count_estimates_from_matrix: ("values", "mask"),
+    peak_initial_values: ("size", "peak_value"),
+    uniform_initial_values: ("size", "rng"),
+    NetworkSizeAggregate: (),
+    SumAggregate: (),
+    ProductAggregate: (),
+    complete_topology: ("size",),
+    # The one-call entry point
+    aggregate: (
+        "values", "aggregate", "topology", "cycles", "seed", "transport", "failure_model",
+    ),
+}
+
+#: Records configured through dataclass fields rather than a hand-written
+#: constructor; their fields are the surface.
+RECORDS = (RunPlan, EpochConfig, AsynchronyScenario, DelayModel, TransportModel)
+
+
+def settable_names(door):
+    if door in RECORDS:
+        return tuple(field.name for field in dataclasses.fields(door))
+    return tuple(inspect.signature(door).parameters)
+
+
+@pytest.mark.parametrize("door", list(SURFACE), ids=lambda door: door.__qualname__)
+def test_front_door_parameters(door):
+    assert settable_names(door) == SURFACE[door]
+
+
+def test_records_are_dataclasses():
+    assert all(dataclasses.is_dataclass(record) for record in RECORDS)
+
+
+def test_topology_params_keys():
+    assert _PARAM_KEYS == {"newscast": ("vectorized",)}
+
+
+def test_latency_distributions():
+    assert DELAY_DISTRIBUTIONS == ("uniform", "lognormal")

@@ -565,7 +565,7 @@ class TestReplicaViewSurface:
         view.crash_node(7)
         assert 7 in view.crashed_ids()
         assert 7 not in view.participant_ids()
-        joined = view.add_node(value=3.0, participating=False)
+        joined = view.add_node()
         assert joined in view.non_participant_ids()
         assert not view.is_participant(joined)
         # The sibling replica is untouched throughout.
@@ -578,9 +578,9 @@ class TestReplicaViewSurface:
         states = view.states()
         sibling_states = None if door.sibling is None else door.sibling.states()
         for _ in range(40):  # force at least one stride growth
-            view.add_node(participating=True)
+            view.add_node()
         assert {node: view.state_of(node) for node in states} == states
-        assert view.state_of(45) == 0.0
+        assert 45 in view.non_participant_ids()
         if door.sibling is not None:
             assert door.sibling.states() == sibling_states
 
@@ -597,7 +597,7 @@ class TestReplicaViewSurface:
         engine = build_replicated_engine()
         engine.run(3)
         before = engine.view(1).last_cycle_contact_counts
-        engine.view(1).add_node(participating=False)  # grows the stride
+        engine.view(1).add_node()  # grows the stride
         assert engine.view(1).last_cycle_contact_counts == before
 
     def test_contact_counts_keyed_by_last_cycle_participants(self):
@@ -621,7 +621,7 @@ class TestReplicaViewSurface:
         ]:
             run(2)
             view.crash_node(7)
-            joined = view.add_node(participating=True)
+            joined = view.add_node()
             counts = view.last_cycle_contact_counts
             assert 7 in counts and joined not in counts
             answers.append(counts)
@@ -649,7 +649,7 @@ class TestReplicaViewSurface:
     def test_is_participant(self, door):
         view = door.surface
         view.crash_node(3)
-        waiting = view.add_node(participating=False)
+        waiting = view.add_node()
         assert view.is_participant(0)
         assert not view.is_participant(3)
         assert not view.is_participant(waiting)
@@ -761,16 +761,3 @@ class TestNewscastBlockEdges:
             [(block.overlay(0), RandomSource(10)), (block.overlay(1), RandomSource(11))]
         )
         assert block.overlay(0).clock == block.overlay(1).clock + 1
-
-
-class TestReplicatedNewscastWithExtraParams:
-    def test_extra_bootstrap_params_fall_back_per_replica(self):
-        spec = TopologySpec(
-            "newscast", degree=6, params={"vectorized": True, "warmup_cycles": 2}
-        )
-        plan = RunPlan(
-            topology=spec, size=40, cycles=4, values=uniform_initial_values
-        )
-        serial = repeat_traces(2, SEED, plan=plan, engine="serial")
-        replicated = repeat_traces(2, SEED, plan=plan)
-        assert_traces_identical(serial, replicated)

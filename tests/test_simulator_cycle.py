@@ -128,23 +128,17 @@ class TestMembershipOperations:
         simulator.crash_node(3)
         assert simulator.crashed_ids().count(3) == 1
 
-    def test_add_node_waits_for_next_epoch_by_default(self):
+    def test_add_node_waits_for_next_epoch(self):
         simulator = make_simulator()
-        node = simulator.add_node(value=5.0)
+        node = simulator.add_node()
         assert node not in simulator.participant_ids()
         assert not simulator.is_participant(node)
         assert node in simulator.non_participant_ids()
         assert simulator.overlay.contains(node)
 
-    def test_add_participating_node(self):
-        simulator = make_simulator()
-        node = simulator.add_node(value=5.0, participating=True)
-        assert node in simulator.participant_ids()
-        assert simulator.state_of(node) == 5.0
-
     def test_non_participants_do_not_skew_estimates(self):
         simulator = make_simulator(values=[10.0] * 50)
-        simulator.add_node(value=0.0)
+        simulator.add_node()
         simulator.run(3)
         assert simulator.trace.final.mean == pytest.approx(10.0)
 

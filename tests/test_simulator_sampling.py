@@ -113,7 +113,7 @@ class TestInt32RankPlane:
             rng.child("run"),
         )
         scratches.append(static._engine._scratch)
-        static.add_node(1.0, participating=True)
+        static.add_node()
         static.run(2)
         assert static._engine.stride > 8
         scratches.append(static._engine._scratch)

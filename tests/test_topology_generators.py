@@ -112,9 +112,10 @@ class TestBarabasiAlbert:
 
 
 class TestCompleteOverlay:
-    def test_materialised_graph_has_all_edges(self):
-        topology = complete_topology(6, materialise=True)
-        assert topology.edge_count() == 15
+    def test_every_node_knows_every_other(self):
+        overlay = complete_topology(6)
+        for node in range(6):
+            assert sorted(overlay.neighbors(node)) == [peer for peer in range(6) if peer != node]
 
     def test_select_peers_batch_never_returns_self(self, rng):
         overlay = complete_topology(10)
@@ -178,7 +179,7 @@ class TestFactory:
         assert isinstance(overlay, NewscastOverlay)
         assert overlay.size() == 40
 
-    @pytest.mark.parametrize("params", [{}, {"vectorized": True}, {"warmup_cycles": 2}])
+    @pytest.mark.parametrize("params", [{}, {"vectorized": True}])
     def test_newscast_is_array_native_unless_the_oracle_is_named(self, rng, params):
         spec = TopologySpec("newscast", degree=8, params=params)
         assert spec.builds_array_newscast()
@@ -189,8 +190,9 @@ class TestFactory:
     @pytest.mark.parametrize(
         "kind, params, accepted",
         [
-            ("newscast", {"vectorised": True}, "['vectorized', 'warmup_cycles']"),
-            ("complete", {"materialize": True}, "['materialise']"),
+            ("newscast", {"vectorised": True}, "['vectorized']"),
+            ("newscast", {"warmup_cycles": 2}, "['vectorized']"),
+            ("complete", {"materialize": True}, "[]"),
             ("random", {"bogus": 1}, "[]"),
             ("Watts-Strogatz", {"beta": 0.5}, "[]"),
         ],
@@ -205,16 +207,6 @@ class TestFactory:
     def test_non_bool_vectorized_rejected(self, value):
         with pytest.raises(ConfigurationError, match="must be a bool"):
             TopologySpec("newscast", params={"vectorized": value})
-
-    def test_accepted_params_reach_the_generator(self, rng):
-        materialised = build_overlay(
-            TopologySpec("complete", params={"materialise": True}), 6, rng
-        )
-        assert not isinstance(materialised, CompleteOverlay)
-        cold = build_overlay(
-            TopologySpec("newscast", degree=4, params={"warmup_cycles": 0}), 20, rng
-        )
-        assert cold.clock == 0
 
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(ConfigurationError):

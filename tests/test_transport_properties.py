@@ -1,7 +1,7 @@
 """Property-based tests for the communication models.
 
-Covers the three contracts the asynchronous engines lean on:
-``round_trip_within_timeout`` boundary behaviour, the batched
+Covers the three contracts the asynchronous engine leans on: the
+inclusive timeout boundary of ``classify_async_exchanges``, the batched
 ``classify_exchanges`` being bit-identical to a stage-major scalar loop
 from the same seed, and validation of malformed probabilities and delay
 configurations.
@@ -17,7 +17,6 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomSource
 from repro.simulator.transport import (
     DelayModel,
-    ExchangeOutcome,
     OUTCOME_COMPLETED,
     OUTCOME_DROPPED,
     OUTCOME_RESPONSE_LOST,
@@ -29,24 +28,29 @@ probabilities = st.floats(0.0, 1.0, allow_nan=False)
 delays = st.floats(0.0, 10.0, allow_nan=False)
 
 
+def completes_within_timeout(delay: float, timeout: float) -> bool:
+    """Whether a perfect exchange with a fixed one-way ``delay`` beats ``timeout``."""
+    model = DelayModel(min_delay=delay, max_delay=delay, timeout=timeout)
+    outcomes, delivered = classify_async_exchanges(TransportModel(), model, RandomSource(0), 4)
+    assert delivered.all()
+    assert len(set(outcomes.tolist())) == 1
+    return bool(outcomes[0] == OUTCOME_COMPLETED)
+
+
 class TestRoundTripTimeout:
     @settings(max_examples=80, deadline=None)
-    @given(request=delays, response=delays, timeout=delays)
-    def test_boundary_is_inclusive(self, request, response, timeout):
-        model = DelayModel(min_delay=0.0, max_delay=1.0, timeout=timeout)
-        expected = (request + response) <= timeout
-        assert model.round_trip_within_timeout(request, response) == expected
+    @given(delay=delays, timeout=delays)
+    def test_boundary_is_inclusive(self, delay, timeout):
+        assert completes_within_timeout(delay, timeout) == ((delay + delay) <= timeout)
 
     def test_exact_boundary_counts_as_within(self):
-        model = DelayModel(min_delay=0.0, max_delay=1.0, timeout=0.5)
         # 0.25 + 0.25 is exactly representable and exactly the timeout.
-        assert model.round_trip_within_timeout(0.25, 0.25)
-        assert not model.round_trip_within_timeout(0.25, 0.250001)
+        assert completes_within_timeout(0.25, 0.5)
+        assert not completes_within_timeout(0.250001, 0.5)
 
     def test_zero_timeout_only_admits_zero_round_trip(self):
-        model = DelayModel(min_delay=0.0, max_delay=1.0, timeout=0.0)
-        assert model.round_trip_within_timeout(0.0, 0.0)
-        assert not model.round_trip_within_timeout(1e-12, 0.0)
+        assert completes_within_timeout(0.0, 0.0)
+        assert not completes_within_timeout(1e-12, 0.0)
 
 
 class TestClassifyExchangesBatch:
@@ -102,7 +106,6 @@ class TestClassifyExchangesBatch:
         transport = TransportModel(message_loss_probability=1.0)
         outcomes = transport.classify_exchanges(RandomSource(3), 50)
         assert (outcomes == OUTCOME_DROPPED).all()
-        assert transport.classify_exchange(RandomSource(3)) is ExchangeOutcome.DROPPED
 
 
 class TestDelaySampling:
@@ -117,7 +120,9 @@ class TestDelaySampling:
         model = DelayModel(min_delay=low, max_delay=low + span, timeout=1.0)
         batch = model.sample_delays(RandomSource(seed), count)
         scalar_rng = RandomSource(seed)
-        scalar = [model.sample_delay(scalar_rng) for _ in range(count)]
+        scalar = [
+            scalar_rng.uniform(low, low + span) if span else low for _ in range(count)
+        ]
         assert batch.tolist() == scalar
         assert (batch >= low).all() and (batch <= low + span).all()
 
@@ -130,15 +135,14 @@ class TestDelaySampling:
         draws = model.sample_delays(RandomSource(seed), count)
         assert (draws >= model.min_delay).all()
 
-    def test_fixed_distribution_consumes_no_randomness(self):
-        model = DelayModel(min_delay=0.05, max_delay=0.4, distribution="fixed")
+    def test_zero_width_uniform_consumes_no_randomness(self):
+        model = DelayModel(min_delay=0.05, max_delay=0.05)
         rng = RandomSource(11)
         before = rng.generator.bit_generator.state["state"]["state"]
         draws = model.sample_delays(rng, 32)
         after = rng.generator.bit_generator.state["state"]["state"]
         assert before == after
         assert (draws == 0.05).all()
-        assert model.sample_delay(rng) == 0.05
 
 
 class TestAsyncClassification:
@@ -146,22 +150,26 @@ class TestAsyncClassification:
         transport = TransportModel(message_loss_probability=0.3)
         model = DelayModel(min_delay=0.01, max_delay=0.1, timeout=math.inf)
         seed = 21
-        merged = classify_async_exchanges(transport, model, RandomSource(seed), 100)
+        merged, delivered = classify_async_exchanges(transport, model, RandomSource(seed), 100)
         plain = transport.classify_exchanges(RandomSource(seed), 100)
         # Same loss stream (drawn first), and no exchange can time out.
         assert merged.tolist() == plain.tolist()
+        assert delivered.tolist() == (plain == OUTCOME_COMPLETED).tolist()
 
     def test_zero_timeout_turns_completions_into_lost_responses(self):
         transport = TransportModel()
         model = DelayModel(min_delay=0.05, max_delay=0.05, timeout=0.0)
-        outcomes = classify_async_exchanges(transport, model, RandomSource(5), 40)
+        outcomes, delivered = classify_async_exchanges(transport, model, RandomSource(5), 40)
         assert (outcomes == OUTCOME_RESPONSE_LOST).all()
+        # Late replies still physically arrive (and carry their epoch id).
+        assert delivered.all()
 
     def test_dropped_exchanges_stay_dropped_under_timeouts(self):
         transport = TransportModel(message_loss_probability=1.0)
         model = DelayModel(min_delay=0.05, max_delay=0.05, timeout=0.0)
-        outcomes = classify_async_exchanges(transport, model, RandomSource(5), 40)
+        outcomes, delivered = classify_async_exchanges(transport, model, RandomSource(5), 40)
         assert (outcomes == OUTCOME_DROPPED).all()
+        assert not delivered.any()
 
     def test_draw_count_is_data_independent(self):
         """Latencies are drawn for every exchange regardless of loss fate."""
