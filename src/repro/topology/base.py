@@ -19,11 +19,12 @@ here, its established import path):
 from __future__ import annotations
 
 from itertools import chain
-from typing import Collection, List, Mapping, Set
+from typing import Collection, Dict, List, Mapping, Set
 
 import numpy as np
 
 from ..common.errors import TopologyError
+from .partitions import component_labels
 from .provider import OverlayProvider
 from .replicated import (
     _SENTINEL,
@@ -140,30 +141,32 @@ class StaticTopology(StaticBlockView):
         """Whether nodes ``a`` and ``b`` are neighbours."""
         return self.contains(a) and b in self.neighbors(a)
 
-    def _reachable_from(self, start: int) -> Set[int]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            for neighbour in self.neighbors(frontier.pop()):
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return seen
+    def _component_labels(self) -> np.ndarray:
+        """Component label (smallest member id) of every current node, in
+        ``node_ids()`` order."""
+        block = self._block
+        base = self._replica * block._stride
+        rows = block._adj[base : base + block._stride]
+        present = rows != _SENTINEL
+        labels = component_labels(
+            block._stride, np.nonzero(present)[0], rows[present].astype(np.int64)
+        )
+        return labels[np.asarray(self.node_ids(), dtype=np.int64)]
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (empty graphs count as connected)."""
-        nodes = self.node_ids()
-        return not nodes or len(self._reachable_from(nodes[0])) == len(nodes)
+        labels = self._component_labels()
+        return labels.size == 0 or bool((labels == labels[0]).all())
 
     def connected_components(self) -> List[Set[int]]:
-        """All connected components as sets of node identifiers."""
-        components: List[Set[int]] = []
-        assigned: Set[int] = set()
-        for node in self.node_ids():
-            if node not in assigned:
-                components.append(self._reachable_from(node))
-                assigned |= components[-1]
-        return components
+        """All connected components as sets of node identifiers.
+
+        Components come in the ``node_ids()`` order of their first member.
+        """
+        groups: Dict[int, Set[int]] = {}
+        for node, label in zip(self.node_ids(), self._component_labels().tolist()):
+            groups.setdefault(label, set()).add(node)
+        return list(groups.values())
 
     def to_networkx(self):
         """Return the graph as a :class:`networkx.Graph` (for analysis)."""

@@ -10,6 +10,10 @@ exactly that: the weakly-connected components of an overlay's *effective*
 graph, i.e. its neighbour edges minus the pairs a reachability model
 currently blocks.
 
+Components come from :func:`component_labels`, one array pass per
+hooking round (no per-node Python search); static topologies use the
+same helper for ``is_connected`` and ``connected_components``.
+
 The reachability argument is duck-typed (anything with ``blocked_pairs``
 works) so this package never imports :mod:`repro.simulator`, which
 imports topology itself.
@@ -17,17 +21,48 @@ imports topology itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import List, Optional
 
 import numpy as np
 
-from .base import OverlayProvider
+from .provider import OverlayProvider
 
 __all__ = [
+    "component_labels",
     "effective_components",
     "effective_component_count",
     "overlay_is_split",
 ]
+
+
+def component_labels(size: int, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Connected-component label of every vertex ``0 .. size-1``.
+
+    ``sources`` and ``targets`` are int64 edge endpoints in ``[0, size)``
+    (undirected; either direction, repeats allowed).  Each vertex's label
+    is the smallest vertex of its component.
+
+    Min-label hooking with pointer jumping: every round hooks the larger
+    root of each edge onto the smaller one (``np.minimum.at``), then jumps
+    every pointer to its root.  Parents only ever point to smaller ids, so
+    the forest never cycles, and the loop ends once every edge joins two
+    vertices of one root — which is then its component's minimum.
+    """
+    parent = np.arange(size, dtype=np.int64)
+    while True:
+        low = parent[sources]
+        high = parent[targets]
+        split = low != high
+        if not split.any():
+            return parent
+        low, high = low[split], high[split]
+        np.minimum.at(parent, np.maximum(low, high), np.minimum(low, high))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
 def effective_components(
@@ -49,52 +84,33 @@ def effective_components(
     node_ids = overlay.node_ids()
     if not node_ids:
         return []
-    index_of: Dict[int, int] = {node: i for i, node in enumerate(node_ids)}
-    adjacency: List[List[int]] = [[] for _ in node_ids]
-    for node in node_ids:
-        neighbours = [
-            peer for peer in overlay.neighbors(node) if peer in index_of
-        ]
-        if not neighbours:
-            continue
-        if reachability is not None:
-            sources = np.full(len(neighbours), node, dtype=np.int64)
-            targets = np.asarray(neighbours, dtype=np.int64)
-            outbound = reachability.blocked_pairs(sources, targets, cycle_index)
-            inbound = reachability.blocked_pairs(targets, sources, cycle_index)
-            if outbound is not None or inbound is not None:
-                blocked = np.zeros(len(neighbours), dtype=bool)
-                if outbound is not None:
-                    blocked |= outbound
-                if inbound is not None:
-                    blocked |= inbound
-                neighbours = [
-                    peer
-                    for peer, is_blocked in zip(neighbours, blocked)
-                    if not is_blocked
-                ]
-        row = index_of[node]
-        for peer in neighbours:
-            column = index_of[peer]
-            adjacency[row].append(column)
-            adjacency[column].append(row)
-
-    seen = [False] * len(node_ids)
-    components: List[List[int]] = []
-    for start in range(len(node_ids)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        frontier = [start]
-        members = []
-        while frontier:
-            current = frontier.pop()
-            members.append(node_ids[current])
-            for neighbour in adjacency[current]:
-                if not seen[neighbour]:
-                    seen[neighbour] = True
-                    frontier.append(neighbour)
-        components.append(sorted(members))
+    ids = np.asarray(node_ids, dtype=np.int64)
+    neighbours = [overlay.neighbors(node) for node in node_ids]
+    lengths = np.fromiter(map(len, neighbours), dtype=np.int64, count=ids.size)
+    sources = np.repeat(ids, lengths)
+    targets = np.fromiter(
+        chain.from_iterable(neighbours), dtype=np.int64, count=int(lengths.sum())
+    )
+    # Dense positions; neighbours outside node_ids (a stale NEWSCAST
+    # descriptor of a crashed node) carry no edge.
+    position = np.full(int(max(ids.max(), targets.max(initial=0))) + 1, -1, dtype=np.int64)
+    position[ids] = np.arange(ids.size, dtype=np.int64)
+    known = position[targets] >= 0
+    sources, targets = sources[known], targets[known]
+    if reachability is not None:
+        usable = np.ones(sources.size, dtype=bool)
+        for blocked in (
+            reachability.blocked_pairs(sources, targets, cycle_index),
+            reachability.blocked_pairs(targets, sources, cycle_index),
+        ):
+            if blocked is not None:
+                usable &= ~blocked
+        sources, targets = sources[usable], targets[usable]
+    labels = component_labels(ids.size, position[sources], position[targets])
+    # Group the ids by label, each group ascending, then order the groups.
+    order = np.lexsort((ids, labels))
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    components = [group.tolist() for group in np.split(ids[order], cuts)]
     components.sort(key=lambda member_ids: (-len(member_ids), member_ids[0]))
     return components
 

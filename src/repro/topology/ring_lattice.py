@@ -5,16 +5,35 @@ side of a ring, yielding a k-regular, highly clustered, high-diameter
 graph.  With no rewiring (β = 0) this is the worst topology for gossip
 averaging examined in the paper, which makes it a useful extreme point for
 tests and ablations.
+
+The graph is built in closed form: the ``N * k/2`` edges
+``(i, (i + o) mod N)`` for ``o = 1 .. k/2`` go straight into block rows
+through :func:`~repro.topology.replicated.rows_from_edges`, so no Python
+container is built per node or per edge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
+import numpy as np
 
 from ..common.validation import require, require_positive
 from .base import StaticTopology
+from .replicated import rows_from_edges
 
-__all__ = ["ring_lattice_topology"]
+__all__ = ["ring_lattice_topology", "ring_lattice_edges"]
+
+
+def ring_lattice_edges(size: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice's ``size * degree/2`` edges as two flat int64 arrays.
+
+    Edge ``i * degree/2 + (o - 1)`` is ``(i, (i + o) mod size)``: owner-major,
+    offsets ascending — the order in which Watts–Strogatz visits them.
+    """
+    half = degree // 2
+    owners = np.repeat(np.arange(size, dtype=np.int64), half)
+    targets = owners.reshape(size, half) + np.arange(1, half + 1, dtype=np.int64)
+    np.remainder(targets, size, out=targets)
+    return owners, targets.reshape(-1)
 
 
 def ring_lattice_topology(size: int, degree: int) -> StaticTopology:
@@ -32,12 +51,5 @@ def ring_lattice_topology(size: int, degree: int) -> StaticTopology:
     require_positive(degree, "degree")
     require(degree % 2 == 0, f"degree must be even for a ring lattice, got {degree}")
     require(degree < size, f"degree ({degree}) must be smaller than size ({size})")
-
-    half = degree // 2
-    adjacency: Dict[int, Set[int]] = {node: set() for node in range(size)}
-    for node in range(size):
-        for offset in range(1, half + 1):
-            neighbour = (node + offset) % size
-            adjacency[node].add(neighbour)
-            adjacency[neighbour].add(node)
-    return StaticTopology(adjacency, name=f"ring-lattice(k={degree})")
+    rows, degrees = rows_from_edges(size, *ring_lattice_edges(size, degree))
+    return StaticTopology.from_rows(rows, degrees, name=f"ring-lattice(k={degree})")

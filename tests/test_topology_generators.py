@@ -1,5 +1,7 @@
 """Tests for the overlay graph generators and the factory."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,23 @@ class TestRingLattice:
 
     def test_connected(self):
         assert ring_lattice_topology(50, 4).is_connected()
+
+    #: sha256 of the padded int32 rows then the int64 degrees, as the
+    #: dict-of-sets construction built them before the closed form.
+    ROWS_SHA256 = {
+        (5, 2): "0ccc2b8c9486d08c16c4f0d260eea50ac01aeedc6dc38034d71bc759d0fa701b",
+        (21, 20): "f50a801bf5e66f0b74487d60665c99517431483f68b57fd86cd9218ee8407d3f",
+        (400, 20): "27eccc56b65003e97032006e7883287ab86de34b74dbdcbcff2636b5d7a69081",
+        (2001, 20): "32298157541919c28f211dfe7f708e36f80d25253e317bd5fb9470e4bf8a9930",
+    }
+
+    @pytest.mark.parametrize("size, degree", sorted(ROWS_SHA256))
+    def test_rows_and_degrees_are_pinned(self, size, degree):
+        block = ring_lattice_topology(size, degree)._block
+        assert block._adj.dtype == np.int32 and block._degrees.dtype == np.int64
+        digest = hashlib.sha256(block._adj.tobytes() + block._degrees.tobytes())
+        assert digest.hexdigest() == self.ROWS_SHA256[(size, degree)]
+        assert block._insertion_order == [list(range(size))]
 
 
 class TestWattsStrogatz:
