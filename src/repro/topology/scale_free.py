@@ -6,20 +6,38 @@ wires itself to ``attachment`` existing nodes chosen with probability
 proportional to their current degree.  The resulting degree distribution
 follows a power law, modelling networks such as Gnutella or the web graph.
 
-The implementation uses the standard "repeated nodes" trick: a list in
-which every node appears once per incident edge, so that sampling a
-uniform element of the list is exactly degree-proportional sampling.
+The graph is built in the edge-slot form of Batagelj and Brandes
+(Phys. Rev. E 71, 036113, 2005), as arrays: edge ``e`` owns the slots
+``2e`` (its new node) and ``2e + 1`` (its target), so every node appears
+once per incident edge and a uniform slot is a degree-proportional node.
+After the seed clique on ``m + 1`` nodes, each new node's ``m`` target
+slots copy a uniform slot from before the node's first edge.  The new
+nodes are drawn in generations of doubling size, one batch each: a
+target copying a target of its own generation resolves through the copy
+chain by pointer jumping, and a node whose targets repeat redraws the
+repeats, pass by pass, until its ``m`` targets are distinct (a node
+still repeating after the passes completes them exactly,
+degree-proportionally, without replacement).  A generation is settled
+before the next one copies from it, so every copy reads the final
+target, as in the sequential process.  The result has exactly
+``m (N - m - 1) + m (m + 1) / 2`` edges.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+import itertools
+
+import numpy as np
 
 from ..common.rng import RandomSource
 from ..common.validation import require, require_positive
 from .base import StaticTopology
+from .replicated import rows_from_edges
 
 __all__ = ["barabasi_albert_topology"]
+
+#: Redraw passes before a node's repeated targets are completed exactly.
+_REDRAW_PASSES = 64
 
 
 def barabasi_albert_topology(
@@ -44,32 +62,118 @@ def barabasi_albert_topology(
         attachment < size,
         f"attachment ({attachment}) must be smaller than size ({size})",
     )
+    m = attachment
+    generator = rng.generator
+    # Seed graph: a clique over the first m + 1 nodes, so every early node
+    # has non-zero degree and preferential attachment is well defined.
+    clique_low, clique_high = np.triu_indices(m + 1, k=1)
+    seed_slots = 2 * clique_low.size
+    slots = np.empty(seed_slots + 2 * m * (size - m - 1), dtype=np.int64)
+    slots[0:seed_slots:2] = clique_low
+    slots[1:seed_slots:2] = clique_high
+    slots[seed_slots::2] = np.repeat(np.arange(m + 1, size, dtype=np.int64), m)
+    # New nodes attach in generations of doubling size; each generation
+    # copies only from slots before it or inside it, so once settled it
+    # is final for every later one.
+    first = 0
+    while first < size - m - 1:
+        last = min(size - m - 1, 2 * first + 1)
+        _attach(slots, seed_slots, m, first, last, generator)
+        first = last
+    rows, degrees = rows_from_edges(size, slots[0::2], slots[1::2])
+    return StaticTopology.from_rows(rows, degrees, name=f"scale-free(m={attachment})")
 
-    adjacency: Dict[int, Set[int]] = {node: set() for node in range(size)}
 
-    # Seed graph: a clique over the first `attachment + 1` nodes, so every
-    # early node has non-zero degree and preferential attachment is well
-    # defined from the start.
-    seed_size = attachment + 1
-    repeated: List[int] = []
-    for node in range(seed_size):
-        for peer in range(node + 1, seed_size):
-            adjacency[node].add(peer)
-            adjacency[peer].add(node)
-            repeated.append(node)
-            repeated.append(peer)
+def _attach(
+    slots: np.ndarray,
+    seed_slots: int,
+    m: int,
+    first: int,
+    last: int,
+    generator: np.random.Generator,
+) -> None:
+    """Fill the target slots of the ``first .. last - 1``-th new nodes.
 
-    for node in range(seed_size, size):
-        targets: Set[int] = set()
-        # Degree-proportional sampling without replacement.
-        while len(targets) < attachment:
-            candidate = repeated[rng.choice_index(len(repeated))]
-            if candidate != node:
-                targets.add(candidate)
-        for target in targets:
-            adjacency[node].add(target)
-            adjacency[target].add(node)
-            repeated.append(node)
-            repeated.append(target)
+    Every target copies a uniform slot from before its node's first edge;
+    targets that repeat one of their node's earlier targets redraw, pass
+    by pass, and a node still repeating after the passes completes its
+    targets exactly.
+    """
+    start = seed_slots + 2 * m * first  # the generation's first slot
+    own = np.arange(start + 1, seed_slots + 2 * m * last, 2, dtype=np.int64)
+    limits = np.repeat(seed_slots + 2 * m * np.arange(first, last, dtype=np.int64), m)
+    source = generator.integers(0, limits)
+    fixed = np.zeros(own.size, dtype=bool)
+    targets = np.full((last - first, m), -1, dtype=np.int64)  # so every row moves
+    stuck = np.empty(0, dtype=np.int64)
+    for attempt in itertools.count():
+        before = targets
+        slots[own] = _follow(slots, source, fixed, own, start)
+        targets = slots[own].reshape(-1, m)
+        # A row can gain a repeat only where its targets moved.
+        check = np.union1d(stuck, np.flatnonzero((targets != before).any(axis=1)))
+        repeat = _repeats(targets[check])
+        repeating = repeat.any(axis=1)
+        stuck, repeat = check[repeating], repeat[repeating]
+        if stuck.size == 0:
+            return
+        if attempt < _REDRAW_PASSES:
+            redo = (stuck[:, None] * m + np.arange(m))[repeat]
+            source[redo] = generator.integers(0, limits[redo])
+        else:
+            _complete(slots, own.reshape(-1, m)[stuck], repeat, generator)
+            fixed.reshape(-1, m)[stuck] = True
 
-    return StaticTopology(adjacency, name=f"scale-free(m={attachment})")
+
+def _follow(
+    slots: np.ndarray, source: np.ndarray, fixed: np.ndarray, own: np.ndarray, start: int
+) -> np.ndarray:
+    """The value every target of a generation copies, copy chains resolved.
+
+    A target copying a slot before ``start`` (or an owner slot, or a
+    completed target) reads it directly.  One copying another target of
+    the same generation takes that target's pointer instead — pointer
+    jumping, so a chain of ``L`` links resolves in ``log2(L)`` passes.
+    """
+    at = source.copy()
+    todo = np.flatnonzero(~fixed)
+    while todo.size:
+        link = at[todo] - start
+        inside = (link > 0) & (link % 2 == 1)
+        inside[inside] = ~fixed[link[inside] // 2]
+        todo = todo[inside]
+        at[todo] = at[(at[todo] - start) // 2]
+    values = slots[at]
+    values[fixed] = slots[own[fixed]]
+    return values
+
+
+def _repeats(targets: np.ndarray) -> np.ndarray:
+    """Mask of the entries that repeat an earlier entry of their row."""
+    order = np.argsort(targets, axis=1, kind="stable")
+    ordered = np.take_along_axis(targets, order, axis=1)
+    repeat = np.zeros(targets.shape, dtype=bool)
+    np.put_along_axis(repeat, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
+    return repeat
+
+
+def _complete(
+    slots: np.ndarray, own: np.ndarray, repeat: np.ndarray, generator: np.random.Generator
+) -> None:
+    """Replace each row's repeated targets exactly, in place.
+
+    ``own`` holds one row of target slots per node.  The repeats are drawn
+    degree-proportionally (over the slots before the node's first edge)
+    without replacement from the nodes the row lacks.
+    """
+    for row_slots, row_repeat in zip(own, repeat):
+        values = slots[row_slots]
+        weights = np.bincount(slots[: row_slots[0] - 1])
+        weights[values] = 0
+        values[row_repeat] = generator.choice(
+            weights.size,
+            size=int(row_repeat.sum()),
+            replace=False,
+            p=weights / weights.sum(),
+        )
+        slots[row_slots] = values

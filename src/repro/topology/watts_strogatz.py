@@ -1,24 +1,43 @@
 """Watts–Strogatz small-world graphs.
 
-Built exactly as the paper (and the original Nature paper) describe:
-start from a regular ring lattice of the requested degree, then visit every
-edge and rewire it with probability ``beta``.  Rewiring the edge ``(n, m)``
-at node ``n`` removes it and adds an edge from ``n`` to a uniformly random
-node that is neither ``n`` nor already a neighbour of ``n``.
+Built as the paper (and the original Nature paper) describe: start from
+a regular ring lattice of the requested degree, then rewire every edge
+with probability ``beta``.  Rewiring the lattice edge ``(n, m)`` owned by
+``n`` keeps ``n`` and replaces ``m`` by a uniformly random node that is
+neither ``n`` nor already a neighbour of ``n``.
 
-``beta = 0`` leaves the ring lattice unchanged; ``beta = 1`` rewires every
-edge, producing a random graph.  The paper sweeps ``beta`` in Figure 4(a)
-and uses ``beta ∈ {0, 0.25, 0.5, 0.75}`` in Figure 3.
+The rewiring is one array pass, not a per-edge loop: one Bernoulli(β)
+mask over the ``N * k/2`` lattice edges, then all new targets drawn at
+once (skip-self, so no self-loops).  A draw that repeats an existing edge
+— a kept lattice edge or an earlier draw — is redrawn in passes until the
+graph is simple, so the edge count stays exactly ``N * k/2``.  Edges the
+passes leave unplaced (only near the densest valid degree) are completed
+one at a time from their owner's remaining non-neighbours; an owner that
+already knows every node hands its edge to a uniform node that does not.
+Every requested rewire therefore happens.  The sequential original lets
+a rewire see the rewires before it; the batched draw sees them only
+through the duplicate check — the same graph law up to that ordering.
+
+``beta = 0`` is the ring lattice itself; ``beta = 1`` rewires every edge,
+producing a random graph.  The paper sweeps ``beta`` in Figure 4(a) and
+uses ``beta ∈ {0, 0.25, 0.5, 0.75}`` in Figure 3.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..common.rng import RandomSource
 from ..common.validation import require, require_positive, require_probability
 from .base import StaticTopology
-from .ring_lattice import ring_lattice_topology
+from .replicated import rows_from_edges
+from .ring_lattice import ring_lattice_edges
 
 __all__ = ["watts_strogatz_topology"]
+
+#: Redraw passes before the stuck rewires are completed exactly (the
+#: bound :func:`~repro.topology.replicated.sample_distinct_peers` uses).
+_REDRAW_PASSES = 64
 
 
 def watts_strogatz_topology(
@@ -31,7 +50,8 @@ def watts_strogatz_topology(
     size:
         Number of nodes.
     degree:
-        Degree of the initial ring lattice (must be even).
+        Degree of the initial ring lattice (must be even and below
+        ``size - 1``, so a rewire always has somewhere to go).
     beta:
         Rewiring probability in ``[0, 1]``.
     rng:
@@ -43,49 +63,83 @@ def watts_strogatz_topology(
     require(degree < size - 1, f"degree ({degree}) must be below size-1 ({size - 1})")
     require_probability(beta, "beta")
 
-    lattice = ring_lattice_topology(size, degree)
-    adjacency = lattice.adjacency_copy()
-
-    if beta == 0.0:
-        return StaticTopology(adjacency, name=f"watts-strogatz(k={degree}, beta=0.00)")
-
-    half = degree // 2
-    for node in range(size):
-        for offset in range(1, half + 1):
-            neighbour = (node + offset) % size
-            # Only consider the edge from the side of `node` (each lattice
-            # edge is visited exactly once this way).
-            if neighbour not in adjacency[node]:
-                continue  # already rewired away by an earlier step
-            if not rng.bernoulli(beta):
-                continue
-            target = _pick_rewire_target(node, adjacency, size, rng)
-            if target is None:
-                continue
-            adjacency[node].discard(neighbour)
-            adjacency[neighbour].discard(node)
-            adjacency[node].add(target)
-            adjacency[target].add(node)
-
-    return StaticTopology(adjacency, name=f"watts-strogatz(k={degree}, beta={beta:.2f})")
+    owners, targets = ring_lattice_edges(size, degree)
+    if beta > 0.0:
+        generator = rng.generator
+        _rewire(size, owners, targets, generator.random(owners.size) < beta, generator)
+    rows, degrees = rows_from_edges(size, owners, targets)
+    return StaticTopology.from_rows(
+        rows, degrees, name=f"watts-strogatz(k={degree}, beta={beta:.2f})"
+    )
 
 
-def _pick_rewire_target(node: int, adjacency, size: int, rng: RandomSource):
-    """Pick a random node that is neither ``node`` nor its neighbour.
+def _edge_keys(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One int64 key per undirected edge: ``min * size + max``."""
+    return np.minimum(a, b) * size + np.maximum(a, b)
 
-    Returns ``None`` when no such node exists (degenerate tiny graphs) or
-    when rejection sampling fails to find one quickly, in which case the
-    caller keeps the original edge.
+
+def _rewire(
+    size: int,
+    owners: np.ndarray,
+    targets: np.ndarray,
+    rewired: np.ndarray,
+    generator: np.random.Generator,
+) -> None:
+    """Point every ``rewired`` edge at a fresh target, in place; keep it simple.
+
+    Each pass draws the pending edges' targets at once and keeps a draw
+    unless its edge already exists or a lower-indexed draw of the same
+    pass made it; the rest redraw.  ``settled`` holds the sorted keys of
+    every edge placed so far.
     """
-    excluded = adjacency[node]
-    if len(excluded) >= size - 1:
-        return None
-    for _ in range(64):
-        candidate = rng.integer(0, size)
-        if candidate != node and candidate not in excluded:
-            return candidate
-    # Deterministic fallback scan (extremely unlikely to be needed).
-    for candidate in range(size):
-        if candidate != node and candidate not in excluded:
-            return candidate
-    return None
+    pending = np.flatnonzero(rewired)
+    settled = np.sort(_edge_keys(size, owners[~rewired], targets[~rewired]))
+    for _ in range(_REDRAW_PASSES):
+        if pending.size == 0:
+            return
+        draws = generator.integers(0, size - 1, size=pending.size, dtype=np.int64)
+        draws += draws >= owners[pending]
+        targets[pending] = draws
+        keys = _edge_keys(size, owners[pending], draws)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        keep = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        if settled.size:
+            at = np.minimum(np.searchsorted(settled, keys), settled.size - 1)
+            keep &= settled[at] != keys
+        settled = np.insert(settled, np.searchsorted(settled, keys[keep]), keys[keep])
+        pending = np.sort(pending[order[~keep]])
+    _complete(size, owners, targets, pending, generator)
+
+
+def _complete(
+    size: int,
+    owners: np.ndarray,
+    targets: np.ndarray,
+    stuck: np.ndarray,
+    generator: np.random.Generator,
+) -> None:
+    """Place the ``stuck`` edges one at a time among the non-neighbours left.
+
+    The owner keeps its edge when it still has a non-neighbour; one that
+    already neighbours every node (possible only near the densest valid
+    degree) hands the edge to a uniform node that does not.  Such a node
+    exists because ``N * k/2 < N (N - 1) / 2``.
+    """
+    placed = np.ones(owners.size, dtype=bool)
+    placed[stuck] = False
+    for edge in stuck.tolist():
+        owner = owners[edge]
+        degrees = np.bincount(owners[placed], minlength=size)
+        degrees += np.bincount(targets[placed], minlength=size)
+        if degrees[owner] == size - 1:
+            open_nodes = np.flatnonzero(degrees < size - 1)
+            owner = owners[edge] = open_nodes[generator.integers(0, open_nodes.size)]
+        free = np.ones(size, dtype=bool)
+        free[owner] = False
+        free[targets[placed & (owners == owner)]] = False
+        free[owners[placed & (targets == owner)]] = False
+        candidates = np.flatnonzero(free)
+        targets[edge] = candidates[generator.integers(0, candidates.size)]
+        placed[edge] = True

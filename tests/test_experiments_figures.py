@@ -87,9 +87,9 @@ def rows_digest(rows):
 #: Rows of every figure at N=60, one repeat, two sweep points, seed 2004.
 GOLDEN_ROWS = {
     "2": "2108b745167373b173ef096982fe5e8905f8b9272d860669432885377f14a9ce",
-    "3a": "cbf87d2b920da3eff4efaaf6f5c089d816bb27800c2bbb450733d780aa9cdaa0",
-    "3b": "43eb614f7dfe83ac7f8cd66a293e22fc2abc190aee491aefc8906a28fbd6ebaa",
-    "4a": "9cd9a6e4eac457625fb7de32122513b8ee4754d796dc10a6730b672c9fd2826e",
+    "3a": "5c010bbddb26b19b2f318e7eaf9873f91811f5908da6bcf29c7f3e34d236a5f7",
+    "3b": "c46d8987827a54153e2aa7f1fbd47a719e72cca84f598075b7bb24ef706c39f7",
+    "4a": "15228fef6e58c4985bd29e9a3fccb32ff6dce087268f6f96f624eec9378b1523",
     "4b": "4527c09fc3514550f4c90e97896c612cf79f67c37aeb4e81307a3685bad792e7",
     "5": "5dadcf42359981b7576ce1c4b7dee548a260b660896095581441667ab0546874",
     "6a": "327e836abe64b54a7074539b14f3e0ac5d5dabf29a4268bbc9b43381dcc4fc6d",

@@ -20,6 +20,7 @@ from repro.topology import (
     watts_strogatz_topology,
 )
 from repro.newscast import NewscastOverlay, VectorizedNewscastOverlay
+from repro.topology import scale_free, watts_strogatz
 
 
 class TestRandomKOut:
@@ -101,6 +102,26 @@ class TestWattsStrogatz:
     def test_invalid_beta_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             watts_strogatz_topology(40, 6, 1.5, rng)
+
+    @pytest.mark.parametrize("size", [12, 13, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_densest_degree_rewires_every_edge_and_keeps_the_count(self, size, seed):
+        # The largest even k below size - 1: every rewire must still land.
+        degree = (size - 2) // 2 * 2
+        topology = watts_strogatz_topology(size, degree, 1.0, RandomSource(seed))
+        assert topology.edge_count() == size * degree // 2
+        assert all(node not in topology.neighbors(node) for node in range(size))
+
+    @pytest.mark.parametrize("module", [watts_strogatz, scale_free])
+    def test_exact_completion_alone_builds_a_simple_graph(self, module, monkeypatch):
+        # With no redraw pass every repeat goes through the exact completion.
+        monkeypatch.setattr(module, "_REDRAW_PASSES", 0)
+        for seed in range(3):
+            ws = watts_strogatz_topology(30, 8, 0.8, RandomSource(seed))
+            assert ws.edge_count() == 30 * 8 // 2
+            ba = barabasi_albert_topology(60, 20, RandomSource(seed))
+            assert ba.edge_count() == 20 * (60 - 21) + 20 * 21 // 2
+            assert min(ba.degree_sequence()) >= 20
 
     def test_deterministic_given_seed(self):
         a = watts_strogatz_topology(40, 4, 0.3, RandomSource(9))
