@@ -39,6 +39,8 @@ from ..common.errors import MembershipError
 from ..common.rng import RandomSource
 from ..common.validation import require, require_positive
 from ..topology.base import OverlayProvider
+from ..topology.partitions import effective_component_count
+from ..topology.replicated import sample_distinct_peers
 from .cache import CacheEntry, NewscastCache
 
 __all__ = ["NewscastOverlay"]
@@ -82,24 +84,26 @@ class NewscastOverlay(OverlayProvider):
     ) -> "NewscastOverlay":
         """Create an overlay of ``size`` nodes with warmed-up caches.
 
-        Nodes are initialised with ``cache_size`` uniformly random peers
-        (timestamp 0) and then ``warmup_cycles`` NEWSCAST rounds are run so
-        the cache contents resemble the steady state of the protocol
-        before aggregation starts, as in the paper's experiments.
+        Nodes are initialised with ``min(cache_size, size - 1)`` distinct
+        uniformly random peers (timestamp 0), drawn by
+        :func:`~repro.topology.replicated.sample_distinct_peers` exactly as
+        :meth:`VectorizedNewscastOverlay.bootstrap` draws them, and then
+        ``warmup_cycles`` NEWSCAST rounds are run so the cache contents
+        resemble the steady state of the protocol before aggregation
+        starts, as in the paper's experiments.
         """
         require_positive(size, "size")
         overlay = cls(cache_size, rng)
         for node in range(size):
             overlay._alive.add(node)
             overlay._caches[node] = NewscastCache(cache_size)
-        fill = min(cache_size, max(1, size - 1))
-        for node in range(size):
-            cache = overlay._caches[node]
-            for raw in rng.sample_indices(size - 1, fill):
-                peer = int(raw)
-                if peer >= node:
-                    peer += 1
-                cache.insert(CacheEntry(timestamp=0.0, peer_id=peer))
+        fill = min(cache_size, size - 1)
+        if fill:
+            peers = sample_distinct_peers(size, fill, rng.generator)
+            for node, row in enumerate(peers.tolist()):
+                cache = overlay._caches[node]
+                for peer in row:
+                    cache.insert(CacheEntry(timestamp=0.0, peer_id=peer))
         for _ in range(max(0, warmup_cycles)):
             overlay.after_cycle(rng)
         return overlay
@@ -271,24 +275,7 @@ class NewscastOverlay(OverlayProvider):
 
     def is_weakly_connected(self) -> bool:
         """Whether the directed cache graph is connected when undirected."""
-        if not self._alive:
-            return True
-        adjacency: Dict[int, Set[int]] = {node: set() for node in self._alive}
-        for node in self._alive:
-            for peer in self._caches[node].peer_ids():
-                if peer in adjacency:
-                    adjacency[node].add(peer)
-                    adjacency[peer].add(node)
-        start = next(iter(self._alive))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for neighbour in adjacency[node]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return len(seen) == len(self._alive)
+        return effective_component_count(self) <= 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NewscastOverlay(c={self._cache_size}, nodes={len(self._alive)})"

@@ -70,6 +70,15 @@ Equivalence to the dict implementation (documented per property)
   both matches in convergence-factor terms under no-failure, churn and
   message-loss scenarios.
 
+One bootstrap sampler
+---------------------
+Every node's initial cache is ``min(c, N - 1)`` distinct uniform peers at
+timestamp 0, drawn by
+:func:`~repro.topology.replicated.sample_distinct_peers` — one batched
+draw at every size, the same sampler (and the same stream use) as the
+k-out overlay builder and the dict oracle's bootstrap, so both NEWSCAST
+overlays start from identical caches.
+
 One merge per exchange, not two
 -------------------------------
 After a NEWSCAST exchange the two participants keep *almost* the same
@@ -93,6 +102,7 @@ from ..common.rng import RandomSource
 from ..common.validation import require_positive
 from ..simulator.sampling import conflict_scratch, ordered_conflict_rounds
 from ..topology.base import OverlayProvider
+from ..topology.replicated import sample_distinct_peers
 from .cache import CacheEntry, NewscastCache
 
 __all__ = [
@@ -113,11 +123,6 @@ _EMPTY = -1
 #: Exchanges merged per kernel call (see "Memory law" above); 1024-4096
 #: measure the same.
 _MERGE_BLOCK = 2048
-
-#: Below this network size the bootstrap uses the exact scalar sampler;
-#: above it, the batched redraw-until-distinct sampler (same guarantees,
-#: different stream usage).
-_SCALAR_BOOTSTRAP_LIMIT = 2048
 
 
 # ----------------------------------------------------------------------
@@ -523,9 +528,10 @@ class VectorizedNewscastOverlay(OverlayProvider):
         """Create an overlay of ``size`` nodes with warmed-up caches.
 
         Mirrors :meth:`NewscastOverlay.bootstrap`: every node starts with
-        ``min(cache_size, size - 1)`` distinct uniformly random peers at
-        timestamp 0, then ``warmup_cycles`` maintenance rounds run so the
-        caches resemble the protocol's steady state.
+        the same ``min(cache_size, size - 1)`` distinct uniformly random
+        peers at timestamp 0 (one ``sample_distinct_peers`` draw), then
+        ``warmup_cycles`` maintenance rounds run so the caches resemble
+        the protocol's steady state.
         """
         require_positive(size, "size")
         if size - 1 > MAX_NODE_ID:
@@ -542,35 +548,16 @@ class VectorizedNewscastOverlay(OverlayProvider):
         overlay._alive_rows[:size] = rows
         overlay._alive_count = size
 
-        fill = min(cache_size, max(1, size - 1))
-        if size == 1:
-            overlay._counts[:size] = 0
-        else:
-            peers = overlay._bootstrap_peers(size, fill, rng)
-            # Timestamp 0 packs to the peer id itself; order rows
-            # freshest-first, i.e. by peer id descending.
-            peers.sort(axis=1)
+        fill = min(cache_size, size - 1)
+        if fill:
+            # Timestamp 0 packs to the peer id itself; the sampler's rows
+            # are ascending, and freshest-first means by peer id descending.
+            peers = sample_distinct_peers(size, fill, rng.generator)
             overlay._packed[:size, :fill] = peers[:, ::-1]
-            overlay._counts[:size] = fill
+        overlay._counts[:size] = fill
         for _ in range(max(0, int(warmup_cycles))):
             overlay.after_cycle(rng)
         return overlay
-
-    @staticmethod
-    def _bootstrap_peers(size: int, fill: int, rng: RandomSource) -> np.ndarray:
-        """Draw ``fill`` distinct random peers (excluding self) per node."""
-        if size <= _SCALAR_BOOTSTRAP_LIMIT:
-            peers = np.empty((size, fill), dtype=np.int64)
-            for node in range(size):
-                draws = rng.sample_indices(size - 1, fill).astype(np.int64)
-                draws[draws >= node] += 1
-                peers[node] = draws
-            return peers
-        # The batched redraw-until-distinct sampler shared with the k-out
-        # topology builder (identical stream consumption).
-        from ..topology.replicated import sample_distinct_peers
-
-        return sample_distinct_peers(size, fill, rng.generator)
 
     # ------------------------------------------------------------------
     # OverlayProvider interface

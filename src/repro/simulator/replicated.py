@@ -417,6 +417,12 @@ class StackedCycleEngine:
                 plan.outcomes,
                 self._cycle_index,
             )
+        # A stale descriptor may name a node past the stride (crashed
+        # before this engine was built): like any dead peer it is unusable,
+        # and unshifted it would index past the block or into the next
+        # replica's rows.
+        for plan in plans:
+            plan.peers[plan.peers >= self._stride] = -1
         stacked = stack_cycle_plans(
             plans, range(0, self._count * self._stride, self._stride)
         )

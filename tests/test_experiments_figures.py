@@ -87,21 +87,21 @@ def rows_digest(rows):
 #: Rows of every figure at N=60, one repeat, two sweep points, seed 2004.
 GOLDEN_ROWS = {
     "2": "2108b745167373b173ef096982fe5e8905f8b9272d860669432885377f14a9ce",
-    "3a": "5c010bbddb26b19b2f318e7eaf9873f91811f5908da6bcf29c7f3e34d236a5f7",
-    "3b": "c46d8987827a54153e2aa7f1fbd47a719e72cca84f598075b7bb24ef706c39f7",
+    "3a": "e799d02b2fca122d4650a75c293c6271c0b96cba0257c53689d725d8e5be63b7",
+    "3b": "bc9be75370f4873c2f6628be1662299a36dd54fd22a09a49990784383296510e",
     "4a": "15228fef6e58c4985bd29e9a3fccb32ff6dce087268f6f96f624eec9378b1523",
-    "4b": "4527c09fc3514550f4c90e97896c612cf79f67c37aeb4e81307a3685bad792e7",
-    "5": "5dadcf42359981b7576ce1c4b7dee548a260b660896095581441667ab0546874",
-    "6a": "327e836abe64b54a7074539b14f3e0ac5d5dabf29a4268bbc9b43381dcc4fc6d",
-    "6b": "54fe00bd2db082ef3d4badd6f285f46bf8757a617dc0b482e1d4321d2a0b62ee",
-    "7a": "7ee74bd94fd48550a1d734aae0e675a005ca7bac1aa32b00f2f0faf686b0b481",
-    "7b": "81886f6c55767ef6a773bf9151e30baad0dcdb72aba9f2f9308b5c0ccf045af4",
-    "8a": "29cc93e2518b497474c2486844672eb270a5a4db6c79c1ecb727c10b1e2d7211",
-    "8b": "51dfc98141a8a6135def397d4ccd256026cabd9eab7806bfd4bd16b7d306abc1",
-    "adaptive": "26cb5a00d01dbca2d1986860047ad5967a5cea4a426e6806b56680f0002c4800",
+    "4b": "85b6b22025090f0ae08d0547ffd0e419fb0b010ede630b23e20bf8aaeeaf5f0e",
+    "5": "a92c05795672265efb074fd0fd1f478df61ac4a2740fa4feeb6629cc1412391a",
+    "6a": "c23cffb5214d2dfba0cf033f647f32638be4ff10ffb4f86a315570be79fbdaac",
+    "6b": "d87eb44681a26504ec5458f0d1c0cef27d60c7fc272a0c63ec915ba6dccae1e9",
+    "7a": "12df0aba852e46914d760115e15b4f7dee72b9e5bed540c7af9a9c8529a65789",
+    "7b": "04f82d433d4a888b061a73d1e6f90da450d64e75f62af015aec4c1138ced13f6",
+    "8a": "d40ac30020916d55e655981906bd375512e1d5ed757edb4a1f1f7f3e1b3339e8",
+    "8b": "0130d2550f6cf380736f8973a3b0c95c67fce94a4a262b6e32c160ac10f2d236",
+    "adaptive": "9bf1e2dbfbf7f7f51482f90fb098ac51610d345d54db74d9690f1bbc12071b2a",
     "adaptive-async": "4b82a39745f915117a93935793165b7a2632c867af6cfd6144e170de2eeee7e5",
-    "byzantine": "2f46f58c89c69c10c0ba15bed12c6b7689a2bdcc868c63063150cc29eae46ecb",
-    "partition": "9adc36145e87fb709ca4f7e0db6d8c06a730ad8ea215000f8f4db47a116ec5db",
+    "byzantine": "5feb1c853fe5995e8c74fc436c6e9bc72b5526567af83464f90307e3c459259f",
+    "partition": "565503e9123f88628fedf248a38cf871fb34bc113c8e454b2e9510fabab9cb9d",
     "cost": "3571dcea258d082f95f28015b4cd7e5c6780b58b5efed225c76cb299d66bef36",
 }
 

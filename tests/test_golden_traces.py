@@ -61,10 +61,10 @@ def records_digest(records):
 #: Seed 2004; N=60 and 10 cycles unless a test says otherwise.
 GOLDEN = {
     "average-random-lossy": "b38e97621cf8974849a7445590e5d77a3af91474c8a1a006d2576bf16ca42749",
-    "average-newscast-churn": "eca2033ab46c568414c5ecdf7997bd2a568c16642e1c4f485b09c516687275d8",
+    "average-newscast-churn": "34b516747613585809c94b7864c407ea66b9622e8e1e3c76d0b58fc81d3c90b2",
     "repeat-traces-r3": "ab09d8817a8856fccec502968ae7e06bc9fcf7d254fea841ff6258ea090421b6",
-    "epoch-driver-3": "61a2f1a9b34b647160ef56ebfe2ba90fccdf3a3ec9a4707d722a82d466761961",
-    "async-count-hostile": "70cfe24f8d73efbeae9eb692bf989b95c8e7d9039788f87185efb5144fdff60d",
+    "epoch-driver-3": "1cfe37cc19cd35a707921f2f43b6adce526a0a2da6757107c67cbf5b4996cb34",
+    "async-count-hostile": "5e9d9e2b15eb0acb2be12e5203d1075adf55211d11c591e0a79a7f8d55b8c1a4",
 }
 
 

@@ -325,6 +325,19 @@ class TestVectorizedOverlayBehaviour:
             assert node not in cache.peer_ids()
             assert len(set(cache.peer_ids())) == len(cache.peer_ids())
 
+    @pytest.mark.parametrize("size", [2, 3, 60, 2048, 2049])
+    def test_one_bootstrap_sampler_for_both_overlays(self, size):
+        # Both sides of the old 2048-node sampler switch: the dict oracle
+        # and the array overlay start from the very same caches.
+        oracle = NewscastOverlay.bootstrap(size, 30, RandomSource(8), warmup_cycles=0)
+        overlay = VectorizedNewscastOverlay.bootstrap(size, 30, RandomSource(8), warmup_cycles=0)
+        fill = min(30, size - 1)
+        for node in range(size):
+            entries = overlay.cache_of(node).entries()
+            assert entries == oracle.cache_of(node).entries()
+            peers = [entry.peer_id for entry in entries]
+            assert len(set(peers)) == fill and node not in peers
+
     def test_after_cycle_advances_clock_and_exchanges(self):
         overlay = self.bootstrap()
         clock = overlay.clock

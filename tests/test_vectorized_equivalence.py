@@ -141,6 +141,32 @@ class TestEngineEquivalence:
         assert_traces_match(reference, vectorized, f"newscast-dict/{scenario_key}")
         assert reference.states() == vectorized.states()
 
+    @pytest.mark.parametrize("overlay_key", ["newscast-array", "newscast-dict"])
+    def test_stale_descriptor_past_the_highest_live_id(self, overlay_key):
+        # The top ids crash before the engine exists, so its rows stop
+        # below them while caches still name them: a dead peer, never an
+        # index past the block.
+        def build(engine):
+            rng = RandomSource(3)
+            overlay = build_overlay(OVERLAYS[overlay_key], SIZE, rng.child("topology"))
+            for node in (SIZE - 1, SIZE - 2):
+                overlay.on_node_removed(node)
+            return make_simulator(
+                overlay,
+                AverageFunction(),
+                [float(i) for i in range(SIZE - 2)],
+                rng.child("simulation"),
+                engine=engine,
+            )
+
+        reference = build("reference")
+        vectorized = build("vectorized")
+        reference.run(CYCLES)
+        vectorized.run(CYCLES)
+        assert sum(record.failed_exchanges for record in vectorized.trace) > 0
+        assert_traces_match(reference, vectorized, f"stale/{overlay_key}")
+        assert reference.states() == vectorized.states()
+
     def test_membership_and_contact_parity_under_churn(self):
         reference = build_engine("reference", "average", "random", "churn")
         vectorized = build_engine("vectorized", "average", "random", "churn")
