@@ -571,7 +571,7 @@ class VectorizedNewscastOverlay(OverlayProvider):
         if row < 0:
             raise MembershipError(f"unknown node {node_id}")
         count = int(self._counts[row])
-        return tuple(int(value) & MAX_NODE_ID for value in self._packed[row, :count])
+        return tuple((self._packed[row, :count] & MAX_NODE_ID).tolist())
 
     def select_peers_batch(
         self, node_ids: np.ndarray, generator: np.random.Generator

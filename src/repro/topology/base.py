@@ -19,12 +19,12 @@ here, its established import path):
 from __future__ import annotations
 
 from itertools import chain
-from typing import Collection, Dict, List, Mapping, Set
+from typing import Collection, List, Mapping, Set
 
 import numpy as np
 
 from ..common.errors import TopologyError
-from .partitions import component_labels
+from .partitions import effective_components
 from .provider import OverlayProvider
 from .replicated import (
     _SENTINEL,
@@ -47,8 +47,9 @@ class StaticTopology(StaticBlockView):
     ``node_ids()`` (insertion order) and ``neighbors()`` (ascending) are
     the :class:`~repro.topology.replicated.StaticBlockView` ones, so a
     standalone topology and a replica of a stacked run behave alike draw
-    for draw; this class adds the mapping constructor and the read-only
-    analysis helpers.
+    for draw; this class adds the mapping constructor (for hand-written
+    graphs — every builder goes through :meth:`from_rows`) and the
+    read-only analysis helpers.
 
     Parameters
     ----------
@@ -141,32 +142,13 @@ class StaticTopology(StaticBlockView):
         """Whether nodes ``a`` and ``b`` are neighbours."""
         return self.contains(a) and b in self.neighbors(a)
 
-    def _component_labels(self) -> np.ndarray:
-        """Component label (smallest member id) of every current node, in
-        ``node_ids()`` order."""
-        block = self._block
-        base = self._replica * block._stride
-        rows = block._adj[base : base + block._stride]
-        present = rows != _SENTINEL
-        labels = component_labels(
-            block._stride, np.nonzero(present)[0], rows[present].astype(np.int64)
-        )
-        return labels[np.asarray(self.node_ids(), dtype=np.int64)]
-
     def is_connected(self) -> bool:
         """Whether the graph is connected (empty graphs count as connected)."""
-        labels = self._component_labels()
-        return labels.size == 0 or bool((labels == labels[0]).all())
+        return len(effective_components(self)) <= 1
 
     def connected_components(self) -> List[Set[int]]:
-        """All connected components as sets of node identifiers.
-
-        Components come in the ``node_ids()`` order of their first member.
-        """
-        groups: Dict[int, Set[int]] = {}
-        for node, label in zip(self.node_ids(), self._component_labels().tolist()):
-            groups.setdefault(label, set()).add(node)
-        return list(groups.values())
+        """All connected components as sets of node identifiers, largest first."""
+        return [set(members) for members in effective_components(self)]
 
     def to_networkx(self):
         """Return the graph as a :class:`networkx.Graph` (for analysis)."""

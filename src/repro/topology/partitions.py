@@ -10,9 +10,9 @@ exactly that: the weakly-connected components of an overlay's *effective*
 graph, i.e. its neighbour edges minus the pairs a reachability model
 currently blocks.
 
-Components come from :func:`component_labels`, one array pass per
-hooking round (no per-node Python search); static topologies use the
-same helper for ``is_connected`` and ``connected_components``.
+Components come from :func:`component_labels`, array passes instead of
+a per-node Python search; ``StaticTopology.is_connected`` and
+``connected_components`` are :func:`effective_components` too.
 
 The reachability argument is duck-typed (anything with ``blocked_pairs``
 works) so this package never imports :mod:`repro.simulator`, which
@@ -140,11 +140,7 @@ def overlay_is_split(
     components = effective_components(overlay, reachability, cycle_index)
     if len(components) < 2:
         return False
-    if boundary is None:
-        return True
-    for members in components:
-        below = any(node < boundary for node in members)
-        above = any(node >= boundary for node in members)
-        if below and above:
-            return False
-    return True
+    # Members are ascending: a component straddles iff it starts below.
+    return boundary is None or all(
+        members[0] >= boundary or members[-1] < boundary for members in components
+    )

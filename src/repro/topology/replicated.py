@@ -23,9 +23,12 @@ of ``N`` nodes holds, transiently, ``2 * N * k * 8`` bytes of int64 sort
 keys plus ``2 * N * k * 4`` bytes of int32 neighbour column plus the
 rows, while the caller holds the ``N * k * 8``-byte draw matrix.
 
-:func:`rows_from_edges` is the one edge-list -> rows kernel, and
-:func:`draw_k_out_peers` the shared sampler behind the paper's "random"
-overlay: the serial
+:func:`rows_from_edges` is the one edge-list -> rows kernel: every static
+builder (k-out, ring lattice, Watts–Strogatz, Barabási–Albert) hands it
+flat edge arrays, and none builds a Python container per node or edge.
+:func:`sample_distinct_peers` is the one distinct-peer sampler, behind
+both the NEWSCAST bootstraps and :func:`draw_k_out_peers`, the sampler
+of the paper's "random" overlay: the serial
 :func:`~repro.topology.random_regular.random_k_out_topology` builder and
 :meth:`ReplicatedStaticBlock.build_k_out` feed the same draws to the same
 kernel, so the serial and replicated paths see the very same graphs.
@@ -87,8 +90,8 @@ def sample_distinct_peers(
 ) -> np.ndarray:
     """``fill`` distinct uniform peers (self excluded) per node, batched.
 
-    The shared redraw-until-distinct core behind both the k-out overlay
-    sampler and the array-native NEWSCAST bootstrap: one uniform block
+    The shared redraw-until-distinct core behind the k-out overlay
+    sampler and both NEWSCAST bootstraps: one uniform block
     over the ``size - 1`` other identifiers, duplicate slots redrawn
     until every row is distinct, then the skip-self shift.  Rows come
     back sorted ascending (per row) in ``(size, fill)`` int64 form.
@@ -276,8 +279,8 @@ class ReplicatedStaticBlock:
         ``build(r)`` constructs replica ``r``'s ``StaticTopology``; its
         rows are copied into the block and the instance is released
         before the next replica is built, so peak memory holds the block
-        plus **one** standalone overlay (and whatever Python containers
-        its generator assembled it from) — not ``count`` of them.
+        plus **one** standalone overlay (and its builder's edge arrays)
+        — not ``count`` of them.
         """
         require_positive(count, "count")
         instance = cls(

@@ -6,21 +6,16 @@ wires itself to ``attachment`` existing nodes chosen with probability
 proportional to their current degree.  The resulting degree distribution
 follows a power law, modelling networks such as Gnutella or the web graph.
 
-The graph is built in the edge-slot form of Batagelj and Brandes
-(Phys. Rev. E 71, 036113, 2005), as arrays: edge ``e`` owns the slots
-``2e`` (its new node) and ``2e + 1`` (its target), so every node appears
-once per incident edge and a uniform slot is a degree-proportional node.
-After the seed clique on ``m + 1`` nodes, each new node's ``m`` target
-slots copy a uniform slot from before the node's first edge.  The new
-nodes are drawn in generations of doubling size, one batch each: a
-target copying a target of its own generation resolves through the copy
-chain by pointer jumping, and a node whose targets repeat redraws the
-repeats, pass by pass, until its ``m`` targets are distinct (a node
-still repeating after the passes completes them exactly,
-degree-proportionally, without replacement).  A generation is settled
-before the next one copies from it, so every copy reads the final
-target, as in the sequential process.  The result has exactly
-``m (N - m - 1) + m (m + 1) / 2`` edges.
+Built in the edge-slot form of Batagelj and Brandes (Phys. Rev. E 71,
+036113, 2005), as arrays: edge ``e`` owns slots ``2e`` (its new node) and
+``2e + 1`` (its target), so a uniform slot is a degree-proportional node.
+After the seed clique on ``m + 1`` nodes, each new node's ``m`` targets
+copy uniform slots from before its first edge.  Nodes are drawn in
+generations of doubling size, each settled before the next copies from
+it: copy chains inside a generation resolve by pointer jumping, and
+repeated targets redraw until each node has ``m`` distinct ones.  Every
+copy thus reads the final target, as in the sequential process, and the
+graph has exactly ``m (N - m - 1) + m (m + 1) / 2`` edges.
 """
 
 from __future__ import annotations
@@ -72,80 +67,61 @@ def barabasi_albert_topology(
     slots[0:seed_slots:2] = clique_low
     slots[1:seed_slots:2] = clique_high
     slots[seed_slots::2] = np.repeat(np.arange(m + 1, size, dtype=np.int64), m)
-    # New nodes attach in generations of doubling size; each generation
+    # New nodes attach in generations of doubling size.  A generation
     # copies only from slots before it or inside it, so once settled it
     # is final for every later one.
     first = 0
     while first < size - m - 1:
         last = min(size - m - 1, 2 * first + 1)
-        _attach(slots, seed_slots, m, first, last, generator)
+        _attach(slots, seed_slots + 2 * m * first, seed_slots + 2 * m * last, m, generator)
         first = last
     rows, degrees = rows_from_edges(size, slots[0::2], slots[1::2])
     return StaticTopology.from_rows(rows, degrees, name=f"scale-free(m={attachment})")
 
 
 def _attach(
-    slots: np.ndarray,
-    seed_slots: int,
-    m: int,
-    first: int,
-    last: int,
-    generator: np.random.Generator,
+    slots: np.ndarray, start: int, stop: int, m: int, generator: np.random.Generator
 ) -> None:
-    """Fill the target slots of the ``first .. last - 1``-th new nodes.
+    """Fill the target slots of the generation spanning ``slots[start:stop]``.
 
-    Every target copies a uniform slot from before its node's first edge;
-    targets that repeat one of their node's earlier targets redraw, pass
-    by pass, and a node still repeating after the passes completes its
-    targets exactly.
+    Every target copies a uniform slot from before its node's first edge
+    (``limits``); a target that repeats an earlier target of its node
+    redraws, pass by pass.  Past the redraw passes, each repeat copies a
+    uniform earlier slot among those holding a node its row lacks.
     """
-    start = seed_slots + 2 * m * first  # the generation's first slot
-    own = np.arange(start + 1, seed_slots + 2 * m * last, 2, dtype=np.int64)
-    limits = np.repeat(seed_slots + 2 * m * np.arange(first, last, dtype=np.int64), m)
+    targets = np.arange(start + 1, stop, 2, dtype=np.int64)
+    limits = np.repeat(np.arange(start, stop, 2 * m, dtype=np.int64), m)
     source = generator.integers(0, limits)
-    fixed = np.zeros(own.size, dtype=bool)
-    targets = np.full((last - first, m), -1, dtype=np.int64)  # so every row moves
-    stuck = np.empty(0, dtype=np.int64)
     for attempt in itertools.count():
-        before = targets
-        slots[own] = _follow(slots, source, fixed, own, start)
-        targets = slots[own].reshape(-1, m)
-        # A row can gain a repeat only where its targets moved.
-        check = np.union1d(stuck, np.flatnonzero((targets != before).any(axis=1)))
-        repeat = _repeats(targets[check])
-        repeating = repeat.any(axis=1)
-        stuck, repeat = check[repeating], repeat[repeating]
-        if stuck.size == 0:
+        slots[targets] = slots[_resolve(source, start)]
+        repeat = _repeats(slots[targets].reshape(-1, m)).reshape(-1)
+        if not repeat.any():
             return
         if attempt < _REDRAW_PASSES:
-            redo = (stuck[:, None] * m + np.arange(m))[repeat]
-            source[redo] = generator.integers(0, limits[redo])
-        else:
-            _complete(slots, own.reshape(-1, m)[stuck], repeat, generator)
-            fixed.reshape(-1, m)[stuck] = True
+            source[repeat] = generator.integers(0, limits[repeat])
+            continue
+        for entry in np.flatnonzero(repeat).tolist():
+            row = slots[targets[entry - entry % m : entry - entry % m + m]]
+            lacking = np.flatnonzero(~np.isin(slots[: limits[entry]], row))
+            source[entry] = lacking[generator.integers(0, lacking.size)]
+            slots[targets[entry]] = slots[source[entry]]
 
 
-def _follow(
-    slots: np.ndarray, source: np.ndarray, fixed: np.ndarray, own: np.ndarray, start: int
-) -> np.ndarray:
-    """The value every target of a generation copies, copy chains resolved.
+def _resolve(source: np.ndarray, start: int) -> np.ndarray:
+    """The filled slot each target's copy chain ends at.
 
-    A target copying a slot before ``start`` (or an owner slot, or a
-    completed target) reads it directly.  One copying another target of
-    the same generation takes that target's pointer instead — pointer
-    jumping, so a chain of ``L`` links resolves in ``log2(L)`` passes.
+    A copied slot before ``start``, or an owner slot, is filled.  A
+    target copying another target of the same generation takes that
+    target's pointer instead — pointer jumping, so a chain of ``L`` links
+    resolves in ``log2(L)`` passes.
     """
     at = source.copy()
-    todo = np.flatnonzero(~fixed)
+    todo = np.arange(at.size, dtype=np.int64)
     while todo.size:
         link = at[todo] - start
-        inside = (link > 0) & (link % 2 == 1)
-        inside[inside] = ~fixed[link[inside] // 2]
-        todo = todo[inside]
+        todo = todo[(link > 0) & (link % 2 == 1)]
         at[todo] = at[(at[todo] - start) // 2]
-    values = slots[at]
-    values[fixed] = slots[own[fixed]]
-    return values
+    return at
 
 
 def _repeats(targets: np.ndarray) -> np.ndarray:
@@ -155,25 +131,3 @@ def _repeats(targets: np.ndarray) -> np.ndarray:
     repeat = np.zeros(targets.shape, dtype=bool)
     np.put_along_axis(repeat, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
     return repeat
-
-
-def _complete(
-    slots: np.ndarray, own: np.ndarray, repeat: np.ndarray, generator: np.random.Generator
-) -> None:
-    """Replace each row's repeated targets exactly, in place.
-
-    ``own`` holds one row of target slots per node.  The repeats are drawn
-    degree-proportionally (over the slots before the node's first edge)
-    without replacement from the nodes the row lacks.
-    """
-    for row_slots, row_repeat in zip(own, repeat):
-        values = slots[row_slots]
-        weights = np.bincount(slots[: row_slots[0] - 1])
-        weights[values] = 0
-        values[row_repeat] = generator.choice(
-            weights.size,
-            size=int(row_repeat.sum()),
-            replace=False,
-            p=weights / weights.sum(),
-        )
-        slots[row_slots] = values

@@ -6,17 +6,13 @@ with probability ``beta``.  Rewiring the lattice edge ``(n, m)`` owned by
 ``n`` keeps ``n`` and replaces ``m`` by a uniformly random node that is
 neither ``n`` nor already a neighbour of ``n``.
 
-The rewiring is one array pass, not a per-edge loop: one Bernoulli(β)
-mask over the ``N * k/2`` lattice edges, then all new targets drawn at
-once (skip-self, so no self-loops).  A draw that repeats an existing edge
-— a kept lattice edge or an earlier draw — is redrawn in passes until the
-graph is simple, so the edge count stays exactly ``N * k/2``.  Edges the
+The rewiring is array passes, not a per-edge loop: one Bernoulli(β)
+mask over the ``N * k/2`` lattice edges, all new targets drawn at once
+(skip-self), and draws that repeat an existing edge redrawn until the
+graph is simple, so exactly ``N * k/2`` edges remain.  The few edges the
 passes leave unplaced (only near the densest valid degree) are completed
-one at a time from their owner's remaining non-neighbours; an owner that
-already knows every node hands its edge to a uniform node that does not.
-Every requested rewire therefore happens.  The sequential original lets
-a rewire see the rewires before it; the batched draw sees them only
-through the duplicate check — the same graph law up to that ordering.
+exactly, so every requested rewire happens.  Unlike the sequential
+original, a draw sees the other rewires only through the repeat check.
 
 ``beta = 0`` is the ring lattice itself; ``beta = 1`` rewires every edge,
 producing a random graph.  The paper sweeps ``beta`` in Figure 4(a) and
@@ -85,12 +81,12 @@ def _rewire(
     rewired: np.ndarray,
     generator: np.random.Generator,
 ) -> None:
-    """Point every ``rewired`` edge at a fresh target, in place; keep it simple.
+    """Point every ``rewired`` edge at a fresh target, in place.
 
-    Each pass draws the pending edges' targets at once and keeps a draw
-    unless its edge already exists or a lower-indexed draw of the same
-    pass made it; the rest redraw.  ``settled`` holds the sorted keys of
-    every edge placed so far.
+    The graph stays simple: each pass draws the pending edges' targets at
+    once and keeps a draw unless its edge already exists or a
+    lower-indexed draw of the same pass made it; the rest redraw.
+    ``settled`` holds the sorted keys of every edge placed so far.
     """
     pending = np.flatnonzero(rewired)
     settled = np.sort(_edge_keys(size, owners[~rewired], targets[~rewired]))

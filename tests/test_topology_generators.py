@@ -17,10 +17,11 @@ from repro.topology import (
     compute_graph_statistics,
     random_k_out_topology,
     ring_lattice_topology,
+    scale_free,
+    watts_strogatz,
     watts_strogatz_topology,
 )
 from repro.newscast import NewscastOverlay, VectorizedNewscastOverlay
-from repro.topology import scale_free, watts_strogatz
 
 
 class TestRandomKOut:
@@ -112,10 +113,10 @@ class TestWattsStrogatz:
         assert topology.edge_count() == size * degree // 2
         assert all(node not in topology.neighbors(node) for node in range(size))
 
-    @pytest.mark.parametrize("module", [watts_strogatz, scale_free])
-    def test_exact_completion_alone_builds_a_simple_graph(self, module, monkeypatch):
+    def test_exact_completion_alone_builds_a_simple_graph(self, monkeypatch):
         # With no redraw pass every repeat goes through the exact completion.
-        monkeypatch.setattr(module, "_REDRAW_PASSES", 0)
+        monkeypatch.setattr(watts_strogatz, "_REDRAW_PASSES", 0)
+        monkeypatch.setattr(scale_free, "_REDRAW_PASSES", 0)
         for seed in range(3):
             ws = watts_strogatz_topology(30, 8, 0.8, RandomSource(seed))
             assert ws.edge_count() == 30 * 8 // 2

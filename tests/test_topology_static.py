@@ -338,6 +338,30 @@ class TestRowStore:
         assert retained < 20e6
         assert topology.size() == size
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TopologySpec("ring-lattice", degree=20),
+            TopologySpec("watts-strogatz", degree=20, beta=0.25),
+            TopologySpec("watts-strogatz", degree=20, beta=1.0),
+            TopologySpec("scale-free", degree=20),
+        ],
+        ids=["ring-lattice", "ws-0.25", "ws-1.0", "scale-free"],
+    )
+    def test_edge_array_builders_stay_within_the_array_budget(self, spec):
+        # Budget: the padded rows plus 16 int64 words (128 B) per edge for
+        # the edge arrays, both directions' sort keys and the builder's
+        # scratch.  Measured at N=2e4 above the rows: ring 40 B/edge,
+        # W-S 39 (beta 0.25) and 84 (beta 1), scale-free 76; the
+        # dict-of-sets builders took 263-382 B/edge.
+        tracemalloc.start()
+        try:
+            topology = build_overlay(spec, 20_000, RandomSource(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= topology._block._adj.nbytes + 128 * topology.edge_count()
+
     def test_membership_and_peer_draws_leave_no_python_containers(self):
         topology = build_overlay(TopologySpec("random", degree=5), 200, RandomSource(3))
         topology.on_node_removed(7)
