@@ -27,7 +27,8 @@ def ring_lattice_edges(size: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """The lattice's ``size * degree/2`` edges as two flat int64 arrays.
 
     Edge ``i * degree/2 + (o - 1)`` is ``(i, (i + o) mod size)``: owner-major,
-    offsets ascending — the order in which Watts–Strogatz visits them.
+    offsets ascending.  Watts–Strogatz follows this order: edge ``i``
+    owns mask bit ``i``, and a lower index wins a repeated draw.
     """
     half = degree // 2
     owners = np.repeat(np.arange(size, dtype=np.int64), half)
