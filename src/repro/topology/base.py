@@ -8,9 +8,12 @@ here, its established import path):
   this package (random k-out, complete, ring lattice, Watts–Strogatz,
   Barabási–Albert) all build instances of this class.  It keeps no
   Python containers: it is the one-replica view of a
-  :class:`~repro.topology.replicated.ReplicatedStaticBlock`, the padded
-  int32 row store every static overlay lives in (memory: ``(largest id
-  + 1) x max_degree x 4`` bytes — hub-dominated for scale-free graphs).
+  :class:`~repro.topology.replicated.ReplicatedStaticBlock`, the ragged
+  int32 row store every static overlay lives in (memory: 4 bytes per
+  stored neighbour, each edge stored once per endpoint, plus a per-row
+  offset, degree and room of 8 bytes each over ``largest id + 1`` rows;
+  no max-degree term, so a scale-free graph's hubs cost only their own
+  rows).
 * :class:`repro.newscast.VectorizedNewscastOverlay` — a dynamic overlay
   maintained by the NEWSCAST epidemic membership protocol (and its
   dict-based parity oracle :class:`repro.newscast.NewscastOverlay`).
@@ -27,7 +30,7 @@ from ..common.errors import TopologyError
 from .partitions import effective_components
 from .provider import OverlayProvider
 from .replicated import (
-    _SENTINEL,
+    _ID_LIMIT,
     ReplicatedStaticBlock,
     StaticBlockView,
     rows_from_edges,
@@ -78,9 +81,9 @@ class StaticTopology(StaticBlockView):
             )
         except OverflowError as exc:
             raise TopologyError("node identifiers exceed the int32 block range") from exc
-        if count and (ids.min() < 0 or ids.max() >= _SENTINEL):
+        if count and (ids.min() < 0 or ids.max() >= _ID_LIMIT):
             raise TopologyError(
-                f"node identifiers must lie in [0, {_SENTINEL}), "
+                f"node identifiers must lie in [0, {_ID_LIMIT}), "
                 f"got {ids.min()} .. {ids.max()}"
             )
         capacity = int(ids.max()) + 1 if count else 0
@@ -93,25 +96,24 @@ class StaticTopology(StaticBlockView):
                 if node == neighbour
                 else f"node {node} references unknown neighbour {neighbour}"
             )
-        rows, degrees = rows_from_edges(capacity, sources, targets)
-        block = ReplicatedStaticBlock(rows, degrees, capacity, [ids.tolist()], name)
+        neighbours, degrees = rows_from_edges(capacity, sources, targets)
+        block = ReplicatedStaticBlock(neighbours, degrees, capacity, [ids.tolist()], name)
         super().__init__(block, 0)
 
     @classmethod
     def from_rows(
-        cls, rows: np.ndarray, degrees: np.ndarray, name: str = "static"
+        cls, neighbours: np.ndarray, degrees: np.ndarray, name: str = "static"
     ) -> "StaticTopology":
-        """Topology over prepared block rows; node ``u`` owns row ``u``.
+        """Topology over prepared ragged rows; node ``u`` owns row ``u``.
 
-        ``rows`` and ``degrees`` are what
+        ``neighbours`` and ``degrees`` are what
         :func:`~repro.topology.replicated.rows_from_edges` returns for the
-        dense identifier space ``0 .. len(rows) - 1``.
+        dense identifier space ``0 .. len(degrees) - 1``.
         """
-        size = rows.shape[0]
+        size = degrees.size
         topology = cls.__new__(cls)
-        StaticBlockView.__init__(
-            topology, ReplicatedStaticBlock(rows, degrees, size, [range(size)], name), 0
-        )
+        block = ReplicatedStaticBlock(neighbours, degrees, size, [range(size)], name)
+        StaticBlockView.__init__(topology, block, 0)
         return topology
 
     # ------------------------------------------------------------------
@@ -123,14 +125,11 @@ class StaticTopology(StaticBlockView):
 
     def degree_sequence(self) -> List[int]:
         """Degrees of all nodes, in node-id order."""
-        return self._block._degrees[self._block._alive].tolist()
+        return self._block._degree_sequence(self._replica)
 
     def edges(self) -> List[tuple[int, int]]:
         """All undirected edges as ``(low, high)`` tuples, each once."""
-        rows = self._block._adj
-        present = rows != _SENTINEL
-        owners = np.nonzero(present)[0]
-        neighbours = rows[present]
+        owners, neighbours = self._block._entries(self._replica)
         once = owners < neighbours
         return list(zip(owners[once].tolist(), neighbours[once].tolist()))
 

@@ -42,5 +42,7 @@ def random_k_out_topology(size: int, degree: int, rng: RandomSource) -> StaticTo
         Randomness source.
     """
     owners = np.arange(size, dtype=np.int64)[:, None]
-    rows, degrees = rows_from_edges(size, owners, draw_k_out_peers(size, degree, rng))
-    return StaticTopology.from_rows(rows, degrees, name=f"random(k={degree})")
+    neighbours, degrees = rows_from_edges(
+        size, owners, draw_k_out_peers(size, degree, rng)
+    )
+    return StaticTopology.from_rows(neighbours, degrees, name=f"random(k={degree})")

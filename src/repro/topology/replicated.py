@@ -1,13 +1,14 @@
-"""The array store behind every static overlay: padded block rows.
+"""The array store behind every static overlay: ragged block rows.
 
-A static overlay is kept as rows of one padded int32 matrix, never as
-Python containers: node ``u`` of replica ``r`` owns block row
-``r * stride + u``, the row lists ``u``'s neighbours ascending, and a
-sentinel pads it to the block width.  Peer selection, crash removal and
-churn joins are array passes over those rows.
-:class:`~repro.topology.base.StaticTopology` is the one-replica case; a
-replicated simulation holds its ``R`` independent repetitions (each drawn
-from its own random stream) in one block, at offsets ``r * stride``.
+A static overlay is kept as ragged rows in one flat int32 buffer, never
+as Python containers: node ``u`` of replica ``r`` owns block row
+``r * stride + u``, whose neighbours sit ascending at
+``neighbours[offsets[row] : offsets[row] + degrees[row]]``.  Peer
+selection, crash removal and churn joins are array passes over those
+rows.  :class:`~repro.topology.base.StaticTopology` is the one-replica
+case; a replicated simulation holds its ``R`` independent repetitions
+(each drawn from its own random stream) in one block, at row offsets
+``r * stride``.
 
 The ascending row order is the load-bearing part: a peer draw maps a
 uniform variate ``u`` to the neighbour at index ``floor(u * degree)``, so
@@ -15,13 +16,17 @@ a serial overlay and a replica view that consume the same generator calls
 make **bit-identical peer choices** — which is what lets the replicated
 engine reproduce serial fast-path traces exactly.
 
-Memory law: a block costs ``rows x max_degree x 4`` bytes, where
-``rows = R x (largest node id + 1)``.  Rows are as wide as the highest
-degree in the block, so a scale-free graph pays for its hubs on every
-row and sparse identifiers pay for the gaps.  Building a k-out overlay
-of ``N`` nodes holds, transiently, ``2 * N * k * 8`` bytes of int64 sort
-keys plus ``2 * N * k * 4`` bytes of int32 neighbour column plus the
-rows, while the caller holds the ``N * k * 8``-byte draw matrix.
+Memory law: a block costs 4 bytes per stored neighbour (every undirected
+edge is stored once per endpoint) plus 25 bytes per row (int64 offset,
+degree and room, and an alive flag), where ``rows = R x (largest node id
++ 1)``.  There is no max-degree term: a scale-free graph's hubs cost
+only their own rows, though sparse identifiers still pay for the gaps.
+A churn join that outgrows a row moves the row to the end of the
+buffer with twice its room and leaves the old segment unused (the
+buffer is never compacted).  Building a k-out overlay of ``N`` nodes
+holds, transiently, ``2 * N * k * 8`` bytes of int64 sort keys plus
+``2 * N * k * 4`` bytes of int32 neighbour column plus the rows; the
+``N * k * 8``-byte draw matrix is freed before the sort.
 
 :func:`rows_from_edges` is the one edge-list -> rows kernel: every static
 builder (k-out, ring lattice, Watts–Strogatz, Barabási–Albert) hands it
@@ -53,13 +58,11 @@ __all__ = [
     "StaticBlockView",
 ]
 
-#: Padding value for empty adjacency slots.  Larger than any node id, so
-#: rows stay ascending-sorted with the padding at the end and one
-#: ``np.sort`` per row re-establishes the invariant after edits.  The
-#: block stores neighbours as int32 (ids are bounded far below 2^31 at
-#: any reachable scale), halving the memory traffic of the row sorts and
-#: gathers; peer draws are widened back to int64 at the API boundary.
-_SENTINEL = np.iinfo(np.int32).max
+#: Exclusive bound on node identifiers.  The block stores neighbours as
+#: int32 (ids are bounded far below 2^31 at any reachable scale), halving
+#: the memory traffic of the row edits and gathers; peer draws are
+#: widened back to int64 at the API boundary.
+_ID_LIMIT = np.iinfo(np.int32).max
 
 
 def draw_k_out_peers(size: int, degree: int, rng: RandomSource) -> np.ndarray:
@@ -125,52 +128,68 @@ def sample_distinct_peers(
 def rows_from_edges(
     size: int, sources: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Padded ascending adjacency rows of the undirected graph on an edge list.
+    """Ragged ascending adjacency rows of the undirected graph on an edge list.
 
     ``sources`` and ``targets`` are int64 node identifiers in ``[0, size)``
     that broadcast together (flat edge arrays, or a k-out draw's
     ``(size, 1)`` owner column against its ``(size, k)`` draw matrix); an
     edge may be listed in one direction, in both, or several times.  One
     in-place sort of the ``owner * size + neighbour`` keys of both
-    directions symmetrises, deduplicates and row-sorts at once.  Returns
-    ``(adjacency, degrees)``: a ``(size, max_degree)`` int32 matrix whose
-    row ``u`` lists ``u``'s neighbours ascending, sentinel-padded, and the
-    int64 row lengths.
+    directions symmetrises, deduplicates and row-sorts at once, and the
+    sorted keys already are the rows laid end to end.  Returns
+    ``(neighbours, degrees)``: the int32 neighbours of rows ``0 .. size-1``
+    concatenated, each row ascending, and the int64 row lengths.
+
+    The kernel drops its references to the edge arrays once the keys are
+    formed, so a caller that passes them as temporaries has them freed
+    before the sort.
     """
     keys = np.empty((2,) + np.broadcast(sources, targets).shape, dtype=np.int64)
     np.multiply(sources, size, out=keys[0])
     np.add(keys[0], targets, out=keys[0])
     np.multiply(targets, size, out=keys[1])
     np.add(keys[1], sources, out=keys[1])
+    del sources, targets
     keys = keys.reshape(-1)
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    # The sorted keys are the rows laid end to end: row u spans the keys
-    # in [u * size, (u + 1) * size), and key % size is the neighbour.
+    # Row u spans the keys in [u * size, (u + 1) * size), and key % size
+    # is the neighbour.
     starts = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * size)
     degrees = np.diff(starts)
     degrees -= np.bincount(keys[~first] // size, minlength=size)
-    width = max(1, int(degrees.max())) if size else 1
     neighbours = np.remainder(
         keys, size, out=np.empty(keys.size, dtype=np.int32), casting="unsafe"
     )
-    # Freeing each temporary once consumed, before the rows, sets the peak.
+    # Freeing each temporary once consumed sets the peak.
     del keys
-    neighbours = neighbours[first]
-    del first
-    adjacency = np.full((size, width), _SENTINEL, dtype=np.int32)
-    adjacency[np.arange(width) < degrees[:, None]] = neighbours
-    return adjacency, degrees
+    return neighbours[first], degrees
+
+
+def _ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int64 positions ``starts[i] .. starts[i] + lengths[i] - 1``, concatenated."""
+    shift = starts - np.cumsum(lengths) + lengths
+    return np.repeat(shift, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
+
+
+def _packed_offsets(degrees: np.ndarray, start: int) -> np.ndarray:
+    """Offsets of rows laid end to end from ``start``; empty rows point at slot 0."""
+    offsets = np.cumsum(degrees) - degrees + start
+    offsets[degrees == 0] = 0
+    return offsets
 
 
 class ReplicatedStaticBlock:
-    """``R`` static overlays stored as one padded block adjacency matrix.
+    """``R`` static overlays stored as one ragged row store.
 
     Replica ``r``'s node ``u`` occupies block row ``r * stride + u``.
-    Each row keeps its neighbours ascending with sentinel padding, so
-    peer draws from the same generator stream pick the same neighbours
+    The row's neighbours sit ascending in one flat int32 buffer, at
+    ``neighbours[offsets[row] : offsets[row] + degrees[row]]``, so peer
+    draws from the same generator stream pick the same neighbours
     whichever replica — or standalone ``StaticTopology`` — holds the row.
+    Each row owns ``room[row] >= degrees[row]`` slots of the buffer; a
+    row without room points at slot 0, so every offset indexes the buffer.
 
     Use :meth:`build_k_out` to construct the block for the paper's
     random overlay, or :meth:`from_topologies` / :meth:`from_builder` to
@@ -181,8 +200,9 @@ class ReplicatedStaticBlock:
 
     Parameters
     ----------
-    adjacency, degrees:
-        The ``(replicas * stride, width)`` padded rows and their lengths.
+    neighbours, degrees:
+        Rows ``0 .. replicas * stride - 1`` laid end to end (int32, any
+        spare capacity after them) and their lengths.
     stride:
         Row capacity reserved per replica (largest node id + 1).
     orders:
@@ -193,14 +213,20 @@ class ReplicatedStaticBlock:
 
     def __init__(
         self,
-        adjacency: np.ndarray,
+        neighbours: np.ndarray,
         degrees: np.ndarray,
         stride: int,
         orders: Sequence[Sequence[int]],
         name: str = "static-block",
     ) -> None:
-        self._adj = adjacency
+        self._neighbours = neighbours if neighbours.size else np.zeros(1, dtype=np.int32)
         self._degrees = degrees
+        self._offsets = _packed_offsets(degrees, 0)
+        self._room = degrees.copy()
+        self._used = int(degrees.sum())
+        # Block rows of the nodes removed since the last read: their
+        # entries leave the neighbours' rows in one pass (_settle).
+        self._pending: List[int] = []
         self._replicas = len(orders)
         self._stride = int(stride)
         self.name = name
@@ -238,20 +264,21 @@ class ReplicatedStaticBlock:
         replicas = len(rngs)
         require_positive(replicas, "replicas")
         owners = np.arange(size, dtype=np.int64)[:, None]
-        pieces = [
-            rows_from_edges(size, owners, draw_k_out_peers(size, degree, rng))
-            for rng in rngs
-        ]
-        width = max(adjacency.shape[1] for adjacency, _ in pieces)
-        block = np.full((replicas * size, width), _SENTINEL, dtype=np.int32)
-        block_degrees = np.zeros(replicas * size, dtype=np.int64)
-        for replica, (adjacency, degrees) in enumerate(pieces):
-            base = replica * size
-            block[base : base + size, : adjacency.shape[1]] = adjacency
-            block_degrees[base : base + size] = degrees
+        # A replica stores each of its size * degree draws at most twice
+        # (once per endpoint), which sizes the one buffer up front.
+        neighbours = np.empty(replicas * 2 * size * degree, dtype=np.int32)
+        degrees = np.empty(replicas * size, dtype=np.int64)
+        used = 0
+        for replica, rng in enumerate(rngs):
+            values, row_degrees = rows_from_edges(
+                size, owners, draw_k_out_peers(size, degree, rng)
+            )
+            neighbours[used : used + values.size] = values
+            degrees[replica * size : (replica + 1) * size] = row_degrees
+            used += values.size
         return cls(
-            block,
-            block_degrees,
+            neighbours,
+            degrees,
             size,
             [range(size)] * replicas,
             name=name or f"random(k={degree})",
@@ -280,33 +307,39 @@ class ReplicatedStaticBlock:
         rows are copied into the block and the instance is released
         before the next replica is built, so peak memory holds the block
         plus **one** standalone overlay (and its builder's edge arrays)
-        — not ``count`` of them.
+        — not ``count`` of them.  The buffer is sized for ``count``
+        copies of the first replica's rows, which is exact for the
+        families with a fixed edge count, and grows by doubling past it.
         """
         require_positive(count, "count")
         instance = cls(
-            np.full((count, 1), _SENTINEL, dtype=np.int32),
-            np.zeros(count, dtype=np.int64),
-            1,
-            [()] * count,
+            np.zeros(1, dtype=np.int32), np.zeros(count, dtype=np.int64), 1, [()] * count
         )
         for replica in range(count):
             topology = build(replica)
-            instance._adopt(replica, topology)
             if replica == 0:
                 instance.name = topology.name
+                entries = topology._block._edge_sum[topology._replica]
+                instance._neighbours = np.empty(max(1, count * entries), dtype=np.int32)
+            instance._adopt(replica, topology)
             del topology
         return instance
 
     def _adopt(self, replica: int, topology: "StaticBlockView") -> None:
-        """Copy one built overlay's rows and bookkeeping into the block."""
+        """Copy one built overlay's rows and bookkeeping into the empty ``replica``."""
         source, origin = topology._block, topology._replica
-        span, width = source._stride, source._adj.shape[1]
-        self._ensure_local_capacity(span - 1)
-        self._ensure_width(width)
-        rows = slice(replica * self._stride, replica * self._stride + span)
+        source._settle()
+        span = source._stride
         source_rows = slice(origin * span, (origin + 1) * span)
-        self._adj[rows, :width] = source._adj[source_rows]
-        self._degrees[rows] = source._degrees[source_rows]
+        degrees = source._degrees[source_rows].copy()
+        values = source._neighbours[_ragged_positions(source._offsets[source_rows], degrees)]
+        self._ensure_local_capacity(span - 1)
+        rows = slice(replica * self._stride, replica * self._stride + span)
+        start = self._claim(values.size)
+        self._neighbours[start : start + values.size] = values
+        self._offsets[rows] = _packed_offsets(degrees, start)
+        self._degrees[rows] = degrees
+        self._room[rows] = degrees
         self._alive[rows] = source._alive[source_rows]
         self._insertion_order[replica] = list(source._existing(origin))
         self._edge_sum[replica] = source._edge_sum[origin]
@@ -345,12 +378,32 @@ class ReplicatedStaticBlock:
     def _neighbors(self, replica: int, node_id: int) -> tuple:
         if not self._contains(replica, node_id):
             raise TopologyError(f"unknown node {node_id}")
+        self._settle()
         row = replica * self._stride + node_id
-        return tuple(self._adj[row, : self._degrees[row]].tolist())
+        start = self._offsets[row]
+        return tuple(self._neighbours[start : start + self._degrees[row]].tolist())
+
+    def _entries(self, replica: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every stored neighbour entry of ``replica``: ``(local owner, neighbour)``.
+
+        Owners ascending, each owner's neighbours ascending; int64 owners
+        and the store's int32 neighbours.
+        """
+        self._settle()
+        rows = slice(replica * self._stride, (replica + 1) * self._stride)
+        degrees = self._degrees[rows]
+        owners = np.repeat(np.arange(self._stride, dtype=np.int64), degrees)
+        return owners, self._neighbours[_ragged_positions(self._offsets[rows], degrees)]
+
+    def _degree_sequence(self, replica: int) -> List[int]:
+        self._settle()
+        rows = slice(replica * self._stride, (replica + 1) * self._stride)
+        return self._degrees[rows][self._alive[rows]].tolist()
 
     def _average_degree(self, replica: int) -> float:
         if self._node_count[replica] == 0:
             return 0.0
+        self._settle()
         return self._edge_sum[replica] / self._node_count[replica]
 
     def _select_peers_batch(
@@ -366,41 +419,88 @@ class ReplicatedStaticBlock:
             peers = np.full(node_ids.size, -1, dtype=np.int64)
             peers[known] = self._select_peers_batch(replica, node_ids[known], generator)
             return peers
+        self._settle()
         rows = replica * self._stride + node_ids
         row_degrees = self._degrees[rows]
         # Floor-multiply instead of per-element bounded integers: one
         # uniform block plus a multiply is several times faster than the
         # rejection-based integer path, and the bias is O(degree / 2^53).
         draws = (generator.random(node_ids.size) * row_degrees).astype(np.int64)
-        # One flat gather instead of 2-D fancy indexing (severalfold
-        # cheaper), widened back to the int64 the engines work in.  An
-        # isolated node gathers its first padding slot, masked below.
-        draws += rows * self._adj.shape[1]
-        peers = self._adj.ravel()[draws].astype(np.int64)
+        # One flat gather, widened back to the int64 the engines work in.
+        # An isolated node gathers its row's first slot, masked below.
+        draws += self._offsets[rows]
+        peers = self._neighbours[draws].astype(np.int64)
         peers[row_degrees == 0] = -1
         return peers
 
     def _remove_node(self, replica: int, node_id: int) -> None:
+        """Take ``node_id`` out of the membership; its edges go at the next read."""
         if not self._contains(replica, node_id):
             return
-        base = replica * self._stride
-        row = base + node_id
-        count = int(self._degrees[row])
-        neighbours = self._adj[row, :count].copy()
-        self._adj[row] = _SENTINEL
-        self._degrees[row] = 0
+        row = replica * self._stride + node_id
         self._alive[row] = False
         self._node_count[replica] -= 1
-        self._edge_sum[replica] -= 2 * count
-        if count:
-            # Delete node_id from every neighbour's sorted row: mark the
-            # entry and let one batched sort push the hole into padding.
-            neighbour_rows = base + neighbours
-            sub = self._adj[neighbour_rows]
-            sub[sub == node_id] = _SENTINEL
-            sub.sort(axis=1)
-            self._adj[neighbour_rows] = sub
-            self._degrees[neighbour_rows] -= 1
+        self._pending.append(row)
+
+    def _settle(self) -> None:
+        """Delete every pending victim from its neighbours' rows, in one pass.
+
+        A crash event removes many nodes between two reads, and one
+        vectorised pass serves them all.  A binary search finds each
+        victim in each of its live neighbours' rows, and each such row
+        shifts the tail after its first hit left by its number of hits.
+        Edges between two victims go with both victims' rows.
+        """
+        if not self._pending:
+            return
+        victims = np.asarray(self._pending, dtype=np.int64)
+        self._pending = []
+        stride = self._stride
+        counts = self._degrees[victims]
+        replica_of = victims // stride
+        entries = _ragged_positions(self._offsets[victims], counts)
+        rows = np.repeat(replica_of * stride, counts) + self._neighbours[entries]
+        lost = np.repeat(victims - replica_of * stride, counts)
+        self._degrees[victims] = 0
+        live = self._alive[rows]
+        # Degree sums lose both ends of every edge at a victim, but an
+        # edge between two victims only once per end.
+        dropped = 2 * np.bincount(replica_of, weights=counts, minlength=self._replicas)
+        dropped -= np.bincount(rows[~live] // stride, minlength=self._replicas)
+        for replica in np.flatnonzero(dropped).tolist():
+            self._edge_sum[replica] -= int(dropped[replica])
+        rows, lost = rows[live], lost[live]
+        if rows.size == 0:
+            return
+        positions = self._find(rows, lost)
+        # Rows own disjoint segments, so ordering the hits by position
+        # groups them by row, each row's hits ascending.
+        order = np.argsort(positions)
+        positions, rows = positions[order], rows[order]
+        head = np.ones(rows.size, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        touched, first = rows[starts], positions[starts]
+        hits = np.diff(np.append(starts, rows.size))
+        tails = self._offsets[touched] + self._degrees[touched] - first
+        span = _ragged_positions(first, tails)
+        keep = np.ones(span.size, dtype=bool)
+        keep[positions + np.repeat(np.cumsum(tails) - tails - first, hits)] = False
+        self._neighbours[_ragged_positions(first, tails - hits)] = self._neighbours[
+            span[keep]
+        ]
+        self._degrees[touched] -= hits
+
+    def _find(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Buffer position of ``values[i]`` in row ``rows[i]`` (present in it)."""
+        low = self._offsets[rows]
+        high = low + self._degrees[rows]
+        for _ in range(int((high - low).max()).bit_length()):
+            middle = (low + high) >> 1
+            smaller = self._neighbours[middle] < values
+            np.add(middle, 1, out=low, where=smaller)
+            np.copyto(high, middle, where=~smaller)
+        return low
 
     def _add_node(self, replica: int, node_id: int, rng: RandomSource) -> None:
         """Attach a new node to ``degree``-many random existing nodes.
@@ -413,6 +513,7 @@ class ReplicatedStaticBlock:
             raise TopologyError(f"node identifiers must be non-negative, got {node_id}")
         if self._contains(replica, node_id):
             raise TopologyError(f"node {node_id} already exists")
+        self._settle()
         self._ensure_local_capacity(node_id)
         base = replica * self._stride
         row = base + node_id
@@ -424,20 +525,21 @@ class ReplicatedStaticBlock:
             average = self._edge_sum[replica] / self._node_count[replica]
             count = min(max(1, round(average)), len(existing))
             peers = sorted(int(peer) for peer in rng.sample(existing, count))
-            self._ensure_width(len(peers))
-            self._adj[row, : len(peers)] = peers
-            self._degrees[row] = len(peers)
+            self._reserve(row, count)
+            start = int(self._offsets[row])
+            self._neighbours[start : start + count] = peers
+            self._degrees[row] = count
             for peer in peers:
                 peer_row = base + peer
                 degree = int(self._degrees[peer_row])
-                self._ensure_width(degree + 1)
-                position = int(np.searchsorted(self._adj[peer_row, :degree], node_id))
-                self._adj[peer_row, position + 1 : degree + 1] = self._adj[
-                    peer_row, position:degree
-                ]
-                self._adj[peer_row, position] = node_id
+                self._reserve(peer_row, degree + 1)
+                start = int(self._offsets[peer_row])
+                segment = self._neighbours[start : start + degree + 1]
+                position = int(np.searchsorted(segment[:degree], node_id))
+                segment[position + 1 :] = segment[position:degree]
+                segment[position] = node_id
                 self._degrees[peer_row] = degree + 1
-            self._edge_sum[replica] += 2 * len(peers)
+            self._edge_sum[replica] += 2 * count
         existing.append(int(node_id))
 
     # ------------------------------------------------------------------
@@ -452,39 +554,45 @@ class ReplicatedStaticBlock:
             self._insertion_order[replica] = order[alive].tolist()
         return self._insertion_order[replica]
 
+    def _reserve(self, row: int, need: int) -> None:
+        """Give ``row`` room for ``need`` entries.
+
+        A row that outgrows its segment moves to the end of the buffer
+        with twice its room (at least ``need``), so a row growing one
+        entry at a time moves a logarithmic number of times.
+        """
+        if need <= self._room[row]:
+            return
+        room = max(need, 2 * int(self._room[row]))
+        start = self._claim(room)
+        old, count = int(self._offsets[row]), int(self._degrees[row])
+        self._neighbours[start : start + count] = self._neighbours[old : old + count]
+        self._offsets[row] = start
+        self._room[row] = room
+
+    def _claim(self, count: int) -> int:
+        """Start of ``count`` fresh slots at the end of the buffer (grown by doubling)."""
+        start = self._used
+        if start + count > self._neighbours.size:
+            grown = np.empty(max(2 * self._neighbours.size, start + count), dtype=np.int32)
+            grown[:start] = self._neighbours[:start]
+            self._neighbours = grown
+        self._used = start + count
+        return start
+
     def _ensure_local_capacity(self, node_id: int) -> None:
+        """Widen every replica's row range to hold ``node_id``; new rows are empty."""
         if node_id < self._stride:
             return
+        self._settle()
         new_stride = max(self._stride * 2, node_id + 1)
-        adj = np.full(
-            (self._replicas * new_stride, self._adj.shape[1]), _SENTINEL, dtype=np.int32
-        )
-        degrees = np.zeros(self._replicas * new_stride, dtype=np.int64)
-        alive = np.zeros(self._replicas * new_stride, dtype=bool)
-        for replica in range(self._replicas):
-            old_base = replica * self._stride
-            new_base = replica * new_stride
-            adj[new_base : new_base + self._stride] = self._adj[
-                old_base : old_base + self._stride
-            ]
-            degrees[new_base : new_base + self._stride] = self._degrees[
-                old_base : old_base + self._stride
-            ]
-            alive[new_base : new_base + self._stride] = self._alive[
-                old_base : old_base + self._stride
-            ]
-        self._adj = adj
-        self._degrees = degrees
-        self._alive = alive
+        relaid = []
+        for old in (self._offsets, self._degrees, self._room, self._alive):
+            new = np.zeros((self._replicas, new_stride), dtype=old.dtype)
+            new[:, : self._stride] = old.reshape(self._replicas, self._stride)
+            relaid.append(new.reshape(-1))
+        self._offsets, self._degrees, self._room, self._alive = relaid
         self._stride = new_stride
-
-    def _ensure_width(self, width: int) -> None:
-        if width <= self._adj.shape[1]:
-            return
-        new_width = max(2 * self._adj.shape[1], width)
-        grown = np.full((self._adj.shape[0], new_width), _SENTINEL, dtype=np.int32)
-        grown[:, : self._adj.shape[1]] = self._adj
-        self._adj = grown
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

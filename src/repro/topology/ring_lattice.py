@@ -30,11 +30,17 @@ def ring_lattice_edges(size: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     offsets ascending.  Watts–Strogatz follows this order: edge ``i``
     owns mask bit ``i``, and a lower index wins a repeated draw.
     """
-    half = degree // 2
-    owners = np.repeat(np.arange(size, dtype=np.int64), half)
-    targets = owners.reshape(size, half) + np.arange(1, half + 1, dtype=np.int64)
+    targets = _lattice_targets(size, degree)
+    return np.repeat(np.arange(size, dtype=np.int64), degree // 2), targets.reshape(-1)
+
+
+def _lattice_targets(size: int, degree: int) -> np.ndarray:
+    """The ``(size, degree/2)`` targets: row ``i`` holds ``(i + o) mod size``, ``o = 1 ..``."""
+    targets = np.arange(size, dtype=np.int64)[:, None] + np.arange(
+        1, degree // 2 + 1, dtype=np.int64
+    )
     np.remainder(targets, size, out=targets)
-    return owners, targets.reshape(-1)
+    return targets
 
 
 def ring_lattice_topology(size: int, degree: int) -> StaticTopology:
@@ -52,5 +58,11 @@ def ring_lattice_topology(size: int, degree: int) -> StaticTopology:
     require_positive(degree, "degree")
     require(degree % 2 == 0, f"degree must be even for a ring lattice, got {degree}")
     require(degree < size, f"degree ({degree}) must be smaller than size ({size})")
-    rows, degrees = rows_from_edges(size, *ring_lattice_edges(size, degree))
-    return StaticTopology.from_rows(rows, degrees, name=f"ring-lattice(k={degree})")
+    # The owner column broadcasts against the target matrix, and the
+    # targets go in as a temporary the kernel frees before its sort.
+    neighbours, degrees = rows_from_edges(
+        size, np.arange(size, dtype=np.int64)[:, None], _lattice_targets(size, degree)
+    )
+    return StaticTopology.from_rows(
+        neighbours, degrees, name=f"ring-lattice(k={degree})"
+    )

@@ -75,8 +75,10 @@ def barabasi_albert_topology(
         last = min(size - m - 1, 2 * first + 1)
         _attach(slots, seed_slots + 2 * m * first, seed_slots + 2 * m * last, m, generator)
         first = last
-    rows, degrees = rows_from_edges(size, slots[0::2], slots[1::2])
-    return StaticTopology.from_rows(rows, degrees, name=f"scale-free(m={attachment})")
+    neighbours, degrees = rows_from_edges(size, slots[0::2], slots[1::2])
+    return StaticTopology.from_rows(
+        neighbours, degrees, name=f"scale-free(m={attachment})"
+    )
 
 
 def _attach(

@@ -63,9 +63,9 @@ def watts_strogatz_topology(
     if beta > 0.0:
         generator = rng.generator
         _rewire(size, owners, targets, generator.random(owners.size) < beta, generator)
-    rows, degrees = rows_from_edges(size, owners, targets)
+    neighbours, degrees = rows_from_edges(size, owners, targets)
     return StaticTopology.from_rows(
-        rows, degrees, name=f"watts-strogatz(k={degree}, beta={beta:.2f})"
+        neighbours, degrees, name=f"watts-strogatz(k={degree}, beta={beta:.2f})"
     )
 
 

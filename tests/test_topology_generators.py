@@ -77,10 +77,49 @@ class TestRingLattice:
     @pytest.mark.parametrize("size, degree", sorted(ROWS_SHA256))
     def test_rows_and_degrees_are_pinned(self, size, degree):
         block = ring_lattice_topology(size, degree)._block
-        assert block._adj.dtype == np.int32 and block._degrees.dtype == np.int64
-        digest = hashlib.sha256(block._adj.tobytes() + block._degrees.tobytes())
-        assert digest.hexdigest() == self.ROWS_SHA256[(size, degree)]
+        assert rows_digest(block) == self.ROWS_SHA256[(size, degree)]
         assert block._insertion_order == [list(range(size))]
+
+
+def rows_digest(block):
+    """sha256 of a block's rows as the padded store laid them out.
+
+    The rows are rebuilt as one int32 matrix, sentinel-padded to the
+    largest degree, followed by the int64 degrees — the bytes the padded
+    store held, so digests pinned on it still apply to the ragged one.
+    """
+    assert block._neighbours.dtype == np.int32 and block._degrees.dtype == np.int64
+    degrees = block._degrees
+    rows = np.full(
+        (degrees.size, max(1, int(degrees.max()))), np.iinfo(np.int32).max, dtype=np.int32
+    )
+    for row, (start, count) in enumerate(zip(block._offsets.tolist(), degrees.tolist())):
+        rows[row, :count] = block._neighbours[start : start + count]
+    return hashlib.sha256(rows.tobytes() + degrees.tobytes()).hexdigest()
+
+
+#: ``rows_digest`` of each randomised family at seed 2004, computed on the
+#: padded store: random 4-out, Watts-Strogatz k=4 at beta=0.25 and
+#: Barabasi-Albert m=3.
+RANDOMISED_ROWS_SHA256 = {
+    ("random", 21): "e90ec2fe096e4cbe3ccd56d19b738a478fe4ee1f7ec4d956f0b5d0f743763c66",
+    ("random", 400): "ba0cf4142819b3a55a263fa7ee18bb878be6da78a8a1e8a4d2795c33830f71c8",
+    ("watts-strogatz", 21): "5630455ba0b0ce5bc2598e53fa4b45a281da5d314a2ad0f438ad7ebed12b9177",
+    ("watts-strogatz", 400): "cacfc5deb29d6da2c3f4f78fe4df03c0b20bad3e7e792fa17fe1a06be6b140dd",
+    ("scale-free", 21): "f5ceac57a5acca9bc76acf905fa0f27a8e0a484299a9615ff24fe3f7f6f891ae",
+    ("scale-free", 400): "97f8841d6290c15474b9ca0d01eee369201b784d0f9d02691c13e4c5b5dd8083",
+}
+
+
+@pytest.mark.parametrize("family, size", sorted(RANDOMISED_ROWS_SHA256))
+def test_randomised_rows_and_degrees_are_pinned(family, size):
+    build = {
+        "random": lambda rng: random_k_out_topology(size, 4, rng),
+        "watts-strogatz": lambda rng: watts_strogatz_topology(size, 4, 0.25, rng),
+        "scale-free": lambda rng: barabasi_albert_topology(size, 3, rng),
+    }[family]
+    block = build(RandomSource(2004))._block
+    assert rows_digest(block) == RANDOMISED_ROWS_SHA256[(family, size)]
 
 
 class TestWattsStrogatz:

@@ -12,7 +12,7 @@ from repro.common.errors import TopologyError
 from repro.common.rng import RandomSource
 from repro.topology import ReplicatedStaticBlock, TopologySpec, build_overlay
 from repro.topology.base import StaticTopology
-from repro.topology.replicated import _SENTINEL, rows_from_edges
+from repro.topology.replicated import rows_from_edges
 
 
 def triangle() -> StaticTopology:
@@ -249,19 +249,17 @@ class TestAgainstNetworkxOracle:
         assert nx.utils.graphs_equal(topology.to_networkx(), graph)
 
 
-def assert_rows_match_oracle(size, sources, targets, rows, degrees):
-    """``rows``/``degrees`` hold the undirected graph of the edge list."""
+def assert_rows_match_oracle(size, sources, targets, neighbours, degrees):
+    """``neighbours``/``degrees`` hold the undirected graph of the edge list."""
     oracle = {node: set() for node in range(size)}
     for a, b in zip(sources.tolist(), targets.tolist()):
         oracle[a].add(b)
         oracle[b].add(a)
-    assert rows.dtype == np.int32 and degrees.dtype == np.int64
-    assert rows.shape == (size, max([1] + [len(peers) for peers in oracle.values()]))
-    for node, peers in oracle.items():
-        count = len(peers)
-        assert degrees[node] == count
-        assert rows[node, :count].tolist() == sorted(peers)
-        assert (rows[node, count:] == _SENTINEL).all()
+    assert neighbours.dtype == np.int32 and degrees.dtype == np.int64
+    assert degrees.tolist() == [len(oracle[node]) for node in range(size)]
+    assert neighbours.tolist() == [
+        peer for node in range(size) for peer in sorted(oracle[node])
+    ]
 
 
 class TestRowsFromEdges:
@@ -285,8 +283,8 @@ class TestRowsFromEdges:
         listed = edges + [(b, a) for a, b in flipped] + edges[:3]
         pairs = np.asarray(listed, dtype=np.int64).reshape(-1, 2)
         sources, targets = pairs[:, 0], pairs[:, 1]
-        rows, degrees = rows_from_edges(size, sources, targets)
-        assert_rows_match_oracle(size, sources, targets, rows, degrees)
+        neighbours, degrees = rows_from_edges(size, sources, targets)
+        assert_rows_match_oracle(size, sources, targets, neighbours, degrees)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -309,12 +307,18 @@ class TestRowsFromEdges:
             dtype=np.int64,
         )
         column = np.arange(owners, dtype=np.int64)[:, None]
-        rows, degrees = rows_from_edges(size, column, draws)
+        neighbours, degrees = rows_from_edges(size, column, draws)
         sources, targets = np.repeat(column[:, 0], k), draws.ravel()
-        flat_rows, flat_degrees = rows_from_edges(size, sources, targets)
-        assert np.array_equal(rows, flat_rows)
+        flat_neighbours, flat_degrees = rows_from_edges(size, sources, targets)
+        assert np.array_equal(neighbours, flat_neighbours)
         assert np.array_equal(degrees, flat_degrees)
-        assert_rows_match_oracle(size, sources, targets, rows, degrees)
+        assert_rows_match_oracle(size, sources, targets, neighbours, degrees)
+
+
+def store_bytes(block):
+    """Bytes of a block's ragged store: the neighbour buffer and the per-row arrays."""
+    arrays = (block._neighbours, block._offsets, block._degrees, block._room, block._alive)
+    return sum(array.nbytes for array in arrays)
 
 
 class TestRowStore:
@@ -332,8 +336,9 @@ class TestRowStore:
             tracemalloc.stop()
         # Measured: boxed sets 110 MB peak / 67 MB retained; rows with
         # int64 key compaction 20.7 MB peak, single-buffer keys and an
-        # int32 neighbour column 14.8 MB peak / 7 MB retained (the padded
-        # rows are size x width x 4 = 5 MB).
+        # int32 neighbour column 14.8 MB peak / 7 MB retained (padded
+        # rows, 5 MB); ragged rows with the draws freed before the key
+        # sort 11.6 MB peak / 5.2 MB retained (the store is 3.7 MB).
         assert peak < 17e6
         assert retained < 20e6
         assert topology.size() == size
@@ -349,18 +354,20 @@ class TestRowStore:
         ids=["ring-lattice", "ws-0.25", "ws-1.0", "scale-free"],
     )
     def test_edge_array_builders_stay_within_the_array_budget(self, spec):
-        # Budget: the padded rows plus 16 int64 words (128 B) per edge for
-        # the edge arrays, both directions' sort keys and the builder's
-        # scratch.  Measured at N=2e4 above the rows: ring 40 B/edge,
-        # W-S 39 (beta 0.25) and 84 (beta 1), scale-free 76; the
-        # dict-of-sets builders took 263-382 B/edge.
+        # Budget: the ragged store plus 16 int64 words (128 B) per edge
+        # for the edge arrays, both directions' sort keys and the
+        # builder's scratch.  Measured at N=2e4 above the store: ring 17
+        # B/edge, W-S 40 (beta 0.25) and 88 (beta 1), scale-free 34; the
+        # dict-of-sets builders took 263-382 B/edge.  On the padded store
+        # the scale-free term was its hub-wide rows (82 MB against 4 MB
+        # ragged), so that case could not fail.
         tracemalloc.start()
         try:
             topology = build_overlay(spec, 20_000, RandomSource(3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= topology._block._adj.nbytes + 128 * topology.edge_count()
+        assert peak <= store_bytes(topology._block) + 128 * topology.edge_count()
 
     def test_membership_and_peer_draws_leave_no_python_containers(self):
         topology = build_overlay(TopologySpec("random", degree=5), 200, RandomSource(3))
@@ -371,3 +378,152 @@ class TestRowStore:
         for holder in (topology, topology._block):
             for name, value in vars(holder).items():
                 assert not isinstance(value, (dict, set, frozenset)), name
+
+
+def assert_same_graph(overlay, oracle):
+    """``overlay`` and the freshly built ``oracle`` answer alike, draw for draw."""
+    ids = oracle.node_ids()
+    assert overlay.node_ids() == ids
+    for node in ids:
+        assert overlay.neighbors(node) == oracle.neighbors(node)
+    assert overlay.degree_sequence() == oracle.degree_sequence()
+    assert overlay.edges() == oracle.edges()
+    assert overlay.edge_count() == oracle.edge_count()
+    assert overlay.average_degree() == oracle.average_degree()
+    draws = np.asarray(ids * 5, dtype=np.int64)
+    peers = overlay.select_peers_batch(draws, np.random.Generator(np.random.PCG64(11)))
+    expected = oracle.select_peers_batch(draws, np.random.Generator(np.random.PCG64(11)))
+    assert peers.tolist() == expected.tolist()
+
+
+def surviving_graph(adjacency, order):
+    """``StaticTopology`` over the nodes of ``order`` and the edges among them."""
+    kept = set(order)
+    return StaticTopology(
+        {node: {peer for peer in adjacency[node] if peer in kept} for node in order}
+    )
+
+
+class TestRaggedStore:
+    """The ragged store's deferred crash removal and row moves against a
+    ``StaticTopology`` built fresh from the same edge set."""
+
+    #: Victims 1, 2 and 3 are a triangle, and live node 0 neighbours all
+    #: three (and 4 two of them), so one crash event deletes three entries
+    #: from row 0 and two from row 4.
+    ADJACENCY = {
+        0: {1, 2, 3, 5, 7},
+        1: {2, 3, 4},
+        2: {3, 6},
+        3: {4},
+        4: {5},
+        5: {6},
+        6: {7},
+        7: set(),
+    }
+
+    def test_one_crash_event_of_adjacent_victims(self):
+        adjacency = {node: set() for node in self.ADJACENCY}
+        for node, peers in self.ADJACENCY.items():
+            for peer in peers:
+                adjacency[node].add(peer)
+                adjacency[peer].add(node)
+        topology = StaticTopology(adjacency)
+        for victim in (2, 1, 3):
+            topology.on_node_removed(victim)
+        # Nothing has been read since the event, so it is still pending.
+        assert topology._block._pending == [2, 1, 3]
+        order = [0, 4, 5, 6, 7]
+        assert_same_graph(topology, surviving_graph(adjacency, order))
+        assert topology.neighbors(0) == (5, 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_crash_events_match_a_fresh_build(self, data):
+        # Dense random graphs in both replicas of a block, several crash
+        # events per replica, each settled in one pass at the next read.
+        size = data.draw(st.integers(2, 30))
+        edges = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(
+                    lambda edge: edge[0] != edge[1]
+                ),
+                max_size=120,
+            )
+        )
+        adjacency = {node: set() for node in range(size)}
+        for a, b in edges:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        block = ReplicatedStaticBlock.from_topologies(
+            [StaticTopology(adjacency), StaticTopology(adjacency)]
+        )
+        orders = [list(range(size)), list(range(size))]
+        for _ in range(data.draw(st.integers(1, 3))):
+            for replica in (0, 1):
+                victims = data.draw(st.lists(st.integers(0, size - 1), unique=True))
+                for victim in victims:
+                    block.view(replica).on_node_removed(victim)
+                    if victim in orders[replica]:
+                        orders[replica].remove(victim)
+            for replica in (0, 1):
+                oracle = surviving_graph(adjacency, orders[replica])
+                view = block.view(replica)
+                assert view.node_ids() == oracle.node_ids()
+                for node in oracle.node_ids():
+                    assert view.neighbors(node) == oracle.neighbors(node)
+                draws = np.asarray(oracle.node_ids() * 3, dtype=np.int64)
+                peers = view.select_peers_batch(draws, np.random.Generator(np.random.PCG64(5)))
+                expected = oracle.select_peers_batch(
+                    draws, np.random.Generator(np.random.PCG64(5))
+                )
+                assert peers.tolist() == expected.tolist()
+                assert view.average_degree() == oracle.average_degree()
+
+    def test_join_moves_a_row_past_its_segment(self):
+        # A ring of eight nodes: every row has room for exactly its two
+        # neighbours, so each join moves the rows of its attachment peers
+        # to the end of the buffer.  Later joins grow moved rows in place
+        # (doubled room) until they outgrow them again.
+        adjacency = {node: {(node - 1) % 8, (node + 1) % 8} for node in range(8)}
+        topology = StaticTopology(adjacency)
+        block = topology._block
+        order = list(range(8))
+        moved = set()
+        for node in range(8, 20):
+            offsets = block._offsets.copy()
+            topology.on_node_added(node, RandomSource(node))
+            # The documented rule: round(mean degree counting the newcomer),
+            # at least one, sampled from the existing nodes in order.
+            edges = sum(len(peers) for peers in adjacency.values()) // 2
+            count = min(max(1, round(2 * edges / (len(order) + 1))), len(order))
+            peers = RandomSource(node).sample(order, count)
+            adjacency[node] = set(peers)
+            for peer in peers:
+                adjacency[peer].add(node)
+                if block._offsets[peer] != offsets[peer]:
+                    moved.add(peer)
+            order.append(node)
+            assert_same_graph(topology, StaticTopology(adjacency))
+        assert moved, "no join outgrew a row"
+        assert block._used < 2 * block._neighbours.size
+        assert (block._room >= block._degrees).all()
+
+    def test_crash_then_join_reuses_the_victims_row(self):
+        adjacency = {node: {(node - 1) % 8, (node + 1) % 8} for node in range(8)}
+        topology = StaticTopology(adjacency)
+        topology.on_node_removed(3)
+        topology.on_node_removed(4)
+        topology.on_node_added(3, RandomSource(1))
+        survivors = {node: adjacency[node] - {3, 4} for node in (0, 1, 2, 5, 6, 7)}
+        # Five edges survive; round(10 / 7) = 1 attachment.
+        peers = RandomSource(1).sample([0, 1, 2, 5, 6, 7], 1)
+        survivors[3] = set(peers)
+        for peer in peers:
+            survivors[peer].add(3)
+        oracle = StaticTopology(survivors)
+        assert topology.node_ids() == [0, 1, 2, 5, 6, 7, 3]
+        for node in oracle.node_ids():
+            assert topology.neighbors(node) == oracle.neighbors(node)
+        assert topology.edges() == oracle.edges()
+        assert topology.degree_sequence() == oracle.degree_sequence()
