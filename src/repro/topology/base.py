@@ -135,7 +135,7 @@ class StaticTopology(StaticBlockView):
 
     def edge_count(self) -> int:
         """Number of undirected edges."""
-        return self._block._edge_sum[0] // 2
+        return self._block._entry_count(self._replica) // 2
 
     def has_edge(self, a: int, b: int) -> bool:
         """Whether nodes ``a`` and ``b`` are neighbours."""

@@ -319,7 +319,7 @@ class ReplicatedStaticBlock:
             topology = build(replica)
             if replica == 0:
                 instance.name = topology.name
-                entries = topology._block._edge_sum[topology._replica]
+                entries = topology._block._entry_count(topology._replica)
                 instance._neighbours = np.empty(max(1, count * entries), dtype=np.int32)
             instance._adopt(replica, topology)
             del topology
@@ -342,7 +342,7 @@ class ReplicatedStaticBlock:
         self._room[rows] = degrees
         self._alive[rows] = source._alive[source_rows]
         self._insertion_order[replica] = list(source._existing(origin))
-        self._edge_sum[replica] = source._edge_sum[origin]
+        self._edge_sum[replica] = source._entry_count(origin)
         self._node_count[replica] = source._node_count[origin]
 
     # ------------------------------------------------------------------
@@ -400,11 +400,15 @@ class ReplicatedStaticBlock:
         rows = slice(replica * self._stride, (replica + 1) * self._stride)
         return self._degrees[rows][self._alive[rows]].tolist()
 
+    def _entry_count(self, replica: int) -> int:
+        """Stored neighbour entries of ``replica``: twice its edge count."""
+        self._settle()
+        return self._edge_sum[replica]
+
     def _average_degree(self, replica: int) -> float:
         if self._node_count[replica] == 0:
             return 0.0
-        self._settle()
-        return self._edge_sum[replica] / self._node_count[replica]
+        return self._entry_count(replica) / self._node_count[replica]
 
     def _select_peers_batch(
         self, replica: int, node_ids: np.ndarray, generator: np.random.Generator

@@ -437,6 +437,30 @@ class TestRaggedStore:
         assert_same_graph(topology, surviving_graph(adjacency, order))
         assert topology.neighbors(0) == (5, 7)
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda topology: topology.edge_count(),
+            lambda topology: topology.average_degree(),
+            lambda topology: topology.degree_sequence(),
+            lambda topology: topology.edges(),
+            repr,
+        ],
+        ids=["edge_count", "average_degree", "degree_sequence", "edges", "repr"],
+    )
+    def test_first_read_after_a_crash_event_sees_it(self, read):
+        # Each reader is the first call after the removals, so it alone
+        # has to settle them.
+        adjacency = {node: set() for node in self.ADJACENCY}
+        for node, peers in self.ADJACENCY.items():
+            for peer in peers:
+                adjacency[node].add(peer)
+                adjacency[peer].add(node)
+        topology = StaticTopology(adjacency)
+        for victim in (2, 1, 3):
+            topology.on_node_removed(victim)
+        assert read(topology) == read(surviving_graph(adjacency, [0, 4, 5, 6, 7]))
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_crash_events_match_a_fresh_build(self, data):
@@ -490,6 +514,7 @@ class TestRaggedStore:
         block = topology._block
         order = list(range(8))
         moved = set()
+        initial_size = block._neighbours.size
         for node in range(8, 20):
             offsets = block._offsets.copy()
             topology.on_node_added(node, RandomSource(node))
@@ -505,9 +530,16 @@ class TestRaggedStore:
                     moved.add(peer)
             order.append(node)
             assert_same_graph(topology, StaticTopology(adjacency))
+            # The buffer grows by doubling, only when a claim overruns it.
+            assert block._neighbours.size <= 2 * max(block._used, initial_size)
         assert moved, "no join outgrew a row"
-        assert block._used < 2 * block._neighbours.size
+        # A move at least doubles a row's room and takes no more than the
+        # row needs past that: every room stays under twice its row's
+        # degree, and the segments a row has claimed sum to at most twice
+        # its final room.
         assert (block._room >= block._degrees).all()
+        assert (block._room < 2 * np.maximum(block._degrees, 1)).all()
+        assert block._used <= 2 * int(block._room.sum())
 
     def test_crash_then_join_reuses_the_victims_row(self):
         adjacency = {node: {(node - 1) % 8, (node + 1) % 8} for node in range(8)}
