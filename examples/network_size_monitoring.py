@@ -27,12 +27,13 @@ Run with:  PYTHONPATH=src python examples/network_size_monitoring.py
 
 from __future__ import annotations
 
-import math
 import sys
+
+import numpy as np
 
 from repro import RandomSource
 from repro.core.epoch import EpochConfig
-from repro.core.instances import MultiInstanceCount
+from repro.core.instances import MultiInstanceCount, trimmed_size_estimates
 from repro.experiments.runner import run_epoched_count
 from repro.simulator.cycle_sim import CycleSimulator
 from repro.simulator.failures import ChurnModel
@@ -60,16 +61,13 @@ def run_count(instances: int, seed: int) -> dict:
         failure_model=ChurnModel(CHURN_PER_CYCLE),
     )
     simulator.run(CYCLES)
-    reported = [
-        value
-        for value in bundle.size_estimates(simulator.states()).values()
-        if math.isfinite(value)
-    ]
+    sizes = trimmed_size_estimates(simulator.state_array())
+    reported = sizes[np.isfinite(sizes)]
     return {
         "instances": instances,
-        "min": min(reported),
-        "max": max(reported),
-        "mean": sum(reported) / len(reported),
+        "min": float(reported.min()),
+        "max": float(reported.max()),
+        "mean": float(reported.mean()),
         "survivors": len(simulator.participant_ids()),
     }
 

@@ -1,15 +1,9 @@
-"""Theory, empirical convergence measures and robust statistics."""
+"""Theory and empirical convergence measures."""
 
 from .convergence import (
     mean_convergence_factor,
     normalized_mean_variance,
     variance_reduction_curve,
-)
-from .statistics import (
-    finite_mean,
-    median,
-    relative_error,
-    trimmed_mean,
 )
 from .theory import (
     PUSH_PULL_CONVERGENCE_FACTOR,
@@ -36,8 +30,4 @@ __all__ = [
     "mean_convergence_factor",
     "variance_reduction_curve",
     "normalized_mean_variance",
-    "trimmed_mean",
-    "median",
-    "finite_mean",
-    "relative_error",
 ]

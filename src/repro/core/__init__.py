@@ -8,14 +8,6 @@ from .count import (
     network_size_from_estimate,
     peak_initial_values,
 )
-from .derived import (
-    DerivedAggregate,
-    MeanAggregate,
-    NetworkSizeAggregate,
-    ProductAggregate,
-    SumAggregate,
-    VarianceAggregate,
-)
 from .epoch import EpochConfig, cycles_for_accuracy
 from .functions import (
     AggregationFunction,
@@ -27,12 +19,12 @@ from .functions import (
     VectorFunction,
 )
 from .instances import (
-    REDUCERS,
     MultiInstanceCount,
+    median_size_estimates,
     multi_instance_peak_values,
-    reduce_size_estimates,
+    trimmed_size_estimates,
 )
-from .protocol import KNOWN_AGGREGATES, AggregationResult, aggregate
+from .protocol import AGGREGATES, AggregationResult, aggregate
 
 __all__ = [
     "AggregationFunction",
@@ -48,19 +40,13 @@ __all__ = [
     "network_size_from_estimate",
     "count_estimate_from_map",
     "count_estimates_from_matrix",
-    "DerivedAggregate",
-    "MeanAggregate",
-    "NetworkSizeAggregate",
-    "SumAggregate",
-    "ProductAggregate",
-    "VarianceAggregate",
     "EpochConfig",
     "cycles_for_accuracy",
     "MultiInstanceCount",
-    "REDUCERS",
     "multi_instance_peak_values",
-    "reduce_size_estimates",
+    "trimmed_size_estimates",
+    "median_size_estimates",
     "AggregationResult",
     "aggregate",
-    "KNOWN_AGGREGATES",
+    "AGGREGATES",
 ]

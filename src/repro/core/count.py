@@ -21,9 +21,17 @@ Two realisations are provided:
   states of the reference engine and the array rows of the vectorised
   one.
 
-A node reduces its map to one size estimate with the paper's symmetric
-trimmed mean (Section 7.3), which always drops :data:`TRIM_FRACTION` —
-the lowest and the highest thirds — of the per-leader estimates.
+This module owns COUNT's size arithmetic, and no other module repeats it:
+
+* N̂ = 1/â — :func:`network_size_from_estimate`, the one reciprocal, for
+  a scalar or an array (``inf`` where the estimate is ≤ 0, NaN or
+  missing);
+* the symmetric trimmed mean of Section 7.3 over the per-leader (or
+  per-instance) sizes, which always drops :data:`TRIM_FRACTION` — the
+  lowest and the highest thirds — from each end:
+  :func:`count_estimates_from_matrix` for ``(nodes, leaders)`` blocks, and
+  :func:`count_estimate_from_map`, the scalar oracle it is tested
+  against.
 """
 
 from __future__ import annotations
@@ -73,17 +81,22 @@ def peak_initial_values(size: int, peak_value: float = 1.0) -> List[float]:
     return values
 
 
-def network_size_from_estimate(average_estimate: Optional[float]) -> float:
-    """Convert a converged peak-distribution average into a size estimate.
+def network_size_from_estimate(average_estimate):
+    """Convert converged peak-distribution averages into size estimates.
 
-    Returns ``inf`` when the local estimate is zero or missing (possible in
-    early cycles or after the leader crashed before spreading its value),
-    matching the paper's observation that the estimate "can even become
-    infinite".
+    ``average_estimate`` is a scalar (``None`` allowed) or an array; the
+    result has the same shape, a ``float`` for a scalar.  The size is
+    ``inf`` wherever the estimate is zero, negative, NaN or missing
+    (possible in early cycles or after the leader crashed before
+    spreading its value), matching the paper's observation that the
+    estimate "can even become infinite".
     """
-    if average_estimate is None or average_estimate <= 0.0:
-        return math.inf
-    return 1.0 / average_estimate
+    estimates = np.asarray(average_estimate, dtype=np.float64)
+    sizes = np.full(estimates.shape, np.inf)
+    # Denormal-tiny estimates overflow to inf, as Python's 1.0 / x does.
+    with np.errstate(over="ignore"):
+        np.divide(1.0, estimates, out=sizes, where=estimates > 0.0)
+    return float(sizes) if sizes.ndim == 0 else sizes
 
 
 def count_estimate_from_map(state: Mapping[int, float]) -> float:
@@ -201,9 +214,8 @@ class CountArrayFunction(AggregationFunction):
         """The average of the per-leader estimates (``None`` if the map is empty).
 
         Each per-leader entry independently converges to 1/N, so averaging
-        them is the natural scalar summary; dedicated reducers (e.g. the
-        trimmed mean of Section 7.3) can instead consume
-        :func:`count_estimate_from_map`.
+        them is the natural scalar summary; the trimmed mean of Section 7.3
+        is :func:`count_estimate_from_map`.
         """
         if not state:
             return None
@@ -212,11 +224,6 @@ class CountArrayFunction(AggregationFunction):
     def conserved_quantity(self, states: Sequence[Dict[int, float]]) -> float:
         """Total mass summed over all leaders and nodes (1 per live leader)."""
         return float(sum(sum(state.values()) for state in states))
-
-    def true_value(self, values) -> float:
-        raise NotImplementedError(
-            "COUNT has no per-node input values; the true value is the network size"
-        )
 
     # ------------------------------------------------------------------
     # Array codec
@@ -311,13 +318,8 @@ def count_estimates_from_matrix(values: np.ndarray, mask: np.ndarray) -> np.ndar
     # absent entries become NaN, which numpy sorts past +inf — so every
     # sorted row reads [finite ascending..., inf..., NaN...], exactly the
     # scalar reduction's sorted map followed by padding.
-    sizes = np.full((rows, width), np.nan)
-    positive = mask & (values > 0.0)
-    # Denormal-tiny values overflow to inf, exactly like the scalar
-    # reduction's 1.0/value — silence only that warning.
-    with np.errstate(over="ignore"):
-        np.divide(1.0, values, out=sizes, where=positive)
-    sizes[mask & ~positive] = np.inf
+    sizes = network_size_from_estimate(values)
+    sizes[~mask] = np.nan
     sizes.sort(axis=1)
 
     map_sizes = mask.sum(axis=1)

@@ -93,10 +93,6 @@ class AggregationFunction(abc.ABC):
         """
         return None
 
-    def true_value(self, values: Sequence[float]) -> float:
-        """The exact aggregate of ``values`` (for accuracy measurements)."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
     # Array codec: the array form of the same state, used by the
     # vectorised engine, the stacked repeats and the asynchronous engine.
@@ -191,11 +187,6 @@ class AverageFunction(_ScalarArrayCodec, AggregationFunction):
     def conserved_quantity(self, states: Sequence[float]) -> float:
         return float(sum(states))
 
-    def true_value(self, values: Sequence[float]) -> float:
-        if not values:
-            raise ProtocolError("cannot average an empty value set")
-        return float(sum(values) / len(values))
-
     def merge_arrays(
         self, initiator_states: np.ndarray, responder_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -218,11 +209,6 @@ class MinFunction(_ScalarArrayCodec, AggregationFunction):
     def estimate(self, state: float) -> float:
         return float(state)
 
-    def true_value(self, values: Sequence[float]) -> float:
-        if not values:
-            raise ProtocolError("cannot take the minimum of an empty value set")
-        return float(min(values))
-
     def merge_arrays(
         self, initiator_states: np.ndarray, responder_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -244,11 +230,6 @@ class MaxFunction(_ScalarArrayCodec, AggregationFunction):
 
     def estimate(self, state: float) -> float:
         return float(state)
-
-    def true_value(self, values: Sequence[float]) -> float:
-        if not values:
-            raise ProtocolError("cannot take the maximum of an empty value set")
-        return float(max(values))
 
     def merge_arrays(
         self, initiator_states: np.ndarray, responder_states: np.ndarray
@@ -286,16 +267,6 @@ class GeometricMeanFunction(_ScalarArrayCodec, AggregationFunction):
         for state in states:
             product *= state
         return product
-
-    def true_value(self, values: Sequence[float]) -> float:
-        if not values:
-            raise ProtocolError("cannot take the geometric mean of an empty value set")
-        product = 1.0
-        for value in values:
-            if value < 0:
-                raise ProtocolError("geometric mean requires non-negative values")
-            product *= value
-        return float(product ** (1.0 / len(values)))
 
     def initial_state_array(self, values: np.ndarray) -> np.ndarray:
         array = np.asarray(values, dtype=np.float64).reshape(-1, 1)
@@ -344,11 +315,6 @@ class PushSumFunction(AggregationFunction):
 
     def conserved_quantity(self, states: Sequence[Tuple[float, float]]) -> float:
         return float(sum(value for value, _ in states))
-
-    def true_value(self, values: Sequence[float]) -> float:
-        if not values:
-            raise ProtocolError("cannot average an empty value set")
-        return float(sum(values) / len(values))
 
     # Array codec: column 0 carries the value, column 1 the weight.
     def state_width(self) -> int:

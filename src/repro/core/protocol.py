@@ -10,16 +10,30 @@ quickstart example and by downstream users who just want an answer:
 5.0
 
 The call builds an overlay, runs the requested number of push–pull cycles
-of the appropriate (possibly composite) protocol over a cycle-driven
-simulation, and returns the per-node outputs together with accuracy
-information and the full measurement trace.
+of the named aggregate's (possibly composite) protocol over a
+cycle-driven simulation, and returns the per-node outputs together with
+accuracy information and the full measurement trace.
+
+:data:`AGGREGATES` is the one table of what each name computes.  The
+paper (Section 5) gets every derived aggregate by post-processing
+converged AVERAGE-style states, and the table owns that arithmetic —
+with ``â`` a node's estimate of an AVERAGE over the peak distribution and
+``N̂ = 1/â`` (:func:`~repro.core.count.network_size_from_estimate`):
+
+* COUNT = ``N̂``;
+* SUM = ``x̄ · N̂`` (AVERAGE and COUNT side by side);
+* PRODUCT = ``ĝ ^ N̂`` (GEOMETRIC MEAN and COUNT side by side);
+* VARIANCE = ``E[x²] − E[x]²`` (AVERAGE over values and over squares);
+* AVERAGE, MIN, MAX and GEOMETRIC MEAN read their single component.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence
+
+import numpy as np
 
 from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
@@ -28,83 +42,131 @@ from ..simulator.failures import FailureModel
 from ..simulator.metrics import SimulationTrace
 from ..simulator.transport import PERFECT_TRANSPORT, TransportModel
 from ..topology.generators import TopologySpec, build_overlay
-from .derived import (
-    DerivedAggregate,
-    MeanAggregate,
-    NetworkSizeAggregate,
-    ProductAggregate,
-    SumAggregate,
-    VarianceAggregate,
+from .count import network_size_from_estimate, peak_initial_values
+from .functions import (
+    AggregationFunction,
+    AverageFunction,
+    GeometricMeanFunction,
+    MaxFunction,
+    MinFunction,
+    VectorFunction,
 )
-from .functions import GeometricMeanFunction, MaxFunction, MinFunction
 
-__all__ = ["AggregationResult", "aggregate", "KNOWN_AGGREGATES"]
-
-
-class _SimpleAggregate(DerivedAggregate):
-    """Adapter exposing a primitive function through the DerivedAggregate API."""
-
-    def __init__(self, function) -> None:
-        self._function = function
-        self.name = function.name
-
-    @property
-    def function(self):
-        return self._function
-
-    def initial_values(self, values: Sequence[float]) -> Dict[int, float]:
-        return {index: float(value) for index, value in enumerate(values)}
-
-    def finalize(self, state) -> float:
-        estimate = self._function.estimate(state)
-        return math.nan if estimate is None else float(estimate)
-
-    def true_value(self, values: Sequence[float]) -> float:
-        return self._function.true_value(values)
+__all__ = ["AggregateRecord", "AGGREGATES", "AggregationResult", "aggregate"]
 
 
-def _aggregate_by_name(name: str) -> DerivedAggregate:
-    name = name.lower()
-    if name in ("average", "mean", "avg"):
-        return MeanAggregate()
-    if name in ("count", "size", "network-size"):
-        return NetworkSizeAggregate()
-    if name == "sum":
-        return SumAggregate()
-    if name == "product":
-        return ProductAggregate()
-    if name in ("variance", "var"):
-        return VarianceAggregate()
-    if name == "min":
-        return _SimpleAggregate(MinFunction())
-    if name == "max":
-        return _SimpleAggregate(MaxFunction())
-    if name in ("geometric-mean", "geomean"):
-        return _SimpleAggregate(GeometricMeanFunction())
-    raise ConfigurationError(
-        f"unknown aggregate {name!r}; expected one of {sorted(KNOWN_AGGREGATES)}"
-    )
+@dataclass(frozen=True)
+class AggregateRecord:
+    """One aggregate: the protocol it runs and how its answer is read.
+
+    Attributes
+    ----------
+    function:
+        The (possibly vector) aggregation function the protocol runs.
+    initial:
+        Local values ``(n,)`` → per-node initial values, ``(n,)`` or
+        ``(n, components)``.
+    finalize:
+        Converged ``(nodes, state_width)`` state block (a simulator's
+        ``state_array()``) → the per-node outputs ``(nodes,)``.
+    exact:
+        Local values ``(n,)`` → the exact answer, for accuracy checks.
+    """
+
+    function: AggregationFunction
+    initial: Callable[[np.ndarray], np.ndarray]
+    finalize: Callable[[np.ndarray], np.ndarray]
+    exact: Callable[[np.ndarray], float]
 
 
-#: Aggregate names accepted by :func:`aggregate`.
-KNOWN_AGGREGATES = frozenset(
-    {
-        "average",
-        "mean",
-        "avg",
-        "count",
-        "size",
-        "network-size",
-        "sum",
-        "product",
-        "variance",
-        "var",
-        "min",
-        "max",
-        "geometric-mean",
-        "geomean",
-    }
-)
+def _with_peak(values: np.ndarray) -> np.ndarray:
+    """Pair every local value with the COUNT peak distribution (node 0 leads)."""
+    return np.column_stack([values, peak_initial_values(values.size)])
+
+
+def _non_negative(values: np.ndarray) -> np.ndarray:
+    if np.any(values < 0):
+        raise ConfigurationError(
+            "PRODUCT and GEOMETRIC MEAN require non-negative local values"
+        )
+    return values
+
+
+def _scaled_by_size(combine: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """Finalize ``combine(column 0, N̂ from column 1)``; ``inf`` where N̂ is."""
+
+    def finalize(states: np.ndarray) -> np.ndarray:
+        sizes = network_size_from_estimate(states[:, 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(np.isfinite(sizes), combine(states[:, 0], sizes), np.inf)
+
+    return finalize
+
+
+def _first_column(states: np.ndarray) -> np.ndarray:
+    return states[:, 0]
+
+
+def _product(values: np.ndarray) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.prod(_non_negative(values)))
+
+
+def _geometric_mean(values: np.ndarray) -> float:
+    # In log space: the plain product overflows long before the mean does.
+    with np.errstate(divide="ignore"):
+        return float(np.exp(np.mean(np.log(_non_negative(values)))))
+
+
+#: Aggregate name → its record; the names :func:`aggregate` accepts.
+AGGREGATES: Dict[str, AggregateRecord] = {
+    "average": AggregateRecord(
+        AverageFunction(), lambda x: x, _first_column, lambda x: float(np.mean(x)),
+    ),
+    "count": AggregateRecord(
+        AverageFunction(),
+        lambda x: np.asarray(peak_initial_values(x.size)),
+        lambda states: network_size_from_estimate(states[:, 0]),
+        lambda x: float(x.size),
+    ),
+    "sum": AggregateRecord(
+        VectorFunction([AverageFunction(), AverageFunction()]),
+        _with_peak,
+        _scaled_by_size(np.multiply),
+        lambda x: float(np.sum(x)),
+    ),
+    "product": AggregateRecord(
+        VectorFunction([GeometricMeanFunction(), AverageFunction()]),
+        lambda x: _with_peak(_non_negative(x)),
+        _scaled_by_size(np.power),
+        _product,
+    ),
+    "variance": AggregateRecord(
+        VectorFunction([AverageFunction(), AverageFunction()]),
+        lambda x: np.column_stack([x, x * x]),
+        # Clamp the tiny negative round-off left once the estimates converge.
+        lambda states: np.maximum(0.0, states[:, 1] - states[:, 0] ** 2),
+        lambda x: float(np.var(x)),
+    ),
+    "min": AggregateRecord(
+        MinFunction(), lambda x: x, _first_column, lambda x: float(np.min(x)),
+    ),
+    "max": AggregateRecord(
+        MaxFunction(), lambda x: x, _first_column, lambda x: float(np.max(x)),
+    ),
+    "geometric-mean": AggregateRecord(
+        GeometricMeanFunction(), _non_negative, _first_column, _geometric_mean,
+    ),
+}
+
+
+def _relative_error(estimate: float, exact: float) -> float:
+    """``|estimate − exact| / |exact|``; the absolute error when ``exact`` is 0."""
+    if not math.isfinite(estimate):
+        return math.inf
+    if exact == 0.0:
+        return abs(estimate)
+    return abs(estimate - exact) / abs(exact)
 
 
 @dataclass
@@ -114,17 +176,18 @@ class AggregationResult:
     Attributes
     ----------
     aggregate_name:
-        Which aggregate was computed.
+        Which aggregate was computed (a key of :data:`AGGREGATES`).
     node_estimates:
         The per-node outputs after the final cycle (already converted by
         the aggregate's ``finalize`` step — e.g. COUNT reports sizes, not
         reciprocals).
     mean_estimate:
-        Mean of the finite per-node outputs; the number most callers want.
-    true_value:
+        Mean of the finite per-node outputs (``inf`` when none is); the
+        number most callers want.
+    exact_value:
         The exact answer computed centrally from the input values.
     relative_error:
-        ``|mean_estimate − true_value| / |true_value|`` (``inf`` when the
+        ``|mean_estimate − exact_value| / |exact_value|`` (``inf`` when the
         estimate is not finite).
     trace:
         The full per-cycle measurement trace of the underlying protocol.
@@ -133,25 +196,21 @@ class AggregationResult:
     aggregate_name: str
     node_estimates: Dict[int, float]
     mean_estimate: float
-    true_value: float
+    exact_value: float
     relative_error: float
     trace: SimulationTrace = field(repr=False)
 
     def max_node_error(self) -> float:
-        """Worst relative error over all nodes (``inf`` if any diverged)."""
-        if self.true_value == 0.0:
-            return max(abs(v) for v in self.node_estimates.values())
-        errors = []
-        for value in self.node_estimates.values():
-            if not math.isfinite(value):
-                return math.inf
-            errors.append(abs(value - self.true_value) / abs(self.true_value))
-        return max(errors) if errors else math.inf
+        """Worst relative error over all nodes (``inf`` if any diverged or none is left)."""
+        return max(
+            (_relative_error(value, self.exact_value) for value in self.node_estimates.values()),
+            default=math.inf,
+        )
 
 
 def aggregate(
     values: Sequence[float],
-    aggregate: Union[str, DerivedAggregate] = "average",
+    aggregate: str = "average",
     topology: Optional[TopologySpec] = None,
     cycles: int = 30,
     seed: int = 0,
@@ -166,9 +225,7 @@ def aggregate(
         The local value of every node; node ``i`` holds ``values[i]`` and
         the network size is ``len(values)``.
     aggregate:
-        Either the name of a built-in aggregate (see
-        :data:`KNOWN_AGGREGATES`) or a custom
-        :class:`~repro.core.derived.DerivedAggregate` instance.
+        The name of the aggregate, a key of :data:`AGGREGATES`.
     topology:
         The overlay to gossip over; defaults to the paper's random overlay
         with 20-neighbour views (capped below the network size).
@@ -185,9 +242,14 @@ def aggregate(
     """
     if len(values) < 2:
         raise ConfigurationError("need at least two nodes to aggregate")
-    derived = aggregate if isinstance(aggregate, DerivedAggregate) else _aggregate_by_name(aggregate)
+    record = AGGREGATES.get(aggregate) if isinstance(aggregate, str) else None
+    if record is None:
+        raise ConfigurationError(
+            f"unknown aggregate {aggregate!r}; expected one of {sorted(AGGREGATES)}"
+        )
+    local = np.asarray(values, dtype=np.float64)
 
-    size = len(values)
+    size = local.size
     if topology is None:
         degree = min(20, size - 1)
         topology = TopologySpec("random", degree=degree)
@@ -196,30 +258,23 @@ def aggregate(
     overlay = build_overlay(topology, size, rng.child("topology"))
     simulator = CycleSimulator(
         overlay=overlay,
-        function=derived.function,
-        initial_values=derived.initial_values(list(values)),
+        function=record.function,
+        initial_values=record.initial(local).tolist(),
         rng=rng.child("simulation"),
         transport=transport,
         failure_model=failure_model,
     )
     trace = simulator.run(cycles)
 
-    node_estimates = derived.finalize_all(simulator.states())
-    finite = [value for value in node_estimates.values() if math.isfinite(value)]
-    mean_estimate = sum(finite) / len(finite) if finite else math.inf
-    true_value = derived.true_value(list(values))
-    if not math.isfinite(mean_estimate):
-        error = math.inf
-    elif true_value == 0.0:
-        error = abs(mean_estimate)
-    else:
-        error = abs(mean_estimate - true_value) / abs(true_value)
-
+    outputs = record.finalize(simulator.state_array())
+    finite = outputs[np.isfinite(outputs)]
+    mean_estimate = float(np.mean(finite)) if finite.size else math.inf
+    exact_value = record.exact(local)
     return AggregationResult(
-        aggregate_name=derived.name,
-        node_estimates=node_estimates,
+        aggregate_name=aggregate,
+        node_estimates=dict(zip(simulator.participant_ids(), outputs.tolist())),
         mean_estimate=mean_estimate,
-        true_value=true_value,
-        relative_error=error,
+        exact_value=exact_value,
+        relative_error=_relative_error(mean_estimate, exact_value),
         trace=trace,
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,7 +41,9 @@ from ..common.rng import RandomSource
 from ..core.count import network_size_from_estimate
 from ..core.epoch import EpochConfig
 from ..core.functions import AverageFunction, VectorFunction
-from ..core.instances import MultiInstanceCount
+from ..core.instances import (
+    median_size_estimates, multi_instance_peak_values, trimmed_size_estimates,
+)
 from ..simulator import make_simulator
 from ..simulator.adversarial import ByzantineReporterModel
 from ..simulator.asynchrony import LAN
@@ -284,43 +286,33 @@ def _count_size_estimate(simulator) -> float:
 
 def _count_node_size_extremes(simulator) -> tuple:
     """Min and max size estimate over the individual nodes of one run."""
-    sizes = [
-        network_size_from_estimate(estimate)
-        for estimate in simulator.estimates().values()
-    ]
-    finite = [size for size in sizes if math.isfinite(size)]
-    if not finite:
+    sizes = network_size_from_estimate(simulator.state_array()[:, 0])
+    finite = sizes[np.isfinite(sizes)]
+    if not finite.size:
         return math.inf, math.inf
-    has_infinite = any(math.isinf(size) for size in sizes)
-    return min(finite), (math.inf if has_infinite else max(finite))
+    return float(finite.min()), float(sizes.max())
 
 
-def _instances_plan(s: Setting, count: int, measure: Callable, **options) -> RunPlan:
-    """``count``-instance COUNT on NEWSCAST; ``measure(bundle, simulator)`` is a run's result.
-
-    Each repetition draws its leaders from ``child("values").child("instances")``
-    and queues its bundle.  Both repeat paths resolve a repetition's values
-    before collecting it, and collect in order, so ``collect`` takes the oldest.
-    """
-    queued: Deque[MultiInstanceCount] = deque()
+def _instances_plan(s: Setting, count: int, collect: Callable, **options) -> RunPlan:
+    """``count``-instance COUNT on NEWSCAST, each repetition drawing its
+    leaders from ``child("values").child("instances")``."""
 
     def values(size: int, rng: RandomSource) -> List[tuple]:
-        bundle = MultiInstanceCount.create(list(range(size)), count, rng.child("instances"))
-        queued.append(bundle)
-        return [bundle.initial_values[node] for node in range(size)]
+        initial, _ = multi_instance_peak_values(list(range(size)), count, rng.child("instances"))
+        return [initial[node] for node in range(size)]
 
     return _plan(
         s,
         values,
         function_factory=lambda: VectorFunction([AverageFunction() for _ in range(count)]),
-        collect=lambda simulator: measure(queued.popleft(), simulator),
+        collect=collect,
         **options,
     )
 
 
-def _instance_size_extremes(bundle: MultiInstanceCount, simulator) -> tuple:
+def _instance_size_extremes(simulator) -> tuple:
     """Min and max trimmed-mean size estimate over the nodes of one run."""
-    sizes = bundle.size_estimates_array(simulator.state_array())
+    sizes = trimmed_size_estimates(simulator.state_array())
     finite = sizes[np.isfinite(sizes)]
     if not finite.size:
         return math.inf, math.inf
@@ -431,12 +423,14 @@ def _crash_row(s: Setting, point, traces) -> Row:
 # error of the size estimate an *honest* node reports under three
 # reduction rules: a single (attacked) instance, the paper's trimmed
 # mean, and the byzantine-hardened median-of-instances — the
-# quantitative case for the hardened reducer.  All repeats of one point
+# quantitative case for the hardened rule.  All repeats of one point
 # run as a single replica-batched simulation on the vectorized NEWSCAST
 # fast path.
 # ----------------------------------------------------------------------
 def _byzantine_plan(s: Setting, fraction: float) -> RunPlan:
-    attacks: Deque = deque()  # queued like the instance bundles
+    # Both repeat paths build a repetition's failure model before collecting
+    # it, and collect in order, so ``honest_errors`` takes the oldest.
+    attacks: Deque = deque()
 
     def attack():
         fraction_attacked = s["attacked_instance_fraction"]
@@ -446,19 +440,16 @@ def _byzantine_plan(s: Setting, fraction: float) -> RunPlan:
         )
         return attacks[-1]
 
-    def honest_errors(bundle: MultiInstanceCount, simulator) -> Dict[str, float]:
+    def honest_errors(simulator) -> Dict[str, float]:
         model = attacks.popleft()
         ids = np.asarray(simulator.participant_ids(), dtype=np.int64)
         honest = np.array(simulator.state_array(), dtype=np.float64)
         if model is not None:
             honest = honest[~np.isin(ids, model.byzantine_ids)]
-        single = np.full(honest.shape[0], np.inf)
-        positive = honest[:, 0] > 0.0
-        single[positive] = 1.0 / honest[positive, 0]
         reduced = {
-            "single_instance_error": single,
-            "trimmed_error": bundle.size_estimates_array(honest),
-            "median_error": replace(bundle, reducer="median").size_estimates_array(honest),
+            "single_instance_error": network_size_from_estimate(honest[:, 0]),
+            "trimmed_error": trimmed_size_estimates(honest),
+            "median_error": median_size_estimates(honest),
         }
         return {
             column: float(np.median(np.abs(sizes - s.size) / s.size))
@@ -469,7 +460,7 @@ def _byzantine_plan(s: Setting, fraction: float) -> RunPlan:
 
 
 def _mean_errors(s: Setting, _, errors: List[Dict[str, float]]) -> Row:
-    """Each reducer's error averaged over the runs."""
+    """Each reduction rule's error averaged over the runs."""
     return {
         **{column: float(np.mean([run[column] for run in errors])) for column in errors[0]},
         "true_size": s.size,
@@ -873,7 +864,7 @@ ALL_FIGURES: Dict[str, Figure] = {
         ),
         Figure(
             "byzantine",
-            "COUNT error of honest nodes vs byzantine reporter fraction, per reducer",
+            "COUNT error of honest nodes vs byzantine reporter fraction, per reduction rule",
             paper="Section 7.3's instances against byzantine reporters (extension)",
             cycles=30, points=_sweep(0.0, 0.2), axis=("byzantine_fraction", float),
             constants={"instances": 16, "attacked_instance_fraction": 0.4},

@@ -12,7 +12,8 @@ dynamics gave it.  The colluders coordinate on a fixed minority of the
 concurrent instances — the first ``ceil(instance_fraction * t)``
 components — and report 0 there while behaving honestly in the rest.  The
 forged zeros keep swallowing conserved mass, so the attacked instances
-become ruined outliers: the median-of-instances reducer discards them,
+become ruined outliers: the median of the instances' sizes
+(:func:`~repro.core.instances.median_size_estimates`) discards them,
 while a trimmed mean (or a single-instance COUNT) is dragged along.  On a
 one-component state (plain AVERAGE or single-instance COUNT) every
 component is attacked, so each byzantine node simply reports 0.

@@ -1,7 +1,7 @@
 """Tests for the adversarial & correlated-failure subsystem.
 
 Covers the byzantine reporter models, partition outages, the
-median-of-instances hardened COUNT reducer, and the threading of all of
+median-of-instances hardened COUNT reduction, and the threading of all of
 the above through the cycle engines: reference vs vectorized bit-parity,
 replicated-vs-serial parity, and the overlay split / re-merge behaviour
 of NEWSCAST under a partition.
@@ -15,7 +15,7 @@ import pytest
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import RandomSource
 from repro.core.functions import AverageFunction, VectorFunction
-from repro.core.instances import MultiInstanceCount, reduce_size_estimates
+from repro.core.instances import median_size_estimates, trimmed_size_estimates
 from repro.experiments.config import ExperimentScale
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.runner import (
@@ -336,39 +336,28 @@ class TestNewscastSplitAndRemerge:
 # Median-of-instances hardened COUNT
 # ----------------------------------------------------------------------
 class TestMedianReducer:
-    def test_scalar_and_batched_agree(self):
+    def test_median_matches_inline_numpy_median(self):
         rng = RandomSource(5)
-        bundle = MultiInstanceCount.create(list(range(30)), 9, rng, reducer="median")
         block = np.abs(rng.generator.normal(0.05, 0.02, (30, 9))) + 1e-4
-        batched = bundle.size_estimates_array(block)
-        for row, expected in zip(block, batched):
-            scalar = bundle.node_size_estimate(tuple(row))
-            assert scalar == pytest.approx(expected)
+        block[::4, :3] = 0.0  # vanished mass: infinite sizes take part
+        sizes = np.full(block.shape, np.inf)
+        positive = block > 0.0
+        sizes[positive] = 1.0 / block[positive]
+        assert np.array_equal(median_size_estimates(block), np.median(sizes, axis=1))
 
     def test_median_survives_minority_corruption_where_trimmed_fails(self):
         # 16 instances, 7 ruined (mass drained to ~0): more than the
         # trimmed mean's floor(16/3) = 5 per-tail budget, still a minority.
         truthful = 1.0 / 100.0
-        estimates = [1e-9] * 7 + [truthful] * 9
-        median = reduce_size_estimates(estimates, reducer="median")
-        trimmed = reduce_size_estimates(estimates, reducer="trimmed")
+        block = [[1e-9] * 7 + [truthful] * 9]
+        median = median_size_estimates(block)[0]
+        trimmed = trimmed_size_estimates(block)[0]
         assert median == pytest.approx(100.0, rel=0.01)
         assert trimmed > 2 * 100.0
 
     def test_median_handles_vanished_mass(self):
-        estimates = [0.0, -1e-9, 1.0 / 50.0, 1.0 / 50.0, 1.0 / 50.0]
-        assert reduce_size_estimates(estimates, reducer="median") == pytest.approx(50.0)
-        block = np.array([[0.0, -1e-9, 1.0 / 50.0, 1.0 / 50.0, 1.0 / 50.0]])
-        rng = RandomSource(6)
-        bundle = MultiInstanceCount.create(list(range(4)), 5, rng, reducer="median")
-        assert bundle.size_estimates_array(block)[0] == pytest.approx(50.0)
-
-    def test_unknown_reducer_rejected(self):
-        with pytest.raises(ConfigurationError):
-            reduce_size_estimates([0.1], reducer="mode")
-        rng = RandomSource(7)
-        with pytest.raises(ConfigurationError):
-            MultiInstanceCount.create(list(range(4)), 3, rng, reducer="mode")
+        block = [[0.0, -1e-9, 1.0 / 50.0, 1.0 / 50.0, 1.0 / 50.0]]
+        assert median_size_estimates(block)[0] == pytest.approx(50.0)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,19 @@ class TestPeakDistribution:
         assert network_size_from_estimate(0.0) == math.inf
         assert network_size_from_estimate(None) == math.inf
         assert network_size_from_estimate(-0.5) == math.inf
+        assert network_size_from_estimate(math.nan) == math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(estimates=st.lists(st.one_of(st.none(), st.floats()), max_size=20))
+    def test_size_from_array_matches_scalar(self, estimates):
+        sizes = network_size_from_estimate(np.array(estimates, dtype=np.float64))
+        assert sizes.tolist() == [network_size_from_estimate(value) for value in estimates]
+
+    def test_size_from_array_is_elementwise(self):
+        estimates = np.array([[0.01, 0.0], [-0.5, math.nan], [5e-324, 0.25]])
+        sizes = network_size_from_estimate(estimates)
+        assert sizes.shape == estimates.shape
+        assert sizes.tolist() == [[100.0, math.inf], [math.inf, math.inf], [math.inf, 4.0]]
 
 
 class TestCountMapScalarCodec:

@@ -31,13 +31,6 @@ class TestAverage:
         assert function.initial_state(5) == 5.0
         assert function.estimate(5.0) == 5.0
 
-    def test_true_value(self):
-        assert AverageFunction().true_value([1.0, 2.0, 3.0]) == 2.0
-
-    def test_true_value_empty_rejected(self):
-        with pytest.raises(ProtocolError):
-            AverageFunction().true_value([])
-
     def test_conserved_quantity_is_sum(self):
         assert AverageFunction().conserved_quantity([1.0, 2.0, 3.0]) == 6.0
 
@@ -48,16 +41,6 @@ class TestMinMax:
 
     def test_max_merge(self):
         assert MaxFunction().merge(4.0, 10.0) == (10.0, 10.0)
-
-    def test_true_values(self):
-        assert MinFunction().true_value([3.0, -1.0, 7.0]) == -1.0
-        assert MaxFunction().true_value([3.0, -1.0, 7.0]) == 7.0
-
-    def test_true_value_empty_rejected(self):
-        with pytest.raises(ProtocolError):
-            MinFunction().true_value([])
-        with pytest.raises(ProtocolError):
-            MaxFunction().true_value([])
 
     def test_idempotent_merge(self):
         assert MinFunction().merge(5.0, 5.0) == (5.0, 5.0)
@@ -75,9 +58,6 @@ class TestGeometricMean:
     def test_negative_initial_value_rejected(self):
         with pytest.raises(ProtocolError):
             GeometricMeanFunction().initial_state(-1.0)
-
-    def test_true_value(self):
-        assert GeometricMeanFunction().true_value([2.0, 8.0]) == pytest.approx(4.0)
 
     def test_zero_drives_everything_to_zero(self):
         a, b = GeometricMeanFunction().merge(0.0, 100.0)
@@ -104,9 +84,6 @@ class TestPushSum:
 
     def test_estimate_with_zero_weight_is_none(self):
         assert PushSumFunction().estimate((6.0, 0.0)) is None
-
-    def test_true_value_is_average(self):
-        assert PushSumFunction().true_value([2.0, 4.0]) == 3.0
 
 
 class TestVectorFunction:

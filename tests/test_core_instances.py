@@ -2,14 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomSource
 from repro.core.instances import (
     MultiInstanceCount,
+    median_size_estimates,
     multi_instance_peak_values,
-    reduce_size_estimates,
+    trimmed_size_estimates,
 )
 
 
@@ -42,26 +44,35 @@ class TestMultiInstancePeakValues:
             multi_instance_peak_values([1, 2], 0, RandomSource(1))
 
 
-class TestReduceSizeEstimates:
+class TestTrimmedSizeEstimates:
     def test_perfect_estimates(self):
-        assert reduce_size_estimates([0.01, 0.01, 0.01]) == pytest.approx(100.0)
+        assert trimmed_size_estimates([[0.01, 0.01, 0.01]])[0] == pytest.approx(100.0)
 
     def test_trimming_removes_diverged_instances(self):
         # One instance diverged to infinity (mass lost) and one collapsed.
-        estimates = [0.01, 0.01, 0.01, 0.0, 1.0, 0.01]
-        reduced = reduce_size_estimates(estimates)
+        block = [[0.01, 0.01, 0.01, 0.0, 1.0, 0.01]]
+        reduced = trimmed_size_estimates(block)[0]
         assert math.isfinite(reduced)
         assert reduced == pytest.approx(100.0, rel=0.2)
 
     def test_none_estimates_treated_as_infinite(self):
-        reduced = reduce_size_estimates([None, 0.01, 0.01, 0.01, 0.01])
+        reduced = trimmed_size_estimates([[None, 0.01, 0.01, 0.01, 0.01]])[0]
         assert math.isfinite(reduced)
 
-    def test_empty_list_is_infinite(self):
-        assert reduce_size_estimates([]) == math.inf
+    def test_no_instances_is_infinite(self):
+        assert trimmed_size_estimates(np.empty((1, 0)))[0] == math.inf
 
     def test_all_diverged_is_infinite(self):
-        assert reduce_size_estimates([0.0, 0.0, None]) == math.inf
+        assert trimmed_size_estimates([[0.0, 0.0, None]])[0] == math.inf
+
+    def test_one_estimate_per_node(self):
+        block = [[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]]
+        assert trimmed_size_estimates(block) == pytest.approx([10.0, 5.0])
+
+    def test_block_must_be_two_dimensional(self):
+        for reduce in (trimmed_size_estimates, median_size_estimates):
+            with pytest.raises(ConfigurationError):
+                reduce([0.1, 0.1])
 
 
 class TestMultiInstanceCount:
@@ -71,15 +82,3 @@ class TestMultiInstanceCount:
         assert len(bundle.initial_values) == 20
         assert all(len(value) == 5 for value in bundle.initial_values.values())
         assert len(bundle.leaders) == 5
-
-    def test_node_size_estimate_on_converged_state(self):
-        bundle = MultiInstanceCount.create(list(range(10)), 3, RandomSource(2))
-        converged = tuple(0.1 for _ in range(3))  # 1/N with N=10
-        assert bundle.node_size_estimate(converged) == pytest.approx(10.0)
-
-    def test_size_estimates_for_population(self):
-        bundle = MultiInstanceCount.create(list(range(10)), 3, RandomSource(2))
-        states = {0: (0.1, 0.1, 0.1), 1: (0.2, 0.2, 0.2)}
-        estimates = bundle.size_estimates(states)
-        assert estimates[0] == pytest.approx(10.0)
-        assert estimates[1] == pytest.approx(5.0)

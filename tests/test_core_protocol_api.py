@@ -5,9 +5,8 @@ import math
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core.derived import NetworkSizeAggregate
-from repro.core.protocol import KNOWN_AGGREGATES, aggregate
-from repro.simulator.failures import ProportionalCrashModel
+from repro.core.protocol import AGGREGATES, aggregate
+from repro.simulator.failures import ProportionalCrashModel, SuddenDeathModel
 from repro.simulator.transport import TransportModel
 from repro.topology import TopologySpec
 
@@ -17,22 +16,22 @@ class TestBasicAggregates:
         result = aggregate([2.0, 4.0, 6.0, 8.0] * 25, aggregate="average", seed=1)
         assert result.mean_estimate == pytest.approx(5.0, rel=1e-6)
         assert result.relative_error < 1e-6
-        assert result.true_value == 5.0
+        assert result.exact_value == 5.0
 
     def test_sum(self):
         values = [float(i) for i in range(1, 101)]
         result = aggregate(values, aggregate="sum", seed=2)
-        assert result.true_value == 5050.0
+        assert result.exact_value == 5050.0
         assert result.mean_estimate == pytest.approx(5050.0, rel=1e-3)
 
     def test_count(self):
         result = aggregate([0.0] * 150, aggregate="count", seed=3)
-        assert result.true_value == 150.0
+        assert result.exact_value == 150.0
         assert result.mean_estimate == pytest.approx(150.0, rel=1e-3)
 
     def test_variance(self):
         result = aggregate([1.0, 5.0] * 60, aggregate="variance", seed=4)
-        assert result.true_value == pytest.approx(4.0)
+        assert result.exact_value == pytest.approx(4.0)
         assert result.mean_estimate == pytest.approx(4.0, rel=1e-3)
 
     def test_min_and_max(self):
@@ -48,12 +47,23 @@ class TestBasicAggregates:
 
     def test_product(self):
         result = aggregate([1.1] * 80, aggregate="product", seed=7, cycles=50)
-        assert result.true_value == pytest.approx(1.1 ** 80)
+        assert result.exact_value == pytest.approx(1.1 ** 80)
         assert result.mean_estimate == pytest.approx(1.1 ** 80, rel=0.05)
 
-    def test_custom_derived_aggregate_instance(self):
-        result = aggregate([0.0] * 80, aggregate=NetworkSizeAggregate(), seed=8)
-        assert result.mean_estimate == pytest.approx(80.0, rel=1e-3)
+    def test_product_overflow_reports_inf(self):
+        result = aggregate([3.0] * 700, aggregate="product")
+        assert result.mean_estimate == math.inf
+        assert result.exact_value == math.inf
+
+    def test_geometric_mean_exact_value_when_the_product_overflows(self):
+        result = aggregate([1e10, 1e12] * 200, aggregate="geometric-mean", seed=6)
+        assert result.exact_value == pytest.approx(1e11, rel=1e-12)
+        assert result.relative_error < 1e-6
+
+    @pytest.mark.parametrize("name", ["product", "geometric-mean"])
+    def test_negative_values_rejected(self, name):
+        with pytest.raises(ConfigurationError):
+            aggregate([1.0, -2.0, 3.0], aggregate=name)
 
 
 class TestResultObject:
@@ -65,6 +75,13 @@ class TestResultObject:
         result = aggregate([3.0, 9.0] * 40, aggregate="average", seed=1, cycles=40)
         assert result.max_node_error() < 1e-6
 
+    @pytest.mark.parametrize("name", sorted(AGGREGATES))
+    def test_max_node_error_of_an_empty_population(self, name):
+        result = aggregate([0.0] * 50, name, failure_model=SuddenDeathModel(1.0, 1))
+        assert result.node_estimates == {}
+        assert result.mean_estimate == result.relative_error == math.inf
+        assert result.max_node_error() == math.inf
+
     def test_trace_is_exposed(self):
         result = aggregate([1.0, 2.0] * 30, aggregate="average", seed=1, cycles=12)
         assert len(result.trace) == 13
@@ -73,14 +90,14 @@ class TestResultObject:
 
 class TestConfiguration:
     def test_unknown_aggregate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            aggregate([1.0, 2.0, 3.0], aggregate="median")
+        for name in ("median", "mean", "geomean"):
+            with pytest.raises(ConfigurationError):
+                aggregate([1.0, 2.0, 3.0], aggregate=name)
 
-    def test_known_aggregate_names_all_work(self):
-        values = [1.0, 2.0, 3.0, 4.0] * 10
-        for name in sorted(KNOWN_AGGREGATES):
-            result = aggregate(values, aggregate=name, seed=1, cycles=15)
-            assert math.isfinite(result.mean_estimate)
+    @pytest.mark.parametrize("name", sorted(AGGREGATES))
+    def test_known_aggregate_names_all_work(self, name):
+        result = aggregate([1.0, 2.0, 3.0, 4.0] * 10, aggregate=name, seed=1, cycles=15)
+        assert math.isfinite(result.mean_estimate)
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -26,7 +26,7 @@ from repro.core.count import (
     count_estimates_from_matrix,
 )
 from repro.core.epoch import EpochConfig
-from repro.core.instances import MultiInstanceCount
+from repro.core.instances import trimmed_size_estimates
 from repro.simulator import (
     CycleSimulator,
     EpochDriver,
@@ -445,15 +445,14 @@ class TestBatchedReduction:
 
     def test_multi_instance_array_reduction_matches_scalar(self):
         rng = RandomSource(12)
-        bundle = MultiInstanceCount.create(list(range(30)), 9, rng)
         block = np.abs(rng.generator.normal(size=(30, 9))) / 30.0
-        batched = bundle.size_estimates_array(block)
+        batched = trimmed_size_estimates(block)
         for row, state in zip(batched, block):
             assert row == pytest.approx(
-                bundle.node_size_estimate(tuple(state)), rel=1e-12
+                count_estimate_from_map(dict(enumerate(state))), rel=1e-12
             )
         with pytest.raises(ConfigurationError):
-            bundle.size_estimates_array(np.zeros((4, 3)))
+            trimmed_size_estimates(np.zeros(4))
 
 
 class TestBatchedElection:

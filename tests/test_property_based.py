@@ -3,7 +3,7 @@
 These check the algebraic properties the paper's analysis relies on:
 conservation of the global sum/product/mass under complete exchanges,
 invariance of extremes under MIN/MAX, the COUNT map merge rules, the
-trimmed-mean reducer, and the determinism of the seeded random source.
+trimmed-mean reduction, and the determinism of the seeded random source.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.statistics import trimmed_mean
 from repro.common.rng import RandomSource
 from repro.core.count import CountArrayFunction
 from repro.core.functions import (
@@ -25,6 +24,7 @@ from repro.core.functions import (
     PushSumFunction,
     VectorFunction,
 )
+from repro.core.instances import trimmed_size_estimates
 from repro.newscast.cache import CacheEntry, NewscastCache
 from repro.simulator.cycle_sim import CycleSimulator
 from repro.topology import TopologySpec, build_overlay
@@ -118,25 +118,33 @@ class TestCountMapInvariants:
             assert forward[key] == pytest.approx(backward[key], rel=1e-12, abs=1e-15)
 
 
-class TestTrimmedMeanProperties:
-    @given(values=st.lists(finite_values, min_size=1, max_size=30))
-    def test_result_within_sample_range(self, values):
-        result = trimmed_mean(values)
-        assert min(values) - 1e-9 <= result <= max(values) + 1e-9
+def trimmed_size(sizes):
+    """The trimmed-mean size a node holding one instance per size reports."""
+    return float(trimmed_size_estimates([[1.0 / size for size in sizes]])[0])
 
-    @given(values=st.lists(finite_values, min_size=1, max_size=30), scalar=finite_values)
-    def test_translation_equivariance(self, values, scalar):
-        base = trimmed_mean(values)
-        shifted = trimmed_mean([v + scalar for v in values])
+
+sizes_lists = st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=30)
+
+
+class TestTrimmedMeanProperties:
+    @given(sizes=sizes_lists)
+    def test_result_within_sample_range(self, sizes):
+        result = trimmed_size(sizes)
+        assert min(sizes) * (1 - 1e-12) <= result <= max(sizes) * (1 + 1e-12)
+
+    @given(sizes=sizes_lists, scalar=st.floats(min_value=0.0, max_value=1e6))
+    def test_translation_equivariance(self, sizes, scalar):
+        base = trimmed_size(sizes)
+        shifted = trimmed_size([size + scalar for size in sizes])
         assert shifted == pytest.approx(base + scalar, rel=1e-6, abs=1e-6)
 
     @given(
-        values=st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=4, max_size=30),
-        outlier=st.floats(min_value=1e8, max_value=1e12, allow_nan=False),
+        sizes=st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=4, max_size=30),
+        outlier=st.floats(min_value=1e8, max_value=1e12),
     )
-    def test_single_outlier_is_ignored(self, values, outlier):
-        clean = trimmed_mean(values)
-        polluted = trimmed_mean(values + [outlier])
+    def test_single_outlier_is_ignored(self, sizes, outlier):
+        clean = trimmed_size(sizes)
+        polluted = trimmed_size(sizes + [outlier])
         assert polluted < 1e6
         assert abs(polluted - clean) < 200
 

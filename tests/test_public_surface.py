@@ -3,9 +3,9 @@
 Each entry names a public function, constructor or configuration record
 and the exact parameter (or field) names it accepts, in order.  A new
 option, or a retired one, therefore shows up as a reviewed edit of
-:data:`SURFACE` rather than slipping in through a signature.  The two
-accepted-value registries — the ``params`` keys per topology kind and the
-latency distributions — are pinned the same way.
+:data:`SURFACE` rather than slipping in through a signature.  The three
+accepted-value registries — the ``params`` keys per topology kind, the
+latency distributions and the aggregate names — are pinned the same way.
 """
 
 import dataclasses
@@ -13,16 +13,19 @@ import inspect
 
 import pytest
 
-from repro.analysis.statistics import trimmed_mean
 from repro.core import aggregate
 from repro.core.count import (
     count_estimate_from_map,
     count_estimates_from_matrix,
     peak_initial_values,
 )
-from repro.core.derived import NetworkSizeAggregate, ProductAggregate, SumAggregate
 from repro.core.epoch import EpochConfig
-from repro.core.instances import MultiInstanceCount, reduce_size_estimates
+from repro.core.instances import (
+    MultiInstanceCount,
+    median_size_estimates,
+    trimmed_size_estimates,
+)
+from repro.core.protocol import AGGREGATES
 from repro.experiments.runner import (
     RunPlan,
     repeat_simulations,
@@ -114,17 +117,14 @@ SURFACE = {
     PartitionOutageModel: ("boundary", "start_cycle", "heal_cycle"),
     ByzantineReporterModel: ("fraction", "instance_fraction"),
     # COUNT and its reductions
-    MultiInstanceCount: ("function", "initial_values", "leaders", "reducer"),
-    MultiInstanceCount.create: ("node_ids", "instance_count", "rng", "reducer"),
-    reduce_size_estimates: ("estimates", "reducer"),
-    trimmed_mean: ("values",),
+    MultiInstanceCount: ("function", "initial_values", "leaders"),
+    MultiInstanceCount.create: ("node_ids", "instance_count", "rng"),
+    trimmed_size_estimates: ("state_block",),
+    median_size_estimates: ("state_block",),
     count_estimate_from_map: ("state",),
     count_estimates_from_matrix: ("values", "mask"),
     peak_initial_values: ("size", "peak_value"),
     uniform_initial_values: ("size", "rng"),
-    NetworkSizeAggregate: (),
-    SumAggregate: (),
-    ProductAggregate: (),
     complete_topology: ("size",),
     # The one-call entry point
     aggregate: (
@@ -158,3 +158,9 @@ def test_topology_params_keys():
 
 def test_latency_distributions():
     assert DELAY_DISTRIBUTIONS == ("uniform", "lognormal")
+
+
+def test_aggregate_names():
+    assert tuple(AGGREGATES) == (
+        "average", "count", "sum", "product", "variance", "min", "max", "geometric-mean",
+    )

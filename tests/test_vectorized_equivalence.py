@@ -20,7 +20,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomSource
 import repro.core
 from repro.core.count import CountArrayFunction, peak_initial_values
-from repro.core.derived import SumAggregate
+from repro.core.protocol import AGGREGATES
 from repro.core.functions import (
     AverageFunction,
     GeometricMeanFunction,
@@ -335,16 +335,14 @@ class TestEveryFunctionOnEveryEngine:
         vectorized.run(4)
         assert reference.states() == vectorized.states()
 
-    @pytest.mark.parametrize("kind", ["average", "sum", "count-map"])
+    @pytest.mark.parametrize("kind", [*AGGREGATES, "count-map"])
     def test_state_array_bit_identical_across_engines(self, kind):
-        if kind == "average":
-            function, values = AverageFunction(), [float(i) for i in range(SIZE)]
-        elif kind == "sum":
-            aggregate = SumAggregate()
-            function = aggregate.function
-            values = aggregate.initial_values([float(i) for i in range(SIZE)])
-        else:
+        if kind == "count-map":
             function, values = CORE_FUNCTIONS["CountArrayFunction"]
+        else:
+            record = AGGREGATES[kind]
+            function = record.function
+            values = record.initial(np.arange(1.0, SIZE + 1)).tolist()
 
         def build(engine):
             rng = RandomSource(2004)
