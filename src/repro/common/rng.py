@@ -12,14 +12,15 @@ The implementation wraps :class:`numpy.random.Generator` (PCG64) and adds
 
 * named child streams (:meth:`RandomSource.child`) derived through
   ``numpy.random.SeedSequence.spawn`` semantics, and
-* a handful of convenience draws used throughout the code base
-  (``choice_index``, ``shuffled_indices``, ``bernoulli``...).
+* the few scalar draws the library makes (``uniform``, ``bernoulli``,
+  ``choice_index``, ``sample``...); batched consumers draw from
+  :attr:`RandomSource.generator` directly.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,28 +93,12 @@ class RandomSource:
         """
         return RandomSource(derive_seed(self._seed, *labels))
 
-    def spawn(self, count: int, prefix: str = "spawn") -> list["RandomSource"]:
-        """Return ``count`` independent child streams."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return [self.child(prefix, index) for index in range(count)]
-
     # ------------------------------------------------------------------
     # Scalar draws
     # ------------------------------------------------------------------
-    def random(self) -> float:
-        """Uniform float in ``[0, 1)``."""
-        return float(self._generator.random())
-
     def uniform(self, low: float, high: float) -> float:
         """Uniform float in ``[low, high)``."""
         return float(self._generator.uniform(low, high))
-
-    def integer(self, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high)``."""
-        if high <= low:
-            raise ValueError(f"empty integer range [{low}, {high})")
-        return int(self._generator.integers(low, high))
 
     def bernoulli(self, probability: float) -> bool:
         """Return ``True`` with the given probability."""
@@ -123,20 +108,6 @@ class RandomSource:
             return True
         return bool(self._generator.random() < probability)
 
-    def poisson(self, lam: float) -> int:
-        """Draw from a Poisson distribution with mean ``lam``."""
-        return int(self._generator.poisson(lam))
-
-    def exponential(self, mean: float) -> float:
-        """Draw from an exponential distribution with the given mean."""
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        return float(self._generator.exponential(mean))
-
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        """Draw from a normal distribution."""
-        return float(self._generator.normal(mean, std))
-
     # ------------------------------------------------------------------
     # Collection draws
     # ------------------------------------------------------------------
@@ -145,12 +116,6 @@ class RandomSource:
         if length <= 0:
             raise ValueError("cannot choose from an empty sequence")
         return int(self._generator.integers(0, length))
-
-    def choice(self, items: Sequence):
-        """Uniformly choose one element from ``items``."""
-        if len(items) == 0:
-            raise ValueError("cannot choose from an empty sequence")
-        return items[self.choice_index(len(items))]
 
     def sample_indices(self, population: int, count: int) -> np.ndarray:
         """Sample ``count`` distinct indices from ``range(population)``."""
@@ -165,21 +130,7 @@ class RandomSource:
         indices = self.sample_indices(len(items), count)
         return [items[int(i)] for i in indices]
 
-    def shuffled_indices(self, length: int) -> np.ndarray:
-        """Return a random permutation of ``range(length)``."""
-        return self._generator.permutation(length)
-
     def shuffle_in_place(self, items: list) -> None:
         """Shuffle a list in place (Fisher–Yates via numpy permutation)."""
         order = self._generator.permutation(len(items))
         items[:] = [items[int(i)] for i in order]
-
-    def weighted_choice_index(self, weights: Iterable[float]) -> int:
-        """Choose an index with probability proportional to ``weights``."""
-        array = np.asarray(list(weights), dtype=float)
-        if array.size == 0:
-            raise ValueError("cannot choose from empty weights")
-        total = array.sum()
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        return int(self._generator.choice(array.size, p=array / total))

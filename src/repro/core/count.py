@@ -281,13 +281,6 @@ class CountArrayFunction(AggregationFunction):
             row[width + slot] = 1.0
         return row
 
-    def decode_state(self, row: np.ndarray) -> Dict[int, float]:
-        width = len(self._leaders)
-        return {
-            self._leaders[slot]: float(row[slot])
-            for slot in np.flatnonzero(row[width:] != 0.0)
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CountArrayFunction(leaders={len(self._leaders)})"
 

@@ -134,10 +134,6 @@ class AggregationFunction(abc.ABC):
     def encode_state(self, state: Any) -> np.ndarray:
         """Encode one opaque state into a ``(state_width,)`` row."""
 
-    @abc.abstractmethod
-    def decode_state(self, row: np.ndarray) -> Any:
-        """Decode a ``(state_width,)`` row back into the opaque state."""
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -164,9 +160,6 @@ class _ScalarArrayCodec:
 
     def encode_state(self, state: float) -> np.ndarray:
         return np.array([float(state)], dtype=np.float64)
-
-    def decode_state(self, row: np.ndarray) -> float:
-        return float(row[0])
 
 
 class AverageFunction(_ScalarArrayCodec, AggregationFunction):
@@ -346,9 +339,6 @@ class PushSumFunction(AggregationFunction):
     def encode_state(self, state: Tuple[float, float]) -> np.ndarray:
         return np.array([float(state[0]), float(state[1])], dtype=np.float64)
 
-    def decode_state(self, row: np.ndarray) -> Tuple[float, float]:
-        return (float(row[0]), float(row[1]))
-
 
 class VectorFunction(AggregationFunction):
     """Run several aggregation functions in parallel on tuple states.
@@ -493,12 +483,6 @@ class VectorFunction(AggregationFunction):
                 function.encode_state(component)
                 for function, component in zip(self._functions, state)
             ]
-        )
-
-    def decode_state(self, row: np.ndarray) -> Tuple[Any, ...]:
-        return tuple(
-            function.decode_state(row[columns])
-            for function, columns in self._column_slices()
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

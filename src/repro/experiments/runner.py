@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
-from ..common.validation import require_non_negative_int
+from ..common.validation import require, require_non_negative_int
 from ..core.count import LeaderElection, peak_initial_values
 from ..core.epoch import EpochConfig
 from ..core.functions import AggregationFunction, AverageFunction
@@ -219,6 +219,12 @@ class RunPlan:
     failure_factory: Optional[Callable[[], Optional[FailureModel]]] = None
     record_every: int = 1
     collect: Callable = field(default=_default_collect)
+
+    def __post_init__(self) -> None:
+        require(
+            self.failure_factory is None or callable(self.failure_factory),
+            f"failure_factory must be a callable or None, got {self.failure_factory!r}",
+        )
 
     # ------------------------------------------------------------------
     def resolve_values(self, rng: RandomSource) -> List[float]:

@@ -61,12 +61,7 @@ from .failures import (
     ReachabilityModel,
     SuddenDeathModel,
 )
-from .metrics import (
-    CycleRecord,
-    SimulationTrace,
-    empirical_mean,
-    empirical_variance,
-)
+from .metrics import CycleRecord, SimulationTrace
 from .replicated import ReplicaConfig, ReplicatedCycleSimulator, ReplicaView
 from .sampling import (
     CyclePlan,
@@ -122,8 +117,6 @@ __all__ = [
     "draw_cycle_plan",
     "stack_cycle_plans",
     "ordered_conflict_rounds",
-    "empirical_mean",
-    "empirical_variance",
     "TransportModel",
     "DelayModel",
     "PERFECT_TRANSPORT",

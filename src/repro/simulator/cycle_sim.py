@@ -29,7 +29,6 @@ is the scalar oracle the array engine's parity suites compare against.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -39,8 +38,8 @@ from ..common.rng import RandomSource
 from ..common.validation import require_non_negative_int, require_positive_int
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
-from .failures import FailureModel, NoFailures
-from .metrics import CycleRecord, SimulationTrace, empirical_mean, empirical_variance
+from .failures import FailureModel, failure_model_or_default
+from .metrics import CycleRecord, SimulationTrace, estimate_statistics
 from .sampling import draw_cycle_plan
 from .transport import (
     OUTCOME_DROPPED,
@@ -125,7 +124,7 @@ class CycleSimulator:
         self._overlay = overlay
         self._function = function
         self._transport = transport
-        self._failure_model = failure_model or NoFailures()
+        self._failure_model = failure_model_or_default(failure_model)
         self._reachability = reachability
         if reachability is not None:
             overlay.set_reachability(reachability)
@@ -142,7 +141,6 @@ class CycleSimulator:
             node: function.initial_state(values[node]) for node in node_ids
         }
         self._participants = set(node_ids)
-        self._non_participants: set[int] = set()
         self._crashed: set[int] = set()
         self._next_node_id = max(node_ids) + 1 if node_ids else 0
 
@@ -182,28 +180,9 @@ class CycleSimulator:
         """
         return sorted(self._participants)
 
-    def non_participant_ids(self) -> List[int]:
-        """Identifiers of joined nodes waiting for the next epoch."""
-        return sorted(self._non_participants)
-
-    def crashed_ids(self) -> List[int]:
-        """Identifiers of nodes that crashed during this run."""
-        return sorted(self._crashed)
-
     def is_participant(self, node_id: int) -> bool:
         """Whether ``node_id`` currently takes part in the protocol."""
         return node_id in self._participants
-
-    def state_of(self, node_id: int) -> Any:
-        """The protocol state currently held by ``node_id``."""
-        try:
-            return self._states[node_id]
-        except KeyError as exc:
-            raise SimulationError(f"node {node_id} is not participating") from exc
-
-    def states(self) -> Dict[int, Any]:
-        """A copy of the mapping from participant id to protocol state."""
-        return dict(self._states)
 
     def state_array(self) -> np.ndarray:
         """The ``(participants, width)`` block of encoded states, in id order.
@@ -218,26 +197,6 @@ class CycleSimulator:
             block[row] = encode(self._states[node])
         return block
 
-    def estimates(self) -> Dict[int, Optional[float]]:
-        """Current aggregate estimate at every participating node."""
-        return {node: self._function.estimate(state) for node, state in self._states.items()}
-
-    def finite_estimates(self) -> List[float]:
-        """All current estimates that are actual finite numbers.
-
-        Iterates the states directly instead of materialising the full
-        ``estimates()`` dict; this runs once per recorded cycle, so it is
-        on the measurement hot path.
-        """
-        estimate = self._function.estimate
-        isfinite = math.isfinite
-        result = []
-        for state in self._states.values():
-            value = estimate(state)
-            if value is not None and isfinite(value):
-                result.append(value)
-        return result
-
     # ------------------------------------------------------------------
     # Membership operations (used by failure models and by callers)
     # ------------------------------------------------------------------
@@ -247,7 +206,6 @@ class CycleSimulator:
             return
         self._states.pop(node_id, None)
         self._participants.discard(node_id)
-        self._non_participants.discard(node_id)
         self._crashed.add(node_id)
         self._overlay.on_node_removed(node_id)
 
@@ -263,7 +221,6 @@ class CycleSimulator:
         node_id = self._next_node_id
         self._next_node_id += 1
         self._overlay.on_node_added(node_id, self._membership_rng)
-        self._non_participants.add(node_id)
         return node_id
 
     def override_values(self, node_ids: Sequence[int], values: Any) -> None:
@@ -387,17 +344,13 @@ class CycleSimulator:
     # Internals
     # ------------------------------------------------------------------
     def _flush_record(self) -> CycleRecord:
-        estimates = self.finite_estimates()
-        if estimates:
-            mean = empirical_mean(estimates)
-            variance = empirical_variance(estimates)
-            minimum = min(estimates)
-            maximum = max(estimates)
-        else:
-            mean = math.nan
-            variance = 0.0
-            minimum = math.nan
-            maximum = math.nan
+        # The scalar estimate of every node, in state order (None becomes
+        # NaN), reduced by the eq. (1) statistics every engine records.
+        estimate = self._function.estimate
+        estimates = np.array(
+            [estimate(state) for state in self._states.values()], dtype=np.float64
+        )
+        mean, variance, minimum, maximum = estimate_statistics(estimates)
         record = CycleRecord(
             cycle=self._cycle_index,
             participant_count=len(self._participants),

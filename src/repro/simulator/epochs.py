@@ -53,7 +53,7 @@ import numpy as np
 from ..analysis.theory import PUSH_PULL_CONVERGENCE_FACTOR
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
-from ..common.validation import require_non_negative_int
+from ..common.validation import require, require_non_negative_int, require_positive_int
 from ..core.count import CountArrayFunction, LeaderElection, count_estimates_from_matrix
 from ..core.epoch import EpochConfig, cycles_for_accuracy
 from ..core.functions import AverageFunction
@@ -230,6 +230,14 @@ class EpochDriver:
             raise ConfigurationError(
                 f"engine must be 'vectorized' or 'reference', got {engine!r}"
             )
+        require(
+            failure_factory is None
+            or isinstance(failure_factory, FailureModel)
+            or callable(failure_factory),
+            "failure_factory must be a FailureModel, a callable or None, "
+            f"got {failure_factory!r}",
+        )
+        require_positive_int(record_every, "record_every")
         self._overlay = overlay
         self._election = election
         self._config = epoch_config

@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
 from ..common.validation import (
     require,
@@ -44,6 +45,7 @@ from ..common.validation import (
 __all__ = [
     "FailureModel",
     "NoFailures",
+    "failure_model_or_default",
     "ProportionalCrashModel",
     "SuddenDeathModel",
     "ChurnModel",
@@ -83,6 +85,21 @@ class NoFailures(FailureModel):
 
     def describe(self) -> str:
         return "no failures"
+
+
+def failure_model_or_default(model: Optional[FailureModel]) -> FailureModel:
+    """``model`` itself, or :class:`NoFailures` for ``None``.
+
+    Anything else is refused here, at engine construction, rather than on
+    the first cycle.
+    """
+    if model is None:
+        return NoFailures()
+    if not isinstance(model, FailureModel):
+        raise ConfigurationError(
+            f"failure_model must be a FailureModel or None, got {model!r}"
+        )
+    return model
 
 
 class ProportionalCrashModel(FailureModel):

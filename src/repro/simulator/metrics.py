@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..common.errors import SimulationError
 
 __all__ = [
-    "empirical_mean",
-    "empirical_variance",
     "estimate_statistics",
     "CycleRecord",
     "SimulationTrace",
@@ -30,12 +28,12 @@ __all__ = [
 def estimate_statistics(estimates: np.ndarray) -> tuple:
     """``(mean, variance, minimum, maximum)`` of one estimate population.
 
-    The per-cycle reduction both array engines record: NaN marks "no
-    estimate yet" and infinities (COUNT before the peak arrives) are
-    excluded, exactly like :func:`empirical_mean` / the reference
-    engine's finite filter.  Finite extremes certify the whole array —
-    NaN poisons ``min`` and infinities show up in ``max``/``min`` — so
-    the common all-finite case skips the filter pass.  Splitting a
+    The paper's eq. (1) statistics, the per-cycle reduction every engine
+    records: NaN marks "no estimate yet" and infinities (COUNT before the
+    peak arrives) are excluded; the variance takes the N−1 denominator.
+    Finite extremes certify the whole array — NaN poisons ``min`` and
+    infinities show up in ``max``/``min`` — so the common all-finite
+    case skips the filter pass.  Splitting a
     stacked replica block and applying this per replica therefore
     reproduces the serial records bit-for-bit.
 
@@ -66,22 +64,6 @@ def estimate_statistics(estimates: np.ndarray) -> tuple:
     return mean, variance, minimum, maximum
 
 
-def empirical_mean(values: Sequence[float]) -> float:
-    """The empirical mean µ of a set of local estimates (paper eq. 1)."""
-    finite = [v for v in values if v is not None and math.isfinite(v)]
-    if not finite:
-        return math.nan
-    return float(np.mean(finite))
-
-
-def empirical_variance(values: Sequence[float]) -> float:
-    """The empirical variance σ² with the N−1 denominator (paper eq. 1)."""
-    finite = [v for v in values if v is not None and math.isfinite(v)]
-    if len(finite) < 2:
-        return 0.0
-    return float(np.var(finite, ddof=1))
-
-
 @dataclass(frozen=True)
 class CycleRecord:
     """Snapshot of the estimate population at the end of one cycle.
@@ -98,10 +80,6 @@ class CycleRecord:
     maximum: float
     completed_exchanges: int = 0
     failed_exchanges: int = 0
-
-    def spread(self) -> float:
-        """Difference between the maximum and minimum estimate."""
-        return self.maximum - self.minimum
 
 
 @dataclass
@@ -172,10 +150,6 @@ class SimulationTrace:
         """Per-cycle maximum estimates."""
         return [record.maximum for record in self.records]
 
-    def participant_counts(self) -> List[int]:
-        """Per-cycle number of participating nodes."""
-        return [record.participant_count for record in self.records]
-
     # ------------------------------------------------------------------
     # Derived measures
     # ------------------------------------------------------------------
@@ -189,16 +163,6 @@ class SimulationTrace:
         if initial_variance <= 0.0:
             return [0.0 for _ in self.records]
         return [record.variance / initial_variance for record in self.records]
-
-    def per_cycle_convergence_factors(self) -> List[float]:
-        """ρ_i = σ²_i / σ²_{i-1} for every consecutive pair of records."""
-        factors: List[float] = []
-        for previous, current in zip(self.records, self.records[1:]):
-            if previous.variance <= 0.0:
-                factors.append(0.0)
-            else:
-                factors.append(current.variance / previous.variance)
-        return factors
 
     def average_convergence_factor(self, cycles: Optional[int] = None) -> float:
         """Geometric-mean convergence factor over the first ``cycles`` cycles.
@@ -230,19 +194,3 @@ class SimulationTrace:
                     break
         ratio = final_variance / initial_variance
         return float(ratio ** (1.0 / last_index))
-
-    def mean_drift(self) -> float:
-        """Absolute change of the empirical mean between cycle 0 and the end.
-
-        Under complete exchanges the mean is invariant; failures introduce
-        drift, which this measure quantifies.
-        """
-        return abs(self.final.mean - self.initial.mean)
-
-    def total_completed_exchanges(self) -> int:
-        """Total number of completed exchanges across all cycles."""
-        return sum(record.completed_exchanges for record in self.records)
-
-    def total_failed_exchanges(self) -> int:
-        """Total number of failed/dropped exchanges across all cycles."""
-        return sum(record.failed_exchanges for record in self.records)

@@ -17,8 +17,8 @@ extraction — once across the whole block.  It has two entry points:
   reference :class:`~repro.simulator.cycle_sim.CycleSimulator`.
 
 :class:`ReplicaView` is the single implementation of the per-run
-simulator surface (state accessors, membership operations, contact
-counts) that failure models, experiment plumbing and tests drive.
+simulator surface (state block, participants, membership operations)
+that failure models, experiment plumbing and tests drive.
 
 Each cycle
 
@@ -65,7 +65,6 @@ runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -77,7 +76,7 @@ from ..common.validation import require_non_negative_int, require_positive_int
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
 from .cycle_sim import InitialValues, normalise_initial_values
-from .failures import FailureModel, NoFailures
+from .failures import FailureModel, failure_model_or_default
 from .metrics import CycleRecord, SimulationTrace, estimate_statistics
 from .sampling import (
     conflict_scratch, draw_cycle_plan, ordered_conflict_rounds, stack_cycle_plans
@@ -233,7 +232,6 @@ class _Replica:
         "pending_completed",
         "pending_failed",
         "participants_cache",
-        "last_participants",
     )
 
     def __init__(self, config: ReplicaConfig) -> None:
@@ -245,14 +243,13 @@ class _Replica:
         self.failure_rng = rng.child("failures")
         self.overlay_rng = rng.child("overlay")
         self.membership_rng = rng.child("membership")
-        self.failure_model = config.failure_model or NoFailures()
+        self.failure_model = failure_model_or_default(config.failure_model)
         self.next_node_id = 0
         self.crashed: set = set()
         self.trace = SimulationTrace()
         self.pending_completed = 0
         self.pending_failed = 0
         self.participants_cache: Optional[np.ndarray] = None
-        self.last_participants = np.empty(0, dtype=np.int64)
 
 
 class StackedCycleEngine:
@@ -314,7 +311,6 @@ class StackedCycleEngine:
         capacity = self._count * stride
         self._states = np.zeros((capacity, self._width), dtype=np.float64)
         self._participant_mask = np.zeros(capacity, dtype=bool)
-        self._non_participant_mask = np.zeros(capacity, dtype=bool)
         self._scratch = conflict_scratch(capacity)
 
         for index, (config, node_ids) in enumerate(zip(replicas, node_sets)):
@@ -346,9 +342,6 @@ class StackedCycleEngine:
             self._participant_mask[rows] = True
 
         self._cycle_index = 0
-        self._last_eff_initiators = np.empty(0, dtype=np.int64)
-        self._last_eff_peers = np.empty(0, dtype=np.int64)
-        self._last_eff_bounds = np.zeros(self._count + 1, dtype=np.int64)
         self._flush_records()
 
     # ------------------------------------------------------------------
@@ -363,16 +356,6 @@ class StackedCycleEngine:
     def cycle_index(self) -> int:
         """Number of cycles executed so far (shared by all replicas)."""
         return self._cycle_index
-
-    @property
-    def replica_count(self) -> int:
-        """Number of stacked repetitions."""
-        return self._count
-
-    @property
-    def stride(self) -> int:
-        """Block rows reserved per replica."""
-        return self._stride
 
     def traces(self) -> List[SimulationTrace]:
         """Per-replica traces, in replica order."""
@@ -395,11 +378,10 @@ class StackedCycleEngine:
         # Per-replica randomness, exactly as the reference engine draws it.
         plans = []
         for index, replica in enumerate(self._replicas):
-            replica.last_participants = self._participants_local(index)
             plans.append(
                 draw_cycle_plan(
                     replica.overlay,
-                    replica.last_participants,
+                    self._participants_local(index),
                     replica.selection_rng,
                     self._transport,
                     replica.transport_rng,
@@ -417,10 +399,10 @@ class StackedCycleEngine:
                 plan.outcomes,
                 self._cycle_index,
             )
-        # A stale descriptor may name a node past the stride (crashed
-        # before this engine was built): like any dead peer it is unusable,
-        # and unshifted it would index past the block or into the next
-        # replica's rows.
+        # A peer past the stride is a node that crashed before this engine
+        # was built (a stale descriptor) or joined since (it waits for the
+        # next epoch, so it has no row): unusable either way, and unshifted
+        # it would index past the block or into the next replica's rows.
         for plan in plans:
             plan.peers[plan.peers >= self._stride] = -1
         stacked = stack_cycle_plans(
@@ -483,10 +465,6 @@ class StackedCycleEngine:
                 )
         for block, pairs in fused.values():
             block.after_cycle_stacked(pairs)
-
-        self._last_eff_initiators = eff_initiators
-        self._last_eff_peers = eff_peers
-        self._last_eff_bounds = eff_bounds
 
         if self._cycle_index % self._record_every:
             return False
@@ -551,44 +529,6 @@ class StackedCycleEngine:
             replica.pending_completed = 0
             replica.pending_failed = 0
 
-    def _ensure_stride(self, local_id: int) -> None:
-        """Grow the per-replica row capacity to fit ``local_id``."""
-        if local_id < self._stride:
-            return
-        new_stride = max(self._stride * 2, local_id + 1)
-        capacity = self._count * new_stride
-        # The last cycle's exchange ledger holds block rows under the old
-        # stride; remap them so last_cycle_contact_counts stays valid
-        # after growth.
-        for name in ("_last_eff_initiators", "_last_eff_peers"):
-            rows = getattr(self, name)
-            if rows.size:
-                setattr(
-                    self,
-                    name,
-                    (rows // self._stride) * new_stride + rows % self._stride,
-                )
-        states = np.zeros((capacity, self._width), dtype=np.float64)
-        participant = np.zeros(capacity, dtype=bool)
-        non_participant = np.zeros(capacity, dtype=bool)
-        for index in range(self._count):
-            old = index * self._stride
-            new = index * new_stride
-            states[new : new + self._stride] = self._states[old : old + self._stride]
-            participant[new : new + self._stride] = self._participant_mask[
-                old : old + self._stride
-            ]
-            non_participant[new : new + self._stride] = self._non_participant_mask[
-                old : old + self._stride
-            ]
-        self._states = states
-        self._participant_mask = participant
-        self._non_participant_mask = non_participant
-        self._scratch = conflict_scratch(capacity)
-        self._stride = new_stride
-        for replica in self._replicas:
-            replica.participants_cache = None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}(replicas={self._count}, "
@@ -642,8 +582,8 @@ class ReplicaView:
     """One run of the stacked engine, wearing the reference simulator API.
 
     Failure models, experiment plumbing and post-processing helpers
-    (``trace``, ``estimates()``, ``states()``, membership operations...)
-    drive a view exactly as they drive a
+    (``trace``, ``state_array()``, ``participant_ids()``, membership
+    operations...) drive a view exactly as they drive a
     :class:`~repro.simulator.cycle_sim.CycleSimulator` — which is what
     lets stateful failure models act on each replica through the
     identical public surface, and what lets figure code collect
@@ -655,11 +595,6 @@ class ReplicaView:
         self._index = index
 
     # -- identification ------------------------------------------------
-    @property
-    def replica_index(self) -> int:
-        """Position of this replica in the stacked engine."""
-        return self._index
-
     @property
     def overlay(self) -> OverlayProvider:
         """The replica's own overlay."""
@@ -692,26 +627,10 @@ class ReplicaView:
     def _participants(self) -> np.ndarray:
         return self._engine._participants_local(self._index)
 
-    def _estimate_values(self, participants: np.ndarray) -> np.ndarray:
-        return self._engine._function.estimate_array(
-            self._engine._states[self._base + participants]
-        )
-
     # -- state accessors ------------------------------------------------
     def participant_ids(self) -> List[int]:
         """Identifiers of the nodes participating in the current epoch (sorted)."""
         return self._participants().tolist()
-
-    def non_participant_ids(self) -> List[int]:
-        """Identifiers of joined nodes waiting for the next epoch."""
-        base = self._base
-        return np.flatnonzero(
-            self._engine._non_participant_mask[base : base + self._engine._stride]
-        ).tolist()
-
-    def crashed_ids(self) -> List[int]:
-        """Identifiers of nodes that crashed during this run."""
-        return sorted(self._replica.crashed)
 
     def is_participant(self, node_id: int) -> bool:
         """Whether ``node_id`` currently takes part in the protocol."""
@@ -720,66 +639,9 @@ class ReplicaView:
             engine._participant_mask[self._base + node_id]
         )
 
-    def state_of(self, node_id: int) -> Any:
-        """The protocol state currently held by ``node_id``."""
-        if not self.is_participant(node_id):
-            raise SimulationError(f"node {node_id} is not participating")
-        return self._engine._function.decode_state(
-            self._engine._states[self._base + node_id]
-        )
-
-    def states(self) -> Dict[int, Any]:
-        """Mapping from participant id to (decoded) protocol state."""
-        decode = self._engine._function.decode_state
-        base = self._base
-        return {
-            int(node): decode(self._engine._states[base + node])
-            for node in self._participants()
-        }
-
     def state_array(self) -> np.ndarray:
         """The raw ``(participants, width)`` state block, in id order."""
         return self._engine._states[self._base + self._participants()]
-
-    def estimates(self) -> Dict[int, Optional[float]]:
-        """Current aggregate estimate at every participating node."""
-        participants = self._participants()
-        if participants.size == 0:
-            return {}
-        return {
-            int(node): (None if math.isnan(value) else float(value))
-            for node, value in zip(participants, self._estimate_values(participants))
-        }
-
-    def finite_estimates(self) -> List[float]:
-        """All current estimates that are actual finite numbers."""
-        participants = self._participants()
-        if participants.size == 0:
-            return []
-        values = self._estimate_values(participants)
-        return values[np.isfinite(values)].tolist()
-
-    @property
-    def last_cycle_contact_counts(self) -> Dict[int, int]:
-        """Per-node exchange participation counts of the last cycle.
-
-        Keyed by the participants of the last executed cycle: a node
-        crashed since is still listed, a node joined since is not.
-        """
-        engine = self._engine
-        low = int(engine._last_eff_bounds[self._index])
-        high = int(engine._last_eff_bounds[self._index + 1])
-        base = self._base
-        touched = np.concatenate(
-            [
-                engine._last_eff_initiators[low:high] - base,
-                engine._last_eff_peers[low:high] - base,
-            ]
-        )
-        counts = np.bincount(touched, minlength=engine._stride)
-        return {
-            int(node): int(counts[node]) for node in self._replica.last_participants
-        }
 
     # -- membership operations ------------------------------------------
     def crash_node(self, node_id: int) -> None:
@@ -789,9 +651,7 @@ class ReplicaView:
             return
         engine = self._engine
         if 0 <= node_id < engine._stride:
-            row = self._base + node_id
-            engine._participant_mask[row] = False
-            engine._non_participant_mask[row] = False
+            engine._participant_mask[self._base + node_id] = False
             replica.participants_cache = None
         replica.crashed.add(node_id)
         replica.overlay.on_node_removed(node_id)
@@ -804,9 +664,7 @@ class ReplicaView:
         replica = self._replica
         node_id = replica.next_node_id
         replica.next_node_id += 1
-        self._engine._ensure_stride(node_id)
         replica.overlay.on_node_added(node_id, replica.membership_rng)
-        self._engine._non_participant_mask[self._base + node_id] = True
         return node_id
 
     def override_values(self, node_ids: Sequence[int], values: Any) -> None:

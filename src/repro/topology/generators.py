@@ -14,6 +14,7 @@ from typing import Dict
 
 from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
+from ..common.validation import require_positive_int
 from .base import OverlayProvider
 from .complete import complete_topology
 from .random_regular import random_k_out_topology
@@ -67,6 +68,7 @@ class TopologySpec:
         kind = self.kind.lower()
         if kind not in TOPOLOGY_KINDS:
             return  # build_overlay reports the unknown kind
+        require_positive_int(self.degree, "degree")
         accepted = _PARAM_KEYS.get(kind, ())
         unknown = sorted(set(self.params) - set(accepted))
         if unknown:
@@ -110,6 +112,7 @@ def build_overlay(spec: TopologySpec, size: int, rng: RandomSource) -> OverlayPr
     rng:
         Randomness source for the stochastic generators.
     """
+    require_positive_int(size, "size")
     kind = spec.kind.lower()
     if kind == "random":
         return random_k_out_topology(size, spec.degree, rng)

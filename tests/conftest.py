@@ -28,3 +28,17 @@ def small_random_topology(rng):
 def small_newscast(rng):
     """A 60-node NEWSCAST overlay with cache size 10."""
     return build_overlay(TopologySpec("newscast", degree=10), 60, rng.child("newscast"))
+
+
+@pytest.fixture(scope="session")
+def node_row():
+    """``node_row(simulator, node_id)``: one participant's encoded state row.
+
+    Reads the cycle engines' ``state_array()`` (participants in id order),
+    so it works on either engine and on a replica view.
+    """
+
+    def read(simulator, node_id):
+        return simulator.state_array()[simulator.participant_ids().index(node_id)]
+
+    return read

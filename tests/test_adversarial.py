@@ -72,20 +72,18 @@ def build_simulator(
 
 
 def assert_engines_bit_identical(make_failure=None, reachability=None, cycles=10, **kwargs):
-    estimates = []
-    for engine in ("reference", "vectorized"):
-        simulator = build_simulator(
+    reference, vectorized = (
+        build_simulator(
             engine=engine,
             cycles=cycles,
             failure_model=make_failure() if make_failure else None,
             reachability=reachability,
             **kwargs,
         )
-        estimates.append(simulator.estimates())
-    assert estimates[0].keys() == estimates[1].keys()
-    for node in estimates[0]:
-        assert estimates[0][node] == estimates[1][node], f"node {node} diverged"
-    return estimates[0]
+        for engine in ("reference", "vectorized")
+    )
+    assert reference.participant_ids() == vectorized.participant_ids()
+    assert np.array_equal(reference.state_array(), vectorized.state_array())
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +103,7 @@ class TestByzantineReporterModel:
         honest = honest_ids(model, simulator)
         assert len(honest) + len(model.byzantine_ids) == SIZE
 
-    def test_one_component_state_is_forged_to_zero(self):
+    def test_one_component_state_is_forged_to_zero(self, node_row):
         # The lie is asserted at the start of every cycle (exchanges then
         # mix it into the population); applying the model by hand shows
         # the forged state exactly.  One component is all the instances.
@@ -113,20 +111,20 @@ class TestByzantineReporterModel:
         simulator = build_simulator(failure_model=model, cycles=6)
         model.apply(simulator, 7, RandomSource(99))
         for node in model.byzantine_ids:
-            assert simulator.state_of(node) == 0.0
+            assert node_row(simulator, node)[0] == 0.0
 
-    def test_zero_lie_drags_honest_estimates(self):
+    def test_zero_lie_drags_honest_estimates(self, node_row):
         honest_mean = np.mean([float(i % 17) for i in range(SIZE)])
         baseline = build_simulator(cycles=12)
         attacked_model = ByzantineReporterModel(0.25)
         attacked = build_simulator(failure_model=attacked_model, cycles=12)
         honest = honest_ids(attacked_model, attacked)
-        attacked_mean = np.mean([attacked.state_of(node) for node in honest])
-        baseline_mean = np.mean([baseline.state_of(node) for node in baseline.participant_ids()])
+        attacked_mean = np.mean([node_row(attacked, node)[0] for node in honest])
+        baseline_mean = np.mean(baseline.state_array()[:, 0])
         assert baseline_mean == pytest.approx(honest_mean, rel=0.05)
         assert attacked_mean < 0.8 * honest_mean
 
-    def test_corrupts_leading_instances_only(self):
+    def test_corrupts_leading_instances_only(self, node_row):
         instances = 5
         model = ByzantineReporterModel(0.2, instance_fraction=0.4)
         function = VectorFunction([AverageFunction() for _ in range(instances)])
@@ -137,7 +135,7 @@ class TestByzantineReporterModel:
         corrupted = max(1, math.ceil(0.4 * instances))
         model.apply(simulator, 4, RandomSource(99))
         for node in model.byzantine_ids:
-            state = simulator.state_of(node)
+            state = node_row(simulator, node)
             assert all(component == 0.0 for component in state[:corrupted])
             assert all(component != 0.0 for component in state[corrupted:])
 
@@ -188,16 +186,16 @@ class TestByzantineEngineParity:
             simulator.override_values([SIZE + 5], np.zeros((1, 1)))
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_rejected_override_writes_nothing(self, engine):
+    def test_rejected_override_writes_nothing(self, engine, node_row):
         # Regression: the reference engine wrote node 3, then raised on the
         # crashed node 7, leaving a half-applied forgery behind.
         simulator = build_simulator(engine=engine)
         simulator.crash_node(7)
-        before = simulator.states()
+        before = simulator.state_array()
         with pytest.raises(SimulationError, match="node 7 "):
             simulator.override_values([3, 7], [99.0, 99.0])
-        assert simulator.states() == before
-        assert simulator.state_of(3) == 3.0
+        assert np.array_equal(simulator.state_array(), before)
+        assert node_row(simulator, 3)[0] == 3.0
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,7 @@ class TestRepetitionHelpers:
 
     def test_repeat_traces_reproducible(self):
         def make_run(index, rng):
-            return rng.random()
+            return rng.uniform(0.0, 1.0)
 
         assert repeat_simulations(4, 7, make_run) == repeat_simulations(4, 7, make_run)
 

@@ -60,7 +60,7 @@ class TestConvergenceClaims:
         size = 400
         values = peak_initial_values(size, peak_value=float(size))
         simulator = run_average(size, values, cycles=30, seed=3)
-        estimates = list(simulator.estimates().values())
+        estimates = simulator.state_array()[:, 0]
         assert max(estimates) == pytest.approx(1.0, rel=0.01)
         assert min(estimates) == pytest.approx(1.0, rel=0.01)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,7 +185,7 @@ class TestSimulationInvariants:
         overlay = build_overlay(TopologySpec("random", degree=min(4, size - 1)), size, rng.child("t"))
         simulator = CycleSimulator(overlay, AverageFunction(), list(values), rng.child("s"))
         simulator.run(3)
-        assert sum(simulator.states().values()) == pytest.approx(sum(values), rel=1e-9, abs=1e-6)
+        assert simulator.state_array().sum() == pytest.approx(sum(values), rel=1e-9, abs=1e-6)
 
     @settings(deadline=None, max_examples=15)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -194,7 +195,7 @@ class TestSimulationInvariants:
         overlay = build_overlay(TopologySpec("random", degree=5), 30, rng.child("t"))
         simulator = CycleSimulator(overlay, AverageFunction(), values, rng.child("s"))
         simulator.run(5)
-        for estimate in simulator.estimates().values():
+        for estimate in simulator.state_array()[:, 0]:
             assert min(values) - 1e-9 <= estimate <= max(values) + 1e-9
 
     @settings(deadline=None, max_examples=10)
@@ -207,9 +208,9 @@ class TestSimulationInvariants:
                 overlay, AverageFunction(), [float(i) for i in range(25)], rng.child("s")
             )
             simulator.run(4)
-            return simulator.states()
+            return simulator.state_array()
 
-        assert run() == run()
+        assert np.array_equal(run(), run())
 
 
 class TestRandomSourceProperties:
@@ -217,7 +218,7 @@ class TestRandomSourceProperties:
     def test_child_derivation_deterministic(self, seed, labels):
         a = RandomSource(seed).child(*labels)
         b = RandomSource(seed).child(*labels)
-        assert a.random() == b.random()
+        assert a.uniform(0.0, 1.0) == b.uniform(0.0, 1.0)
 
     @given(seed=st.integers(min_value=0, max_value=2**40), count=st.integers(min_value=1, max_value=20))
     def test_sample_indices_distinct_and_in_range(self, seed, count):

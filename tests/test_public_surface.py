@@ -5,7 +5,8 @@ and the exact parameter (or field) names it accepts, in order.  A new
 option, or a retired one, therefore shows up as a reviewed edit of
 :data:`SURFACE` rather than slipping in through a signature.  The three
 accepted-value registries — the ``params`` keys per topology kind, the
-latency distributions and the aggregate names — are pinned the same way.
+latency distributions and the aggregate names — are pinned the same way,
+and so is the run surface of the two cycle engines (:data:`RUN_SURFACE`).
 """
 
 import dataclasses
@@ -13,7 +14,8 @@ import inspect
 
 import pytest
 
-from repro.core import aggregate
+from repro.common.rng import RandomSource
+from repro.core import AverageFunction, aggregate
 from repro.core.count import (
     count_estimate_from_map,
     count_estimates_from_matrix,
@@ -132,6 +134,19 @@ SURFACE = {
     ),
 }
 
+#: Cycle engine -> the public attributes a run is read and driven through.
+#: The two engines carry one surface; only the reference engine adds
+#: ``last_cycle_contact_counts``, which the cost figure reads.
+RUN_ACCESSORS = (
+    "overlay", "function", "trace", "cycle_index", "participant_ids",
+    "is_participant", "state_array", "crash_node", "add_node", "override_values",
+    "run", "run_cycle",
+)
+RUN_SURFACE = {
+    CycleSimulator: RUN_ACCESSORS + ("last_cycle_contact_counts",),
+    VectorizedCycleSimulator: RUN_ACCESSORS,
+}
+
 #: Records configured through dataclass fields rather than a hand-written
 #: constructor; their fields are the surface.
 RECORDS = (RunPlan, EpochConfig, AsynchronyScenario, DelayModel, TransportModel)
@@ -164,3 +179,16 @@ def test_aggregate_names():
     assert tuple(AGGREGATES) == (
         "average", "count", "sum", "product", "variance", "min", "max", "geometric-mean",
     )
+
+
+@pytest.mark.parametrize("engine", list(RUN_SURFACE), ids=lambda engine: engine.__name__)
+def test_run_surface(engine):
+    # An instance, so attributes set in __init__ count too.
+    simulator = engine(complete_topology(3), AverageFunction(), [0.0, 1.0, 2.0], RandomSource(1))
+    public = {name for name in dir(simulator) if not name.startswith("_")}
+    assert public == set(RUN_SURFACE[engine])
+
+
+def test_engines_share_one_run_surface():
+    reference, vectorized = (set(RUN_SURFACE[engine]) for engine in RUN_SURFACE)
+    assert reference ^ vectorized == {"last_cycle_contact_counts"}

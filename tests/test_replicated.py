@@ -28,7 +28,6 @@ from repro.experiments.runner import (
     uniform_initial_values,
 )
 from repro.newscast.vectorized_cache import ReplicatedNewscastBlock, VectorizedNewscastOverlay
-from repro.simulator.cycle_sim import CycleSimulator
 from repro.simulator.failures import ChurnModel, ProportionalCrashModel
 from repro.simulator.replicated import (
     ReplicaConfig,
@@ -123,27 +122,31 @@ class TestBitIdentityGrid:
             transport=transport,
             failure_factory=failure_factory,
         )
-        serial_states = {}
+        # collect sees the runs in replica order on both paths.
+        serial_states = []
+        replicated_states = []
 
-        def collect(simulator):
-            serial_states[len(serial_states)] = simulator.states()
-            return simulator.trace
+        def collector(states):
+            def collect(simulator):
+                states.append((simulator.participant_ids(), simulator.state_array()))
+                return simulator.trace
 
-        serial_plan = RunPlan(**{**plan.__dict__, "collect": collect})
+            return collect
+
+        serial_plan = RunPlan(**{**plan.__dict__, "collect": collector(serial_states)})
         serial = repeat_traces(REPLICAS, SEED, plan=serial_plan, engine="serial")
-
-        replicated_states = {}
-
-        def collect_replica(view):
-            replicated_states[view.replica_index] = view.states()
-            return view.trace
-
-        replicated_plan = RunPlan(**{**plan.__dict__, "collect": collect_replica})
+        replicated_plan = RunPlan(
+            **{**plan.__dict__, "collect": collector(replicated_states)}
+        )
         replicated = repeat_traces(REPLICAS, SEED, plan=replicated_plan)
 
         assert_traces_identical(serial, replicated)
-        for index in range(REPLICAS):
-            assert serial_states[index] == replicated_states[index]
+        assert len(serial_states) == len(replicated_states) == REPLICAS
+        for (serial_ids, serial_block), (ids, block) in zip(
+            serial_states, replicated_states
+        ):
+            assert serial_ids == ids
+            assert np.array_equal(serial_block, block)
 
     def test_sudden_death_matches_at_scale_point(self):
         from repro.simulator.failures import SuddenDeathModel
@@ -245,7 +248,7 @@ class TestRunPlanPlumbing:
             cycles=3,
             values=uniform_initial_values,
             collect=lambda sim: (
-                sorted(sim.estimates())[:3],
+                sim.state_array()[:3, 0].tolist(),
                 len(sim.participant_ids()),
                 sim.cycle_index,
             ),
@@ -563,69 +566,27 @@ class TestReplicaViewSurface:
         view = door.surface
         assert view.participant_ids() == list(range(30))
         view.crash_node(7)
-        assert 7 in view.crashed_ids()
         assert 7 not in view.participant_ids()
+        assert not view.overlay.contains(7)
         joined = view.add_node()
-        assert joined in view.non_participant_ids()
+        assert view.overlay.contains(joined)
         assert not view.is_participant(joined)
         # The sibling replica is untouched throughout.
         if door.sibling is not None:
             assert door.sibling.participant_ids() == list(range(30))
 
-    def test_stride_growth_preserves_states(self, door):
+    def test_joins_leave_participant_states_alone(self, door):
         view = door.surface
         door.run(2)
-        states = view.states()
-        sibling_states = None if door.sibling is None else door.sibling.states()
-        for _ in range(40):  # force at least one stride growth
+        states = view.state_array()
+        sibling_states = None if door.sibling is None else door.sibling.state_array()
+        for _ in range(40):  # more joiners than the engine has rows
             view.add_node()
-        assert {node: view.state_of(node) for node in states} == states
-        assert 45 in view.non_participant_ids()
+        assert view.participant_ids() == list(range(30))
+        assert np.array_equal(view.state_array(), states)
+        assert view.overlay.contains(45)
         if door.sibling is not None:
-            assert door.sibling.states() == sibling_states
-
-    def test_contact_counts_cover_participants(self, door):
-        door.run(1)
-        counts = door.surface.last_cycle_contact_counts
-        assert set(counts) == set(door.surface.participant_ids())
-        assert sum(counts.values()) > 0
-
-    def test_contact_counts_survive_stride_growth(self):
-        # Regression: stride growth remaps the last cycle's exchange
-        # ledger; reading contact counts of a later replica used to hit
-        # negative rows (ValueError from bincount).
-        engine = build_replicated_engine()
-        engine.run(3)
-        before = engine.view(1).last_cycle_contact_counts
-        engine.view(1).add_node()  # grows the stride
-        assert engine.view(1).last_cycle_contact_counts == before
-
-    def test_contact_counts_keyed_by_last_cycle_participants(self):
-        # Regression: the three surfaces used to answer differently after a
-        # crash and a join — the view dropped the crashed node and listed
-        # the joined one, the reference engine listed both.
-        root = RandomSource(5)
-        reference = CycleSimulator(
-            random_k_out_topology(30, 4, root.child("t", 0)),
-            AverageFunction(),
-            [float(i) for i in range(30)],
-            root.child("s", 0),
-        )
-        vectorized = build_vectorized_simulator()
-        engine = build_replicated_engine()
-        answers = []
-        for run, view in [
-            (reference.run, reference),
-            (vectorized.run, vectorized),
-            (engine.run, engine.view(0)),
-        ]:
-            run(2)
-            view.crash_node(7)
-            joined = view.add_node()
-            counts = view.last_cycle_contact_counts
-            assert 7 in counts and joined not in counts
-            answers.append(counts)
-        assert answers[0] == answers[1] == answers[2]
+            assert np.array_equal(door.sibling.state_array(), sibling_states)
 
     def test_rejects_empty_replica_list(self):
         with pytest.raises(ConfigurationError):
@@ -636,15 +597,10 @@ class TestReplicaViewSurface:
         view = door.surface
         array = view.state_array()
         assert array.shape == (30, 1)
-        assert array[:, 0].tolist() == [view.state_of(node) for node in range(30)]
 
     def test_run_rejects_negative_cycles(self, door):
         with pytest.raises(ConfigurationError):
             door.run(-1)
-
-    def test_state_of_unknown_node_raises(self, door):
-        with pytest.raises(SimulationError):
-            door.surface.state_of(999)
 
     def test_is_participant(self, door):
         view = door.surface
@@ -662,22 +618,22 @@ class TestReplicaViewSurface:
     def test_override_values_rejects_non_participants(self, door, node_ids):
         view = door.surface
         view.crash_node(3)
-        before = view.states()
+        before = view.state_array()
         with pytest.raises(SimulationError, match=f"node {node_ids[-1]} "):
             view.override_values(node_ids, [1.0] * len(node_ids))
-        assert view.states() == before
+        assert np.array_equal(view.state_array(), before)
 
     def test_override_values_rejects_row_count_mismatch(self, door):
         with pytest.raises(ConfigurationError):
             door.surface.override_values([0, 1], [1.0, 2.0, 3.0])
 
-    def test_override_values_scatters_encoded_rows(self, door):
+    def test_override_values_scatters_encoded_rows(self, door, node_row):
         view = door.surface
         view.override_values(np.array([4, 2]), [40.0, 20.0])
         view.override_values([], [])
-        assert (view.state_of(4), view.state_of(2)) == (40.0, 20.0)
+        assert (node_row(view, 4)[0], node_row(view, 2)[0]) == (40.0, 20.0)
         if door.sibling is not None:
-            assert door.sibling.state_of(4) == 4.0
+            assert node_row(door.sibling, 4)[0] == 4.0
 
 
 class TestBlockViewScalarSurface:

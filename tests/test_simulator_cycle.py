@@ -1,10 +1,9 @@
 """Tests for the cycle-driven simulation engine."""
 
-import math
-
+import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomSource
 from repro.core.functions import AverageFunction, MaxFunction, PushSumFunction
 from repro.simulator.cycle_sim import CycleSimulator
@@ -45,18 +44,13 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             CycleSimulator(overlay, AverageFunction(), [1.0] * 5, rng.child("s"))
 
-    def test_state_of_unknown_node_rejected(self):
-        simulator = make_simulator()
-        with pytest.raises(SimulationError):
-            simulator.state_of(999)
-
 
 class TestAveraging:
     def test_sum_conserved_without_failures(self):
         simulator = make_simulator()
-        before = sum(simulator.states().values())
+        before = simulator.state_array().sum()
         simulator.run(5)
-        after = sum(simulator.states().values())
+        after = simulator.state_array().sum()
         assert after == pytest.approx(before)
 
     def test_variance_shrinks_every_cycle(self):
@@ -70,7 +64,7 @@ class TestAveraging:
         simulator = make_simulator(values=values)
         simulator.run(40)
         truth = sum(values) / len(values)
-        for estimate in simulator.estimates().values():
+        for estimate in simulator.state_array()[:, 0]:
             assert estimate == pytest.approx(truth, rel=1e-6)
 
     def test_mean_estimate_stays_at_true_average(self):
@@ -94,21 +88,21 @@ class TestOtherFunctions:
         values = [0.0] * 49 + [99.0]
         simulator = make_simulator(values=values, function=MaxFunction())
         simulator.run(15)
-        assert all(value == 99.0 for value in simulator.estimates().values())
+        assert np.all(simulator.state_array() == 99.0)
 
     def test_push_sum_converges_to_average(self):
         values = [float(i) for i in range(50)]
         simulator = make_simulator(values=values, function=PushSumFunction())
         simulator.run(40)
         truth = sum(values) / len(values)
-        for estimate in simulator.estimates().values():
+        for estimate in simulator.function.estimate_array(simulator.state_array()):
             assert estimate == pytest.approx(truth, rel=1e-4)
 
     def test_push_sum_conserves_total_mass(self):
         simulator = make_simulator(function=PushSumFunction())
-        before = sum(value for value, _ in simulator.states().values())
+        before = simulator.state_array()[:, 0].sum()
         simulator.run(5)
-        after = sum(value for value, _ in simulator.states().values())
+        after = simulator.state_array()[:, 0].sum()
         assert after == pytest.approx(before)
 
 
@@ -119,21 +113,20 @@ class TestMembershipOperations:
         simulator.crash_node(3)
         assert 3 not in simulator.participant_ids()
         assert not simulator.is_participant(3)
-        assert 3 in simulator.crashed_ids()
         assert not simulator.overlay.contains(3)
 
     def test_crash_is_idempotent(self):
         simulator = make_simulator()
         simulator.crash_node(3)
         simulator.crash_node(3)
-        assert simulator.crashed_ids().count(3) == 1
+        assert simulator.participant_ids() == [node for node in range(50) if node != 3]
+        assert len(simulator.overlay.node_ids()) == 49
 
     def test_add_node_waits_for_next_epoch(self):
         simulator = make_simulator()
         node = simulator.add_node()
         assert node not in simulator.participant_ids()
         assert not simulator.is_participant(node)
-        assert node in simulator.non_participant_ids()
         assert simulator.overlay.contains(node)
 
     def test_non_participants_do_not_skew_estimates(self):
@@ -146,9 +139,9 @@ class TestMembershipOperations:
 class TestTransportEffects:
     def test_total_link_failure_freezes_states(self):
         simulator = make_simulator(transport=TransportModel(link_failure_probability=1.0))
-        before = dict(simulator.states())
+        before = simulator.state_array()
         simulator.run(3)
-        assert simulator.states() == before
+        assert np.array_equal(simulator.state_array(), before)
         assert simulator.trace.final.completed_exchanges == 0
         assert simulator.trace.final.failed_exchanges == 50
 
@@ -165,9 +158,9 @@ class TestTransportEffects:
             transport=TransportModel(message_loss_probability=0.4),
             seed=13,
         )
-        before = sum(simulator.states().values())
+        before = simulator.state_array().sum()
         simulator.run(10)
-        after = sum(simulator.states().values())
+        after = simulator.state_array().sum()
         assert after != pytest.approx(before)
 
     def test_exchange_accounting(self):

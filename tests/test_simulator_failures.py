@@ -4,7 +4,11 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomSource
+from repro.core.count import LeaderElection
+from repro.core.epoch import EpochConfig
 from repro.core.functions import AverageFunction
+from repro.experiments.runner import RunPlan
+from repro.simulator import EpochDriver, VectorizedCycleSimulator
 from repro.simulator.cycle_sim import CycleSimulator
 from repro.simulator.failures import (
     ChurnModel,
@@ -32,8 +36,8 @@ class TestNoFailures:
     def test_nothing_happens(self):
         simulator = make_simulator(failure_model=NoFailures())
         simulator.run(3)
-        assert len(simulator.participant_ids()) == 60
-        assert simulator.crashed_ids() == []
+        assert simulator.participant_ids() == list(range(60))
+        assert len(simulator.overlay.node_ids()) == 60
 
     def test_describe(self):
         assert "no failures" in NoFailures().describe()
@@ -96,10 +100,8 @@ class TestChurnModel:
         simulator.run(4)
         # 20 nodes crashed, 20 joined (not participating yet).
         assert len(simulator.participant_ids()) == 60
-        assert len(simulator.non_participant_ids()) == 20
-        assert len(simulator.crashed_ids()) == 20
-        total_alive = len(simulator.participant_ids()) + len(simulator.non_participant_ids())
-        assert total_alive == 80
+        assert len(initial_participants - set(simulator.participant_ids())) == 20
+        assert len(simulator.overlay.node_ids()) == 80
         assert set(simulator.participant_ids()) < initial_participants
 
     def test_overlay_tracks_replacements(self):
@@ -127,3 +129,52 @@ class TestCountCrashModel:
         simulator = make_simulator(size=10, failure_model=CountCrashModel(50))
         simulator.run_cycle()
         assert simulator.participant_ids() == []
+
+
+class TestFailureSettingsCheckedAtConstruction:
+    """A bad failure setting fails where it is given, not on the first run()."""
+
+    @pytest.mark.parametrize("engine", [CycleSimulator, VectorizedCycleSimulator])
+    @pytest.mark.parametrize("model", ["x", ChurnModel])
+    def test_engines_refuse_a_non_model(self, engine, model):
+        # "x" used to raise AttributeError from the first run().
+        rng = RandomSource(1)
+        overlay = build_overlay(TopologySpec("random", degree=3), 10, rng.child("t"))
+        with pytest.raises(ConfigurationError, match="failure_model"):
+            engine(
+                overlay, AverageFunction(), [0.0] * 10, rng.child("s"),
+                failure_model=model,
+            )
+
+    @pytest.mark.parametrize("factory", ["x", ChurnModel(1)])
+    def test_run_plan_refuses_a_non_callable_factory(self, factory):
+        # A shared model instance is refused too: each repetition needs its own.
+        with pytest.raises(ConfigurationError, match="failure_factory"):
+            RunPlan(
+                TopologySpec("random", degree=3), 10, 2, [0.0] * 10,
+                failure_factory=factory,
+            )
+
+    def epoch_driver(self, **settings):
+        rng = RandomSource(1)
+        return EpochDriver(
+            build_overlay(TopologySpec("complete"), 10, rng.child("t")),
+            LeaderElection(concurrent_target=2.0, estimated_size=10.0),
+            EpochConfig(cycles_per_epoch=3),
+            rng.child("d"),
+            **settings,
+        )
+
+    @pytest.mark.parametrize("factory", ["crash", 3])
+    def test_epoch_driver_refuses_a_bad_factory(self, factory):
+        with pytest.raises(ConfigurationError, match="failure_factory"):
+            self.epoch_driver(failure_factory=factory)
+
+    @pytest.mark.parametrize("record_every", [0, 1.5, True])
+    def test_epoch_driver_refuses_a_bad_record_every(self, record_every):
+        with pytest.raises(ConfigurationError, match="record_every"):
+            self.epoch_driver(record_every=record_every)
+
+    def test_epoch_driver_accepts_a_model_or_a_callable(self):
+        for factory in (None, ChurnModel(1), lambda epoch_id: ChurnModel(1)):
+            self.epoch_driver(failure_factory=factory).run(1)

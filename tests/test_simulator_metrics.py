@@ -2,15 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.simulator.metrics import (
-    CycleRecord,
-    SimulationTrace,
-    empirical_mean,
-    empirical_variance,
-)
+from repro.simulator.metrics import CycleRecord, SimulationTrace, estimate_statistics
 
 
 def make_record(cycle: int, variance: float, mean: float = 1.0) -> CycleRecord:
@@ -35,23 +31,26 @@ def make_trace(variances, means=None) -> SimulationTrace:
 
 
 class TestEmpiricalStatistics:
+    """``estimate_statistics``: the paper's eq. (1) over one population."""
+
     def test_mean_ignores_non_finite(self):
-        assert empirical_mean([1.0, 3.0, math.inf, None]) == 2.0
+        # NaN is a node without an estimate (a scalar ``None``).
+        mean, variance, minimum, maximum = estimate_statistics(
+            np.array([1.0, 3.0, math.inf, math.nan])
+        )
+        assert (mean, variance, minimum, maximum) == (2.0, 2.0, 1.0, 3.0)
 
     def test_mean_of_nothing_is_nan(self):
-        assert math.isnan(empirical_mean([math.inf, None]))
+        for estimates in (np.array([math.inf, math.nan]), np.empty(0)):
+            mean, variance, minimum, maximum = estimate_statistics(estimates)
+            assert math.isnan(mean) and math.isnan(minimum) and math.isnan(maximum)
+            assert variance == 0.0
 
     def test_variance_uses_n_minus_one(self):
-        assert empirical_variance([1.0, 3.0]) == pytest.approx(2.0)
+        assert estimate_statistics(np.array([1.0, 3.0]))[1] == pytest.approx(2.0)
 
     def test_variance_of_single_value_is_zero(self):
-        assert empirical_variance([5.0]) == 0.0
-
-
-class TestCycleRecord:
-    def test_spread(self):
-        record = make_record(0, 1.0, mean=5.0)
-        assert record.spread() == 2.0
+        assert estimate_statistics(np.array([5.0]))[1] == 0.0
 
 
 class TestSimulationTrace:
@@ -82,7 +81,6 @@ class TestSimulationTrace:
         assert trace.means() == [2.0, 2.5]
         assert trace.minima() == [1.0, 1.5]
         assert trace.maxima() == [3.0, 3.5]
-        assert trace.participant_counts() == [100, 100]
 
     def test_len_and_iter(self):
         trace = make_trace([1.0, 0.5, 0.25])
@@ -96,10 +94,6 @@ class TestSimulationTrace:
     def test_variance_reduction_with_zero_initial(self):
         trace = make_trace([0.0, 0.0])
         assert trace.variance_reduction() == [0.0, 0.0]
-
-    def test_per_cycle_convergence_factors(self):
-        trace = make_trace([4.0, 2.0, 0.5])
-        assert trace.per_cycle_convergence_factors() == [0.5, 0.25]
 
     def test_average_convergence_factor_geometric_mean(self):
         trace = make_trace([1.0, 0.25, 0.0625])
@@ -116,12 +110,3 @@ class TestSimulationTrace:
     def test_fully_converged_trace_gives_tiny_factor(self):
         trace = make_trace([1.0, 0.0, 0.0])
         assert trace.average_convergence_factor() < 1e-100
-
-    def test_mean_drift(self):
-        trace = make_trace([1.0, 0.5], means=[2.0, 2.25])
-        assert trace.mean_drift() == pytest.approx(0.25)
-
-    def test_exchange_totals(self):
-        trace = make_trace([1.0, 0.5, 0.2])
-        assert trace.total_completed_exchanges() == 270
-        assert trace.total_failed_exchanges() == 30

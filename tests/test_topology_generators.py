@@ -288,6 +288,15 @@ class TestFactory:
         with pytest.raises(ConfigurationError, match="must be a bool"):
             TopologySpec("newscast", params={"vectorized": value})
 
+    @pytest.mark.parametrize("bad", [2.0, 2.5, True, "4"])
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_non_integral_size_and_degree_rejected(self, kind, bad):
+        # Both used to reach NumPy and fail there with a raw TypeError.
+        with pytest.raises(ConfigurationError, match="degree"):
+            TopologySpec(kind, degree=bad)
+        with pytest.raises(ConfigurationError, match="size"):
+            build_overlay(TopologySpec(kind, degree=4), bad, RandomSource(1))
+
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             build_overlay(TopologySpec("hypercube"), 16, rng)

@@ -130,7 +130,7 @@ class TestEngineEquivalence:
         vectorized = build_engine("vectorized", function_key, "random", "perfect")
         reference.run(CYCLES)
         vectorized.run(CYCLES)
-        assert reference.states() == vectorized.states()
+        assert np.array_equal(reference.state_array(), vectorized.state_array())
 
     @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
     def test_dict_newscast_states_bitwise_identical(self, scenario_key):
@@ -139,7 +139,7 @@ class TestEngineEquivalence:
         reference.run(CYCLES)
         vectorized.run(CYCLES)
         assert_traces_match(reference, vectorized, f"newscast-dict/{scenario_key}")
-        assert reference.states() == vectorized.states()
+        assert np.array_equal(reference.state_array(), vectorized.state_array())
 
     @pytest.mark.parametrize("overlay_key", ["newscast-array", "newscast-dict"])
     def test_stale_descriptor_past_the_highest_live_id(self, overlay_key):
@@ -165,20 +165,19 @@ class TestEngineEquivalence:
         vectorized.run(CYCLES)
         assert sum(record.failed_exchanges for record in vectorized.trace) > 0
         assert_traces_match(reference, vectorized, f"stale/{overlay_key}")
-        assert reference.states() == vectorized.states()
+        assert np.array_equal(reference.state_array(), vectorized.state_array())
 
-    def test_membership_and_contact_parity_under_churn(self):
+    def test_membership_parity_under_churn(self):
         reference = build_engine("reference", "average", "random", "churn")
         vectorized = build_engine("vectorized", "average", "random", "churn")
         reference.run(5)
         vectorized.run(5)
         assert reference.participant_ids() == vectorized.participant_ids()
-        assert reference.non_participant_ids() == vectorized.non_participant_ids()
-        assert reference.crashed_ids() == vectorized.crashed_ids()
-        assert (
-            reference.last_cycle_contact_counts
-            == vectorized.last_cycle_contact_counts
+        # Crashed nodes left both overlays; joiners wait in both.
+        assert sorted(reference.overlay.node_ids()) == sorted(
+            vectorized.overlay.node_ids()
         )
+        assert np.array_equal(reference.state_array(), vectorized.state_array())
 
     def test_vector_function_equivalence(self):
         def build(engine):
@@ -197,7 +196,7 @@ class TestEngineEquivalence:
         reference.run(CYCLES)
         vectorized.run(CYCLES)
         assert_traces_match(reference, vectorized, "vector-function")
-        assert reference.states() == vectorized.states()
+        assert np.array_equal(reference.state_array(), vectorized.state_array())
 
     def test_single_component_vector_function_runs_on_fast_path(self):
         # Regression: a width-1 VectorFunction slices columns in its
@@ -231,9 +230,9 @@ class TestMassConservation:
         simulator = make_simulator(
             overlay, AverageFunction(), values, rng.child("s"), engine="vectorized"
         )
-        before = sum(simulator.states().values())
+        before = simulator.state_array().sum()
         simulator.run(5)
-        after = sum(simulator.states().values())
+        after = simulator.state_array().sum()
         assert after == pytest.approx(before, rel=1e-9, abs=1e-6)
 
     @settings(max_examples=15, deadline=None)
@@ -248,10 +247,10 @@ class TestMassConservation:
             rng.child("s"),
             engine="vectorized",
         )
-        conserved = simulator.function.conserved_quantity
-        before = conserved(list(simulator.states().values()))
+        # Column 0 holds the values, whose sum is push-sum's conserved mass.
+        before = simulator.state_array()[:, 0].sum()
         simulator.run(5)
-        after = conserved(list(simulator.states().values()))
+        after = simulator.state_array()[:, 0].sum()
         assert after == pytest.approx(before, rel=1e-9)
 
 
@@ -274,9 +273,8 @@ class TestDispatch:
         )
         assert isinstance(simulator, CycleSimulator)
         simulator.run(2)
-        assert simulator.function.conserved_quantity(
-            list(simulator.states().values())
-        ) == pytest.approx(3.0)
+        # The first SIZE columns hold the per-leader values: the total mass.
+        assert simulator.state_array()[:, :SIZE].sum() == pytest.approx(3.0)
 
     @pytest.mark.parametrize("engine", ["auto", "warp"])
     def test_unknown_engine_rejected(self, engine):
@@ -333,7 +331,7 @@ class TestEveryFunctionOnEveryEngine:
         vectorized = build("vectorized")
         reference.run(4)
         vectorized.run(4)
-        assert reference.states() == vectorized.states()
+        assert np.array_equal(reference.state_array(), vectorized.state_array())
 
     @pytest.mark.parametrize("kind", [*AGGREGATES, "count-map"])
     def test_state_array_bit_identical_across_engines(self, kind):
@@ -400,14 +398,10 @@ class TestRecordEvery:
         sparse = build(4)
         dense.run(8)
         sparse.run(8)
-        assert (
-            dense.trace.total_completed_exchanges()
-            == sparse.trace.total_completed_exchanges()
-        )
-        assert (
-            dense.trace.total_failed_exchanges()
-            == sparse.trace.total_failed_exchanges()
-        )
+        for counter in ("completed_exchanges", "failed_exchanges"):
+            assert sum(getattr(record, counter) for record in dense.trace) == sum(
+                getattr(record, counter) for record in sparse.trace
+            )
         # The sampled trace agrees with the dense one wherever both record.
         for cycle in (4, 8):
             assert sparse.trace.record_at(cycle).mean == pytest.approx(
