@@ -7,6 +7,7 @@ and with an actionable error instead of deep inside the engine.
 
 from __future__ import annotations
 
+import math
 from numbers import Integral
 
 from .errors import ConfigurationError
@@ -28,9 +29,9 @@ def require(condition: bool, message: str) -> None:
 
 
 def require_positive(value: float, name: str) -> None:
-    """Require ``value > 0``."""
-    if not value > 0:
-        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    """Require a finite ``value > 0`` (NaN and ``inf`` are refused)."""
+    if not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
 
 
 def require_positive_int(value: int, name: str) -> None:
@@ -40,8 +41,8 @@ def require_positive_int(value: int, name: str) -> None:
 
 
 def require_non_negative(value: float, name: str) -> None:
-    """Require ``value >= 0``."""
-    if value < 0:
+    """Require ``value >= 0`` (``inf`` is allowed, NaN is refused)."""
+    if not value >= 0:
         raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
 
 

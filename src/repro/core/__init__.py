@@ -1,7 +1,9 @@
 """The paper's core contribution: robust proactive epidemic aggregation."""
 
 from .count import (
+    AdaptiveCount,
     CountArrayFunction,
+    CountEpochRecord,
     LeaderElection,
     count_estimate_from_map,
     count_estimates_from_matrix,
@@ -36,6 +38,8 @@ __all__ = [
     "VectorFunction",
     "CountArrayFunction",
     "LeaderElection",
+    "AdaptiveCount",
+    "CountEpochRecord",
     "peak_initial_values",
     "network_size_from_estimate",
     "count_estimate_from_map",

@@ -14,12 +14,19 @@ Two realisations are provided:
 * :class:`CountArrayFunction` — the multi-leader map scheme of Section 5.
   Every node keeps a map from leader identifier to an average estimate;
   exchanging nodes merge maps key-wise, treating a missing key as the
-  value 0 (so the entry is halved).  Leaders elect themselves at epoch
-  start with probability ``P_lead = C / N̂`` where ``N̂`` is the previous
-  epoch's size estimate, keeping roughly ``C`` concurrent runs alive; the
-  function is built over that epoch's leaders and carries both the dict
-  states of the reference engine and the array rows of the vectorised
-  one.
+  value 0 (so the entry is halved).  The function is built over one
+  epoch's self-elected leaders and carries both the dict states of the
+  reference engine and the array rows of the vectorised one; an epoch
+  nobody led is the empty universe, width-0 rows.
+
+Section 5's adaptive loop lives here once, in :class:`AdaptiveCount`:
+each epoch it elects leaders with ``P_lead = C / N̂``
+(:class:`LeaderElection`), builds the epoch's :class:`CountArrayFunction`,
+reduces the rows nodes report, feeds finite estimates back into the
+election, carries the previous estimate across a dry (zero-leader or
+all-diverged) epoch and keeps one :class:`CountEpochRecord` per epoch.
+The cycle-engine ``EpochDriver`` and the asynchronous engine's
+``AsyncCountProtocol`` only open epochs on it and report rows to it.
 
 This module owns COUNT's size arithmetic, and no other module repeats it:
 
@@ -42,7 +49,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..common.errors import ConfigurationError, ProtocolError
+from ..common.errors import ProtocolError
 from ..common.rng import RandomSource
 from ..common.validation import require_positive
 from .functions import AggregationFunction
@@ -53,6 +60,8 @@ __all__ = [
     "network_size_from_estimate",
     "CountArrayFunction",
     "LeaderElection",
+    "CountEpochRecord",
+    "AdaptiveCount",
     "count_estimate_from_map",
     "count_estimates_from_matrix",
 ]
@@ -145,26 +154,33 @@ class CountArrayFunction(AggregationFunction):
     Initial values are *leader identifiers*: a node whose local value is
     the id of one of the known leaders starts with ``{id: 1.0}``; ``None``
     or any negative value (conventionally ``-1``) means "not a leader"
-    and yields the empty map.
+    and yields the empty map (:meth:`leader_values` encodes a population).
+
+    The universe may be empty: a dry epoch, where nobody elected itself,
+    is an ordinary epoch with width-0 rows, empty maps and infinite size
+    estimates on every engine.
     """
 
     name = "count-map"
 
     def __init__(self, leaders: Sequence[int]) -> None:
         unique = sorted({int(leader) for leader in leaders})
-        if not unique:
-            raise ConfigurationError(
-                "CountArrayFunction needs at least one leader; a zero-leader "
-                "(dry) epoch carries no COUNT state to encode"
-            )
         self._leaders: Tuple[int, ...] = tuple(unique)
-        self._leader_array = np.asarray(unique, dtype=np.int64)
+        # Sorted ids plus a sentinel above every id: ``searchsorted`` lands
+        # an unknown id on a slot holding a different id, even when the
+        # universe is empty.
+        self._slot_ids = np.append(np.asarray(unique, dtype=np.int64), np.iinfo(np.int64).max)
         self._slot_of: Dict[int, int] = {leader: slot for slot, leader in enumerate(unique)}
 
     @property
     def leaders(self) -> Tuple[int, ...]:
         """The fixed leader universe, in slot order (sorted ids)."""
         return self._leaders
+
+    def leader_values(self, node_ids) -> np.ndarray:
+        """The initial values of ``node_ids``: a leader's own id, ``-1`` otherwise."""
+        ids = np.asarray(node_ids, dtype=np.int64)
+        return np.where(np.isin(ids, self._slot_ids[:-1]), ids, -1).astype(np.float64)
 
     def _slot(self, leader: int) -> int:
         try:
@@ -238,8 +254,8 @@ class CountArrayFunction(AggregationFunction):
         rows = np.flatnonzero(flat >= 0)
         if rows.size:
             ids = flat[rows].astype(np.int64)
-            slots = np.searchsorted(self._leader_array, ids)
-            bad = (slots >= width) | (self._leader_array[np.minimum(slots, width - 1)] != ids)
+            slots = np.searchsorted(self._slot_ids, ids)
+            bad = self._slot_ids[slots] != ids
             if np.any(bad):
                 raise ProtocolError(
                     f"leader {int(ids[np.flatnonzero(bad)[0]])} is not in this "
@@ -298,9 +314,9 @@ def count_estimates_from_matrix(values: np.ndarray, mask: np.ndarray) -> np.ndar
 
     The per-row arithmetic mean uses one :func:`numpy.sum` pass, so
     results can differ from the scalar reduction in the last few ulps
-    (floating-point summation order); the epoch driver reduces *this*
-    way on both engines, which is what makes their per-epoch estimates
-    bit-identical to each other.
+    (floating-point summation order); :class:`AdaptiveCount` reduces
+    *this* way on every engine, which is what makes the cycle engines'
+    per-epoch estimates bit-identical to each other.
     """
     values = np.asarray(values, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -395,3 +411,115 @@ class LeaderElection:
         """Adopt the size estimate produced by the epoch that just ended."""
         if new_estimate > 0 and math.isfinite(new_estimate):
             self.estimated_size = float(new_estimate)
+
+
+# ----------------------------------------------------------------------
+# The adaptive loop (Section 5): one ledger for every engine
+# ----------------------------------------------------------------------
+@dataclass
+class CountEpochRecord:
+    """One epoch of adaptive COUNT, as :class:`AdaptiveCount` records it.
+
+    Reports accumulate: the cycle-engine driver reports every surviving
+    node at the epoch's end, the asynchronous engine each node as it
+    leaves the epoch.
+    """
+
+    epoch_id: int
+    leader_count: int
+    #: The ``P_lead`` the election used (``C / N̂`` capped at 1).
+    lead_probability: float
+    reporters: int = 0
+    #: Reporters that left by epidemic sync rather than their own restart.
+    jump_reporters: int = 0
+    #: Reporters whose size estimate was finite, with its sum and extremes
+    #: (``inf`` and ``-inf``, the empty extremes, while there is none).
+    finite_reporters: int = 0
+    estimate_sum: float = 0.0
+    min_estimate: float = math.inf
+    max_estimate: float = -math.inf
+    #: The adopted estimate: this epoch's mean, or on a dry epoch the one
+    #: adopted before it (the election's initial estimate at first).
+    size_estimate: float = math.nan
+
+    @property
+    def dry(self) -> bool:
+        """Whether no reporter held a finite estimate (so far)."""
+        return self.finite_reporters == 0
+
+    @property
+    def mean_estimate(self) -> float:
+        """Mean of the finite reported size estimates (``inf`` when dry)."""
+        return math.inf if self.dry else self.estimate_sum / self.finite_reporters
+
+
+class AdaptiveCount:
+    """Section 5's adaptive COUNT loop, one epoch at a time.
+
+    :meth:`open_epoch` elects the epoch's leaders and fixes its
+    :class:`CountArrayFunction`; :meth:`report` reduces finishing nodes'
+    rows with the Section 7.3 trimmed mean and feeds the epoch's running
+    mean back into the election.  Only finite estimates count, and only
+    the newest epoch with one drives ``N̂``, so a late report to an older
+    overlapping epoch never overrides a newer one.  A zero-leader epoch
+    is an ordinary epoch over the empty universe: width-0 rows, ``inf``
+    reports, and the previous estimate carried forward.
+    """
+
+    def __init__(self, election: LeaderElection) -> None:
+        self.election = election
+        self._initial_estimate = election.estimated_size
+        self._codecs: Dict[int, CountArrayFunction] = {}
+        self._records: Dict[int, CountEpochRecord] = {}
+        self._feedback_epoch = -1
+
+    def open_epoch(self, epoch_id: int, alive_ids, rng: RandomSource) -> CountArrayFunction:
+        """Elect ``epoch_id``'s leaders among ``alive_ids`` on ``rng``; its function."""
+        codec = CountArrayFunction(self.election.elect_batch(alive_ids, rng))
+        self._codecs[epoch_id] = codec
+        self._records[epoch_id] = CountEpochRecord(
+            epoch_id=epoch_id,
+            leader_count=len(codec.leaders),
+            lead_probability=self.election.lead_probability,
+        )
+        self._carry_forward()
+        return codec
+
+    def codec(self, epoch_id: int) -> CountArrayFunction:
+        """The :class:`CountArrayFunction` of an opened epoch."""
+        return self._codecs[epoch_id]
+
+    def estimate_rows(self, epoch_id: int, rows: np.ndarray) -> np.ndarray:
+        """Per-row size estimates of ``epoch_id``'s rows: the trimmed mean."""
+        width = len(self._codecs[epoch_id].leaders)
+        return count_estimates_from_matrix(rows[:, :width], rows[:, width:])
+
+    def report(self, epoch_id: int, rows: np.ndarray, jumped: bool = False) -> CountEpochRecord:
+        """Nodes holding ``rows`` finished ``epoch_id`` (``jumped``: by epidemic sync)."""
+        record = self._records[epoch_id]
+        estimates = self.estimate_rows(epoch_id, rows)
+        finite = estimates[np.isfinite(estimates)]
+        record.reporters += len(rows)
+        if jumped:
+            record.jump_reporters += len(rows)
+        if finite.size:
+            record.estimate_sum += float(finite.sum())
+            record.finite_reporters += int(finite.size)
+            record.min_estimate = min(record.min_estimate, float(finite.min()))
+            record.max_estimate = max(record.max_estimate, float(finite.max()))
+            if epoch_id >= self._feedback_epoch:
+                self._feedback_epoch = epoch_id
+                self.election.update_estimate(record.mean_estimate)
+            self._carry_forward()
+        return record
+
+    def epoch_records(self) -> List[CountEpochRecord]:
+        """Every opened epoch's record, in epoch order."""
+        return [self._records[epoch] for epoch in sorted(self._records)]
+
+    def _carry_forward(self) -> None:
+        adopted = self._initial_estimate
+        for record in self.epoch_records():
+            if not record.dry:
+                adopted = record.mean_estimate
+            record.size_estimate = adopted

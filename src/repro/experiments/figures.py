@@ -497,7 +497,7 @@ def _mean_errors(s: Setting, _, errors: List[Dict[str, float]]) -> Row:
 def _epoch_sweep(
     s: Setting, positions: Sequence[int], run_epochs: Callable, traffic: Tuple[str, str], **reported
 ) -> Tuple[List[Row], Row]:
-    """Run ``run_epochs`` per repeat and reduce its ``(record, estimate)`` pairs per epoch."""
+    """Run ``run_epochs`` per repeat and reduce its epoch records per epoch."""
     epochs = max(positions) + 1
     config = EpochConfig(cycles_per_epoch=s.cycles)
     initial_estimate = max(2.0, s["initial_estimate_factor"] * s.size)
@@ -507,8 +507,7 @@ def _epoch_sweep(
     column, attribute = traffic
     rows = []
     for position in positions:
-        pairs = [run[position] for run in runs if position < len(run)]
-        records = [record for record, _ in pairs]
+        records = [run[position] for run in runs if position < len(run)]
 
         def mean(name: str) -> float:
             return float(np.mean([getattr(record, name) for record in records])) if records else 0.0
@@ -516,7 +515,7 @@ def _epoch_sweep(
         rows.append(
             {
                 "epoch": records[0].epoch_id if records else position,
-                **_size_spread([estimate for _, estimate in pairs]),
+                **_size_spread([record.size_estimate for record in records]),
                 "mean_leaders": mean("leader_count"),
                 column: mean(attribute),
                 "dry_runs": sum(record.dry for record in records),
@@ -545,7 +544,7 @@ def _adaptive_epochs(s: Setting, positions: Sequence[int]) -> Tuple[List[Row], R
             epoch_config=config, transport=transport,
             failure_factory=lambda epoch_id: ChurnModel(churn), record_every=s.cycles,
         )
-        return [(record, record.size_estimate) for record in result.records]
+        return result.records
 
     return _epoch_sweep(
         s, positions, run_epochs, ("mean_joined", "joined_count"),
@@ -557,13 +556,11 @@ def _async_adaptive_epochs(s: Setting, positions: Sequence[int]) -> Tuple[List[R
     scenario = s["scenario"]
 
     def run_epochs(rng, epochs, config, initial_estimate):
-        protocol = run_async_count(
+        return run_async_count(
             TopologySpec("random", degree=_effective_degree(s.size)), s.size, epochs, rng,
             scenario=scenario, concurrent_target=s["concurrent_target"],
             initial_estimate=initial_estimate, epoch_config=config, record_every=s.cycles,
-        )
-        adopted = protocol.size_estimates()
-        return [(record, adopted[record.epoch_id]) for record in protocol.epoch_records()]
+        ).epoch_records()
 
     return _epoch_sweep(
         s, positions, run_epochs, ("mean_jump_reporters", "jump_reporters"),

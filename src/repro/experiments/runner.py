@@ -139,7 +139,7 @@ def run_async_count(
     rate-``1+d`` clock reaches its ``k``-th restart ``k·Δ·d`` late) — and
     returns the
     :class:`~repro.simulator.async_engine.AsyncCountProtocol` carrying
-    the per-epoch records and size estimates.
+    the per-epoch records (``epoch_records()``).
     """
     overlay = build_overlay(topology, size, rng.child("topology"))
     config = epoch_config or EpochConfig()

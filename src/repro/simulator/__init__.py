@@ -11,8 +11,13 @@ repetitions in one tensor.  :func:`make_simulator` builds the engine the
 caller names — ``"vectorized"`` (default) or ``"reference"`` — and never
 infers one.  Every overlay answers the same batched peer draw, so both
 engines run on every overlay.  The practical
-protocol on an asynchronous network runs on the windowed
-:class:`~repro.simulator.async_engine.AsyncPracticalSimulator`.
+protocol runs on the cycle engines through
+:class:`~repro.simulator.epochs.EpochDriver` and on an asynchronous
+network through the windowed
+:class:`~repro.simulator.async_engine.AsyncPracticalSimulator`; both
+drive Section 5's adaptive loop through one ledger,
+:class:`~repro.core.count.AdaptiveCount`, where an epoch nobody led is a
+zero-leader epoch with width-0 rows.
 
 The cycle engines share one failure surface: the paper's crash, sudden
 death and churn models, a partition outage
@@ -31,17 +36,13 @@ from ..topology.base import OverlayProvider
 from .async_engine import (
     AsyncAverageProtocol,
     AsyncCountProtocol,
-    AsyncEpochRecord,
     AsyncPracticalSimulator,
     AsyncProtocol,
 )
 from .asynchrony import (
     AsynchronyScenario,
-    EngineAgreement,
     build_async_average,
     build_async_count,
-    compare_average_convergence,
-    validation_grid,
 )
 from .adversarial import ByzantineReporterModel
 from .cycle_sim import CycleSimulator, InitialValues
@@ -88,13 +89,9 @@ __all__ = [
     "AsyncProtocol",
     "AsyncAverageProtocol",
     "AsyncCountProtocol",
-    "AsyncEpochRecord",
     "AsynchronyScenario",
-    "EngineAgreement",
     "build_async_average",
     "build_async_count",
-    "compare_average_convergence",
-    "validation_grid",
     "EpochDriver",
     "EpochRecord",
     "EpochedRunResult",

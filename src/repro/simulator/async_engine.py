@@ -37,13 +37,17 @@ engine
    merge; lost responses update only the responder — the conservation-
    violating case of Figure 7(b).
 
-What the protocol state *is* (plain AVERAGE rows, or the multi-leader
-COUNT maps of Section 5 with per-epoch self-election and trimmed-mean
-reduction) is delegated to an :class:`AsyncProtocol` adapter, so the same
-engine runs the convergence-validation workloads and the full adaptive
-size-monitoring protocol.  The adapters take their state encoding and
-merge rule from the :class:`~repro.core.functions.AggregationFunction`
-array codec the cycle engines use, so AVERAGE and COUNT are defined once.
+What the protocol state *is* is delegated to an :class:`AsyncProtocol`
+adapter, so the same engine runs the convergence-validation workloads and
+the full adaptive size-monitoring protocol.  Rows are the
+:class:`~repro.core.functions.AggregationFunction` array codec the cycle
+engines use, which also merges them, so AVERAGE and COUNT are defined
+once.  Adaptive COUNT's Section 5 loop — election, reduction, feedback,
+dry-epoch carry-forward, records — is the
+:class:`~repro.core.count.AdaptiveCount` ledger the cycle-engine
+``EpochDriver`` runs on too; :class:`AsyncCountProtocol` only opens an
+epoch on it when the epoch comes into existence and reports rows to it.
+An epoch nobody led is an ordinary epoch with width-0 rows.
 
 The approximation relative to a true event-at-a-time execution is only
 *where inside a window* concurrent effects interleave: exchanges are
@@ -57,8 +61,6 @@ statistical validation against the cycle model in
 from __future__ import annotations
 
 import abc
-import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,7 +70,7 @@ from ..common.rng import RandomSource
 from ..common.validation import (
     require_non_negative, require_non_negative_int, require_positive_int
 )
-from ..core.count import CountArrayFunction, LeaderElection, count_estimates_from_matrix
+from ..core.count import AdaptiveCount
 from ..core.epoch import EpochConfig
 from ..core.functions import AggregationFunction, AverageFunction
 from ..topology.base import OverlayProvider
@@ -87,7 +89,6 @@ __all__ = [
     "AsyncProtocol",
     "AsyncAverageProtocol",
     "AsyncCountProtocol",
-    "AsyncEpochRecord",
     "AsyncPracticalSimulator",
 ]
 
@@ -124,8 +125,8 @@ class AsyncProtocol(abc.ABC):
         """
 
     @abc.abstractmethod
-    def codec(self, epoch_id: int) -> Optional[AggregationFunction]:
-        """The array codec of ``epoch_id``'s rows (``None``: zero width)."""
+    def codec(self, epoch_id: int) -> AggregationFunction:
+        """The array codec of ``epoch_id``'s rows."""
 
     @abc.abstractmethod
     def enter_rows(self, epoch_id: int, node_ids: np.ndarray) -> np.ndarray:
@@ -135,20 +136,15 @@ class AsyncProtocol(abc.ABC):
         self, epoch_id: int, initiator_rows: np.ndarray, responder_rows: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The push–pull merge for same-epoch exchanges: the codec's."""
-        codec = self.codec(epoch_id)
-        if codec is None:
-            return initiator_rows, responder_rows
-        return codec.merge_arrays(initiator_rows, responder_rows)
+        return self.codec(epoch_id).merge_arrays(initiator_rows, responder_rows)
 
     @abc.abstractmethod
     def estimate_rows(self, epoch_id: int, rows: np.ndarray) -> np.ndarray:
         """Per-row scalar estimates (NaN/inf allowed) for reporting."""
 
     @abc.abstractmethod
-    def report(
-        self, epoch_id: int, node_ids: np.ndarray, rows: np.ndarray, jumped: bool
-    ) -> None:
-        """Nodes finished ``epoch_id`` (``jumped``: via epidemic sync)."""
+    def report(self, epoch_id: int, rows: np.ndarray, jumped: bool) -> None:
+        """Nodes holding ``rows`` finished ``epoch_id`` (``jumped``: via epidemic sync)."""
 
 
 class AsyncAverageProtocol(AsyncProtocol):
@@ -198,141 +194,28 @@ class AsyncAverageProtocol(AsyncProtocol):
     def estimate_rows(self, epoch_id: int, rows: np.ndarray) -> np.ndarray:
         return rows[:, 0]
 
-    def report(
-        self, epoch_id: int, node_ids: np.ndarray, rows: np.ndarray, jumped: bool
-    ) -> None:
+    def report(self, epoch_id: int, rows: np.ndarray, jumped: bool) -> None:
         self.epoch_estimates.setdefault(epoch_id, []).extend(rows[:, 0].tolist())
 
 
-@dataclass
-class AsyncEpochRecord:
-    """Per-epoch summary accumulated by :class:`AsyncCountProtocol`."""
-
-    epoch_id: int
-    leader_count: int
-    lead_probability: float
-    #: Sum / count of the finite per-node size estimates reported so far.
-    estimate_sum: float = 0.0
-    finite_reporters: int = 0
-    reporters: int = 0
-    #: Reporters that left the epoch through epidemic sync rather than
-    #: their own restart timer.
-    jump_reporters: int = 0
-    min_estimate: float = math.inf
-    max_estimate: float = -math.inf
-
-    @property
-    def dry(self) -> bool:
-        """Whether nobody reported a finite estimate (yet)."""
-        return self.finite_reporters == 0
-
-    @property
-    def mean_estimate(self) -> float:
-        """Mean of the finite reported size estimates (inf when dry)."""
-        if self.finite_reporters == 0:
-            return math.inf
-        return self.estimate_sum / self.finite_reporters
-
-
-class AsyncCountProtocol(AsyncProtocol):
+class AsyncCountProtocol(AdaptiveCount, AsyncProtocol):
     """Multi-leader adaptive COUNT (Section 5) for the asynchronous engine.
 
-    When an epoch comes into existence — the first node restarts into it —
-    every then-alive node self-elects with ``P_lead = C / N̂`` through the
-    shared :meth:`~repro.core.count.LeaderElection.elect_batch`, fixing
-    the epoch's leader universe; the state row is the array codec of the
-    epoch's :class:`~repro.core.count.CountArrayFunction`
-    (``[values(L), mask(L)]``), which also merges it.  Nodes reduce their
-    map with the trimmed-mean rule of Section 7.3 when they finish the
-    epoch, and every report feeds the running estimate back into the
-    election — the adaptive loop of the paper, asynchronously.
-
-    A zero-leader epoch is *dry*: state rows are empty, every report is
-    infinite, and the previous estimate carries forward untouched.
+    The loop is the :class:`~repro.core.count.AdaptiveCount` ledger this
+    adapter extends: it supplies each epoch's codec, the per-row trimmed
+    mean (:meth:`estimate_rows`), the feedback, the dry-epoch
+    carry-forward and :meth:`epoch_records`, and nodes report to it as
+    they leave an epoch.  The adapter only opens an epoch when it comes
+    into existence — every then-alive node self-elects on the epoch's
+    ``"election"`` child stream — and encodes entering nodes.
     """
 
-    def __init__(self, election: LeaderElection) -> None:
-        self.election = election
-        self._initial_estimate = election.estimated_size
-        self._leaders: Dict[int, np.ndarray] = {}
-        self._codecs: Dict[int, Optional[CountArrayFunction]] = {}
-        self.records: Dict[int, AsyncEpochRecord] = {}
-        self._feedback_epoch = -1
-
-    def leaders_of(self, epoch_id: int) -> np.ndarray:
-        """The fixed leader universe of an epoch (sorted ids)."""
-        return self._leaders[epoch_id]
-
     def begin_epoch(self, epoch_id: int, alive_ids: np.ndarray, rng: RandomSource) -> int:
-        leaders = np.sort(
-            self.election.elect_batch(alive_ids, rng.child("election"))
-        ).astype(np.int64)
-        self._leaders[epoch_id] = leaders
-        # CountArrayFunction rejects an empty universe: a dry epoch keeps
-        # zero-width rows and no codec.
-        self._codecs[epoch_id] = CountArrayFunction(leaders) if leaders.size else None
-        self.records[epoch_id] = AsyncEpochRecord(
-            epoch_id=epoch_id,
-            leader_count=int(leaders.size),
-            lead_probability=self.election.lead_probability,
-        )
-        return 2 * int(leaders.size)
-
-    def codec(self, epoch_id: int) -> Optional[CountArrayFunction]:
-        return self._codecs[epoch_id]
+        return self.open_epoch(epoch_id, alive_ids, rng.child("election")).state_width()
 
     def enter_rows(self, epoch_id: int, node_ids: np.ndarray) -> np.ndarray:
-        codec = self._codecs[epoch_id]
-        if codec is None:
-            return np.zeros((node_ids.size, 0), dtype=np.float64)
-        # Leaders start with their own id, everyone else with -1 ("not a
-        # leader"): the codec's initial-value encoding.
-        leader_ids = np.where(
-            np.isin(node_ids, self._leaders[epoch_id]), node_ids, -1
-        )
-        return codec.initial_state_array(leader_ids)
-
-    def estimate_rows(self, epoch_id: int, rows: np.ndarray) -> np.ndarray:
-        width = self._leaders[epoch_id].size
-        return count_estimates_from_matrix(rows[:, :width], rows[:, width:] != 0.0)
-
-    def report(
-        self, epoch_id: int, node_ids: np.ndarray, rows: np.ndarray, jumped: bool
-    ) -> None:
-        record = self.records[epoch_id]
-        estimates = self.estimate_rows(epoch_id, rows)
-        finite = estimates[np.isfinite(estimates)]
-        record.reporters += int(node_ids.size)
-        if jumped:
-            record.jump_reporters += int(node_ids.size)
-        if finite.size:
-            record.estimate_sum += float(finite.sum())
-            record.finite_reporters += int(finite.size)
-            record.min_estimate = min(record.min_estimate, float(finite.min()))
-            record.max_estimate = max(record.max_estimate, float(finite.max()))
-            # Adaptive feedback: the freshest epoch with finite reports
-            # drives the election's size estimate.
-            if epoch_id >= self._feedback_epoch:
-                self._feedback_epoch = epoch_id
-                self.election.update_estimate(record.mean_estimate)
-
-    # ------------------------------------------------------------------
-    # Summaries
-    # ------------------------------------------------------------------
-    def epoch_records(self) -> List[AsyncEpochRecord]:
-        """Per-epoch records in epoch order."""
-        return [self.records[epoch] for epoch in sorted(self.records)]
-
-    def size_estimates(self) -> Dict[int, float]:
-        """Adopted size estimate after each epoch (dry epochs carry forward)."""
-        estimates: Dict[int, float] = {}
-        previous = self._initial_estimate
-        for epoch in sorted(self.records):
-            record = self.records[epoch]
-            if not record.dry:
-                previous = record.mean_estimate
-            estimates[epoch] = previous
-        return estimates
+        codec = self.codec(epoch_id)
+        return codec.initial_state_array(codec.leader_values(node_ids))
 
 
 class AsyncPracticalSimulator:
@@ -425,7 +308,6 @@ class AsyncPracticalSimulator:
 
         self._epoch_states: Dict[int, np.ndarray] = {}
         self._epoch_members: Dict[int, np.ndarray] = {}
-        self._epoch_width: Dict[int, int] = {}
         self._newest_epoch = -1
 
         self._now = 0.0
@@ -634,7 +516,6 @@ class AsyncPracticalSimulator:
         )
         self._epoch_states[epoch_id] = np.zeros((self._capacity, width), dtype=np.float64)
         self._epoch_members[epoch_id] = np.zeros(self._capacity, dtype=bool)
-        self._epoch_width[epoch_id] = width
         self._newest_epoch = max(self._newest_epoch, epoch_id)
 
     def _enter_epoch(self, epoch_id: int, nodes: np.ndarray) -> None:
@@ -655,9 +536,7 @@ class AsyncPracticalSimulator:
                 continue
             leaving = nodes[epochs == epoch]
             epoch_id = int(epoch)
-            self._protocol.report(
-                epoch_id, leaving, self._epoch_states[epoch_id][leaving], jumped
-            )
+            self._protocol.report(epoch_id, self._epoch_states[epoch_id][leaving], jumped)
             self._epoch_members[epoch_id][leaving] = False
 
     def _activate(self, nodes: np.ndarray) -> None:
@@ -670,7 +549,6 @@ class AsyncPracticalSimulator:
             if epoch < self._newest_epoch and not self._epoch_members[epoch].any():
                 del self._epoch_states[epoch]
                 del self._epoch_members[epoch]
-                del self._epoch_width[epoch]
 
     def _dominant_epoch(self) -> Optional[int]:
         best: Optional[int] = None

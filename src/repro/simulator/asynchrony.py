@@ -3,11 +3,8 @@
 The paper's practical protocol is specified against an asynchronous
 network — latencies, exchange timeouts, per-node clock drift, churn,
 message loss.  This module packages those axes into one
-declarative :class:`AsynchronyScenario` record, builds the matching
-:class:`~repro.simulator.async_engine.AsyncPracticalSimulator` runs, and
-provides the cross-engine validation harness that checks an asynchronous
-execution against the synchronous cycle model — the paper's own
-justification for analysing the protocol in the cycle abstraction.
+declarative :class:`AsynchronyScenario` record and builds the matching
+:class:`~repro.simulator.async_engine.AsyncPracticalSimulator` runs.
 
 Scenario axes:
 
@@ -27,14 +24,14 @@ Scenario axes:
 
 Three presets cover the library's runs: :data:`LAN` (the default),
 :data:`WAN` (heavy-tailed latencies) and :data:`HOSTILE` (everything at
-once).  Build custom scenarios and grids with
-:meth:`AsynchronyScenario.with_overrides` / :func:`validation_grid`.
+once).  Build custom scenarios with
+:meth:`AsynchronyScenario.with_overrides`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
@@ -56,11 +53,8 @@ __all__ = [
     "LAN",
     "WAN",
     "HOSTILE",
-    "validation_grid",
     "build_async_average",
     "build_async_count",
-    "EngineAgreement",
-    "compare_average_convergence",
 ]
 
 
@@ -169,24 +163,6 @@ HOSTILE = AsynchronyScenario(
 )
 
 
-def validation_grid(
-    drifts: Sequence[float] = (0.0, 0.01, 0.05),
-    losses: Sequence[float] = (0.0, 0.05),
-) -> List[AsynchronyScenario]:
-    """The cross-engine validation grid: drift × loss over LAN latencies."""
-    grid = []
-    for drift in drifts:
-        for loss in losses:
-            grid.append(
-                LAN.with_overrides(
-                    name=f"grid(d={drift:g},l={loss:g})",
-                    clock_drift=drift,
-                    message_loss=loss,
-                )
-            )
-    return grid
-
-
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
@@ -244,77 +220,3 @@ def build_async_count(
         window_hook=scenario.window_hook(),
     )
     return simulator, protocol
-
-
-# ----------------------------------------------------------------------
-# Cross-engine validation harness
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EngineAgreement:
-    """Convergence comparison between an async run and the cycle model."""
-
-    async_factor: float
-    cycle_factor: float
-    async_final_variance_ratio: float
-    cycle_final_variance_ratio: float
-
-    @property
-    def factor_difference(self) -> float:
-        """Absolute difference of the per-cycle convergence factors."""
-        return abs(self.async_factor - self.cycle_factor)
-
-    def agree_within(self, tolerance: float) -> bool:
-        """Whether the convergence factors agree within ``tolerance``."""
-        return self.factor_difference <= tolerance
-
-
-def compare_average_convergence(
-    overlay_factory,
-    values: Dict[int, float],
-    cycles: int,
-    rng: RandomSource,
-    scenario: AsynchronyScenario = LAN,
-) -> EngineAgreement:
-    """Run AVERAGE on both execution models and compare convergence.
-
-    ``overlay_factory(child_rng)`` must build a fresh overlay per engine
-    (the engines mutate overlay state).  The async engine bins its
-    continuous timeline into cycle-equivalent windows of length δ (the
-    :meth:`~repro.core.epoch.EpochConfig.cycle_for_time` rule, applied
-    by ``AsyncPracticalSimulator.run_until``), so both factors are the
-    geometric-mean variance reduction over the same number of cycles.
-    """
-    from . import make_simulator  # deferred: package init imports this module
-
-    async_overlay = overlay_factory(rng.child("async", "overlay"))
-    simulator, _ = build_async_average(
-        async_overlay, values, rng.child("async", "run"), scenario
-    )
-    simulator.run(cycles)
-    async_trace = simulator.trace
-
-    cycle_overlay = overlay_factory(rng.child("cycle", "overlay"))
-    cycle_simulator = make_simulator(
-        overlay=cycle_overlay,
-        function=_average_function(),
-        initial_values={node: value for node, value in values.items()},
-        rng=rng.child("cycle", "run"),
-        transport=scenario.transport(),
-    )
-    cycle_simulator.run(cycles)
-    cycle_trace = cycle_simulator.trace
-
-    async_ratios = async_trace.variance_reduction()
-    cycle_ratios = cycle_trace.variance_reduction()
-    return EngineAgreement(
-        async_factor=async_trace.average_convergence_factor(cycles),
-        cycle_factor=cycle_trace.average_convergence_factor(cycles),
-        async_final_variance_ratio=float(async_ratios[-1]),
-        cycle_final_variance_ratio=float(cycle_ratios[-1]),
-    )
-
-
-def _average_function():
-    from ..core.functions import AverageFunction
-
-    return AverageFunction()

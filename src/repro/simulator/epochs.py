@@ -15,25 +15,25 @@ simulator each epoch runs on:
    jumps.  Nodes that joined mid-epoch through churn participate from
    the next epoch on, matching the paper's rule.
 2. **Leader election.**  At every epoch start each alive node elects
-   itself with ``P_lead = C / N̂`` via
-   :meth:`~repro.core.count.LeaderElection.elect_batch` (bit-identical
-   to the scalar loop, one generator call).
+   itself with ``P_lead = C / N̂``: the driver opens the epoch on its
+   :class:`~repro.core.count.AdaptiveCount` ledger, which draws
+   :meth:`~repro.core.count.LeaderElection.elect_batch` on the epoch's
+   ``"election"`` child stream.
 3. **The epoch run.**  γ cycles (``cycles_per_epoch``, derivable from a
-   target accuracy through :func:`epoch_config_for_accuracy`) of
-   :class:`~repro.core.count.CountArrayFunction` over the epoch's
-   leaders: dict states on the reference engine, a dense
-   ``(nodes, 2·leaders)`` block on the vectorised engine — the merges are
-   bit-identical, so both engines hold the same maps from the same seed.
-4. **End-of-epoch reduction.**  Every surviving node reduces its map
-   with the trimmed-mean rule of Section 7.3: the simulator's
-   ``state_array()`` goes through the batched
-   :func:`~repro.core.count.count_estimates_from_matrix`, so the
-   per-epoch size estimates are bit-identical across engines.
-5. **Feedback.**  The epoch's estimate is fed back into the election
-   (``update_estimate``), closing the adaptive loop.  An epoch that
-   reports nothing — no leader elected itself, or every map diverged —
-   carries the previous estimate forward deterministically and is
-   recorded as *dry* in the trace.
+   target accuracy through :func:`epoch_config_for_accuracy`) of the
+   epoch's :class:`~repro.core.count.CountArrayFunction`: dict states on
+   the reference engine, a dense ``(nodes, 2·leaders)`` block on the
+   vectorised engine — the merges are bit-identical, so both engines hold
+   the same maps from the same seed.  An epoch nobody led is the same run
+   over zero leaders (width-0 rows), so overlay maintenance, churn and
+   crashes advance exactly as in a populated epoch.
+4. **End-of-epoch reduction, feedback and carry-forward.**  Every
+   surviving node's row is reported to the ledger, which owns the rest of
+   Section 5's loop: the trimmed-mean reduction of Section 7.3, feeding a
+   finite estimate back into the election, and carrying the previous
+   estimate across a dry epoch (zero leaders, or every map diverged).
+   The ledger's :class:`~repro.core.count.CountEpochRecord`, plus the
+   synchronisation counts, is the epoch's :class:`EpochRecord`.
 
 Epoch identifiers follow the nominal schedule of
 :class:`~repro.core.epoch.EpochConfig`: executing an epoch advances the
@@ -45,7 +45,7 @@ driver records how many nodes jumped more than one epoch at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,12 +54,10 @@ from ..analysis.theory import PUSH_PULL_CONVERGENCE_FACTOR
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
 from ..common.validation import require, require_non_negative_int, require_positive_int
-from ..core.count import CountArrayFunction, LeaderElection, count_estimates_from_matrix
+from ..core.count import AdaptiveCount, CountEpochRecord, LeaderElection
 from ..core.epoch import EpochConfig, cycles_for_accuracy
-from ..core.functions import AverageFunction
 from ..topology.base import OverlayProvider
 from .failures import FailureModel
-from .metrics import estimate_statistics
 from .transport import PERFECT_TRANSPORT, TransportModel
 
 __all__ = [
@@ -96,59 +94,25 @@ def epoch_config_for_accuracy(
     )
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    """Everything one epoch contributed to the adaptive run's trace.
+@dataclass
+class EpochRecord(CountEpochRecord):
+    """One cycle-engine epoch: the Section 5 record plus sync counts.
 
-    Attributes
-    ----------
-    epoch_id:
-        The epoch identifier (may skip values when ``epoch_length`` is
-        shorter than γ·δ).
-    leader_count:
-        Number of nodes that elected themselves for this epoch.
-    lead_probability:
-        The ``P_lead`` the election used (``C / N̂`` capped at 1).
-    participant_count:
-        Alive nodes that started the epoch.
-    joined_count:
-        Nodes synchronised into their *first* epoch here (fresh joiners).
-    advanced_count:
-        Previously participating nodes that advanced to this epoch.
-    skipped_sync_count:
-        Nodes that jumped more than one epoch forward in this
-        synchronisation pass.
-    cycles:
-        γ — cycles executed within the epoch.
-    dry:
-        Whether the epoch reported nothing (zero leaders, or no node held
-        a finite estimate) and the previous estimate was carried forward.
-    raw_estimate:
-        The size estimate this epoch's own reduction produced (``None``
-        on dry epochs).
-    size_estimate:
-        The estimate adopted after the epoch — ``raw_estimate``, or the
-        carried-forward previous estimate on dry epochs.
-    min_estimate / max_estimate:
-        Extremes of the finite per-node size estimates (NaN when dry).
-    finite_reporters:
-        Number of surviving nodes whose reduced estimate was finite.
+    Every node reports once, at the epoch's end, so ``reporters`` counts
+    the nodes that survived it and ``jump_reporters`` is always 0.
     """
 
-    epoch_id: int
-    leader_count: int
-    lead_probability: float
-    participant_count: int
-    joined_count: int
-    advanced_count: int
-    skipped_sync_count: int
-    cycles: int
-    dry: bool
-    raw_estimate: Optional[float]
-    size_estimate: float
-    min_estimate: float
-    max_estimate: float
-    finite_reporters: int
+    #: Nodes synchronised into their *first* epoch here (fresh joiners).
+    joined_count: int = 0
+    #: Previously participating nodes that advanced to this epoch.
+    advanced_count: int = 0
+    #: Nodes that jumped more than one epoch forward in this pass.
+    skipped_sync_count: int = 0
+
+    @property
+    def participant_count(self) -> int:
+        """Alive nodes that started the epoch."""
+        return self.joined_count + self.advanced_count
 
 
 @dataclass
@@ -166,22 +130,6 @@ class EpochedRunResult:
         if not self.records:
             return self.initial_estimate
         return self.records[-1].size_estimate
-
-    def estimates(self) -> List[float]:
-        """Adopted size estimate after each epoch, in execution order."""
-        return [record.size_estimate for record in self.records]
-
-    def dry_epochs(self) -> List[int]:
-        """Identifiers of epochs that reported nothing."""
-        return [record.epoch_id for record in self.records if record.dry]
-
-    def sync_summary(self) -> Dict[str, int]:
-        """Aggregate epidemic-synchronisation counters over the whole run."""
-        return {
-            "joined": sum(record.joined_count for record in self.records),
-            "advanced": sum(record.advanced_count for record in self.records),
-            "skipped": sum(record.skipped_sync_count for record in self.records),
-        }
 
 
 class EpochDriver:
@@ -239,7 +187,7 @@ class EpochDriver:
         )
         require_positive_int(record_every, "record_every")
         self._overlay = overlay
-        self._election = election
+        self._count = AdaptiveCount(election)
         self._config = epoch_config
         self._rng = rng
         self._transport = transport
@@ -249,7 +197,6 @@ class EpochDriver:
 
         self._time = 0.0
         self._next_epoch_id = 0
-        self._estimate = election.estimated_size
         # Epoch-synchronisation state: each node's epoch id, -1 for none.
         self._node_epochs = np.full(0, -1, dtype=np.int64)
         self._result = EpochedRunResult(
@@ -274,7 +221,7 @@ class EpochDriver:
     @property
     def election(self) -> LeaderElection:
         """The leader election carrying the adaptive size estimate."""
-        return self._election
+        return self._count.election
 
     @property
     def result(self) -> EpochedRunResult:
@@ -305,56 +252,29 @@ class EpochDriver:
             )
         joined, advanced, skipped = self._synchronise(epoch_id, alive)
 
-        leaders = self._election.elect_batch(
-            alive, self._rng.child("election", epoch_id)
+        function = self._count.open_epoch(
+            epoch_id, alive, self._rng.child("election", epoch_id)
         )
-        lead_probability = self._election.lead_probability
-        epoch_rng = self._rng.child("epoch", epoch_id)
-        failure_model = self._build_failure_model(epoch_id)
+        # Deferred import: the package init loads this module first.
+        from . import make_simulator
+
+        simulator = make_simulator(
+            overlay=self._overlay,
+            function=function,
+            initial_values=dict(zip(alive, function.leader_values(alive).tolist())),
+            rng=self._rng.child("epoch", epoch_id),
+            transport=self._transport,
+            failure_model=self._build_failure_model(epoch_id),
+            record_every=self._record_every,
+            engine=self._engine,
+        )
         cycles = self._config.cycles_per_epoch
-
-        if leaders.size:
-            function = CountArrayFunction(leaders)
-            leader_set = set(function.leaders)
-            values = {
-                node: (float(node) if node in leader_set else -1.0) for node in alive
-            }
-        else:
-            # Zero-leader epoch: every map stays empty, so nodes gossip no
-            # COUNT information — modelled by a zero placeholder state so
-            # overlay maintenance, churn and crashes still advance exactly
-            # as in a populated epoch.
-            function, values = AverageFunction(), {node: 0.0 for node in alive}
-        simulator = self._build_simulator(function, values, epoch_rng, failure_model)
         simulator.run(cycles)
-        per_node = self._reduce_epoch(simulator) if leaders.size else np.empty(0)
-
-        mean, _, minimum, maximum = estimate_statistics(per_node)
-        finite_reporters = int(np.count_nonzero(np.isfinite(per_node)))
-        if finite_reporters:
-            raw_estimate: Optional[float] = mean
-            self._estimate = raw_estimate
-            self._election.update_estimate(raw_estimate)
-        else:
-            # Dry epoch: carry the previous estimate forward and leave the
-            # election untouched, deterministically.
-            raw_estimate = None
-
         record = EpochRecord(
-            epoch_id=epoch_id,
-            leader_count=int(leaders.size),
-            lead_probability=lead_probability,
-            participant_count=len(alive),
+            **asdict(self._count.report(epoch_id, simulator.state_array())),
             joined_count=joined,
             advanced_count=advanced,
             skipped_sync_count=skipped,
-            cycles=cycles,
-            dry=raw_estimate is None,
-            raw_estimate=raw_estimate,
-            size_estimate=self._estimate,
-            min_estimate=minimum,
-            max_estimate=maximum,
-            finite_reporters=finite_reporters,
         )
         self._result.records.append(record)
 
@@ -404,31 +324,3 @@ class EpochDriver:
         if factory is None or isinstance(factory, FailureModel):
             return factory
         return factory(epoch_id)
-
-    def _build_simulator(
-        self,
-        function,
-        initial_values,
-        epoch_rng: RandomSource,
-        failure_model: Optional[FailureModel],
-    ):
-        # Deferred import: this module is loaded by the package init
-        # before make_simulator is defined.
-        from . import make_simulator
-
-        return make_simulator(
-            overlay=self._overlay,
-            function=function,
-            initial_values=initial_values,
-            rng=epoch_rng,
-            transport=self._transport,
-            failure_model=failure_model,
-            record_every=self._record_every,
-            engine=self._engine,
-        )
-
-    def _reduce_epoch(self, simulator) -> np.ndarray:
-        """Per-surviving-node size estimates: every map through the batched reduction."""
-        block = simulator.state_array()
-        width = len(simulator.function.leaders)
-        return count_estimates_from_matrix(block[:, :width], block[:, width:])

@@ -16,6 +16,8 @@ protocol's individual rules on small networks instead:
 * the public accessors and constructor validate their arguments.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -147,16 +149,15 @@ class TestAdapterCodec:
 
     def test_count_codec_covers_the_elected_leaders(self):
         protocol, width = self.count_protocol()
-        leaders = protocol.leaders_of(0)
+        leaders = np.asarray(protocol.codec(0).leaders)
         assert leaders.size > 0
         assert isinstance(protocol.codec(0), CountArrayFunction)
-        assert protocol.codec(0).leaders == tuple(int(node) for node in leaders)
         assert width == 2 * leaders.size
-        assert protocol.records[0].leader_count == leaders.size
+        assert protocol.epoch_records()[0].leader_count == leaders.size
 
     def test_count_enter_rows_mark_only_leaders(self):
         protocol, width = self.count_protocol()
-        leaders = protocol.leaders_of(0)
+        leaders = np.asarray(protocol.codec(0).leaders)
         nodes = np.arange(30)
         rows = protocol.enter_rows(0, nodes)
         assert rows.shape == (30, width)
@@ -175,13 +176,13 @@ class TestAdapterCodec:
         rows = protocol.enter_rows(0, np.arange(30))
         left, right = rows[:15], rows[15:]
         merged = protocol.merge_rows(0, left, right)
-        expected = CountArrayFunction(protocol.leaders_of(0)).merge_arrays(left, right)
+        expected = CountArrayFunction(protocol.codec(0).leaders).merge_arrays(left, right)
         for got, want in zip(merged, expected):
             assert np.array_equal(got, want)
 
     def test_count_estimates_of_fresh_rows(self):
         protocol, _ = self.count_protocol()
-        leaders = protocol.leaders_of(0)
+        leaders = np.asarray(protocol.codec(0).leaders)
         estimates = protocol.estimate_rows(0, protocol.enter_rows(0, np.arange(30)))
         # A leader's map holds only its own entry 1.0 (size estimate 1);
         # everyone else's map is empty (no estimate yet).
@@ -189,15 +190,37 @@ class TestAdapterCodec:
         others = np.setdiff1d(np.arange(30), leaders)
         assert np.all(np.isinf(estimates[others]))
 
-    def test_dry_epoch_has_no_codec_and_zero_width(self):
+    def test_dry_epoch_is_a_zero_leader_codec(self):
         protocol, width = self.count_protocol(target=1e-9)
         assert width == 0
-        assert protocol.codec(0) is None
+        assert protocol.codec(0).leaders == ()
         rows = protocol.enter_rows(0, np.arange(5))
         assert rows.shape == (5, 0)
         left, right = protocol.merge_rows(0, rows, rows)
         assert left.shape == right.shape == (5, 0)
         assert np.all(np.isinf(protocol.estimate_rows(0, rows)))
+        protocol.report(0, rows, jumped=True)
+        record = protocol.epoch_records()[0]
+        assert (record.reporters, record.jump_reporters, record.dry) == (5, 5, True)
+        assert record.size_estimate == 30.0
+
+    def test_engine_runs_zero_leader_epochs(self):
+        rng = RandomSource(2)
+        simulator, protocol = build_async_count(
+            make_overlay(rng, "random", 30),
+            rng.child("run"),
+            epoch_config=EpochConfig(cycles_per_epoch=5),
+            concurrent_target=1e-9,
+        )
+        simulator.run(12)
+        assert simulator.statistics["completed"] > 0
+        records = protocol.epoch_records()
+        assert [record.epoch_id for record in records] == [0, 1, 2]
+        for record in records:
+            assert record.leader_count == 0
+            assert record.dry
+            assert record.size_estimate == 30.0
+        assert records[0].reporters == records[1].reporters == 30
 
 
 class TestEpochLifecycle:
@@ -510,6 +533,23 @@ class TestAccessorsAndValidation:
     def test_negative_clock_drift_rejected(self):
         with pytest.raises(ConfigurationError):
             simulator_with(AsyncAverageProtocol(node_values()), clock_drift=-0.1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LAN.with_overrides(clock_drift=math.nan),
+            lambda: simulator_with(AsyncAverageProtocol(node_values()), clock_drift=math.nan),
+            lambda: DelayModel(timeout=math.nan),
+            lambda: DelayModel(distribution="lognormal", sigma=math.nan),
+        ],
+        ids=["scenario-drift", "simulator-drift", "timeout", "lognormal-sigma"],
+    )
+    def test_nan_settings_rejected(self, build):
+        # NaN compares false to everything, so "not below zero" let it
+        # through: a NaN drift then died inside NumPy's uniform draw and
+        # a NaN timeout never fired.
+        with pytest.raises(ConfigurationError):
+            build()
 
     def test_empty_overlay_rejected(self):
         overlay = CompleteOverlay(1)

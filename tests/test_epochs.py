@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.rng import RandomSource
 from repro.core.count import (
+    AdaptiveCount,
     CountArrayFunction,
     LeaderElection,
     count_estimate_from_map,
@@ -27,6 +28,7 @@ from repro.core.count import (
 )
 from repro.core.epoch import EpochConfig
 from repro.core.instances import trimmed_size_estimates
+from repro.experiments.runner import run_epoched_count
 from repro.simulator import (
     CycleSimulator,
     EpochDriver,
@@ -94,8 +96,9 @@ def assert_records_identical(reference, vectorized, label):
             "joined_count",
             "advanced_count",
             "skipped_sync_count",
-            "cycles",
             "dry",
+            "reporters",
+            "jump_reporters",
             "finite_reporters",
         ):
             assert getattr(expected, field) == getattr(actual, field), (
@@ -103,17 +106,12 @@ def assert_records_identical(reference, vectorized, label):
             )
         # Bit-identical, not approximately equal: both drivers feed the
         # same states through the same batched reduction.
-        for field in ("raw_estimate", "size_estimate", "min_estimate", "max_estimate"):
-            expected_value = getattr(expected, field)
-            actual_value = getattr(actual, field)
-            if expected_value is None or (
-                isinstance(expected_value, float) and math.isnan(expected_value)
-            ):
-                assert actual_value is None or math.isnan(actual_value), label
-            else:
-                assert expected_value == actual_value, (
-                    f"{label}: {field} diverged at epoch {expected.epoch_id}"
-                )
+        for field in (
+            "estimate_sum", "mean_estimate", "size_estimate", "min_estimate", "max_estimate",
+        ):
+            assert getattr(expected, field) == getattr(actual, field), (
+                f"{label}: {field} diverged at epoch {expected.epoch_id}"
+            )
 
 
 class TestEpochDriverEquivalence:
@@ -199,13 +197,17 @@ class TestEpochDriverEquivalence:
             with pytest.raises(ConfigurationError):
                 build_driver(engine)
 
-    def test_result_helpers(self):
+    def test_records_count_sync_events_and_reporters(self):
         result = build_driver("vectorized").run(EPOCHS)
-        assert result.estimates() == [r.size_estimate for r in result.records]
-        summary = result.sync_summary()
-        assert summary["joined"] == SIZE
-        assert summary["advanced"] == (EPOCHS - 1) * SIZE
-        assert result.dry_epochs() == []
+        records = result.records
+        assert sum(record.joined_count for record in records) == SIZE
+        assert sum(record.advanced_count for record in records) == (EPOCHS - 1) * SIZE
+        # Nobody fails, so every participant reports once, at the epoch's end.
+        for record in records:
+            assert record.participant_count == record.reporters == SIZE
+            assert record.jump_reporters == 0
+            assert not record.dry
+        assert result.final_estimate == records[-1].size_estimate
 
 
 class ScriptedMembership(FailureModel):
@@ -265,13 +267,14 @@ class TestZeroLeaderEpoch:
             config=EpochConfig(cycles_per_epoch=4),
         )
         result = driver.run(2)
-        assert result.dry_epochs() == [0, 1]
+        assert [record.epoch_id for record in result.records if record.dry] == [0, 1]
         for record in result.records:
             assert record.leader_count == 0
-            assert record.raw_estimate is None
-            assert record.size_estimate == 1e9  # deterministic carry-forward
-            assert math.isnan(record.min_estimate)
+            assert record.reporters == 20
             assert record.finite_reporters == 0
+            assert record.mean_estimate == math.inf
+            assert record.size_estimate == 1e9  # deterministic carry-forward
+            assert (record.min_estimate, record.max_estimate) == (math.inf, -math.inf)
         assert driver.election.estimated_size == 1e9  # update never fed
         assert result.final_estimate == 1e9
 
@@ -291,7 +294,7 @@ class TestZeroLeaderEpoch:
         )
         first = driver.run(1).records[0]
         assert first.dry
-        # Churn ran through the placeholder epoch: nodes were substituted.
+        # Churn ran through the zero-leader epoch: nodes were substituted.
         assert sorted(driver.overlay.node_ids())[-1] >= 40
         # Force a populated epoch by fixing the estimate.
         election.concurrent_target = 5.0
@@ -316,6 +319,71 @@ class TestZeroLeaderEpoch:
             return driver.run(2)
 
         assert_records_identical(run("reference"), run("vectorized"), "dry-recovery")
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EpochConfig(cycle_length=math.inf),
+            lambda: EpochConfig(epoch_length=math.inf),
+            lambda: LeaderElection(concurrent_target=math.inf, estimated_size=200.0),
+            lambda: run_epoched_count(
+                OVERLAYS["complete"], 20, 3, RandomSource(1), initial_estimate=math.inf
+            ),
+        ],
+        ids=["cycle-length", "epoch-length", "concurrent-target", "initial-estimate"],
+    )
+    def test_rejected(self, build):
+        # An infinite δ overflowed inside the async engine, N̂ = inf made
+        # every epoch dry with P_lead = 0, and C = inf elected everyone.
+        with pytest.raises(ConfigurationError):
+            build()
+
+
+class TestZeroLeaderCodec:
+    """A dry epoch is the empty leader universe: width-0 rows everywhere."""
+
+    def test_initial_merge_estimate_and_reduction(self):
+        function = CountArrayFunction([])
+        assert function.leaders == ()
+        assert function.state_width() == 0
+        assert function.initial_state(-1) == {}
+        assert function.merge({}, {}) == ({}, {})
+        assert function.estimate({}) is None
+        assert function.leader_values(np.arange(4)).tolist() == [-1.0] * 4
+        rows = function.initial_state_array(function.leader_values(np.arange(4)))
+        assert rows.shape == (4, 0)
+        assert all(block.shape == (4, 0) for block in function.merge_arrays(rows, rows))
+        assert np.isnan(function.estimate_array(rows)).all()
+        assert np.isinf(count_estimates_from_matrix(rows, rows)).all()
+        # Nobody can claim to lead an empty universe.
+        with pytest.raises(ProtocolError):
+            function.initial_state(3)
+        with pytest.raises(ProtocolError):
+            function.initial_state_array(np.array([3.0]))
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_cycle_engines_run_and_reduce_width_zero_rows(self, engine):
+        rng = RandomSource(4)
+        ids = list(range(12))
+        count = AdaptiveCount(LeaderElection(concurrent_target=1e-9, estimated_size=12.0))
+        function = count.open_epoch(0, ids, rng.child("election"))
+        assert function.leaders == ()
+        simulator = make_simulator(
+            build_overlay(OVERLAYS["complete"], 12, rng.child("t")),
+            function,
+            dict(zip(ids, function.leader_values(ids).tolist())),
+            rng.child("s"),
+            engine=engine,
+        )
+        simulator.run(3)
+        assert simulator.trace.final.completed_exchanges > 0
+        block = simulator.state_array()
+        assert block.shape == (12, 0)
+        record = count.report(0, block)
+        assert (record.reporters, record.finite_reporters, record.dry) == (12, 0, True)
+        assert record.size_estimate == 12.0
 
 
 class TestCountArrayFunction:
@@ -387,8 +455,6 @@ class TestCountArrayFunction:
             function.initial_state_array(np.array([5.0]))
         with pytest.raises(ProtocolError):
             function.encode_state({5: 1.0})
-        with pytest.raises(ConfigurationError):
-            CountArrayFunction([])
 
     def test_fast_path_dispatch_and_engine_state_parity(self):
         leaders = [0, 7, 23]

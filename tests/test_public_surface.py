@@ -6,7 +6,9 @@ option, or a retired one, therefore shows up as a reviewed edit of
 :data:`SURFACE` rather than slipping in through a signature.  The three
 accepted-value registries — the ``params`` keys per topology kind, the
 latency distributions and the aggregate names — are pinned the same way,
-and so is the run surface of the two cycle engines (:data:`RUN_SURFACE`).
+and so are the run surface of the two cycle engines (:data:`RUN_SURFACE`)
+and the practical protocol's moving parts (:data:`PROTOCOL_SURFACE`,
+:data:`EPOCH_RECORD_FIELDS`).
 """
 
 import dataclasses
@@ -17,6 +19,9 @@ import pytest
 from repro.common.rng import RandomSource
 from repro.core import AverageFunction, aggregate
 from repro.core.count import (
+    AdaptiveCount,
+    CountEpochRecord,
+    LeaderElection,
     count_estimate_from_map,
     count_estimates_from_matrix,
     peak_initial_values,
@@ -37,7 +42,9 @@ from repro.experiments.runner import (
     uniform_initial_values,
 )
 from repro.simulator import (
+    AsyncCountProtocol,
     AsyncPracticalSimulator,
+    AsyncProtocol,
     AsynchronyScenario,
     ByzantineReporterModel,
     ChurnModel,
@@ -45,6 +52,7 @@ from repro.simulator import (
     CycleSimulator,
     DelayModel,
     EpochDriver,
+    EpochRecord,
     NoFailures,
     PartitionOutageModel,
     ProportionalCrashModel,
@@ -192,3 +200,41 @@ def test_run_surface(engine):
 def test_engines_share_one_run_surface():
     reference, vectorized = (set(RUN_SURFACE[engine]) for engine in RUN_SURFACE)
     assert reference ^ vectorized == {"last_cycle_contact_counts"}
+
+
+#: The practical protocol's public names: the adapter contract the async
+#: engine drives, the Section 5 ledger both practical-protocol engines run
+#: on, and the async COUNT adapter, which is that ledger plus two hooks.
+ASYNC_PROTOCOL = ("begin_epoch", "codec", "enter_rows", "estimate_rows", "merge_rows", "report")
+LEDGER = ("codec", "election", "epoch_records", "estimate_rows", "open_epoch", "report")
+PROTOCOL_SURFACE = {
+    AsyncProtocol: ASYNC_PROTOCOL,
+    AdaptiveCount: LEDGER,
+    AsyncCountProtocol: tuple(sorted(set(ASYNC_PROTOCOL) | set(LEDGER))),
+}
+
+#: The one Section 5 epoch record, and the cycle driver's, which adds only
+#: its synchronisation counts.
+COUNT_RECORD_FIELDS = (
+    "epoch_id", "leader_count", "lead_probability", "reporters", "jump_reporters",
+    "finite_reporters", "estimate_sum", "min_estimate", "max_estimate", "size_estimate",
+)
+EPOCH_RECORD_FIELDS = {
+    CountEpochRecord: COUNT_RECORD_FIELDS,
+    EpochRecord: COUNT_RECORD_FIELDS + ("joined_count", "advanced_count", "skipped_sync_count"),
+}
+
+
+@pytest.mark.parametrize("part", list(PROTOCOL_SURFACE), ids=lambda part: part.__name__)
+def test_protocol_surface(part):
+    # An instance where one can be built, so attributes set in __init__ count.
+    subject = part
+    if part is not AsyncProtocol:
+        subject = part(LeaderElection(concurrent_target=1.0, estimated_size=10.0))
+    public = {name for name in dir(subject) if not name.startswith("_")}
+    assert public == set(PROTOCOL_SURFACE[part])
+
+
+@pytest.mark.parametrize("record", list(EPOCH_RECORD_FIELDS), ids=lambda record: record.__name__)
+def test_epoch_record_fields(record):
+    assert tuple(field.name for field in dataclasses.fields(record)) == EPOCH_RECORD_FIELDS[record]
