@@ -39,7 +39,10 @@ whatever dtype its rows have and never converts.
 * **Memory law.**  The matrix is ``rows * c * 4`` bytes (12 MB at
   N = 10^5, c = 30); a round is applied in blocks of ``_MERGE_BLOCK``
   exchanges, so the gather/kernel/scatter scratch is bounded by that
-  constant, not by the round size, and stays cache-resident.
+  constant, not by the round size, and stays cache-resident.  The
+  bootstrap samples before it allocates the matrix, so it holds at most
+  the matrix plus the int32 ``(N, c)`` draw, or, while sampling, that
+  draw plus one int64 chunk of the sampler and its bool mask.
 
 Equivalence to the dict implementation (documented per property)
 ----------------------------------------------------------------
@@ -539,6 +542,10 @@ class VectorizedNewscastOverlay(OverlayProvider):
                 f"array-native NEWSCAST supports node ids up to {MAX_NODE_ID}"
             )
         overlay = cls(cache_size, rng)
+        fill = min(cache_size, size - 1)
+        # Sampling first keeps the sampler's scratch and the matrix from
+        # being alive together.
+        peers = sample_distinct_peers(size, fill, rng.generator) if fill else None
         overlay._grow_rows(size)
         overlay._row_by_id = np.full(max(size, 1), -1, dtype=np.int64)
         rows = np.arange(size, dtype=np.int64)
@@ -548,12 +555,11 @@ class VectorizedNewscastOverlay(OverlayProvider):
         overlay._alive_rows[:size] = rows
         overlay._alive_count = size
 
-        fill = min(cache_size, size - 1)
         if fill:
             # Timestamp 0 packs to the peer id itself; the sampler's rows
             # are ascending, and freshest-first means by peer id descending.
-            peers = sample_distinct_peers(size, fill, rng.generator)
             overlay._packed[:size, :fill] = peers[:, ::-1]
+            del peers
         overlay._counts[:size] = fill
         for _ in range(max(0, int(warmup_cycles))):
             overlay.after_cycle(rng)

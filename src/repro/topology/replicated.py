@@ -26,7 +26,8 @@ buffer with twice its room and leaves the old segment unused (the
 buffer is never compacted).  Building a k-out overlay of ``N`` nodes
 holds, transiently, ``2 * N * k * 8`` bytes of int64 sort keys plus
 ``2 * N * k * 4`` bytes of int32 neighbour column plus the rows; the
-``N * k * 8``-byte draw matrix is freed before the sort.
+``N * k * 4``-byte int32 draw matrix is freed before the sort, and
+drawing it held at most one ``_SAMPLE_CHUNK``-row int64 chunk more.
 
 :func:`rows_from_edges` is the one edge-list -> rows kernel: every static
 builder (k-out, ring lattice, Watts–Strogatz, Barabási–Albert) hands it
@@ -63,6 +64,10 @@ __all__ = [
 #: the memory traffic of the row edits and gathers; peer draws are
 #: widened back to int64 at the API boundary.
 _ID_LIMIT = np.iinfo(np.int32).max
+#: Rows of the int64 uniform block :func:`sample_distinct_peers` draws per
+#: generator call: its scratch is one chunk (15.7 MB at c = 30), and a
+#: draw at N = 10^6 takes 16 calls.
+_SAMPLE_CHUNK = 65_536
 
 
 def draw_k_out_peers(size: int, degree: int, rng: RandomSource) -> np.ndarray:
@@ -70,8 +75,8 @@ def draw_k_out_peers(size: int, degree: int, rng: RandomSource) -> np.ndarray:
 
     The batched equivalent of ``degree``-out sampling: one uniform block
     plus redraw-until-distinct passes, the same technique the array-native
-    NEWSCAST bootstrap uses.  Returns a ``(size, degree)`` int64 array of
-    peer identifiers.
+    NEWSCAST bootstrap uses.  Returns a ``(size, degree)`` int32 array of
+    peer identifiers, each row ascending.
 
     Parameters
     ----------
@@ -97,7 +102,13 @@ def sample_distinct_peers(
     sampler and both NEWSCAST bootstraps: one uniform block
     over the ``size - 1`` other identifiers, duplicate slots redrawn
     until every row is distinct, then the skip-self shift.  Rows come
-    back sorted ascending (per row) in ``(size, fill)`` int64 form.
+    back sorted ascending (per row) in ``(size, fill)`` int32 form.
+
+    The uniform block is drawn ``_SAMPLE_CHUNK`` rows at a time, each
+    int64 chunk cast straight into the int32 rows; chunked bounded draws
+    equal one call value for value and leave the generator in the same
+    state.  The call therefore holds at most its int32 output, one int64
+    chunk and one bool mask (reused by every redraw pass and the shift).
 
     When ``fill`` is close to ``size - 1`` the redraws keep colliding;
     rows still holding a duplicate after 64 passes are completed exactly
@@ -105,23 +116,33 @@ def sample_distinct_peers(
     draws only after the passes run out, so every draw the passes finish
     consumes the generator exactly as before.
     """
-    draws = generator.integers(0, size - 1, size=(size, fill), dtype=np.int64)
+    if size > _ID_LIMIT:
+        raise TopologyError(
+            f"size {size} exceeds the int32 identifier range (at most {_ID_LIMIT} nodes)"
+        )
+    draws = np.empty((size, fill), dtype=np.int32)
+    for start in range(0, size, _SAMPLE_CHUNK):
+        stop = min(start + _SAMPLE_CHUNK, size)
+        draws[start:stop] = generator.integers(
+            0, size - 1, size=(stop - start, fill), dtype=np.int64
+        )
     draws.sort(axis=1)
+    duplicate = np.zeros((size, fill), dtype=bool)
     for _ in range(64):
-        duplicate = np.zeros((size, fill), dtype=bool)
-        duplicate[:, 1:] = draws[:, 1:] == draws[:, :-1]
+        np.equal(draws[:, 1:], draws[:, :-1], out=duplicate[:, 1:])
         count = int(np.count_nonzero(duplicate))
         if count == 0:
             break
         draws[duplicate] = generator.integers(0, size - 1, size=count, dtype=np.int64)
         draws.sort(axis=1)
     else:
-        stuck = np.flatnonzero((draws[:, 1:] == draws[:, :-1]).any(axis=1))
+        np.equal(draws[:, 1:], draws[:, :-1], out=duplicate[:, 1:])
+        stuck = np.flatnonzero(duplicate.any(axis=1))
         if stuck.size:
             others = np.broadcast_to(np.arange(size - 1, dtype=np.int64), (stuck.size, size - 1))
             draws[stuck] = np.sort(generator.permuted(others, axis=1)[:, :fill], axis=1)
-    rows = np.arange(size, dtype=np.int64)[:, None]
-    draws[draws >= rows] += 1
+    np.greater_equal(draws, np.arange(size, dtype=np.int32)[:, None], out=duplicate)
+    draws += duplicate
     return draws
 
 
@@ -130,8 +151,8 @@ def rows_from_edges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ragged ascending adjacency rows of the undirected graph on an edge list.
 
-    ``sources`` and ``targets`` are int64 node identifiers in ``[0, size)``
-    that broadcast together (flat edge arrays, or a k-out draw's
+    ``sources`` and ``targets`` are int32 or int64 node identifiers in
+    ``[0, size)`` that broadcast together (flat edge arrays, or a k-out draw's
     ``(size, 1)`` owner column against its ``(size, k)`` draw matrix); an
     edge may be listed in one direction, in both, or several times.  One
     in-place sort of the ``owner * size + neighbour`` keys of both
@@ -145,9 +166,11 @@ def rows_from_edges(
     before the sort.
     """
     keys = np.empty((2,) + np.broadcast(sources, targets).shape, dtype=np.int64)
-    np.multiply(sources, size, out=keys[0])
+    # dtype=int64: NumPy computes int32 * int in int32, which wraps once
+    # owner * size passes 2^31.
+    np.multiply(sources, size, out=keys[0], dtype=np.int64)
     np.add(keys[0], targets, out=keys[0])
-    np.multiply(targets, size, out=keys[1])
+    np.multiply(targets, size, out=keys[1], dtype=np.int64)
     np.add(keys[1], sources, out=keys[1])
     del sources, targets
     keys = keys.reshape(-1)

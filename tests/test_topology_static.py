@@ -1,6 +1,7 @@
 """Tests for the StaticTopology container and the OverlayProvider contract."""
 
 import tracemalloc
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -10,9 +11,14 @@ from hypothesis import strategies as st
 
 from repro.common.errors import TopologyError
 from repro.common.rng import RandomSource
-from repro.topology import ReplicatedStaticBlock, TopologySpec, build_overlay
+from repro.topology import ReplicatedStaticBlock, TopologySpec, build_overlay, replicated
 from repro.topology.base import StaticTopology
-from repro.topology.replicated import rows_from_edges
+from repro.topology.replicated import (
+    _ID_LIMIT,
+    _SAMPLE_CHUNK,
+    rows_from_edges,
+    sample_distinct_peers,
+)
 
 
 def triangle() -> StaticTopology:
@@ -313,6 +319,110 @@ class TestRowsFromEdges:
         assert np.array_equal(neighbours, flat_neighbours)
         assert np.array_equal(degrees, flat_degrees)
         assert_rows_match_oracle(size, sources, targets, neighbours, degrees)
+
+    def test_int32_edges_past_two_to_the_31_keys(self):
+        # At N = 50,000 the key owner * N + neighbour passes 2^31, so
+        # int32 edge arrays must be widened before the multiply, not after.
+        size, k = 50_000, 3
+        draws = sample_distinct_peers(size, k, np.random.default_rng(5))
+        owners = np.arange(size, dtype=np.int32)
+        expected_neighbours, expected_degrees = rows_from_edges(
+            size, owners.astype(np.int64)[:, None], draws.astype(np.int64)
+        )
+        for sources, targets in (
+            (owners.astype(np.int64)[:, None], draws),
+            (np.repeat(owners, k), draws.ravel()),
+            (draws.ravel(), np.repeat(owners, k)),
+        ):
+            neighbours, degrees = rows_from_edges(size, sources, targets)
+            assert np.array_equal(neighbours, expected_neighbours)
+            assert np.array_equal(degrees, expected_degrees)
+        assert int(expected_degrees.sum()) == expected_neighbours.size
+        assert expected_neighbours.max() == size - 1
+
+
+def one_call_distinct_peers(size, fill, generator):
+    """The sampler as one int64 draw of the whole block (the int32 sampler's oracle)."""
+    draws = generator.integers(0, size - 1, size=(size, fill), dtype=np.int64)
+    draws.sort(axis=1)
+    for _ in range(64):
+        duplicate = np.zeros((size, fill), dtype=bool)
+        duplicate[:, 1:] = draws[:, 1:] == draws[:, :-1]
+        count = int(np.count_nonzero(duplicate))
+        if count == 0:
+            break
+        draws[duplicate] = generator.integers(0, size - 1, size=count, dtype=np.int64)
+        draws.sort(axis=1)
+    else:
+        stuck = np.flatnonzero((draws[:, 1:] == draws[:, :-1]).any(axis=1))
+        if stuck.size:
+            others = np.broadcast_to(np.arange(size - 1, dtype=np.int64), (stuck.size, size - 1))
+            draws[stuck] = np.sort(generator.permuted(others, axis=1)[:, :fill], axis=1)
+    rows = np.arange(size, dtype=np.int64)[:, None]
+    draws[draws >= rows] += 1
+    return draws
+
+
+def assert_sampler_matches_one_call(size, fill, seed):
+    """Same rows as the one-call oracle, and the generator left in the same state."""
+    generator = np.random.default_rng(seed)
+    oracle = np.random.default_rng(seed)
+    peers = sample_distinct_peers(size, fill, generator)
+    expected = one_call_distinct_peers(size, fill, oracle)
+    assert peers.dtype == np.int32 and peers.shape == (size, fill)
+    assert np.array_equal(peers, expected)
+    assert generator.integers(0, 1 << 62) == oracle.integers(0, 1 << 62)
+
+
+class TestDistinctPeerSampler:
+    """The chunked int32 sampler against the one-call int64 draw it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.integers(2, 120),
+        share=st.floats(0.0, 1.0),
+        chunk=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_small_chunks_match_the_one_call_draw(self, size, share, chunk, seed):
+        # A patched chunk size puts several chunk boundaries inside small
+        # blocks; share = 1 is fill = size - 1, the exact-completion case.
+        fill = 1 + round(share * (size - 2))
+        with mock.patch.object(replicated, "_SAMPLE_CHUNK", chunk):
+            assert_sampler_matches_one_call(size, fill, seed)
+
+    @pytest.mark.parametrize("size", [_SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1])
+    def test_sizes_around_the_chunk_boundary(self, size):
+        assert_sampler_matches_one_call(size, 4, 2004)
+
+    @pytest.mark.parametrize("size", [3, 7, 60])
+    def test_exact_completion_rows(self, size):
+        assert_sampler_matches_one_call(size, size - 1, 16)
+
+    def test_traced_peak_is_output_plus_one_chunk_plus_one_mask(self):
+        size, fill = 100_000, 20
+        generator = np.random.default_rng(2004)
+        tracemalloc.start()
+        try:
+            peers = sample_distinct_peers(size, fill, generator)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The int32 output, one int64 chunk and one bool mask.  Measured
+        # 19.2 MB; the one-call int64 draw peaked at 29.5 MB.
+        assert peers.dtype == np.int32
+        assert peak <= size * fill * 4 + _SAMPLE_CHUNK * fill * 8 + size * fill
+
+    def test_size_past_the_int32_id_range_fails_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TopologyError, match="int32"):
+                sample_distinct_peers(2**31, 1, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2**31 > _ID_LIMIT
+        assert peak < 1e6
 
 
 def store_bytes(block):
