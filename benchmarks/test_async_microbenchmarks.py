@@ -12,7 +12,8 @@ import pytest
 
 from repro.common.rng import RandomSource
 from repro.core.epoch import EpochConfig
-from repro.simulator.asynchrony import LAN, build_async_average, build_async_count
+from repro.simulator.async_engine import build_async_average, build_async_count
+from repro.simulator.asynchrony import LAN
 from repro.topology import TopologySpec, build_overlay
 
 #: The asynchrony impairments shared by both benchmarks.

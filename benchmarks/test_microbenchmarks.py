@@ -29,13 +29,7 @@ def build_cycle_simulator(size, engine, seed=1):
     """The canonical micro-cycle scenario: AVERAGE on a random 20-out overlay."""
     rng = RandomSource(seed)
     overlay = build_overlay(TopologySpec("random", degree=20), size, rng.child("t"))
-    return make_simulator(
-        overlay,
-        AverageFunction(),
-        [float(i) for i in range(size)],
-        rng.child("s"),
-        engine=engine,
-    )
+    return engine(overlay, AverageFunction(), [float(i) for i in range(size)], rng.child("s"))
 
 
 def best_cycle_time(simulator, cycles, repetitions=3):
@@ -53,7 +47,7 @@ def best_cycle_time(simulator, cycles, repetitions=3):
 @pytest.mark.benchmark(group="micro-cycle")
 def test_one_aggregation_cycle(benchmark, scale):
     size = scale.network_size
-    simulator = build_cycle_simulator(size, engine="reference")
+    simulator = build_cycle_simulator(size, CycleSimulator)
     benchmark(simulator.run_cycle)
     assert simulator.cycle_index >= 1
 
@@ -61,21 +55,21 @@ def test_one_aggregation_cycle(benchmark, scale):
 @pytest.mark.benchmark(group="micro-cycle")
 def test_one_vectorized_cycle(benchmark, scale):
     size = scale.network_size
-    simulator = build_cycle_simulator(size, engine="vectorized")
+    simulator = build_cycle_simulator(size, VectorizedCycleSimulator)
     benchmark(simulator.run_cycle)
     assert simulator.cycle_index >= 1
 
 
 @pytest.mark.benchmark(group="cycle-n10k")
 def test_reference_cycle_n10k(benchmark, scale):
-    simulator = build_cycle_simulator(10_000, engine="reference")
+    simulator = build_cycle_simulator(10_000, CycleSimulator)
     benchmark.pedantic(simulator.run_cycle, rounds=5, iterations=1, warmup_rounds=1)
     assert simulator.cycle_index >= 6
 
 
 @pytest.mark.benchmark(group="cycle-n10k")
 def test_vectorized_cycle_n10k(benchmark, scale):
-    simulator = build_cycle_simulator(10_000, engine="vectorized")
+    simulator = build_cycle_simulator(10_000, VectorizedCycleSimulator)
     benchmark.pedantic(simulator.run_cycle, rounds=20, iterations=1, warmup_rounds=2)
     assert simulator.cycle_index >= 22
 
@@ -89,8 +83,8 @@ def test_vectorized_speedup_at_n10k(benchmark, scale):
     the ratio stands for — the run is on the array engine, and that
     engine computes the reference engine's trace.
     """
-    reference = build_cycle_simulator(10_000, engine="reference")
-    vectorized = build_cycle_simulator(10_000, engine="vectorized")
+    reference = build_cycle_simulator(10_000, CycleSimulator)
+    vectorized = build_cycle_simulator(10_000, VectorizedCycleSimulator)
 
     def measure():
         return (
@@ -124,7 +118,7 @@ def test_vectorized_speedup_at_n10k(benchmark, scale):
 
 @pytest.mark.benchmark(group="cycle-n100k")
 def test_vectorized_cycle_n100k(benchmark, scale):
-    simulator = build_cycle_simulator(100_000, engine="vectorized")
+    simulator = build_cycle_simulator(100_000, VectorizedCycleSimulator)
     benchmark.pedantic(simulator.run_cycle, rounds=5, iterations=1, warmup_rounds=1)
     assert simulator.cycle_index >= 6
 
@@ -137,7 +131,7 @@ def test_vectorized_n100k_30_cycles(benchmark, scale):
     engine ran and converged: the variance collapses and, under perfect
     transport, the mean is conserved.
     """
-    simulator = build_cycle_simulator(100_000, engine="vectorized")
+    simulator = build_cycle_simulator(100_000, VectorizedCycleSimulator)
 
     def run_30_cycles():
         simulator.run(30)
@@ -160,26 +154,31 @@ def _timed(callable_):
     return time.perf_counter() - start
 
 
-def build_epoch_driver(engine, size=10_000, gamma=20, concurrent_target=16.0, seed=5):
+class ReferenceEpochDriver(EpochDriver):
+    """The epoch driver with every epoch on the reference engine."""
+
+    _simulator = CycleSimulator
+
+
+def build_epoch_driver(driver_class, size=10_000, gamma=20, concurrent_target=16.0, seed=5):
     """The canonical epoch-driver scenario: adaptive map-based COUNT."""
     rng = RandomSource(seed)
     overlay = build_overlay(TopologySpec("complete"), size, rng.child("t"))
     election = LeaderElection(
         concurrent_target=concurrent_target, estimated_size=float(size)
     )
-    return EpochDriver(
+    return driver_class(
         overlay,
         election,
         EpochConfig(cycles_per_epoch=gamma),
         rng.child("d"),
-        engine=engine,
         record_every=gamma,
     )
 
 
 @pytest.mark.benchmark(group="epochs-n10k")
 def test_vectorized_epoch_n10k(benchmark, scale):
-    driver = build_epoch_driver("vectorized")
+    driver = build_epoch_driver(EpochDriver)
     # Under --benchmark-disable pedantic runs the body exactly once, so
     # assert only on what a single epoch guarantees.
     benchmark.pedantic(lambda: driver.run(1), rounds=3, iterations=1, warmup_rounds=1)
@@ -198,8 +197,8 @@ def test_epoch_driver_speedup_at_n10k(benchmark, scale):
     named engine, the two produced identical per-epoch records, and the
     estimates are near the true size.
     """
-    vectorized = build_epoch_driver("vectorized")
-    reference = build_epoch_driver("reference")
+    vectorized = build_epoch_driver(EpochDriver)
+    reference = build_epoch_driver(ReferenceEpochDriver)
 
     def measure():
         # Each run() call executes one complete epoch; both drivers are
@@ -221,7 +220,9 @@ def test_epoch_driver_speedup_at_n10k(benchmark, scale):
         f"\nN=10^4 epoch: reference {reference_time:.2f} s, "
         f"vectorized {vectorized_time:.2f} s, speedup {speedup:.1f}x"
     )
-    assert (vectorized.engine, reference.engine) == ("vectorized", "reference")
+    assert (vectorized._simulator, reference._simulator) == (
+        VectorizedCycleSimulator, CycleSimulator
+    )
     assert len(vectorized.result.records) == 2
     assert vectorized.result.records == reference.result.records
     for record in vectorized.result.records:

@@ -80,7 +80,8 @@ def test_replicated_speedup_and_bit_identity_n10k(benchmark, scale):
         replicated = repeat_traces(repeats, seed, plan=plan)
         replicated_time = time.perf_counter() - start
         start = time.perf_counter()
-        serial = repeat_traces(repeats, seed, plan=plan, engine="serial")
+        root = RandomSource(seed)
+        serial = [plan.serial_run(index, root.child("run", index)) for index in range(repeats)]
         serial_time = time.perf_counter() - start
         return serial_time, replicated_time, traces_identical(serial, replicated)
 

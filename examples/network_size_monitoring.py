@@ -31,11 +31,10 @@ import sys
 
 import numpy as np
 
-from repro import RandomSource
+from repro import RandomSource, make_simulator
 from repro.core.epoch import EpochConfig
 from repro.core.instances import MultiInstanceCount, trimmed_size_estimates
 from repro.experiments.runner import run_epoched_count
-from repro.simulator.cycle_sim import CycleSimulator
 from repro.simulator.failures import ChurnModel
 from repro.simulator.transport import TransportModel
 from repro.topology import TopologySpec, build_overlay
@@ -52,7 +51,7 @@ def run_count(instances: int, seed: int) -> dict:
     rng = RandomSource(seed)
     overlay = build_overlay(TopologySpec("newscast", degree=30), NETWORK_SIZE, rng.child("t"))
     bundle = MultiInstanceCount.create(overlay.node_ids(), instances, rng.child("instances"))
-    simulator = CycleSimulator(
+    simulator = make_simulator(
         overlay=overlay,
         function=bundle.function,
         initial_values=bundle.initial_values,

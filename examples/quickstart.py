@@ -72,9 +72,9 @@ def main() -> int:
         print(f"  cycle {cycle:>2}: {reductions[cycle]:.3e}")
 
     # For paper-scale networks, build the simulator explicitly through
-    # make_simulator: its default engine is the vectorized array engine
-    # (engine="reference" names the per-exchange loop instead), and both
-    # produce the exact same results from the same seed.
+    # make_simulator, the array engine (VectorizedCycleSimulator).  The
+    # per-exchange reference loop, CycleSimulator, takes the same
+    # arguments and produces the exact same results from the same seed.
     size = 50_000
     rng = RandomSource(2004)
     overlay = build_overlay(TopologySpec("random", degree=20), size, rng.child("topology"))

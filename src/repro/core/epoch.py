@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..common.errors import ConfigurationError
-from ..common.validation import require_positive, require_positive_int
+from ..common.validation import require, require_positive, require_positive_int
 
 __all__ = ["EpochConfig", "cycles_for_accuracy"]
 
@@ -98,8 +98,7 @@ class EpochConfig:
 
     def epoch_for_time(self, time: float) -> int:
         """The epoch nominally in progress at global time ``time``."""
-        if time < 0:
-            raise ConfigurationError("time must be non-negative")
+        require(0 <= time < math.inf, f"time must be non-negative and finite, got {time!r}")
         return int(time // self.effective_epoch_length)
 
     def cycle_for_time(self, time: float) -> int:
@@ -109,6 +108,5 @@ class EpochConfig:
         the cycle model bins their continuous timeline into windows of
         length δ, and this helper is the shared binning rule.
         """
-        if time < 0:
-            raise ConfigurationError("time must be non-negative")
+        require(0 <= time < math.inf, f"time must be non-negative and finite, got {time!r}")
         return int(time // self.cycle_length)

@@ -37,10 +37,10 @@ import numpy as np
 
 from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
-from ..simulator.cycle_sim import CycleSimulator
 from ..simulator.failures import FailureModel
 from ..simulator.metrics import SimulationTrace
 from ..simulator.transport import PERFECT_TRANSPORT, TransportModel
+from ..simulator.vectorized import VectorizedCycleSimulator
 from ..topology.generators import TopologySpec, build_overlay
 from .count import network_size_from_estimate, peak_initial_values
 from .functions import (
@@ -256,7 +256,7 @@ def aggregate(
 
     rng = RandomSource(seed)
     overlay = build_overlay(topology, size, rng.child("topology"))
-    simulator = CycleSimulator(
+    simulator = VectorizedCycleSimulator(
         overlay=overlay,
         function=record.function,
         initial_values=record.initial(local).tolist(),

@@ -11,11 +11,11 @@ figures (:func:`run_epoched_count` on the cycle engines,
 reads as a declarative description of the paper's experiment.
 
 Runs use the one stacked array engine (:mod:`repro.simulator.replicated`):
-a single run through :func:`~repro.simulator.make_simulator`, the repeats
-of a :class:`RunPlan` as one ``R``-replica simulation, or one by one with
-``engine="serial"`` — with bit-identical per-seed streams either way.
-Every repetition runs in the calling process; an opaque ``make_run``
-callable runs once per repetition, in index order.
+a single run through :data:`~repro.simulator.make_simulator`, and the
+repeats of a :class:`RunPlan` as one ``R``-replica simulation, each
+bit-identical to its one-run :meth:`RunPlan.serial_run`.  Every
+repetition runs in the calling process; an opaque ``make_run`` callable
+runs once per repetition, in index order.
 """
 
 from __future__ import annotations
@@ -24,19 +24,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
-from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
 from ..common.validation import require, require_non_negative_int
 from ..core.count import LeaderElection, peak_initial_values
 from ..core.epoch import EpochConfig
 from ..core.functions import AggregationFunction, AverageFunction
 from ..simulator import make_simulator
-from ..simulator.async_engine import AsyncCountProtocol
-from ..simulator.asynchrony import (
-    LAN,
-    AsynchronyScenario,
-    build_async_count,
-)
+from ..simulator.async_engine import AsyncCountProtocol, build_async_count
+from ..simulator.asynchrony import LAN, AsynchronyScenario
 from ..simulator.epochs import EpochDriver, EpochedRunResult, FailureFactory
 from ..simulator.failures import FailureModel
 from ..simulator.metrics import SimulationTrace
@@ -83,7 +78,6 @@ def run_epoched_count(
     epoch_config: Optional[EpochConfig] = None,
     transport: TransportModel = PERFECT_TRANSPORT,
     failure_factory: FailureFactory = None,
-    engine: str = "vectorized",
     record_every: int = 1,
 ) -> EpochedRunResult:
     """Run the full practical protocol: adaptive multi-epoch COUNT.
@@ -94,9 +88,6 @@ def run_epoched_count(
     epochs through an :class:`~repro.simulator.epochs.EpochDriver`.  The
     returned :class:`~repro.simulator.epochs.EpochedRunResult` carries
     per-epoch size estimates, leader counts and synchronisation events.
-
-    ``engine`` names the cycle engine every epoch runs on:
-    ``"vectorized"`` (default) or ``"reference"``.
     """
     overlay = build_overlay(topology, size, rng.child("topology"))
     election = LeaderElection(
@@ -110,7 +101,6 @@ def run_epoched_count(
         rng=rng.child("epochs"),
         transport=transport,
         failure_factory=failure_factory,
-        engine=engine,
         record_every=record_every,
     )
     return driver.run(epochs)
@@ -172,17 +162,16 @@ def _default_collect(simulator) -> SimulationTrace:
 class RunPlan:
     """Declarative description of one repeated cycle-simulation scenario.
 
-    ``repeat_traces`` / ``repeat_simulations`` can only run an opaque
-    ``make_run`` callable once per repetition; they cannot *batch* it.
-    A plan states what one repetition does — topology, size,
-    cycles, values, transport, failures, post-processing — so the
-    repeat helpers can run all repetitions as one stacked
-    :class:`~repro.simulator.replicated.ReplicatedCycleSimulator`, or
-    one by one on request (``engine="serial"``, via :meth:`serial_run`,
-    byte-compatible with the historical closure-based runs).  Both paths
-    run on the array engine, so the function must implement the array
-    codec, and both consume the same per-repetition child streams, so
-    their results are bit-identical.
+    ``repeat_simulations`` can only run an opaque ``make_run`` callable
+    once per repetition; it cannot *batch* it.  A plan states what one
+    repetition does — topology, size, cycles, values, transport,
+    failures, post-processing — so the repeat helper runs all
+    repetitions as one stacked
+    :class:`~repro.simulator.replicated.ReplicatedCycleSimulator`.
+    :meth:`serial_run` runs one repetition on its own, from the same
+    per-repetition child streams, so its result is bit-identical to that
+    replica's.  Both run on the array engine, so the function must
+    implement the array codec.
 
     Attributes
     ----------
@@ -320,26 +309,11 @@ def _run_replicated(repeats: int, seed: int, plan: RunPlan) -> List[T]:
     return [plan.collect(view) for view in engine.views()]
 
 
-def repeat_traces(
-    repeats: int,
-    seed: int,
-    make_run: Optional[Callable[[int, RandomSource], SimulationTrace]] = None,
-    plan: Optional[RunPlan] = None,
-    engine: str = "auto",
-) -> List[SimulationTrace]:
-    """Run ``make_run`` ``repeats`` times with independent child seeds.
-
-    See :func:`repeat_simulations` for the plan-based replicated fast path.
-    """
-    return repeat_simulations(repeats, seed, make_run, plan=plan, engine=engine)
-
-
 def repeat_simulations(
     repeats: int,
     seed: int,
     make_run: Optional[Callable[[int, RandomSource], T]] = None,
     plan: Optional[RunPlan] = None,
-    engine: str = "auto",
 ) -> List[T]:
     """Generic repetition helper returning whatever ``make_run`` produces.
 
@@ -349,44 +323,42 @@ def repeat_simulations(
         Number of independent repetitions.
     seed:
         Root seed; repetition ``i`` receives the child stream
-        ``RandomSource(seed).child("run", i)``, so stacked and serial runs
-        are bit-identical and the list is ordered by repetition index.
+        ``RandomSource(seed).child("run", i)``, so the list is ordered by
+        repetition index and a plan's replica ``i`` is bit-identical to
+        ``plan.serial_run(i, RandomSource(seed).child("run", i))``.
     make_run:
         Callable building and running one repetition.  Mutually
-        exclusive with ``plan`` (which synthesises its own serial run).
+        exclusive with ``plan``.
     plan:
-        Optional :class:`RunPlan` describing the repetition
-        declaratively.  A plan runs all repetitions as one stacked
-        :class:`~repro.simulator.replicated.ReplicatedCycleSimulator`
-        — typically several times faster than serial repeats at small
-        N — with per-repetition results bit-identical to the serial path.
-    engine:
-        ``"auto"`` (default) and ``"replicated"`` stack the repetitions
-        of a plan (``"replicated"`` also requires one); ``"serial"``
-        forces the historical per-repetition path.
+        A :class:`RunPlan` describing the repetition declaratively; its
+        repetitions run as one stacked
+        :class:`~repro.simulator.replicated.ReplicatedCycleSimulator` —
+        typically several times faster than serial repeats at small N.
     """
     require_non_negative_int(repeats, "repeats")
-    if engine not in ("auto", "replicated", "serial"):
-        raise ConfigurationError(f"unknown engine {engine!r}")
-    if plan is None:
-        if make_run is None:
-            raise ConfigurationError("need either make_run or a plan")
-        if engine == "replicated":
-            raise ConfigurationError(
-                "engine='replicated' needs a RunPlan; an opaque make_run "
-                "callable cannot be batched"
-            )
-    else:
-        if make_run is not None:
-            # Ambiguous: the stacked path would use plan.collect while a
-            # serial run would use make_run, so the result shape would
-            # depend on the engine name.
-            raise ConfigurationError(
-                "pass either make_run or a plan, not both (put per-run "
-                "post-processing in the plan's collect)"
-            )
-        if engine != "serial":
-            return _run_replicated(repeats, seed, plan)
-        make_run = plan.serial_run
+    if plan is not None:
+        # Ambiguous: the stacked path uses plan.collect, so a make_run
+        # passed alongside would be silently ignored.
+        require(
+            make_run is None,
+            "pass either make_run or a plan, not both (put per-run "
+            "post-processing in the plan's collect)",
+        )
+        return _run_replicated(repeats, seed, plan)
+    require(make_run is not None, "need either make_run or a plan")
     root = RandomSource(seed)
     return [make_run(index, root.child("run", index)) for index in range(repeats)]
+
+
+def repeat_traces(
+    repeats: int,
+    seed: int,
+    make_run: Optional[Callable[[int, RandomSource], SimulationTrace]] = None,
+    plan: Optional[RunPlan] = None,
+) -> List[SimulationTrace]:
+    """:func:`repeat_simulations` for runs that produce traces.
+
+    A function rather than an alias, so a wrapper installed on
+    ``repeat_simulations`` also sees the calls made through this name.
+    """
+    return repeat_simulations(repeats, seed, make_run, plan=plan)

@@ -7,9 +7,10 @@ of :mod:`repro.simulator.replicated` driving the array codec.  The array
 engine has two entry points —
 :class:`~repro.simulator.vectorized.VectorizedCycleSimulator` for one run
 and :class:`~repro.simulator.replicated.ReplicatedCycleSimulator` for ``R``
-repetitions in one tensor.  :func:`make_simulator` builds the engine the
-caller names — ``"vectorized"`` (default) or ``"reference"`` — and never
-infers one.  Every overlay answers the same batched peer draw, so both
+repetitions in one tensor.  :data:`make_simulator` is the array engine's
+established name, ``VectorizedCycleSimulator`` itself; a caller that wants
+the reference engine constructs ``CycleSimulator`` with the same
+arguments.  Every overlay answers the same batched peer draw, so both
 engines run on every overlay.  The practical
 protocol runs on the cycle engines through
 :class:`~repro.simulator.epochs.EpochDriver` and on an asynchronous
@@ -23,29 +24,21 @@ The cycle engines share one failure surface: the paper's crash, sudden
 death and churn models, a partition outage
 (:class:`~repro.simulator.failures.PartitionOutageModel`) and byzantine
 reporters (:mod:`repro.simulator.adversarial`).  The asynchronous engine
-takes benign loss, drift and churn from an
-:class:`~repro.simulator.asynchrony.AsynchronyScenario`.
+takes benign latency, loss, drift and churn from one
+:class:`~repro.simulator.asynchrony.AsynchronyScenario`, its ``scenario``.
 """
 
-from typing import Optional
-
-from ..common.errors import ConfigurationError
-from ..common.rng import RandomSource
-from ..core.functions import AggregationFunction
-from ..topology.base import OverlayProvider
 from .async_engine import (
     AsyncAverageProtocol,
     AsyncCountProtocol,
     AsyncPracticalSimulator,
     AsyncProtocol,
-)
-from .asynchrony import (
-    AsynchronyScenario,
     build_async_average,
     build_async_count,
 )
+from .asynchrony import AsynchronyScenario
 from .adversarial import ByzantineReporterModel
-from .cycle_sim import CycleSimulator, InitialValues
+from .cycle_sim import CycleSimulator
 from .epochs import (
     EpochDriver,
     EpochRecord,
@@ -120,40 +113,6 @@ __all__ = [
 ]
 
 
-_ENGINES = {"vectorized": VectorizedCycleSimulator, "reference": CycleSimulator}
-
-
-def make_simulator(
-    overlay: OverlayProvider,
-    function: AggregationFunction,
-    initial_values: InitialValues,
-    rng: RandomSource,
-    transport: TransportModel = PERFECT_TRANSPORT,
-    failure_model: Optional[FailureModel] = None,
-    record_every: int = 1,
-    engine: str = "vectorized",
-    reachability: Optional[ReachabilityModel] = None,
-):
-    """Build the named cycle engine for one run.
-
-    Parameters match :class:`CycleSimulator`; ``engine`` is
-    ``"vectorized"`` (default, the array engine) or ``"reference"``.  The
-    caller names it — nothing is inferred.  Both engines consume
-    randomness through the same batched cycle-plan discipline, so the choice changes speed, not results: a given root
-    seed produces the same exchange schedule either way.
-    """
-    simulator_class = _ENGINES.get(engine)
-    if simulator_class is None:
-        raise ConfigurationError(
-            f"engine must be 'vectorized' or 'reference', got {engine!r}"
-        )
-    return simulator_class(
-        overlay=overlay,
-        function=function,
-        initial_values=initial_values,
-        rng=rng,
-        transport=transport,
-        failure_model=failure_model,
-        record_every=record_every,
-        reachability=reachability,
-    )
+#: The array engine under its established name (same arguments as
+#: ``CycleSimulator``, the reference engine).
+make_simulator = VectorizedCycleSimulator

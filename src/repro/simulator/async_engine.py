@@ -61,35 +61,30 @@ statistical validation against the cycle model in
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
-from ..common.validation import (
-    require_non_negative, require_non_negative_int, require_positive_int
-)
-from ..core.count import AdaptiveCount
+from ..common.validation import require, require_non_negative_int, require_positive_int
+from ..core.count import AdaptiveCount, LeaderElection
 from ..core.epoch import EpochConfig
 from ..core.functions import AggregationFunction, AverageFunction
 from ..topology.base import OverlayProvider
+from .asynchrony import LAN, AsynchronyScenario
 from .metrics import CycleRecord, SimulationTrace, estimate_statistics
 from .sampling import conflict_scratch, ordered_conflict_rounds
-from .transport import (
-    DelayModel,
-    OUTCOME_COMPLETED,
-    OUTCOME_DROPPED,
-    PERFECT_TRANSPORT,
-    TransportModel,
-    classify_async_exchanges,
-)
+from .transport import OUTCOME_COMPLETED, OUTCOME_DROPPED, classify_async_exchanges
 
 __all__ = [
     "AsyncProtocol",
     "AsyncAverageProtocol",
     "AsyncCountProtocol",
     "AsyncPracticalSimulator",
+    "build_async_average",
+    "build_async_count",
 ]
 
 # Event kinds in the per-window stream; the numeric order is the
@@ -138,9 +133,9 @@ class AsyncProtocol(abc.ABC):
         """The push–pull merge for same-epoch exchanges: the codec's."""
         return self.codec(epoch_id).merge_arrays(initiator_rows, responder_rows)
 
-    @abc.abstractmethod
     def estimate_rows(self, epoch_id: int, rows: np.ndarray) -> np.ndarray:
-        """Per-row scalar estimates (NaN/inf allowed) for reporting."""
+        """Per-row scalar estimates (NaN/inf allowed): the codec's."""
+        return self.codec(epoch_id).estimate_array(rows)
 
     @abc.abstractmethod
     def report(self, epoch_id: int, rows: np.ndarray, jumped: bool) -> None:
@@ -191,11 +186,9 @@ class AsyncAverageProtocol(AsyncProtocol):
             self.set_value(int(node_ids.max()), 0.0)
         return self._AVERAGE.initial_state_array(self._values[node_ids])
 
-    def estimate_rows(self, epoch_id: int, rows: np.ndarray) -> np.ndarray:
-        return rows[:, 0]
-
     def report(self, epoch_id: int, rows: np.ndarray, jumped: bool) -> None:
-        self.epoch_estimates.setdefault(epoch_id, []).extend(rows[:, 0].tolist())
+        estimates = self.estimate_rows(epoch_id, rows)
+        self.epoch_estimates.setdefault(epoch_id, []).extend(estimates.tolist())
 
 
 class AsyncCountProtocol(AdaptiveCount, AsyncProtocol):
@@ -234,19 +227,16 @@ class AsyncPracticalSimulator:
         Timing parameters δ, γ, Δ — all interpreted in *node-local* time
         and stretched per node by its drifted clock rate.
     rng:
-        Root randomness; drift, phases, peer selection, transport and
-        per-epoch election draw from named child streams.
-    delay_model / transport:
-        Latency (and timeout) and loss models applied per exchange.
-    clock_drift:
-        Maximum relative drift; each node's rate is uniform in
-        ``[1 - drift, 1 + drift]``.
+        Root randomness; drift, phases, peer selection, transport,
+        per-epoch election and per-window churn draw from named child
+        streams.
+    scenario:
+        The :class:`~repro.simulator.asynchrony.AsynchronyScenario`: its
+        latency and timeout (scaled by δ), message loss, clock drift (each
+        node's rate is uniform in ``[1 - drift, 1 + drift]``) and churn
+        per window.
     record_every:
         Cadence (in windows) of the cycle-equivalent trace records.
-    window_hook:
-        Optional callable ``(simulator, window_index, rng)`` run after
-        every window — the hook point for churn and other scenario
-        scripting.
     """
 
     def __init__(
@@ -255,27 +245,23 @@ class AsyncPracticalSimulator:
         protocol: AsyncProtocol,
         epoch_config: EpochConfig,
         rng: RandomSource,
-        delay_model: Optional[DelayModel] = None,
-        transport: TransportModel = PERFECT_TRANSPORT,
-        clock_drift: float = 0.0,
+        scenario: AsynchronyScenario = LAN,
         record_every: int = 1,
-        window_hook: Optional[Callable[["AsyncPracticalSimulator", int, RandomSource], None]] = None,
     ) -> None:
-        require_non_negative(clock_drift, "clock_drift")
         require_positive_int(record_every, "record_every")
         self._overlay = overlay
         self._protocol = protocol
         self._config = epoch_config
-        self._delay_model = delay_model or DelayModel()
-        self._transport = transport
-        self._drift = clock_drift
+        self._delay_model = scenario.delay_model(epoch_config.cycle_length)
+        self._transport = scenario.transport()
+        self._drift = scenario.clock_drift
+        self._churn = scenario.churn_per_window
         self._rng = rng
         self._selection_rng = rng.child("selection")
         self._transport_rng = rng.child("transport")
         self._overlay_rng = rng.child("overlay")
         self._drift_rng = rng.child("drift")
         self._phase_rng = rng.child("phase")
-        self._window_hook = window_hook
         self._record_every = record_every
 
         node_ids = np.asarray(sorted(overlay.node_ids()), dtype=np.int64)
@@ -285,11 +271,12 @@ class AsyncPracticalSimulator:
         self._next_node_id = self._capacity
 
         self._alive = np.zeros(self._capacity, dtype=bool)
-        self._active = np.zeros(self._capacity, dtype=bool)
         self._rates = np.ones(self._capacity, dtype=np.float64)
         self._start_time = np.zeros(self._capacity, dtype=np.float64)
         self._next_tick = np.full(self._capacity, np.inf, dtype=np.float64)
         self._next_restart = np.full(self._capacity, np.inf, dtype=np.float64)
+        # The one per-node epoch state: the epoch a node is in, -1 for none
+        # (a node is active, i.e. in some epoch, iff its entry is >= 0).
         self._epoch_of = np.full(self._capacity, -1, dtype=np.int64)
         self._scratch = conflict_scratch(self._capacity)
         # Per-window flag: nodes whose pending restart event was voided by
@@ -307,7 +294,6 @@ class AsyncPracticalSimulator:
         )
 
         self._epoch_states: Dict[int, np.ndarray] = {}
-        self._epoch_members: Dict[int, np.ndarray] = {}
         self._newest_epoch = -1
 
         self._now = 0.0
@@ -367,7 +353,7 @@ class AsyncPracticalSimulator:
 
     def active_ids(self) -> np.ndarray:
         """Identifiers of nodes currently participating in some epoch."""
-        return np.flatnonzero(self._active)
+        return np.flatnonzero(self._epoch_of >= 0)
 
     def epoch_of(self, node_id: int) -> int:
         """The epoch ``node_id`` currently participates in (-1 when none)."""
@@ -377,22 +363,18 @@ class AsyncPracticalSimulator:
 
     def active_epochs(self) -> List[int]:
         """Epochs that currently have members, oldest first."""
-        return sorted(
-            epoch
-            for epoch, members in self._epoch_members.items()
-            if bool(members.any())
-        )
+        return np.unique(self._epoch_of[self._epoch_of >= 0]).tolist()
 
     def epoch_member_ids(self, epoch_id: int) -> np.ndarray:
         """Identifiers of the nodes currently inside ``epoch_id``."""
-        return np.flatnonzero(self._epoch_members[epoch_id])
+        return np.flatnonzero(self._epoch_of == epoch_id)
 
     def current_estimates(self) -> np.ndarray:
         """Estimates of the nodes in the *dominant* (most populated) epoch."""
         epoch = self._dominant_epoch()
         if epoch is None:
             return np.empty(0, dtype=np.float64)
-        members = np.flatnonzero(self._epoch_members[epoch])
+        members = self.epoch_member_ids(epoch)
         return self._protocol.estimate_rows(epoch, self._epoch_states[epoch][members])
 
     def clock_rate(self, node_id: int) -> float:
@@ -412,12 +394,8 @@ class AsyncPracticalSimulator:
             if not (0 <= node_id < self._capacity) or not self._alive[node_id]:
                 continue
             self._alive[node_id] = False
-            self._active[node_id] = False
             self._next_tick[node_id] = np.inf
             self._next_restart[node_id] = np.inf
-            epoch = int(self._epoch_of[node_id])
-            if epoch >= 0:
-                self._epoch_members[epoch][node_id] = False
             self._epoch_of[node_id] = -1
             self._overlay.on_node_removed(node_id)
 
@@ -440,7 +418,6 @@ class AsyncPracticalSimulator:
             self._ensure_capacity(node_id)
             self._overlay.on_node_added(node_id, rng)
             self._alive[node_id] = True
-            self._active[node_id] = False
             self._rates[node_id] = self._draw_rates(rng, 1)[0]
             self._start_time[node_id] = boundary
             phase = rng.uniform(0.0, self._config.cycle_length)
@@ -471,6 +448,7 @@ class AsyncPracticalSimulator:
         :meth:`~repro.core.epoch.EpochConfig.cycle_for_time`; a partial
         final window is completed, never truncated.
         """
+        require(math.isfinite(end_time), f"end_time must be finite, got {end_time!r}")
         target = self._config.cycle_for_time(max(end_time, self._now))
         if end_time > target * self._config.cycle_length:
             target += 1
@@ -495,7 +473,6 @@ class AsyncPracticalSimulator:
             return grown
 
         self._alive = grow(self._alive, False)
-        self._active = grow(self._active, False)
         self._rates = grow(self._rates, 1.0)
         self._start_time = grow(self._start_time, 0.0)
         self._next_tick = grow(self._next_tick, np.inf)
@@ -507,7 +484,6 @@ class AsyncPracticalSimulator:
             grown = np.zeros((new_capacity, states.shape[1]), dtype=np.float64)
             grown[: states.shape[0]] = states
             self._epoch_states[epoch] = grown
-            self._epoch_members[epoch] = grow(self._epoch_members[epoch], False)
         self._capacity = new_capacity
 
     def _create_epoch(self, epoch_id: int) -> None:
@@ -515,14 +491,12 @@ class AsyncPracticalSimulator:
             epoch_id, np.flatnonzero(self._alive), self._rng.child("epoch", epoch_id)
         )
         self._epoch_states[epoch_id] = np.zeros((self._capacity, width), dtype=np.float64)
-        self._epoch_members[epoch_id] = np.zeros(self._capacity, dtype=bool)
         self._newest_epoch = max(self._newest_epoch, epoch_id)
 
     def _enter_epoch(self, epoch_id: int, nodes: np.ndarray) -> None:
         if epoch_id not in self._epoch_states:
             self._create_epoch(epoch_id)
         self._epoch_states[epoch_id][nodes] = self._protocol.enter_rows(epoch_id, nodes)
-        self._epoch_members[epoch_id][nodes] = True
         self._epoch_of[nodes] = epoch_id
 
     def _enter_grouped(self, targets: np.ndarray, nodes: np.ndarray) -> None:
@@ -530,6 +504,7 @@ class AsyncPracticalSimulator:
             self._enter_epoch(int(epoch), nodes[targets == epoch])
 
     def _leave_epoch(self, nodes: np.ndarray, jumped: bool) -> None:
+        # Reports only: the caller's next _enter_* moves their _epoch_of.
         epochs = self._epoch_of[nodes]
         for epoch in np.unique(epochs):
             if epoch < 0:
@@ -537,29 +512,33 @@ class AsyncPracticalSimulator:
             leaving = nodes[epochs == epoch]
             epoch_id = int(epoch)
             self._protocol.report(epoch_id, self._epoch_states[epoch_id][leaving], jumped)
-            self._epoch_members[epoch_id][leaving] = False
 
     def _activate(self, nodes: np.ndarray) -> None:
-        self._active[nodes] = True
         self.statistics["activations"] += int(nodes.size)
         self._enter_epoch(max(self._newest_epoch, 0), nodes)
 
     def _collect_garbage_epochs(self) -> None:
-        for epoch in list(self._epoch_states):
-            if epoch < self._newest_epoch and not self._epoch_members[epoch].any():
+        for epoch in [epoch for epoch in self._epoch_states if epoch < self._newest_epoch]:
+            if not (self._epoch_of == epoch).any():
                 del self._epoch_states[epoch]
-                del self._epoch_members[epoch]
 
     def _dominant_epoch(self) -> Optional[int]:
-        best: Optional[int] = None
-        best_count = 0
-        for epoch, members in self._epoch_members.items():
-            count = int(np.count_nonzero(members))
-            # Prefer the newer epoch on ties so records track progress.
-            if count > best_count or (count == best_count and count > 0 and (best is None or epoch > best)):
-                best = epoch
-                best_count = count
-        return best
+        """The most populated epoch, the newest on ties (``None`` when empty)."""
+        counts = np.bincount(self._epoch_of[self._epoch_of >= 0])
+        if not counts.size:
+            return None
+        # Prefer the newer epoch on ties so records track progress.
+        return int(counts.size - 1 - np.argmax(counts[::-1]))
+
+    def _apply_churn(self) -> None:
+        """Swap up to ``churn_per_window`` active nodes (one survives) for joiners."""
+        rng = self._rng.child("window", self._window_index)
+        active = self.active_ids()
+        count = min(self._churn, max(0, active.size - 1))
+        if count > 0:
+            victims = active[rng.sample_indices(active.size, count)]
+            self.crash_nodes(victims)
+            self.add_nodes(count, rng)
 
     # ------------------------------------------------------------------
     # Internals: the window
@@ -575,13 +554,14 @@ class AsyncPracticalSimulator:
         kinds: List[np.ndarray] = []
 
         # Boot events for joined nodes whose start falls here.
-        starting_mask = self._alive & ~self._active & (self._start_time < t1)
+        active = self._epoch_of >= 0
+        starting_mask = self._alive & ~active & (self._start_time < t1)
         starting = np.flatnonzero(starting_mask)
         if starting.size:
             times.append(self._start_time[starting])
             nodes.append(starting)
             kinds.append(np.full(starting.size, _KIND_START, dtype=np.int64))
-        runnable = self._active | starting_mask
+        runnable = active | starting_mask
 
         # Epoch restarts (a node's own periodic timer; at most a couple
         # per window since Δ ≥ δ in any sane configuration).
@@ -617,8 +597,8 @@ class AsyncPracticalSimulator:
         self._now = t1
         self._window_index += 1
         self._overlay.after_cycle(self._overlay_rng)
-        if self._window_hook is not None:
-            self._window_hook(self, self._window_index, self._rng.child("window", self._window_index))
+        if self._churn:
+            self._apply_churn()
         self._collect_garbage_epochs()
         if self._window_index % self._record_every == 0:
             self._record_window(self._window_index)
@@ -660,7 +640,7 @@ class AsyncPracticalSimulator:
         )
         # A peer that crashed or has not booted yet refuses the exchange
         # (the stale-cache / joining-node timeout of Section 4.2).
-        peer_ok &= self._active[np.where(peer_ok, peers, 0)]
+        peer_ok &= self._epoch_of[np.where(peer_ok, peers, 0)] >= 0
         usable = ~is_tick | (peer_ok & (outcomes != OUTCOME_DROPPED))
         self.statistics["no_peer"] += int(np.count_nonzero(is_tick & ~peer_ok))
         self.statistics["dropped"] += int(
@@ -808,7 +788,7 @@ class AsyncPracticalSimulator:
     def _record_window(self, window_index: int) -> None:
         epoch = self._dominant_epoch()
         if epoch is not None:
-            members = np.flatnonzero(self._epoch_members[epoch])
+            members = self.epoch_member_ids(epoch)
             estimates = self._protocol.estimate_rows(
                 epoch, self._epoch_states[epoch][members]
             )
@@ -845,3 +825,54 @@ class AsyncPracticalSimulator:
             f"AsyncPracticalSimulator(nodes={int(np.count_nonzero(self._alive))}, "
             f"t={self._now:.2f}, epochs={self.active_epochs()})"
         )
+
+
+# ----------------------------------------------------------------------
+# Builders
+# ----------------------------------------------------------------------
+def build_async_average(
+    overlay: OverlayProvider,
+    values: Dict[int, float],
+    rng: RandomSource,
+    scenario: AsynchronyScenario = LAN,
+    epoch_config: Optional[EpochConfig] = None,
+    record_every: int = 1,
+) -> Tuple[AsyncPracticalSimulator, AsyncAverageProtocol]:
+    """An asynchronous AVERAGE run under the given scenario."""
+    protocol = AsyncAverageProtocol(values)
+    simulator = AsyncPracticalSimulator(
+        overlay,
+        protocol,
+        epoch_config or EpochConfig(cycles_per_epoch=1_000_000),
+        rng,
+        scenario=scenario,
+        record_every=record_every,
+    )
+    return simulator, protocol
+
+
+def build_async_count(
+    overlay: OverlayProvider,
+    rng: RandomSource,
+    scenario: AsynchronyScenario = LAN,
+    epoch_config: Optional[EpochConfig] = None,
+    concurrent_target: float = 20.0,
+    initial_estimate: Optional[float] = None,
+    record_every: int = 1,
+) -> Tuple[AsyncPracticalSimulator, AsyncCountProtocol]:
+    """The full asynchronous practical protocol: adaptive epoched COUNT."""
+    size = overlay.size()
+    election = LeaderElection(
+        concurrent_target=concurrent_target,
+        estimated_size=float(initial_estimate if initial_estimate is not None else size),
+    )
+    protocol = AsyncCountProtocol(election)
+    simulator = AsyncPracticalSimulator(
+        overlay,
+        protocol,
+        epoch_config or EpochConfig(),
+        rng,
+        scenario=scenario,
+        record_every=record_every,
+    )
+    return simulator, protocol

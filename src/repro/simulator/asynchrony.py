@@ -3,8 +3,10 @@
 The paper's practical protocol is specified against an asynchronous
 network — latencies, exchange timeouts, per-node clock drift, churn,
 message loss.  This module packages those axes into one
-declarative :class:`AsynchronyScenario` record and builds the matching
-:class:`~repro.simulator.async_engine.AsyncPracticalSimulator` runs.
+declarative :class:`AsynchronyScenario` record, the one configuration of
+:class:`~repro.simulator.async_engine.AsyncPracticalSimulator` (whose
+module also holds the two run builders, ``build_async_average`` and
+``build_async_count``).
 
 Scenario axes:
 
@@ -19,7 +21,7 @@ Scenario axes:
 * **Loss** — per-message omission ``P_m`` exactly as in the cycle
   engines.
 * **Churn** — a fixed number of crash+join pairs per cycle-equivalent
-  window, applied through the engine's window hook; joiners boot at the
+  window, applied by the engine after each window; joiners boot at the
   next epoch boundary.
 
 Three presets cover the library's runs: :data:`LAN` (the default),
@@ -31,31 +33,14 @@ once).  Build custom scenarios with
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
 
 from ..common.errors import ConfigurationError
-from ..common.rng import RandomSource
 from ..common.validation import (
     require_non_negative, require_non_negative_int, require_probability
 )
-from ..core.count import LeaderElection
-from ..core.epoch import EpochConfig
-from ..topology.base import OverlayProvider
-from .async_engine import (
-    AsyncAverageProtocol,
-    AsyncCountProtocol,
-    AsyncPracticalSimulator,
-)
 from .transport import DelayModel, TransportModel
 
-__all__ = [
-    "AsynchronyScenario",
-    "LAN",
-    "WAN",
-    "HOSTILE",
-    "build_async_average",
-    "build_async_count",
-]
+__all__ = ["AsynchronyScenario", "LAN", "WAN", "HOSTILE"]
 
 
 @dataclass(frozen=True)
@@ -63,7 +48,7 @@ class AsynchronyScenario:
     """One bundle of asynchrony impairments, expressed in cycle units.
 
     All times are fractions of the nominal cycle length δ = 1; the
-    builders scale them by the :class:`~repro.core.epoch.EpochConfig` in
+    engine scales them by the :class:`~repro.core.epoch.EpochConfig` in
     use.
     """
 
@@ -108,22 +93,6 @@ class AsynchronyScenario:
         """A copy of this scenario with selected fields replaced."""
         return replace(self, **overrides)
 
-    def window_hook(self):
-        """The engine window hook applying churn (``None`` when off)."""
-        churn = self.churn_per_window
-        if churn <= 0:
-            return None
-
-        def hook(simulator: AsyncPracticalSimulator, window_index: int, rng: RandomSource) -> None:
-            active = simulator.active_ids()
-            count = min(churn, max(0, active.size - 1))
-            if count > 0:
-                victims = active[rng.sample_indices(active.size, count)]
-                simulator.crash_nodes(victims)
-                simulator.add_nodes(count, rng)
-
-        return hook
-
     def label(self) -> str:
         """Compact human-readable description used in reports."""
         parts = [self.name, self.latency]
@@ -162,61 +131,3 @@ HOSTILE = AsynchronyScenario(
     churn_per_window=1,
 )
 
-
-# ----------------------------------------------------------------------
-# Builders
-# ----------------------------------------------------------------------
-def build_async_average(
-    overlay: OverlayProvider,
-    values: Dict[int, float],
-    rng: RandomSource,
-    scenario: AsynchronyScenario = LAN,
-    epoch_config: Optional[EpochConfig] = None,
-    record_every: int = 1,
-) -> Tuple[AsyncPracticalSimulator, AsyncAverageProtocol]:
-    """An asynchronous AVERAGE run under the given scenario."""
-    config = epoch_config or EpochConfig(cycles_per_epoch=1_000_000)
-    protocol = AsyncAverageProtocol(values)
-    simulator = AsyncPracticalSimulator(
-        overlay=overlay,
-        protocol=protocol,
-        epoch_config=config,
-        rng=rng,
-        delay_model=scenario.delay_model(config.cycle_length),
-        transport=scenario.transport(),
-        clock_drift=scenario.clock_drift,
-        record_every=record_every,
-        window_hook=scenario.window_hook(),
-    )
-    return simulator, protocol
-
-
-def build_async_count(
-    overlay: OverlayProvider,
-    rng: RandomSource,
-    scenario: AsynchronyScenario = LAN,
-    epoch_config: Optional[EpochConfig] = None,
-    concurrent_target: float = 20.0,
-    initial_estimate: Optional[float] = None,
-    record_every: int = 1,
-) -> Tuple[AsyncPracticalSimulator, AsyncCountProtocol]:
-    """The full asynchronous practical protocol: adaptive epoched COUNT."""
-    config = epoch_config or EpochConfig()
-    size = overlay.size()
-    election = LeaderElection(
-        concurrent_target=concurrent_target,
-        estimated_size=float(initial_estimate if initial_estimate is not None else size),
-    )
-    protocol = AsyncCountProtocol(election)
-    simulator = AsyncPracticalSimulator(
-        overlay=overlay,
-        protocol=protocol,
-        epoch_config=config,
-        rng=rng,
-        delay_model=scenario.delay_model(config.cycle_length),
-        transport=scenario.transport(),
-        clock_drift=scenario.clock_drift,
-        record_every=record_every,
-        window_hook=scenario.window_hook(),
-    )
-    return simulator, protocol

@@ -29,7 +29,7 @@ is the scalar oracle the array engine's parity suites compare against.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
 from .failures import FailureModel, failure_model_or_default
 from .metrics import CycleRecord, SimulationTrace, estimate_statistics
+from .replicated import InitialValues, normalise_initial_values
 from .sampling import draw_cycle_plan
 from .transport import (
     OUTCOME_DROPPED,
@@ -49,26 +50,7 @@ from .transport import (
     apply_reachability,
 )
 
-__all__ = ["CycleSimulator", "InitialValues", "normalise_initial_values"]
-
-InitialValues = Union[Sequence[Any], Mapping[int, Any]]
-
-
-def normalise_initial_values(
-    initial_values: InitialValues, node_ids: Iterable[int]
-) -> Dict[int, Any]:
-    """``initial_values`` as a mapping covering every id in ``node_ids``."""
-    if isinstance(initial_values, Mapping):
-        values = dict(initial_values)
-    else:
-        values = {index: value for index, value in enumerate(initial_values)}
-    missing = [node for node in node_ids if node not in values]
-    if missing:
-        raise ConfigurationError(
-            f"initial values missing for {len(missing)} nodes (e.g. {missing[:5]})"
-        )
-    return values
-
+__all__ = ["CycleSimulator"]
 
 class CycleSimulator:
     """Run the push–pull aggregation protocol over an overlay, cycle by cycle.

@@ -5,9 +5,11 @@ The building blocks live in :mod:`repro.core` — epoch timing
 (:class:`~repro.core.count.LeaderElection`) and the map-based COUNT
 (:class:`~repro.core.count.CountArrayFunction`).  The
 :class:`EpochDriver` drives them through consecutive epochs of the
-size-monitoring protocol of Sections 4.1/4.3/5.  Its epoch body is one
-and the same on both cycle engines; ``engine`` only names the cycle
-simulator each epoch runs on:
+size-monitoring protocol of Sections 4.1/4.3/5.  Every epoch runs on the
+array engine, :class:`~repro.simulator.vectorized.VectorizedCycleSimulator`
+(the class attribute ``_simulator``; a subclass that sets it to the
+reference :class:`~repro.simulator.cycle_sim.CycleSimulator` runs the same
+epoch body one exchange at a time):
 
 1. **Epoch synchronisation.**  Every node's epoch identifier lives in
    one per-node vector, and one batched array pass applies the epidemic
@@ -51,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..analysis.theory import PUSH_PULL_CONVERGENCE_FACTOR
-from ..common.errors import ConfigurationError, SimulationError
+from ..common.errors import SimulationError
 from ..common.rng import RandomSource
 from ..common.validation import require, require_non_negative_int, require_positive_int
 from ..core.count import AdaptiveCount, CountEpochRecord, LeaderElection
@@ -59,6 +61,7 @@ from ..core.epoch import EpochConfig, cycles_for_accuracy
 from ..topology.base import OverlayProvider
 from .failures import FailureModel
 from .transport import PERFECT_TRANSPORT, TransportModel
+from .vectorized import VectorizedCycleSimulator
 
 __all__ = [
     "EpochRecord",
@@ -148,20 +151,18 @@ class EpochDriver:
         Timing parameters (γ, δ, Δ); see :func:`epoch_config_for_accuracy`.
     rng:
         Root randomness; epoch ``e`` uses the child streams
-        ``rng.child("election", e)`` and ``rng.child("epoch", e)``, so the
-        two engines draw identically from one seed.
+        ``rng.child("election", e)`` and ``rng.child("epoch", e)``, so
+        either cycle engine draws identically from one seed.
     transport / failure_factory:
         Communication and node-failure models applied within every epoch;
         ``failure_factory`` may be a shared stateless model or a callable
         receiving the epoch id (for models with per-run state).
-    engine:
-        The cycle simulator every epoch runs on, named by the caller:
-        ``"vectorized"`` (default, array COUNT rows) or ``"reference"``
-        (dict COUNT maps, one exchange at a time).  It picks nothing
-        else; every overlay supports both.
     record_every:
         Per-cycle metrics cadence inside each epoch.
     """
+
+    #: The cycle engine every epoch runs on.
+    _simulator = VectorizedCycleSimulator
 
     def __init__(
         self,
@@ -171,13 +172,8 @@ class EpochDriver:
         rng: RandomSource,
         transport: TransportModel = PERFECT_TRANSPORT,
         failure_factory: FailureFactory = None,
-        engine: str = "vectorized",
         record_every: int = 1,
     ) -> None:
-        if engine not in ("vectorized", "reference"):
-            raise ConfigurationError(
-                f"engine must be 'vectorized' or 'reference', got {engine!r}"
-            )
         require(
             failure_factory is None
             or isinstance(failure_factory, FailureModel)
@@ -192,7 +188,6 @@ class EpochDriver:
         self._rng = rng
         self._transport = transport
         self._failure_factory = failure_factory
-        self._engine = engine
         self._record_every = record_every
 
         self._time = 0.0
@@ -208,11 +203,6 @@ class EpochDriver:
     # ------------------------------------------------------------------
     # Public accessors
     # ------------------------------------------------------------------
-    @property
-    def engine(self) -> str:
-        """Which cycle engine the driver runs epochs on."""
-        return self._engine
-
     @property
     def overlay(self) -> OverlayProvider:
         """The overlay shared by every epoch."""
@@ -255,10 +245,7 @@ class EpochDriver:
         function = self._count.open_epoch(
             epoch_id, alive, self._rng.child("election", epoch_id)
         )
-        # Deferred import: the package init loads this module first.
-        from . import make_simulator
-
-        simulator = make_simulator(
+        simulator = self._simulator(
             overlay=self._overlay,
             function=function,
             initial_values=dict(zip(alive, function.leader_values(alive).tolist())),
@@ -266,7 +253,6 @@ class EpochDriver:
             transport=self._transport,
             failure_model=self._build_failure_model(epoch_id),
             record_every=self._record_every,
-            engine=self._engine,
         )
         cycles = self._config.cycles_per_epoch
         simulator.run(cycles)

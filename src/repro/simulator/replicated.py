@@ -41,8 +41,9 @@ Each cycle
 Bit-identity contract
 ---------------------
 Each replica keeps its *own* random streams: replica ``r`` is
-constructed from the same ``root.child("run", r)`` stream the serial
-``repeat_traces`` helper hands to run ``r``, and every cycle draws that
+constructed from the same ``root.child("run", r)`` stream
+:meth:`~repro.experiments.runner.RunPlan.serial_run` takes for run ``r``
+alone, and every cycle draws that
 replica's plan and failure injections from those streams through the
 very same code paths.  Only the *execution* is fused: replicas are
 node-disjoint, so the stacked conflict rounds refine into exactly the
@@ -55,8 +56,8 @@ exchange schedule and node states* as the reference engine, traces
 agreeing to within floating-point summation order.  The equivalence
 suites assert both, run for run.
 
-Use :func:`~repro.simulator.make_simulator` for a single run and
-:func:`~repro.experiments.runner.repeat_traces` with a
+Use :data:`~repro.simulator.make_simulator` for a single run and
+:func:`~repro.experiments.runner.repeat_simulations` with a
 :class:`~repro.experiments.runner.RunPlan` for repeats.  Every overlay
 offers the batched peer draw and every aggregation function carries the
 array codec, so this engine runs every scenario the reference engine
@@ -66,7 +67,7 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,7 +76,6 @@ from ..common.rng import RandomSource
 from ..common.validation import require_non_negative_int, require_positive_int
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
-from .cycle_sim import InitialValues, normalise_initial_values
 from .failures import FailureModel, failure_model_or_default
 from .metrics import CycleRecord, SimulationTrace, estimate_statistics
 from .sampling import (
@@ -90,6 +90,8 @@ from .transport import (
 )
 
 __all__ = [
+    "InitialValues",
+    "normalise_initial_values",
     "ReplicaConfig",
     "StackedCycleEngine",
     "ReplicatedCycleSimulator",
@@ -97,6 +99,25 @@ __all__ = [
     "effective_exchange_filter",
     "apply_merge_rounds",
 ]
+
+InitialValues = Union[Sequence[Any], Mapping[int, Any]]
+
+
+def normalise_initial_values(
+    initial_values: InitialValues, node_ids: Iterable[int]
+) -> Dict[int, Any]:
+    """``initial_values`` as a mapping covering every id in ``node_ids``."""
+    if isinstance(initial_values, Mapping):
+        values = dict(initial_values)
+    else:
+        values = {index: value for index, value in enumerate(initial_values)}
+    missing = [node for node in node_ids if node not in values]
+    if missing:
+        raise ConfigurationError(
+            f"initial values missing for {len(missing)} nodes (e.g. {missing[:5]})"
+        )
+    return values
+
 
 
 def effective_exchange_filter(

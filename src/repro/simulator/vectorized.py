@@ -11,8 +11,9 @@ ones :mod:`repro.simulator.replicated` defines for ``R`` stacked runs.
 
 A run from a given root seed produces the same exchange schedule and the
 same node states as the reference engine — traces agree to within
-floating-point summation order.  It is the default engine of
-:func:`~repro.simulator.make_simulator` and runs on every overlay.
+floating-point summation order.  It is
+:data:`~repro.simulator.make_simulator`, the library's single-run engine,
+and runs on every overlay.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from typing import Optional
 from ..common.rng import RandomSource
 from ..core.functions import AggregationFunction
 from ..topology.base import OverlayProvider
-from .cycle_sim import InitialValues
 from .failures import FailureModel
 from .metrics import CycleRecord, SimulationTrace
 from .replicated import (
+    InitialValues,
     ReplicaConfig,
     ReplicaView,
     StackedCycleEngine,

@@ -23,7 +23,7 @@ from repro.experiments.runner import (
     repeat_simulations,
     uniform_initial_values,
 )
-from repro.simulator import make_simulator
+from repro.simulator import CycleSimulator, VectorizedCycleSimulator, make_simulator
 from repro.simulator.adversarial import ByzantineReporterModel
 from repro.simulator.failures import PartitionOutageModel
 from repro.simulator.transport import (
@@ -43,7 +43,7 @@ SIZE = 80
 
 
 def build_simulator(
-    engine="reference",
+    engine=CycleSimulator,
     size=SIZE,
     seed=11,
     cycles=0,
@@ -57,12 +57,11 @@ def build_simulator(
     overlay = build_overlay(
         topology or TopologySpec("random", degree=6), size, rng.child("topology")
     )
-    simulator = make_simulator(
+    simulator = engine(
         overlay=overlay,
         function=function or AverageFunction(),
         initial_values=values if values is not None else [float(i % 17) for i in range(size)],
         rng=rng.child("sim"),
-        engine=engine,
         failure_model=failure_model,
         reachability=reachability,
     )
@@ -80,7 +79,7 @@ def assert_engines_bit_identical(make_failure=None, reachability=None, cycles=10
             reachability=reachability,
             **kwargs,
         )
-        for engine in ("reference", "vectorized")
+        for engine in (CycleSimulator, VectorizedCycleSimulator)
     )
     assert reference.participant_ids() == vectorized.participant_ids()
     assert np.array_equal(reference.state_array(), vectorized.state_array())
@@ -175,17 +174,20 @@ class TestByzantineEngineParity:
             values=uniform_initial_values,
             failure_factory=lambda: ByzantineReporterModel(0.1),
         )
-        replicated = repeat_simulations(3, 21, plan=plan, engine="replicated")
-        serial = repeat_simulations(3, 21, plan=plan, engine="serial")
+        replicated = repeat_simulations(3, 21, plan=plan)
+        root = RandomSource(21)
+        serial = [plan.serial_run(index, root.child("run", index)) for index in range(3)]
         for fast, slow in zip(replicated, serial):
             assert fast.records[-1].variance == slow.records[-1].variance
 
     def test_override_values_rejects_non_participants(self):
-        simulator = build_simulator(engine="vectorized")
+        simulator = build_simulator(engine=VectorizedCycleSimulator)
         with pytest.raises(SimulationError):
             simulator.override_values([SIZE + 5], np.zeros((1, 1)))
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize(
+        "engine", [CycleSimulator, VectorizedCycleSimulator], ids=["reference", "vectorized"]
+    )
     def test_rejected_override_writes_nothing(self, engine, node_row):
         # Regression: the reference engine wrote node 3, then raised on the
         # crashed node 7, leaving a half-applied forgery behind.
@@ -280,7 +282,7 @@ class TestPartitionEngineBehaviour:
         # between the side means cannot move.
         reachability = PartitionOutageModel(boundary=SIZE // 2, start_cycle=1, heal_cycle=100)
         simulator = build_simulator(
-            engine="vectorized", reachability=reachability, cycles=15
+            engine=VectorizedCycleSimulator, reachability=reachability, cycles=15
         )
         ids = np.asarray(simulator.participant_ids())
         states = np.array(simulator.state_array(), dtype=float).reshape(ids.size, -1)[:, 0]

@@ -30,15 +30,10 @@ from repro.simulator import make_simulator
 from repro.simulator.async_engine import (
     AsyncAverageProtocol,
     AsyncCountProtocol,
-)
-from repro.simulator.asynchrony import (
-    HOSTILE,
-    LAN,
-    WAN,
-    AsynchronyScenario,
     build_async_average,
     build_async_count,
 )
+from repro.simulator.asynchrony import HOSTILE, LAN, WAN, AsynchronyScenario
 from repro.simulator.epochs import EpochDriver
 from repro.simulator.transport import DelayModel, TransportModel
 from repro.topology import TopologySpec, build_overlay

@@ -30,9 +30,11 @@ from repro.simulator.async_engine import (
     AsyncAverageProtocol,
     AsyncCountProtocol,
     AsyncPracticalSimulator,
+    build_async_average,
+    build_async_count,
 )
-from repro.simulator.asynchrony import LAN, build_async_average, build_async_count
-from repro.simulator.transport import DelayModel, TransportModel
+from repro.simulator.asynchrony import LAN, AsynchronyScenario
+from repro.simulator.transport import DelayModel
 from repro.topology import TopologySpec, build_overlay
 from repro.topology.complete import CompleteOverlay
 
@@ -123,6 +125,17 @@ class TestAdapterCodec:
         rows = protocol.enter_rows(0, np.array([2, 0]))
         assert rows.shape == (2, 1)
         assert rows[:, 0].tolist() == [7.0, 1.5]
+
+    def test_average_estimates_are_the_codec_estimates(self):
+        # No restatement of the codec: the adapter inherits the default.
+        assert "estimate_rows" not in vars(AsyncAverageProtocol)
+        protocol = AsyncAverageProtocol(node_values(4))
+        rows = np.random.default_rng(3).normal(size=(5, 1))
+        assert np.array_equal(
+            protocol.estimate_rows(0, rows), AverageFunction().estimate_array(rows)
+        )
+        protocol.report(0, rows, jumped=False)
+        assert protocol.epoch_estimates[0] == rows[:, 0].tolist()
 
     def test_unvalued_node_enters_with_zero(self):
         protocol = AsyncAverageProtocol({0: 1.0, 1: 2.0})
@@ -313,6 +326,35 @@ class TestEpochLifecycle:
         assert simulator.active_epochs() == [2]
         assert simulator.epoch_member_ids(2).size == SIZE
 
+    def test_membership_views_agree_under_drift_and_churn(self):
+        # One per-node epoch vector answers every membership question.
+        scenario = LAN.with_overrides(clock_drift=0.05, churn_per_window=2)
+        simulator, _ = build_average(cycles_per_epoch=4, scenario=scenario)
+        for _ in range(30):
+            simulator.run(1)
+            active = simulator.active_ids()
+            epochs = simulator.active_epochs()
+            members = [simulator.epoch_member_ids(epoch) for epoch in epochs]
+            assert np.array_equal(np.sort(np.concatenate(members)), active)
+            assert all(simulator.epoch_of(int(node)) == epoch
+                       for epoch, ids in zip(epochs, members) for node in ids)
+            counts = [ids.size for ids in members]
+            dominant = max(zip(counts, epochs))  # newest of the most populated
+            assert simulator.trace.final.participant_count == dominant[0]
+            assert simulator.current_estimates().size == dominant[0]
+            # Only epochs with members, and the newest one, keep state rows.
+            assert set(simulator._epoch_states) <= set(epochs) | {max(simulator._epoch_states)}
+
+    def test_dominant_epoch_is_the_newest_of_the_most_populated(self):
+        simulator, _ = build_average()
+        epoch_of = simulator._epoch_of
+        epoch_of[: SIZE // 2], epoch_of[SIZE // 2 :] = 3, 1
+        assert simulator._dominant_epoch() == 3
+        epoch_of[0] = 1
+        assert simulator._dominant_epoch() == 1
+        epoch_of[:] = -1
+        assert simulator._dominant_epoch() is None
+
     def test_count_records_every_reporter(self):
         rng = RandomSource(21)
         simulator, protocol = build_async_count(
@@ -402,11 +444,11 @@ class TestRobustness:
         assert stats["dropped"] + stats["no_peer"] == stats["ticks"] == 5 * SIZE
         assert simulator.current_estimates().tolist() == [float(n) for n in range(SIZE)]
 
-    def test_link_failure_drops_without_state_change(self):
+    def test_dropped_requests_leave_states_alone(self):
         simulator = simulator_with(
             AsyncAverageProtocol(node_values()),
             seed=9,
-            transport=TransportModel(link_failure_probability=1.0),
+            scenario=LAN.with_overrides(message_loss=1.0),
         )
         simulator.run(5)
         assert simulator.statistics["completed"] == 0
@@ -419,7 +461,7 @@ class TestRobustness:
             AsyncAverageProtocol(node_values()),
             EpochConfig(cycles_per_epoch=25),
             rng.child("run"),
-            delay_model=DelayModel(min_delay=0.2, max_delay=0.2, timeout=0.3),
+            scenario=LAN.with_overrides(min_delay=0.2, max_delay=0.2, timeout=0.3),
         )
         simulator.run(5)
         stats = simulator.statistics
@@ -508,6 +550,14 @@ class TestAccessorsAndValidation:
         assert simulator.window_index == 3
         assert simulator.now == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("end_time", [math.nan, math.inf, -math.inf])
+    def test_run_until_refuses_a_non_finite_time(self, end_time):
+        # NaN and inf died in int() of the window index; -inf ran nothing.
+        simulator, _ = build_average()
+        with pytest.raises(ConfigurationError, match="end_time must be finite"):
+            simulator.run_until(end_time)
+        assert simulator.window_index == 0
+
     def test_record_every_sets_the_trace_cadence(self):
         rng = RandomSource(2)
         simulator = AsyncPracticalSimulator(
@@ -532,13 +582,19 @@ class TestAccessorsAndValidation:
 
     def test_negative_clock_drift_rejected(self):
         with pytest.raises(ConfigurationError):
-            simulator_with(AsyncAverageProtocol(node_values()), clock_drift=-0.1)
+            simulator_with(
+                AsyncAverageProtocol(node_values()),
+                scenario=LAN.with_overrides(clock_drift=-0.1),
+            )
 
     @pytest.mark.parametrize(
         "build",
         [
             lambda: LAN.with_overrides(clock_drift=math.nan),
-            lambda: simulator_with(AsyncAverageProtocol(node_values()), clock_drift=math.nan),
+            lambda: simulator_with(
+                AsyncAverageProtocol(node_values()),
+                scenario=AsynchronyScenario(clock_drift=math.nan),
+            ),
             lambda: DelayModel(timeout=math.nan),
             lambda: DelayModel(distribution="lognormal", sigma=math.nan),
         ],

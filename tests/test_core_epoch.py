@@ -90,3 +90,13 @@ class TestEpochConfig:
         # raw TypeError while the async engine ran without complaint.
         with pytest.raises(ConfigurationError, match="cycles_per_epoch"):
             EpochConfig(cycles_per_epoch=gamma)
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("rule", ["epoch_for_time", "cycle_for_time"])
+    def test_refused_with_a_configuration_error(self, rule, time):
+        # NaN and +inf used to escape as "cannot convert float NaN to
+        # integer" from the floor division.
+        with pytest.raises(ConfigurationError, match="time must be non-negative and finite"):
+            getattr(EpochConfig(), rule)(time)

@@ -2,13 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.common.rng import RandomSource
 from repro.core.protocol import AGGREGATES, aggregate
-from repro.simulator.failures import ProportionalCrashModel, SuddenDeathModel
+from repro.simulator import CycleSimulator
+from repro.simulator.failures import ChurnModel, ProportionalCrashModel, SuddenDeathModel
 from repro.simulator.transport import TransportModel
-from repro.topology import TopologySpec
+from repro.topology import TopologySpec, build_overlay
 
 
 class TestBasicAggregates:
@@ -149,3 +152,45 @@ class TestConfiguration:
         )
         # Convergence is slowed down, so node estimates still disagree.
         assert result.trace.final.variance > 0
+
+
+#: aggregate() settings a reference run is compared under: the transport
+#: and a factory for a fresh failure model.
+PARITY_SCENARIOS = {
+    "perfect": (TransportModel(), lambda: None),
+    "lossy-churn": (TransportModel(message_loss_probability=0.1), lambda: ChurnModel(3)),
+}
+
+
+class TestArrayEngineParity:
+    """aggregate() runs the array engine; the reference engine, driven the
+    same way from the same seed, must give the very same answer."""
+
+    @pytest.mark.parametrize("scenario", sorted(PARITY_SCENARIOS))
+    @pytest.mark.parametrize("name", list(AGGREGATES))
+    def test_matches_a_reference_run_bit_for_bit(self, name, scenario):
+        transport, failure_factory = PARITY_SCENARIOS[scenario]
+        values = np.array([1.0 + (i % 13) / 10.0 for i in range(120)])
+        seed, cycles = 2004, 15
+        result = aggregate(
+            values.tolist(), name, cycles=cycles, seed=seed,
+            transport=transport, failure_model=failure_factory(),
+        )
+
+        record = AGGREGATES[name]
+        rng = RandomSource(seed)
+        overlay = build_overlay(
+            TopologySpec("random", degree=20), values.size, rng.child("topology")
+        )
+        reference = CycleSimulator(
+            overlay, record.function, record.initial(values).tolist(), rng.child("simulation"),
+            transport=transport, failure_model=failure_factory(),
+        )
+        reference.run(cycles)
+        outputs = record.finalize(reference.state_array())
+
+        assert list(result.node_estimates) == reference.participant_ids()
+        assert np.array(list(result.node_estimates.values())).tobytes() == outputs.tobytes()
+        finite = outputs[np.isfinite(outputs)]
+        assert result.mean_estimate == float(np.mean(finite))
+        assert [repr(row) for row in result.trace] == [repr(row) for row in reference.trace]

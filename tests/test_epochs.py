@@ -34,7 +34,6 @@ from repro.simulator import (
     EpochDriver,
     VectorizedCycleSimulator,
     epoch_config_for_accuracy,
-    make_simulator,
 )
 from repro.simulator.failures import ChurnModel, FailureModel, ProportionalCrashModel
 from repro.simulator.transport import TransportModel
@@ -50,6 +49,24 @@ OVERLAYS = {
     "newscast-dict": TopologySpec("newscast", degree=8, params={"vectorized": False}),
 }
 
+#: The cycle engines, named by class, with the test ids of their roles.
+ENGINES = [
+    pytest.param(CycleSimulator, id="reference"),
+    pytest.param(VectorizedCycleSimulator, id="vectorized"),
+]
+
+
+class ReferenceEpochDriver(EpochDriver):
+    """The epoch driver with every epoch on the reference engine."""
+
+    _simulator = CycleSimulator
+
+
+DRIVERS = [
+    pytest.param(ReferenceEpochDriver, id="reference"),
+    pytest.param(EpochDriver, id="vectorized"),
+]
+
 SCENARIOS = {
     "none": (TransportModel(), None),
     "crash": (TransportModel(), lambda epoch_id: ProportionalCrashModel(0.05)),
@@ -58,7 +75,7 @@ SCENARIOS = {
 
 
 def build_driver(
-    engine,
+    driver_class,
     overlay_key="complete",
     scenario_key="none",
     seed=17,
@@ -74,14 +91,13 @@ def build_driver(
         concurrent_target=concurrent_target,
         estimated_size=float(initial_estimate if initial_estimate is not None else size),
     )
-    return EpochDriver(
+    return driver_class(
         overlay=overlay,
         election=election,
         epoch_config=config or EpochConfig(cycles_per_epoch=GAMMA),
         rng=rng.child("driver"),
         transport=transport,
         failure_factory=failure_factory,
-        engine=engine,
     )
 
 
@@ -119,29 +135,28 @@ class TestEpochDriverEquivalence:
     @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
     def test_same_seed_same_epoch_trace(self, overlay_key, scenario_key):
         label = f"{overlay_key}/{scenario_key}"
-        reference = build_driver("reference", overlay_key, scenario_key)
-        vectorized = build_driver("vectorized", overlay_key, scenario_key)
+        reference = build_driver(ReferenceEpochDriver, overlay_key, scenario_key)
+        vectorized = build_driver(EpochDriver, overlay_key, scenario_key)
         assert_records_identical(
             reference.run(EPOCHS), vectorized.run(EPOCHS), label
         )
 
     def test_churn_joiners_sync_identically(self):
-        def run(engine):
+        def run(driver_class):
             rng = RandomSource(9)
             overlay = build_overlay(OVERLAYS["complete"], SIZE, rng.child("topology"))
             election = LeaderElection(concurrent_target=5.0, estimated_size=float(SIZE))
-            driver = EpochDriver(
+            driver = driver_class(
                 overlay,
                 election,
                 EpochConfig(cycles_per_epoch=GAMMA),
                 rng.child("driver"),
                 failure_factory=lambda epoch_id: ChurnModel(2),
-                engine=engine,
             )
             return driver, driver.run(EPOCHS)
 
-        reference, reference_result = run("reference")
-        vectorized, vectorized_result = run("vectorized")
+        reference, reference_result = run(ReferenceEpochDriver)
+        vectorized, vectorized_result = run(EpochDriver)
         assert_records_identical(reference_result, vectorized_result, "churn")
         # Every epoch after the first syncs the churned-in nodes.
         assert all(
@@ -151,12 +166,12 @@ class TestEpochDriverEquivalence:
         # The per-node epoch bookkeeping agrees across engines too.
         assert reference.node_epoch_ids() == vectorized.node_epoch_ids()
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_short_epoch_length_skips_identifiers(self, engine):
+    @pytest.mark.parametrize("driver_class", DRIVERS)
+    def test_short_epoch_length_skips_identifiers(self, driver_class):
         # Δ = γ·δ / 2: the nominal schedule advances two epochs per run,
         # so the synchronisation pass observes multi-epoch jumps.
         config = EpochConfig(cycle_length=1.0, cycles_per_epoch=GAMMA, epoch_length=GAMMA / 2)
-        driver = build_driver(engine, config=config)
+        driver = build_driver(driver_class, config=config)
         result = driver.run(3)
         assert [record.epoch_id for record in result.records] == [0, 2, 4]
         assert all(
@@ -166,13 +181,13 @@ class TestEpochDriverEquivalence:
 
     def test_skipped_identifier_counts_match_across_engines(self):
         config = EpochConfig(cycle_length=1.0, cycles_per_epoch=GAMMA, epoch_length=GAMMA / 2)
-        reference = build_driver("reference", config=config).run(3)
-        vectorized = build_driver("vectorized", config=config).run(3)
+        reference = build_driver(ReferenceEpochDriver, config=config).run(3)
+        vectorized = build_driver(EpochDriver, config=config).run(3)
         assert_records_identical(reference, vectorized, "skipping")
 
     def test_feedback_corrects_wrong_initial_estimate(self):
         driver = build_driver(
-            "vectorized", size=80, initial_estimate=20.0, concurrent_target=8.0,
+            EpochDriver, size=80, initial_estimate=20.0, concurrent_target=8.0,
             config=EpochConfig(cycles_per_epoch=12),
         )
         result = driver.run(3)
@@ -183,22 +198,8 @@ class TestEpochDriverEquivalence:
         assert result.final_estimate == pytest.approx(80, rel=0.15)
         assert driver.election.estimated_size == result.final_estimate
 
-    def test_engine_is_named_not_inferred(self):
-        rng = RandomSource(3)
-        election = LeaderElection(concurrent_target=5.0, estimated_size=float(SIZE))
-        driver = EpochDriver(
-            build_overlay(OVERLAYS["newscast-dict"], SIZE, rng.child("t")),
-            election,
-            EpochConfig(cycles_per_epoch=GAMMA),
-            rng.child("d"),
-        )
-        assert driver.engine == "vectorized"
-        for engine in ("auto", "warp"):
-            with pytest.raises(ConfigurationError):
-                build_driver(engine)
-
     def test_records_count_sync_events_and_reporters(self):
-        result = build_driver("vectorized").run(EPOCHS)
+        result = build_driver(EpochDriver).run(EPOCHS)
         records = result.records
         assert sum(record.joined_count for record in records) == SIZE
         assert sum(record.advanced_count for record in records) == (EPOCHS - 1) * SIZE
@@ -231,21 +232,20 @@ class TestSynchronisationCounts:
     # 20 nodes (ids 0..19).  Epoch 1 crashes 0, 1, 2 and adds joiners
     # 20..24; epoch 2 crashes 3, 4; epoch 3 changes nothing.  So epoch 2
     # syncs ids 3..24 (5 fresh, 17 advancing) and epoch 3 ids 5..24.
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("driver_class", DRIVERS)
     @pytest.mark.parametrize(
         "epoch_length, epoch_ids, skipped",
         [(None, [0, 1, 2], [0, 0, 0]), (GAMMA / 2, [0, 2, 4], [0, 17, 20])],
     )
-    def test_crashes_and_churn_joins(self, engine, epoch_length, epoch_ids, skipped):
+    def test_crashes_and_churn_joins(self, driver_class, epoch_length, epoch_ids, skipped):
         script = iter([(3, 5), (2, 0), (0, 0)])
         rng = RandomSource(21)
-        driver = EpochDriver(
+        driver = driver_class(
             build_overlay(OVERLAYS["complete"], 20, rng.child("topology")),
             LeaderElection(concurrent_target=5.0, estimated_size=20.0),
             EpochConfig(cycles_per_epoch=GAMMA, epoch_length=epoch_length),
             rng.child("driver"),
             failure_factory=lambda epoch_id: ScriptedMembership(*next(script)),
-            engine=engine,
         )
         records = driver.run(3).records
         assert [record.epoch_id for record in records] == epoch_ids
@@ -257,13 +257,13 @@ class TestSynchronisationCounts:
 
 
 class TestZeroLeaderEpoch:
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_dry_epoch_carries_estimate_forward(self, engine):
+    @pytest.mark.parametrize("driver_class", DRIVERS)
+    def test_dry_epoch_carries_estimate_forward(self, driver_class):
         # P_lead = 0.01 / 10^9: a seeded rng elects nobody, every map
         # stays empty, and the epoch must report nothing instead of
         # corrupting the running estimate.
         driver = build_driver(
-            engine, size=20, concurrent_target=0.01, initial_estimate=1e9,
+            driver_class, size=20, concurrent_target=0.01, initial_estimate=1e9,
             config=EpochConfig(cycles_per_epoch=4),
         )
         result = driver.run(2)
@@ -290,7 +290,6 @@ class TestZeroLeaderEpoch:
             EpochConfig(cycles_per_epoch=5),
             rng.child("d"),
             failure_factory=lambda epoch_id: ChurnModel(1),
-            engine="vectorized",
         )
         first = driver.run(1).records[0]
         assert first.dry
@@ -305,20 +304,19 @@ class TestZeroLeaderEpoch:
         assert math.isfinite(second.size_estimate)
 
     def test_dry_then_populated_matches_across_engines(self):
-        def run(engine):
+        def run(driver_class):
             rng = RandomSource(13)
             overlay = build_overlay(OVERLAYS["complete"], 30, rng.child("t"))
             election = LeaderElection(concurrent_target=0.01, estimated_size=1e9)
-            driver = EpochDriver(
-                overlay, election, EpochConfig(cycles_per_epoch=4),
-                rng.child("d"), engine=engine,
+            driver = driver_class(
+                overlay, election, EpochConfig(cycles_per_epoch=4), rng.child("d")
             )
             driver.run(1)
             election.concurrent_target = 4.0
             election.estimated_size = 30.0
             return driver.run(2)
 
-        assert_records_identical(run("reference"), run("vectorized"), "dry-recovery")
+        assert_records_identical(run(ReferenceEpochDriver), run(EpochDriver), "dry-recovery")
 
 
 class TestNonFiniteSettings:
@@ -363,19 +361,18 @@ class TestZeroLeaderCodec:
         with pytest.raises(ProtocolError):
             function.initial_state_array(np.array([3.0]))
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_cycle_engines_run_and_reduce_width_zero_rows(self, engine):
         rng = RandomSource(4)
         ids = list(range(12))
         count = AdaptiveCount(LeaderElection(concurrent_target=1e-9, estimated_size=12.0))
         function = count.open_epoch(0, ids, rng.child("election"))
         assert function.leaders == ()
-        simulator = make_simulator(
+        simulator = engine(
             build_overlay(OVERLAYS["complete"], 12, rng.child("t")),
             function,
             dict(zip(ids, function.leader_values(ids).tolist())),
             rng.child("s"),
-            engine=engine,
         )
         simulator.run(3)
         assert simulator.trace.final.completed_exchanges > 0
@@ -466,12 +463,10 @@ class TestCountArrayFunction:
             values = {
                 node: (float(node) if node in leaders else -1.0) for node in range(40)
             }
-            return make_simulator(
-                overlay, function, values, rng.child("s"), engine=engine
-            )
+            return engine(overlay, function, values, rng.child("s"))
 
-        reference = build("reference")
-        vectorized = build("vectorized")
+        reference = build(CycleSimulator)
+        vectorized = build(VectorizedCycleSimulator)
         assert isinstance(reference, CycleSimulator)
         assert isinstance(vectorized, VectorizedCycleSimulator)
         reference.run(5)

@@ -23,8 +23,10 @@ from repro.experiments.runner import RunPlan, repeat_traces, uniform_initial_val
 from repro.simulator import (
     ChurnModel,
     CountCrashModel,
+    CycleSimulator,
     EpochDriver,
     TransportModel,
+    VectorizedCycleSimulator,
     build_async_count,
     make_simulator,
 )
@@ -37,6 +39,12 @@ CYCLES = 10
 RANDOM_6 = TopologySpec("random", degree=6)
 NEWSCAST_10 = TopologySpec("newscast", degree=10)
 TEN_PERCENT_LOSS = TransportModel(message_loss_probability=0.1)
+
+
+class ReferenceEpochDriver(EpochDriver):
+    """The epoch driver with every epoch on the reference engine."""
+
+    _simulator = CycleSimulator
 
 
 def records_digest(records):
@@ -73,21 +81,20 @@ GOLDEN = {
 def _average_trace(engine):
     rng = RandomSource(SEED)
     overlay = build_overlay(RANDOM_6, SIZE, rng.child("topology"))
-    simulator = make_simulator(
+    simulator = engine(
         overlay,
         AverageFunction(),
         uniform_initial_values(SIZE, rng.child("values")),
         rng.child("simulation"),
         transport=TEN_PERCENT_LOSS,
-        engine=engine,
     )
     return simulator.run(CYCLES)
 
 
 class TestGoldenTraces:
     def test_reference_and_array_engines_match_the_golden_digest(self):
-        reference = records_digest(_average_trace("reference").records)
-        array = records_digest(_average_trace("vectorized").records)
+        reference = records_digest(_average_trace(CycleSimulator).records)
+        array = records_digest(_average_trace(VectorizedCycleSimulator).records)
         assert reference == array
         assert array == GOLDEN["average-random-lossy"]
 
@@ -118,19 +125,20 @@ class TestGoldenTraces:
         records = [record for trace in traces for record in trace.records]
         assert records_digest(records) == GOLDEN["repeat-traces-r3"]
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_epoch_driver(self, engine):
+    @pytest.mark.parametrize(
+        "driver_class", [ReferenceEpochDriver, EpochDriver], ids=["reference", "vectorized"]
+    )
+    def test_epoch_driver(self, driver_class):
         # One epoch body on both engines: the same digest.
         rng = RandomSource(SEED)
         overlay = build_overlay(NEWSCAST_10, 100, rng.child("topology"))
-        driver = EpochDriver(
+        driver = driver_class(
             overlay=overlay,
             election=LeaderElection(concurrent_target=5.0, estimated_size=100.0),
             epoch_config=EpochConfig(cycles_per_epoch=CYCLES),
             rng=rng.child("epochs"),
             transport=TEN_PERCENT_LOSS,
             failure_factory=lambda epoch_id: ChurnModel(1),
-            engine=engine,
         )
         result = driver.run(3)
         assert records_digest(result.records) == GOLDEN["epoch-driver-3"]

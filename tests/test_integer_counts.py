@@ -17,10 +17,11 @@ from repro.experiments.runner import repeat_simulations
 from repro.simulator import (
     ChurnModel,
     CountCrashModel,
+    CycleSimulator,
     EpochDriver,
     SuddenDeathModel,
+    VectorizedCycleSimulator,
     build_async_average,
-    make_simulator,
 )
 from repro.topology import TopologySpec, build_overlay
 
@@ -33,9 +34,8 @@ def overlay(seed=1):
 
 
 def cycle_engine(engine):
-    return make_simulator(
-        overlay(), AverageFunction(), [float(node) for node in range(SIZE)],
-        RandomSource(2), engine=engine,
+    return engine(
+        overlay(), AverageFunction(), [float(node) for node in range(SIZE)], RandomSource(2)
     )
 
 
@@ -56,8 +56,8 @@ def async_engine():
 
 
 RUNS = {
-    "reference": (lambda: cycle_engine("reference").run, "cycles"),
-    "vectorized": (lambda: cycle_engine("vectorized").run, "cycles"),
+    "reference": (lambda: cycle_engine(CycleSimulator).run, "cycles"),
+    "vectorized": (lambda: cycle_engine(VectorizedCycleSimulator).run, "cycles"),
     "epoch-driver": (lambda: epoch_driver().run, "epochs"),
     "async": (lambda: async_engine().run, "windows"),
     "repeats": (

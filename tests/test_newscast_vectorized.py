@@ -215,14 +215,13 @@ def build_engine(engine, scenario_key, function_class=AverageFunction, seed=11):
     transport, failure_factory = SCENARIOS[scenario_key]
     rng = RandomSource(seed)
     overlay = build_overlay(ARRAY_NEWSCAST, SIZE, rng.child("topology"))
-    return make_simulator(
+    return engine(
         overlay=overlay,
         function=function_class(),
         initial_values=[float(i) for i in range(SIZE)],
         rng=rng.child("simulation"),
         transport=transport,
         failure_model=failure_factory() if failure_factory else None,
-        engine=engine,
     )
 
 
@@ -248,10 +247,8 @@ class TestEngineParityOnArrayNewscast:
     @pytest.mark.parametrize("function_class", [AverageFunction, PushSumFunction])
     def test_same_seed_same_trace_and_states(self, function_class, scenario_key):
         label = f"{function_class.__name__}/{scenario_key}"
-        reference = build_engine("reference", scenario_key, function_class)
-        vectorized = build_engine("vectorized", scenario_key, function_class)
-        assert isinstance(reference, CycleSimulator)
-        assert isinstance(vectorized, VectorizedCycleSimulator)
+        reference = build_engine(CycleSimulator, scenario_key, function_class)
+        vectorized = build_engine(VectorizedCycleSimulator, scenario_key, function_class)
         reference.run(CYCLES)
         vectorized.run(CYCLES)
         assert_traces_match(reference, vectorized, label)
@@ -263,8 +260,8 @@ class TestEngineParityOnArrayNewscast:
         ), label
 
     def test_membership_parity_under_churn(self):
-        reference = build_engine("reference", "churn")
-        vectorized = build_engine("vectorized", "churn")
+        reference = build_engine(CycleSimulator, "churn")
+        vectorized = build_engine(VectorizedCycleSimulator, "churn")
         reference.run(6)
         vectorized.run(6)
         assert reference.participant_ids() == vectorized.participant_ids()
@@ -522,7 +519,6 @@ def churn_engine(overlay, size, replacements, seed=77):
         initial_values=[float(i % 17) for i in range(size)],
         rng=RandomSource(seed),
         failure_model=ChurnModel(replacements),
-        engine="vectorized",
     )
 
 
@@ -631,7 +627,6 @@ class TestDispatch:
             AverageFunction(),
             [float(i) for i in range(SIZE)],
             rng.child("s"),
-            engine="vectorized",
         )
         before = simulator.state_array().sum()
         simulator.run(6)

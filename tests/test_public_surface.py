@@ -75,26 +75,25 @@ CYCLE_ENGINE = (
 
 #: Front door -> the names a caller can set, in signature (or field) order.
 SURFACE = {
-    # Cycle engines
-    make_simulator: CYCLE_ENGINE[:7] + ("engine", "reachability"),
+    # Cycle engines (``make_simulator`` is ``VectorizedCycleSimulator``)
     CycleSimulator: CYCLE_ENGINE,
     VectorizedCycleSimulator: CYCLE_ENGINE,
     ReplicatedCycleSimulator: ("replicas", "function", "transport", "record_every"),
     # Repeats and the practical protocol
-    repeat_simulations: ("repeats", "seed", "make_run", "plan", "engine"),
-    repeat_traces: ("repeats", "seed", "make_run", "plan", "engine"),
+    repeat_simulations: ("repeats", "seed", "make_run", "plan"),
+    repeat_traces: ("repeats", "seed", "make_run", "plan"),
     RunPlan: (
         "topology", "size", "cycles", "values", "function_factory", "transport",
         "failure_factory", "record_every", "collect",
     ),
     EpochDriver: (
         "overlay", "election", "epoch_config", "rng", "transport", "failure_factory",
-        "engine", "record_every",
+        "record_every",
     ),
     EpochConfig: ("cycle_length", "cycles_per_epoch", "epoch_length"),
     run_epoched_count: (
         "topology", "size", "epochs", "rng", "concurrent_target", "initial_estimate",
-        "epoch_config", "transport", "failure_factory", "engine", "record_every",
+        "epoch_config", "transport", "failure_factory", "record_every",
     ),
     # The asynchronous engine
     run_async_count: (
@@ -109,8 +108,7 @@ SURFACE = {
         "initial_estimate", "record_every",
     ),
     AsyncPracticalSimulator: (
-        "overlay", "protocol", "epoch_config", "rng", "delay_model", "transport",
-        "clock_drift", "record_every", "window_hook",
+        "overlay", "protocol", "epoch_config", "rng", "scenario", "record_every",
     ),
     AsynchronyScenario: (
         "name", "latency", "min_delay", "max_delay", "latency_sigma", "timeout",
@@ -169,6 +167,10 @@ def settable_names(door):
 @pytest.mark.parametrize("door", list(SURFACE), ids=lambda door: door.__qualname__)
 def test_front_door_parameters(door):
     assert settable_names(door) == SURFACE[door]
+
+
+def test_make_simulator_is_the_array_engine():
+    assert make_simulator is VectorizedCycleSimulator
 
 
 def test_records_are_dataclasses():

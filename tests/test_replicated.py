@@ -83,6 +83,12 @@ def records_equal(left, right):
     )
 
 
+def serial_runs(repeats, seed, plan):
+    """The serial side: each repetition alone, from its own child stream."""
+    root = RandomSource(seed)
+    return [plan.serial_run(index, root.child("run", index)) for index in range(repeats)]
+
+
 def assert_traces_identical(serial_traces, replicated_traces):
     assert len(serial_traces) == len(replicated_traces)
     for serial, replicated in zip(serial_traces, replicated_traces):
@@ -134,7 +140,7 @@ class TestBitIdentityGrid:
             return collect
 
         serial_plan = RunPlan(**{**plan.__dict__, "collect": collector(serial_states)})
-        serial = repeat_traces(REPLICAS, SEED, plan=serial_plan, engine="serial")
+        serial = serial_runs(REPLICAS, SEED, serial_plan)
         replicated_plan = RunPlan(
             **{**plan.__dict__, "collect": collector(replicated_states)}
         )
@@ -158,7 +164,7 @@ class TestBitIdentityGrid:
             values=uniform_initial_values,
             failure_factory=lambda: SuddenDeathModel(0.5, at_cycle=4),
         )
-        serial = repeat_traces(REPLICAS, SEED, plan=plan, engine="serial")
+        serial = serial_runs(REPLICAS, SEED, plan)
         replicated = repeat_traces(REPLICAS, SEED, plan=plan)
         assert_traces_identical(serial, replicated)
 
@@ -171,7 +177,7 @@ class TestBitIdentityGrid:
             values=uniform_initial_values,
             function_factory=function_factory,
         )
-        serial = repeat_traces(REPLICAS, SEED, plan=plan, engine="serial")
+        serial = serial_runs(REPLICAS, SEED, plan)
         replicated = repeat_traces(REPLICAS, SEED, plan=plan)
         assert_traces_identical(serial, replicated)
 
@@ -199,8 +205,8 @@ class TestTraceSplittingProperty:
             transport=TransportModel(message_loss_probability=loss),
             record_every=record_every,
         )
-        serial = repeat_traces(repeats, seed, plan=plan, engine="serial")
-        replicated = repeat_traces(repeats, seed, plan=plan, engine="replicated")
+        serial = serial_runs(repeats, seed, plan)
+        replicated = repeat_traces(repeats, seed, plan=plan)
         assert_traces_identical(serial, replicated)
 
 
@@ -215,19 +221,17 @@ class TestRunPlanPlumbing:
         (replica_overlay,) = plan.build_replica_overlays([RandomSource(SEED)])
         assert type(replica_overlay) is type(overlay)
 
-    def test_engine_validation(self):
+    def test_make_run_or_plan_exactly(self):
         plan = RunPlan(
             topology=TOPOLOGIES["complete"],
             size=20,
             cycles=2,
             values=[1.0] * 20,
         )
-        with pytest.raises(ConfigurationError):
-            repeat_traces(2, SEED, plan=plan, engine="warp")
-        with pytest.raises(ConfigurationError):
-            repeat_traces(2, SEED)  # neither make_run nor plan
-        with pytest.raises(ConfigurationError):
-            repeat_traces(2, SEED, make_run=lambda i, rng: None, engine="replicated")
+        with pytest.raises(ConfigurationError, match="need either"):
+            repeat_traces(2, SEED)
+        with pytest.raises(ConfigurationError, match="not both"):
+            repeat_traces(2, SEED, make_run=lambda i, rng: None, plan=plan)
 
     def test_zero_and_single_repeats(self):
         plan = RunPlan(
@@ -237,7 +241,7 @@ class TestRunPlanPlumbing:
             values=[float(i) for i in range(20)],
         )
         assert repeat_traces(0, SEED, plan=plan) == []
-        serial = repeat_traces(1, SEED, plan=plan, engine="serial")
+        serial = serial_runs(1, SEED, plan)
         replicated = repeat_traces(1, SEED, plan=plan)
         assert_traces_identical(serial, replicated)
 
@@ -253,7 +257,7 @@ class TestRunPlanPlumbing:
                 sim.cycle_index,
             ),
         )
-        serial = repeat_simulations(REPLICAS, SEED, plan=plan, engine="serial")
+        serial = serial_runs(REPLICAS, SEED, plan)
         replicated = repeat_simulations(REPLICAS, SEED, plan=plan)
         assert serial == replicated
 

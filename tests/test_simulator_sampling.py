@@ -18,7 +18,8 @@ from repro.newscast.vectorized_cache import (
     VectorizedNewscastOverlay,
 )
 from repro.simulator import VectorizedCycleSimulator, sampling
-from repro.simulator.asynchrony import LAN, build_async_average
+from repro.simulator.async_engine import build_async_average
+from repro.simulator.asynchrony import LAN
 from repro.simulator.sampling import (
     _peel_templates,
     conflict_scratch,

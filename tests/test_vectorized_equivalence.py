@@ -5,8 +5,8 @@ discipline, so a given root seed must produce the *same* exchange schedule
 — and therefore (up to floating-point summation order) the same per-cycle
 trace — in either engine.  These tests sweep every supported function ×
 overlay × failure combination, plus property-based mass conservation,
-``make_simulator`` dispatch, ``record_every`` and the conflict-round
-scheduler itself.
+``make_simulator`` being the array engine, ``record_every`` and the
+conflict-round scheduler itself.
 """
 
 import math
@@ -45,6 +45,12 @@ from repro.topology import TopologySpec, build_overlay
 SIZE = 60
 CYCLES = 8
 
+#: The cycle engines, named by class, with the test ids of their roles.
+ENGINES = [
+    pytest.param(CycleSimulator, id="reference"),
+    pytest.param(VectorizedCycleSimulator, id="vectorized"),
+]
+
 OVERLAYS = {
     "complete": TopologySpec("complete"),
     "random": TopologySpec("random", degree=6),
@@ -82,14 +88,13 @@ def build_engine(engine, function_key, overlay_key, scenario_key, seed=11):
     transport, failure_factory = SCENARIOS[scenario_key]
     rng = RandomSource(seed)
     overlay = build_overlay(OVERLAYS[overlay_key], SIZE, rng.child("topology"))
-    return make_simulator(
+    return engine(
         overlay=overlay,
         function=function_class(),
         initial_values=values_for(SIZE),
         rng=rng.child("simulation"),
         transport=transport,
         failure_model=failure_factory() if failure_factory else None,
-        engine=engine,
     )
 
 
@@ -116,26 +121,26 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("function_key", ["average", "count-peak", "push-sum"])
     def test_same_seed_same_trace(self, function_key, overlay_key, scenario_key):
         label = f"{function_key}/{overlay_key}/{scenario_key}"
-        reference = build_engine("reference", function_key, overlay_key, scenario_key)
-        vectorized = build_engine("vectorized", function_key, overlay_key, scenario_key)
-        assert isinstance(reference, CycleSimulator)
-        assert isinstance(vectorized, VectorizedCycleSimulator)
+        reference = build_engine(CycleSimulator, function_key, overlay_key, scenario_key)
+        vectorized = build_engine(VectorizedCycleSimulator, function_key, overlay_key, scenario_key)
         reference.run(CYCLES)
         vectorized.run(CYCLES)
         assert_traces_match(reference, vectorized, label)
 
     @pytest.mark.parametrize("function_key", sorted(FUNCTIONS))
     def test_states_bitwise_identical(self, function_key):
-        reference = build_engine("reference", function_key, "random", "perfect")
-        vectorized = build_engine("vectorized", function_key, "random", "perfect")
+        reference = build_engine(CycleSimulator, function_key, "random", "perfect")
+        vectorized = build_engine(VectorizedCycleSimulator, function_key, "random", "perfect")
         reference.run(CYCLES)
         vectorized.run(CYCLES)
         assert np.array_equal(reference.state_array(), vectorized.state_array())
 
     @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
     def test_dict_newscast_states_bitwise_identical(self, scenario_key):
-        reference = build_engine("reference", "average", "newscast-dict", scenario_key)
-        vectorized = build_engine("vectorized", "average", "newscast-dict", scenario_key)
+        reference, vectorized = (
+            build_engine(engine, "average", "newscast-dict", scenario_key)
+            for engine in (CycleSimulator, VectorizedCycleSimulator)
+        )
         reference.run(CYCLES)
         vectorized.run(CYCLES)
         assert_traces_match(reference, vectorized, f"newscast-dict/{scenario_key}")
@@ -151,16 +156,15 @@ class TestEngineEquivalence:
             overlay = build_overlay(OVERLAYS[overlay_key], SIZE, rng.child("topology"))
             for node in (SIZE - 1, SIZE - 2):
                 overlay.on_node_removed(node)
-            return make_simulator(
+            return engine(
                 overlay,
                 AverageFunction(),
                 [float(i) for i in range(SIZE - 2)],
                 rng.child("simulation"),
-                engine=engine,
             )
 
-        reference = build("reference")
-        vectorized = build("vectorized")
+        reference = build(CycleSimulator)
+        vectorized = build(VectorizedCycleSimulator)
         reference.run(CYCLES)
         vectorized.run(CYCLES)
         assert sum(record.failed_exchanges for record in vectorized.trace) > 0
@@ -168,8 +172,8 @@ class TestEngineEquivalence:
         assert np.array_equal(reference.state_array(), vectorized.state_array())
 
     def test_membership_parity_under_churn(self):
-        reference = build_engine("reference", "average", "random", "churn")
-        vectorized = build_engine("vectorized", "average", "random", "churn")
+        reference = build_engine(CycleSimulator, "average", "random", "churn")
+        vectorized = build_engine(VectorizedCycleSimulator, "average", "random", "churn")
         reference.run(5)
         vectorized.run(5)
         assert reference.participant_ids() == vectorized.participant_ids()
@@ -183,16 +187,15 @@ class TestEngineEquivalence:
         def build(engine):
             rng = RandomSource(5)
             overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("topology"))
-            return make_simulator(
+            return engine(
                 overlay,
                 VectorFunction([AverageFunction(), MinFunction(), PushSumFunction()]),
                 [float(i) for i in range(SIZE)],
                 rng.child("simulation"),
-                engine=engine,
             )
 
-        reference = build("reference")
-        vectorized = build("vectorized")
+        reference = build(CycleSimulator)
+        vectorized = build(VectorizedCycleSimulator)
         reference.run(CYCLES)
         vectorized.run(CYCLES)
         assert_traces_match(reference, vectorized, "vector-function")
@@ -208,7 +211,6 @@ class TestEngineEquivalence:
             VectorFunction([AverageFunction()]),
             [float(i) for i in range(SIZE)],
             rng.child("s"),
-            engine="vectorized",
         )
         simulator.run(5)
         assert simulator.trace.final.mean == pytest.approx((SIZE - 1) / 2)
@@ -227,9 +229,7 @@ class TestMassConservation:
     def test_vectorized_average_conserves_sum(self, values, seed):
         rng = RandomSource(seed)
         overlay = build_overlay(TopologySpec("complete"), len(values), rng.child("t"))
-        simulator = make_simulator(
-            overlay, AverageFunction(), values, rng.child("s"), engine="vectorized"
-        )
+        simulator = make_simulator(overlay, AverageFunction(), values, rng.child("s"))
         before = simulator.state_array().sum()
         simulator.run(5)
         after = simulator.state_array().sum()
@@ -245,7 +245,6 @@ class TestMassConservation:
             PushSumFunction(),
             [float(i) for i in range(30)],
             rng.child("s"),
-            engine="vectorized",
         )
         # Column 0 holds the values, whose sum is push-sum's conserved mass.
         before = simulator.state_array()[:, 0].sum()
@@ -258,32 +257,22 @@ class TestDispatch:
     def test_default_engine_is_vectorized(self):
         rng = RandomSource(3)
         overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
+        assert make_simulator is VectorizedCycleSimulator
         simulator = make_simulator(overlay, AverageFunction(), [1.0] * SIZE, rng.child("s"))
         assert isinstance(simulator, VectorizedCycleSimulator)
 
     def test_reference_engine_runs_map_based_count(self):
         rng = RandomSource(3)
         overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
-        simulator = make_simulator(
+        simulator = CycleSimulator(
             overlay,
             CountArrayFunction(range(SIZE)),
             {node: ({node: 1.0} if node < 3 else {}) for node in range(SIZE)},
             rng.child("s"),
-            engine="reference",
         )
-        assert isinstance(simulator, CycleSimulator)
         simulator.run(2)
         # The first SIZE columns hold the per-leader values: the total mass.
         assert simulator.state_array()[:, :SIZE].sum() == pytest.approx(3.0)
-
-    @pytest.mark.parametrize("engine", ["auto", "warp"])
-    def test_unknown_engine_rejected(self, engine):
-        rng = RandomSource(3)
-        overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
-        with pytest.raises(ConfigurationError):
-            make_simulator(
-                overlay, AverageFunction(), [1.0] * SIZE, rng.child("s"), engine=engine
-            )
 
 
 #: One instance of every aggregation function the core exports, with
@@ -322,13 +311,13 @@ class TestEveryFunctionOnEveryEngine:
         def build(engine):
             rng = RandomSource(6)
             overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
-            return make_simulator(
+            return engine(
                 overlay, function, values, rng.child("s"),
-                transport=TransportModel(message_loss_probability=0.2), engine=engine,
+                transport=TransportModel(message_loss_probability=0.2),
             )
 
-        reference = build("reference")
-        vectorized = build("vectorized")
+        reference = build(CycleSimulator)
+        vectorized = build(VectorizedCycleSimulator)
         reference.run(4)
         vectorized.run(4)
         assert np.array_equal(reference.state_array(), vectorized.state_array())
@@ -345,14 +334,14 @@ class TestEveryFunctionOnEveryEngine:
         def build(engine):
             rng = RandomSource(2004)
             overlay = build_overlay(OVERLAYS["newscast-array"], SIZE, rng.child("t"))
-            return make_simulator(
+            return engine(
                 overlay, function, values, rng.child("s"),
                 transport=TransportModel(message_loss_probability=0.1),
-                failure_model=ChurnModel(2), engine=engine,
+                failure_model=ChurnModel(2),
             )
 
-        reference = build("reference")
-        vectorized = build("vectorized")
+        reference = build(CycleSimulator)
+        vectorized = build(VectorizedCycleSimulator)
         reference.run(CYCLES)
         vectorized.run(CYCLES)
         expected = reference.state_array()
@@ -364,34 +353,32 @@ class TestEveryFunctionOnEveryEngine:
 
 
 class TestRecordEvery:
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_records_sampled_cycles_and_final(self, engine):
         rng = RandomSource(4)
         overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
-        simulator = make_simulator(
+        simulator = engine(
             overlay,
             AverageFunction(),
             [float(i) for i in range(SIZE)],
             rng.child("s"),
             record_every=3,
-            engine=engine,
         )
         simulator.run(7)
         assert simulator.trace.cycles() == [0, 3, 6, 7]
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_skipped_cycles_accumulate_exchange_counters(self, engine):
         def build(record_every):
             rng = RandomSource(4)
             overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
-            return make_simulator(
+            return engine(
                 overlay,
                 AverageFunction(),
                 [float(i) for i in range(SIZE)],
                 rng.child("s"),
                 transport=TransportModel(link_failure_probability=0.3),
                 record_every=record_every,
-                engine=engine,
             )
 
         dense = build(1)
@@ -408,23 +395,22 @@ class TestRecordEvery:
                 dense.trace.record_at(cycle).mean
             )
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_run_cycle_returns_none_on_skipped_cycles(self, engine):
         rng = RandomSource(4)
         overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
-        simulator = make_simulator(
+        simulator = engine(
             overlay,
             AverageFunction(),
             [1.0] * SIZE,
             rng.child("s"),
             record_every=2,
-            engine=engine,
         )
         assert simulator.run_cycle() is None
         record = simulator.run_cycle()
         assert record is not None and record.cycle == 2
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("record_every", [0, 2.5, 2.0, True])
     def test_invalid_record_every_rejected(self, engine, record_every):
         # Regression: int() silently truncated 2.5 to 2 on both cycle
@@ -432,9 +418,8 @@ class TestRecordEvery:
         rng = RandomSource(4)
         overlay = build_overlay(OVERLAYS["random"], SIZE, rng.child("t"))
         with pytest.raises(ConfigurationError, match="record_every"):
-            make_simulator(
-                overlay, AverageFunction(), [1.0] * SIZE, rng.child("s"),
-                record_every=record_every, engine=engine,
+            engine(
+                overlay, AverageFunction(), [1.0] * SIZE, rng.child("s"), record_every=record_every
             )
 
 
