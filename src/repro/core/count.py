@@ -52,7 +52,7 @@ import numpy as np
 from ..common.errors import ProtocolError
 from ..common.rng import RandomSource
 from ..common.validation import require_positive
-from .functions import AggregationFunction
+from .functions import AggregationFunction, state_row_blocks
 
 __all__ = [
     "TRIM_FRACTION",
@@ -316,13 +316,23 @@ def count_estimates_from_matrix(values: np.ndarray, mask: np.ndarray) -> np.ndar
     results can differ from the scalar reduction in the last few ulps
     (floating-point summation order); :class:`AdaptiveCount` reduces
     *this* way on every engine, which is what makes the cycle engines'
-    per-epoch estimates bit-identical to each other.
+    per-epoch estimates bit-identical to each other.  Rows are reduced in
+    :func:`~repro.core.functions.state_row_blocks`, so the temporaries
+    stay a few row blocks however many rows there are.
     """
     values = np.asarray(values, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
+    mask = np.asarray(mask)
     rows, width = values.shape
     if width == 0:
         return np.full(rows, math.inf)
+    estimates = np.empty(rows)
+    for block in state_row_blocks(rows, width):
+        estimates[block] = _trimmed_means(values[block], np.asarray(mask[block], dtype=bool))
+    return estimates
+
+
+def _trimmed_means(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """:func:`count_estimates_from_matrix` over one block of rows."""
     # Present entries map to their size estimate (inf when value <= 0);
     # absent entries become NaN, which numpy sorts past +inf — so every
     # sorted row reads [finite ascending..., inf..., NaN...], exactly the
@@ -334,7 +344,7 @@ def count_estimates_from_matrix(values: np.ndarray, mask: np.ndarray) -> np.ndar
     map_sizes = mask.sum(axis=1)
     low = (map_sizes * TRIM_FRACTION).astype(np.int64)
     high = map_sizes - low
-    columns = np.arange(width)
+    columns = np.arange(values.shape[1])
     kept = (
         (columns >= low[:, None])
         & (columns < high[:, None])
@@ -345,7 +355,7 @@ def count_estimates_from_matrix(values: np.ndarray, mask: np.ndarray) -> np.ndar
     return np.divide(
         totals,
         counts,
-        out=np.full(rows, math.inf),
+        out=np.full(values.shape[0], math.inf),
         where=counts > 0,
     )
 

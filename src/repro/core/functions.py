@@ -50,6 +50,28 @@ __all__ = [
     "VectorFunction",
 ]
 
+#: Byte budget of one row block of a float64 state pass.  The array
+#: engines encode, merge and reduce ``(rows, width)`` blocks at most this
+#: many bytes of rows at a time (never less than one row), so a pass's
+#: temporaries stay a small multiple of it however wide the block.
+_STATE_BLOCK_BYTES = 1 << 18
+
+
+def state_block_rows(width: int) -> int:
+    """Rows of ``width`` float64 in one block: :data:`_STATE_BLOCK_BYTES`
+    of them, at least one; a width-0 row counts as one float."""
+    return max(1, _STATE_BLOCK_BYTES // (8 * max(1, width)))
+
+
+def state_row_blocks(rows: int, width: int) -> List[slice]:
+    """Consecutive slices of :func:`state_block_rows` covering ``rows`` rows.
+
+    Every array codec operation is row-local, so a pass applied block by
+    block is bit-identical to the same pass over all rows at once.
+    """
+    step = state_block_rows(width)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
 
 class AggregationFunction(abc.ABC):
     """Interface for the UPDATE step of the epidemic aggregation protocol."""
@@ -103,7 +125,9 @@ class AggregationFunction(abc.ABC):
     # to whole batches of exchanges at once.  The array operations must be
     # *bit-identical* to the scalar :meth:`merge` (same expressions,
     # IEEE-754 float64), which is what makes the array engines reproduce
-    # reference traces from the same seed.
+    # reference traces from the same seed.  They must also be row-local
+    # (row i of a result depends on row i of the inputs only), so the
+    # engines may apply them in row blocks (:func:`state_row_blocks`).
     # ------------------------------------------------------------------
 
     #: Whether :meth:`merge_arrays` also accepts flat ``(m,)`` state

@@ -24,16 +24,19 @@ epoch body one exchange at a time):
 3. **The epoch run.**  γ cycles (``cycles_per_epoch``, derivable from a
    target accuracy through :func:`epoch_config_for_accuracy`) of the
    epoch's :class:`~repro.core.count.CountArrayFunction`: dict states on
-   the reference engine, a dense ``(nodes, 2·leaders)`` block on the
-   vectorised engine — the merges are bit-identical, so both engines hold
-   the same maps from the same seed.  An epoch nobody led is the same run
-   over zero leaders (width-0 rows), so overlay maintenance, churn and
-   crashes advance exactly as in a populated epoch.
+   the reference engine, a dense ``(participants, 2·leaders)`` block on
+   the vectorised engine, one row per node that started the epoch however
+   many ids churn has issued — the merges are bit-identical, so both
+   engines hold the same maps from the same seed.  An epoch nobody led is
+   the same run over zero leaders (width-0 rows), so overlay maintenance,
+   churn and crashes advance exactly as in a populated epoch.
 4. **End-of-epoch reduction, feedback and carry-forward.**  Every
-   surviving node's row is reported to the ledger, which owns the rest of
-   Section 5's loop: the trimmed-mean reduction of Section 7.3, feeding a
-   finite estimate back into the election, and carrying the previous
-   estimate across a dry epoch (zero leaders, or every map diverged).
+   surviving node's row is reported to the ledger (the array engine hands
+   over its own block, compacted, rather than a copy), which owns the
+   rest of Section 5's loop: the trimmed-mean reduction of Section 7.3,
+   feeding a finite estimate back into the election, and carrying the
+   previous estimate across a dry epoch (zero leaders, or every map
+   diverged).
    The ledger's :class:`~repro.core.count.CountEpochRecord`, plus the
    synchronisation counts, is the epoch's :class:`EpochRecord`.
 
@@ -256,8 +259,14 @@ class EpochDriver:
         )
         cycles = self._config.cycles_per_epoch
         simulator.run(cycles)
+        # The array engine hands its own state block over rather than
+        # copying it, so the report adds only the reduction's row blocks.
+        if isinstance(simulator, VectorizedCycleSimulator):
+            rows = simulator._release_state_array()
+        else:
+            rows = simulator.state_array()
         record = EpochRecord(
-            **asdict(self._count.report(epoch_id, simulator.state_array())),
+            **asdict(self._count.report(epoch_id, rows)),
             joined_count=joined,
             advanced_count=advanced,
             skipped_sync_count=skipped,

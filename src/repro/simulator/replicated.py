@@ -4,8 +4,8 @@ Every figure of the paper is a sweep of repeats × parameter points —
 e.g. 50 independent runs per plotted value.  This module is the one
 array engine behind all of them: a :class:`StackedCycleEngine` holds
 ``R`` independent repetitions in one stacked state tensor (block layout
-``(R * stride, width)``, replica ``r``'s node ``u`` at row
-``r * stride + u``) and executes the heavy per-cycle passes — conflict
+``(R * stride, width)``, replica ``r``'s ``k``-th participant at row
+``r * stride + k``) and executes the heavy per-cycle passes — conflict
 scheduling, gather/merge/scatter rounds, transport filtering, metric
 extraction — once across the whole block.  It has two entry points:
 
@@ -37,6 +37,25 @@ Each cycle
    gather/merge/scatter passes, and
 4. records each replica's mean/variance/min/max with one vectorised
    pass over its slice of the estimate array.
+
+Memory law
+----------
+A replica's rows are its participants at construction, ranked in id
+order, not its ids: an id → row map over those participants
+(:class:`_Replica`) translates each cycle's plan, and is the identity,
+with no per-cycle gather, when the ids are ``0..n-1``.  The state tensor
+is therefore ``participants × width × 8`` bytes (``stride`` is the
+largest replica's participant count); sparse ids add 8 bytes per
+participant for its id and 8 bytes per id below the largest for the
+map.  A crash only clears its row's mask bit, and a joiner gets no row
+until the next engine is built (the next epoch), so the block never
+grows during a run, and an endless epoch sequence holds one live-sized
+block per epoch however many ids churn has issued.  Every pass over the
+tensor — the initial encode, each conflict round's gather/merge/scatter,
+the per-record estimates, and the end-of-run hand-over of the R = 1
+entry (``_release_state_array``) — works in row blocks of at most
+``_STATE_BLOCK_BYTES`` (256 KiB, :mod:`repro.core.functions`), so its
+scratch is ``O(budget)``, not another block.
 
 Bit-identity contract
 ---------------------
@@ -74,12 +93,12 @@ import numpy as np
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.rng import RandomSource
 from ..common.validation import require_non_negative_int, require_positive_int
-from ..core.functions import AggregationFunction
+from ..core.functions import AggregationFunction, state_block_rows, state_row_blocks
 from ..topology.base import OverlayProvider
 from .failures import FailureModel, failure_model_or_default
 from .metrics import CycleRecord, SimulationTrace, estimate_statistics
 from .sampling import (
-    conflict_scratch, draw_cycle_plan, ordered_conflict_rounds, stack_cycle_plans
+    CyclePlan, conflict_scratch, draw_cycle_plan, ordered_conflict_rounds, stack_cycle_plans
 )
 from .transport import (
     OUTCOME_COMPLETED,
@@ -184,7 +203,10 @@ def apply_merge_rounds(
     :func:`~repro.simulator.sampling.ordered_conflict_rounds`; each round
     is one gather/merge/scatter pass.  The block may hold a single run or
     ``R`` stacked replicas — node-disjoint rows merge independently, so
-    the kernel is oblivious to the replica dimension.
+    the kernel is oblivious to the replica dimension.  A round's pairs are
+    node-disjoint too, so a round is applied in batches of
+    :func:`~repro.core.functions.state_block_rows` pairs: the gathered rows
+    never exceed a few blocks, however wide the state.
     """
     # Codecs that accept flat state vectors (the width-1 scalar
     # functions) run on the flat column: 1-D gathers and scatters are
@@ -196,7 +218,8 @@ def apply_merge_rounds(
     rounds = ordered_conflict_rounds(
         eff_initiators, eff_peers, scratch, track_positions=eff_completed is not None
     )
-    for batch_initiators, batch_peers, batch_positions in rounds:
+    step = state_block_rows(state_block.shape[1])
+    for batch_initiators, batch_peers, batch_positions in _row_blocked(rounds, step):
         new_initiator, new_responder = merge(
             states[batch_initiators], states[batch_peers]
         )
@@ -208,6 +231,21 @@ def apply_merge_rounds(
             completed_mask = eff_completed[batch_positions]
             states[batch_initiators[completed_mask]] = new_initiator[completed_mask]
         states[batch_peers] = new_responder
+
+
+def _row_blocked(rounds, step: int):
+    """Each conflict round, cut into batches of at most ``step`` pairs."""
+    for initiators, peers, positions in rounds:
+        if initiators.size <= step:
+            yield initiators, peers, positions
+            continue
+        for start in range(0, initiators.size, step):
+            stop = start + step
+            yield (
+                initiators[start:stop],
+                peers[start:stop],
+                None if positions is None else positions[start:stop],
+            )
 
 
 @dataclass
@@ -237,7 +275,14 @@ class ReplicaConfig:
 
 
 class _Replica:
-    """Internal per-replica bookkeeping of the stacked engine."""
+    """Internal per-replica bookkeeping of the stacked engine.
+
+    The replica's rows are its participants at construction, in id order:
+    node ``member_ids[k]`` owns local row ``k``.  ``row_of`` maps an id
+    to its row (``-1`` for none, with a trailing ``-1`` that ``-1``
+    indexes); both are ``None`` when the ids are ``0..members-1``, where
+    the row *is* the id.
+    """
 
     __slots__ = (
         "overlay",
@@ -248,14 +293,19 @@ class _Replica:
         "membership_rng",
         "failure_model",
         "next_node_id",
+        "members",
+        "member_ids",
+        "id_limit",
+        "row_of",
         "crashed",
         "trace",
         "pending_completed",
         "pending_failed",
+        "live_rows",
         "participants_cache",
     )
 
-    def __init__(self, config: ReplicaConfig) -> None:
+    def __init__(self, config: ReplicaConfig, node_ids: Sequence[int]) -> None:
         self.overlay = config.overlay
         rng = config.rng
         # The exact child-stream fan-out of the reference engine.
@@ -265,12 +315,35 @@ class _Replica:
         self.overlay_rng = rng.child("overlay")
         self.membership_rng = rng.child("membership")
         self.failure_model = failure_model_or_default(config.failure_model)
-        self.next_node_id = 0
+        self.members = len(node_ids)
+        #: One past the largest id with a row; joiners are numbered from it.
+        self.id_limit = max(node_ids) + 1 if node_ids else 0
+        self.next_node_id = self.id_limit
+        # Identifiers are distinct and non-negative, so the largest being
+        # members - 1 certifies the dense 0..n-1 id space.
+        self.member_ids: Optional[np.ndarray] = None
+        self.row_of: Optional[np.ndarray] = None
+        if self.id_limit != self.members:
+            self.member_ids = np.asarray(sorted(node_ids), dtype=np.int64)
+            self.row_of = np.full(self.id_limit + 1, -1, dtype=np.int64)
+            self.row_of[self.member_ids] = np.arange(self.members, dtype=np.int64)
         self.crashed: set = set()
         self.trace = SimulationTrace()
         self.pending_completed = 0
         self.pending_failed = 0
+        self.live_rows: Optional[np.ndarray] = None
         self.participants_cache: Optional[np.ndarray] = None
+
+    def row(self, node_id: int) -> int:
+        """The local row of ``node_id``, ``-1`` if it has none."""
+        if not 0 <= node_id < self.id_limit:
+            return -1
+        return node_id if self.row_of is None else int(self.row_of[node_id])
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """:meth:`row` over an int64 id array."""
+        rows = np.where((ids >= 0) & (ids < self.id_limit), ids, -1)
+        return rows if self.row_of is None else self.row_of[rows]
 
 
 class StackedCycleEngine:
@@ -322,12 +395,10 @@ class StackedCycleEngine:
 
         node_sets = [config.overlay.node_ids() for config in replicas]
         for config, node_ids in zip(replicas, node_sets):
-            replica = _Replica(config)
-            replica.next_node_id = max(node_ids) + 1 if node_ids else 0
+            self._replicas.append(_Replica(config, node_ids))
             if reachability is not None:
                 config.overlay.set_reachability(reachability)
-            self._replicas.append(replica)
-        stride = max([1] + [replica.next_node_id for replica in self._replicas])
+        stride = max([1] + [replica.members for replica in self._replicas])
         self._stride = stride
         capacity = self._count * stride
         self._states = np.zeros((capacity, self._width), dtype=np.float64)
@@ -335,32 +406,25 @@ class StackedCycleEngine:
         self._scratch = conflict_scratch(capacity)
 
         for index, (config, node_ids) in enumerate(zip(replicas, node_sets)):
-            if not node_ids:
+            replica = self._replicas[index]
+            if not replica.members:
                 continue
-            base = index * stride
-            count = len(node_ids)
             initial = config.initial_values
-            # Identifiers are distinct and non-negative, so the largest
-            # being count - 1 certifies the dense 0..n-1 id space — the
-            # common case, initialised with one contiguous block write.
-            if (
-                not isinstance(initial, Mapping)
-                and len(initial) == count
-                and self._replicas[index].next_node_id == count
-            ):
-                self._states[base : base + count] = function.initial_state_array(
-                    np.asarray(initial, dtype=np.float64)
+            dense = replica.member_ids is None
+            if not isinstance(initial, Mapping) and len(initial) == replica.members and dense:
+                values = np.asarray(initial, dtype=np.float64)
+            else:
+                mapping = normalise_initial_values(initial, node_ids)
+                order = range(replica.members) if dense else replica.member_ids.tolist()
+                values = np.asarray([mapping[node] for node in order], dtype=np.float64)
+            # Rows are ranks in id order, so a replica's rows are one
+            # contiguous range, encoded a row block at a time.
+            base = index * stride
+            for block in state_row_blocks(replica.members, self._width):
+                self._states[base + block.start : base + block.stop] = (
+                    function.initial_state_array(values[block])
                 )
-                self._participant_mask[base : base + count] = True
-                continue
-            values = normalise_initial_values(initial, node_ids)
-            ordered = np.asarray(sorted(node_ids), dtype=np.int64)
-            rows = base + ordered
-            ordered_values = [values[int(node)] for node in ordered]
-            self._states[rows] = function.initial_state_array(
-                np.asarray(ordered_values, dtype=np.float64)
-            )
-            self._participant_mask[rows] = True
+            self._participant_mask[base : base + replica.members] = True
 
         self._cycle_index = 0
         self._flush_records()
@@ -420,12 +484,17 @@ class StackedCycleEngine:
                 plan.outcomes,
                 self._cycle_index,
             )
-        # A peer past the stride is a node that crashed before this engine
-        # was built (a stale descriptor) or joined since (it waits for the
-        # next epoch, so it has no row): unusable either way, and unshifted
-        # it would index past the block or into the next replica's rows.
-        for plan in plans:
-            plan.peers[plan.peers >= self._stride] = -1
+        # From here on exchanges name local rows, not ids.  A peer without
+        # a row crashed before this engine was built (a stale descriptor)
+        # or joined since (it waits for the next epoch): unusable either
+        # way, and it must not index into another row or replica.
+        for index, (plan, replica) in enumerate(zip(plans, self._replicas)):
+            plan.peers[plan.peers >= replica.id_limit] = -1
+            if replica.row_of is not None:
+                # -1 indexes the map's trailing -1.
+                plans[index] = CyclePlan(
+                    replica.row_of[plan.initiators], replica.row_of[plan.peers], plan.outcomes
+                )
         stacked = stack_cycle_plans(
             plans, range(0, self._count * self._stride, self._stride)
         )
@@ -509,36 +578,49 @@ class StackedCycleEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _live_rows(self, index: int) -> np.ndarray:
+        """Sorted local rows of one replica's participants, cached."""
+        replica = self._replicas[index]
+        if replica.live_rows is None:
+            base = index * self._stride
+            replica.live_rows = np.flatnonzero(
+                self._participant_mask[base : base + replica.members]
+            )
+        return replica.live_rows
+
     def _participants_local(self, index: int) -> np.ndarray:
-        """Sorted local participant ids of one replica, cached."""
+        """Sorted participant ids of one replica, cached."""
         replica = self._replicas[index]
         if replica.participants_cache is None:
-            base = index * self._stride
-            replica.participants_cache = np.flatnonzero(
-                self._participant_mask[base : base + self._stride]
+            rows = self._live_rows(index)
+            replica.participants_cache = (
+                rows if replica.member_ids is None else replica.member_ids[rows]
             )
         return replica.participants_cache
 
+    def _estimates(self, index: int) -> np.ndarray:
+        """One replica's participant estimates, gathered a row block at a time."""
+        rows = self._live_rows(index)
+        base = index * self._stride
+        estimate = self._function.estimate_array
+        if not rows.size:
+            return np.empty(0, dtype=np.float64)
+        if rows.size == self._replicas[index].members:
+            # Before any crash the participants are one contiguous range.
+            return estimate(self._states[base : base + rows.size])
+        estimates = np.empty(rows.size, dtype=np.float64)
+        for block in state_row_blocks(rows.size, self._width):
+            estimates[block] = estimate(self._states[base + rows[block]])
+        return estimates
+
     def _flush_records(self) -> None:
-        stride = self._stride
         for index, replica in enumerate(self._replicas):
-            participants = self._participants_local(index)
-            base = index * stride
-            if participants.size == stride:
-                # Fully populated replica: its slice is the block, no gather.
-                rows = slice(base, base + stride)
-            else:
-                rows = base + participants
-            estimates = (
-                self._function.estimate_array(self._states[rows])
-                if participants.size
-                else np.empty(0, dtype=np.float64)
-            )
+            estimates = self._estimates(index)
             mean, variance, minimum, maximum = estimate_statistics(estimates)
             replica.trace.add(
                 CycleRecord(
                     cycle=self._cycle_index,
-                    participant_count=int(participants.size),
+                    participant_count=int(estimates.size),
                     mean=mean,
                     variance=variance,
                     minimum=minimum,
@@ -648,6 +730,11 @@ class ReplicaView:
     def _participants(self) -> np.ndarray:
         return self._engine._participants_local(self._index)
 
+    def _row(self, node_id: int) -> int:
+        """The block row of ``node_id``'s state, ``-1`` if it has none."""
+        row = self._replica.row(node_id)
+        return row if row < 0 else self._base + row
+
     # -- state accessors ------------------------------------------------
     def participant_ids(self) -> List[int]:
         """Identifiers of the nodes participating in the current epoch (sorted)."""
@@ -655,14 +742,12 @@ class ReplicaView:
 
     def is_participant(self, node_id: int) -> bool:
         """Whether ``node_id`` currently takes part in the protocol."""
-        engine = self._engine
-        return 0 <= node_id < engine._stride and bool(
-            engine._participant_mask[self._base + node_id]
-        )
+        row = self._row(node_id)
+        return row >= 0 and bool(self._engine._participant_mask[row])
 
     def state_array(self) -> np.ndarray:
         """The raw ``(participants, width)`` state block, in id order."""
-        return self._engine._states[self._base + self._participants()]
+        return self._engine._states[self._base + self._engine._live_rows(self._index)]
 
     # -- membership operations ------------------------------------------
     def crash_node(self, node_id: int) -> None:
@@ -670,9 +755,10 @@ class ReplicaView:
         replica = self._replica
         if node_id in replica.crashed:
             return
-        engine = self._engine
-        if 0 <= node_id < engine._stride:
-            engine._participant_mask[self._base + node_id] = False
+        row = self._row(node_id)
+        if row >= 0:
+            self._engine._participant_mask[row] = False
+            replica.live_rows = None
             replica.participants_cache = None
         replica.crashed.add(node_id)
         replica.overlay.on_node_removed(node_id)
@@ -701,13 +787,11 @@ class ReplicaView:
         ids = np.asarray(node_ids, dtype=np.int64)
         if ids.size == 0:
             return
-        if (
-            int(ids.min()) < 0
-            or int(ids.max()) >= engine._stride
-            or not bool(np.all(engine._participant_mask[self._base + ids]))
-        ):
-            bad = next(int(node) for node in ids if not self.is_participant(int(node)))
-            raise SimulationError(f"node {bad} is not participating")
+        rows = self._replica.rows(ids) + self._base
+        live = rows >= self._base
+        live[live] = engine._participant_mask[rows[live]]
+        if not live.all():
+            raise SimulationError(f"node {int(ids[np.argmin(live)])} is not participating")
         encoded = engine._function.initial_state_array(
             np.asarray(values, dtype=np.float64)
         )
@@ -716,7 +800,7 @@ class ReplicaView:
                 f"override_values got {ids.size} nodes but "
                 f"{encoded.shape[0]} value rows"
             )
-        engine._states[self._base + ids] = encoded
+        engine._states[rows] = encoded
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -55,9 +55,8 @@ __all__ = [
 #: exchange count vary cycle to cycle.  The arrays are read-only after
 #: publication and the cache cell holds one `(size, arrays)` tuple that
 #: is built completely *before* being published with a single (atomic
-#: under the GIL) assignment, so concurrent engines — e.g. the thread
-#: executor of ``repeat_traces`` — can never observe a new size paired
-#: with stale short arrays.
+#: under the GIL) assignment, so engines running in threads of one
+#: process can never observe a new size paired with stale short arrays.
 _PEEL_TEMPLATES: List[Tuple[int, Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]]] = [
     (0, None)
 ]

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..common.rng import RandomSource
-from ..core.functions import AggregationFunction
+from ..core.functions import AggregationFunction, state_row_blocks
 from ..topology.base import OverlayProvider
 from .failures import FailureModel
 from .metrics import CycleRecord, SimulationTrace
@@ -89,3 +91,21 @@ class VectorizedCycleSimulator(ReplicaView):
         """
         self._engine.run_cycles(self.run_cycle, cycles)
         return self.trace
+
+    def _release_state_array(self) -> np.ndarray:
+        """:meth:`state_array` without the copy, ending the run.
+
+        Moves the participants' rows to the front of the engine's state
+        block in place, a row block at a time (rows ascend, so a move never
+        overwrites a row still to be read), and returns that prefix: a
+        run's last read then costs no second block.  The simulator must
+        not be used afterwards.
+        """
+        engine = self._engine
+        rows = engine._live_rows(0)
+        states = engine._states
+        if rows.size < engine._replicas[0].members:
+            for block in state_row_blocks(rows.size, engine._width):
+                states[block] = states[rows[block]]
+        self._engine = None
+        return states[: rows.size]
