@@ -22,11 +22,12 @@ Two realisations are provided:
 Section 5's adaptive loop lives here once, in :class:`AdaptiveCount`:
 each epoch it elects leaders with ``P_lead = C / N̂``
 (:class:`LeaderElection`), builds the epoch's :class:`CountArrayFunction`,
-reduces the rows nodes report, feeds finite estimates back into the
-election, carries the previous estimate across a dry (zero-leader or
-all-diverged) epoch and keeps one :class:`CountEpochRecord` per epoch.
-The cycle-engine ``EpochDriver`` and the asynchronous engine's
-``AsyncCountProtocol`` only open epochs on it and report rows to it.
+reduces rows to per-node size estimates, feeds finite estimates back
+into the election, carries the previous estimate across a dry
+(zero-leader or all-diverged) epoch and keeps one
+:class:`CountEpochRecord` per epoch.  The cycle-engine ``EpochDriver``
+and the asynchronous engine's ``AsyncCountProtocol`` only open epochs on
+it and report their rows' estimates to it.
 
 This module owns COUNT's size arithmetic, and no other module repeats it:
 
@@ -467,9 +468,10 @@ class AdaptiveCount:
     """Section 5's adaptive COUNT loop, one epoch at a time.
 
     :meth:`open_epoch` elects the epoch's leaders and fixes its
-    :class:`CountArrayFunction`; :meth:`report` reduces finishing nodes'
-    rows with the Section 7.3 trimmed mean and feeds the epoch's running
-    mean back into the election.  Only finite estimates count, and only
+    :class:`CountArrayFunction`; :meth:`estimate_rows` reduces rows with
+    the Section 7.3 trimmed mean, and :meth:`report` takes finishing
+    nodes' estimates and feeds the epoch's running mean back into the
+    election.  Only finite estimates count, and only
     the newest epoch with one drives ``N̂``, so a late report to an older
     overlapping epoch never overrides a newer one.  A zero-leader epoch
     is an ordinary epoch over the empty universe: width-0 rows, ``inf``
@@ -504,14 +506,19 @@ class AdaptiveCount:
         width = len(self._codecs[epoch_id].leaders)
         return count_estimates_from_matrix(rows[:, :width], rows[:, width:])
 
-    def report(self, epoch_id: int, rows: np.ndarray, jumped: bool = False) -> CountEpochRecord:
-        """Nodes holding ``rows`` finished ``epoch_id`` (``jumped``: by epidemic sync)."""
+    def report(
+        self, epoch_id: int, estimates: np.ndarray, jumped: bool = False
+    ) -> CountEpochRecord:
+        """Nodes finished ``epoch_id`` with these per-row :meth:`estimate_rows`.
+
+        ``jumped``: they left by epidemic sync.  Engines estimate their rows
+        a row block at a time; the sum here is one pass over them all.
+        """
         record = self._records[epoch_id]
-        estimates = self.estimate_rows(epoch_id, rows)
         finite = estimates[np.isfinite(estimates)]
-        record.reporters += len(rows)
+        record.reporters += estimates.size
         if jumped:
-            record.jump_reporters += len(rows)
+            record.jump_reporters += estimates.size
         if finite.size:
             record.estimate_sum += float(finite.sum())
             record.finite_reporters += int(finite.size)

@@ -266,7 +266,7 @@ class EpochDriver:
         else:
             rows = simulator.state_array()
         record = EpochRecord(
-            **asdict(self._count.report(epoch_id, rows)),
+            **asdict(self._count.report(epoch_id, self._count.estimate_rows(epoch_id, rows))),
             joined_count=joined,
             advanced_count=advanced,
             skipped_sync_count=skipped,

@@ -134,7 +134,7 @@ class TestAdapterCodec:
         assert np.array_equal(
             protocol.estimate_rows(0, rows), AverageFunction().estimate_array(rows)
         )
-        protocol.report(0, rows, jumped=False)
+        protocol.report(0, protocol.estimate_rows(0, rows), jumped=False)
         assert protocol.epoch_estimates[0] == rows[:, 0].tolist()
 
     def test_unvalued_node_enters_with_zero(self):
@@ -212,7 +212,7 @@ class TestAdapterCodec:
         left, right = protocol.merge_rows(0, rows, rows)
         assert left.shape == right.shape == (5, 0)
         assert np.all(np.isinf(protocol.estimate_rows(0, rows)))
-        protocol.report(0, rows, jumped=True)
+        protocol.report(0, protocol.estimate_rows(0, rows), jumped=True)
         record = protocol.epoch_records()[0]
         assert (record.reporters, record.jump_reporters, record.dry) == (5, 5, True)
         assert record.size_estimate == 30.0
@@ -404,6 +404,30 @@ class TestRobustness:
         simulator.crash_nodes([3])
         assert simulator.alive_ids().size == SIZE - 1
         assert 3 not in simulator.active_ids()
+
+    def test_crash_nodes_tells_the_overlay_in_input_order_and_draws_nothing(self):
+        simulator, _ = build_average(seed=8)
+        overlay = simulator.overlay
+        removed = []
+        remove = overlay.on_node_removed
+        overlay.on_node_removed = lambda node: (removed.append(node), remove(node))
+        streams = [
+            simulator._rng, simulator._selection_rng, simulator._transport_rng,
+            simulator._overlay_rng, simulator._drift_rng, simulator._phase_rng,
+        ]
+        states = [stream.generator.bit_generator.state for stream in streams]
+        simulator.crash_nodes(np.array([12, -4, 5, 10**6, 12, 30, 5]))
+        simulator.crash_nodes([30, 7])
+        simulator.crash_nodes([])
+        assert removed == [12, 5, 30, 7]
+        assert all(type(node) is int for node in removed)
+        assert [stream.generator.bit_generator.state for stream in streams] == states
+        assert np.array_equal(
+            simulator.alive_ids(), np.setdiff1d(np.arange(SIZE), [5, 7, 12, 30])
+        )
+        for node in (5, 7, 12, 30):
+            assert simulator.epoch_of(node) == -1
+            assert np.isinf(simulator._next_tick[node]) and np.isinf(simulator._next_restart[node])
 
     def test_lone_survivor_finds_no_peer(self):
         simulator, _ = build_average(seed=8, kind="complete")

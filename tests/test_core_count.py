@@ -254,10 +254,10 @@ class TestAdaptiveCount:
         count = self.ledger()
         codec = count.open_epoch(0, [3, 4], RandomSource(1))
         assert codec.leaders == (3, 4)
-        record = count.report(0, self.rows(codec, math.inf, math.inf))
+        record = count.report(0, count.estimate_rows(0, self.rows(codec, math.inf, math.inf)))
         assert record.dry
         assert count.election.estimated_size == 50.0
-        record = count.report(0, self.rows(codec, 32.0, math.inf, 16.0))
+        record = count.report(0, count.estimate_rows(0, self.rows(codec, 32.0, math.inf, 16.0)))
         assert (record.reporters, record.finite_reporters) == (5, 2)
         assert (record.min_estimate, record.mean_estimate, record.max_estimate) == (16.0, 24.0, 32.0)
         assert count.election.estimated_size == 24.0
@@ -267,32 +267,32 @@ class TestAdaptiveCount:
         count = self.ledger()
         old = count.open_epoch(0, [1, 2], RandomSource(1))
         new = count.open_epoch(1, [1, 2], RandomSource(2))
-        count.report(1, self.rows(new, 16.0))
+        count.report(1, count.estimate_rows(1, self.rows(new, 16.0)))
         # A late report to the older, overlapping epoch adopts its own
         # estimate but leaves the election on the newer one.
-        count.report(0, self.rows(old, 64.0))
+        count.report(0, count.estimate_rows(0, self.rows(old, 64.0)))
         assert count.election.estimated_size == 16.0
         assert [record.size_estimate for record in count.epoch_records()] == [64.0, 16.0]
 
     def test_jump_reporters_are_counted(self):
         count = self.ledger()
         codec = count.open_epoch(0, [1], RandomSource(1))
-        count.report(0, self.rows(codec, 8.0, 8.0), jumped=True)
-        record = count.report(0, self.rows(codec, 8.0))
+        count.report(0, count.estimate_rows(0, self.rows(codec, 8.0, 8.0)), jumped=True)
+        record = count.report(0, count.estimate_rows(0, self.rows(codec, 8.0)))
         assert (record.reporters, record.jump_reporters, record.finite_reporters) == (3, 2, 3)
 
     def test_dry_epochs_carry_the_estimate_forward(self):
         count = self.ledger(estimate=50.0)
         dry = count.open_epoch(0, [], RandomSource(1))
         assert (dry.leaders, dry.state_width()) == ((), 0)
-        count.report(0, np.zeros((4, 0)))
+        count.report(0, count.estimate_rows(0, np.zeros((4, 0))))
         led = count.open_epoch(1, [5], RandomSource(2))
         count.open_epoch(2, [], RandomSource(3))
         records = count.epoch_records()
         assert [record.size_estimate for record in records] == [50.0, 50.0, 50.0]
         # Epoch 1 reports after epoch 2 opened: the dry epoch after it
         # now carries epoch 1's estimate.
-        count.report(1, self.rows(led, 32.0))
+        count.report(1, count.estimate_rows(1, self.rows(led, 32.0)))
         assert [record.dry for record in records] == [True, False, True]
         assert [record.size_estimate for record in records] == [50.0, 32.0, 32.0]
         assert (records[0].reporters, records[0].mean_estimate) == (4, math.inf)

@@ -378,7 +378,7 @@ class TestZeroLeaderCodec:
         assert simulator.trace.final.completed_exchanges > 0
         block = simulator.state_array()
         assert block.shape == (12, 0)
-        record = count.report(0, block)
+        record = count.report(0, count.estimate_rows(0, block))
         assert (record.reporters, record.finite_reporters, record.dry) == (12, 0, True)
         assert record.size_estimate == 12.0
 
