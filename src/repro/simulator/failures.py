@@ -72,19 +72,12 @@ class FailureModel(abc.ABC):
             Randomness source dedicated to failure injection.
         """
 
-    def describe(self) -> str:
-        """One-line human readable description for experiment reports."""
-        return type(self).__name__
-
 
 class NoFailures(FailureModel):
     """The benign scenario: nobody crashes, nobody joins."""
 
     def apply(self, simulator, cycle_index: int, rng: RandomSource) -> None:
         return None
-
-    def describe(self) -> str:
-        return "no failures"
 
 
 def failure_model_or_default(model: Optional[FailureModel]) -> FailureModel:
@@ -125,9 +118,6 @@ class ProportionalCrashModel(FailureModel):
         for victim in victims:
             simulator.crash_node(victim)
 
-    def describe(self) -> str:
-        return f"proportional crashes (Pf={self.crash_probability})"
-
 
 class SuddenDeathModel(FailureModel):
     """Crash a large fraction of the network all at once at a given cycle.
@@ -156,9 +146,6 @@ class SuddenDeathModel(FailureModel):
         victims = rng.sample(participants, min(count, len(participants)))
         for victim in victims:
             simulator.crash_node(victim)
-
-    def describe(self) -> str:
-        return f"sudden death of {self.fraction:.0%} at cycle {self.at_cycle}"
 
 
 class ChurnModel(FailureModel):
@@ -191,9 +178,6 @@ class ChurnModel(FailureModel):
         for _ in range(count):
             simulator.add_node()
 
-    def describe(self) -> str:
-        return f"churn ({self.replacements_per_cycle} nodes substituted per cycle)"
-
 
 class CountCrashModel(FailureModel):
     """Crash an absolute number of participating nodes before each cycle.
@@ -214,9 +198,6 @@ class CountCrashModel(FailureModel):
         victims = rng.sample(participants, count)
         for victim in victims:
             simulator.crash_node(victim)
-
-    def describe(self) -> str:
-        return f"{self.crashes_per_cycle} crashes per cycle"
 
 
 # ----------------------------------------------------------------------
@@ -257,10 +238,6 @@ class ReachabilityModel(abc.ABC):
             cycle_index,
         )
         return bool(mask is not None and mask[0])
-
-    def describe(self) -> str:
-        """One-line human readable description for experiment reports."""
-        return type(self).__name__
 
 
 class PartitionOutageModel(ReachabilityModel):
@@ -319,9 +296,3 @@ class PartitionOutageModel(ReachabilityModel):
         if not self.is_active(cycle_index):
             return None
         return (initiators < self.boundary) != (peers < self.boundary)
-
-    def describe(self) -> str:
-        return (
-            f"partition outage (ids < {self.boundary} severed, "
-            f"cycles [{self.start_cycle}, {self.heal_cycle}))"
-        )

@@ -10,17 +10,7 @@ This package provides the static families and the shared
 from .base import OverlayProvider, StaticTopology
 from .complete import CompleteOverlay, complete_topology
 from .generators import TOPOLOGY_KINDS, TopologySpec, build_overlay
-from .graph_stats import (
-    GraphStatistics,
-    clustering_coefficient,
-    compute_graph_statistics,
-    estimate_average_path_length,
-)
-from .partitions import (
-    effective_component_count,
-    effective_components,
-    overlay_is_split,
-)
+from .partitions import effective_component_count, effective_components
 from .random_regular import random_k_out_topology
 from .replicated import (
     ReplicatedStaticBlock,
@@ -46,11 +36,6 @@ __all__ = [
     "TopologySpec",
     "build_overlay",
     "TOPOLOGY_KINDS",
-    "GraphStatistics",
-    "compute_graph_statistics",
-    "clustering_coefficient",
-    "estimate_average_path_length",
     "effective_components",
     "effective_component_count",
-    "overlay_is_split",
 ]

@@ -22,7 +22,7 @@ imports topology itself.
 from __future__ import annotations
 
 from itertools import chain
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "component_labels",
     "effective_components",
     "effective_component_count",
-    "overlay_is_split",
 ]
 
 
@@ -122,25 +121,3 @@ def effective_component_count(
 ) -> int:
     """Number of weakly-connected components of the effective graph."""
     return len(effective_components(overlay, reachability, cycle_index))
-
-
-def overlay_is_split(
-    overlay: OverlayProvider,
-    reachability=None,
-    cycle_index: int = 0,
-    boundary: Optional[int] = None,
-) -> bool:
-    """Whether the effective overlay is split into 2+ components.
-
-    With ``boundary`` given, additionally require that the split follows
-    the id-space cut: no component may contain ids from both sides of the
-    boundary — the signature of a partition outage rather than incidental
-    fragmentation.
-    """
-    components = effective_components(overlay, reachability, cycle_index)
-    if len(components) < 2:
-        return False
-    # Members are ascending: a component straddles iff it starts below.
-    return boundary is None or all(
-        members[0] >= boundary or members[-1] < boundary for members in components
-    )

@@ -167,22 +167,3 @@ class TestTransportEffects:
         simulator = make_simulator(transport=TransportModel(link_failure_probability=0.5))
         record = simulator.run_cycle()
         assert record.completed_exchanges + record.failed_exchanges == 50
-
-
-class TestCostModel:
-    def test_contact_counts_mean_close_to_two(self):
-        simulator = make_simulator(size=200, degree=10)
-        total = 0
-        samples = 0
-        for _ in range(5):
-            simulator.run_cycle()
-            counts = simulator.last_cycle_contact_counts
-            total += sum(counts.values())
-            samples += len(counts)
-        assert total / samples == pytest.approx(2.0, abs=0.1)
-
-    def test_every_node_participates_at_least_once_without_failures(self):
-        simulator = make_simulator(size=100, degree=8)
-        simulator.run_cycle()
-        counts = simulator.last_cycle_contact_counts
-        assert min(counts.values()) >= 1

@@ -39,9 +39,6 @@ class TestNoFailures:
         assert simulator.participant_ids() == list(range(60))
         assert len(simulator.overlay.node_ids()) == 60
 
-    def test_describe(self):
-        assert "no failures" in NoFailures().describe()
-
 
 class TestProportionalCrashModel:
     def test_removes_expected_fraction_each_cycle(self):
@@ -60,9 +57,6 @@ class TestProportionalCrashModel:
         with pytest.raises(ConfigurationError):
             ProportionalCrashModel(1.2)
 
-    def test_describe_mentions_probability(self):
-        assert "0.2" in ProportionalCrashModel(0.2).describe()
-
 
 class TestSuddenDeathModel:
     def test_crash_happens_only_at_configured_cycle(self):
@@ -73,9 +67,6 @@ class TestSuddenDeathModel:
         assert len(simulator.participant_ids()) == 50
         simulator.run_cycle()
         assert len(simulator.participant_ids()) == 50
-
-    def test_describe(self):
-        assert "cycle 3" in SuddenDeathModel(0.5, at_cycle=3).describe()
 
     def test_at_cycle_zero_rejected(self):
         # Cycle indices are 1-based; at_cycle=0 used to be accepted and

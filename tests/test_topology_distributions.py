@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from repro.common.rng import RandomSource
-from repro.topology import (
-    StaticTopology,
-    barabasi_albert_topology,
-    clustering_coefficient,
-    estimate_average_path_length,
-    watts_strogatz_topology,
-)
+from repro.topology import StaticTopology, barabasi_albert_topology, watts_strogatz_topology
 
 SIZE = 1000
 SEEDS = (0, 1, 2)
@@ -32,6 +26,22 @@ def from_networkx(graph) -> StaticTopology:
 
 def mean_over_seeds(statistic, build):
     return float(np.mean([statistic(build(seed)) for seed in SEEDS]))
+
+
+def clustering_coefficient(graph) -> float:
+    """Mean local clustering of 200 nodes drawn by a fixed stream."""
+    nodes = RandomSource(7).sample(sorted(graph), 200)
+    local = nx.clustering(graph, nodes)
+    return float(np.mean([local[node] for node in nodes]))
+
+
+def estimate_average_path_length(graph) -> float:
+    """Mean shortest-path length from 20 sources drawn by a fixed stream."""
+    lengths = [
+        nx.single_source_shortest_path_length(graph, source)
+        for source in RandomSource(11).sample(sorted(graph), 20)
+    ]
+    return sum(sum(found.values()) for found in lengths) / sum(len(found) - 1 for found in lengths)
 
 
 class TestWattsStrogatzAgainstNetworkx:
@@ -56,11 +66,11 @@ class TestWattsStrogatzAgainstNetworkx:
     )
     def test_statistic_matches(self, beta, statistic, band):
         ours = mean_over_seeds(
-            statistic, lambda seed: watts_strogatz_topology(SIZE, 10, beta, RandomSource(seed))
+            statistic,
+            lambda seed: watts_strogatz_topology(SIZE, 10, beta, RandomSource(seed)).to_networkx(),
         )
         reference = mean_over_seeds(
-            statistic,
-            lambda seed: from_networkx(nx.watts_strogatz_graph(SIZE, 10, beta, seed=seed)),
+            statistic, lambda seed: nx.watts_strogatz_graph(SIZE, 10, beta, seed=seed)
         )
         assert abs(ours - reference) <= band
 

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -14,7 +15,6 @@ from repro.topology import (
     barabasi_albert_topology,
     build_overlay,
     complete_topology,
-    compute_graph_statistics,
     random_k_out_topology,
     ring_lattice_topology,
     scale_free,
@@ -135,9 +135,9 @@ class TestWattsStrogatz:
     def test_high_beta_reduces_clustering(self):
         ordered = watts_strogatz_topology(120, 8, 0.0, RandomSource(3))
         rewired = watts_strogatz_topology(120, 8, 1.0, RandomSource(3))
-        stats_ordered = compute_graph_statistics(ordered)
-        stats_rewired = compute_graph_statistics(rewired)
-        assert stats_rewired.clustering < stats_ordered.clustering
+        assert nx.average_clustering(rewired.to_networkx()) < nx.average_clustering(
+            ordered.to_networkx()
+        )
 
     def test_invalid_beta_rejected(self, rng):
         with pytest.raises(ConfigurationError):
@@ -317,24 +317,3 @@ class TestFactory:
         assert "beta" in TopologySpec("watts-strogatz", beta=0.25).label()
         assert "newscast" in TopologySpec("newscast", degree=20).label()
         assert TopologySpec("random").label() == "random"
-
-
-class TestGraphStatistics:
-    def test_statistics_of_ring_lattice(self):
-        stats = compute_graph_statistics(ring_lattice_topology(40, 4))
-        assert stats.node_count == 40
-        assert stats.edge_count == 80
-        assert stats.min_degree == stats.max_degree == 4
-        assert stats.connected
-        assert stats.clustering == pytest.approx(0.5, abs=0.01)
-
-    def test_statistics_as_dict(self):
-        stats = compute_graph_statistics(ring_lattice_topology(20, 4))
-        data = stats.as_dict()
-        assert data["node_count"] == 20
-        assert "clustering" in data
-
-    def test_path_length_estimate_positive(self, rng):
-        topology = random_k_out_topology(60, 5, rng)
-        stats = compute_graph_statistics(topology)
-        assert stats.average_path_length_estimate > 1.0
