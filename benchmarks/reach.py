@@ -104,11 +104,12 @@ class LineRecorder:
 
     @contextlib.contextmanager
     def recording(self) -> Iterator[None]:
+        previous = sys.gettrace()
         sys.settrace(self._on_call)
         try:
             yield
         finally:
-            sys.settrace(None)
+            sys.settrace(previous)
 
 
 def _qualname(code: CodeType) -> str:

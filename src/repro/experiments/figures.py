@@ -23,7 +23,7 @@ at example scale, or at the paper's.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -47,11 +47,11 @@ from ..core.instances import (
 from ..simulator import make_simulator
 from ..simulator.adversarial import ByzantineReporterModel
 from ..simulator.asynchrony import LAN
+from ..simulator.cycle_sim import CycleSimulator
 from ..simulator.failures import (
     ChurnModel, CountCrashModel, PartitionOutageModel, ProportionalCrashModel, SuddenDeathModel,
 )
-from ..simulator.sampling import draw_cycle_plan
-from ..simulator.transport import PERFECT_TRANSPORT, TransportModel
+from ..simulator.transport import TransportModel
 from ..topology import effective_component_count
 from ..topology.generators import TopologySpec, build_overlay
 from .config import DEFAULT, ExperimentScale
@@ -581,13 +581,13 @@ def _async_adaptive_epochs(s: Setting, positions: Sequence[int]) -> Tuple[List[R
 # re-merge through surviving cross-side cache entries and the gap between
 # the side means collapses again.
 # ----------------------------------------------------------------------
-def _average_run(s: Setting, spec: TopologySpec, **options):
+def _average_run(s: Setting, spec: TopologySpec, engine: Callable = make_simulator, **options):
     """One AVERAGE run over uniform values, drawn from the root seed's
     streams: ``(values, overlay, simulator)``, not yet stepped."""
     rng = RandomSource(s.seed)
     values = uniform_initial_values(s.size, rng.child("values"))
     overlay = build_overlay(spec, s.size, rng.child("topology"))
-    simulator = make_simulator(
+    simulator = engine(
         overlay=overlay, function=AverageFunction(), initial_values=values,
         rng=rng.child("simulation"), **options,
     )
@@ -638,28 +638,19 @@ def _partition_trace(s: Setting, _) -> Tuple[List[Row], Row]:
 
 # ----------------------------------------------------------------------
 # Section 4.5 — distribution of exchanges per node per cycle vs the
-# 1 + Poisson(1) model, counted on the cycle plans an engine would draw.
+# 1 + Poisson(1) model, measured on the reference engine's contact counts.
 # ----------------------------------------------------------------------
 def _exchange_counts(s: Setting, _) -> Tuple[List[Row], Row]:
-    rng = RandomSource(s.seed)
-    overlay = build_overlay(
-        TopologySpec("random", degree=_effective_degree(s.size)), s.size, rng.child("topology")
+    _, _, simulator = _average_run(
+        s, TopologySpec("random", degree=_effective_degree(s.size)), CycleSimulator
     )
-    # The streams both engines derive from the run's "simulation" child.
-    simulation = rng.child("simulation")
-    selection, transport = simulation.child("selection"), simulation.child("transport")
-    participants = np.asarray(overlay.node_ids(), dtype=np.int64)
-    observed: Counter = Counter()
+    observed: Dict[int, int] = {}
+    samples = 0
     for _ in range(s.cycles):
-        plan = draw_cycle_plan(overlay, participants, selection, PERFECT_TRANSPORT, transport)
-        # No failures and perfect transport: every exchange that has a
-        # peer happens, and it counts once at each of its two ends.
-        ok = plan.peers >= 0
-        per_node = np.bincount(
-            np.concatenate([plan.initiators[ok], plan.peers[ok]]), minlength=participants.size
-        )
-        observed.update(dict(enumerate(np.bincount(per_node).tolist())))
-    samples = s.cycles * participants.size
+        simulator.run_cycle()
+        for count in simulator.last_cycle_contact_counts.values():
+            observed[count] = observed.get(count, 0) + 1
+            samples += 1
     rows = [
         {
             "exchanges_per_cycle": count,

@@ -25,9 +25,9 @@ the stacked array engine uses — so the two engines produce identical
 exchange schedules from the same root seed, and even the reference
 per-exchange loop spends no time in scalar generator calls.
 
-This engine is the parity oracle: the array engine's parity suites
-compare against it, and no product path (figure, example, front door)
-runs it.
+This engine is the scalar oracle the array engine's parity suites compare
+against.  The one product path that runs it is the Section 4.5 ``cost``
+figure, which reads :attr:`CycleSimulator.last_cycle_contact_counts`.
 """
 
 from __future__ import annotations
@@ -131,6 +131,7 @@ class CycleSimulator:
 
         self._cycle_index = 0
         self._trace = SimulationTrace()
+        self.last_cycle_contact_counts: Dict[int, int] = {}
         self._flush_record()
 
     # ------------------------------------------------------------------
@@ -252,6 +253,8 @@ class CycleSimulator:
 
         completed = 0
         failed = 0
+        contact_counts: Dict[int, int] = {node: 0 for node in self._participants}
+        self.last_cycle_contact_counts = contact_counts
 
         participants = np.fromiter(
             sorted(self._participants), dtype=np.int64, count=len(self._participants)
@@ -299,6 +302,8 @@ class CycleSimulator:
                 states[initiator] = new_initiator
                 states[peer] = new_responder
                 completed += 1
+            contact_counts[initiator] += 1
+            contact_counts[peer] += 1
 
         self._overlay.after_cycle(self._overlay_rng)
         self._pending_completed += completed

@@ -141,14 +141,15 @@ SURFACE = {
 }
 
 #: Cycle engine -> the public attributes a run is read and driven through.
-#: The two engines carry one surface.
+#: The two engines carry one surface; only the reference engine adds
+#: ``last_cycle_contact_counts``, which the cost figure reads.
 RUN_ACCESSORS = (
     "overlay", "function", "trace", "cycle_index", "participant_ids",
     "is_participant", "state_array", "crash_node", "add_node", "override_values",
     "run", "run_cycle",
 )
 RUN_SURFACE = {
-    CycleSimulator: RUN_ACCESSORS,
+    CycleSimulator: RUN_ACCESSORS + ("last_cycle_contact_counts",),
     VectorizedCycleSimulator: RUN_ACCESSORS,
 }
 
@@ -200,7 +201,7 @@ def test_run_surface(engine):
 
 def test_engines_share_one_run_surface():
     reference, vectorized = (set(RUN_SURFACE[engine]) for engine in RUN_SURFACE)
-    assert reference == vectorized
+    assert reference ^ vectorized == {"last_cycle_contact_counts"}
 
 
 #: The practical protocol's public names: the adapter contract the async

@@ -167,3 +167,45 @@ class TestTransportEffects:
         simulator = make_simulator(transport=TransportModel(link_failure_probability=0.5))
         record = simulator.run_cycle()
         assert record.completed_exchanges + record.failed_exchanges == 50
+
+
+class TestCostModel:
+    def test_contact_counts_mean_close_to_two(self):
+        simulator = make_simulator(size=200, degree=10)
+        total = 0
+        samples = 0
+        for _ in range(5):
+            simulator.run_cycle()
+            counts = simulator.last_cycle_contact_counts
+            total += sum(counts.values())
+            samples += len(counts)
+        assert total / samples == pytest.approx(2.0, abs=0.1)
+
+    def test_every_node_participates_at_least_once_without_failures(self):
+        simulator = make_simulator(size=100, degree=8)
+        simulator.run_cycle()
+        counts = simulator.last_cycle_contact_counts
+        assert min(counts.values()) >= 1
+
+    def test_contact_counts_are_the_plan_counts_on_the_engine_streams(self):
+        # Without failures every exchange with a peer happens, so each
+        # node's count is its appearances in the drawn plan: the cost
+        # figure could count on plans alone, with no engine.
+        from repro.simulator.sampling import draw_cycle_plan
+        from repro.simulator.transport import PERFECT_TRANSPORT
+
+        simulator = make_simulator(size=120, seed=11, degree=8)
+        rng = RandomSource(11)
+        overlay = build_overlay(TopologySpec("random", degree=8), 120, rng.child("topology"))
+        streams = rng.child("sim")
+        selection, transport = streams.child("selection"), streams.child("transport")
+        participants = np.asarray(overlay.node_ids(), dtype=np.int64)
+        for _ in range(4):
+            simulator.run_cycle()
+            plan = draw_cycle_plan(overlay, participants, selection, PERFECT_TRANSPORT, transport)
+            ok = plan.peers >= 0
+            expected = np.bincount(
+                np.concatenate([plan.initiators[ok], plan.peers[ok]]), minlength=participants.size
+            )
+            counts = simulator.last_cycle_contact_counts
+            assert [counts[node] for node in participants.tolist()] == expected.tolist()
