@@ -19,6 +19,12 @@ tagged ``tracer-target`` (named by ``TARGETS`` in
 body that only raises ``NotImplementedError``) or ``repr``.  Standard
 library only; it raises if any path fails.
 
+Functions are keyed by their first line and name and named by their
+qualified name in the source, so the keys are the same on every Python
+from 3.10.  Line tables still differ a little between interpreter
+versions; compare two readings only if their manifests name the same
+``python``.
+
 Run with:  python benchmarks/reach.py [out.json]     (default: REACH.json)
 """
 
@@ -44,6 +50,7 @@ E2E = ROOT / "benchmarks" / "e2e"
 SEED = 2004
 OVERLAY_BUILD_SIZE = 2_000
 CO_OPTIMIZED = 0x1  # set on function, lambda and comprehension code, never on module or class bodies
+COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>"}
 
 #: ``argv`` lists per example, as ``.github/workflows/ci.yml`` runs them.
 EXAMPLES: Dict[str, List[List[str]]] = {
@@ -61,7 +68,7 @@ SKIPPED = {
     ),
 }
 
-Key = Tuple[str, int, str]  # (module path under src/, first line, qualname)
+Key = Tuple[str, int, str]  # (module path under src/, first line, name)
 
 
 class LineRecorder:
@@ -87,11 +94,16 @@ class LineRecorder:
     def _on_call(self, frame, event, arg):
         code = frame.f_code
         # Module and class bodies run their ``def`` lines, which are also
-        # the first line of each function: leave them out.
-        module = self._module(code.co_filename) if code.co_flags & CO_OPTIMIZED else None
+        # the first line of each function: leave them out, and the
+        # comprehensions they hold with them (see ``_function_codes``).
+        if not code.co_flags & CO_OPTIMIZED or (
+            code.co_name in COMPREHENSIONS and not frame.f_back.f_code.co_flags & CO_OPTIMIZED
+        ):
+            return None
+        module = self._module(code.co_filename)
         if module is None:
             return None
-        self.entered.add((module, code.co_firstlineno, _qualname(code)))
+        self.entered.add((module, code.co_firstlineno, code.co_name))
         lines = self.lines.setdefault(module, set())
         lines.add(code.co_firstlineno)
 
@@ -112,17 +124,44 @@ class LineRecorder:
             sys.settrace(previous)
 
 
-def _qualname(code: CodeType) -> str:
-    return getattr(code, "co_qualname", code.co_name)
-
-
 def _function_codes(code: CodeType) -> Iterator[CodeType]:
-    """Every function-like code object nested in ``code``."""
+    """Every function-like code object nested in ``code``.
+
+    A list, set or dict comprehension in a module or class body counts with
+    that body, as Python 3.12 compiles it inline there (PEP 709); in a
+    function its lines count on every version, in its own code object or in
+    the function's.
+    """
+    function = code.co_flags & CO_OPTIMIZED
     for constant in code.co_consts:
         if isinstance(constant, CodeType):
-            if constant.co_flags & CO_OPTIMIZED:
+            inlined = constant.co_name in COMPREHENSIONS and not function
+            if constant.co_flags & CO_OPTIMIZED and not inlined:
                 yield constant
             yield from _function_codes(constant)
+
+
+def _first_line(node: ast.AST) -> int:
+    """``co_firstlineno`` of a ``def``: its first decorator, else the ``def`` line."""
+    return min([node.lineno] + [decorator.lineno for decorator in node.decorator_list])
+
+
+def _qualnames(tree: ast.AST) -> Dict[Tuple[int, str], str]:
+    """``(first line, name) -> __qualname__`` of every ``def`` in ``tree``."""
+    names = {}
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names[(_first_line(child), child.name)] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return names
 
 
 def _abstract_lines(tree: ast.AST) -> Set[int]:
@@ -142,7 +181,7 @@ def _abstract_lines(tree: ast.AST) -> Set[int]:
             and "NotImplementedError" in ast.unparse(body[0])
         )
         if "abstractmethod" in decorators or raises_only:
-            found.add(min([node.lineno] + [decorator.lineno for decorator in node.decorator_list]))
+            found.add(_first_line(node))
     return found
 
 
@@ -158,7 +197,7 @@ def _tracer_targets() -> Set[Key]:
             if path.is_relative_to(PACKAGE.resolve()):
                 keys.add(
                     (path.relative_to(PACKAGE.resolve().parent).as_posix(),
-                     code.co_firstlineno, _qualname(code))
+                     code.co_firstlineno, code.co_name)
                 )
     return keys
 
@@ -231,16 +270,21 @@ def measure(recorder: LineRecorder) -> Dict[str, object]:
     for path in sorted(PACKAGE.rglob("*.py")):
         module = path.relative_to(PACKAGE.parent).as_posix()
         source = path.read_text(encoding="utf-8")
-        abstract = _abstract_lines(ast.parse(source))
+        tree = ast.parse(source)
+        abstract = _abstract_lines(tree)
+        qualnames = _qualnames(tree)
         executed = recorder.lines.get(module, set())
         executable: Set[int] = set()
         for code in _function_codes(compile(source, str(path), "exec")):
+            # The first line counts as the recorder counts it; before 3.11
+            # no instruction of a function sits on its ``def`` line.
             body = {line for _, _, line in code.co_lines() if line is not None}
+            body.add(code.co_firstlineno)
             executable |= body
             if code.co_name.startswith("<"):
                 continue
             functions += 1
-            key = (module, code.co_firstlineno, _qualname(code))
+            key = (module, code.co_firstlineno, code.co_name)
             if key in recorder.entered:
                 continue
             tags = [
@@ -253,7 +297,8 @@ def measure(recorder: LineRecorder) -> Dict[str, object]:
                 if applies
             ]
             never_entered.append(
-                {"module": module, "function": key[2], "line": key[1],
+                {"module": module, "function": qualnames[code.co_firstlineno, code.co_name],
+                 "line": key[1],
                  "lines": len(body), "tags": tags}
             )
         hit = len(executable & executed)

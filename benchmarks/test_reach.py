@@ -2,9 +2,9 @@
 
 The full audit runs every product path and takes tens of seconds, so it
 is not run here; these tests pin what its reading is made of: which
-lines a recording counts, which code objects are function bodies, which
-functions are tagged abstract, how a failing example is reported, and
-what ``measure`` writes for the real package.
+lines a recording counts, which code objects are function bodies, how
+functions are named, which are tagged abstract, how a failing example is
+reported, and what ``measure`` writes for the real package.
 """
 
 import ast
@@ -45,7 +45,15 @@ MODULE = textwrap.dedent(
             raise NotImplementedError(label)
 
         def squares(self, n):
-            return [i * i for i in range(n)] + list(map(lambda i: -i, range(n)))
+            return sum(i * i for i in range(n)) + sum(map(lambda i: -i, range(n)))
+
+        CORNERS = [i for i in range(4)]
+
+
+    def outer():
+        def inner():
+            return 5
+        return inner
     """
 )
 
@@ -73,8 +81,8 @@ def test_recording_counts_the_entered_function_bodies_of_the_package_only(packag
         outside = load(package.parent / "outside.py", "reach_sample_outside")
         module.used(True)
         outside.elsewhere()
-    # Module and class bodies ran under the recording, yet only ``used``
-    # was entered; its untaken ``return 2`` (line 7) is not executed.
+    # Module and class bodies ran under the recording, the class-level
+    # comprehension with them, yet only ``used`` was entered; its untaken ``return 2`` (line 7) is not executed.
     assert recorder.entered == {("pkg/mod.py", 4, "used")}
     assert recorder.lines == {"pkg/mod.py": {4, 5, 6}}
 
@@ -93,12 +101,28 @@ def test_recording_puts_back_the_trace_function_it_found(package):
         sys.settrace(saved)
 
 
-def test_function_codes_are_functions_methods_lambdas_and_comprehensions(package):
+def test_function_codes_are_functions_methods_lambdas_and_generator_expressions(package):
+    # The class-level list comprehension counts with the class body, where
+    # Python 3.12 compiles it inline.
     code = compile(MODULE, str(package / "mod.py"), "exec")
     names = sorted(function.co_name for function in reach._function_codes(code))
     assert names == [
-        "<lambda>", "<listcomp>", "area", "name", "sides", "squares", "unused", "used"
+        "<genexpr>", "<lambda>", "area", "inner", "name", "outer", "sides", "squares",
+        "unused", "used",
     ]
+
+
+def test_qualnames_come_from_the_source_keyed_by_first_line_and_name():
+    assert reach._qualnames(ast.parse(MODULE)) == {
+        (4, "used"): "used",
+        (10, "unused"): "unused",
+        (15, "area"): "Shape.area",
+        (19, "sides"): "Shape.sides",
+        (23, "name"): "Shape.name",
+        (27, "squares"): "Shape.squares",
+        (33, "outer"): "outer",
+        (34, "inner"): "outer.<locals>.inner",
+    }
 
 
 def test_abstract_lines_are_abstractmethods_and_raise_only_bodies():
