@@ -6,8 +6,10 @@ Runs every product path in this one process under ``sys.settrace``:
 * every ``ALL_FIGURES`` entry at ``BENCH``;
 * every example as CI invokes it, under ``REPRO_SCALE=smoke``.
   ``overlay_build_costs.py`` builds each family at N=2000, in this process
-  (CI runs each build in a child interpreter), and
-  ``adaptive_figure_cost.py`` is skipped (see :data:`SKIPPED`);
+  (CI runs each build in a child interpreter),
+  ``stacked_repeats_cost.py`` runs its point at N=2000 (its memory limit
+  is for a fresh process at N=10^5), and ``adaptive_figure_cost.py`` is
+  skipped (see :data:`SKIPPED`);
 * the six end-to-end workloads of ``benchmarks/e2e/workloads.py`` at their
   ``TINY`` sizes, each unit checked as the harness checks it.
 
@@ -48,7 +50,8 @@ PACKAGE = ROOT / "src" / "repro"
 E2E = ROOT / "benchmarks" / "e2e"
 
 SEED = 2004
-OVERLAY_BUILD_SIZE = 2_000
+#: N of the sized examples (overlay builds, stacked repeats) run in this process.
+EXAMPLE_SIZE = 2_000
 CO_OPTIMIZED = 0x1  # set on function, lambda and comprehension code, never on module or class bodies
 COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>"}
 
@@ -229,7 +232,8 @@ def _run_example(path: Path, argv: List[str]) -> None:
 def run_examples() -> None:
     examples = ROOT / "examples"
     scripts = sorted(path.name for path in examples.glob("*.py"))
-    unknown = set(scripts) - set(EXAMPLES) - set(SKIPPED) - {"overlay_build_costs.py"}
+    sized = {"overlay_build_costs.py", "stacked_repeats_cost.py"}
+    unknown = set(scripts) - set(EXAMPLES) - set(SKIPPED) - sized
     if unknown:
         raise RuntimeError(f"no invocation listed for {sorted(unknown)}")
     saved = os.environ.get("REPRO_SCALE")
@@ -240,7 +244,8 @@ def run_examples() -> None:
                 _run_example(examples / name, argv)
         builds = runpy.run_path(str(examples / "overlay_build_costs.py"))
         for family in builds["SPECS"]:
-            builds["build_one"](family, OVERLAY_BUILD_SIZE)
+            builds["build_one"](family, EXAMPLE_SIZE)
+        runpy.run_path(str(examples / "stacked_repeats_cost.py"))["run"](EXAMPLE_SIZE)
     finally:
         if saved is None:
             del os.environ["REPRO_SCALE"]
@@ -346,7 +351,7 @@ def main(argv: List[str]) -> int:
             "paths": {
                 "figures": "every ALL_FIGURES entry at BENCH",
                 "examples": "examples/*.py as CI runs them, REPRO_SCALE=smoke, "
-                f"overlay builds at N={OVERLAY_BUILD_SIZE}",
+                f"overlay builds and stacked repeats at N={EXAMPLE_SIZE}",
                 "workloads": f"benchmarks/e2e/workloads.py WORKLOADS at TINY, seed {SEED}",
             },
             "skipped": SKIPPED,

@@ -44,7 +44,7 @@ def run_map_variant(size, cycles, seed, concurrent=8):
     simulator = CycleSimulator(
         overlay,
         CountArrayFunction(leaders),
-        {node: (node if node in leader_set else -1) for node in node_ids},
+        {node: (node if node in leader_set else -1) for node in node_ids.tolist()},
         rng.child("s"),
         failure_model=SuddenDeathModel(0.3, at_cycle=2),
     )

@@ -57,12 +57,13 @@ def multi_instance_peak_values(
     chosen for each instance.
     """
     require_positive(instance_count, "instance_count")
-    if not node_ids:
+    ids = np.asarray(node_ids, dtype=np.int64).tolist()
+    if not ids:
         raise ConfigurationError("node_ids must not be empty")
-    leaders = [node_ids[rng.choice_index(len(node_ids))] for _ in range(instance_count)]
+    leaders = [ids[rng.choice_index(len(ids))] for _ in range(instance_count)]
     values: Dict[int, Tuple[float, ...]] = {}
     leader_sets = [set([leader]) for leader in leaders]
-    for node in node_ids:
+    for node in ids:
         values[node] = tuple(
             1.0 if node in leader_sets[index] else 0.0 for index in range(instance_count)
         )

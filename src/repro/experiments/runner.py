@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
+
+import numpy as np
 
 from ..common.rng import RandomSource
 from ..common.validation import require, require_non_negative_int
@@ -53,14 +55,15 @@ __all__ = [
 T = TypeVar("T")
 
 
-def uniform_initial_values(size: int, rng: RandomSource) -> List[float]:
+def uniform_initial_values(size: int, rng: RandomSource) -> np.ndarray:
     """Uniformly random local values on ``[0, 100)``, the generic AVERAGE workload.
 
-    One batched generator call; element ``i`` equals the ``i``-th scalar
-    ``rng.uniform(0, 100)`` draw (the generator consumes one double per
-    value either way).
+    One batched generator call, returned as its float64 array (8 bytes
+    per value, no Python float per node); element ``i`` equals the
+    ``i``-th scalar ``rng.uniform(0, 100)`` draw (the generator consumes
+    one double per value either way).
     """
-    return rng.generator.uniform(0.0, 100.0, size).tolist()
+    return rng.generator.uniform(0.0, 100.0, size)
 
 
 def peak_values_for_count(size: int, peak_value: Optional[float] = None) -> List[float]:
@@ -216,11 +219,16 @@ class RunPlan:
         )
 
     # ------------------------------------------------------------------
-    def resolve_values(self, rng: RandomSource) -> List[float]:
-        """One repetition's initial values (factory fed ``child("values")``)."""
-        if callable(self.values):
-            return list(self.values(self.size, rng.child("values")))
-        return list(self.values)
+    def resolve_values(self, rng: RandomSource) -> Union[np.ndarray, List[float]]:
+        """One repetition's initial values (factory fed ``child("values")``).
+
+        An array passes through as it is; any other sequence is copied
+        into a list.
+        """
+        values = self.values
+        if callable(values):
+            values = values(self.size, rng.child("values"))
+        return values if isinstance(values, np.ndarray) else list(values)
 
     def _failure_model(self) -> Optional[FailureModel]:
         return self.failure_factory() if self.failure_factory else None
@@ -240,9 +248,7 @@ class RunPlan:
         simulator.run(self.cycles)
         return self.collect(simulator)
 
-    def build_replica_overlays(
-        self, rngs: Sequence[RandomSource]
-    ) -> List:
+    def build_replica_overlays(self, rngs: Sequence[RandomSource]) -> Tuple[List, object]:
         """Build every repetition's overlay, block-stacked where possible.
 
         Replica ``r``'s overlay is drawn from ``rngs[r]`` exactly as
@@ -254,13 +260,18 @@ class RunPlan:
         (shared packed cache matrix, fused maintenance); the complete
         overlay and the dict NEWSCAST oracle reuse their standard
         builders, one overlay per replica.
+
+        Returns ``(overlays, block)``: the block the overlays live in, or
+        ``None`` for per-replica overlays.  A NEWSCAST block owns its
+        overlays, which refer back to it weakly, so the caller holds it
+        for as long as their maintenance should be fused.
         """
         kind = self.topology.kind.lower()
         if kind == "random":
             block = ReplicatedStaticBlock.build_k_out(
                 self.size, self.topology.degree, rngs
             )
-            return [block.view(replica) for replica in range(len(rngs))]
+            return [block.view(replica) for replica in range(len(rngs))], block
         if kind in ("ring-lattice", "watts-strogatz", "scale-free"):
             # Build each graph once, copy its rows into the block and
             # release it, so peak memory holds one standalone overlay
@@ -269,7 +280,7 @@ class RunPlan:
                 len(rngs),
                 lambda replica: build_overlay(self.topology, self.size, rngs[replica]),
             )
-            return [block.view(replica) for replica in range(len(rngs))]
+            return [block.view(replica) for replica in range(len(rngs))], block
         if self.topology.builds_array_newscast():
             # Stack the packed cache matrices and fuse the warm-ups.
             from ..newscast.vectorized_cache import ReplicatedNewscastBlock
@@ -277,8 +288,8 @@ class RunPlan:
             block = ReplicatedNewscastBlock.bootstrap(
                 len(rngs), self.size, self.topology.degree, list(rngs)
             )
-            return block.views()
-        return [build_overlay(self.topology, self.size, rng) for rng in rngs]
+            return block.views(), block
+        return [build_overlay(self.topology, self.size, rng) for rng in rngs], None
 
 
 def _run_replicated(repeats: int, seed: int, plan: RunPlan) -> List[T]:
@@ -287,7 +298,9 @@ def _run_replicated(repeats: int, seed: int, plan: RunPlan) -> List[T]:
         return []
     root = RandomSource(seed)
     run_rngs = [root.child("run", index) for index in range(repeats)]
-    overlays = plan.build_replica_overlays(
+    # The block is held for the run; nothing of it outlives the return
+    # but what collect keeps (the engine and its views form no cycle).
+    overlays, block = plan.build_replica_overlays(
         [rng.child("topology") for rng in run_rngs]
     )
     configs = [

@@ -31,7 +31,7 @@ The class implements :class:`~repro.topology.base.OverlayProvider`:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
 
@@ -111,8 +111,9 @@ class NewscastOverlay(OverlayProvider):
     # ------------------------------------------------------------------
     # OverlayProvider interface
     # ------------------------------------------------------------------
-    def node_ids(self) -> List[int]:
-        return sorted(self._alive)
+    def node_ids(self) -> np.ndarray:
+        """Identifiers of all current nodes, ascending (int64)."""
+        return np.array(sorted(self._alive), dtype=np.int64)
 
     def neighbors(self, node_id: int) -> Sequence[int]:
         cache = self._caches.get(node_id)

@@ -96,6 +96,7 @@ direction independently.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -309,6 +310,11 @@ class ReplicatedNewscastBlock:
     slice (``_grow_rows`` reallocates, detaching it from the block), the
     stacked pass notices and falls back to that instance's private
     ``after_cycle`` — correctness never depends on the stacking.
+
+    The block owns its overlays; an overlay refers back to it only weakly
+    (:attr:`VectorizedNewscastOverlay.maintenance_block`), so no reference
+    cycle outlives a run, and an overlay whose block is gone maintains
+    itself.
     """
 
     def __init__(self, overlays: Sequence["VectorizedNewscastOverlay"]) -> None:
@@ -353,7 +359,7 @@ class ReplicatedNewscastBlock:
                 grown[:rows] = overlay._alive_rows
                 overlay._alive_rows = grown
             overlay._row_capacity = stride
-            overlay.maintenance_block = self
+            overlay._block_ref = weakref.ref(self)
             overlay.block_index = index
 
     @classmethod
@@ -498,12 +504,9 @@ class VectorizedNewscastOverlay(OverlayProvider):
         self.name = f"newscast-array(c={cache_size})"
         #: Number of NEWSCAST exchanges performed in the most recent cycle.
         self.last_cycle_exchanges = 0
-        #: The :class:`ReplicatedNewscastBlock` this overlay's matrices
-        #: live in (plus this overlay's replica position), or ``None``
-        #: for a standalone overlay.  Set by the block on adoption; the
-        #: replicated engine uses it to fuse the maintenance rounds of
-        #: co-located replicas.
-        self.maintenance_block: Optional["ReplicatedNewscastBlock"] = None
+        # A weak reference to the adopting block (see maintenance_block)
+        # and this overlay's replica position in it.
+        self._block_ref: Optional[weakref.ref] = None
         self.block_index = -1
 
         self._row_capacity = 0
@@ -516,6 +519,19 @@ class VectorizedNewscastOverlay(OverlayProvider):
         self._free_rows: List[int] = []
         self._row_by_id = np.empty(0, dtype=np.int64)
         self._scratch = conflict_scratch(0)
+
+    @property
+    def maintenance_block(self) -> Optional["ReplicatedNewscastBlock"]:
+        """The :class:`ReplicatedNewscastBlock` that adopted this overlay, or ``None``.
+
+        The replicated engine uses it to fuse the maintenance rounds of
+        co-located replicas.  The block owns its overlays and an overlay
+        refers back to it weakly, so a finished run is freed by reference
+        counting: whoever wants the fused rounds holds the block (as the
+        repeat runner does for a run), and once it is gone the overlay,
+        whose matrices stay valid, maintains itself.
+        """
+        return None if self._block_ref is None else self._block_ref()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -568,9 +584,9 @@ class VectorizedNewscastOverlay(OverlayProvider):
     # ------------------------------------------------------------------
     # OverlayProvider interface
     # ------------------------------------------------------------------
-    def node_ids(self) -> List[int]:
-        ids = self._id_by_row[self._alive_rows[: self._alive_count]]
-        return np.sort(ids).tolist()
+    def node_ids(self) -> np.ndarray:
+        """Identifiers of all current nodes, ascending (int64)."""
+        return np.sort(self._id_by_row[self._alive_rows[: self._alive_count]])
 
     def neighbors(self, node_id: int) -> Sequence[int]:
         row = self._row_of(node_id)

@@ -297,7 +297,7 @@ class AsyncPracticalSimulator:
         self._phase_rng = rng.child("phase")
         self._record_every = record_every
 
-        node_ids = np.asarray(sorted(overlay.node_ids()), dtype=np.int64)
+        node_ids = np.sort(overlay.node_ids())
         if node_ids.size == 0:
             raise ConfigurationError("the overlay has no nodes")
         self._capacity = int(node_ids[-1]) + 1
@@ -620,7 +620,7 @@ class AsyncPracticalSimulator:
         # Boot events for joined nodes whose start falls here.
         active = self._epoch_of >= 0
         starting_mask = self._alive & ~active & (self._start_time < t1)
-        starting = np.flatnonzero(starting_mask)
+        starting = starting_mask.nonzero()[0]
         if starting.size:
             times.append(self._start_time[starting])
             nodes.append(starting)
@@ -630,7 +630,7 @@ class AsyncPracticalSimulator:
         # Epoch restarts (a node's own periodic timer; at most a couple
         # per window since Δ ≥ δ in any sane configuration).
         while True:
-            due = np.flatnonzero(runnable & (self._next_restart < t1))
+            due = (runnable & (self._next_restart < t1)).nonzero()[0]
             if not due.size:
                 break
             times.append(self._next_restart[due].copy())
@@ -642,7 +642,7 @@ class AsyncPracticalSimulator:
 
         # Active-thread ticks.
         while True:
-            due = np.flatnonzero(runnable & (self._next_tick < t1))
+            due = (runnable & (self._next_tick < t1)).nonzero()[0]
             if not due.size:
                 break
             times.append(self._next_tick[due].copy())
@@ -672,7 +672,7 @@ class AsyncPracticalSimulator:
     ) -> None:
         del times  # ordering already encoded in the argument order
         total = event_nodes.size
-        tick_positions = np.flatnonzero(event_kinds == _KIND_TICK)
+        tick_positions = (event_kinds == _KIND_TICK).nonzero()[0]
         tick_count = tick_positions.size
         self.statistics["ticks"] += int(tick_count)
 
@@ -711,7 +711,7 @@ class AsyncPracticalSimulator:
             np.count_nonzero(is_tick & peer_ok & (outcomes == OUTCOME_DROPPED))
         )
 
-        keep = np.flatnonzero(usable)
+        keep = usable.nonzero()[0]
         if not keep.size:
             return
         eff_nodes = event_nodes[keep]

@@ -120,7 +120,8 @@ class CycleSimulator:
         self._overlay_rng = rng.child("overlay")
         self._membership_rng = rng.child("membership")
 
-        node_ids = overlay.node_ids()
+        # The oracle keeps its nodes as Python ints, in the overlay's order.
+        node_ids = overlay.node_ids().tolist()
         values = normalise_initial_values(initial_values, node_ids)
         self._states: Dict[int, Any] = {
             node: function.initial_state(values[node]) for node in node_ids

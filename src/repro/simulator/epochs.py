@@ -238,8 +238,8 @@ class EpochDriver:
 
     def _run_epoch(self) -> EpochRecord:
         epoch_id = self._next_epoch_id
-        alive = sorted(self._overlay.node_ids())
-        if not alive:
+        alive = np.sort(self._overlay.node_ids())
+        if not alive.size:
             raise SimulationError(
                 f"no nodes left alive at the start of epoch {epoch_id}"
             )
@@ -251,7 +251,7 @@ class EpochDriver:
         simulator = self._simulator(
             overlay=self._overlay,
             function=function,
-            initial_values=dict(zip(alive, function.leader_values(alive).tolist())),
+            initial_values=dict(zip(alive.tolist(), function.leader_values(alive).tolist())),
             rng=self._rng.child("epoch", epoch_id),
             transport=self._transport,
             failure_model=self._build_failure_model(epoch_id),

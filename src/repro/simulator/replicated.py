@@ -57,6 +57,17 @@ entry (``_release_state_array``) — works in row blocks of at most
 ``_STATE_BLOCK_BYTES`` (256 KiB, :mod:`repro.core.functions`), so its
 scratch is ``O(budget)``, not another block.
 
+No Python object per node remains on a run's path: the overlay's
+``node_ids()`` is an int64 array the engine takes as it is, initial
+values are read as one float64 array (what
+:func:`~repro.experiments.runner.uniform_initial_values` returns, passed
+through by :meth:`~repro.experiments.runner.RunPlan.resolve_values`),
+and besides the tensor the engine keeps 13 bytes per row: the
+participant mask, the conflict-round scratch (int32) and the cached
+participant rows (int64).  Views are made on demand, so an engine and
+its views form no reference cycle and a finished run is freed by
+reference counting.
+
 Bit-identity contract
 ---------------------
 Each replica keeps its *own* random streams: replica ``r`` is
@@ -177,7 +188,7 @@ def effective_exchange_filter(
             else valid & (outcomes != OUTCOME_DROPPED)
         )
     )
-    effective_index = np.flatnonzero(effective)
+    effective_index = effective.nonzero()[0]
     eff_initiators = initiators[effective_index]
     eff_peers = peers[effective_index]
     # effective_index is always materialised on the lossy path, so the
@@ -297,7 +308,6 @@ class _Replica:
         "member_ids",
         "id_limit",
         "row_of",
-        "crashed",
         "trace",
         "pending_completed",
         "pending_failed",
@@ -305,7 +315,7 @@ class _Replica:
         "participants_cache",
     )
 
-    def __init__(self, config: ReplicaConfig, node_ids: Sequence[int]) -> None:
+    def __init__(self, config: ReplicaConfig, node_ids: np.ndarray) -> None:
         self.overlay = config.overlay
         rng = config.rng
         # The exact child-stream fan-out of the reference engine.
@@ -315,19 +325,18 @@ class _Replica:
         self.overlay_rng = rng.child("overlay")
         self.membership_rng = rng.child("membership")
         self.failure_model = failure_model_or_default(config.failure_model)
-        self.members = len(node_ids)
+        self.members = int(node_ids.size)
         #: One past the largest id with a row; joiners are numbered from it.
-        self.id_limit = max(node_ids) + 1 if node_ids else 0
+        self.id_limit = int(node_ids.max()) + 1 if node_ids.size else 0
         self.next_node_id = self.id_limit
         # Identifiers are distinct and non-negative, so the largest being
         # members - 1 certifies the dense 0..n-1 id space.
         self.member_ids: Optional[np.ndarray] = None
         self.row_of: Optional[np.ndarray] = None
         if self.id_limit != self.members:
-            self.member_ids = np.asarray(sorted(node_ids), dtype=np.int64)
+            self.member_ids = np.sort(node_ids)
             self.row_of = np.full(self.id_limit + 1, -1, dtype=np.int64)
             self.row_of[self.member_ids] = np.arange(self.members, dtype=np.int64)
-        self.crashed: set = set()
         self.trace = SimulationTrace()
         self.pending_completed = 0
         self.pending_failed = 0
@@ -393,9 +402,8 @@ class StackedCycleEngine:
         self._count = len(replicas)
         self._replicas: List[_Replica] = []
 
-        node_sets = [config.overlay.node_ids() for config in replicas]
-        for config, node_ids in zip(replicas, node_sets):
-            self._replicas.append(_Replica(config, node_ids))
+        for config in replicas:
+            self._replicas.append(_Replica(config, config.overlay.node_ids()))
             if reachability is not None:
                 config.overlay.set_reachability(reachability)
         stride = max([1] + [replica.members for replica in self._replicas])
@@ -405,8 +413,7 @@ class StackedCycleEngine:
         self._participant_mask = np.zeros(capacity, dtype=bool)
         self._scratch = conflict_scratch(capacity)
 
-        for index, (config, node_ids) in enumerate(zip(replicas, node_sets)):
-            replica = self._replicas[index]
+        for index, (config, replica) in enumerate(zip(replicas, self._replicas)):
             if not replica.members:
                 continue
             initial = config.initial_values
@@ -414,8 +421,8 @@ class StackedCycleEngine:
             if not isinstance(initial, Mapping) and len(initial) == replica.members and dense:
                 values = np.asarray(initial, dtype=np.float64)
             else:
-                mapping = normalise_initial_values(initial, node_ids)
                 order = range(replica.members) if dense else replica.member_ids.tolist()
+                mapping = normalise_initial_values(initial, order)
                 values = np.asarray([mapping[node] for node in order], dtype=np.float64)
             # Rows are ranks in id order, so a replica's rows are one
             # contiguous range, encoded a row block at a time.
@@ -583,9 +590,7 @@ class StackedCycleEngine:
         replica = self._replicas[index]
         if replica.live_rows is None:
             base = index * self._stride
-            replica.live_rows = np.flatnonzero(
-                self._participant_mask[base : base + replica.members]
-            )
+            replica.live_rows = self._participant_mask[base : base + replica.members].nonzero()[0]
         return replica.live_rows
 
     def _participants_local(self, index: int) -> np.ndarray:
@@ -661,15 +666,18 @@ class ReplicatedCycleSimulator(StackedCycleEngine):
         if not replicas:
             raise ConfigurationError("need at least one replica")
         super().__init__(replicas, function, transport, record_every, None)
-        self._views = [ReplicaView(self, index) for index in range(self._count)]
 
+    # Views are made on demand and the engine keeps none: a view holds its
+    # engine, so a kept list would make a reference cycle, and a finished
+    # run would wait for the cyclic garbage collector instead of being
+    # freed as its last reference goes.
     def views(self) -> List["ReplicaView"]:
         """Per-replica facades mirroring the serial simulator API."""
-        return list(self._views)
+        return [ReplicaView(self, index) for index in range(self._count)]
 
     def view(self, replica: int) -> "ReplicaView":
-        """The facade of one replica."""
-        return self._views[replica]
+        """The facade of one replica (negative indices count from the end)."""
+        return ReplicaView(self, range(self._count)[replica])
 
     def run(self, cycles: int) -> List[SimulationTrace]:
         """Run ``cycles`` cycles across every replica; return the traces."""
@@ -678,7 +686,7 @@ class ReplicatedCycleSimulator(StackedCycleEngine):
 
     def run_cycle(self) -> None:
         """Execute one full cycle for every replica in stacked form."""
-        self.step(self._views)
+        self.step(self.views())
 
 
 class ReplicaView:
@@ -753,14 +761,17 @@ class ReplicaView:
     def crash_node(self, node_id: int) -> None:
         """Remove a node: its state becomes permanently inaccessible."""
         replica = self._replica
-        if node_id in replica.crashed:
-            return
         row = self._row(node_id)
         if row >= 0:
-            self._engine._participant_mask[row] = False
+            # Only a crash clears a row's bit, so a clear bit is a node
+            # crashed before; a node without a row is forgotten by its
+            # overlay, for which a second removal is a no-op.
+            mask = self._engine._participant_mask
+            if not mask[row]:
+                return
+            mask[row] = False
             replica.live_rows = None
             replica.participants_cache = None
-        replica.crashed.add(node_id)
         replica.overlay.on_node_removed(node_id)
 
     def add_node(self) -> int:

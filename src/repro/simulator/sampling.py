@@ -264,9 +264,11 @@ def ordered_conflict_rounds(
         scratch[nodes] = ascending_pairs[: 2 * count]
         # Both last-occurrence ranks are >= the exchange's own rank, so
         # testing the sum replaces two equality tests with one.  Index
-        # lists + fancy gathers beat boolean masking several-fold here.
+        # lists + fancy gathers beat boolean masking several-fold here;
+        # on a 1-D mask, .nonzero()[0] is np.flatnonzero without its
+        # ravel wrapper.
         schedulable = (scratch[a] + scratch[b]) == doubled[:count]
-        chosen = np.flatnonzero(schedulable)
+        chosen = schedulable.nonzero()[0]
         batch_a = a[chosen]
         batch_b = b[chosen]
         reversed_rounds.append(
@@ -275,7 +277,7 @@ def ordered_conflict_rounds(
         if chosen.size == count:
             reversed_rounds.reverse()
             return reversed_rounds
-        keep = np.flatnonzero(~schedulable)
+        keep = (~schedulable).nonzero()[0]
         a = a[keep]
         b = b[keep]
         if track_positions:

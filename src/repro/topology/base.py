@@ -97,7 +97,7 @@ class StaticTopology(StaticBlockView):
                 else f"node {node} references unknown neighbour {neighbour}"
             )
         neighbours, degrees = rows_from_edges(capacity, sources, targets)
-        block = ReplicatedStaticBlock(neighbours, degrees, capacity, [ids.tolist()], name)
+        block = ReplicatedStaticBlock(neighbours, degrees, capacity, [ids], name)
         super().__init__(block, 0)
 
     @classmethod
@@ -154,7 +154,7 @@ class StaticTopology(StaticBlockView):
         import networkx as nx
 
         graph = nx.Graph()
-        graph.add_nodes_from(self.node_ids())
+        graph.add_nodes_from(self.node_ids().tolist())
         graph.add_edges_from(self.edges())
         return graph
 

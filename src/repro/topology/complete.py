@@ -56,9 +56,11 @@ class CompleteOverlay(OverlayProvider):
         return self._arrays
 
     # OverlayProvider ----------------------------------------------------
-    def node_ids(self) -> List[int]:
-        self._refresh()
-        return list(self._node_list)
+    def node_ids(self) -> np.ndarray:
+        """Identifiers of all current nodes, ascending (a read-only int64 view)."""
+        ids = self._node_arrays()[0].view()
+        ids.flags.writeable = False
+        return ids
 
     def neighbors(self, node_id: int) -> Sequence[int]:
         if node_id not in self._nodes:

@@ -80,11 +80,10 @@ def effective_components(
     Returns the components as sorted id lists, largest first (ties broken
     by smallest member id).
     """
-    node_ids = overlay.node_ids()
-    if not node_ids:
+    ids = overlay.node_ids()
+    if not ids.size:
         return []
-    ids = np.asarray(node_ids, dtype=np.int64)
-    neighbours = [overlay.neighbors(node) for node in node_ids]
+    neighbours = [overlay.neighbors(node) for node in ids.tolist()]
     lengths = np.fromiter(map(len, neighbours), dtype=np.int64, count=ids.size)
     sources = np.repeat(ids, lengths)
     targets = np.fromiter(

@@ -19,7 +19,7 @@ established path.
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +32,14 @@ class OverlayProvider(abc.ABC):
     """Interface between the simulation engine and an overlay network."""
 
     @abc.abstractmethod
-    def node_ids(self) -> List[int]:
-        """Return the identifiers of all nodes currently in the overlay."""
+    def node_ids(self) -> np.ndarray:
+        """The identifiers of all nodes currently in the overlay, as int64.
+
+        A one-dimensional int64 array, never a list: an engine takes it as
+        it is, so no overlay stores or hands out a Python int per node.
+        The array may be a read-only view of the overlay's own storage;
+        copy it before writing to it.
+        """
 
     @abc.abstractmethod
     def neighbors(self, node_id: int) -> Sequence[int]:
@@ -68,7 +74,7 @@ class OverlayProvider(abc.ABC):
     # Convenience -------------------------------------------------------
     def size(self) -> int:
         """Number of nodes currently in the overlay."""
-        return len(self.node_ids())
+        return int(self.node_ids().size)
 
     def contains(self, node_id: int) -> bool:
         """Whether ``node_id`` is currently part of the overlay.

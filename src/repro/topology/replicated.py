@@ -19,11 +19,19 @@ engine reproduce serial fast-path traces exactly.
 Memory law: a block costs 4 bytes per stored neighbour (every undirected
 edge is stored once per endpoint) plus 25 bytes per row (int64 offset,
 degree and room, and an alive flag), where ``rows = R x (largest node id
-+ 1)``.  There is no max-degree term: a scale-free graph's hubs cost
-only their own rows, though sparse identifiers still pay for the gaps.
-A churn join that outgrows a row moves the row to the end of the
++ 1)``, and no Python object per node.  There is no max-degree term: a
+scale-free graph's hubs cost only their own rows, though sparse
+identifiers still pay for the gaps.  A replica's insertion order is
+implicit (its alive ids, ascending) until its first churn join; from
+then on it is an int64 array of 8 bytes per node, grown by doubling.  A
+churn join that outgrows a row moves the row to the end of the
 buffer with twice its room and leaves the old segment unused (the
-buffer is never compacted).  Building a k-out overlay of ``N`` nodes
+buffer is never compacted).  Crash removal
+(:meth:`ReplicatedStaticBlock._settle`) works through the victims in
+groups of at most ``_SETTLE_ENTRIES`` stored entries and shifts the
+touched rows in spans of as many, so its scratch is
+``O(_SETTLE_ENTRIES + largest degree)`` whatever the number of victims.
+Building a k-out overlay of ``N`` nodes
 holds, transiently, ``2 * N * k * 8`` bytes of int64 sort keys plus
 ``2 * N * k * 4`` bytes of int32 neighbour column plus the rows; the
 ``N * k * 4``-byte int32 draw matrix is freed before the sort, and
@@ -42,7 +50,7 @@ kernel, so the serial and replicated paths see the very same graphs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -68,6 +76,13 @@ _ID_LIMIT = np.iinfo(np.int32).max
 #: generator call: its scratch is one chunk (15.7 MB at c = 30), and a
 #: draw at N = 10^6 takes 16 calls.
 _SAMPLE_CHUNK = 65_536
+#: Stored entries one crash-removal group touches: the victims of a group
+#: hold at most this many neighbour entries (a victim above it forms a
+#: group alone), and the touched rows' tails shift in spans of at most
+#: this many entries (a longer tail shifts alone).  Deletions commute, so
+#: any grouping leaves the same rows; this one holds the scratch to a few
+#: MB (about 0.5 MB per int64 array).
+_SETTLE_ENTRIES = 65_536
 
 
 def draw_k_out_peers(size: int, degree: int, rng: RandomSource) -> np.ndarray:
@@ -203,6 +218,20 @@ def _packed_offsets(degrees: np.ndarray, start: int) -> np.ndarray:
     return offsets
 
 
+def _budget_slices(sizes: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices of ``sizes``, each summing to at most ``_SETTLE_ENTRIES``.
+
+    An item above the budget forms a slice alone.
+    """
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < sizes.size:
+        budget = (int(ends[start - 1]) if start else 0) + _SETTLE_ENTRIES
+        stop = max(start + 1, int(np.searchsorted(ends, budget, side="right")))
+        yield slice(start, stop)
+        start = stop
+
+
 class ReplicatedStaticBlock:
     """``R`` static overlays stored as one ragged row store.
 
@@ -231,7 +260,7 @@ class ReplicatedStaticBlock:
     orders:
         Per replica, the identifiers of its nodes in insertion order —
         the order ``node_ids()`` reports and churn attachment samples
-        from.
+        from: a ``range`` or an int64 array.
     """
 
     def __init__(
@@ -239,7 +268,7 @@ class ReplicatedStaticBlock:
         neighbours: np.ndarray,
         degrees: np.ndarray,
         stride: int,
-        orders: Sequence[Sequence[int]],
+        orders: Sequence[Union[range, np.ndarray]],
         name: str = "static-block",
     ) -> None:
         self._neighbours = neighbours if neighbours.size else np.zeros(1, dtype=np.int32)
@@ -253,16 +282,28 @@ class ReplicatedStaticBlock:
         self._replicas = len(orders)
         self._stride = int(stride)
         self.name = name
-        # Per-replica membership bookkeeping: alive flags, node ids in
-        # insertion order (removed ids linger until _existing() compacts
-        # the list), degree sums for average_degree().
+        # Per-replica membership bookkeeping: alive flags, the insertion
+        # order, degree sums for average_degree().  An order is None while
+        # it is the replica's alive ids ascending (until a join breaks
+        # that), else an int64 buffer whose first _order_len entries are
+        # the order; removed ids linger there until _existing() compacts.
         self._alive = np.zeros(self._replicas * self._stride, dtype=bool)
-        self._insertion_order: List[List[int]] = [list(order) for order in orders]
+        self._orders: List[Optional[np.ndarray]] = []
+        self._order_len: List[int] = []
         self._edge_sum: List[int] = []
         self._node_count: List[int] = []
-        for replica, order in enumerate(self._insertion_order):
+        for replica, order in enumerate(orders):
             base = replica * self._stride
-            self._alive[base + np.asarray(order, dtype=np.int64)] = True
+            if isinstance(order, range) and order.step == 1:
+                self._alive[base + order.start : base + order.stop] = True
+                ids = None
+            else:
+                ids = np.asarray(order, dtype=np.int64)
+                self._alive[base + ids] = True
+                if ids.size < 2 or bool((ids[1:] > ids[:-1]).all()):
+                    ids = None
+            self._orders.append(ids)
+            self._order_len.append(len(order))
             self._edge_sum.append(int(degrees[base : base + self._stride].sum()))
             self._node_count.append(len(order))
 
@@ -364,7 +405,9 @@ class ReplicatedStaticBlock:
         self._degrees[rows] = degrees
         self._room[rows] = degrees
         self._alive[rows] = source._alive[source_rows]
-        self._insertion_order[replica] = list(source._existing(origin))
+        existing = source._existing(origin)
+        self._orders[replica] = None if source._orders[origin] is None else existing.copy()
+        self._order_len[replica] = existing.size
         self._edge_sum[replica] = source._entry_count(origin)
         self._node_count[replica] = source._node_count[origin]
 
@@ -470,52 +513,73 @@ class ReplicatedStaticBlock:
         self._pending.append(row)
 
     def _settle(self) -> None:
-        """Delete every pending victim from its neighbours' rows, in one pass.
+        """Delete every pending victim from its neighbours' rows.
 
-        A crash event removes many nodes between two reads, and one
-        vectorised pass serves them all.  A binary search finds each
-        victim in each of its live neighbours' rows, and each such row
-        shifts the tail after its first hit left by its number of hits.
-        Edges between two victims go with both victims' rows.
+        A crash event removes many nodes between two reads, and a few
+        vectorised passes serve them all: the victims go in groups of at
+        most ``_SETTLE_ENTRIES`` stored entries.  Deletions commute, so
+        any grouping leaves the same rows.
         """
         if not self._pending:
             return
         victims = np.asarray(self._pending, dtype=np.int64)
         self._pending = []
+        for group in _budget_slices(self._degrees[victims]):
+            self._delete_victims(victims[group])
+
+    def _delete_victims(self, victims: np.ndarray) -> None:
+        """One settle group: take ``victims`` (block rows) out of their neighbours' rows.
+
+        A binary search finds each victim in each of its live neighbours'
+        rows, and each such row shifts the tail after its first hit left
+        by its number of hits, the tails a span of at most
+        ``_SETTLE_ENTRIES`` entries at a time.  An edge between two victims
+        goes with both victims' rows, whichever groups they are in: a
+        removed node's row is never edited.
+        """
         stride = self._stride
         counts = self._degrees[victims]
         replica_of = victims // stride
         entries = _ragged_positions(self._offsets[victims], counts)
         rows = np.repeat(replica_of * stride, counts) + self._neighbours[entries]
         lost = np.repeat(victims - replica_of * stride, counts)
+        del entries
         self._degrees[victims] = 0
         live = self._alive[rows]
         # Degree sums lose both ends of every edge at a victim, but an
         # edge between two victims only once per end.
         dropped = 2 * np.bincount(replica_of, weights=counts, minlength=self._replicas)
         dropped -= np.bincount(rows[~live] // stride, minlength=self._replicas)
-        for replica in np.flatnonzero(dropped).tolist():
+        for replica in dropped.nonzero()[0].tolist():
             self._edge_sum[replica] -= int(dropped[replica])
         rows, lost = rows[live], lost[live]
         if rows.size == 0:
             return
         positions = self._find(rows, lost)
+        del lost
         # Rows own disjoint segments, so ordering the hits by position
         # groups them by row, each row's hits ascending.
         order = np.argsort(positions)
         positions, rows = positions[order], rows[order]
+        del order
         head = np.ones(rows.size, dtype=bool)
         np.not_equal(rows[1:], rows[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
-        touched, first = rows[starts], positions[starts]
-        hits = np.diff(np.append(starts, rows.size))
+        starts = np.append(head.nonzero()[0], rows.size)
+        touched, first = rows[starts[:-1]], positions[starts[:-1]]
+        del rows, head
+        hits = np.diff(starts)
         tails = self._offsets[touched] + self._degrees[touched] - first
-        span = _ragged_positions(first, tails)
-        keep = np.ones(span.size, dtype=bool)
-        keep[positions + np.repeat(np.cumsum(tails) - tails - first, hits)] = False
-        self._neighbours[_ragged_positions(first, tails - hits)] = self._neighbours[
-            span[keep]
-        ]
+        for part in _budget_slices(tails):
+            low, high = part.start, part.stop
+            span = _ragged_positions(first[part], tails[part])
+            keep = np.ones(span.size, dtype=bool)
+            keep[
+                positions[starts[low] : starts[high]]
+                + np.repeat(np.cumsum(tails[part]) - tails[part] - first[part], hits[part])
+            ] = False
+            self._neighbours[_ragged_positions(first[part], tails[part] - hits[part])] = (
+                self._neighbours[span[keep]]
+            )
         self._degrees[touched] -= hits
 
     def _find(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -547,7 +611,7 @@ class ReplicatedStaticBlock:
         existing = self._existing(replica)
         self._alive[row] = True
         self._node_count[replica] += 1
-        if existing:
+        if existing.size:
             # Average degree over the graph *including* the fresh empty row.
             average = self._edge_sum[replica] / self._node_count[replica]
             count = min(max(1, round(average)), len(existing))
@@ -567,19 +631,35 @@ class ReplicatedStaticBlock:
                 segment[position] = node_id
                 self._degrees[peer_row] = degree + 1
             self._edge_sum[replica] += 2 * count
-        existing.append(int(node_id))
+        self._append_order(replica, existing, node_id)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _existing(self, replica: int) -> List[int]:
-        """Alive node ids in insertion order (the live list, not a copy)."""
-        # A list longer than the node count still names removed nodes.
-        if len(self._insertion_order[replica]) != self._node_count[replica]:
-            order = np.asarray(self._insertion_order[replica], dtype=np.int64)
-            alive = self._alive[replica * self._stride + order]
-            self._insertion_order[replica] = order[alive].tolist()
-        return self._insertion_order[replica]
+    def _existing(self, replica: int) -> np.ndarray:
+        """Alive node ids in insertion order, int64 (the live order, not a copy)."""
+        base = replica * self._stride
+        order = self._orders[replica]
+        if order is None:
+            return np.flatnonzero(self._alive[base : base + self._stride])
+        ids = order[: self._order_len[replica]]
+        # An order longer than the node count still names removed nodes.
+        if ids.size != self._node_count[replica]:
+            ids = ids[self._alive[base + ids]]
+            self._orders[replica] = ids
+            self._order_len[replica] = ids.size
+        return ids
+
+    def _append_order(self, replica: int, existing: np.ndarray, node_id: int) -> None:
+        """Put a joiner after ``existing``, the order; the buffer grows by doubling."""
+        order = self._orders[replica]
+        length = existing.size
+        if order is None or length == order.size:
+            grown = np.empty(max(8, 2 * length), dtype=np.int64)
+            grown[:length] = existing
+            order = self._orders[replica] = grown
+        order[length] = node_id
+        self._order_len[replica] = length + 1
 
     def _reserve(self, row: int, need: int) -> None:
         """Give ``row`` room for ``need`` entries.
@@ -647,9 +727,11 @@ class StaticBlockView(OverlayProvider):
         """Index of this view's replica within the block."""
         return self._replica
 
-    def node_ids(self) -> List[int]:
-        """Identifiers of all current nodes, in insertion order."""
-        return list(self._block._existing(self._replica))
+    def node_ids(self) -> np.ndarray:
+        """Identifiers of all current nodes, in insertion order (read-only int64)."""
+        ids = self._block._existing(self._replica).view()
+        ids.flags.writeable = False
+        return ids
 
     def neighbors(self, node_id: int) -> Sequence[int]:
         """The neighbours of ``node_id``, ascending."""
@@ -684,7 +766,7 @@ class StaticBlockView(OverlayProvider):
 
     def adjacency_copy(self) -> Dict[int, Set[int]]:
         """The adjacency as a fresh dict of sets (for analysis code)."""
-        return {node: set(self.neighbors(node)) for node in self.node_ids()}
+        return {node: set(self.neighbors(node)) for node in self.node_ids().tolist()}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StaticBlockView(replica={self._replica}, block={self._block!r})"

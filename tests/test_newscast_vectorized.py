@@ -265,8 +265,8 @@ class TestEngineParityOnArrayNewscast:
         reference.run(6)
         vectorized.run(6)
         assert reference.participant_ids() == vectorized.participant_ids()
-        assert (
-            reference.overlay.node_ids() == vectorized.overlay.node_ids()
+        assert np.array_equal(
+            reference.overlay.node_ids(), vectorized.overlay.node_ids()
         )
 
 
@@ -318,7 +318,7 @@ class TestVectorizedOverlayBehaviour:
     def test_bootstrap_counts_and_no_self_references(self):
         overlay = self.bootstrap()
         assert overlay.size() == 80
-        assert overlay.node_ids() == list(range(80))
+        assert overlay.node_ids().tolist() == list(range(80))
         for node in range(80):
             cache = overlay.cache_of(node)
             assert 0 < len(cache) <= 7
@@ -454,13 +454,13 @@ class TestVectorizedOverlayBehaviour:
             np.array([0, 5]), np.random.default_rng(1)
         ).tolist() == [-1, -1]
 
-    def test_node_ids_are_sorted_python_ints(self):
+    def test_node_ids_are_a_sorted_int64_array(self):
         overlay = self.bootstrap(size=12)
         overlay.on_node_removed(4)
         overlay.on_node_added(40, RandomSource(1))
         ids = overlay.node_ids()
-        assert ids == [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 40]
-        assert all(type(node) is int for node in ids)
+        assert ids.tolist() == [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 40]
+        assert ids.dtype == np.int64
 
     def test_long_run_crosses_the_first_base_slide(self):
         # The clock outgrows the 7 timestamp bits of the int32 packing at
@@ -502,7 +502,7 @@ def twin_overlays(size, cache, seed):
 
 
 def assert_same_caches(overlay, twin, draw_seed):
-    assert overlay.node_ids() == twin.node_ids()
+    assert np.array_equal(overlay.node_ids(), twin.node_ids())
     for node in overlay.node_ids():
         assert entries_sorted(overlay.cache_of(node)) == entries_sorted(twin.cache_of(node))
     ids = np.asarray(overlay.node_ids(), dtype=np.int64)

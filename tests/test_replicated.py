@@ -218,7 +218,7 @@ class TestRunPlanPlumbing:
         overlay = build_overlay(spec, SIZE, RandomSource(SEED))
         array_native = params.get("vectorized", True)
         assert isinstance(overlay, VectorizedNewscastOverlay) == array_native
-        (replica_overlay,) = plan.build_replica_overlays([RandomSource(SEED)])
+        (replica_overlay,), _ = plan.build_replica_overlays([RandomSource(SEED)])
         assert type(replica_overlay) is type(overlay)
 
     def test_make_run_or_plan_exactly(self):
@@ -306,7 +306,7 @@ class TestReplicatedStaticBlock:
             batched = overlay.select_peers_batch(
                 np.asarray(nodes, dtype=np.int64), RandomSource(77).generator
             )
-            return nodes, batched.tolist()
+            return nodes.tolist(), batched.tolist()
 
         def assert_same_picks():
             nodes, batched = picks(topology)

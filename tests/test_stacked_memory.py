@@ -1,0 +1,260 @@
+"""A stacked run's memory: its arrays, bounded crash removal, and freeing.
+
+A stacked run of ``R`` repetitions is held in arrays only: the ragged row
+store of the overlays (4 B per stored neighbour, 25 B per row), one
+float64 initial value per node, the ``(R * stride, width)`` state block
+and three per-row arrays of the engine (participant mask, scheduling
+scratch, cached participant rows) — no Python object per node.  The law
+test reads what a construction retains with ``tracemalloc``.
+
+Crash removal (``ReplicatedStaticBlock._settle``) deletes the pending
+victims in groups of at most ``_SETTLE_ENTRIES`` stored entries.
+Deletions commute, so the parity tests patch the budget down to one
+entry and compare with the same removal in one pass; the peak test holds
+the settle's scratch to the budget whatever the number of victims.
+
+A finished run holds no reference cycle, so it is freed by reference
+counting as soon as ``repeat_traces`` returns, with the cyclic collector
+off.
+"""
+
+import gc
+import tracemalloc
+import weakref
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.rng import RandomSource
+from repro.core.functions import AverageFunction
+from repro.experiments.runner import RunPlan, repeat_traces, uniform_initial_values
+from repro.simulator.failures import CountCrashModel
+from repro.simulator.replicated import ReplicaConfig, ReplicatedCycleSimulator
+from repro.topology import StaticTopology, TopologySpec
+from repro.topology import replicated
+from repro.topology.replicated import ReplicatedStaticBlock
+
+
+def one_pass():
+    """Patch the settle budget so that every removal is one group."""
+    return mock.patch.object(replicated, "_SETTLE_ENTRIES", 1 << 62)
+
+
+def budget_of(entries):
+    """Patch the settle budget to ``entries`` stored entries per group."""
+    return mock.patch.object(replicated, "_SETTLE_ENTRIES", entries)
+
+
+def block_state(block):
+    """Every replica's order, rows, degrees and average degree, as plain values."""
+    views = [block.view(replica) for replica in range(block.replicas)]
+    return [
+        (
+            view.node_ids().tolist(),
+            {node: view.neighbors(node) for node in view.node_ids().tolist()},
+            block._degree_sequence(view.replica),
+            view.average_degree(),
+        )
+        for view in views
+    ]
+
+
+class TestGroupedSettle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        budget=st.sampled_from([1, 2, 3, 7, 40]),
+    )
+    def test_grouped_and_one_pass_settles_agree(self, data, budget):
+        # Dense random graphs, so victims often neighbour each other, in
+        # three replicas; one crash event per round, settled at the read.
+        size = data.draw(st.integers(2, 24))
+        edges = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(
+                    lambda edge: edge[0] != edge[1]
+                ),
+                max_size=120,
+            )
+        )
+        adjacency = {node: set() for node in range(size)}
+        for a, b in edges:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        grouped, whole = (
+            ReplicatedStaticBlock.from_topologies([StaticTopology(adjacency)] * 3)
+            for _ in range(2)
+        )
+        for _ in range(data.draw(st.integers(1, 3))):
+            for replica in range(3):
+                victims = data.draw(st.lists(st.integers(0, size - 1), unique=True))
+                for block in (grouped, whole):
+                    for victim in victims:
+                        block.view(replica).on_node_removed(victim)
+            with budget_of(budget):
+                grouped._settle()
+            with one_pass():
+                whole._settle()
+            assert block_state(grouped) == block_state(whole)
+            assert np.array_equal(grouped._degrees, whole._degrees)
+
+    def test_a_triangle_of_victims_one_entry_at_a_time(self):
+        # Victims 1, 2 and 3 are a triangle that live node 0 neighbours,
+        # and node 4 neighbours two of them.
+        adjacency = {0: {1, 2, 3, 5}, 1: {0, 2, 3, 4}, 2: {0, 1, 3}, 3: {0, 1, 2, 4},
+                     4: {1, 3, 5}, 5: {0, 4}}
+        grouped, whole = (StaticTopology(adjacency) for _ in range(2))
+        for topology in (grouped, whole):
+            for victim in (2, 1, 3):
+                topology.on_node_removed(victim)
+        with budget_of(1):
+            grouped._block._settle()
+        with one_pass():
+            whole._block._settle()
+        assert grouped.neighbors(0) == whole.neighbors(0) == (5,)
+        assert grouped.neighbors(4) == whole.neighbors(4) == (5,)
+        assert grouped.average_degree() == whole.average_degree() == 4 / 3
+        assert grouped.edges() == whole.edges()
+
+    def test_traced_peak_is_bounded_by_the_budget_not_the_victims(self):
+        replicas, size = 20, 10_000
+        block = ReplicatedStaticBlock.build_k_out(
+            size, 20, [RandomSource(seed) for seed in range(replicas)]
+        )
+        victims = np.random.default_rng(1).choice(size, 50, replace=False).tolist()
+        for replica in range(replicas):
+            view = block.view(replica)
+            for victim in victims:
+                view.on_node_removed(victim)
+        tracemalloc.start()
+        try:
+            block._settle()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Twelve int64 arrays of one group of at most 65,536 entries (the
+        # victims' entries, their rows, the binary search and the tail
+        # spans), plus 32 B per victim: 6.9 MB.  Measured 4.0 MB; one
+        # pass over the 1,000 victims' tails read 25.8 MB.
+        assert peak <= 12 * 8 * 65_536 + 32 * len(victims) * replicas + 65_536
+        assert all(block._size(replica) == size - 50 for replica in range(replicas))
+
+
+class TestStackedRunMemoryLaw:
+    def test_construction_retains_only_the_arrays_of_the_law(self):
+        replicas, size, degree = 5, 20_000, 20
+        plan = RunPlan(
+            topology=TopologySpec("random", degree=degree),
+            size=size,
+            cycles=1,
+            values=uniform_initial_values,
+        )
+        rngs = [RandomSource(2004).child("run", index) for index in range(replicas)]
+        # Build once untraced, so first-use imports and caches stay out.
+        (warm,), _ = plan.build_replica_overlays([rngs[0]])
+        ReplicatedCycleSimulator([ReplicaConfig(warm, [1.0] * size, rngs[0])], AverageFunction())
+        del warm
+        gc.collect()
+        tracemalloc.start()
+        try:
+            overlays, block = plan.build_replica_overlays(
+                [rng.child("topology") for rng in rngs]
+            )
+            configs = [
+                ReplicaConfig(overlay, plan.resolve_values(rng), rng.child("simulation"))
+                for overlay, rng in zip(overlays, rngs)
+            ]
+            engine = ReplicatedCycleSimulator(configs, plan.function_factory())
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stored = sum(block._entry_count(replica) for replica in range(replicas))
+        width = engine.function.state_width()
+        rows = replicas * block.stride
+        # 4 B per stored neighbour and 25 B per row of the store, 8 B per
+        # initial value, and per state row 8 B per float plus 13 B: the
+        # participant mask (1), the scheduling scratch (4) and the
+        # cached participant rows (8).  Measured 0.6 B per node above;
+        # node-id lists and values as Python objects read 68 B more.
+        law = 4 * stored + 25 * rows + 8 * replicas * size + (8 * width + 13) * rows
+        assert retained <= law + 262_144
+        assert all(isinstance(config.initial_values, np.ndarray) for config in configs)
+
+
+class TestInsertionOrder:
+    def test_node_ids_are_a_read_only_int64_array(self):
+        topology = StaticTopology({0: {1}, 1: {0, 2}, 2: {1}, 5: {2}})
+        ids = topology.node_ids()
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [0, 1, 2, 5]
+        with pytest.raises(ValueError):
+            ids[0] = 7
+
+    def test_joins_grow_the_order_by_doubling(self):
+        topology = StaticTopology({node: {(node + 1) % 4, (node - 1) % 4} for node in range(4)})
+        block, rng = topology._block, RandomSource(9)
+        # Built in ascending order, the order is implicit until a join.
+        assert block._orders == [None]
+        topology.on_node_added(4, rng)
+        buffer = block._orders[0]
+        assert buffer.size == 8
+        for node in range(5, 8):
+            topology.on_node_added(node, rng)
+            assert block._orders[0] is buffer
+        topology.on_node_added(8, rng)
+        assert block._orders[0].size == 16
+        assert topology.node_ids().tolist() == list(range(9))
+        topology.on_node_removed(2)
+        topology.on_node_added(3_000, rng)
+        assert topology.node_ids().tolist() == [0, 1, 3, 4, 5, 6, 7, 8, 3_000]
+
+    def test_a_view_taken_before_a_join_keeps_its_ids(self):
+        topology = StaticTopology({3: {1}, 1: {3}})
+        before = topology.node_ids()
+        topology.on_node_added(7, RandomSource(1))
+        topology.on_node_removed(3)
+        assert before.tolist() == [3, 1]
+        assert topology.node_ids().tolist() == [1, 7]
+
+
+class TestFinishedRunsAreFreed:
+    @pytest.mark.parametrize("repeats", [1, 3])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TopologySpec("random", degree=4),
+            TopologySpec("ring-lattice", degree=4),
+            TopologySpec("newscast", degree=8),
+        ],
+        ids=["random", "ring-lattice", "newscast"],
+    )
+    def test_engine_and_block_die_with_the_last_reference(self, spec, repeats):
+        held = []
+
+        def collect(view):
+            overlay = view.overlay
+            block = getattr(overlay, "_block", None) or overlay.maintenance_block
+            held.extend(weakref.ref(item) for item in (view._engine, overlay, block))
+            return view.trace
+
+        plan = RunPlan(
+            topology=spec,
+            size=60,
+            cycles=3,
+            values=uniform_initial_values,
+            failure_factory=lambda: CountCrashModel(2),
+            collect=collect,
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            traces = repeat_traces(repeats, 2004, plan=plan)
+            alive = [ref() is not None for ref in held]
+        finally:
+            gc.enable()
+        assert len(traces) == repeats and len(held) == 3 * repeats
+        assert not any(alive)

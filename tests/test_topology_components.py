@@ -23,7 +23,7 @@ from repro.topology.partitions import component_labels
 
 def bfs_effective_components(overlay, reachability=None, cycle_index=0) -> List[List[int]]:
     """Per-node breadth-first search over the effective graph (the oracle)."""
-    node_ids = overlay.node_ids()
+    node_ids = overlay.node_ids().tolist()
     if not node_ids:
         return []
     index_of: Dict[int, int] = {node: i for i, node in enumerate(node_ids)}

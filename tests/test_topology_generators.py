@@ -78,7 +78,7 @@ class TestRingLattice:
     def test_rows_and_degrees_are_pinned(self, size, degree):
         block = ring_lattice_topology(size, degree)._block
         assert rows_digest(block) == self.ROWS_SHA256[(size, degree)]
-        assert block._insertion_order == [list(range(size))]
+        assert block._existing(0).tolist() == list(range(size))
 
 
 def rows_digest(block):
