@@ -4,9 +4,10 @@ The acceptance measurement mirrors how the experiment layer actually
 runs a figure point: ``repeats`` independent repetitions of a scenario
 through ``repeat_traces``.  The serial side is one overlay build + one
 vectorized engine per repetition; the replicated side runs the same
-repetitions as one stacked simulation — block-replicated topology, fused
-cycle passes — and must reproduce the serial traces bit-for-bit at the
-paper-relevant point N=10^4, R=20.  Both wall times and their ratio are
+repetitions as stacked simulations (four groups of five at N=10^4,
+R=20) — block-replicated topology, fused cycle passes — and must
+reproduce the serial traces bit-for-bit at the paper-relevant point
+N=10^4, R=20.  Both wall times and their ratio are
 recorded, not gated: the former ">= 5x" mostly measured the serial
 side's twenty dict-of-sets overlay builds, which no longer exist.
 """

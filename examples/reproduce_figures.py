@@ -17,9 +17,9 @@ Every figure is one record of the ``ALL_FIGURES`` table
 (:mod:`repro.experiments.figures`), and calling it runs the figure's
 default sweep at the chosen scale.  Repeats are batched: each sweep
 point describes its repetitions as a declarative
-:class:`~repro.experiments.runner.RunPlan`, so all repeats of a point run
-as ONE stacked simulation on the replicated tensor engine (bit-identical
-to serial repeats).  Only the two adaptive epoch figures repeat one run
+:class:`~repro.experiments.runner.RunPlan`, so the repeats of a point run
+as stacked simulations on the replicated tensor engine, as many at once
+as fit a fixed byte budget (bit-identical to serial repeats).  Only the two adaptive epoch figures repeat one run
 at a time.
 """
 

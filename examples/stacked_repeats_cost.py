@@ -1,23 +1,25 @@
 #!/usr/bin/env python
 """What does one stacked figure point with crashes cost at the paper's size?
 
-Runs ten repetitions of one AVERAGE point as one stacked simulation
-(``repeat_traces`` over a ``RunPlan``): N = 10^5 nodes each (or the size
-given) on the random 20-out overlay, 10 % link failure, 1,000 crashes
-per cycle per repetition (``CountCrashModel(1000)``; a tenth of the
-nodes below N = 10^4) and 5 cycles, seed 2004.  Prints the mean
-convergence factor, the wall time and the peak resident memory of this
-process.
+Runs ten repetitions of one AVERAGE point through ``repeat_traces`` over
+a ``RunPlan``: N = 10^5 nodes each (or the size given) on the random
+20-out overlay, 10 % link failure, 1,000 crashes per cycle per
+repetition (``CountCrashModel(1000)``; a tenth of the nodes below
+N = 10^4) and 5 cycles, seed 2004.  Prints the mean convergence factor,
+the wall time and the peak resident memory of this process.
 
-The ten overlays share one ragged row store (4 bytes per stored
-neighbour, 25 bytes per row), the initial values are one float64 array
-per repetition and the states one block, with no Python object per node;
-each cycle's 10,000 crashes leave their neighbours' rows in groups of a
-fixed entry budget.  It reads 373 MB on a 2-vCPU Xeon (595 MB when
-ids and values were Python objects and a crash event was removed in one
-pass).
+The repetitions run as consecutive stacked groups of at most 16 MiB of
+law-predicted bytes; a replica at N = 10^5 (about 32 MB) runs alone, so
+the process holds one overlay's ragged row store (4 bytes per stored
+neighbour, 25 bytes per row), one float64 value array and one state
+block at a time, with no Python object per node; each cycle's 1,000
+crashes leave their neighbours' rows in groups of a fixed entry budget.
+It reads 121 MB on a 2-vCPU Xeon (371 MB when the ten ran as one
+stacked simulation, 595 MB when ids and values were Python objects and
+a crash event was removed in one pass), in 3.4-5.1 s against 4.0-6.0 s
+as one stacked simulation (five alternated pairs, faster in each).
 
-Exits non-zero only if the run raises or peaks above 560 MB, about 1.5x
+Exits non-zero only if the run raises or peaks above 180 MB, about 1.5x
 that reading.  The wall time is reported, never judged.
 
 Run with:  python examples/stacked_repeats_cost.py [size]
@@ -35,7 +37,7 @@ from repro.simulator.transport import TransportModel
 from repro.topology import TopologySpec
 
 REPEATS = 10
-RSS_LIMIT_MB = 560
+RSS_LIMIT_MB = 180
 
 
 def run(size: int) -> float:
@@ -58,7 +60,7 @@ def main() -> int:
     factor = run(size)
     wall = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{REPEATS} stacked repetitions of N={size}: mean convergence factor {factor:.4f}")
+    print(f"{REPEATS} repetitions of N={size}: mean convergence factor {factor:.4f}")
     print(f"wall {wall:.1f} s, peak RSS {peak_mb:.0f} MB (limit {RSS_LIMIT_MB} MB)")
     return 1 if peak_mb > RSS_LIMIT_MB else 0
 

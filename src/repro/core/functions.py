@@ -55,6 +55,21 @@ __all__ = [
 #: many bytes of rows at a time (never less than one row), so a pass's
 #: temporaries stay a small multiple of it however wide the block.
 _STATE_BLOCK_BYTES = 1 << 18
+#: Byte budget of one group of stacked replicas.  A figure point runs its
+#: repetitions as consecutive stacked simulations of at most this many
+#: law-predicted bytes of replicas each (never less than one replica), so
+#: a point holds one group, not all its repetitions, at a time.
+_REPLICA_GROUP_BYTES = 16 << 20
+
+
+def replica_groups(repeats: int, replica_bytes: int) -> List[range]:
+    """Consecutive ranges of ``repeats`` replicas, each within
+    :data:`_REPLICA_GROUP_BYTES` at ``replica_bytes`` per replica.
+
+    A replica above the budget forms a group alone.
+    """
+    step = max(1, _REPLICA_GROUP_BYTES // max(1, replica_bytes))
+    return [range(start, min(start + step, repeats)) for start in range(0, repeats, step)]
 
 
 def state_block_rows(width: int) -> int:

@@ -272,7 +272,7 @@ def aggregate(
     exact_value = record.exact(local)
     return AggregationResult(
         aggregate_name=aggregate,
-        node_estimates=dict(zip(simulator.participant_ids(), outputs.tolist())),
+        node_estimates=dict(zip(simulator.participant_ids().tolist(), outputs.tolist())),
         mean_estimate=mean_estimate,
         exact_value=exact_value,
         relative_error=_relative_error(mean_estimate, exact_value),

@@ -423,9 +423,9 @@ def _crash_row(s: Setting, point, traces) -> Row:
 # error of the size estimate an *honest* node reports under three
 # reduction rules: a single (attacked) instance, the paper's trimmed
 # mean, and the byzantine-hardened median-of-instances — the
-# quantitative case for the hardened rule.  All repeats of one point
-# run as a single replica-batched simulation on the vectorized NEWSCAST
-# fast path.
+# quantitative case for the hardened rule.  The repeats of one point
+# run as replica-batched simulations on the vectorized NEWSCAST fast
+# path.
 # ----------------------------------------------------------------------
 def _byzantine_plan(s: Setting, fraction: float) -> RunPlan:
     # Both repeat paths build a repetition's failure model before collecting
@@ -442,7 +442,7 @@ def _byzantine_plan(s: Setting, fraction: float) -> RunPlan:
 
     def honest_errors(simulator) -> Dict[str, float]:
         model = attacks.popleft()
-        ids = np.asarray(simulator.participant_ids(), dtype=np.int64)
+        ids = simulator.participant_ids()
         honest = np.array(simulator.state_array(), dtype=np.float64)
         if model is not None:
             honest = honest[~np.isin(ids, model.byzantine_ids)]
@@ -610,7 +610,7 @@ def _partition_trace(s: Setting, _) -> Tuple[List[Row], Row]:
         components = effective_component_count(
             overlay, reachability if active else None, cycle
         )
-        ids = np.asarray(simulator.participant_ids(), dtype=np.int64)
+        ids = simulator.participant_ids()
         states = np.array(simulator.state_array(), dtype=np.float64).reshape(ids.size, -1)[:, 0]
         low = states[ids < boundary]
         high = states[ids >= boundary]

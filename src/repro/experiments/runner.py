@@ -12,7 +12,9 @@ reads as a declarative description of the paper's experiment.
 
 Runs use the one stacked array engine (:mod:`repro.simulator.replicated`):
 a single run through :data:`~repro.simulator.make_simulator`, and the
-repeats of a :class:`RunPlan` as one ``R``-replica simulation, each
+repeats of a :class:`RunPlan` as consecutive stacked simulations of as
+many replicas as fit a fixed byte budget
+(:data:`~repro.core.functions._REPLICA_GROUP_BYTES`), each replica
 bit-identical to its one-run :meth:`RunPlan.serial_run`.  Every
 repetition runs in the calling process; an opaque ``make_run`` callable
 runs once per repetition, in index order.
@@ -30,7 +32,7 @@ from ..common.rng import RandomSource
 from ..common.validation import require, require_non_negative_int
 from ..core.count import LeaderElection, peak_initial_values
 from ..core.epoch import EpochConfig
-from ..core.functions import AggregationFunction, AverageFunction
+from ..core.functions import AggregationFunction, AverageFunction, replica_groups
 from ..simulator import make_simulator
 from ..simulator.async_engine import AsyncCountProtocol, build_async_count
 from ..simulator.asynchrony import LAN, AsynchronyScenario
@@ -168,9 +170,9 @@ class RunPlan:
     ``repeat_simulations`` can only run an opaque ``make_run`` callable
     once per repetition; it cannot *batch* it.  A plan states what one
     repetition does — topology, size, cycles, values, transport,
-    failures, post-processing — so the repeat helper runs all
-    repetitions as one stacked
-    :class:`~repro.simulator.replicated.ReplicatedCycleSimulator`.
+    failures, post-processing — so the repeat helper runs the
+    repetitions as stacked
+    :class:`~repro.simulator.replicated.ReplicatedCycleSimulator` groups.
     :meth:`serial_run` runs one repetition on its own, from the same
     per-repetition child streams, so its result is bit-identical to that
     replica's.  Both run on the array engine, so the function must
@@ -292,14 +294,36 @@ class RunPlan:
         return [build_overlay(self.topology, self.size, rng) for rng in rngs], None
 
 
-def _run_replicated(repeats: int, seed: int, plan: RunPlan) -> List[T]:
-    """Run ``repeats`` repetitions of ``plan`` as one stacked simulation."""
-    if repeats == 0:
-        return []
-    root = RandomSource(seed)
-    run_rngs = [root.child("run", index) for index in range(repeats)]
-    # The block is held for the run; nothing of it outlives the return
-    # but what collect keeps (the engine and its views form no cycle).
+#: Per-cycle bytes of one stacked row beyond its stored arrays: the cycle
+#: plan (shuffle, peers, outcomes), its stacked copy, the effective-exchange
+#: filter and the conflict-round scratch.  Traced at 96-116 B on the
+#: random 20-out overlay with link failure and crashes (N = 10^4 and 10^5);
+#: NEWSCAST maintenance adds 25-55 B.
+_CYCLE_ROW_BYTES = 105
+
+
+def _replica_bytes(plan: RunPlan) -> int:
+    """Law-predicted bytes one replica of ``plan`` holds while it runs.
+
+    Per row: the ragged store's 4 B per stored neighbour (two per unit of
+    degree, every edge being stored at both ends; a NEWSCAST cache, 4 B
+    per entry, stays below it) and 25 B, the float64 initial
+    value, the engine's ``8 * width + 13`` B, and the per-cycle scratch:
+    319 B at degree 20 and width 1.  A build's transient scratch is one
+    replica's at a time, so it is not counted per replica.
+    """
+    width = plan.function_factory().state_width()
+    per_row = 8 * plan.topology.degree + 25 + 8 + 8 * width + 13 + _CYCLE_ROW_BYTES
+    return plan.size * per_row
+
+
+def _run_group(plan: RunPlan, run_rngs: Sequence[RandomSource]) -> List[T]:
+    """Run one group of repetitions as one stacked simulation.
+
+    Everything the group built is released on return, before the caller
+    builds the next group; only what ``collect`` keeps survives (the
+    engine and its views form no cycle).
+    """
     overlays, block = plan.build_replica_overlays(
         [rng.child("topology") for rng in run_rngs]
     )
@@ -320,6 +344,22 @@ def _run_replicated(repeats: int, seed: int, plan: RunPlan) -> List[T]:
     )
     engine.run(plan.cycles)
     return [plan.collect(view) for view in engine.views()]
+
+
+def _run_replicated(repeats: int, seed: int, plan: RunPlan) -> List[T]:
+    """Run ``repeats`` repetitions of ``plan`` as consecutive stacked groups.
+
+    Each group holds as many replicas as fit
+    :data:`~repro.core.functions._REPLICA_GROUP_BYTES` by
+    :func:`_replica_bytes`, and is finished and freed before the next is
+    built.  Repetition ``i`` keeps its ``child("run", i)`` streams in any
+    group, so the results do not depend on the grouping.
+    """
+    root = RandomSource(seed)
+    results: List[T] = []
+    for group in replica_groups(repeats, _replica_bytes(plan)):
+        results.extend(_run_group(plan, [root.child("run", index) for index in group]))
+    return results
 
 
 def repeat_simulations(
@@ -344,9 +384,11 @@ def repeat_simulations(
         exclusive with ``plan``.
     plan:
         A :class:`RunPlan` describing the repetition declaratively; its
-        repetitions run as one stacked
-        :class:`~repro.simulator.replicated.ReplicatedCycleSimulator` —
-        typically several times faster than serial repeats at small N.
+        repetitions run as consecutive stacked
+        :class:`~repro.simulator.replicated.ReplicatedCycleSimulator`
+        groups of at most ``_REPLICA_GROUP_BYTES`` law-predicted bytes
+        (one group up to DEFAULT scale, one replica per group at
+        N = 10^5), so a point holds one group at a time.
     """
     require_non_negative_int(repeats, "repeats")
     if plan is not None:

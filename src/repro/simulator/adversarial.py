@@ -83,23 +83,19 @@ class ByzantineReporterModel(FailureModel):
     # FailureModel interface
     # ------------------------------------------------------------------
     def apply(self, simulator, cycle_index: int, rng: RandomSource) -> None:
+        participants = simulator.participant_ids()
         if self._recruited is None:
             # participant_ids() is sorted on every engine, and the draw
             # comes from a named child of the engine's failure stream — so
             # the reference and vectorised engines recruit the same nodes.
-            participants = simulator.participant_ids()
-            count = int(self._fraction * len(participants) + 0.5)
-            recruited = rng.child("byzantine-recruit").sample(participants, count)
-            self._recruited = np.asarray(sorted(recruited), dtype=np.int64)
-        present = np.asarray(
-            [node for node in self._recruited if simulator.is_participant(int(node))],
-            dtype=np.int64,
-        )
+            count = int(self._fraction * participants.size + 0.5)
+            picks = rng.child("byzantine-recruit").sample_indices(participants.size, count)
+            self._recruited = np.sort(participants[picks])
+        present = self._recruited[np.isin(self._recruited, participants, assume_unique=True)]
         if present.size == 0:
             return
         # Every engine answers state_array in participant-id order, and
         # for value-reporting codecs the encoded row is the value itself.
-        participants = np.asarray(simulator.participant_ids(), dtype=np.int64)
         rows = simulator.state_array()[np.searchsorted(participants, present)]
         rows = rows.reshape(present.size, -1)
         attacked = max(1, int(np.ceil(self._instance_fraction * rows.shape[1])))

@@ -32,7 +32,7 @@ figure, which reads :attr:`CycleSimulator.last_cycle_contact_counts`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -67,8 +67,9 @@ class CycleSimulator:
         The aggregation function defining state initialisation and the
         UPDATE step.
     initial_values:
-        Per-node initial values, either a sequence indexed by node id or a
-        mapping from node id to value.  Every overlay node must be covered.
+        Per-node initial values: a mapping from node id to value, a
+        sequence of one value per overlay node in id order, or a sequence
+        indexed by node id.  Every overlay node must be covered.
     rng:
         Root randomness source; the simulator derives child streams for
         peer selection, transports, failures and overlay maintenance so
@@ -158,13 +159,13 @@ class CycleSimulator:
         """Number of cycles executed so far."""
         return self._cycle_index
 
-    def participant_ids(self) -> List[int]:
+    def participant_ids(self) -> np.ndarray:
         """Identifiers of the nodes participating in the current epoch.
 
-        Sorted, so that failure models sampling victims from this list draw
-        identically in the reference and vectorised engines.
+        A sorted int64 array, as on the array engine, so that failure
+        models sampling victims from it draw identically on both engines.
         """
-        return sorted(self._participants)
+        return np.array(sorted(self._participants), dtype=np.int64)
 
     def is_participant(self, node_id: int) -> bool:
         """Whether ``node_id`` currently takes part in the protocol."""
@@ -177,7 +178,7 @@ class CycleSimulator:
         the function's ``encode_state`` one participant at a time.
         """
         encode = self._function.encode_state
-        participants = self.participant_ids()
+        participants = sorted(self._participants)
         block = np.empty((len(participants), self._function.state_width()))
         for row, node in enumerate(participants):
             block[row] = encode(self._states[node])

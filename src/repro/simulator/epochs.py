@@ -251,7 +251,7 @@ class EpochDriver:
         simulator = self._simulator(
             overlay=self._overlay,
             function=function,
-            initial_values=dict(zip(alive.tolist(), function.leader_values(alive).tolist())),
+            initial_values=function.leader_values(alive),
             rng=self._rng.child("epoch", epoch_id),
             transport=self._transport,
             failure_model=self._build_failure_model(epoch_id),

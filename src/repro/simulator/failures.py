@@ -95,6 +95,17 @@ def failure_model_or_default(model: Optional[FailureModel]) -> FailureModel:
     return model
 
 
+def _crash_sampled(simulator, participants: np.ndarray, count: int, rng: RandomSource) -> None:
+    """Crash ``count`` distinct participants drawn from the sorted id array.
+
+    ``participants[rng.sample_indices(n, count)]`` is the one generator
+    call :meth:`RandomSource.sample` makes, without a Python list of every
+    participant.
+    """
+    for victim in participants[rng.sample_indices(participants.size, count)].tolist():
+        simulator.crash_node(victim)
+
+
 class ProportionalCrashModel(FailureModel):
     """Crash a fixed proportion of the live participants before each cycle.
 
@@ -111,12 +122,10 @@ class ProportionalCrashModel(FailureModel):
 
     def apply(self, simulator, cycle_index: int, rng: RandomSource) -> None:
         participants = simulator.participant_ids()
-        count = int(round(self.crash_probability * len(participants)))
+        count = int(round(self.crash_probability * participants.size))
         if count <= 0:
             return
-        victims = rng.sample(participants, min(count, len(participants)))
-        for victim in victims:
-            simulator.crash_node(victim)
+        _crash_sampled(simulator, participants, min(count, participants.size), rng)
 
 
 class SuddenDeathModel(FailureModel):
@@ -142,10 +151,8 @@ class SuddenDeathModel(FailureModel):
         if cycle_index != self.at_cycle:
             return
         participants = simulator.participant_ids()
-        count = int(round(self.fraction * len(participants)))
-        victims = rng.sample(participants, min(count, len(participants)))
-        for victim in victims:
-            simulator.crash_node(victim)
+        count = int(round(self.fraction * participants.size))
+        _crash_sampled(simulator, participants, min(count, participants.size), rng)
 
 
 class ChurnModel(FailureModel):
@@ -171,10 +178,8 @@ class ChurnModel(FailureModel):
         if self.replacements_per_cycle <= 0:
             return
         participants = simulator.participant_ids()
-        count = min(self.replacements_per_cycle, len(participants))
-        victims = rng.sample(participants, count)
-        for victim in victims:
-            simulator.crash_node(victim)
+        count = min(self.replacements_per_cycle, participants.size)
+        _crash_sampled(simulator, participants, count, rng)
         for _ in range(count):
             simulator.add_node()
 
@@ -194,10 +199,7 @@ class CountCrashModel(FailureModel):
         if self.crashes_per_cycle <= 0:
             return
         participants = simulator.participant_ids()
-        count = min(self.crashes_per_cycle, len(participants))
-        victims = rng.sample(participants, count)
-        for victim in victims:
-            simulator.crash_node(victim)
+        _crash_sampled(simulator, participants, min(self.crashes_per_cycle, participants.size), rng)
 
 
 # ----------------------------------------------------------------------

@@ -97,7 +97,7 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -134,11 +134,18 @@ InitialValues = Union[Sequence[Any], Mapping[int, Any]]
 
 
 def normalise_initial_values(
-    initial_values: InitialValues, node_ids: Iterable[int]
+    initial_values: InitialValues, node_ids: Sequence[int]
 ) -> Dict[int, Any]:
-    """``initial_values`` as a mapping covering every id in ``node_ids``."""
+    """``initial_values`` as a mapping covering every id in ``node_ids``.
+
+    A sequence holding exactly one value per node is read in id order;
+    any other sequence is indexed by node id.  The two agree on the ids
+    ``0..n-1``, and with sparse ids only the first can cover every node.
+    """
     if isinstance(initial_values, Mapping):
         values = dict(initial_values)
+    elif len(initial_values) == len(node_ids):
+        values = dict(zip(sorted(node_ids), initial_values))
     else:
         values = {index: value for index, value in enumerate(initial_values)}
     missing = [node for node in node_ids if node not in values]
@@ -269,7 +276,9 @@ class ReplicaConfig:
         The replica's own overlay (a block view or a standalone overlay).
     initial_values:
         Per-node initial values, sequence or mapping — the same formats
-        :class:`~repro.simulator.cycle_sim.CycleSimulator` accepts.
+        :class:`~repro.simulator.cycle_sim.CycleSimulator` accepts.  One
+        float per participant in id order is read as it is, with no
+        per-node lookup.
     rng:
         The replica's simulation stream — pass the same
         ``root.child("run", i).child("simulation")`` stream the serial
@@ -417,10 +426,11 @@ class StackedCycleEngine:
             if not replica.members:
                 continue
             initial = config.initial_values
-            dense = replica.member_ids is None
-            if not isinstance(initial, Mapping) and len(initial) == replica.members and dense:
+            if not isinstance(initial, Mapping) and len(initial) == replica.members:
+                # One value per participant, in id order: the row order.
                 values = np.asarray(initial, dtype=np.float64)
             else:
+                dense = replica.member_ids is None
                 order = range(replica.members) if dense else replica.member_ids.tolist()
                 mapping = normalise_initial_values(initial, order)
                 values = np.asarray([mapping[node] for node in order], dtype=np.float64)
@@ -744,9 +754,14 @@ class ReplicaView:
         return row if row < 0 else self._base + row
 
     # -- state accessors ------------------------------------------------
-    def participant_ids(self) -> List[int]:
-        """Identifiers of the nodes participating in the current epoch (sorted)."""
-        return self._participants().tolist()
+    def participant_ids(self) -> np.ndarray:
+        """Identifiers of the nodes participating in the current epoch.
+
+        A sorted, read-only int64 view of the engine's cached ids.
+        """
+        ids = self._participants().view()
+        ids.flags.writeable = False
+        return ids
 
     def is_participant(self, node_id: int) -> bool:
         """Whether ``node_id`` currently takes part in the protocol."""

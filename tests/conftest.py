@@ -39,6 +39,6 @@ def node_row():
     """
 
     def read(simulator, node_id):
-        return simulator.state_array()[simulator.participant_ids().index(node_id)]
+        return simulator.state_array()[simulator.participant_ids().tolist().index(node_id)]
 
     return read

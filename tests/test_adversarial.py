@@ -80,7 +80,7 @@ def assert_engines_bit_identical(make_failure=None, reachability=None, cycles=10
         )
         for engine in (CycleSimulator, VectorizedCycleSimulator)
     )
-    assert reference.participant_ids() == vectorized.participant_ids()
+    assert np.array_equal(reference.participant_ids(), vectorized.participant_ids())
     assert np.array_equal(reference.state_array(), vectorized.state_array())
 
 
@@ -89,7 +89,7 @@ def assert_engines_bit_identical(make_failure=None, reachability=None, cycles=10
 # ----------------------------------------------------------------------
 def honest_ids(model, simulator):
     """Current participants that are not byzantine."""
-    return sorted(set(simulator.participant_ids()) - set(model.byzantine_ids))
+    return sorted(set(simulator.participant_ids().tolist()) - set(model.byzantine_ids))
 
 
 class TestByzantineReporterModel:

@@ -189,7 +189,7 @@ class TestArrayEngineParity:
         reference.run(cycles)
         outputs = record.finalize(reference.state_array())
 
-        assert list(result.node_estimates) == reference.participant_ids()
+        assert list(result.node_estimates) == reference.participant_ids().tolist()
         assert np.array(list(result.node_estimates.values())).tobytes() == outputs.tobytes()
         finite = outputs[np.isfinite(outputs)]
         assert result.mean_estimate == float(np.mean(finite))

@@ -222,7 +222,7 @@ class ScriptedMembership(FailureModel):
     def apply(self, simulator, cycle_index, rng):
         if cycle_index != 1:
             return
-        for victim in simulator.participant_ids()[: self.crashes]:
+        for victim in simulator.participant_ids()[: self.crashes].tolist():
             simulator.crash_node(victim)
         for _ in range(self.joins):
             simulator.add_node()

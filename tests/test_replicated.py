@@ -151,7 +151,7 @@ class TestBitIdentityGrid:
         for (serial_ids, serial_block), (ids, block) in zip(
             serial_states, replicated_states
         ):
-            assert serial_ids == ids
+            assert np.array_equal(serial_ids, ids)
             assert np.array_equal(serial_block, block)
 
     def test_sudden_death_matches_at_scale_point(self):
@@ -568,7 +568,7 @@ class TestReplicaViewSurface:
 
     def test_membership_round_trip(self, door):
         view = door.surface
-        assert view.participant_ids() == list(range(30))
+        assert view.participant_ids().tolist() == list(range(30))
         view.crash_node(7)
         assert 7 not in view.participant_ids()
         assert not view.overlay.contains(7)
@@ -577,7 +577,7 @@ class TestReplicaViewSurface:
         assert not view.is_participant(joined)
         # The sibling replica is untouched throughout.
         if door.sibling is not None:
-            assert door.sibling.participant_ids() == list(range(30))
+            assert door.sibling.participant_ids().tolist() == list(range(30))
 
     def test_joins_leave_participant_states_alone(self, door):
         view = door.surface
@@ -586,7 +586,7 @@ class TestReplicaViewSurface:
         sibling_states = None if door.sibling is None else door.sibling.state_array()
         for _ in range(40):  # more joiners than the engine has rows
             view.add_node()
-        assert view.participant_ids() == list(range(30))
+        assert view.participant_ids().tolist() == list(range(30))
         assert np.array_equal(view.state_array(), states)
         assert view.overlay.contains(45)
         if door.sibling is not None:

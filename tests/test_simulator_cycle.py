@@ -8,7 +8,8 @@ from repro.common.rng import RandomSource
 from repro.core.functions import AverageFunction, MaxFunction, PushSumFunction
 from repro.simulator.cycle_sim import CycleSimulator
 from repro.simulator.transport import TransportModel
-from repro.topology import TopologySpec, build_overlay
+from repro.simulator.vectorized import VectorizedCycleSimulator
+from repro.topology import StaticTopology, TopologySpec, build_overlay
 
 
 def make_simulator(size=50, seed=7, values=None, function=None, transport=None, degree=6):
@@ -43,6 +44,19 @@ class TestConstruction:
         overlay = build_overlay(TopologySpec("random", degree=3), 10, rng.child("t"))
         with pytest.raises(ConfigurationError):
             CycleSimulator(overlay, AverageFunction(), [1.0] * 5, rng.child("s"))
+
+    @pytest.mark.parametrize("engine", [CycleSimulator, VectorizedCycleSimulator])
+    def test_one_value_per_node_is_read_in_id_order_on_sparse_ids(self, engine):
+        # Inserted out of order; ids 1, 2, 4, ... have no node.
+        overlay = StaticTopology({9: {0}, 0: {9, 3}, 3: {0, 5}, 5: {3}})
+        values = np.array([10.0, 13.0, 15.0, 19.0])
+        simulator = engine(overlay, AverageFunction(), values, RandomSource(1))
+        assert simulator.participant_ids().tolist() == [0, 3, 5, 9]
+        assert simulator.state_array()[:, 0].tolist() == values.tolist()
+        # A longer sequence is still indexed by id.
+        by_id = [float(node) for node in range(10)]
+        simulator = engine(overlay, AverageFunction(), by_id, RandomSource(1))
+        assert simulator.state_array()[:, 0].tolist() == [0.0, 3.0, 5.0, 9.0]
 
 
 class TestAveraging:
@@ -119,7 +133,7 @@ class TestMembershipOperations:
         simulator = make_simulator()
         simulator.crash_node(3)
         simulator.crash_node(3)
-        assert simulator.participant_ids() == [node for node in range(50) if node != 3]
+        assert simulator.participant_ids().tolist() == [node for node in range(50) if node != 3]
         assert len(simulator.overlay.node_ids()) == 49
 
     def test_add_node_waits_for_next_epoch(self):

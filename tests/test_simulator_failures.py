@@ -36,7 +36,7 @@ class TestNoFailures:
     def test_nothing_happens(self):
         simulator = make_simulator(failure_model=NoFailures())
         simulator.run(3)
-        assert simulator.participant_ids() == list(range(60))
+        assert simulator.participant_ids().tolist() == list(range(60))
         assert len(simulator.overlay.node_ids()) == 60
 
 
@@ -119,7 +119,7 @@ class TestCountCrashModel:
     def test_cannot_crash_more_than_population(self):
         simulator = make_simulator(size=10, failure_model=CountCrashModel(50))
         simulator.run_cycle()
-        assert simulator.participant_ids() == []
+        assert simulator.participant_ids().tolist() == []
 
 
 class TestFailureSettingsCheckedAtConstruction:

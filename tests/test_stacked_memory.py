@@ -16,6 +16,12 @@ the settle's scratch to the budget whatever the number of victims.
 A finished run holds no reference cycle, so it is freed by reference
 counting as soon as ``repeat_traces`` returns, with the cyclic collector
 off.
+
+A point runs its repetitions as consecutive groups of at most
+``_REPLICA_GROUP_BYTES`` law-predicted bytes.  Replicas keep their own
+streams, so the parity tests patch the budget down to one replica per
+group and compare with the one-group run; the peak test holds a point
+above the budget to one group's law.
 """
 
 import gc
@@ -29,10 +35,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import RandomSource
-from repro.core.functions import AverageFunction
+from repro.core import functions
+from repro.core.functions import AverageFunction, VectorFunction, replica_groups
+from repro.experiments import runner
 from repro.experiments.runner import RunPlan, repeat_traces, uniform_initial_values
-from repro.simulator.failures import CountCrashModel
+from repro.simulator.failures import ChurnModel, CountCrashModel
 from repro.simulator.replicated import ReplicaConfig, ReplicatedCycleSimulator
+from repro.simulator.transport import TransportModel
 from repro.topology import StaticTopology, TopologySpec
 from repro.topology import replicated
 from repro.topology.replicated import ReplicatedStaticBlock
@@ -258,3 +267,125 @@ class TestFinishedRunsAreFreed:
             gc.enable()
         assert len(traces) == repeats and len(held) == 3 * repeats
         assert not any(alive)
+
+
+def group_budget(size):
+    """Patch the replica-group budget to ``size`` bytes."""
+    return mock.patch.object(functions, "_REPLICA_GROUP_BYTES", size)
+
+
+def engine_sizes():
+    """Record the replicas of every stacked engine ``repeat_traces`` builds."""
+    sizes = []
+
+    class Counting(ReplicatedCycleSimulator):
+        def __init__(self, replicas, *args, **kwargs):
+            sizes.append(len(replicas))
+            super().__init__(replicas, *args, **kwargs)
+
+    return sizes, mock.patch.object(runner, "ReplicatedCycleSimulator", Counting)
+
+
+def run_state(view):
+    """A replica's records, participants and final states, as plain values."""
+    return (
+        repr(view.trace.records),
+        view.participant_ids().tolist(),
+        view.state_array().tobytes(),
+    )
+
+
+GROUPED_PLANS = {
+    "crash": dict(
+        topology=TopologySpec("random", degree=6),
+        transport=TransportModel(link_failure_probability=0.1),
+        failure_factory=lambda: CountCrashModel(3),
+    ),
+    "churn": dict(
+        topology=TopologySpec("ring-lattice", degree=4),
+        failure_factory=lambda: ChurnModel(2),
+    ),
+    "loss": dict(
+        topology=TopologySpec("watts-strogatz", degree=4, beta=0.25),
+        transport=TransportModel(message_loss_probability=0.2),
+    ),
+    "static": dict(topology=TopologySpec("scale-free", degree=3)),
+    "newscast": dict(
+        topology=TopologySpec("newscast", degree=8),
+        transport=TransportModel(message_loss_probability=0.1),
+        failure_factory=lambda: ChurnModel(2),
+    ),
+}
+
+
+class TestReplicaGroups:
+    @pytest.mark.parametrize("name", sorted(GROUPED_PLANS))
+    def test_one_replica_groups_match_the_one_group_run(self, name):
+        plan = RunPlan(
+            size=80, cycles=6, values=uniform_initial_values, collect=run_state,
+            **GROUPED_PLANS[name],
+        )
+        whole_sizes, counting = engine_sizes()
+        with counting, group_budget(1 << 62):
+            whole = repeat_traces(4, 2004, plan=plan)
+        alone_sizes, counting = engine_sizes()
+        with counting, group_budget(1):
+            alone = repeat_traces(4, 2004, plan=plan)
+        assert whole_sizes == [4] and alone_sizes == [1, 1, 1, 1]
+        assert alone == whole
+
+    def test_a_replica_above_the_budget_runs_alone(self):
+        plan = RunPlan(
+            topology=TopologySpec("random", degree=4), size=50, cycles=2,
+            values=uniform_initial_values,
+        )
+        replica = runner._replica_bytes(plan)
+        for budget, expected in ((replica - 1, [1] * 5), (2 * replica, [2, 2, 1])):
+            sizes, counting = engine_sizes()
+            with counting, group_budget(budget):
+                repeat_traces(5, 2004, plan=plan)
+            assert sizes == expected
+        with group_budget(25):
+            assert replica_groups(5, 10) == [range(0, 2), range(2, 4), range(4, 5)]
+            assert replica_groups(3, 26) == [range(0, 1), range(1, 2), range(2, 3)]
+            assert replica_groups(0, 10) == []
+
+    def test_the_largest_default_point_is_one_group(self):
+        # Figures 8a/8b at DEFAULT: ten repetitions of 2,000 nodes on
+        # NEWSCAST (c = 30) with 50 COUNT instances, 15.1 MiB by the law.
+        plan = RunPlan(
+            topology=TopologySpec("newscast", degree=30), size=2_000, cycles=1,
+            values=uniform_initial_values,
+            function_factory=lambda: VectorFunction([AverageFunction() for _ in range(50)]),
+        )
+        assert len(replica_groups(10, runner._replica_bytes(plan))) == 1
+
+    def test_a_point_above_the_budget_peaks_at_one_group(self):
+        replicas, size, degree = 8, 20_000, 20
+        plan = RunPlan(
+            topology=TopologySpec("random", degree=degree),
+            size=size,
+            cycles=3,
+            values=uniform_initial_values,
+            transport=TransportModel(link_failure_probability=0.1),
+            failure_factory=lambda: CountCrashModel(50),
+        )
+        replica = runner._replica_bytes(plan)
+        group = len(replica_groups(replicas, replica)[0])
+        assert 1 <= group < replicas
+        # Warm up untraced, so first-use imports and caches stay out.
+        repeat_traces(1, 1, plan=RunPlan(plan.topology, 50, 1, uniform_initial_values))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            traces = repeat_traces(replicas, 2004, plan=plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [trace.final.participant_count for trace in traces] == [size - 150] * replicas
+        # One group's law plus the k-out build scratch of one replica
+        # (int64 sort keys and an int32 column over both ends of each of
+        # the N * k draws: 24 B per draw), plus 1 MiB.  Two 6.4 MB
+        # replicas: 22.4 MB; measured 21.8 MB, and 54.7 MB when the
+        # eight replicas ran as one group.
+        assert peak <= group * replica + 24 * size * degree + (1 << 20)

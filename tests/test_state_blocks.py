@@ -181,7 +181,7 @@ class TestBlockedPassesAreBitIdentical:
             ids = blocked.participant_ids()
             records = repr(blocked.trace.records)
             released = blocked._release_state_array()
-        assert ids == whole.participant_ids()
+        assert np.array_equal(ids, whole.participant_ids())
         assert records == repr(whole.trace.records)
         assert released.tobytes() == whole.state_array().tobytes()
 

@@ -176,7 +176,7 @@ class TestEngineEquivalence:
         vectorized = build_engine(VectorizedCycleSimulator, "average", "random", "churn")
         reference.run(5)
         vectorized.run(5)
-        assert reference.participant_ids() == vectorized.participant_ids()
+        assert np.array_equal(reference.participant_ids(), vectorized.participant_ids())
         # Crashed nodes left both overlays; joiners wait in both.
         assert sorted(reference.overlay.node_ids()) == sorted(
             vectorized.overlay.node_ids()
