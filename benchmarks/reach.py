@@ -5,8 +5,8 @@ Runs every product path in this one process under ``sys.settrace``:
 
 * every ``ALL_FIGURES`` entry at ``BENCH``;
 * every example as CI invokes it, under ``REPRO_SCALE=smoke``.
-  ``overlay_build_costs.py`` builds each family at N=2000, in this process
-  (CI runs each build in a child interpreter),
+  ``overlay_build_costs.py`` builds each family at N=50,000, in this
+  process (CI runs each build in a child interpreter, at N=10^5 and 10^6),
   ``stacked_repeats_cost.py`` runs its point at N=2000 (its memory limit
   is for a fresh process at N=10^5), and ``adaptive_figure_cost.py`` is
   skipped (see :data:`SKIPPED`);
@@ -50,8 +50,11 @@ PACKAGE = ROOT / "src" / "repro"
 E2E = ROOT / "benchmarks" / "e2e"
 
 SEED = 2004
-#: N of the sized examples (overlay builds, stacked repeats) run in this process.
+#: N of the stacked repeats example run in this process.
 EXAMPLE_SIZE = 2_000
+#: N of the overlay builds run in this process: above 46,340, so the
+#: edge-list kernel works in several row bands, as in CI's builds.
+BUILD_SIZE = 50_000
 CO_OPTIMIZED = 0x1  # set on function, lambda and comprehension code, never on module or class bodies
 COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>"}
 
@@ -244,7 +247,7 @@ def run_examples() -> None:
                 _run_example(examples / name, argv)
         builds = runpy.run_path(str(examples / "overlay_build_costs.py"))
         for family in builds["SPECS"]:
-            builds["build_one"](family, EXAMPLE_SIZE)
+            builds["build_one"](family, BUILD_SIZE)
         runpy.run_path(str(examples / "stacked_repeats_cost.py"))["run"](EXAMPLE_SIZE)
     finally:
         if saved is None:
@@ -351,7 +354,7 @@ def main(argv: List[str]) -> int:
             "paths": {
                 "figures": "every ALL_FIGURES entry at BENCH",
                 "examples": "examples/*.py as CI runs them, REPRO_SCALE=smoke, "
-                f"overlay builds and stacked repeats at N={EXAMPLE_SIZE}",
+                f"overlay builds at N={BUILD_SIZE}, stacked repeats at N={EXAMPLE_SIZE}",
                 "workloads": f"benchmarks/e2e/workloads.py WORKLOADS at TINY, seed {SEED}",
             },
             "skipped": SKIPPED,

@@ -14,12 +14,12 @@ the process holds one overlay's ragged row store (4 bytes per stored
 neighbour, 25 bytes per row), one float64 value array and one state
 block at a time, with no Python object per node; each cycle's 1,000
 crashes leave their neighbours' rows in groups of a fixed entry budget.
-It reads 121 MB on a 2-vCPU Xeon (371 MB when the ten ran as one
-stacked simulation, 595 MB when ids and values were Python objects and
-a crash event was removed in one pass), in 3.4-5.1 s against 4.0-6.0 s
-as one stacked simulation (five alternated pairs, faster in each).
+It reads 84 MB on a 2-vCPU Xeon (121 MB while each replica's k-out
+build sorted every key at once, 371 MB when the ten ran as one stacked
+simulation, 595 MB when ids and values were Python objects and a crash
+event was removed in one pass), in 3.4-3.5 s.
 
-Exits non-zero only if the run raises or peaks above 180 MB, about 1.5x
+Exits non-zero only if the run raises or peaks above 125 MB, about 1.5x
 that reading.  The wall time is reported, never judged.
 
 Run with:  python examples/stacked_repeats_cost.py [size]
@@ -37,7 +37,7 @@ from repro.simulator.transport import TransportModel
 from repro.topology import TopologySpec
 
 REPEATS = 10
-RSS_LIMIT_MB = 180
+RSS_LIMIT_MB = 125
 
 
 def run(size: int) -> float:

@@ -31,11 +31,15 @@ buffer is never compacted).  Crash removal
 groups of at most ``_SETTLE_ENTRIES`` stored entries and shifts the
 touched rows in spans of as many, so its scratch is
 ``O(_SETTLE_ENTRIES + largest degree)`` whatever the number of victims.
-Building a k-out overlay of ``N`` nodes
-holds, transiently, ``2 * N * k * 8`` bytes of int64 sort keys plus
-``2 * N * k * 4`` bytes of int32 neighbour column plus the rows; the
-``N * k * 4``-byte int32 draw matrix is freed before the sort, and
-drawing it held at most one ``_SAMPLE_CHUNK``-row int64 chunk more.
+Building a k-out overlay of ``N`` nodes holds its rows (the
+``2 * N * k`` int32 slots its keys are laid out in, which the rows then
+fill), its ``N * k * 4``-byte int32 draw matrix until the keys are laid
+out, and one budget of scratch whatever ``N``: the sampler's int64 chunk
+of ``_BAND_KEYS`` draws (8 MiB), or the kernel's int64 keys of half as
+many.  The kernel works in row bands whose band-relative keys fit int32,
+each sorted and compacted in its own region of the rows' slots; a graph
+below 46,341 nodes whose keys fit the budget is one band, its keys
+written straight into those slots.
 
 :func:`rows_from_edges` is the one edge-list -> rows kernel: every static
 builder (k-out, ring lattice, Watts–Strogatz, Barabási–Albert) hands it
@@ -72,10 +76,6 @@ __all__ = [
 #: the memory traffic of the row edits and gathers; peer draws are
 #: widened back to int64 at the API boundary.
 _ID_LIMIT = np.iinfo(np.int32).max
-#: Rows of the int64 uniform block :func:`sample_distinct_peers` draws per
-#: generator call: its scratch is one chunk (15.7 MB at c = 30), and a
-#: draw at N = 10^6 takes 16 calls.
-_SAMPLE_CHUNK = 65_536
 #: Stored entries one crash-removal group touches: the victims of a group
 #: hold at most this many neighbour entries (a victim above it forms a
 #: group alone), and the touched rows' tails shift in spans of at most
@@ -83,6 +83,17 @@ _SAMPLE_CHUNK = 65_536
 #: any grouping leaves the same rows; this one holds the scratch to a few
 #: MB (about 0.5 MB per int64 array).
 _SETTLE_ENTRIES = 65_536
+#: Scratch budget of an overlay build, in keys.  One
+#: :func:`sample_distinct_peers` generator call draws this many int64
+#: uniforms, and :func:`rows_from_edges` forms at most half as many int64
+#: keys at a time, so a build holds about 8 MiB of scratch besides its
+#: draws and rows, whatever the graph's size.  A graph whose keys (both
+#: directions of every edge) fit, and whose ``size^2`` fits int32, is one
+#: band: N = 2 * 10^4 at k = 20 still is.
+_BAND_KEYS = 1 << 20
+#: Keys of one cache-resident kernel step (256 KiB as int32), capped by the
+#: budget: the size a band aims at and the span it is compacted in.
+_CACHE_KEYS = 1 << 16
 
 
 def draw_k_out_peers(size: int, degree: int, rng: RandomSource) -> np.ndarray:
@@ -119,7 +130,7 @@ def sample_distinct_peers(
     until every row is distinct, then the skip-self shift.  Rows come
     back sorted ascending (per row) in ``(size, fill)`` int32 form.
 
-    The uniform block is drawn ``_SAMPLE_CHUNK`` rows at a time, each
+    The uniform block is drawn ``_BAND_KEYS`` entries at a time, each
     int64 chunk cast straight into the int32 rows; chunked bounded draws
     equal one call value for value and leave the generator in the same
     state.  The call therefore holds at most its int32 output, one int64
@@ -136,11 +147,10 @@ def sample_distinct_peers(
             f"size {size} exceeds the int32 identifier range (at most {_ID_LIMIT} nodes)"
         )
     draws = np.empty((size, fill), dtype=np.int32)
-    for start in range(0, size, _SAMPLE_CHUNK):
-        stop = min(start + _SAMPLE_CHUNK, size)
-        draws[start:stop] = generator.integers(
-            0, size - 1, size=(stop - start, fill), dtype=np.int64
-        )
+    flat = draws.reshape(-1)
+    for start in range(0, flat.size, _BAND_KEYS):
+        stop = min(start + _BAND_KEYS, flat.size)
+        flat[start:stop] = generator.integers(0, size - 1, size=stop - start, dtype=np.int64)
     draws.sort(axis=1)
     duplicate = np.zeros((size, fill), dtype=bool)
     for _ in range(64):
@@ -169,40 +179,177 @@ def rows_from_edges(
     ``sources`` and ``targets`` are int32 or int64 node identifiers in
     ``[0, size)`` that broadcast together (flat edge arrays, or a k-out draw's
     ``(size, 1)`` owner column against its ``(size, k)`` draw matrix); an
-    edge may be listed in one direction, in both, or several times.  One
-    in-place sort of the ``owner * size + neighbour`` keys of both
-    directions symmetrises, deduplicates and row-sorts at once, and the
-    sorted keys already are the rows laid end to end.  Returns
-    ``(neighbours, degrees)``: the int32 neighbours of rows ``0 .. size-1``
-    concatenated, each row ascending, and the int64 row lengths.
+    edge may be listed in one direction, in both, or several times.  The
+    ``owner * size + neighbour`` keys of both directions are laid out in row
+    bands (:func:`_band_keys`), and sorting each band symmetrises,
+    deduplicates and row-sorts it at once (:func:`_rows_from_bands`).
+    Returns ``(neighbours, degrees)``: the int32 neighbours of rows
+    ``0 .. size-1`` concatenated, each row ascending, and the int64 row
+    lengths.
 
     The kernel drops its references to the edge arrays once the keys are
-    formed, so a caller that passes them as temporaries has them freed
+    laid out, so a caller that passes them as temporaries has them freed
     before the sort.
     """
-    keys = np.empty((2,) + np.broadcast(sources, targets).shape, dtype=np.int64)
-    # dtype=int64: NumPy computes int32 * int in int32, which wraps once
-    # owner * size passes 2^31.
-    np.multiply(sources, size, out=keys[0], dtype=np.int64)
-    np.add(keys[0], targets, out=keys[0])
-    np.multiply(targets, size, out=keys[1], dtype=np.int64)
-    np.add(keys[1], sources, out=keys[1])
+    keys = np.empty(2 * np.broadcast(sources, targets).size, dtype=np.int32)
+    degrees = np.empty(size, dtype=np.int64)
+    bands = _band_keys(size, sources, targets, keys)
     del sources, targets
-    keys = keys.reshape(-1)
-    keys.sort()
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    # Row u spans the keys in [u * size, (u + 1) * size), and key % size
-    # is the neighbour.
-    starts = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * size)
-    degrees = np.diff(starts)
-    degrees -= np.bincount(keys[~first] // size, minlength=size)
-    neighbours = np.remainder(
-        keys, size, out=np.empty(keys.size, dtype=np.int32), casting="unsafe"
-    )
-    # Freeing each temporary once consumed sets the peak.
-    del keys
-    return neighbours[first], degrees
+    # The rows end where the keys began; dropping the duplicates' slots
+    # shrinks the buffer in place.
+    keys.resize(_rows_from_bands(size, keys, bands, degrees), refcheck=False)
+    return keys, degrees
+
+
+def _band_keys(
+    size: int, sources: np.ndarray, targets: np.ndarray, keys: np.ndarray
+) -> List[tuple[int, int, int, int]]:
+    """Lay both directions' keys of every edge into ``keys``, one region per row band.
+
+    ``keys`` has one int32 slot per direction of each edge.  A band is a
+    run of rows narrow enough that the band-relative key ``(row - band
+    start) * size + neighbour`` fits int32.  A graph that fits the budget
+    with ``size^2`` in int32 is one band, its keys written straight into
+    ``keys``.  Otherwise the bands are ``width`` rows that aim at
+    ``_CACHE_KEYS`` keys, and the edges go through twice, ``chunk`` keys at
+    a time: the first pass counts each band's entries, which places the
+    band regions; the second forms a chunk's int64 keys, one direction at a
+    time, sorts them unless the chunk's rows already ascend (an owner-major
+    edge list), and copies each band's run of them, band-relative, after
+    what the band's region holds so far.  Returns the bands as ``(first
+    row, row stop, region start, region stop)``.
+    """
+    if size == 0 or keys.size == 0:
+        return [(0, size, 0, 0)] if size else []
+    width = _ID_LIMIT // size
+    if width >= size and keys.size <= _BAND_KEYS:
+        half = keys.size // 2
+        shape = np.broadcast(sources, targets).shape
+        halves = ((sources, targets, keys[:half]), (targets, sources, keys[half:]))
+        for rows, columns, part in halves:
+            part = part.reshape(shape)
+            np.multiply(rows, size, out=part, dtype=np.int32, casting="unsafe")
+            np.add(part, columns, out=part, dtype=np.int32, casting="unsafe")
+        return [(0, size, 0, keys.size)]
+    piece = min(_CACHE_KEYS, _BAND_KEYS)
+    width = max(1, min(width, piece * size // keys.size))
+    firsts = np.append(np.arange(0, size, width, dtype=np.int64), size)
+    counts = np.zeros(firsts.size - 1, dtype=np.int64)
+    # About 4,096 keys per band keep the per-band copies long.
+    chunk = max(1, min(max(piece, 4096 * counts.size), _BAND_KEYS // 2))
+    for ids in (sources, targets):
+        # Broadcasting repeats each identifier equally often.
+        ids = np.asarray(ids).reshape(-1)
+        copies = keys.size // 2 // ids.size
+        for start in range(0, ids.size, chunk):
+            _count_bands(ids[start : start + chunk], width, copies, counts)
+    stops = np.cumsum(counts)
+    fill = (stops - counts).tolist()
+    regions = list(zip(firsts[:-1].tolist(), firsts[1:].tolist(), fill, stops.tolist()))
+    span = width * size
+    sources, targets = np.broadcast_arrays(sources, targets)
+    if sources.ndim == 1:
+        sources, targets = sources[:, None], targets[:, None]
+    step = max(1, chunk // sources.shape[1])
+    buffer = np.empty(min(step, sources.shape[0]) * sources.shape[1], dtype=np.int64)
+    for rows, columns in ((sources, targets), (targets, sources)):
+        for start in range(0, rows.shape[0], step):
+            block = rows[start : start + step]
+            part = buffer[: block.size]
+            grid = part.reshape(block.shape)
+            np.multiply(block, size, out=grid, dtype=np.int64)
+            np.add(grid, columns[start : start + step], out=grid)
+            if not _ascends(block):
+                part.sort()
+            # Rows that ascend leave the keys grouped by band, which is
+            # all the runs need.
+            for band, begin, end in _band_runs(part, span):
+                at = fill[band]
+                np.subtract(
+                    part[begin:end], band * span, out=keys[at : at + end - begin],
+                    casting="unsafe",
+                )
+                fill[band] = at + end - begin
+    return regions
+
+
+def _ascends(rows: np.ndarray) -> bool:
+    """Whether the 2-D ``rows`` are non-decreasing in C order."""
+    return bool((rows[:, 1:] >= rows[:, :-1]).all() and (rows[1:, 0] >= rows[:-1, -1]).all())
+
+
+def _count_bands(ids: np.ndarray, width: int, copies: int, counts: np.ndarray) -> None:
+    """Add ``copies`` per identifier in ``ids`` to the count of its band of ``width`` rows."""
+    if _ascends(ids[:, None]):
+        for band, begin, end in _band_runs(ids, width):
+            counts[band] += copies * (end - begin)
+    else:
+        np.add.at(counts, ids // width, copies)
+
+
+def _band_runs(values: np.ndarray, unit: int) -> Iterator[tuple[int, int, int]]:
+    """The non-empty runs ``(band, start, stop)`` of ``values`` grouped by ``value // unit``.
+
+    ``values`` hold their bands in ascending order.  A binary search per
+    band boundary finds the runs when the values span fewer bands than
+    they number, else one pass over the values' bands does (sparse
+    identifiers, or a budget of a few keys).
+    """
+    low, high = int(values[0]) // unit, int(values[-1]) // unit
+    if high - low < values.size:
+        cuts = np.searchsorted(values, np.arange(low + 1, high + 1) * unit).tolist()
+        bands: Sequence[int] = range(low, high + 1)
+    else:
+        of = values // unit
+        cuts = (np.flatnonzero(of[1:] != of[:-1]) + 1).tolist()
+        bands = of[[0] + cuts].tolist()
+    for band, start, stop in zip(bands, [0] + cuts, cuts + [values.size]):
+        if stop > start:
+            yield band, start, stop
+
+
+def _rows_from_bands(
+    size: int, keys: np.ndarray, bands: List[tuple[int, int, int, int]], degrees: np.ndarray
+) -> int:
+    """Sort each band's keys in place and compact the bands into rows.
+
+    Each band's region is sorted and its row lengths read off the sorted
+    keys; then, ``_CACHE_KEYS`` keys at a time, repeats are dropped and
+    keys become neighbours (``key % size``), written on from the start of
+    ``keys``.  Fills ``degrees`` (one int64 per row) and returns the number
+    of stored neighbours, the rows laid end to end at ``keys[:count]``.
+    """
+    piece = min(_CACHE_KEYS, _BAND_KEYS)
+    used = 0
+    for first, stop, low, high in bands:
+        band = keys[low:high]
+        band.sort()
+        row_degrees = degrees[first:stop]
+        starts = np.searchsorted(
+            band, np.arange(0, (stop - first) * size + 1, size, dtype=np.int32)
+        )
+        np.subtract(starts[1:], starts[:-1], out=row_degrees)
+        del starts
+        last = -1
+        for start in range(0, band.size, piece):
+            part = band[start : start + piece]
+            fresh = np.empty(part.size, dtype=bool)
+            fresh[0] = part[0] != last
+            np.not_equal(part[1:], part[:-1], out=fresh[1:])
+            last = int(part[-1])
+            rows = np.floor_divide(part, size)
+            repeats = part.size - int(np.count_nonzero(fresh))
+            if repeats:
+                row_degrees -= np.bincount(rows[~fresh], minlength=row_degrees.size)
+            np.multiply(rows, size, out=rows)
+            np.subtract(part, rows, out=part)
+            del rows
+            if repeats:
+                keys[used : used + part.size - repeats] = part[fresh]
+            elif used != low + start:
+                keys[used : used + part.size] = part
+            used += part.size - repeats
+    return used
 
 
 def _ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -329,17 +476,19 @@ class ReplicatedStaticBlock:
         require_positive(replicas, "replicas")
         owners = np.arange(size, dtype=np.int64)[:, None]
         # A replica stores each of its size * degree draws at most twice
-        # (once per endpoint), which sizes the one buffer up front.
-        neighbours = np.empty(replicas * 2 * size * degree, dtype=np.int32)
+        # (once per endpoint), which sizes the one buffer up front; each
+        # replica's keys and rows go straight into it, after the rows
+        # before.
+        entries = 2 * size * degree
+        neighbours = np.empty(replicas * entries, dtype=np.int32)
         degrees = np.empty(replicas * size, dtype=np.int64)
         used = 0
         for replica, rng in enumerate(rngs):
-            values, row_degrees = rows_from_edges(
-                size, owners, draw_k_out_peers(size, degree, rng)
+            region = neighbours[used : used + entries]
+            bands = _band_keys(size, owners, draw_k_out_peers(size, degree, rng), region)
+            used += _rows_from_bands(
+                size, region, bands, degrees[replica * size : (replica + 1) * size]
             )
-            neighbours[used : used + values.size] = values
-            degrees[replica * size : (replica + 1) * size] = row_degrees
-            used += values.size
         return cls(
             neighbours,
             degrees,

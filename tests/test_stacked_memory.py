@@ -47,6 +47,16 @@ from repro.topology import replicated
 from repro.topology.replicated import ReplicatedStaticBlock
 
 
+def build_scratch(size, degree):
+    """A k-out build's scratch besides its rows: its int32 draws and one budget of int64 keys.
+
+    The budget is the sampler's int64 chunk (``_BAND_KEYS`` draws, or all of
+    them when fewer); the kernel's keys of a banded build are half as many.
+    """
+    draws = size * degree
+    return 4 * draws + 8 * min(draws, replicated._BAND_KEYS)
+
+
 def one_pass():
     """Patch the settle budget so that every removal is one group."""
     return mock.patch.object(replicated, "_SETTLE_ENTRIES", 1 << 62)
@@ -192,6 +202,27 @@ class TestStackedRunMemoryLaw:
         law = 4 * stored + 25 * rows + 8 * replicas * size + (8 * width + 13) * rows
         assert retained <= law + 262_144
         assert all(isinstance(config.initial_values, np.ndarray) for config in configs)
+
+
+class TestBuildMemoryLaw:
+    def test_a_k_out_build_holds_its_draws_its_rows_and_one_budget(self):
+        size, degree = 100_000, 20
+        # Build once untraced, so first-use imports stay out.
+        ReplicatedStaticBlock.build_k_out(100, degree, [RandomSource(1)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            block = ReplicatedStaticBlock.build_k_out(size, degree, [RandomSource(2004)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = (block._neighbours, block._offsets, block._degrees, block._room, block._alive)
+        rows = sum(array.nbytes for array in arrays)
+        # The rows (18.5 MB: the block store), the int32 draws (8 MB) and
+        # one budget of int64 keys (8.4 MB), plus 1 MiB: 35.9 MB.
+        # Measured 34.0 MB, set by the sampler's chunk; sorting the
+        # int64 keys of both directions at once peaked at 71.3 MB.
+        assert peak <= rows + build_scratch(size, degree) + (1 << 20)
 
 
 class TestInsertionOrder:
@@ -383,9 +414,10 @@ class TestReplicaGroups:
         finally:
             tracemalloc.stop()
         assert [trace.final.participant_count for trace in traces] == [size - 150] * replicas
-        # One group's law plus the k-out build scratch of one replica
-        # (int64 sort keys and an int32 column over both ends of each of
-        # the N * k draws: 24 B per draw), plus 1 MiB.  Two 6.4 MB
-        # replicas: 22.4 MB; measured 21.8 MB, and 54.7 MB when the
+        # One group's law plus the k-out build scratch of one replica (its
+        # draws and one budget of int64 keys: 12 B per draw at this size,
+        # which is one band), plus 1 MiB.  Two 6.4 MB replicas: 18.6 MB;
+        # measured 13.7 MB, 21.8 MB when a build sorted int64 keys
+        # of both directions at once (24 B per draw), and 54.7 MB when the
         # eight replicas ran as one group.
-        assert peak <= group * replica + 24 * size * degree + (1 << 20)
+        assert peak <= group * replica + build_scratch(size, degree) + (1 << 20)

@@ -14,8 +14,8 @@ from repro.common.rng import RandomSource
 from repro.topology import ReplicatedStaticBlock, TopologySpec, build_overlay, replicated
 from repro.topology.base import StaticTopology
 from repro.topology.replicated import (
+    _BAND_KEYS,
     _ID_LIMIT,
-    _SAMPLE_CHUNK,
     rows_from_edges,
     sample_distinct_peers,
 )
@@ -341,6 +341,100 @@ class TestRowsFromEdges:
         assert expected_neighbours.max() == size - 1
 
 
+def band_budget(keys):
+    """Patch the kernel's key budget to ``keys``."""
+    return mock.patch.object(replicated, "_BAND_KEYS", keys)
+
+
+def assert_bands_match_one_band(size, sources, targets, budget):
+    """Rows built under a ``budget`` of keys equal those at the real budget and the oracle.
+
+    At the real budget a graph below 46,341 nodes is one band.
+    """
+    expected_neighbours, expected_degrees = rows_from_edges(size, sources, targets)
+    with band_budget(budget):
+        neighbours, degrees = rows_from_edges(size, sources, targets)
+    assert np.array_equal(neighbours, expected_neighbours)
+    assert np.array_equal(degrees, expected_degrees)
+    flat_sources, flat_targets = (
+        np.broadcast_to(ids, np.broadcast(sources, targets).shape).reshape(-1)
+        for ids in (sources, targets)
+    )
+    assert_rows_match_oracle(size, flat_sources, flat_targets, neighbours, degrees)
+
+
+class TestRowBands:
+    """Rows built in bands of a patched key budget against the one-band kernel.
+
+    A budget of 1 to 40 keys splits these small graphs into many bands of
+    one or a few rows, chunks of a few keys and compaction spans that cut
+    rows; every graph below 46,341 nodes is one band at the real budget.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), budget=st.integers(1, 40))
+    def test_flat_edge_lists(self, data, budget):
+        # Edges listed once, in both directions and repeated, in any order;
+        # ids past the last one an edge names stay isolated rows.
+        size = data.draw(st.integers(1, 30))
+        edges = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(
+                    lambda edge: edge[0] != edge[1]
+                ),
+                max_size=60,
+            )
+        )
+        flipped = data.draw(st.lists(st.sampled_from(edges))) if edges else []
+        listed = edges + [(b, a) for a, b in flipped] + edges[:3]
+        pairs = np.asarray(listed, dtype=np.int64).reshape(-1, 2)
+        if data.draw(st.booleans()):
+            pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+        size += data.draw(st.integers(0, 5))
+        assert_bands_match_one_band(size, pairs[:, 0], pairs[:, 1], budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), budget=st.integers(1, 40))
+    def test_k_out_draw_broadcast(self, data, budget):
+        # The owner column against a draw matrix whose rows ascend, as the
+        # k-out builders pass them, and against unsorted rows.
+        owners = data.draw(st.integers(2, 16))
+        size = owners + data.draw(st.integers(0, 4))
+        k = data.draw(st.integers(1, 5))
+        draws = np.asarray(
+            data.draw(
+                st.lists(
+                    st.lists(st.integers(0, owners - 2), min_size=k, max_size=k),
+                    min_size=owners,
+                    max_size=owners,
+                )
+            ),
+            dtype=np.int32,
+        )
+        column = np.arange(owners, dtype=np.int64)[:, None]
+        draws += draws >= column
+        if data.draw(st.booleans()):
+            draws.sort(axis=1)
+        assert_bands_match_one_band(size, column, draws, budget)
+        assert_bands_match_one_band(size, draws, column, budget)
+
+    @pytest.mark.parametrize("budget", [1, 3, 40])
+    def test_a_row_above_the_budget(self, budget):
+        # A star: node 0's row holds every other node, far above the budget.
+        size = 200
+        leaves = np.arange(1, size, dtype=np.int64)
+        assert_bands_match_one_band(size, np.zeros_like(leaves), leaves, budget)
+        assert_bands_match_one_band(size, leaves, np.zeros_like(leaves), budget)
+
+    def test_int32_keys_past_two_to_the_31(self):
+        # At N = 50,000 the band-relative keys of a band must stay below
+        # 2^31 at any budget.
+        size, k = 50_000, 3
+        draws = sample_distinct_peers(size, k, np.random.default_rng(5))
+        owners = np.arange(size, dtype=np.int64)[:, None]
+        assert_bands_match_one_band(size, owners, draws, 40)
+
+
 def one_call_distinct_peers(size, fill, generator):
     """The sampler as one int64 draw of the whole block (the int32 sampler's oracle)."""
     draws = generator.integers(0, size - 1, size=(size, fill), dtype=np.int64)
@@ -381,18 +475,21 @@ class TestDistinctPeerSampler:
     @given(
         size=st.integers(2, 120),
         share=st.floats(0.0, 1.0),
-        chunk=st.integers(1, 9),
+        chunk=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_small_chunks_match_the_one_call_draw(self, size, share, chunk, seed):
-        # A patched chunk size puts several chunk boundaries inside small
-        # blocks; share = 1 is fill = size - 1, the exact-completion case.
+        # A patched budget puts several chunk boundaries inside small
+        # blocks, most of them inside a row; share = 1 is fill = size - 1,
+        # the exact-completion case.
         fill = 1 + round(share * (size - 2))
-        with mock.patch.object(replicated, "_SAMPLE_CHUNK", chunk):
+        with band_budget(chunk):
             assert_sampler_matches_one_call(size, fill, seed)
 
-    @pytest.mark.parametrize("size", [_SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1])
+    @pytest.mark.parametrize("size", [_BAND_KEYS // 4 - 1, _BAND_KEYS // 4, _BAND_KEYS // 4 + 1])
     def test_sizes_around_the_chunk_boundary(self, size):
+        # Four peers per node: one short chunk, one full chunk, or a full
+        # chunk and one row.
         assert_sampler_matches_one_call(size, 4, 2004)
 
     @pytest.mark.parametrize("size", [3, 7, 60])
@@ -408,10 +505,11 @@ class TestDistinctPeerSampler:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The int32 output, one int64 chunk and one bool mask.  Measured
-        # 19.2 MB; the one-call int64 draw peaked at 29.5 MB.
+        # The int32 output, one int64 chunk of the budget's entries and one
+        # bool mask.  Measured 16.4 MB (19.2 MB with 65,536-row chunks);
+        # the one-call int64 draw peaked at 29.5 MB.
         assert peers.dtype == np.int32
-        assert peak <= size * fill * 4 + _SAMPLE_CHUNK * fill * 8 + size * fill
+        assert peak <= size * fill * 4 + _BAND_KEYS * 8 + size * fill
 
     def test_size_past_the_int32_id_range_fails_before_allocating(self):
         tracemalloc.start()
