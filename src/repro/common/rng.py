@@ -12,15 +12,14 @@ The implementation wraps :class:`numpy.random.Generator` (PCG64) and adds
 
 * named child streams (:meth:`RandomSource.child`) derived through
   ``numpy.random.SeedSequence.spawn`` semantics, and
-* the few scalar draws the library makes (``uniform``, ``bernoulli``,
-  ``choice_index``, ``sample``...); batched consumers draw from
+* the few scalar draws the library makes (``uniform``, ``choice_index``,
+  ``sample_indices``); batched consumers draw from
   :attr:`RandomSource.generator` directly.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
 
 import numpy as np
 
@@ -100,14 +99,6 @@ class RandomSource:
         """Uniform float in ``[low, high)``."""
         return float(self._generator.uniform(low, high))
 
-    def bernoulli(self, probability: float) -> bool:
-        """Return ``True`` with the given probability."""
-        if probability <= 0.0:
-            return False
-        if probability >= 1.0:
-            return True
-        return bool(self._generator.random() < probability)
-
     # ------------------------------------------------------------------
     # Collection draws
     # ------------------------------------------------------------------
@@ -124,13 +115,3 @@ class RandomSource:
                 f"cannot sample {count} distinct items from a population of {population}"
             )
         return self._generator.choice(population, size=count, replace=False)
-
-    def sample(self, items: Sequence, count: int) -> list:
-        """Sample ``count`` distinct elements from ``items``."""
-        indices = self.sample_indices(len(items), count)
-        return [items[int(i)] for i in indices]
-
-    def shuffle_in_place(self, items: list) -> None:
-        """Shuffle a list in place (Fisher–Yates via numpy permutation)."""
-        order = self._generator.permutation(len(items))
-        items[:] = [items[int(i)] for i in order]

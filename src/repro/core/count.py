@@ -398,7 +398,10 @@ class LeaderElection:
     def elect(self, node_ids: Sequence[int], rng: RandomSource) -> List[int]:
         """Return the identifiers that elected themselves for this epoch."""
         probability = self.lead_probability
-        return [node for node in node_ids if rng.bernoulli(probability)]
+        if probability >= 1.0:
+            return list(node_ids)
+        generator = rng.generator
+        return [node for node in node_ids if generator.random() < probability]
 
     def elect_batch(self, node_ids: Sequence[int], rng: RandomSource) -> np.ndarray:
         """Batched :meth:`elect`: one vectorised draw for the whole id list.
@@ -407,7 +410,7 @@ class LeaderElection:
         like ``n`` scalar ``random()`` calls, so this returns the *same*
         leader set as :meth:`elect` from the same stream state (asserted
         by the test suite); it is simply O(1) generator calls instead of
-        O(N).  Like ``bernoulli``, degenerate probabilities consume no
+        O(N).  Like :meth:`elect`, a certain election consumes no
         randomness.
         """
         ids = np.asarray(node_ids, dtype=np.int64)

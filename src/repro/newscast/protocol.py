@@ -188,8 +188,8 @@ class NewscastOverlay(OverlayProvider):
         self._clock += 1.0
         self._reachability_round += 1
         exchanges = 0
-        order = list(self._alive)
-        rng.shuffle_in_place(order)
+        alive = list(self._alive)
+        order = [alive[int(i)] for i in rng.generator.permutation(len(alive))]
         for node in order:
             cache = self._caches.get(node)
             if cache is None:

@@ -99,6 +99,7 @@ from ..core.count import AdaptiveCount, LeaderElection
 from ..core.epoch import EpochConfig
 from ..core.functions import AggregationFunction, AverageFunction, state_row_blocks
 from ..topology.base import OverlayProvider
+from ..topology.provider import require_joins
 from .asynchrony import LAN, AsynchronyScenario
 from .metrics import CycleRecord, SimulationTrace, estimate_statistics
 from .sampling import conflict_scratch, ordered_conflict_rounds
@@ -289,6 +290,8 @@ class AsyncPracticalSimulator:
         self._transport = scenario.transport()
         self._drift = scenario.clock_drift
         self._churn = scenario.churn_per_window
+        if self._churn > 0:
+            require_joins(overlay, f"churn_per_window={self._churn}")
         self._rng = rng
         self._selection_rng = rng.child("selection")
         self._transport_rng = rng.child("transport")

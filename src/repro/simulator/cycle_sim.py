@@ -110,7 +110,7 @@ class CycleSimulator:
         self._overlay = overlay
         self._function = function
         self._transport = transport
-        self._failure_model = failure_model_or_default(failure_model)
+        self._failure_model = failure_model_or_default(failure_model, overlay)
         self._reachability = reachability
         if reachability is not None:
             overlay.set_reachability(reachability)

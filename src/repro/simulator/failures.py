@@ -41,6 +41,7 @@ from ..common.validation import (
     require_positive_int,
     require_probability,
 )
+from ..topology.provider import OverlayProvider, require_joins
 
 __all__ = [
     "FailureModel",
@@ -80,11 +81,14 @@ class NoFailures(FailureModel):
         return None
 
 
-def failure_model_or_default(model: Optional[FailureModel]) -> FailureModel:
+def failure_model_or_default(
+    model: Optional[FailureModel], overlay: OverlayProvider
+) -> FailureModel:
     """``model`` itself, or :class:`NoFailures` for ``None``.
 
     Anything else is refused here, at engine construction, rather than on
-    the first cycle.
+    the first cycle; so is a :class:`ChurnModel` that adds nodes to an
+    ``overlay`` with fixed membership (every static one).
     """
     if model is None:
         return NoFailures()
@@ -92,6 +96,8 @@ def failure_model_or_default(model: Optional[FailureModel]) -> FailureModel:
         raise ConfigurationError(
             f"failure_model must be a FailureModel or None, got {model!r}"
         )
+    if isinstance(model, ChurnModel) and model.replacements_per_cycle > 0:
+        require_joins(overlay, f"ChurnModel({model.replacements_per_cycle})")
     return model
 
 
@@ -159,10 +165,12 @@ class ChurnModel(FailureModel):
     """Replace a constant number of participants with fresh nodes each cycle.
 
     The replacements keep the network size constant while its composition
-    changes.  New nodes join the overlay immediately but — following the
-    paper's epoch rule — do not participate in the running epoch; they
-    refuse aggregation exchanges, which behaves like additional link
-    failure for the nodes that try to contact them.
+    changes, so the overlay must take joins: NEWSCAST does, and a static
+    overlay is refused at engine construction.  New nodes join the overlay
+    immediately but — following the paper's epoch rule — do not
+    participate in the running epoch; they refuse aggregation exchanges,
+    which behaves like additional link failure for the nodes that try to
+    contact them.
 
     Parameters
     ----------

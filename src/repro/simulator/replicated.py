@@ -333,7 +333,7 @@ class _Replica:
         self.failure_rng = rng.child("failures")
         self.overlay_rng = rng.child("overlay")
         self.membership_rng = rng.child("membership")
-        self.failure_model = failure_model_or_default(config.failure_model)
+        self.failure_model = failure_model_or_default(config.failure_model, config.overlay)
         self.members = int(node_ids.size)
         #: One past the largest id with a row; joiners are numbered from it.
         self.id_limit = int(node_ids.max()) + 1 if node_ids.size else 0

@@ -4,17 +4,18 @@ In the complete topology every node knows every other node, so peer
 selection is a uniform draw over all other live nodes.  Materialising the
 full adjacency would cost O(N^2) memory, so this overlay is implemented
 directly against the :class:`~repro.topology.base.OverlayProvider`
-interface with O(N) state; :func:`complete_topology` always builds it.
+interface: one alive flag per node ``0 .. size-1``, no Python container
+per node.  Like every static overlay its membership is fixed: nodes
+crash, none joins.  :func:`complete_topology` always builds it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..common.errors import TopologyError
-from ..common.rng import RandomSource
 from ..common.validation import require_positive
 from .base import OverlayProvider
 
@@ -27,31 +28,22 @@ class CompleteOverlay(OverlayProvider):
     Parameters
     ----------
     size:
-        Initial number of nodes (identifiers ``0 .. size-1``).
+        Number of nodes (identifiers ``0 .. size-1``).
     """
 
     def __init__(self, size: int) -> None:
         require_positive(size, "size")
-        self._nodes: Set[int] = set(range(size))
-        self._node_list: List[int] = list(range(size))
-        self._dirty = False
+        self._alive = np.ones(size, dtype=bool)
+        self._count = size
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.name = "complete"
 
-    def _refresh(self) -> None:
-        if self._dirty:
-            self._node_list = sorted(self._nodes)
-            self._dirty = False
-            self._arrays = None
-
     def _node_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The sorted node-id array and its id → position lookup table."""
-        self._refresh()
+        """The ascending live ids and the id → position table (``-1`` for crashed ids)."""
         if self._arrays is None:
-            ids = np.asarray(self._node_list, dtype=np.int64)
-            capacity = int(ids.max()) + 1 if ids.size else 0
-            position_of = np.full(capacity, -1, dtype=np.int64)
-            position_of[ids] = np.arange(ids.size, dtype=np.int64)
+            ids = np.flatnonzero(self._alive)
+            position_of = np.cumsum(self._alive) - 1
+            position_of[~self._alive] = -1
             self._arrays = (ids, position_of)
         return self._arrays
 
@@ -63,10 +55,10 @@ class CompleteOverlay(OverlayProvider):
         return ids
 
     def neighbors(self, node_id: int) -> Sequence[int]:
-        if node_id not in self._nodes:
+        if not self.contains(node_id):
             raise TopologyError(f"unknown node {node_id}")
-        self._refresh()
-        return tuple(node for node in self._node_list if node != node_id)
+        ids = self._node_arrays()[0]
+        return tuple(ids[ids != node_id].tolist())
 
     def select_peers_batch(
         self, node_ids: np.ndarray, generator: np.random.Generator
@@ -81,7 +73,7 @@ class CompleteOverlay(OverlayProvider):
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
         peers = np.full(node_ids.size, -1, dtype=np.int64)
-        if len(self._nodes) <= 1 or node_ids.size == 0:
+        if self._count <= 1 or node_ids.size == 0:
             return peers
         ids, position_of = self._node_arrays()
         in_table = (node_ids >= 0) & (node_ids < position_of.size)
@@ -93,25 +85,19 @@ class CompleteOverlay(OverlayProvider):
         return peers
 
     def on_node_removed(self, node_id: int) -> None:
-        self._nodes.discard(node_id)
-        self._dirty = True
-
-    def on_node_added(self, node_id: int, rng: RandomSource) -> None:
-        if node_id < 0:
-            raise TopologyError(f"node identifiers must be non-negative, got {node_id}")
-        if node_id in self._nodes:
-            raise TopologyError(f"node {node_id} already exists")
-        self._nodes.add(node_id)
-        self._dirty = True
+        if self.contains(node_id):
+            self._alive[node_id] = False
+            self._count -= 1
+            self._arrays = None
 
     def size(self) -> int:
-        return len(self._nodes)
+        return self._count
 
     def contains(self, node_id: int) -> bool:
-        return node_id in self._nodes
+        return 0 <= node_id < self._alive.size and bool(self._alive[node_id])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CompleteOverlay(nodes={len(self._nodes)})"
+        return f"CompleteOverlay(nodes={self._count})"
 
 
 def complete_topology(size: int) -> OverlayProvider:

@@ -11,8 +11,7 @@ graph, i.e. its neighbour edges minus the pairs a reachability model
 currently blocks.
 
 Components come from :func:`component_labels`, array passes instead of
-a per-node Python search; ``StaticTopology.is_connected`` and
-``connected_components`` are :func:`effective_components` too.
+a per-node Python search.
 
 The reachability argument is duck-typed (anything with ``blocked_pairs``
 works) so this package never imports :mod:`repro.simulator`, which

@@ -7,7 +7,9 @@ Every engine asks for it in one form only, the batched
 cycle or window).  The simulation engines additionally inform the overlay
 about node arrivals and departures and give it a chance to run its own
 maintenance once per cycle (which is how the NEWSCAST membership protocol
-is plugged in).
+is plugged in).  Only NEWSCAST takes arrivals: every static overlay has
+fixed membership, and an engine whose churn would add nodes to one is
+refused at construction (:func:`require_joins`).
 
 The interface lives in its own module so that both the array store of the
 static overlays (:mod:`repro.topology.replicated`) and
@@ -23,9 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ..common.errors import ConfigurationError, TopologyError
 from ..common.rng import RandomSource
 
-__all__ = ["OverlayProvider"]
+__all__ = ["OverlayProvider", "require_joins"]
 
 
 class OverlayProvider(abc.ABC):
@@ -61,9 +64,15 @@ class OverlayProvider(abc.ABC):
     def on_node_removed(self, node_id: int) -> None:
         """Notify the overlay that a node has crashed or left."""
 
-    @abc.abstractmethod
     def on_node_added(self, node_id: int, rng: RandomSource) -> None:
-        """Notify the overlay that a new node joined (bootstrap it)."""
+        """Notify the overlay that a new node joined (bootstrap it).
+
+        Static overlays have fixed membership and refuse; the NEWSCAST
+        overlays override this.
+        """
+        raise TopologyError(
+            f"{type(self).__name__} has fixed membership: node {node_id} cannot join"
+        )
 
     def after_cycle(self, rng: RandomSource) -> None:
         """Hook run once per cycle for overlay maintenance (default: no-op)."""
@@ -85,3 +94,18 @@ class OverlayProvider(abc.ABC):
         real O(1) lookup.
         """
         return node_id in self.node_ids()
+
+
+def require_joins(overlay: OverlayProvider, source: str) -> None:
+    """Refuse ``source``, which adds nodes, over an overlay that takes no joins.
+
+    An overlay takes joins when it overrides
+    :meth:`OverlayProvider.on_node_added` (the NEWSCAST overlays do).
+    Engines call this at construction, so the refusal does not wait for
+    the first join.
+    """
+    if type(overlay).on_node_added is OverlayProvider.on_node_added:
+        raise ConfigurationError(
+            f"{source} adds nodes, but {type(overlay).__name__} has fixed membership; "
+            "churn needs a NEWSCAST overlay"
+        )

@@ -4,10 +4,10 @@ A static overlay is kept as ragged rows in one flat int32 buffer, never
 as Python containers: node ``u`` of replica ``r`` owns block row
 ``r * stride + u``, whose neighbours sit ascending at
 ``neighbours[offsets[row] : offsets[row] + degrees[row]]``.  Peer
-selection, crash removal and churn joins are array passes over those
-rows.  :class:`~repro.topology.base.StaticTopology` is the one-replica
-case; a replicated simulation holds its ``R`` independent repetitions
-(each drawn from its own random stream) in one block, at row offsets
+selection and crash removal are array passes over those rows.
+:class:`~repro.topology.base.StaticTopology` is the one-replica case; a
+replicated simulation holds its ``R`` independent repetitions (each
+drawn from its own random stream) in one block, at row offsets
 ``r * stride``.
 
 The ascending row order is the load-bearing part: a peer draw maps a
@@ -16,17 +16,16 @@ a serial overlay and a replica view that consume the same generator calls
 make **bit-identical peer choices** — which is what lets the replicated
 engine reproduce serial fast-path traces exactly.
 
+Membership is fixed at build time: nodes ``0 .. stride - 1`` of every
+replica, which may crash but never join (only NEWSCAST takes joins).  So
+a replica's nodes are its alive rows, in ascending id order, and need no
+list of their own.
+
 Memory law: a block costs 4 bytes per stored neighbour (every undirected
-edge is stored once per endpoint) plus 25 bytes per row (int64 offset,
-degree and room, and an alive flag), where ``rows = R x (largest node id
-+ 1)``, and no Python object per node.  There is no max-degree term: a
-scale-free graph's hubs cost only their own rows, though sparse
-identifiers still pay for the gaps.  A replica's insertion order is
-implicit (its alive ids, ascending) until its first churn join; from
-then on it is an int64 array of 8 bytes per node, grown by doubling.  A
-churn join that outgrows a row moves the row to the end of the
-buffer with twice its room and leaves the old segment unused (the
-buffer is never compacted).  Crash removal
+edge is stored once per endpoint) plus 17 bytes per row (int64 offset and
+degree, and an alive flag), where ``rows = R x nodes``, and no Python
+object per node.  There is no max-degree term: a scale-free graph's hubs
+cost only their own rows.  Crash removal
 (:meth:`ReplicatedStaticBlock._settle`) works through the victims in
 groups of at most ``_SETTLE_ENTRIES`` stored entries and shifts the
 touched rows in spans of as many, so its scratch is
@@ -54,7 +53,7 @@ kernel, so the serial and replicated paths see the very same graphs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Union
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -387,15 +386,13 @@ class ReplicatedStaticBlock:
     ``neighbours[offsets[row] : offsets[row] + degrees[row]]``, so peer
     draws from the same generator stream pick the same neighbours
     whichever replica — or standalone ``StaticTopology`` — holds the row.
-    Each row owns ``room[row] >= degrees[row]`` slots of the buffer; a
-    row without room points at slot 0, so every offset indexes the buffer.
+    An empty row points at slot 0, so every offset indexes the buffer.
 
     Use :meth:`build_k_out` to construct the block for the paper's
-    random overlay, or :meth:`from_topologies` / :meth:`from_builder` to
-    adopt already-built static overlays (any static family).
-    :meth:`view` returns a per-replica :class:`StaticBlockView`
-    implementing the ``OverlayProvider`` surface the simulation engines
-    drive.
+    random overlay, or :meth:`from_builder` to adopt already-built static
+    overlays (any static family).  :meth:`view` returns a per-replica
+    :class:`StaticBlockView` implementing the ``OverlayProvider`` surface
+    the simulation engines drive.
 
     Parameters
     ----------
@@ -403,11 +400,9 @@ class ReplicatedStaticBlock:
         Rows ``0 .. replicas * stride - 1`` laid end to end (int32, any
         spare capacity after them) and their lengths.
     stride:
-        Row capacity reserved per replica (largest node id + 1).
-    orders:
-        Per replica, the identifiers of its nodes in insertion order —
-        the order ``node_ids()`` reports and churn attachment samples
-        from: a ``range`` or an int64 array.
+        Rows per replica: its nodes are ``0 .. stride - 1``, all alive.
+    replicas:
+        Number of overlays the rows hold.
     """
 
     def __init__(
@@ -415,44 +410,21 @@ class ReplicatedStaticBlock:
         neighbours: np.ndarray,
         degrees: np.ndarray,
         stride: int,
-        orders: Sequence[Union[range, np.ndarray]],
+        replicas: int,
         name: str = "static-block",
     ) -> None:
         self._neighbours = neighbours if neighbours.size else np.zeros(1, dtype=np.int32)
         self._degrees = degrees
         self._offsets = _packed_offsets(degrees, 0)
-        self._room = degrees.copy()
         self._used = int(degrees.sum())
         # Block rows of the nodes removed since the last read: their
         # entries leave the neighbours' rows in one pass (_settle).
         self._pending: List[int] = []
-        self._replicas = len(orders)
+        self._replicas = int(replicas)
         self._stride = int(stride)
         self.name = name
-        # Per-replica membership bookkeeping: alive flags, the insertion
-        # order, degree sums for average_degree().  An order is None while
-        # it is the replica's alive ids ascending (until a join breaks
-        # that), else an int64 buffer whose first _order_len entries are
-        # the order; removed ids linger there until _existing() compacts.
-        self._alive = np.zeros(self._replicas * self._stride, dtype=bool)
-        self._orders: List[Optional[np.ndarray]] = []
-        self._order_len: List[int] = []
-        self._edge_sum: List[int] = []
-        self._node_count: List[int] = []
-        for replica, order in enumerate(orders):
-            base = replica * self._stride
-            if isinstance(order, range) and order.step == 1:
-                self._alive[base + order.start : base + order.stop] = True
-                ids = None
-            else:
-                ids = np.asarray(order, dtype=np.int64)
-                self._alive[base + ids] = True
-                if ids.size < 2 or bool((ids[1:] > ids[:-1]).all()):
-                    ids = None
-            self._orders.append(ids)
-            self._order_len.append(len(order))
-            self._edge_sum.append(int(degrees[base : base + self._stride].sum()))
-            self._node_count.append(len(order))
+        self._alive = np.ones(self._replicas * self._stride, dtype=bool)
+        self._node_count = [self._stride] * self._replicas
 
     # ------------------------------------------------------------------
     # Construction
@@ -489,26 +461,7 @@ class ReplicatedStaticBlock:
             used += _rows_from_bands(
                 size, region, bands, degrees[replica * size : (replica + 1) * size]
             )
-        return cls(
-            neighbours,
-            degrees,
-            size,
-            [range(size)] * replicas,
-            name=name or f"random(k={degree})",
-        )
-
-    @classmethod
-    def from_topologies(
-        cls, topologies: "Sequence[StaticBlockView]"
-    ) -> "ReplicatedStaticBlock":
-        """Adopt already-built static overlays into one block.
-
-        Preserves each topology's node identifiers, neighbour rows and
-        insertion order, so a replica view behaves exactly like the
-        original instance (including churn attachment draws).
-        """
-        require_positive(len(topologies), "topologies")
-        return cls.from_builder(len(topologies), lambda replica: topologies[replica])
+        return cls(neighbours, degrees, size, replicas, name=name or f"random(k={degree})")
 
     @classmethod
     def from_builder(
@@ -517,48 +470,44 @@ class ReplicatedStaticBlock:
         """Build ``count`` overlays one at a time, adopting each in turn.
 
         ``build(r)`` constructs replica ``r``'s ``StaticTopology``; its
-        rows are copied into the block and the instance is released
-        before the next replica is built, so peak memory holds the block
-        plus **one** standalone overlay (and its builder's edge arrays)
-        — not ``count`` of them.  The buffer is sized for ``count``
-        copies of the first replica's rows, which is exact for the
-        families with a fixed edge count, and grows by doubling past it.
+        rows and alive flags are copied into the block and the instance
+        is released before the next replica is built, so peak memory
+        holds the block plus **one** standalone overlay (and its
+        builder's edge arrays) — not ``count`` of them.  The buffer is
+        sized for ``count`` copies of the first replica's rows, which is
+        exact for the families with a fixed edge count, and grows by
+        doubling past it.  Every replica has the first one's rows.
         """
         require_positive(count, "count")
-        instance = cls(
-            np.zeros(1, dtype=np.int32), np.zeros(count, dtype=np.int64), 1, [()] * count
-        )
         for replica in range(count):
             topology = build(replica)
+            source, origin = topology._block, topology._replica
+            source._settle()
+            span = source._stride
+            source_rows = slice(origin * span, (origin + 1) * span)
+            degrees = source._degrees[source_rows]
+            values = source._neighbours[_ragged_positions(source._offsets[source_rows], degrees)]
             if replica == 0:
-                instance.name = topology.name
-                entries = topology._block._entry_count(topology._replica)
-                instance._neighbours = np.empty(max(1, count * entries), dtype=np.int32)
-            instance._adopt(replica, topology)
-            del topology
-        return instance
-
-    def _adopt(self, replica: int, topology: "StaticBlockView") -> None:
-        """Copy one built overlay's rows and bookkeeping into the empty ``replica``."""
-        source, origin = topology._block, topology._replica
-        source._settle()
-        span = source._stride
-        source_rows = slice(origin * span, (origin + 1) * span)
-        degrees = source._degrees[source_rows].copy()
-        values = source._neighbours[_ragged_positions(source._offsets[source_rows], degrees)]
-        self._ensure_local_capacity(span - 1)
-        rows = slice(replica * self._stride, replica * self._stride + span)
-        start = self._claim(values.size)
-        self._neighbours[start : start + values.size] = values
-        self._offsets[rows] = _packed_offsets(degrees, start)
-        self._degrees[rows] = degrees
-        self._room[rows] = degrees
-        self._alive[rows] = source._alive[source_rows]
-        existing = source._existing(origin)
-        self._orders[replica] = None if source._orders[origin] is None else existing.copy()
-        self._order_len[replica] = existing.size
-        self._edge_sum[replica] = source._entry_count(origin)
-        self._node_count[replica] = source._node_count[origin]
+                block = cls(
+                    np.empty(max(1, count * values.size), dtype=np.int32),
+                    np.zeros(count * span, dtype=np.int64),
+                    span,
+                    count,
+                    topology.name,
+                )
+            elif span != block._stride:
+                raise TopologyError(
+                    f"replica {replica} has {span} rows, replica 0 has {block._stride}"
+                )
+            rows = slice(replica * span, (replica + 1) * span)
+            start = block._claim(values.size)
+            block._neighbours[start : start + values.size] = values
+            block._offsets[rows] = _packed_offsets(degrees, start)
+            block._degrees[rows] = degrees
+            block._alive[rows] = source._alive[source_rows]
+            block._node_count[replica] = source._node_count[origin]
+            del topology, source, degrees, values
+        return block
 
     # ------------------------------------------------------------------
     # Introspection
@@ -570,7 +519,7 @@ class ReplicatedStaticBlock:
 
     @property
     def stride(self) -> int:
-        """Row capacity reserved per replica."""
+        """Rows per replica: the node count it was built with."""
         return self._stride
 
     def view(self, replica: int) -> "StaticBlockView":
@@ -598,32 +547,10 @@ class ReplicatedStaticBlock:
         start = self._offsets[row]
         return tuple(self._neighbours[start : start + self._degrees[row]].tolist())
 
-    def _entries(self, replica: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every stored neighbour entry of ``replica``: ``(local owner, neighbour)``.
-
-        Owners ascending, each owner's neighbours ascending; int64 owners
-        and the store's int32 neighbours.
-        """
-        self._settle()
-        rows = slice(replica * self._stride, (replica + 1) * self._stride)
-        degrees = self._degrees[rows]
-        owners = np.repeat(np.arange(self._stride, dtype=np.int64), degrees)
-        return owners, self._neighbours[_ragged_positions(self._offsets[rows], degrees)]
-
-    def _degree_sequence(self, replica: int) -> List[int]:
-        self._settle()
-        rows = slice(replica * self._stride, (replica + 1) * self._stride)
-        return self._degrees[rows][self._alive[rows]].tolist()
-
-    def _entry_count(self, replica: int) -> int:
-        """Stored neighbour entries of ``replica``: twice its edge count."""
-        self._settle()
-        return self._edge_sum[replica]
-
-    def _average_degree(self, replica: int) -> float:
-        if self._node_count[replica] == 0:
-            return 0.0
-        return self._entry_count(replica) / self._node_count[replica]
+    def _node_ids(self, replica: int) -> np.ndarray:
+        """Alive node ids of ``replica``, ascending (int64)."""
+        base = replica * self._stride
+        return np.flatnonzero(self._alive[base : base + self._stride])
 
     def _select_peers_batch(
         self, replica: int, node_ids: np.ndarray, generator: np.random.Generator
@@ -695,12 +622,6 @@ class ReplicatedStaticBlock:
         del entries
         self._degrees[victims] = 0
         live = self._alive[rows]
-        # Degree sums lose both ends of every edge at a victim, but an
-        # edge between two victims only once per end.
-        dropped = 2 * np.bincount(replica_of, weights=counts, minlength=self._replicas)
-        dropped -= np.bincount(rows[~live] // stride, minlength=self._replicas)
-        for replica in dropped.nonzero()[0].tolist():
-            self._edge_sum[replica] -= int(dropped[replica])
         rows, lost = rows[live], lost[live]
         if rows.size == 0:
             return
@@ -742,90 +663,9 @@ class ReplicatedStaticBlock:
             np.copyto(high, middle, where=~smaller)
         return low
 
-    def _add_node(self, replica: int, node_id: int, rng: RandomSource) -> None:
-        """Attach a new node to ``degree``-many random existing nodes.
-
-        The attachment degree mirrors the average degree of the current
-        graph (at least one edge) so the graph stays roughly regular as
-        churn replaces nodes.
-        """
-        if node_id < 0:
-            raise TopologyError(f"node identifiers must be non-negative, got {node_id}")
-        if self._contains(replica, node_id):
-            raise TopologyError(f"node {node_id} already exists")
-        self._settle()
-        self._ensure_local_capacity(node_id)
-        base = replica * self._stride
-        row = base + node_id
-        existing = self._existing(replica)
-        self._alive[row] = True
-        self._node_count[replica] += 1
-        if existing.size:
-            # Average degree over the graph *including* the fresh empty row.
-            average = self._edge_sum[replica] / self._node_count[replica]
-            count = min(max(1, round(average)), len(existing))
-            peers = sorted(int(peer) for peer in rng.sample(existing, count))
-            self._reserve(row, count)
-            start = int(self._offsets[row])
-            self._neighbours[start : start + count] = peers
-            self._degrees[row] = count
-            for peer in peers:
-                peer_row = base + peer
-                degree = int(self._degrees[peer_row])
-                self._reserve(peer_row, degree + 1)
-                start = int(self._offsets[peer_row])
-                segment = self._neighbours[start : start + degree + 1]
-                position = int(np.searchsorted(segment[:degree], node_id))
-                segment[position + 1 :] = segment[position:degree]
-                segment[position] = node_id
-                self._degrees[peer_row] = degree + 1
-            self._edge_sum[replica] += 2 * count
-        self._append_order(replica, existing, node_id)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _existing(self, replica: int) -> np.ndarray:
-        """Alive node ids in insertion order, int64 (the live order, not a copy)."""
-        base = replica * self._stride
-        order = self._orders[replica]
-        if order is None:
-            return np.flatnonzero(self._alive[base : base + self._stride])
-        ids = order[: self._order_len[replica]]
-        # An order longer than the node count still names removed nodes.
-        if ids.size != self._node_count[replica]:
-            ids = ids[self._alive[base + ids]]
-            self._orders[replica] = ids
-            self._order_len[replica] = ids.size
-        return ids
-
-    def _append_order(self, replica: int, existing: np.ndarray, node_id: int) -> None:
-        """Put a joiner after ``existing``, the order; the buffer grows by doubling."""
-        order = self._orders[replica]
-        length = existing.size
-        if order is None or length == order.size:
-            grown = np.empty(max(8, 2 * length), dtype=np.int64)
-            grown[:length] = existing
-            order = self._orders[replica] = grown
-        order[length] = node_id
-        self._order_len[replica] = length + 1
-
-    def _reserve(self, row: int, need: int) -> None:
-        """Give ``row`` room for ``need`` entries.
-
-        A row that outgrows its segment moves to the end of the buffer
-        with twice its room (at least ``need``), so a row growing one
-        entry at a time moves a logarithmic number of times.
-        """
-        if need <= self._room[row]:
-            return
-        room = max(need, 2 * int(self._room[row]))
-        start = self._claim(room)
-        old, count = int(self._offsets[row]), int(self._degrees[row])
-        self._neighbours[start : start + count] = self._neighbours[old : old + count]
-        self._offsets[row] = start
-        self._room[row] = room
-
     def _claim(self, count: int) -> int:
         """Start of ``count`` fresh slots at the end of the buffer (grown by doubling)."""
         start = self._used
@@ -835,20 +675,6 @@ class ReplicatedStaticBlock:
             self._neighbours = grown
         self._used = start + count
         return start
-
-    def _ensure_local_capacity(self, node_id: int) -> None:
-        """Widen every replica's row range to hold ``node_id``; new rows are empty."""
-        if node_id < self._stride:
-            return
-        self._settle()
-        new_stride = max(self._stride * 2, node_id + 1)
-        relaid = []
-        for old in (self._offsets, self._degrees, self._room, self._alive):
-            new = np.zeros((self._replicas, new_stride), dtype=old.dtype)
-            new[:, : self._stride] = old.reshape(self._replicas, self._stride)
-            relaid.append(new.reshape(-1))
-        self._offsets, self._degrees, self._room, self._alive = relaid
-        self._stride = new_stride
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -860,10 +686,12 @@ class ReplicatedStaticBlock:
 class StaticBlockView(OverlayProvider):
     """One replica of a :class:`ReplicatedStaticBlock` as an overlay.
 
-    Implements the full ``OverlayProvider`` surface, so the simulation
+    Implements the ``OverlayProvider`` surface, so the simulation
     engines — and their failure models — drive a block replica exactly
     like a standalone ``StaticTopology``, which is this view of a block
-    of its own.
+    of its own.  Nodes leave by crashing; a join raises
+    :class:`~repro.common.errors.TopologyError` (the inherited
+    :meth:`~repro.topology.provider.OverlayProvider.on_node_added`).
     """
 
     def __init__(self, block: ReplicatedStaticBlock, replica: int) -> None:
@@ -877,10 +705,8 @@ class StaticBlockView(OverlayProvider):
         return self._replica
 
     def node_ids(self) -> np.ndarray:
-        """Identifiers of all current nodes, in insertion order (read-only int64)."""
-        ids = self._block._existing(self._replica).view()
-        ids.flags.writeable = False
-        return ids
+        """Identifiers of all current nodes, ascending (a fresh int64 array)."""
+        return self._block._node_ids(self._replica)
 
     def neighbors(self, node_id: int) -> Sequence[int]:
         """The neighbours of ``node_id``, ascending."""
@@ -900,22 +726,11 @@ class StaticBlockView(OverlayProvider):
     def on_node_removed(self, node_id: int) -> None:
         self._block._remove_node(self._replica, node_id)
 
-    def on_node_added(self, node_id: int, rng: RandomSource) -> None:
-        self._block._add_node(self._replica, node_id, rng)
-
     def size(self) -> int:
         return self._block._size(self._replica)
 
     def contains(self, node_id: int) -> bool:
         return self._block._contains(self._replica, node_id)
-
-    def average_degree(self) -> float:
-        """Mean degree over this replica's nodes (0 for an empty graph)."""
-        return self._block._average_degree(self._replica)
-
-    def adjacency_copy(self) -> Dict[int, Set[int]]:
-        """The adjacency as a fresh dict of sets (for analysis code)."""
-        return {node: set(self.neighbors(node)) for node in self.node_ids().tolist()}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StaticBlockView(replica={self._replica}, block={self._block!r})"

@@ -431,7 +431,7 @@ class TestDryEpochs:
 class TestChurn:
     def test_churn_keeps_estimates_reasonable(self):
         runner = TestAsyncCount()
-        simulator, protocol = runner.run_count(seed=31, churn=1, epochs=3)
+        simulator, protocol = runner.run_count(seed=31, kind="newscast", churn=1, epochs=3)
         records = [record for record in protocol.epoch_records() if not record.dry]
         assert records
         for record in records:

@@ -329,7 +329,7 @@ class TestEpochLifecycle:
     def test_membership_views_agree_under_drift_and_churn(self):
         # One per-node epoch vector answers every membership question.
         scenario = LAN.with_overrides(clock_drift=0.05, churn_per_window=2)
-        simulator, _ = build_average(cycles_per_epoch=4, scenario=scenario)
+        simulator, _ = build_average(kind="newscast", cycles_per_epoch=4, scenario=scenario)
         for _ in range(30):
             simulator.run(1)
             active = simulator.active_ids()
@@ -498,7 +498,9 @@ class TestRobustness:
         scenario = LAN.with_overrides(
             clock_drift=0.02, message_loss=0.1, churn_per_window=2
         )
-        simulator, _ = build_average(seed=12, cycles_per_epoch=6, scenario=scenario)
+        simulator, _ = build_average(
+            seed=12, kind="newscast", cycles_per_epoch=6, scenario=scenario
+        )
         simulator.run(20)
         stats = simulator.statistics
         assert ledger_reconciles(stats)
@@ -510,8 +512,10 @@ class TestRobustness:
 
 
 class TestJoins:
+    """Joins on NEWSCAST, the overlay that takes them."""
+
     def test_joining_node_waits_for_the_next_epoch(self):
-        simulator, protocol = build_average(cycles_per_epoch=8)
+        simulator, protocol = build_average(kind="newscast", cycles_per_epoch=8)
         simulator.run(4)
         (joiner,) = simulator.add_nodes(1, RandomSource(77))
         protocol.set_value(joiner, 100.0)
@@ -525,7 +529,7 @@ class TestJoins:
         assert simulator.epoch_of(joiner) == simulator.epoch_of(0) == 1
 
     def test_joiner_contributes_to_the_epoch_it_joins(self):
-        simulator, protocol = build_average(cycles_per_epoch=8)
+        simulator, protocol = build_average(kind="newscast", cycles_per_epoch=8)
         simulator.run(4)
         (joiner,) = simulator.add_nodes(1, RandomSource(77))
         protocol.set_value(joiner, 100.0)
@@ -536,7 +540,9 @@ class TestJoins:
         assert np.mean(reports) == pytest.approx(expected, rel=1e-12)
 
     def test_add_nodes_assigns_fresh_ids(self):
-        simulator, _ = build_average(scenario=LAN.with_overrides(clock_drift=0.02))
+        simulator, _ = build_average(
+            kind="newscast", scenario=LAN.with_overrides(clock_drift=0.02)
+        )
         first = simulator.add_nodes(2, RandomSource(1))
         second = simulator.add_nodes(1, RandomSource(2))
         assert first == [SIZE, SIZE + 1]
@@ -545,7 +551,7 @@ class TestJoins:
             assert 0.98 <= simulator.clock_rate(node) <= 1.02
 
     def test_joins_grow_past_the_initial_capacity(self):
-        simulator, _ = build_average(cycles_per_epoch=5)
+        simulator, _ = build_average(kind="newscast", cycles_per_epoch=5)
         joined = simulator.add_nodes(2 * SIZE, RandomSource(3))
         assert joined == list(range(SIZE, 3 * SIZE))
         simulator.run(7)

@@ -1,5 +1,6 @@
 """Tests for the deterministic random source."""
 
+import numpy as np
 import pytest
 
 from repro.common.rng import RandomSource, derive_seed
@@ -44,16 +45,6 @@ class TestScalarDraws:
             value = rng.uniform(5.0, 6.0)
             assert 5.0 <= value < 6.0
 
-    def test_bernoulli_extremes(self):
-        rng = RandomSource(1)
-        assert rng.bernoulli(1.0) is True
-        assert rng.bernoulli(0.0) is False
-
-    def test_bernoulli_rate_roughly_correct(self):
-        rng = RandomSource(1)
-        hits = sum(rng.bernoulli(0.3) for _ in range(5000))
-        assert 0.25 < hits / 5000 < 0.35
-
 class TestCollectionDraws:
     def test_choice_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -64,18 +55,21 @@ class TestCollectionDraws:
         for _ in range(100):
             assert 0 <= rng.choice_index(7) < 7
 
-    def test_sample_distinct(self):
-        rng = RandomSource(1)
-        sample = rng.sample(list(range(20)), 10)
-        assert len(sample) == 10
-        assert len(set(sample)) == 10
-
-    def test_sample_too_many_rejected(self):
+    def test_sample_indices_too_many_rejected(self):
         with pytest.raises(ValueError):
-            RandomSource(1).sample([1, 2, 3], 4)
+            RandomSource(1).sample_indices(3, 4)
 
-    def test_shuffle_in_place_preserves_elements(self):
-        rng = RandomSource(1)
-        items = list(range(30))
-        rng.shuffle_in_place(items)
-        assert sorted(items) == list(range(30))
+    def test_sample_indices_distinct_and_in_range(self):
+        picks = RandomSource(1).sample_indices(50, 10)
+        assert picks.size == 10
+        assert len(set(picks.tolist())) == 10
+        assert all(0 <= pick < 50 for pick in picks.tolist())
+
+    def test_sample_indices_of_the_whole_population_is_a_permutation(self):
+        assert sorted(RandomSource(2).sample_indices(12, 12).tolist()) == list(range(12))
+
+    def test_sample_indices_is_the_generator_choice_draw(self):
+        # Crash victims are drawn through this call, so its stream is the
+        # one ``Generator.choice`` without replacement consumes.
+        expected = np.random.Generator(np.random.PCG64(3)).choice(40, 7, replace=False)
+        assert RandomSource(3).sample_indices(40, 7).tolist() == expected.tolist()

@@ -156,9 +156,14 @@ class TestConfiguration:
 
 #: aggregate() settings a reference run is compared under: the transport
 #: and a factory for a fresh failure model.
+#: Churn adds nodes, so its scenario runs on NEWSCAST, the overlay that takes joins.
 PARITY_SCENARIOS = {
-    "perfect": (TransportModel(), lambda: None),
-    "lossy-churn": (TransportModel(message_loss_probability=0.1), lambda: ChurnModel(3)),
+    "perfect": (TransportModel(), lambda: None, TopologySpec("random", degree=20)),
+    "lossy-churn": (
+        TransportModel(message_loss_probability=0.1),
+        lambda: ChurnModel(3),
+        TopologySpec("newscast", degree=20),
+    ),
 }
 
 
@@ -169,19 +174,17 @@ class TestArrayEngineParity:
     @pytest.mark.parametrize("scenario", sorted(PARITY_SCENARIOS))
     @pytest.mark.parametrize("name", list(AGGREGATES))
     def test_matches_a_reference_run_bit_for_bit(self, name, scenario):
-        transport, failure_factory = PARITY_SCENARIOS[scenario]
+        transport, failure_factory, topology = PARITY_SCENARIOS[scenario]
         values = np.array([1.0 + (i % 13) / 10.0 for i in range(120)])
         seed, cycles = 2004, 15
         result = aggregate(
-            values.tolist(), name, cycles=cycles, seed=seed,
+            values.tolist(), name, cycles=cycles, seed=seed, topology=topology,
             transport=transport, failure_model=failure_factory(),
         )
 
         record = AGGREGATES[name]
         rng = RandomSource(seed)
-        overlay = build_overlay(
-            TopologySpec("random", degree=20), values.size, rng.child("topology")
-        )
+        overlay = build_overlay(topology, values.size, rng.child("topology"))
         reference = CycleSimulator(
             overlay, record.function, record.initial(values).tolist(), rng.child("simulation"),
             transport=transport, failure_model=failure_factory(),

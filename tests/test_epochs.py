@@ -144,7 +144,7 @@ class TestEpochDriverEquivalence:
     def test_churn_joiners_sync_identically(self):
         def run(driver_class):
             rng = RandomSource(9)
-            overlay = build_overlay(OVERLAYS["complete"], SIZE, rng.child("topology"))
+            overlay = build_overlay(OVERLAYS["newscast"], SIZE, rng.child("topology"))
             election = LeaderElection(concurrent_target=5.0, estimated_size=float(SIZE))
             driver = driver_class(
                 overlay,
@@ -241,7 +241,7 @@ class TestSynchronisationCounts:
         script = iter([(3, 5), (2, 0), (0, 0)])
         rng = RandomSource(21)
         driver = driver_class(
-            build_overlay(OVERLAYS["complete"], 20, rng.child("topology")),
+            build_overlay(OVERLAYS["newscast"], 20, rng.child("topology")),
             LeaderElection(concurrent_target=5.0, estimated_size=20.0),
             EpochConfig(cycles_per_epoch=GAMMA, epoch_length=epoch_length),
             rng.child("driver"),
@@ -282,7 +282,7 @@ class TestZeroLeaderEpoch:
         # Epoch 0 is dry, churn still runs during it, and a later epoch
         # with leaders recovers a real estimate.
         rng = RandomSource(31)
-        overlay = build_overlay(OVERLAYS["complete"], 40, rng.child("t"))
+        overlay = build_overlay(OVERLAYS["newscast"], 40, rng.child("t"))
         election = LeaderElection(concurrent_target=0.01, estimated_size=1e9)
         driver = EpochDriver(
             overlay,

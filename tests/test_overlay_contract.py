@@ -10,13 +10,14 @@ overlay, array NEWSCAST and the dict NEWSCAST oracle — answers those calls the
   and the first two consume no randomness, so a batch that mixes them in
   draws exactly what the all-known batch draws;
 * every peer drawn comes from the caller's own ``neighbors`` list;
-* a joined node is known at once, and a negative join is refused.
+* on NEWSCAST a joined node is known at once, and a negative join is
+  refused; every static store refuses every join (fixed membership).
 """
 
 import numpy as np
 import pytest
 
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, TopologyError
 from repro.common.rng import RandomSource
 from repro.topology import TopologySpec, build_overlay
 from repro.topology.provider import OverlayProvider
@@ -32,11 +33,27 @@ STORES = {
     "newscast": TopologySpec("newscast", degree=8),
     "newscast-dict": TopologySpec("newscast", degree=8, params={"vectorized": False}),
 }
+#: The stores that take joins; every other one has fixed membership.
+JOINABLE = ("newscast", "newscast-dict")
+
+
+def build(kind):
+    return build_overlay(STORES[kind], SIZE, RandomSource(41).child(kind))
 
 
 @pytest.fixture(params=sorted(STORES))
 def overlay(request):
-    return build_overlay(STORES[request.param], SIZE, RandomSource(41).child(request.param))
+    return build(request.param)
+
+
+@pytest.fixture(params=JOINABLE)
+def joinable(request):
+    return build(request.param)
+
+
+@pytest.fixture(params=sorted(set(STORES) - set(JOINABLE)))
+def fixed_kind(request):
+    return request.param
 
 
 def draw(overlay, node_ids, seed=5):
@@ -87,18 +104,39 @@ class TestDraws:
 
 
 class TestMembership:
-    def test_joined_node_is_known_at_once(self, overlay):
+    def test_joined_node_is_known_at_once(self, joinable):
         joined = SIZE + 5
-        overlay.on_node_added(joined, RandomSource(3))
-        assert overlay.contains(joined)
-        assert overlay.size() == SIZE + 1
-        (peer,) = draw(overlay, [joined]).tolist()
-        assert peer in overlay.neighbors(joined)
+        joinable.on_node_added(joined, RandomSource(3))
+        assert joinable.contains(joined)
+        assert joinable.size() == SIZE + 1
+        (peer,) = draw(joinable, [joined]).tolist()
+        assert peer in joinable.neighbors(joined)
 
-    def test_negative_join_rejected(self, overlay):
+    def test_negative_join_rejected(self, joinable):
         with pytest.raises(ReproError):
-            overlay.on_node_added(-1, RandomSource(3))
+            joinable.on_node_added(-1, RandomSource(3))
+        assert joinable.size() == SIZE
+
+    @pytest.mark.parametrize("node", [SIZE + 5, 3, -1], ids=["new", "live", "negative"])
+    def test_static_stores_refuse_every_join(self, fixed_kind, node):
+        overlay = build(fixed_kind)
+        with pytest.raises(TopologyError, match="fixed membership"):
+            overlay.on_node_added(node, RandomSource(3))
+        assert overlay.node_ids().tolist() == list(range(SIZE))
         assert overlay.size() == SIZE
+
+    def test_a_refused_join_leaves_rows_and_draws_as_built(self, fixed_kind):
+        # The refusal consumes none of the joiner's randomness and touches
+        # no row: the overlay still answers exactly as a fresh build.
+        fixed, fresh = build(fixed_kind), build(fixed_kind)
+        joiner_rng = RandomSource(3)
+        with pytest.raises(TopologyError):
+            fixed.on_node_added(SIZE, joiner_rng)
+        assert joiner_rng.uniform(0.0, 1.0) == RandomSource(3).uniform(0.0, 1.0)
+        nodes = list(range(SIZE))
+        for node in nodes:
+            assert fixed.neighbors(node) == fresh.neighbors(node)
+        assert draw(fixed, nodes).tolist() == draw(fresh, nodes).tolist()
 
 
 def test_the_batched_draw_is_the_only_peer_method():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from static_graphs import static_graph
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RandomSource
@@ -9,12 +10,14 @@ from repro.core.functions import AverageFunction, MaxFunction, PushSumFunction
 from repro.simulator.cycle_sim import CycleSimulator
 from repro.simulator.transport import TransportModel
 from repro.simulator.vectorized import VectorizedCycleSimulator
-from repro.topology import StaticTopology, TopologySpec, build_overlay
+from repro.topology import TopologySpec, build_overlay
 
 
-def make_simulator(size=50, seed=7, values=None, function=None, transport=None, degree=6):
+def make_simulator(
+    size=50, seed=7, values=None, function=None, transport=None, degree=6, kind="random"
+):
     rng = RandomSource(seed)
-    overlay = build_overlay(TopologySpec("random", degree=degree), size, rng.child("topology"))
+    overlay = build_overlay(TopologySpec(kind, degree=degree), size, rng.child("topology"))
     return CycleSimulator(
         overlay=overlay,
         function=function or AverageFunction(),
@@ -47,8 +50,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize("engine", [CycleSimulator, VectorizedCycleSimulator])
     def test_one_value_per_node_is_read_in_id_order_on_sparse_ids(self, engine):
-        # Inserted out of order; ids 1, 2, 4, ... have no node.
-        overlay = StaticTopology({9: {0}, 0: {9, 3}, 3: {0, 5}, 5: {3}})
+        # Ids 1, 2, 4, 6, 7 and 8 have crashed.
+        overlay = static_graph({9: {0}, 0: {9, 3}, 3: {0, 5}, 5: {3}})
         values = np.array([10.0, 13.0, 15.0, 19.0])
         simulator = engine(overlay, AverageFunction(), values, RandomSource(1))
         assert simulator.participant_ids().tolist() == [0, 3, 5, 9]
@@ -137,14 +140,14 @@ class TestMembershipOperations:
         assert len(simulator.overlay.node_ids()) == 49
 
     def test_add_node_waits_for_next_epoch(self):
-        simulator = make_simulator()
+        simulator = make_simulator(kind="newscast")
         node = simulator.add_node()
         assert node not in simulator.participant_ids()
         assert not simulator.is_participant(node)
         assert simulator.overlay.contains(node)
 
     def test_non_participants_do_not_skew_estimates(self):
-        simulator = make_simulator(values=[10.0] * 50)
+        simulator = make_simulator(values=[10.0] * 50, kind="newscast")
         simulator.add_node()
         simulator.run(3)
         assert simulator.trace.final.mean == pytest.approx(10.0)

@@ -8,7 +8,8 @@ from repro.core.count import LeaderElection
 from repro.core.epoch import EpochConfig
 from repro.core.functions import AverageFunction
 from repro.experiments.runner import RunPlan
-from repro.simulator import EpochDriver, VectorizedCycleSimulator
+from repro.simulator import EpochDriver, VectorizedCycleSimulator, build_async_average
+from repro.simulator.asynchrony import AsynchronyScenario
 from repro.simulator.cycle_sim import CycleSimulator
 from repro.simulator.failures import (
     ChurnModel,
@@ -17,12 +18,16 @@ from repro.simulator.failures import (
     ProportionalCrashModel,
     SuddenDeathModel,
 )
+from repro.simulator.replicated import ReplicaConfig, ReplicatedCycleSimulator
 from repro.topology import TopologySpec, build_overlay
 
+#: The overlay churn runs on: NEWSCAST is the one that takes joins.
+NEWSCAST = TopologySpec("newscast", degree=6)
 
-def make_simulator(size=60, seed=3, failure_model=None):
+
+def make_simulator(size=60, seed=3, failure_model=None, spec=TopologySpec("random", degree=6)):
     rng = RandomSource(seed)
-    overlay = build_overlay(TopologySpec("random", degree=6), size, rng.child("topology"))
+    overlay = build_overlay(spec, size, rng.child("topology"))
     return CycleSimulator(
         overlay=overlay,
         function=AverageFunction(),
@@ -86,7 +91,7 @@ class TestSuddenDeathModel:
 
 class TestChurnModel:
     def test_population_size_constant_but_composition_changes(self):
-        simulator = make_simulator(size=80, failure_model=ChurnModel(5))
+        simulator = make_simulator(size=80, failure_model=ChurnModel(5), spec=NEWSCAST)
         initial_participants = set(simulator.participant_ids())
         simulator.run(4)
         # 20 nodes crashed, 20 joined (not participating yet).
@@ -96,7 +101,7 @@ class TestChurnModel:
         assert set(simulator.participant_ids()) < initial_participants
 
     def test_overlay_tracks_replacements(self):
-        simulator = make_simulator(size=50, failure_model=ChurnModel(4))
+        simulator = make_simulator(size=50, failure_model=ChurnModel(4), spec=NEWSCAST)
         simulator.run(3)
         assert simulator.overlay.size() == 50
 
@@ -120,6 +125,34 @@ class TestCountCrashModel:
         simulator = make_simulator(size=10, failure_model=CountCrashModel(50))
         simulator.run_cycle()
         assert simulator.participant_ids().tolist() == []
+
+
+#: Every door onto an engine whose churn would add nodes.
+CHURNING_DOORS = {
+    "reference": lambda overlay, rng: CycleSimulator(
+        overlay, AverageFunction(), [0.0] * 10, rng, failure_model=ChurnModel(1)
+    ),
+    "vectorized": lambda overlay, rng: VectorizedCycleSimulator(
+        overlay, AverageFunction(), [0.0] * 10, rng, failure_model=ChurnModel(1)
+    ),
+    "replicated": lambda overlay, rng: ReplicatedCycleSimulator(
+        [ReplicaConfig(overlay, [0.0] * 10, rng, ChurnModel(1))], AverageFunction()
+    ),
+    "async": lambda overlay, rng: build_async_average(
+        overlay, {node: 0.0 for node in range(10)}, rng,
+        scenario=AsynchronyScenario(churn_per_window=1),
+    ),
+    # The driver builds its first epoch's engine when it runs.
+    "epoch-driver": lambda overlay, rng: EpochDriver(
+        overlay,
+        LeaderElection(concurrent_target=2.0, estimated_size=10.0),
+        EpochConfig(cycles_per_epoch=3),
+        rng,
+        failure_factory=ChurnModel(1),
+    ).run(1),
+}
+
+FIXED_MEMBERSHIP = [TopologySpec("random", degree=3), TopologySpec("complete")]
 
 
 class TestFailureSettingsCheckedAtConstruction:
@@ -146,10 +179,10 @@ class TestFailureSettingsCheckedAtConstruction:
                 failure_factory=factory,
             )
 
-    def epoch_driver(self, **settings):
+    def epoch_driver(self, spec=TopologySpec("complete"), **settings):
         rng = RandomSource(1)
         return EpochDriver(
-            build_overlay(TopologySpec("complete"), 10, rng.child("t")),
+            build_overlay(spec, 10, rng.child("t")),
             LeaderElection(concurrent_target=2.0, estimated_size=10.0),
             EpochConfig(cycles_per_epoch=3),
             rng.child("d"),
@@ -168,4 +201,19 @@ class TestFailureSettingsCheckedAtConstruction:
 
     def test_epoch_driver_accepts_a_model_or_a_callable(self):
         for factory in (None, ChurnModel(1), lambda epoch_id: ChurnModel(1)):
-            self.epoch_driver(failure_factory=factory).run(1)
+            self.epoch_driver(NEWSCAST, failure_factory=factory).run(1)
+
+    @pytest.mark.parametrize("spec", FIXED_MEMBERSHIP, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("door", sorted(CHURNING_DOORS))
+    def test_churn_over_a_fixed_membership_overlay_is_refused_at_construction(
+        self, door, spec
+    ):
+        # Static overlays take no joins, so churn fails where the engine
+        # is built, not at the first join cycle.
+        rng = RandomSource(1)
+        overlay = build_overlay(spec, 10, rng.child("t"))
+        with pytest.raises(ConfigurationError, match="fixed membership"):
+            CHURNING_DOORS[door](overlay, rng.child("s"))
+        assert overlay.size() == 10
+        # Without churn, or with churn that adds nobody, the same builds run.
+        CycleSimulator(overlay, AverageFunction(), [0.0] * 10, rng, failure_model=ChurnModel(0))

@@ -126,9 +126,10 @@ class TestInt32RankPlane:
             2, 8, 4, [rng.child("replica", index) for index in range(2)]
         )
         scratches.append(block._scratch)
-        # The asynchronous engine: allocated in __init__, regrown by a join.
+        # The asynchronous engine: allocated in __init__, regrown by a join
+        # (on NEWSCAST, the overlay that takes joins).
         simulator, _ = build_async_average(
-            build_overlay(TopologySpec("random", degree=3), 8, rng.child("async")),
+            build_overlay(TopologySpec("newscast", degree=4), 8, rng.child("async")),
             {node: float(node) for node in range(8)},
             rng.child("async-run"),
             LAN,

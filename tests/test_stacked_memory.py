@@ -1,7 +1,7 @@
 """A stacked run's memory: its arrays, bounded crash removal, and freeing.
 
 A stacked run of ``R`` repetitions is held in arrays only: the ragged row
-store of the overlays (4 B per stored neighbour, 25 B per row), one
+store of the overlays (4 B per stored neighbour, 17 B per row), one
 float64 initial value per node, the ``(R * stride, width)`` state block
 and three per-row arrays of the engine (participant mask, scheduling
 scratch, cached participant rows) — no Python object per node.  The law
@@ -33,16 +33,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from static_graphs import degrees, edge_list, static_graph
 
 from repro.common.rng import RandomSource
 from repro.core import functions
 from repro.core.functions import AverageFunction, VectorFunction, replica_groups
 from repro.experiments import runner
 from repro.experiments.runner import RunPlan, repeat_traces, uniform_initial_values
-from repro.simulator.failures import ChurnModel, CountCrashModel
+from repro.simulator.failures import ChurnModel, CountCrashModel, SuddenDeathModel
 from repro.simulator.replicated import ReplicaConfig, ReplicatedCycleSimulator
 from repro.simulator.transport import TransportModel
-from repro.topology import StaticTopology, TopologySpec
+from repro.topology import TopologySpec
 from repro.topology import replicated
 from repro.topology.replicated import ReplicatedStaticBlock
 
@@ -68,14 +69,13 @@ def budget_of(entries):
 
 
 def block_state(block):
-    """Every replica's order, rows, degrees and average degree, as plain values."""
+    """Every replica's nodes, rows and degrees, as plain values."""
     views = [block.view(replica) for replica in range(block.replicas)]
     return [
         (
             view.node_ids().tolist(),
             {node: view.neighbors(node) for node in view.node_ids().tolist()},
-            block._degree_sequence(view.replica),
-            view.average_degree(),
+            degrees(view),
         )
         for view in views
     ]
@@ -104,7 +104,7 @@ class TestGroupedSettle:
             adjacency[a].add(b)
             adjacency[b].add(a)
         grouped, whole = (
-            ReplicatedStaticBlock.from_topologies([StaticTopology(adjacency)] * 3)
+            ReplicatedStaticBlock.from_builder(3, lambda replica: static_graph(adjacency))
             for _ in range(2)
         )
         for _ in range(data.draw(st.integers(1, 3))):
@@ -125,7 +125,7 @@ class TestGroupedSettle:
         # and node 4 neighbours two of them.
         adjacency = {0: {1, 2, 3, 5}, 1: {0, 2, 3, 4}, 2: {0, 1, 3}, 3: {0, 1, 2, 4},
                      4: {1, 3, 5}, 5: {0, 4}}
-        grouped, whole = (StaticTopology(adjacency) for _ in range(2))
+        grouped, whole = (static_graph(adjacency) for _ in range(2))
         for topology in (grouped, whole):
             for victim in (2, 1, 3):
                 topology.on_node_removed(victim)
@@ -135,8 +135,8 @@ class TestGroupedSettle:
             whole._block._settle()
         assert grouped.neighbors(0) == whole.neighbors(0) == (5,)
         assert grouped.neighbors(4) == whole.neighbors(4) == (5,)
-        assert grouped.average_degree() == whole.average_degree() == 4 / 3
-        assert grouped.edges() == whole.edges()
+        assert degrees(grouped) == degrees(whole) == [1, 1, 2]
+        assert edge_list(grouped) == edge_list(whole)
 
     def test_traced_peak_is_bounded_by_the_budget_not_the_victims(self):
         replicas, size = 20, 10_000
@@ -191,15 +191,15 @@ class TestStackedRunMemoryLaw:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        stored = sum(block._entry_count(replica) for replica in range(replicas))
+        stored = int(block._degrees.sum())
         width = engine.function.state_width()
         rows = replicas * block.stride
-        # 4 B per stored neighbour and 25 B per row of the store, 8 B per
+        # 4 B per stored neighbour and 17 B per row of the store, 8 B per
         # initial value, and per state row 8 B per float plus 13 B: the
         # participant mask (1), the scheduling scratch (4) and the
         # cached participant rows (8).  Measured 0.6 B per node above;
         # node-id lists and values as Python objects read 68 B more.
-        law = 4 * stored + 25 * rows + 8 * replicas * size + (8 * width + 13) * rows
+        law = 4 * stored + 17 * rows + 8 * replicas * size + (8 * width + 13) * rows
         assert retained <= law + 262_144
         assert all(isinstance(config.initial_values, np.ndarray) for config in configs)
 
@@ -216,7 +216,7 @@ class TestBuildMemoryLaw:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        arrays = (block._neighbours, block._offsets, block._degrees, block._room, block._alive)
+        arrays = (block._neighbours, block._offsets, block._degrees, block._alive)
         rows = sum(array.nbytes for array in arrays)
         # The rows (18.5 MB: the block store), the int32 draws (8 MB) and
         # one budget of int64 keys (8.4 MB), plus 1 MiB: 35.9 MB.
@@ -225,40 +225,29 @@ class TestBuildMemoryLaw:
         assert peak <= rows + build_scratch(size, degree) + (1 << 20)
 
 
-class TestInsertionOrder:
-    def test_node_ids_are_a_read_only_int64_array(self):
-        topology = StaticTopology({0: {1}, 1: {0, 2}, 2: {1}, 5: {2}})
+class TestNodeIds:
+    def test_node_ids_are_the_live_ids_ascending_in_a_fresh_int64_array(self):
+        # Sparse ids come from crashing nodes 3 and 4 of a dense graph.
+        topology = static_graph({0: {1}, 1: {0, 2}, 2: {1}, 5: {2}})
         ids = topology.node_ids()
         assert ids.dtype == np.int64
         assert ids.tolist() == [0, 1, 2, 5]
-        with pytest.raises(ValueError):
-            ids[0] = 7
+        ids[0] = 7
+        assert topology.node_ids().tolist() == [0, 1, 2, 5]
 
-    def test_joins_grow_the_order_by_doubling(self):
-        topology = StaticTopology({node: {(node + 1) % 4, (node - 1) % 4} for node in range(4)})
-        block, rng = topology._block, RandomSource(9)
-        # Built in ascending order, the order is implicit until a join.
-        assert block._orders == [None]
-        topology.on_node_added(4, rng)
-        buffer = block._orders[0]
-        assert buffer.size == 8
-        for node in range(5, 8):
-            topology.on_node_added(node, rng)
-            assert block._orders[0] is buffer
-        topology.on_node_added(8, rng)
-        assert block._orders[0].size == 16
-        assert topology.node_ids().tolist() == list(range(9))
-        topology.on_node_removed(2)
-        topology.on_node_added(3_000, rng)
-        assert topology.node_ids().tolist() == [0, 1, 3, 4, 5, 6, 7, 8, 3_000]
-
-    def test_a_view_taken_before_a_join_keeps_its_ids(self):
-        topology = StaticTopology({3: {1}, 1: {3}})
-        before = topology.node_ids()
-        topology.on_node_added(7, RandomSource(1))
-        topology.on_node_removed(3)
-        assert before.tolist() == [3, 1]
-        assert topology.node_ids().tolist() == [1, 7]
+    def test_each_replica_reads_its_own_live_ids(self):
+        # One alive mask per replica: a crash in one slot leaves the
+        # other's ids, and an array read before the crash, as they were.
+        block = ReplicatedStaticBlock.from_builder(
+            2, lambda replica: static_graph({0: {1, 2}, 1: {2}, 2: {3}, 3: set()})
+        )
+        first, second = block.view(0), block.view(1)
+        before = second.node_ids()
+        second.on_node_removed(2)
+        second.on_node_removed(0)
+        assert before.tolist() == [0, 1, 2, 3]
+        assert second.node_ids().tolist() == [1, 3]
+        assert first.node_ids().tolist() == [0, 1, 2, 3]
 
 
 class TestFinishedRunsAreFreed:
@@ -332,9 +321,9 @@ GROUPED_PLANS = {
         transport=TransportModel(link_failure_probability=0.1),
         failure_factory=lambda: CountCrashModel(3),
     ),
-    "churn": dict(
+    "sudden-death": dict(
         topology=TopologySpec("ring-lattice", degree=4),
-        failure_factory=lambda: ChurnModel(2),
+        failure_factory=lambda: SuddenDeathModel(0.25, at_cycle=3),
     ),
     "loss": dict(
         topology=TopologySpec("watts-strogatz", degree=4, beta=0.25),

@@ -151,12 +151,13 @@ class TestBlockedPassesAreBitIdentical:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_engine_encode_records_and_hand_over(self, width, block, sparse, lossy, seed):
-        # Churn crashes participants every cycle, so the records read both
-        # the contiguous rows of cycle 0 and gathered rows after; sparse
-        # ids put the run on the id -> row map.
+        # Churn (on NEWSCAST, the overlay that takes joins) crashes
+        # participants every cycle, so the records read both the contiguous
+        # rows of cycle 0 and gathered rows after; sparse ids put the run
+        # on the id -> row map.
         def run():
             overlay = build_overlay(
-                TopologySpec("random", degree=4), 90, RandomSource(seed).child("topology")
+                TopologySpec("newscast", degree=8), 90, RandomSource(seed).child("topology")
             )
             if sparse:
                 for node in (0, 7, 8, 40, 89):

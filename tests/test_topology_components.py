@@ -94,7 +94,7 @@ class TestEffectiveComponentsMatchTheSearch:
         )
         overlay.set_reachability(model)
         # Crashed nodes linger in caches as descriptors outside node_ids().
-        for node in rng.child("crash").sample(range(size), min(crashes, size - 1)):
+        for node in rng.child("crash").sample_indices(size, min(crashes, size - 1)).tolist():
             overlay.on_node_removed(node)
         maintenance = rng.child("rounds")
         for _ in range(3):

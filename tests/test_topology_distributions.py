@@ -11,17 +11,24 @@ measured on either side.
 import networkx as nx
 import numpy as np
 import pytest
+from static_graphs import degrees, edge_list, static_graph, to_networkx
 
 from repro.common.rng import RandomSource
-from repro.topology import StaticTopology, barabasi_albert_topology, watts_strogatz_topology
+from repro.topology import barabasi_albert_topology, watts_strogatz_topology
 
 SIZE = 1000
 SEEDS = (0, 1, 2)
 ATTACHMENT = 5
 
 
-def from_networkx(graph) -> StaticTopology:
-    return StaticTopology({node: set(graph[node]) for node in graph})
+def from_networkx(graph):
+    return static_graph({node: set(graph[node]) for node in graph})
+
+
+def sample_nodes(graph, count, rng):
+    """``count`` distinct nodes of ``graph``, drawn by ``rng`` from its sorted ids."""
+    ids = sorted(graph)
+    return [ids[index] for index in rng.sample_indices(len(ids), count)]
 
 
 def mean_over_seeds(statistic, build):
@@ -30,7 +37,7 @@ def mean_over_seeds(statistic, build):
 
 def clustering_coefficient(graph) -> float:
     """Mean local clustering of 200 nodes drawn by a fixed stream."""
-    nodes = RandomSource(7).sample(sorted(graph), 200)
+    nodes = sample_nodes(graph, 200, RandomSource(7))
     local = nx.clustering(graph, nodes)
     return float(np.mean([local[node] for node in nodes]))
 
@@ -39,7 +46,7 @@ def estimate_average_path_length(graph) -> float:
     """Mean shortest-path length from 20 sources drawn by a fixed stream."""
     lengths = [
         nx.single_source_shortest_path_length(graph, source)
-        for source in RandomSource(11).sample(sorted(graph), 20)
+        for source in sample_nodes(graph, 20, RandomSource(11))
     ]
     return sum(sum(found.values()) for found in lengths) / sum(len(found) - 1 for found in lengths)
 
@@ -67,7 +74,7 @@ class TestWattsStrogatzAgainstNetworkx:
     def test_statistic_matches(self, beta, statistic, band):
         ours = mean_over_seeds(
             statistic,
-            lambda seed: watts_strogatz_topology(SIZE, 10, beta, RandomSource(seed)).to_networkx(),
+            lambda seed: to_networkx(watts_strogatz_topology(SIZE, 10, beta, RandomSource(seed))),
         )
         reference = mean_over_seeds(
             statistic, lambda seed: nx.watts_strogatz_graph(SIZE, 10, beta, seed=seed)
@@ -76,12 +83,12 @@ class TestWattsStrogatzAgainstNetworkx:
 
 
 def max_over_mean_degree(topology):
-    degrees = np.asarray(topology.degree_sequence())
-    return degrees.max() / degrees.mean()
+    counts = np.asarray(degrees(topology))
+    return counts.max() / counts.mean()
 
 
 def share_at_least_4m(topology):
-    return float(np.mean(np.asarray(topology.degree_sequence()) >= 4 * ATTACHMENT))
+    return float(np.mean(np.asarray(degrees(topology)) >= 4 * ATTACHMENT))
 
 
 class TestBarabasiAlbertAgainstNetworkx:
@@ -100,9 +107,9 @@ class TestBarabasiAlbertAgainstNetworkx:
         m = ATTACHMENT
         for seed in SEEDS:
             topology = self.ours(seed)
-            assert topology.edge_count() == m * (SIZE - m - 1) + m * (m + 1) // 2
-            assert min(topology.degree_sequence()) >= m
-            assert topology.is_connected()
+            assert len(edge_list(topology)) == m * (SIZE - m - 1) + m * (m + 1) // 2
+            assert min(degrees(topology)) >= m
+            assert nx.is_connected(to_networkx(topology))
 
     @pytest.mark.parametrize(
         "statistic, band", [(max_over_mean_degree, 3.5), (share_at_least_4m, 0.012)]
