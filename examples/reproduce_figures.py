@@ -19,8 +19,16 @@ default sweep at the chosen scale.  Repeats are batched: each sweep
 point describes its repetitions as a declarative
 :class:`~repro.experiments.runner.RunPlan`, so the repeats of a point run
 as stacked simulations on the replicated tensor engine, as many at once
-as fit a fixed byte budget (bit-identical to serial repeats).  Only the two adaptive epoch figures repeat one run
-at a time.
+as fit a fixed byte budget (bit-identical to serial repeats).  The two
+adaptive epoch figures repeat one opaque run at a time.
+
+Work is spread over processes: a figure's sweep points (and the adaptive
+figures' repetitions after the first) run on one forked worker per usable
+CPU once a point's nodes × repeats × cycles reach 10^5 (every DEFAULT and
+PAPER point; SMOKE and BENCH points stay in this process).  The rows are
+bit-identical either way.  Fan-out needs the ``fork`` start method and
+runs in one process elsewhere; ``taskset -c 0 python
+examples/reproduce_figures.py ...`` gives a serial run.
 """
 
 from __future__ import annotations

@@ -57,8 +57,8 @@ from ..topology.generators import TopologySpec, build_overlay
 from .config import DEFAULT, ExperimentScale
 from .reporting import render_table
 from .runner import (
-    RunPlan, ValuesSpec, peak_values_for_count, repeat_simulations, run_async_count,
-    run_epoched_count, uniform_initial_values,
+    RunPlan, ValuesSpec, fan_out, peak_values_for_count, repeat_simulations,
+    run_async_count, run_epoched_count, uniform_initial_values,
 )
 
 __all__ = ["Figure", "FigureResult", "Setting", "standard_topologies", "ALL_FIGURES"]
@@ -177,7 +177,16 @@ class Figure:
         points: Optional[Sequence] = None,
         cycles: Optional[int] = None,
     ) -> FigureResult:
-        """Reproduce the figure at ``scale`` over ``points`` for ``cycles``."""
+        """Reproduce the figure at ``scale`` over ``points`` for ``cycles``.
+
+        The sweep points go through :func:`~repro.experiments.runner.fan_out`,
+        one task per point, whose work is the largest point's plan size ×
+        repeats × cycles: a worker runs its point's
+        :func:`~repro.experiments.runner.repeat_simulations` and ``reduce``
+        in its own process, and rows come back in point order, bit-identical
+        to a run in one process.  A ``body`` figure runs in the calling
+        process (its own repeats may fan out).
+        """
         if points is not None and self.points is None:
             raise ConfigurationError(
                 f"figure {self.figure_id} has no swept axis, so it takes no points"
@@ -201,14 +210,19 @@ class Figure:
         runs = swept
         if self.series is not None:
             runs = [(curve, point) for curve in self.series(setting.size) for point in swept]
-        rows = []
-        for point in runs:
-            results = repeat_simulations(
-                setting.repeats, setting.seed, plan=self.plan(setting, point)
-            )
-            reduced = self.reduce(setting, point, results)
-            for row in [reduced] if isinstance(reduced, dict) else reduced:
-                rows.append({self.axis[0]: point, **row} if self.axis else row)
+        plans = [self.plan(setting, point) for point in runs]
+
+        def run_point(index: int) -> List[Row]:
+            results = repeat_simulations(setting.repeats, setting.seed, plan=plans[index])
+            reduced = self.reduce(setting, runs[index], results)
+            return [reduced] if isinstance(reduced, dict) else reduced
+
+        work = max((plan.size * plan.cycles for plan in plans), default=0) * setting.repeats
+        rows = [
+            {self.axis[0]: point, **row} if self.axis else row
+            for point, reduced in zip(runs, fan_out(len(runs), run_point, work))
+            for row in reduced
+        ]
         return FigureResult(self.figure_id, self.title, rows, self.parameters(setting, swept))
 
 

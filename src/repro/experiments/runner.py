@@ -15,14 +15,26 @@ a single run through :data:`~repro.simulator.make_simulator`, and the
 repeats of a :class:`RunPlan` as consecutive stacked simulations of as
 many replicas as fit a fixed byte budget
 (:data:`~repro.core.functions._REPLICA_GROUP_BYTES`), each replica
-bit-identical to its one-run :meth:`RunPlan.serial_run`.  Every
-repetition runs in the calling process; an opaque ``make_run`` callable
-runs once per repetition, in index order.
+bit-identical to its one-run :meth:`RunPlan.serial_run`.  An opaque
+``make_run`` callable runs once per repetition.
+
+Repetitions are independent (each draws only from its own
+``child("run", i)`` streams), so where they run cannot change a bit of a
+result.  :func:`fan_out` spreads the outermost repeat loop — a point's
+stacked groups or ``make_run`` repetitions here, a figure's sweep points
+in :meth:`~repro.experiments.figures.Figure.__call__` — over one forked
+worker per usable CPU, and keeps work below :data:`_FAN_OUT_FLOOR` in the
+calling process.  Fan-out needs the ``fork`` start method; without it,
+with one usable CPU (``taskset -c 0`` gives a serial run, and the only
+per-layer trace of a fanned workload) or inside a worker, every task runs
+in the calling process, in index order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -55,6 +67,80 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+
+#: Work per task, in nodes × replicas × cycles, below which :func:`fan_out`
+#: keeps its tasks in the calling process.  Forking and joining a pool of
+#: two workers from a 55 MB parent takes 8.4 ms (median of 20, 13 ms at
+#: most; 2-vCPU Xeon), and one node-cycle on the array engine costs
+#: 100-280 ns on a static overlay (random 20-out, N = 10^4 and 400) and
+#: 0.9-2.7 µs on NEWSCAST.  So a task at the floor takes at least 10 ms,
+#: about the pool's cost: above it a second worker saves more than the
+#: pool costs.  A SMOKE, BENCH or ``figures-bench`` point (at most
+#: 400 × 3 × 50) stays in process; a DEFAULT point (2,000 × 10 × 30) and a
+#: ``repeats-replicated-n10k`` group (10^4 × 5 × 20) fan out.
+_FAN_OUT_FLOOR = 100_000
+
+#: Seconds per node-cycle on the cheapest path measured (random 20-out at
+#: N = 10^4): a ``make_run`` repetition states no size, so its measured
+#: time at this rate stands for its work.
+_NODE_CYCLE_S = 1e-7
+
+#: The task of the pool this process serves as a worker; ``None`` in the
+#: process that made the pool, so only a worker sees it set.
+_worker_task: Optional[Callable[[int], object]] = None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _serve(task: Callable[[int], object]) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _run_task(index: int) -> object:
+    return _worker_task(index)
+
+
+def fan_out(count: int, task: Callable[[int], T], work: int) -> List[T]:
+    """``[task(0), ..., task(count - 1)]``, over forked workers where it pays.
+
+    ``task`` must be independent of the order and the process it runs in;
+    ``work`` is the largest task's nodes × replicas × cycles.  With more
+    than one task, more than one usable CPU, ``work`` at or above
+    :data:`_FAN_OUT_FLOOR`, the ``fork`` start method, and outside a
+    worker, the tasks run on ``min(count, usable CPUs)`` workers of a
+    per-call process pool.  Each worker inherits ``task`` through the fork,
+    so it is never pickled (plans' lambdas and ``collect`` closures keep
+    working, which ``spawn`` would have to pickle); only results travel
+    back, in task order, and an exception raised by a task reaches the
+    caller with its type.  The pool is joined before the call returns.
+    Otherwise every task runs here, in index order.  A worker runs its
+    tasks' nested calls in its own process: pools never nest.
+    """
+    workers = min(count, _usable_cpus())
+    if workers < 2 or work < _FAN_OUT_FLOOR or _worker_task is not None:
+        return [task(index) for index in range(count)]
+    # Imported here: a process that never fans out never loads them (2 MB).
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [task(index) for index in range(count)]
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_serve,
+        initargs=(task,),
+    )
+    try:
+        return list(pool.map(_run_task, range(count)))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def uniform_initial_values(size: int, rng: RandomSource) -> np.ndarray:
@@ -353,13 +439,18 @@ def _run_replicated(repeats: int, seed: int, plan: RunPlan) -> List[T]:
     :data:`~repro.core.functions._REPLICA_GROUP_BYTES` by
     :func:`_replica_bytes`, and is finished and freed before the next is
     built.  Repetition ``i`` keeps its ``child("run", i)`` streams in any
-    group, so the results do not depend on the grouping.
+    group, so the results do not depend on the grouping, nor on the
+    process a group runs in: the groups go through :func:`fan_out`.
     """
     root = RandomSource(seed)
-    results: List[T] = []
-    for group in replica_groups(repeats, _replica_bytes(plan)):
-        results.extend(_run_group(plan, [root.child("run", index) for index in group]))
-    return results
+    groups = replica_groups(repeats, _replica_bytes(plan))
+    work = plan.size * len(groups[0]) * plan.cycles if groups else 0
+    results = fan_out(
+        len(groups),
+        lambda group: _run_group(plan, [root.child("run", run) for run in groups[group]]),
+        work,
+    )
+    return [result for group in results for result in group]
 
 
 def repeat_simulations(
@@ -381,14 +472,18 @@ def repeat_simulations(
         ``plan.serial_run(i, RandomSource(seed).child("run", i))``.
     make_run:
         Callable building and running one repetition.  Mutually
-        exclusive with ``plan``.
+        exclusive with ``plan``.  Repetition 0 runs in the calling
+        process, timed: its seconds over :data:`_NODE_CYCLE_S` are the
+        work of each of the others, which go through :func:`fan_out`
+        (this is how the adaptive figures' repeats spread).
     plan:
         A :class:`RunPlan` describing the repetition declaratively; its
-        repetitions run as consecutive stacked
+        repetitions run as stacked
         :class:`~repro.simulator.replicated.ReplicatedCycleSimulator`
         groups of at most ``_REPLICA_GROUP_BYTES`` law-predicted bytes
         (one group up to DEFAULT scale, one replica per group at
-        N = 10^5), so a point holds one group at a time.
+        N = 10^5), through :func:`fan_out`: each process holds one group
+        at a time.
     """
     require_non_negative_int(repeats, "repeats")
     if plan is not None:
@@ -402,7 +497,14 @@ def repeat_simulations(
         return _run_replicated(repeats, seed, plan)
     require(make_run is not None, "need either make_run or a plan")
     root = RandomSource(seed)
-    return [make_run(index, root.child("run", index)) for index in range(repeats)]
+    if not repeats:
+        return []
+    started = time.perf_counter()
+    first = make_run(0, root.child("run", 0))
+    work = int((time.perf_counter() - started) / _NODE_CYCLE_S)
+    return [first] + fan_out(
+        repeats - 1, lambda index: make_run(index + 1, root.child("run", index + 1)), work
+    )
 
 
 def repeat_traces(

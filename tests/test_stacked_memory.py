@@ -396,9 +396,12 @@ class TestReplicaGroups:
         # Warm up untraced, so first-use imports and caches stay out.
         repeat_traces(1, 1, plan=RunPlan(plan.topology, 50, 1, uniform_initial_values))
         gc.collect()
+        # One usable CPU keeps the groups (above the fan-out floor) in this
+        # process, where tracemalloc sees them.
         tracemalloc.start()
         try:
-            traces = repeat_traces(replicas, 2004, plan=plan)
+            with mock.patch.object(runner, "_usable_cpus", lambda: 1):
+                traces = repeat_traces(replicas, 2004, plan=plan)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
