@@ -120,7 +120,10 @@ def fan_out(count: int, task: Callable[[int], T], work: int) -> List[T]:
     back, in task order, and an exception raised by a task reaches the
     caller with its type.  The pool is joined before the call returns.
     Otherwise every task runs here, in index order.  A worker runs its
-    tasks' nested calls in its own process: pools never nest.
+    tasks' nested calls in its own process: pools never nest.  The
+    library starts no thread of its own; Python 3.12 warns on a fork
+    while other threads exist, such as NumPy's OpenBLAS pool (which
+    re-creates itself in the child).
     """
     workers = min(count, _usable_cpus())
     if workers < 2 or work < _FAN_OUT_FLOOR or _worker_task is not None:
