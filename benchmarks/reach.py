@@ -27,11 +27,21 @@ from 3.10.  Line tables still differ a little between interpreter
 versions; compare two readings only if their manifests name the same
 ``python``.
 
-Run with:  python benchmarks/reach.py [out.json]     (default: REACH.json)
+``--check COMMITTED`` is a ratchet on dead code: after writing the new
+reading it fails if an untagged never-entered function is missing from
+the ``never_entered`` list of the ``COMMITTED`` reading (read before the
+run, so it may be the output file too).  Functions are matched by module
+and qualified name, never by line, so moving code does not trip it; a
+function that stops being entered, or a new one no path enters, must be
+deleted, wired or committed in a new reading.
+
+Run with:  python benchmarks/reach.py [out.json] [--check REACH.json]
+           (out.json defaults to REACH.json)
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -332,8 +342,26 @@ def measure(recorder: LineRecorder) -> Dict[str, object]:
     }
 
 
+def unlisted_never_entered(committed: Dict[str, object], fresh: Dict[str, object]) -> List[dict]:
+    """The untagged never-entered functions of ``fresh`` that ``committed`` does not list."""
+    listed = {(entry["module"], entry["function"]) for entry in committed["never_entered"]}
+    return [
+        entry
+        for entry in fresh["never_entered"]
+        if not entry["tags"] and (entry["module"], entry["function"]) not in listed
+    ]
+
+
 def main(argv: List[str]) -> int:
-    out = Path(argv[0]) if argv else ROOT / "REACH.json"
+    parser = argparse.ArgumentParser(description="reach audit of the product paths")
+    parser.add_argument("out", nargs="?", type=Path, default=ROOT / "REACH.json")
+    parser.add_argument(
+        "--check", type=Path, metavar="COMMITTED",
+        help="fail if an untagged never-entered function is missing from this reading",
+    )
+    args = parser.parse_args(argv)
+    out = args.out
+    committed = json.loads(args.check.read_text(encoding="utf-8")) if args.check else None
     sys.path[:0] = [str(ROOT / "src"), str(E2E)]
     recorder = LineRecorder(PACKAGE)
     walls = {}
@@ -371,7 +399,12 @@ def main(argv: List[str]) -> int:
     )
     for name, reason in SKIPPED.items():
         print(f"skipped {name}: {reason}")
-    return 0
+    if committed is None:
+        return 0
+    unlisted = unlisted_never_entered(committed, report)
+    for entry in unlisted:
+        print(f"never entered, not in {args.check}: {entry['module']} {entry['function']}")
+    return 1 if unlisted else 0
 
 
 if __name__ == "__main__":

@@ -4,11 +4,13 @@ The full audit runs every product path and takes tens of seconds, so it
 is not run here; these tests pin what its reading is made of: which
 lines a recording counts, which code objects are function bodies, how
 functions are named, which are tagged abstract, how a failing example is
-reported, and what ``measure`` writes for the real package.
+reported, what ``measure`` writes for the real package, and which
+functions the ``--check`` ratchet reports.
 """
 
 import ast
 import importlib.util
+import json
 import sys
 import textwrap
 
@@ -176,3 +178,37 @@ def test_measure_tags_tracer_targets_abstract_functions_and_reprs(reading):
     assert "abstract" in tags[("repro/simulator/failures.py", "FailureModel.apply")]
     assert tags[("repro/simulator/cycle_sim.py", "CycleSimulator.__repr__")] == ["repr"]
     assert tags[("repro/analysis/theory.py", "exchange_count_pmf")] == []
+
+
+def test_the_ratchet_names_untagged_unlisted_functions_by_module_and_qualname():
+    committed = {"never_entered": [
+        {"module": "repro/a.py", "function": "moved", "line": 10, "lines": 2, "tags": []},
+    ]}
+    fresh = {"never_entered": [
+        {"module": "repro/a.py", "function": "moved", "line": 40, "lines": 2, "tags": []},
+        {"module": "repro/a.py", "function": "Shape.area", "line": 50, "lines": 1,
+         "tags": ["abstract"]},
+        {"module": "repro/b.py", "function": "moved", "line": 10, "lines": 2, "tags": []},
+    ]}
+    # A listed function that moved passes, a tagged one is never counted,
+    # and the same name in another module is a new function.
+    assert reach.unlisted_never_entered(committed, fresh) == [fresh["never_entered"][2]]
+    assert reach.unlisted_never_entered(fresh, fresh) == []
+
+
+def test_check_fails_when_a_function_stops_being_entered(reading, tmp_path, monkeypatch, capsys):
+    # The committed reading entered one function; a run that enters none
+    # leaves it never entered and unlisted, so the check fails naming it.
+    committed = tmp_path / "committed.json"
+    committed.write_text(json.dumps(reading), encoding="utf-8")
+    for name in ("run_figures", "run_examples", "run_workloads"):
+        monkeypatch.setattr(reach, name, lambda: None)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert reach.main(["--check", str(committed), str(tmp_path / "fresh.json")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == (
+        f"never entered, not in {committed}: "
+        "repro/analysis/theory.py expected_exchanges_per_cycle"
+    )
+    fresh = json.loads((tmp_path / "fresh.json").read_text(encoding="utf-8"))
+    assert reach.unlisted_never_entered(fresh, fresh) == []

@@ -139,5 +139,5 @@ def test_stacked_newscast_bootstrap(benchmark, scale):
         rngs = [RandomSource(1000 + index) for index in range(8)]
         return ReplicatedNewscastBlock.bootstrap(8, size, 20, rngs)
 
-    block = benchmark(bootstrap)
-    assert block.replicas == 8
+    views = benchmark(bootstrap)
+    assert len(views) == 8 and all(view._block is views[0]._block for view in views)

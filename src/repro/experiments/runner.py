@@ -36,7 +36,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -339,7 +339,7 @@ class RunPlan:
         simulator.run(self.cycles)
         return self.collect(simulator)
 
-    def build_replica_overlays(self, rngs: Sequence[RandomSource]) -> Tuple[List, object]:
+    def build_replica_overlays(self, rngs: Sequence[RandomSource]) -> List:
         """Build every repetition's overlay, block-stacked where possible.
 
         Replica ``r``'s overlay is drawn from ``rngs[r]`` exactly as
@@ -352,17 +352,15 @@ class RunPlan:
         overlay and the dict NEWSCAST oracle reuse their standard
         builders, one overlay per replica.
 
-        Returns ``(overlays, block)``: the block the overlays live in, or
-        ``None`` for per-replica overlays.  A NEWSCAST block owns its
-        overlays, which refer back to it weakly, so the caller holds it
-        for as long as their maintenance should be fused.
+        A block's views hold it (``overlay._block``) and it holds none of
+        them, so a group is freed with its overlays.
         """
         kind = self.topology.kind.lower()
         if kind == "random":
             block = ReplicatedStaticBlock.build_k_out(
                 self.size, self.topology.degree, rngs
             )
-            return [block.view(replica) for replica in range(len(rngs))], block
+            return [block.view(replica) for replica in range(len(rngs))]
         if kind in ("ring-lattice", "watts-strogatz", "scale-free"):
             # Build each graph once, copy its rows into the block and
             # release it, so peak memory holds one standalone overlay
@@ -371,16 +369,15 @@ class RunPlan:
                 len(rngs),
                 lambda replica: build_overlay(self.topology, self.size, rngs[replica]),
             )
-            return [block.view(replica) for replica in range(len(rngs))], block
+            return [block.view(replica) for replica in range(len(rngs))]
         if self.topology.builds_array_newscast():
             # Stack the packed cache matrices and fuse the warm-ups.
             from ..newscast.vectorized_cache import ReplicatedNewscastBlock
 
-            block = ReplicatedNewscastBlock.bootstrap(
+            return ReplicatedNewscastBlock.bootstrap(
                 len(rngs), self.size, self.topology.degree, list(rngs)
             )
-            return block.views(), block
-        return [build_overlay(self.topology, self.size, rng) for rng in rngs], None
+        return [build_overlay(self.topology, self.size, rng) for rng in rngs]
 
 
 #: Per-cycle bytes of one stacked row beyond its stored arrays: the cycle
@@ -413,7 +410,7 @@ def _run_group(plan: RunPlan, run_rngs: Sequence[RandomSource]) -> List[T]:
     builds the next group; only what ``collect`` keeps survives (the
     engine and its views form no cycle).
     """
-    overlays, block = plan.build_replica_overlays(
+    overlays = plan.build_replica_overlays(
         [rng.child("topology") for rng in run_rngs]
     )
     configs = [

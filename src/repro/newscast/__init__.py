@@ -15,7 +15,6 @@ from .vectorized_cache import (
     MAX_NODE_ID,
     VectorizedNewscastOverlay,
     merge_packed_pairs,
-    pack_entries,
     unpack_entries,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "VectorizedNewscastOverlay",
     "MAX_NODE_ID",
     "merge_packed_pairs",
-    "pack_entries",
     "unpack_entries",
 ]

@@ -33,16 +33,26 @@ whatever dtype its rows have and never converts.
 * **Widening rule.**  Only if the live spread itself cannot fit (a tiny
   overlay whose caches never fill keeps a dead node's descriptor for
   good) is the matrix converted to int64, one way; ``packing`` and
-  ``widened_at`` report it.  Overlays attached to a
-  :class:`ReplicatedNewscastBlock` share one base: they slide together
-  and, if the block widens, are re-homed onto the new matrix.
+  ``widened_at`` report it.  Matrix, base and dtype belong to the
+  :class:`ReplicatedNewscastBlock`, so all its replicas slide and widen
+  together.
 * **Memory law.**  The matrix is ``rows * c * 4`` bytes (12 MB at
   N = 10^5, c = 30); a round is applied in blocks of ``_MERGE_BLOCK``
   exchanges, so the gather/kernel/scatter scratch is bounded by that
   constant, not by the round size, and stays cache-resident.  The
-  bootstrap samples before it allocates the matrix, so it holds at most
-  the matrix plus the int32 ``(N, c)`` draw, or, while sampling, that
-  draw plus one int64 chunk of the sampler and its bool mask.
+  bootstrap samples its first replica before it allocates the matrix
+  and writes each replica's draw straight into its rows, so it holds at
+  most the matrix plus one int32 ``(N, c)`` draw and, while sampling,
+  one int64 chunk of the sampler and its bool mask.
+
+One store
+---------
+A :class:`ReplicatedNewscastBlock` holds the caches of ``R`` replicas
+as row slices of one matrix, with one clock and one timestamp base; a
+:class:`VectorizedNewscastOverlay` is the view of one replica, owning
+only its membership (id-to-row map, alive rows, free rows) and its
+reachability model.  A standalone overlay is the view of a one-replica
+block, so the engines run one code path for one run and for ``R``.
 
 Equivalence to the dict implementation (documented per property)
 ----------------------------------------------------------------
@@ -96,7 +106,6 @@ direction independently.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -115,7 +124,6 @@ __all__ = [
     "VectorizedNewscastOverlay",
     "ReplicatedNewscastBlock",
     "merge_packed_pairs",
-    "pack_entries",
     "unpack_entries",
 ]
 
@@ -130,24 +138,8 @@ _MERGE_BLOCK = 2048
 
 
 # ----------------------------------------------------------------------
-# Packing helpers (shared with the tests)
+# Unpacking (cache_of)
 # ----------------------------------------------------------------------
-def pack_entries(entries: Sequence[CacheEntry], capacity: int, base: int = 0) -> np.ndarray:
-    """Pack ``entries`` into one padded int64 row (freshest first).
-
-    Timestamps are stored relative to ``base``; a row whose relative
-    timestamps stay below 128 may be narrowed with ``astype(np.int32)``.
-    """
-    row = np.full(capacity, _EMPTY, dtype=np.int64)
-    ordered = sorted(entries, reverse=True)[:capacity]
-    for column, entry in enumerate(ordered):
-        timestamp = int(entry.timestamp)
-        if timestamp != entry.timestamp:
-            raise ValueError("packed caches require integral timestamps")
-        row[column] = ((timestamp - base) << ID_BITS) | entry.peer_id
-    return row
-
-
 def unpack_entries(row: np.ndarray, base: int = 0) -> List[CacheEntry]:
     """The valid entries of a packed row (either dtype) as ``CacheEntry`` objects."""
     valid = row[row >= 0]
@@ -286,81 +278,54 @@ def _apply_rounds(
             )
 
 
+def _extended(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` followed by ``-1`` up to ``size`` entries (int64)."""
+    grown = np.full(size, -1, dtype=np.int64)
+    grown[: array.size] = array
+    return grown
+
+
 class ReplicatedNewscastBlock:
-    """``R`` array-native NEWSCAST overlays sharing one packed cache block.
+    """The packed cache store of ``R`` array-native NEWSCAST replicas.
 
     The replicated cycle engine runs ``R`` repetitions of a NEWSCAST
-    scenario side by side; each repetition's overlay draws its own
-    maintenance randomness, but the heavy kernel work — conflict-round
-    scheduling and the packed merge — is identical in shape across
-    replicas.  This block adopts ``R``
-    :class:`VectorizedNewscastOverlay` instances by re-homing their
-    matrices (``_packed``, ``_counts``, ``_id_by_row``) as row slices of
-    one stacked ``(R * rows, c)`` matrix, then runs the whole
-    maintenance round for all replicas as *one* sequence of stacked
+    scenario side by side; each repetition draws its own maintenance
+    randomness, but the heavy kernel work — conflict-round scheduling and
+    the packed merge — is identical in shape across replicas.  The block
+    owns everything that is not membership: one stacked ``(R * stride,
+    c)`` matrix (replica ``r`` owns rows ``[r * stride, (r + 1) *
+    stride)``), the entry counts, the row-to-id map, the conflict scratch,
+    one clock, one timestamp base and one dtype, so the slide and the
+    widening are block operations.  Each replica is a
+    :class:`VectorizedNewscastOverlay` view that owns only its membership;
+    a standalone overlay is the view of a one-replica block.
+
+    One maintenance round for all replicas is *one* sequence of stacked
     passes: per-replica peer draws (each from its own stream — the
     bit-identity anchor), one :func:`ordered_conflict_rounds` over the
     offset row ids (replicas are row-disjoint, so the stacked rounds
     refine into each replica's own rounds), and one
-    :func:`merge_packed_pairs` call per round spanning every replica.
+    :func:`merge_packed_pairs` call per round spanning every replica.  A
+    replica that needs a row when its slice is full grows the stride of
+    the whole block; every replica keeps its row numbers.
 
-    The adopted overlays remain fully functional on their own — churn,
-    joins and scalar queries go through the instance API unchanged,
-    operating on the shared storage.  If an instance ever outgrows its
-    slice (``_grow_rows`` reallocates, detaching it from the block), the
-    stacked pass notices and falls back to that instance's private
-    ``after_cycle`` — correctness never depends on the stacking.
-
-    The block owns its overlays; an overlay refers back to it only weakly
-    (:attr:`VectorizedNewscastOverlay.maintenance_block`), so no reference
-    cycle outlives a run, and an overlay whose block is gone maintains
-    itself.
+    Each view holds its block and the block holds no view, so reference
+    counting frees a finished run.
     """
 
-    def __init__(self, overlays: Sequence["VectorizedNewscastOverlay"]) -> None:
-        if not overlays:
-            raise MembershipError("need at least one overlay to stack")
-        cache_size = overlays[0]._cache_size
-        for overlay in overlays:
-            if overlay._cache_size != cache_size:
-                raise MembershipError("stacked overlays must share the cache size")
-            if overlay.maintenance_block is not None:
-                raise MembershipError("overlay already belongs to a block")
-        self._overlays: List["VectorizedNewscastOverlay"] = list(overlays)
-        self._cache_size = cache_size
-        self._stride = max(overlay._row_capacity for overlay in overlays)
-        count = len(overlays)
-        stride = self._stride
-        # One base (the oldest) and one dtype for all: int64 if any overlay
-        # is wide already or its clock does not fit above the shared base.
-        ts_base = min(overlay._ts_base for overlay in overlays)
-        dtype = np.result_type(*(overlay._packed.dtype for overlay in overlays))
-        if (max(o._clock for o in overlays) - ts_base) >> _timestamp_bits(dtype):
-            dtype = np.dtype(np.int64)
-        self._packed = np.full((count * stride, cache_size), _EMPTY, dtype=dtype)
-        self._counts = np.zeros(count * stride, dtype=np.int64)
-        self._id_by_row = np.full(count * stride, -1, dtype=np.int64)
-        self._scratch = conflict_scratch(count * stride)
-        for index, overlay in enumerate(overlays):
-            base = index * stride
-            rows = overlay._row_capacity
-            self._packed[base : base + rows] = overlay._packed
-            self._counts[base : base + rows] = overlay._counts
-            self._id_by_row[base : base + rows] = overlay._id_by_row
-            overlay._rehome(self._packed[base : base + stride], overlay._clock)
-            overlay._shift_base(ts_base - overlay._ts_base)
-            overlay._counts = self._counts[base : base + stride]
-            overlay._id_by_row = self._id_by_row[base : base + stride]
-            if rows < stride:
-                grown = np.full(stride, -1, dtype=np.int64)
-                grown[:rows] = overlay._row_pos
-                overlay._row_pos = grown
-                grown = np.full(stride, -1, dtype=np.int64)
-                grown[:rows] = overlay._alive_rows
-                overlay._alive_rows = grown
-            overlay._row_capacity = stride
-            overlay._block_ref = weakref.ref(self)
-            overlay.block_index = index
+    def __init__(self, replicas: int, stride: int, cache_size: int) -> None:
+        """Empty storage: ``replicas`` slices of ``stride`` entry-less rows."""
+        self._replicas = int(replicas)
+        self._stride = int(stride)
+        self._cache_size = int(cache_size)
+        self._clock = 0
+        self._ts_base = 0
+        self._widened_at: Optional[int] = None
+        rows = self._replicas * self._stride
+        self._packed = np.full((rows, self._cache_size), _EMPTY, dtype=np.int32)
+        self._counts = np.zeros(rows, dtype=np.int64)
+        self._id_by_row = np.full(rows, -1, dtype=np.int64)
+        self._scratch = conflict_scratch(rows)
 
     @classmethod
     def bootstrap(
@@ -370,172 +335,172 @@ class ReplicatedNewscastBlock:
         cache_size: int,
         rngs: Sequence[RandomSource],
         warmup_cycles: int = 5,
-    ) -> "ReplicatedNewscastBlock":
-        """Bootstrap ``count`` replicas with stacked warm-up rounds.
+    ) -> List["VectorizedNewscastOverlay"]:
+        """Bootstrap ``count`` replicas of ``size`` nodes in one block; return their views.
 
-        Replica ``r`` draws its initial caches and every warm-up round
-        from ``rngs[r]`` exactly as ``VectorizedNewscastOverlay.bootstrap``
-        would, so each adopted overlay is bit-identical to a standalone
-        bootstrap from the same stream — only the warm-up kernel work is
-        fused across replicas.
+        Mirrors :meth:`NewscastOverlay.bootstrap`: every node of replica
+        ``r`` starts with the same ``min(cache_size, size - 1)`` distinct
+        uniformly random peers at timestamp 0 (one
+        ``sample_distinct_peers`` draw from ``rngs[r]``, written straight
+        into the replica's rows), then ``warmup_cycles`` stacked
+        maintenance rounds run, replica ``r`` drawing from ``rngs[r]``, so
+        the caches resemble the protocol's steady state.  Each replica is
+        bit-identical to a one-replica bootstrap from its stream.
         """
-        if len(rngs) != count:
-            raise MembershipError("need one bootstrap stream per replica")
-        overlays = [
-            VectorizedNewscastOverlay.bootstrap(
-                size, cache_size, rng, warmup_cycles=0
+        require_positive(size, "size")
+        require_positive(cache_size, "cache_size")
+        if size - 1 > MAX_NODE_ID:
+            raise MembershipError(
+                f"array-native NEWSCAST supports node ids up to {MAX_NODE_ID}"
             )
-            for rng in rngs
-        ]
-        block = cls(overlays)
+        if count < 1 or len(rngs) != count:
+            raise MembershipError("need one bootstrap stream per replica")
+        fill = min(cache_size, size - 1)
+        rows = np.arange(size, dtype=np.int64)
+        block: Optional[ReplicatedNewscastBlock] = None
+        views = []
+        for replica, rng in enumerate(rngs):
+            # The first draw comes before the block is allocated and each
+            # draw is released once written, so at most one replica's
+            # sampler scratch is alive at a time.
+            peers = sample_distinct_peers(size, fill, rng.generator) if fill else None
+            if block is None:
+                block = cls(count, size, cache_size)
+            view = VectorizedNewscastOverlay(block, replica)
+            view._row_by_id = rows.copy()
+            view._row_pos = rows.copy()
+            view._alive_rows = rows.copy()
+            view._alive_count = size
+            own = view._own()
+            block._id_by_row[own] = rows
+            if fill:
+                # Timestamp 0 packs to the peer id itself; the sampler's rows
+                # are ascending, and freshest-first means by peer id descending.
+                block._packed[own, :fill] = peers[:, ::-1]
+                del peers
+            block._counts[own] = fill
+            views.append(view)
         for _ in range(max(0, int(warmup_cycles))):
-            block.after_cycle_stacked(list(zip(overlays, rngs)))
-        return block
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def replicas(self) -> int:
-        """Number of adopted overlays."""
-        return len(self._overlays)
-
-    @property
-    def stride(self) -> int:
-        """Block rows reserved per replica."""
-        return self._stride
-
-    def overlay(self, replica: int) -> "VectorizedNewscastOverlay":
-        """The adopted overlay of one replica."""
-        return self._overlays[replica]
-
-    def views(self) -> List["VectorizedNewscastOverlay"]:
-        """All adopted overlays, in replica order."""
-        return list(self._overlays)
-
-    def _attached(self, overlay: "VectorizedNewscastOverlay") -> bool:
-        """Whether the overlay's matrices still live inside the block."""
-        return (
-            overlay._row_capacity == self._stride
-            and np.shares_memory(overlay._packed, self._packed)
-        )
+            block.after_cycle_stacked(list(zip(views, rngs)))
+        return views
 
     # ------------------------------------------------------------------
     # The stacked maintenance round
     # ------------------------------------------------------------------
-    def after_cycle_stacked(
-        self,
-        pairs: Sequence[tuple],
-    ) -> None:
-        """Run one maintenance round for every ``(overlay, rng)`` pair.
+    def after_cycle_stacked(self, pairs: Sequence[tuple]) -> None:
+        """Run one maintenance round for every ``(view, rng)`` pair of the block.
 
-        Peer draws come from each replica's own stream (bit-identical to
-        calling ``overlay.after_cycle(rng)`` one by one); the conflict
-        scheduling and the packed merges run once over the stacked rows.
+        The clock advances once for all replicas.  Peer draws come from
+        each replica's own stream (bit-identical to a one-replica block's
+        ``after_cycle(rng)``); the conflict scheduling and the packed
+        merges run once over the stacked rows.
         """
+        if len(pairs) != self._replicas:
+            raise MembershipError("a stacked round maintains every replica of its block")
+        self._clock += 1
+        if (self._clock - self._ts_base) >> _timestamp_bits(self._packed.dtype):
+            self._slide_base()
         stacked_initiators = []
         stacked_peers = []
-        lead = None
-        for overlay, rng in pairs:
-            if not self._attached(overlay):
-                # Detached (grew beyond its slice): private maintenance.
-                overlay.after_cycle(rng)
-                continue
-            replica = overlay.block_index
-            initiators, peer_rows = overlay._draw_maintenance_round(rng)
-            if lead is None:
-                lead = overlay
-            elif overlay._clock != lead._clock:
-                # Clocks diverged (caller drove an overlay on its own);
-                # the shared `now` stamp would be wrong — run privately.
-                overlay._apply_maintenance_round(initiators, peer_rows)
-                continue
-            base = replica * self._stride
-            if initiators.size:
-                stacked_initiators.append(initiators + base)
-                stacked_peers.append(peer_rows + base)
-        if not stacked_initiators:
+        for view, rng in pairs:
+            initiators, peer_rows = view._draw_maintenance_round(rng)
+            first = view._replica * self._stride
+            if first:
+                initiators, peer_rows = initiators + first, peer_rows + first
+            stacked_initiators.append(initiators)
+            stacked_peers.append(peer_rows)
+        if len(pairs) > 1:
+            # Stacked rows fit int32, which halves the index arrays the
+            # conflict peel and its rounds hold (they keep the input dtype).
+            initiators = np.concatenate(stacked_initiators, dtype=np.int32)
+            peer_rows = np.concatenate(stacked_peers, dtype=np.int32)
+        del stacked_initiators, stacked_peers
+        if initiators.size == 0:
             return
-        initiators = np.concatenate(stacked_initiators)
-        peer_rows = np.concatenate(stacked_peers)
         rounds = ordered_conflict_rounds(
             initiators, peer_rows, self._scratch, track_positions=False
         )
-        # Attached overlays share the base, whichever draw last slid it.
-        now = lead._clock - lead._ts_base
+        del initiators, peer_rows
+        now = self._clock - self._ts_base
         _apply_rounds(self._packed, self._id_by_row, rounds, now, self._cache_size)
-        for overlay, _ in pairs:
-            if self._attached(overlay):
-                overlay._refresh_counts()
+        for view, _ in pairs:
+            view._refresh_counts()
+
+    # ------------------------------------------------------------------
+    # The sliding timestamp base (module docstring, "Representation")
+    # ------------------------------------------------------------------
+    def _slide_base(self) -> None:
+        """Make ``clock - base`` fit the packing again: slide, else widen."""
+        # Viewed unsigned, the empty slots (-1) are the largest values.
+        unsigned = self._packed.view(f"u{self._packed.itemsize}")
+        stored = int(unsigned.min(initial=np.iinfo(unsigned.dtype).max)) >> ID_BITS
+        oldest = min(self._clock - self._ts_base, stored)
+        if (self._clock - self._ts_base - oldest) >> _timestamp_bits(self._packed.dtype):
+            self._packed = self._packed.astype(np.int64)
+            self._widened_at = self._clock
+        # An entry-less matrix has nothing to move (and slides by the whole
+        # clock span, which need not fit the dtype).
+        if oldest and (valid := self._packed >= 0).any():
+            np.subtract(self._packed, oldest << ID_BITS, out=self._packed, where=valid)
+        self._ts_base += oldest
+
+    def _grow_stride(self, stride: int) -> None:
+        """Give every replica ``stride`` rows; each keeps its row numbers."""
+        old, replicas, cache_size = self._stride, self._replicas, self._cache_size
+        packed = np.full((replicas, stride, cache_size), _EMPTY, dtype=self._packed.dtype)
+        packed[:, :old] = self._packed.reshape(replicas, old, cache_size)
+        self._packed = packed.reshape(replicas * stride, cache_size)
+        counts = np.zeros((replicas, stride), dtype=np.int64)
+        counts[:, :old] = self._counts.reshape(replicas, old)
+        self._counts = counts.reshape(-1)
+        ids = np.full((replicas, stride), -1, dtype=np.int64)
+        ids[:, :old] = self._id_by_row.reshape(replicas, old)
+        self._id_by_row = ids.reshape(-1)
+        self._scratch = conflict_scratch(replicas * stride)
+        self._stride = stride
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ReplicatedNewscastBlock(replicas={len(self._overlays)}, "
+            f"ReplicatedNewscastBlock(replicas={self._replicas}, "
             f"stride={self._stride}, c={self._cache_size})"
         )
 
 
 class VectorizedNewscastOverlay(OverlayProvider):
-    """NEWSCAST maintained as struct-of-arrays matrices.
+    """NEWSCAST maintained as struct-of-arrays matrices: one replica of a block.
 
     A drop-in for :class:`~repro.newscast.protocol.NewscastOverlay` whose
     peer draw and maintenance round are array passes.  Node identifiers
-    must stay below :data:`MAX_NODE_ID`.
+    must stay below :data:`MAX_NODE_ID`.  The caches live in replica
+    ``replica``'s rows of a :class:`ReplicatedNewscastBlock`, which also
+    keeps the clock and the timestamp base; the view owns the replica's
+    membership and reachability.  :meth:`bootstrap` builds a standalone
+    overlay, the view of a one-replica block.
 
     Membership churn is wired through *row recycling*: every node owns
-    one matrix row, rows of removed nodes go to a free list and are
-    reused for joiners, and a swap-remove alive-row list gives O(1)
-    membership updates and O(1) uniform contact sampling — so
-    ``ChurnModel``, crash models and epoch restarts drive this overlay
-    through the exact same ``on_node_added`` / ``on_node_removed`` API
-    as every other overlay, without the matrices ever growing beyond
-    the peak live population.
+    one row, rows of removed nodes go to a free list and are reused for
+    joiners, and a swap-remove alive-row list gives O(1) membership
+    updates and O(1) uniform contact sampling — so ``ChurnModel``, crash
+    models and epoch restarts drive this overlay through the exact same
+    ``on_node_added`` / ``on_node_removed`` API as every other overlay,
+    without the rows ever growing beyond the peak live population.
     """
 
-    def __init__(self, cache_size: int, rng: RandomSource) -> None:
-        require_positive(cache_size, "cache_size")
-        self._cache_size = int(cache_size)
-        self._rng = rng
-        self._clock = 0
-        self._ts_base = 0
-        self._widened_at: Optional[int] = None
+    def __init__(self, block: ReplicatedNewscastBlock, replica: int) -> None:
+        """An entry-less view of replica ``replica`` of ``block``."""
+        self._block = block
+        self._replica = int(replica)
         self._reachability = None
         self._reachability_round = 0
-        self.name = f"newscast-array(c={cache_size})"
+        self.name = f"newscast-array(c={block._cache_size})"
         #: Number of NEWSCAST exchanges performed in the most recent cycle.
         self.last_cycle_exchanges = 0
-        # A weak reference to the adopting block (see maintenance_block)
-        # and this overlay's replica position in it.
-        self._block_ref: Optional[weakref.ref] = None
-        self.block_index = -1
-
-        self._row_capacity = 0
-        self._packed = np.empty((0, self._cache_size), dtype=np.int32)
-        self._counts = np.empty(0, dtype=np.int64)
-        self._id_by_row = np.empty(0, dtype=np.int64)
         self._row_pos = np.empty(0, dtype=np.int64)
         self._alive_rows = np.empty(0, dtype=np.int64)
         self._alive_count = 0
         self._free_rows: List[int] = []
         self._row_by_id = np.empty(0, dtype=np.int64)
-        self._scratch = conflict_scratch(0)
 
-    @property
-    def maintenance_block(self) -> Optional["ReplicatedNewscastBlock"]:
-        """The :class:`ReplicatedNewscastBlock` that adopted this overlay, or ``None``.
-
-        The replicated engine uses it to fuse the maintenance rounds of
-        co-located replicas.  The block owns its overlays and an overlay
-        refers back to it weakly, so a finished run is freed by reference
-        counting: whoever wants the fused rounds holds the block (as the
-        repeat runner does for a run), and once it is gone the overlay,
-        whose matrices stay valid, maintains itself.
-        """
-        return None if self._block_ref is None else self._block_ref()
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
     @classmethod
     def bootstrap(
         cls,
@@ -546,40 +511,38 @@ class VectorizedNewscastOverlay(OverlayProvider):
     ) -> "VectorizedNewscastOverlay":
         """Create an overlay of ``size`` nodes with warmed-up caches.
 
-        Mirrors :meth:`NewscastOverlay.bootstrap`: every node starts with
-        the same ``min(cache_size, size - 1)`` distinct uniformly random
-        peers at timestamp 0 (one ``sample_distinct_peers`` draw), then
-        ``warmup_cycles`` maintenance rounds run so the caches resemble
-        the protocol's steady state.
+        The one-replica :meth:`ReplicatedNewscastBlock.bootstrap`: every
+        draw and every warm-up round comes from ``rng``.
         """
-        require_positive(size, "size")
-        if size - 1 > MAX_NODE_ID:
-            raise MembershipError(
-                f"array-native NEWSCAST supports node ids up to {MAX_NODE_ID}"
-            )
-        overlay = cls(cache_size, rng)
-        fill = min(cache_size, size - 1)
-        # Sampling first keeps the sampler's scratch and the matrix from
-        # being alive together.
-        peers = sample_distinct_peers(size, fill, rng.generator) if fill else None
-        overlay._grow_rows(size)
-        overlay._row_by_id = np.full(max(size, 1), -1, dtype=np.int64)
-        rows = np.arange(size, dtype=np.int64)
-        overlay._row_by_id[:size] = rows
-        overlay._id_by_row[:size] = rows
-        overlay._row_pos[:size] = rows
-        overlay._alive_rows[:size] = rows
-        overlay._alive_count = size
-
-        if fill:
-            # Timestamp 0 packs to the peer id itself; the sampler's rows
-            # are ascending, and freshest-first means by peer id descending.
-            overlay._packed[:size, :fill] = peers[:, ::-1]
-            del peers
-        overlay._counts[:size] = fill
-        for _ in range(max(0, int(warmup_cycles))):
-            overlay.after_cycle(rng)
+        (overlay,) = ReplicatedNewscastBlock.bootstrap(
+            1, size, cache_size, [rng], warmup_cycles
+        )
         return overlay
+
+    # ------------------------------------------------------------------
+    # This replica's rows of the block
+    # ------------------------------------------------------------------
+    def _own(self) -> slice:
+        """The block rows of this replica."""
+        stride = self._block._stride
+        return slice(self._replica * stride, (self._replica + 1) * stride)
+
+    def _rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This replica's ``(packed, counts, id_by_row)`` slices of the block."""
+        block, own = self._block, self._own()
+        return block._packed[own], block._counts[own], block._id_by_row[own]
+
+    @property
+    def _packed(self) -> np.ndarray:
+        return self._block._packed[self._own()]
+
+    @property
+    def _counts(self) -> np.ndarray:
+        return self._block._counts[self._own()]
+
+    @property
+    def _id_by_row(self) -> np.ndarray:
+        return self._block._id_by_row[self._own()]
 
     # ------------------------------------------------------------------
     # OverlayProvider interface
@@ -618,7 +581,7 @@ class VectorizedNewscastOverlay(OverlayProvider):
         counts = np.where(rows >= 0, self._counts[rows], 0)
         draws = (generator.random(node_ids.size) * counts).astype(np.int64)
         # Removed nodes (row -1, count 0) gather the last row's first slot.
-        draws += rows * self._cache_size
+        draws += rows * self._block._cache_size
         peers = (self._packed.ravel()[draws] & MAX_NODE_ID).astype(np.int64)
         peers[counts == 0] = -1
         return peers
@@ -633,10 +596,11 @@ class VectorizedNewscastOverlay(OverlayProvider):
         row = self._row_of(node_id)
         if row < 0:
             return
+        packed, counts, id_by_row = self._rows()
         self._row_by_id[node_id] = -1
-        self._id_by_row[row] = -1
-        self._packed[row] = _EMPTY
-        self._counts[row] = 0
+        id_by_row[row] = -1
+        packed[row] = _EMPTY
+        counts[row] = 0
         # Swap-remove from the alive-row list, recycle the row.
         position = int(self._row_pos[row])
         last = self._alive_rows[self._alive_count - 1]
@@ -656,27 +620,27 @@ class VectorizedNewscastOverlay(OverlayProvider):
         if self._alive_count > 0:
             contact_row = int(self._alive_rows[rng.choice_index(self._alive_count)])
         row = self._allocate_row(node_id)
+        # After the allocation, which may have grown the block.
+        packed, counts, id_by_row = self._rows()
+        id_by_row[row] = node_id
+        packed[row] = _EMPTY
+        counts[row] = 0
         if contact_row >= 0:
-            contact_id = int(self._id_by_row[contact_row])
-            now_packed = (self._clock - self._ts_base) << ID_BITS
+            cache_size = self._block._cache_size
+            contact_id = int(id_by_row[contact_row])
+            now_packed = (self._block._clock - self._block._ts_base) << ID_BITS
             # The joining node learns the contact plus the contact's view
             # (minus any stale descriptor of itself).
-            pool = np.concatenate(
-                (self._packed[contact_row], [now_packed | contact_id])
-            )
+            pool = np.concatenate((packed[contact_row], [now_packed | contact_id]))
             pool[(pool & MAX_NODE_ID) == node_id] = _EMPTY
             pool[::-1].sort()
-            self._packed[row] = pool[: self._cache_size]
-            self._counts[row] = int(np.count_nonzero(self._packed[row] >= 0))
+            packed[row] = pool[:cache_size]
+            counts[row] = int(np.count_nonzero(packed[row] >= 0))
             # The contact also hears about the new node right away.
-            contact_pool = np.concatenate(
-                (self._packed[contact_row], [now_packed | node_id])
-            )
+            contact_pool = np.concatenate((packed[contact_row], [now_packed | node_id]))
             contact_pool[::-1].sort()
-            self._packed[contact_row] = contact_pool[: self._cache_size]
-            self._counts[contact_row] = int(
-                np.count_nonzero(self._packed[contact_row] >= 0)
-            )
+            packed[contact_row] = contact_pool[:cache_size]
+            counts[contact_row] = int(np.count_nonzero(packed[contact_row] >= 0))
 
     def set_reachability(self, model) -> None:
         """Constrain membership exchanges by a pairwise reachability model.
@@ -699,25 +663,28 @@ class VectorizedNewscastOverlay(OverlayProvider):
         caches); exchanges whose target has crashed time out.  The
         surviving exchanges are applied with the reference engine's
         sequential read-after-write semantics via
-        :func:`~repro.simulator.sampling.ordered_conflict_rounds`.
+        :func:`~repro.simulator.sampling.ordered_conflict_rounds`.  The
+        replicas of a larger block share one clock, so only
+        :meth:`ReplicatedNewscastBlock.after_cycle_stacked` maintains
+        them, all at once.
         """
-        initiators, peer_rows = self._draw_maintenance_round(rng)
-        self._apply_maintenance_round(initiators, peer_rows)
+        if self._block._replicas != 1:
+            raise MembershipError(
+                "a replica of a stacked block is maintained by its block's after_cycle_stacked"
+            )
+        self._block.after_cycle_stacked([(self, rng)])
 
     def _draw_maintenance_round(
         self, rng: RandomSource
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance the clock and draw one round's exchange endpoints.
+        """Draw one round's exchange endpoints from ``rng``.
 
-        This is the stream-consuming half of :meth:`after_cycle`, kept
-        separate so :class:`ReplicatedNewscastBlock` can draw every
-        replica's round from its own stream and then apply all rounds as
-        one stacked pass.  Returns ``(initiator_rows, peer_rows)`` of
-        the usable exchanges (empty arrays when nobody can gossip).
+        The stream-consuming half of a maintenance round, kept separate so
+        the block can draw every replica's round from its own stream and
+        then apply all rounds as one stacked pass.  Returns
+        ``(initiator_rows, peer_rows)`` of the usable exchanges, in this
+        replica's row numbers (empty arrays when nobody can gossip).
         """
-        self._clock += 1
-        if (self._clock - self._ts_base) >> _timestamp_bits(self._packed.dtype):
-            self._slide_base()
         self._reachability_round += 1
         count = self._alive_count
         if count == 0:
@@ -728,7 +695,7 @@ class VectorizedNewscastOverlay(OverlayProvider):
         initiators = self._alive_rows[:count][generator.permutation(count)]
         cache_sizes = self._counts[initiators]
         draws = (generator.random(count) * cache_sizes).astype(np.int64)
-        draws += initiators * self._cache_size
+        draws += initiators * self._block._cache_size
         peer_ids = self._packed.ravel()[draws] & MAX_NODE_ID
         # Empty caches produce a garbage id from the -1 padding; pin them
         # to a safe in-range id before the row lookup, then filter.
@@ -746,71 +713,15 @@ class VectorizedNewscastOverlay(OverlayProvider):
         self.last_cycle_exchanges = int(initiators.size)
         return initiators, peer_rows
 
-    def _apply_maintenance_round(
-        self, initiators: np.ndarray, peer_rows: np.ndarray
-    ) -> None:
-        """Apply one drawn maintenance round to this overlay's own rows."""
-        if initiators.size == 0:
-            return
-        if self._scratch.size < self._row_capacity:
-            self._scratch = conflict_scratch(self._row_capacity)
-        rounds = ordered_conflict_rounds(
-            initiators, peer_rows, self._scratch, track_positions=False
-        )
-        now = self._clock - self._ts_base
-        _apply_rounds(self._packed, self._id_by_row, rounds, now, self._cache_size)
-        self._refresh_counts()
-
     def _refresh_counts(self) -> None:
         """Recount the live rows, once per round (merges never read counts)."""
         # Valid entries come first, so a valid last slot means a full row;
         # only the short rows are gathered and counted.
+        packed, counts = self._packed, self._counts
         rows = self._alive_rows[: self._alive_count]
-        self._counts[rows] = self._cache_size
-        short = rows[self._packed[:, -1][rows] < 0]
-        self._counts[short] = np.count_nonzero(self._packed[short] >= 0, axis=1)
-
-    # ------------------------------------------------------------------
-    # The sliding timestamp base (module docstring, "Representation")
-    # ------------------------------------------------------------------
-    def _slide_base(self) -> None:
-        """Make ``clock - base`` fit the packing again: slide, else widen."""
-        block = self.maintenance_block
-        attached = block is not None and block._attached(self)
-        members = [o for o in block._overlays if block._attached(o)] if attached else [self]
-        oldest = min(member._oldest_live() for member in members)
-        if (self._clock - self._ts_base - oldest) >> _timestamp_bits(self._packed.dtype):
-            if attached:
-                block._packed = block._packed.astype(np.int64)
-                for member in members:
-                    first = member.block_index * block._stride
-                    rows = block._packed[first : first + block._stride]
-                    member._rehome(rows, self._clock)
-            else:
-                self._rehome(self._packed.astype(np.int64), self._clock)
-        for member in members:
-            member._shift_base(oldest)
-
-    def _oldest_live(self) -> int:
-        """Oldest stored timestamp above the base (the clock if none is stored)."""
-        # Viewed unsigned, the empty slots (-1) are the largest values.
-        unsigned = self._packed.view(f"u{self._packed.itemsize}")
-        oldest = int(unsigned.min(initial=np.iinfo(unsigned.dtype).max)) >> ID_BITS
-        return min(self._clock - self._ts_base, oldest)
-
-    def _shift_base(self, delta: int) -> None:
-        """Move the base by ``delta`` and every stored timestamp with it."""
-        # An entry-less matrix has nothing to move (and slides by the whole
-        # clock span, which need not fit the dtype).
-        if delta and (valid := self._packed >= 0).any():
-            np.subtract(self._packed, delta << ID_BITS, out=self._packed, where=valid)
-        self._ts_base += delta
-
-    def _rehome(self, packed: np.ndarray, clock: int) -> None:
-        """Adopt ``packed`` as the cache matrix; a dtype change is a widening."""
-        if packed.dtype != self._packed.dtype:
-            self._widened_at = clock
-        self._packed = packed
+        counts[rows] = self._block._cache_size
+        short = rows[packed[:, -1][rows] < 0]
+        counts[short] = np.count_nonzero(packed[short] >= 0, axis=1)
 
     # ------------------------------------------------------------------
     # Introspection helpers used by tests and analysis
@@ -818,30 +729,30 @@ class VectorizedNewscastOverlay(OverlayProvider):
     @property
     def cache_size(self) -> int:
         """The configured cache capacity ``c``."""
-        return self._cache_size
+        return self._block._cache_size
 
     @property
     def clock(self) -> float:
         """The overlay's logical clock (one tick per NEWSCAST cycle)."""
-        return float(self._clock)
+        return float(self._block._clock)
 
     @property
     def packing(self) -> str:
         """Dtype of the cache matrix: ``"int32"``, or ``"int64"`` once widened."""
-        return self._packed.dtype.name
+        return self._block._packed.dtype.name
 
     @property
     def widened_at(self) -> Optional[int]:
         """Clock of the one-way widening to int64, ``None`` while int32."""
-        return self._widened_at
+        return self._block._widened_at
 
     def cache_of(self, node_id: int) -> NewscastCache:
         """The cache of ``node_id`` as a ``NewscastCache`` (for tests)."""
         row = self._row_of(node_id)
         if row < 0:
             raise MembershipError(f"unknown node {node_id}")
-        entries = unpack_entries(self._packed[row], self._ts_base)
-        return NewscastCache(self._cache_size, entries)
+        entries = unpack_entries(self._packed[row], self._block._ts_base)
+        return NewscastCache(self._block._cache_size, entries)
 
     def stale_reference_fraction(self) -> float:
         """Fraction of cache entries across live nodes pointing to dead peers."""
@@ -862,7 +773,8 @@ class VectorizedNewscastOverlay(OverlayProvider):
     def in_degree_distribution(self) -> Dict[int, int]:
         """How many live caches reference each live node."""
         rows = self._alive_rows[: self._alive_count]
-        counts: Dict[int, int] = {int(self._id_by_row[row]): 0 for row in rows}
+        ids_by_row = self._id_by_row
+        counts: Dict[int, int] = {int(ids_by_row[row]): 0 for row in rows}
         entries = self._packed[rows]
         ids = (entries[entries >= 0] & MAX_NODE_ID).ravel()
         alive = ids[self._row_by_id[ids] >= 0]
@@ -880,40 +792,29 @@ class VectorizedNewscastOverlay(OverlayProvider):
         return -1
 
     def _allocate_row(self, node_id: int) -> int:
+        """Map ``node_id`` to a free row, growing the block if none is; the caller fills it."""
         if node_id >= self._row_by_id.size:
-            grown = np.full(max(node_id + 1, 2 * self._row_by_id.size), -1, dtype=np.int64)
-            grown[: self._row_by_id.size] = self._row_by_id
-            self._row_by_id = grown
+            self._row_by_id = _extended(
+                self._row_by_id, max(node_id + 1, 2 * self._row_by_id.size)
+            )
+        block = self._block
         if self._free_rows:
             row = self._free_rows.pop()
         else:
-            if self._alive_count >= self._row_capacity:
-                self._grow_rows(max(2 * self._row_capacity, self._alive_count + 1))
             row = self._alive_count
+            if row >= block._stride:
+                block._grow_stride(max(2 * block._stride, row + 1))
+        if self._row_pos.size < block._stride:
+            self._row_pos = _extended(self._row_pos, block._stride)
+            self._alive_rows = _extended(self._alive_rows, block._stride)
         self._row_by_id[node_id] = row
-        self._id_by_row[row] = node_id
-        self._packed[row] = _EMPTY
-        self._counts[row] = 0
         self._alive_rows[self._alive_count] = row
         self._row_pos[row] = self._alive_count
         self._alive_count += 1
         return row
 
-    def _grow_rows(self, new_capacity: int) -> None:
-        old = self._row_capacity
-        if new_capacity <= old:
-            return
-        packed = np.full((new_capacity, self._cache_size), _EMPTY, self._packed.dtype)
-        packed[:old] = self._packed
-        self._packed = packed
-        for name in ("_counts", "_id_by_row", "_row_pos", "_alive_rows"):
-            grown = np.full(new_capacity, -1, dtype=np.int64)
-            grown[:old] = getattr(self, name)
-            setattr(self, name, grown)
-        self._counts[old:] = 0
-        self._row_capacity = new_capacity
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"VectorizedNewscastOverlay(c={self._cache_size}, nodes={self._alive_count})"
+            f"VectorizedNewscastOverlay(replica={self._replica}, "
+            f"c={self._block._cache_size}, nodes={self._alive_count})"
         )

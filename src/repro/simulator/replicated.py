@@ -557,19 +557,19 @@ class StackedCycleEngine:
             replica.pending_completed += completed
             replica.pending_failed += slots - completed
 
-        # Overlay maintenance: replicas whose overlays share a stacked
-        # maintenance block (array-native NEWSCAST) run their rounds as
-        # one fused pass; standalone overlays maintain themselves.  Each
-        # replica's randomness still comes from its own stream either way.
+        # Overlay maintenance: the replicas of one array-NEWSCAST block
+        # run their rounds as one stacked pass of that block; every other
+        # overlay maintains itself.  Each replica's randomness still comes
+        # from its own stream either way.
         fused: Dict[int, tuple] = {}
         for replica in self._replicas:
-            block = getattr(replica.overlay, "maintenance_block", None)
-            if block is None:
-                replica.overlay.after_cycle(replica.overlay_rng)
-            else:
+            block = getattr(replica.overlay, "_block", None)
+            if hasattr(block, "after_cycle_stacked"):
                 fused.setdefault(id(block), (block, []))[1].append(
                     (replica.overlay, replica.overlay_rng)
                 )
+            else:
+                replica.overlay.after_cycle(replica.overlay_rng)
         for block, pairs in fused.values():
             block.after_cycle_stacked(pairs)
 

@@ -218,8 +218,8 @@ def ordered_conflict_rounds(
     Parameters
     ----------
     initiators, peers:
-        Aligned int64 arrays of the effective (state-touching) exchanges,
-        in initiation order.
+        Aligned int64 (or int32) arrays of the effective (state-touching)
+        exchanges, in initiation order; the rounds keep their dtype.
     scratch:
         Reusable rank buffer (see :func:`conflict_scratch`) with at least
         ``max(node id) + 1`` entries; its contents are overwritten.
@@ -250,7 +250,7 @@ def ordered_conflict_rounds(
     # buffer per call serves every round, so the peel's steady state does
     # almost no allocation.
     ascending, doubled, ascending_pairs = _peel_templates(total)
-    node_buffer = np.empty(2 * total, dtype=np.int64)
+    node_buffer = np.empty(2 * total, dtype=np.result_type(initiators, peers))
     reversed_rounds: List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = []
     a = initiators
     b = peers

@@ -40,10 +40,15 @@ from repro.newscast import (
     NewscastOverlay,
     VectorizedNewscastOverlay,
     merge_packed_pairs,
-    pack_entries,
     unpack_entries,
 )
-from repro.newscast.vectorized_cache import _MERGE_BLOCK, _apply_rounds
+from repro.newscast.vectorized_cache import (
+    _EMPTY,
+    _MERGE_BLOCK,
+    ID_BITS,
+    ReplicatedNewscastBlock,
+    _apply_rounds,
+)
 from repro.simulator import (
     ChurnModel,
     CycleSimulator,
@@ -92,8 +97,25 @@ def entry_lists(draw, now, own_id, capacity, id_pool, oldest=0):
     return entries
 
 
+def pack_entries(entries, capacity, base=0):
+    """Pack ``entries`` into one padded int64 row (freshest first).
+
+    Timestamps are stored relative to ``base``; a row whose relative
+    timestamps stay below 128 may be narrowed with ``astype(np.int32)``.
+    """
+    row = np.full(capacity, _EMPTY, dtype=np.int64)
+    for column, entry in enumerate(sorted(entries, reverse=True)[:capacity]):
+        row[column] = ((int(entry.timestamp) - base) << ID_BITS) | entry.peer_id
+    return row
+
+
 def unpacked(row, base=0):
     return [(e.timestamp, e.peer_id) for e in unpack_entries(row, base)]
+
+
+def empty_overlay(cache_size):
+    """An entry-less standalone overlay: the view of an empty one-replica block."""
+    return VectorizedNewscastOverlay(ReplicatedNewscastBlock(1, 0, cache_size), 0)
 
 
 class TestMergeKernelProperty:
@@ -429,7 +451,7 @@ class TestVectorizedOverlayBehaviour:
             assert int(peer) in overlay.cache_of(int(node)).peer_ids()
 
     def test_select_peers_batch_empty_cache_returns_minus_one(self):
-        overlay = VectorizedNewscastOverlay(cache_size=4, rng=RandomSource(2))
+        overlay = empty_overlay(4)
         overlay.on_node_added(0, RandomSource(3))  # first node: empty cache
         peers = overlay.select_peers_batch(
             np.asarray([0], dtype=np.int64), np.random.default_rng(1)
@@ -449,7 +471,7 @@ class TestVectorizedOverlayBehaviour:
         # Unknown ids consume no randomness: the known ones draw as alone.
         alone = overlay.select_peers_batch(ids[[0, 3, 5]], np.random.default_rng(1))
         assert peers[[0, 3, 5]].tolist() == alone.tolist()
-        never_populated = VectorizedNewscastOverlay(cache_size=4, rng=RandomSource(2))
+        never_populated = empty_overlay(4)
         assert never_populated.select_peers_batch(
             np.array([0, 5]), np.random.default_rng(1)
         ).tolist() == [-1, -1]
@@ -471,7 +493,7 @@ class TestVectorizedOverlayBehaviour:
             overlay.after_cycle(rng)
         assert overlay.clock == 140.0  # 5 warmup cycles + 135
         assert overlay.packing == "int32" and overlay.widened_at is None
-        assert overlay._ts_base > 0
+        assert overlay._block._ts_base > 0
         for node in overlay.node_ids():
             cache = overlay.cache_of(node)
             assert len(cache) == 5
@@ -497,7 +519,7 @@ def twin_overlays(size, cache, seed):
     """
     overlay = VectorizedNewscastOverlay.bootstrap(size, cache, RandomSource(seed))
     twin = VectorizedNewscastOverlay.bootstrap(size, cache, RandomSource(seed))
-    twin._packed = twin._packed.astype(np.int64)
+    twin._block._packed = twin._block._packed.astype(np.int64)
     return overlay, twin
 
 
@@ -529,15 +551,15 @@ class TestSlidingTimestampBase:
         engines = [churn_engine(o, size, replacements=5) for o in (overlay, twin)]
         slides = 0
         for cycle in range(300):
-            base = overlay._ts_base
+            base = overlay._block._ts_base
             for engine in engines:
                 engine.run(1)
-            if overlay._ts_base != base:
+            if overlay._block._ts_base != base:
                 slides += 1
                 assert_same_caches(overlay, twin, draw_seed=cycle)
         assert slides >= 2
         assert overlay.packing == "int32" and overlay.widened_at is None
-        assert twin._ts_base == 0
+        assert twin._block._ts_base == 0
         assert_same_caches(overlay, twin, draw_seed=300)
         assert np.array_equal(engines[0].state_array(), engines[1].state_array())
 
@@ -547,9 +569,9 @@ class TestSlidingTimestampBase:
         engine = churn_engine(overlay, size, replacements=50)
         slide_clocks = []
         for _ in range(300):
-            base = overlay._ts_base
+            base = overlay._block._ts_base
             engine.run(1)
-            if overlay._ts_base != base:
+            if overlay._block._ts_base != base:
                 slide_clocks.append(overlay.clock)
         assert overlay.packing == "int32" and overlay.widened_at is None
         # The O(rows * c) slide pass runs at most once per 64 rounds.
@@ -573,7 +595,7 @@ class TestSlidingTimestampBase:
         # itself no longer fits 7 bits.
         assert overlay.packing == "int64"
         assert overlay.widened_at == int(stale) + 128
-        assert overlay._ts_base == int(stale)
+        assert overlay._block._ts_base == int(stale)
 
     def test_entry_less_overlay_slides_by_the_whole_clock_span(self):
         # Regression: with no valid entry the base moves by clock - base =
@@ -584,7 +606,7 @@ class TestSlidingTimestampBase:
         rng = RandomSource(2)
         for _ in range(200):
             overlay.after_cycle(rng)
-        assert overlay.packing == "int32" and overlay._ts_base == 128
+        assert overlay.packing == "int32" and overlay._block._ts_base == 128
         overlay.on_node_added(9, rng)
         overlay.on_node_added(10, rng)
         overlay.after_cycle(rng)

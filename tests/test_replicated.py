@@ -232,7 +232,7 @@ class TestRunPlanPlumbing:
         overlay = build_overlay(spec, SIZE, RandomSource(SEED))
         array_native = params.get("vectorized", True)
         assert isinstance(overlay, VectorizedNewscastOverlay) == array_native
-        (replica_overlay,), _ = plan.build_replica_overlays([RandomSource(SEED)])
+        (replica_overlay,) = plan.build_replica_overlays([RandomSource(SEED)])
         assert type(replica_overlay) is type(overlay)
 
     def test_make_run_or_plan_exactly(self):
@@ -412,125 +412,152 @@ class TestReplicatedStaticBlock:
 class TestReplicatedNewscastBlock:
     def test_bootstrap_matches_standalone_overlays(self):
         rngs = [RandomSource(100 + index) for index in range(REPLICAS)]
-        block = ReplicatedNewscastBlock.bootstrap(
+        views = ReplicatedNewscastBlock.bootstrap(
             REPLICAS, SIZE, DEGREE, [RandomSource(100 + i) for i in range(REPLICAS)]
         )
-        for index, rng in enumerate(rngs):
+        assert all(view._block is views[0]._block for view in views)
+        for view, rng in zip(views, rngs):
             standalone = VectorizedNewscastOverlay.bootstrap(SIZE, DEGREE, rng)
-            adopted = block.overlay(index)
             for node in range(0, SIZE, 7):
-                assert adopted.cache_of(node).entries() == standalone.cache_of(
+                assert view.cache_of(node).entries() == standalone.cache_of(
                     node
                 ).entries()
 
     def test_stacked_round_matches_private_rounds(self):
-        block = ReplicatedNewscastBlock.bootstrap(
+        views = ReplicatedNewscastBlock.bootstrap(
             2, SIZE, DEGREE, [RandomSource(7), RandomSource(8)]
         )
         solo_a = VectorizedNewscastOverlay.bootstrap(SIZE, DEGREE, RandomSource(7))
         solo_b = VectorizedNewscastOverlay.bootstrap(SIZE, DEGREE, RandomSource(8))
         round_rngs = [RandomSource(21), RandomSource(22)]
-        block.after_cycle_stacked(list(zip(block.views(), round_rngs)))
+        views[0]._block.after_cycle_stacked(list(zip(views, round_rngs)))
         solo_a.after_cycle(RandomSource(21))
         solo_b.after_cycle(RandomSource(22))
         for node in range(0, SIZE, 11):
-            assert block.overlay(0).cache_of(node).entries() == solo_a.cache_of(node).entries()
-            assert block.overlay(1).cache_of(node).entries() == solo_b.cache_of(node).entries()
+            assert views[0].cache_of(node).entries() == solo_a.cache_of(node).entries()
+            assert views[1].cache_of(node).entries() == solo_b.cache_of(node).entries()
 
-    def test_detached_overlay_falls_back_to_private_maintenance(self):
-        block = ReplicatedNewscastBlock.bootstrap(
-            2, 30, 5, [RandomSource(1), RandomSource(2)]
-        )
-        overlay = block.overlay(0)
-        # Force growth beyond the slice: the overlay detaches itself.
-        overlay._grow_rows(block.stride * 2)
-        assert not block._attached(overlay)
-        before = block.overlay(1).clock
-        block.after_cycle_stacked(
-            [(block.overlay(0), RandomSource(3)), (block.overlay(1), RandomSource(4))]
-        )
-        assert overlay.clock == before + 1  # detached replica still maintained
-        assert block.overlay(1).clock == before + 1
-
-    @pytest.mark.parametrize("detach", [False, True])
-    def test_block_crosses_a_base_slide_bit_identically(self, detach):
+    def test_block_crosses_a_base_slide_bit_identically(self):
         # Past clock 128 the block's shared timestamp base slides: the three
-        # replicas must stay bit-identical to standalone overlays — also
-        # when one of them left the block (grew) before the slide.
+        # replicas must stay bit-identical to standalone overlays.
         seeds = (7, 8, 9)
-        block = ReplicatedNewscastBlock.bootstrap(
+        views = ReplicatedNewscastBlock.bootstrap(
             3, 60, 6, [RandomSource(seed) for seed in seeds]
         )
+        block = views[0]._block
         solos = [
             VectorizedNewscastOverlay.bootstrap(60, 6, RandomSource(seed))
             for seed in seeds
         ]
-        if detach:
-            block.overlay(1)._grow_rows(block.stride * 2)
         block_rngs = [RandomSource(20 + seed) for seed in seeds]
         solo_rngs = [RandomSource(20 + seed) for seed in seeds]
         for _ in range(140):
-            block.after_cycle_stacked(list(zip(block.views(), block_rngs)))
+            block.after_cycle_stacked(list(zip(views, block_rngs)))
             for solo, rng in zip(solos, solo_rngs):
                 solo.after_cycle(rng)
-        attached = [block._attached(view) for view in block.views()]
-        assert attached == [True, not detach, True]
-        for view, solo in zip(block.views(), solos):
+        assert block._ts_base > 0
+        for view, solo in zip(views, solos):
             assert view.clock == solo.clock == 145.0
             assert view.packing == solo.packing == "int32"
-            assert view._ts_base > 0
             for node in range(60):
                 assert view.cache_of(node).entries() == solo.cache_of(node).entries()
-        # Attached replicas share one base; the abandoned slice of the
-        # detached one does not hold it back.
-        assert block.overlay(0)._ts_base == block.overlay(2)._ts_base
 
-    def test_block_widens_once_and_rehomes_its_overlays(self):
+    def test_block_widens_once_for_all_replicas(self):
         # N = 8 < c with a crashed node: the stale descriptor is never
         # evicted, so the live spread outgrows int32 and the block widens.
         seeds = (3, 4)
-        block = ReplicatedNewscastBlock.bootstrap(
+        views = ReplicatedNewscastBlock.bootstrap(
             2, 8, 30, [RandomSource(seed) for seed in seeds]
         )
+        block = views[0]._block
         solos = [
             VectorizedNewscastOverlay.bootstrap(8, 30, RandomSource(seed))
             for seed in seeds
         ]
-        for overlay in block.views() + solos:
+        for overlay in views + solos:
             overlay.on_node_removed(3)
         block_rngs = [RandomSource(20 + seed) for seed in seeds]
         solo_rngs = [RandomSource(20 + seed) for seed in seeds]
         for _ in range(200):
-            block.after_cycle_stacked(list(zip(block.views(), block_rngs)))
+            block.after_cycle_stacked(list(zip(views, block_rngs)))
             for solo, rng in zip(solos, solo_rngs):
                 solo.after_cycle(rng)
-        for view, solo in zip(block.views(), solos):
-            assert block._attached(view)
-            assert view.packing == "int64" and view.widened_at is not None
+        assert block._widened_at is not None
+        for view, solo in zip(views, solos):
+            assert view.packing == "int64" and view.widened_at == block._widened_at
             for node in view.node_ids():
                 assert view.cache_of(node).entries() == solo.cache_of(node).entries()
-        assert block.overlay(0).widened_at == block.overlay(1).widened_at
 
-    def test_adoption_aligns_bases_and_packings(self):
-        # Overlays with a history: different bases (and one already wide)
-        # are brought onto one base and one dtype, caches unchanged.
-        old = VectorizedNewscastOverlay.bootstrap(20, 4, RandomSource(1))
-        rng = RandomSource(2)
-        for _ in range(130):
-            old.after_cycle(rng)
-        young = VectorizedNewscastOverlay.bootstrap(20, 4, RandomSource(3))
-        assert old._ts_base > young._ts_base == 0
-        expected = [
-            [overlay.cache_of(node).entries() for node in range(20)]
-            for overlay in (old, young)
+    def test_a_join_with_no_free_row_grows_the_block(self):
+        # Replica 1 joins a node while all its rows are taken: the whole
+        # block grows its stride and the replica stays in it.  Then every
+        # replica loses node 3, whose descriptor a tiny overlay (N < c)
+        # never evicts, so the shared base slides past clock 128 and the
+        # block widens later.  All three stay bit-identical to standalone
+        # overlays driven the same way throughout.
+        seeds = (3, 4, 5)
+        views = ReplicatedNewscastBlock.bootstrap(
+            3, 8, 30, [RandomSource(seed) for seed in seeds]
+        )
+        block = views[0]._block
+        solos = [
+            VectorizedNewscastOverlay.bootstrap(8, 30, RandomSource(seed))
+            for seed in seeds
         ]
-        block = ReplicatedNewscastBlock([old, young])
-        assert old._ts_base == young._ts_base == 0
-        # The old overlay's clock (135) does not fit 7 bits above base 0.
-        assert old.packing == young.packing == "int64"
-        assert old.widened_at == 135 and young.widened_at == 5
-        for overlay, caches in zip(block.views(), expected):
-            assert [overlay.cache_of(node).entries() for node in range(20)] == caches
+        views[1].on_node_added(8, RandomSource(40))
+        solos[1].on_node_added(8, RandomSource(40))
+        assert block._stride == 16 and views[1]._block is block
+        for overlay in views + solos:
+            overlay.on_node_removed(3)
+        block_rngs = [RandomSource(20 + seed) for seed in seeds]
+        solo_rngs = [RandomSource(20 + seed) for seed in seeds]
+        slid_at = None
+        for _ in range(200):
+            block.after_cycle_stacked(list(zip(views, block_rngs)))
+            for solo, rng in zip(solos, solo_rngs):
+                solo.after_cycle(rng)
+            if slid_at is None and block._ts_base > 0:
+                slid_at = views[0].clock
+                assert views[0].packing == "int32"
+            for view, solo in zip(views, solos):
+                assert np.array_equal(view.node_ids(), solo.node_ids())
+                for node in view.node_ids():
+                    assert view.cache_of(node).entries() == solo.cache_of(node).entries()
+        assert slid_at == 128.0
+        assert block._widened_at is not None and views[0].packing == "int64"
+        assert all(view._block is block for view in views) and block._stride == 16
+        assert [view.size() for view in views] == [7, 8, 7]
+
+    def test_a_stacked_replica_is_maintained_only_by_its_block(self):
+        from repro.common.errors import MembershipError
+
+        views = ReplicatedNewscastBlock.bootstrap(
+            2, 30, 5, [RandomSource(1), RandomSource(2)]
+        )
+        block = views[0]._block
+        with pytest.raises(MembershipError):
+            views[0].after_cycle(RandomSource(9))
+        with pytest.raises(MembershipError):
+            block.after_cycle_stacked([(views[0], RandomSource(9))])
+        assert views[0].clock == views[1].clock == 5.0
+
+    def test_a_standalone_overlay_is_a_one_replica_block_freed_with_it(self):
+        import gc
+        import weakref
+
+        overlay = VectorizedNewscastOverlay.bootstrap(30, 5, RandomSource(1))
+        block = weakref.ref(overlay._block)
+        assert block()._replicas == 1 and block()._packed.shape == (30, 5)
+        overlay.on_node_added(30, RandomSource(2))
+        assert overlay._block is block() and block()._stride == 60
+        # The view holds its block and the block holds no view: dropping
+        # the view frees both by reference counting alone.
+        gc.disable()
+        try:
+            del overlay
+            assert block() is None
+        finally:
+            gc.enable()
 
 
 #: The doors' overlay: array NEWSCAST, since the door tests add nodes.
@@ -706,35 +733,8 @@ class TestBlockViewScalarSurface:
 
 
 class TestNewscastBlockEdges:
-    def test_mismatched_cache_sizes_rejected(self):
-        from repro.common.errors import MembershipError
-
-        a = VectorizedNewscastOverlay.bootstrap(20, 5, RandomSource(1))
-        b = VectorizedNewscastOverlay.bootstrap(20, 6, RandomSource(2))
-        with pytest.raises(MembershipError):
-            ReplicatedNewscastBlock([a, b])
-
-    def test_double_adoption_rejected(self):
-        from repro.common.errors import MembershipError
-
-        block = ReplicatedNewscastBlock.bootstrap(1, 20, 5, [RandomSource(1)])
-        with pytest.raises(MembershipError):
-            ReplicatedNewscastBlock(block.views())
-
     def test_bootstrap_requires_one_stream_per_replica(self):
         from repro.common.errors import MembershipError
 
         with pytest.raises(MembershipError):
             ReplicatedNewscastBlock.bootstrap(2, 20, 5, [RandomSource(1)])
-
-    def test_clock_divergence_falls_back_to_private_round(self):
-        block = ReplicatedNewscastBlock.bootstrap(
-            2, 30, 5, [RandomSource(1), RandomSource(2)]
-        )
-        # Drive one replica ahead on its own; the stacked pass must not
-        # stamp the laggard's exchanges with the leader's clock.
-        block.overlay(0).after_cycle(RandomSource(9))
-        block.after_cycle_stacked(
-            [(block.overlay(0), RandomSource(10)), (block.overlay(1), RandomSource(11))]
-        )
-        assert block.overlay(0).clock == block.overlay(1).clock + 1

@@ -116,16 +116,18 @@ class TestInt32RankPlane:
         )
         scratches.append(static._engine._scratch)
         # Array NEWSCAST: a fresh overlay, one regrown by a join, a block.
-        scratches.append(VectorizedNewscastOverlay(4, rng.child("empty"))._scratch)
+        scratches.append(
+            VectorizedNewscastOverlay(ReplicatedNewscastBlock(1, 0, 4), 0)._block._scratch
+        )
         overlay = VectorizedNewscastOverlay.bootstrap(8, 4, rng.child("newscast"))
         overlay.on_node_added(8, rng.child("join"))
         overlay.after_cycle(rng.child("round"))
-        assert overlay._scratch.size >= overlay._row_capacity > 8
-        scratches.append(overlay._scratch)
-        block = ReplicatedNewscastBlock.bootstrap(
+        assert overlay._block._scratch.size >= overlay._block._stride > 8
+        scratches.append(overlay._block._scratch)
+        views = ReplicatedNewscastBlock.bootstrap(
             2, 8, 4, [rng.child("replica", index) for index in range(2)]
         )
-        scratches.append(block._scratch)
+        scratches.append(views[0]._block._scratch)
         # The asynchronous engine: allocated in __init__, regrown by a join
         # (on NEWSCAST, the overlay that takes joins).
         simulator, _ = build_async_average(

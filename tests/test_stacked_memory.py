@@ -40,12 +40,13 @@ from repro.core import functions
 from repro.core.functions import AverageFunction, VectorFunction, replica_groups
 from repro.experiments import runner
 from repro.experiments.runner import RunPlan, repeat_traces, uniform_initial_values
+from repro.newscast.vectorized_cache import ReplicatedNewscastBlock
 from repro.simulator.failures import ChurnModel, CountCrashModel, SuddenDeathModel
 from repro.simulator.replicated import ReplicaConfig, ReplicatedCycleSimulator
 from repro.simulator.transport import TransportModel
 from repro.topology import TopologySpec
 from repro.topology import replicated
-from repro.topology.replicated import ReplicatedStaticBlock
+from repro.topology.replicated import ReplicatedStaticBlock, sample_distinct_peers
 
 
 def build_scratch(size, degree):
@@ -173,15 +174,16 @@ class TestStackedRunMemoryLaw:
         )
         rngs = [RandomSource(2004).child("run", index) for index in range(replicas)]
         # Build once untraced, so first-use imports and caches stay out.
-        (warm,), _ = plan.build_replica_overlays([rngs[0]])
+        (warm,) = plan.build_replica_overlays([rngs[0]])
         ReplicatedCycleSimulator([ReplicaConfig(warm, [1.0] * size, rngs[0])], AverageFunction())
         del warm
         gc.collect()
         tracemalloc.start()
         try:
-            overlays, block = plan.build_replica_overlays(
+            overlays = plan.build_replica_overlays(
                 [rng.child("topology") for rng in rngs]
             )
+            block = overlays[0]._block
             configs = [
                 ReplicaConfig(overlay, plan.resolve_values(rng), rng.child("simulation"))
                 for overlay, rng in zip(overlays, rngs)
@@ -223,6 +225,31 @@ class TestBuildMemoryLaw:
         # Measured 34.0 MB, set by the sampler's chunk; sorting the
         # int64 keys of both directions at once peaked at 71.3 MB.
         assert peak <= rows + build_scratch(size, degree) + (1 << 20)
+
+    def test_the_stacked_newscast_bootstrap_holds_one_store(self):
+        # The block is the only store: each replica's draw is written
+        # straight into its rows, so the bootstrap peaks at what it holds
+        # plus one replica's sampler scratch.  Bootstrapping standalone
+        # overlays and copying them into a block read 18.2 MiB held and
+        # 29.3 MiB peak.
+        replicas, size, cache = 10, 10_000, 30
+        ReplicatedNewscastBlock.bootstrap(1, 100, cache, [RandomSource(1)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sample_distinct_peers(size, cache, np.random.default_rng(0))
+            _, sampler = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            rngs = [RandomSource(seed) for seed in range(replicas)]
+            views = ReplicatedNewscastBlock.bootstrap(replicas, size, cache, rngs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(views) == replicas and views[0]._block._packed.shape == (
+            replicas * size, cache
+        )
+        # Measured: 4.1 MiB sampler scratch, 18.2 MiB held, 22.9 MiB peak.
+        assert peak <= held + sampler + (1 << 20)
 
 
 class TestNodeIds:
@@ -266,7 +293,7 @@ class TestFinishedRunsAreFreed:
 
         def collect(view):
             overlay = view.overlay
-            block = getattr(overlay, "_block", None) or overlay.maintenance_block
+            block = overlay._block
             held.extend(weakref.ref(item) for item in (view._engine, overlay, block))
             return view.trace
 
