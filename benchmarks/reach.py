@@ -21,6 +21,19 @@ tagged ``tracer-target`` (named by ``TARGETS`` in
 body that only raises ``NotImplementedError``) or ``repr``.  Standard
 library only; it raises if any path fails.
 
+Two labels, read from the source, set code apart that no product path
+should enter; neither does anything at run time:
+
+* ``oracle``: a reference that tests compare a product path against;
+* ``worker``: a function that only a forked worker process enters.
+
+A module-level ``ORACLE = "<what it checks>"`` (or ``WORKER = ...``)
+labels every function of its module; a ``# reach: oracle — <what it
+checks>`` comment on a ``def`` line, or on the line just above it, labels
+that function and the code it nests.  A label is also a tag of its
+never-entered functions, and its lines count apart: the ``unlabelled``
+total is the reach of everything else.
+
 Functions are keyed by their first line and name and named by their
 qualified name in the source, so the keys are the same on every Python
 from 3.10.  Line tables still differ a little between interpreter
@@ -28,12 +41,16 @@ versions; compare two readings only if their manifests name the same
 ``python``.
 
 ``--check COMMITTED`` is a ratchet on dead code: after writing the new
-reading it fails if an untagged never-entered function is missing from
-the ``never_entered`` list of the ``COMMITTED`` reading (read before the
-run, so it may be the output file too).  Functions are matched by module
-and qualified name, never by line, so moving code does not trip it; a
-function that stops being entered, or a new one no path enters, must be
-deleted, wired or committed in a new reading.
+reading it fails if
+
+* an untagged never-entered function is missing from the
+  ``never_entered`` list of the ``COMMITTED`` reading (read before the
+  run, so it may be the output file too).  Functions are matched by
+  module and qualified name, never by line, so moving code does not trip
+  it; a function that stops being entered, or a new one no path enters,
+  must be deleted, wired, labelled or committed in a new reading;
+* a label gives no reason, or names no known label;
+* unlabelled reach falls below the ``COMMITTED`` reading's.
 
 Run with:  python benchmarks/reach.py [out.json] [--check REACH.json]
            (out.json defaults to REACH.json)
@@ -48,6 +65,7 @@ import io
 import json
 import os
 import platform
+import re
 import runpy
 import sys
 import time
@@ -83,6 +101,13 @@ SKIPPED = {
         "the figure pass runs both at BENCH"
     ),
 }
+
+#: What each label marks; see the module docstring for how one is written.
+LABELS = {
+    "oracle": "a reference that tests compare a product path against",
+    "worker": "entered only by a forked worker process",
+}
+MARKER = re.compile(r"#\s*reach:\s*(\w*)(.*)")
 
 Key = Tuple[str, int, str]  # (module path under src/, first line, name)
 
@@ -201,6 +226,52 @@ def _abstract_lines(tree: ast.AST) -> Set[int]:
     return found
 
 
+def _labels(tree: ast.Module, source: str) -> Tuple[List[dict], List[str]]:
+    """The labels of one module, innermost span first, and its malformed ones.
+
+    Each label is ``{"function", "first", "last", "label", "reason"}``:
+    ``function`` is a qualified name, or ``<module>`` for a module-level
+    label, whose span is the whole file.  A label with no reason, or with
+    an unknown name, is reported instead of applied.
+    """
+    lines = source.splitlines()
+    labels: List[dict] = []
+    errors: List[str] = []
+
+    def add(function: str, span: Tuple[int, int], label: str, reason: str, line: int) -> None:
+        if label not in LABELS:
+            errors.append(f"line {line}: {function} names no known label ({label!r})")
+        elif not reason:
+            errors.append(f"line {line}: {function} is labelled {label} with no reason")
+        else:
+            labels.append({"function": function, "first": span[0], "last": span[1],
+                           "label": label, "reason": reason})
+
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id.lower() in LABELS
+        ):
+            value = node.value.value if isinstance(node.value, ast.Constant) else None
+            reason = value.strip() if isinstance(value, str) else ""
+            add("<module>", (1, len(lines)), node.targets[0].id.lower(), reason, node.lineno)
+    qualnames = _qualnames(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        first = _first_line(node)
+        # The line above the def, and every line of its header.
+        for line in range(max(first - 1, 1), max(node.body[0].lineno, node.lineno + 1)):
+            match = MARKER.search(lines[line - 1])
+            if match:
+                add(qualnames[first, node.name], (first, node.end_lineno), match[1],
+                    match[2].strip(" \t—–-:"), line)
+    labels.sort(key=lambda entry: entry["last"] - entry["first"])
+    return labels, errors
+
+
 def _tracer_targets() -> Set[Key]:
     """The functions ``tracing.TARGETS`` resolves to (call after every path has run)."""
     import tracing
@@ -280,28 +351,46 @@ def run_workloads() -> None:
 
 
 def measure(recorder: LineRecorder) -> Dict[str, object]:
-    """Executable vs executed function-body lines per module, and the unentered functions."""
+    """Executable vs executed function-body lines per module, the labels and the unentered functions."""
     targets = _tracer_targets()
     modules = {}
     never_entered = []
-    functions = 0
+    all_labels = []
+    label_errors = []
+    functions = labelled_functions = 0
     for path in sorted(PACKAGE.rglob("*.py")):
         module = path.relative_to(PACKAGE.parent).as_posix()
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source)
         abstract = _abstract_lines(tree)
         qualnames = _qualnames(tree)
+        labels, errors = _labels(tree, source)
+        all_labels += [
+            {"module": module, "function": entry["function"], "label": entry["label"],
+             "reason": entry["reason"]}
+            for entry in labels
+        ]
+        label_errors += [f"{module} {error}" for error in errors]
         executed = recorder.lines.get(module, set())
         executable: Set[int] = set()
+        labelled: Set[int] = set()
         for code in _function_codes(compile(source, str(path), "exec")):
             # The first line counts as the recorder counts it; before 3.11
             # no instruction of a function sits on its ``def`` line.
             body = {line for _, _, line in code.co_lines() if line is not None}
             body.add(code.co_firstlineno)
             executable |= body
+            label = next(
+                (entry["label"] for entry in labels
+                 if entry["first"] <= code.co_firstlineno <= entry["last"]),
+                None,
+            )
+            if label:
+                labelled |= body
             if code.co_name.startswith("<"):
                 continue
             functions += 1
+            labelled_functions += bool(label)
             key = (module, code.co_firstlineno, code.co_name)
             if key in recorder.entered:
                 continue
@@ -311,6 +400,7 @@ def measure(recorder: LineRecorder) -> Dict[str, object]:
                     ("tracer-target", key in targets),
                     ("abstract", code.co_firstlineno in abstract),
                     ("repr", code.co_name == "__repr__"),
+                    (label, bool(label)),
                 )
                 if applies
             ]
@@ -324,10 +414,15 @@ def measure(recorder: LineRecorder) -> Dict[str, object]:
             "executed": hit,
             "executable": len(executable),
             "reach": round(hit / len(executable), 4) if executable else None,
+            "labelled": len(labelled),
+            "labelled_executed": len(labelled & executed),
         }
     executed = sum(entry["executed"] for entry in modules.values())
     executable = sum(entry["executable"] for entry in modules.values())
+    labelled_lines = sum(entry["labelled"] for entry in modules.values())
+    labelled_executed = sum(entry["labelled_executed"] for entry in modules.values())
     never_entered.sort(key=lambda entry: (entry["module"], entry["line"]))
+    untagged = [entry for entry in never_entered if not entry["tags"]]
     return {
         "total": {
             "executed": executed,
@@ -336,8 +431,24 @@ def measure(recorder: LineRecorder) -> Dict[str, object]:
             "functions": functions,
             "never_entered_functions": len(never_entered),
             "never_entered_lines": sum(entry["lines"] for entry in never_entered),
+            "labelled": {
+                "executed": labelled_executed,
+                "executable": labelled_lines,
+                "functions": labelled_functions,
+            },
+            "unlabelled": {
+                "executed": executed - labelled_executed,
+                "executable": executable - labelled_lines,
+                "reach": round(
+                    (executed - labelled_executed) / (executable - labelled_lines), 4
+                ),
+                "never_entered_untagged_functions": len(untagged),
+                "never_entered_untagged_lines": sum(entry["lines"] for entry in untagged),
+            },
         },
         "modules": modules,
+        "labels": sorted(all_labels, key=lambda entry: (entry["module"], entry["function"])),
+        "label_errors": label_errors,
         "never_entered": never_entered,
     }
 
@@ -352,12 +463,22 @@ def unlisted_never_entered(committed: Dict[str, object], fresh: Dict[str, object
     ]
 
 
+def below_floor(committed: Dict[str, object], fresh: Dict[str, object]) -> bool:
+    """Whether ``fresh``'s unlabelled reach is below ``committed``'s (exact, from line counts)."""
+    old = committed["total"].get("unlabelled")
+    new = fresh["total"]["unlabelled"]
+    return old is not None and (
+        new["executed"] * old["executable"] < old["executed"] * new["executable"]
+    )
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description="reach audit of the product paths")
     parser.add_argument("out", nargs="?", type=Path, default=ROOT / "REACH.json")
     parser.add_argument(
         "--check", type=Path, metavar="COMMITTED",
-        help="fail if an untagged never-entered function is missing from this reading",
+        help="fail if an untagged never-entered function is missing from this reading, "
+        "a label gives no reason, or unlabelled reach falls below this reading's",
     )
     args = parser.parse_args(argv)
     out = args.out
@@ -392,19 +513,36 @@ def main(argv: List[str]) -> int:
     }
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     total = report["total"]
+    labelled, unlabelled = total["labelled"], total["unlabelled"]
     print(
         f"reach {total['reach']:.1%}: {total['executed']} of {total['executable']} "
         f"function-body lines; {total['never_entered_functions']} of {total['functions']} "
         f"named functions never entered ({total['never_entered_lines']} lines); wrote {out}"
     )
+    print(
+        f"unlabelled reach {unlabelled['reach']:.1%}: {unlabelled['executed']} of "
+        f"{unlabelled['executable']} lines; {unlabelled['never_entered_untagged_functions']} "
+        f"never-entered functions neither tagged nor labelled "
+        f"({unlabelled['never_entered_untagged_lines']} lines); labelled: "
+        f"{labelled['functions']} functions, {labelled['executable']} lines"
+    )
     for name, reason in SKIPPED.items():
         print(f"skipped {name}: {reason}")
+    for error in report["label_errors"]:
+        print(f"label error: {error}")
     if committed is None:
         return 0
     unlisted = unlisted_never_entered(committed, report)
     for entry in unlisted:
         print(f"never entered, not in {args.check}: {entry['module']} {entry['function']}")
-    return 1 if unlisted else 0
+    floor = below_floor(committed, report)
+    if floor:
+        print(
+            f"unlabelled reach {unlabelled['executed']}/{unlabelled['executable']} is below "
+            f"{args.check}'s {committed['total']['unlabelled']['executed']}/"
+            f"{committed['total']['unlabelled']['executable']}"
+        )
+    return 1 if unlisted or report["label_errors"] or floor else 0
 
 
 if __name__ == "__main__":

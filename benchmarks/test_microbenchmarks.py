@@ -107,7 +107,7 @@ def test_vectorized_speedup_at_n10k(benchmark, scale):
     assert isinstance(vectorized, VectorizedCycleSimulator)
     # Same seed, same schedule: the cycles both engines ran must agree.
     assert len(reference.trace) == 14 < len(vectorized.trace)  # initial + 13 cycles
-    for expected, actual in zip(reference.trace, vectorized.trace):
+    for expected, actual in zip(reference.trace.records, vectorized.trace.records):
         assert actual.cycle == expected.cycle
         assert actual.completed_exchanges == expected.completed_exchanges
         for field in ("mean", "variance", "minimum", "maximum"):
@@ -183,7 +183,7 @@ def test_vectorized_epoch_n10k(benchmark, scale):
     # assert only on what a single epoch guarantees.
     benchmark.pedantic(lambda: driver.run(1), rounds=3, iterations=1, warmup_rounds=1)
     assert len(driver.result.records) >= 1
-    assert driver.result.final_estimate == pytest.approx(10_000, rel=0.15)
+    assert driver.result.records[-1].size_estimate == pytest.approx(10_000, rel=0.15)
 
 
 @pytest.mark.benchmark(group="epochs-n10k")

@@ -3,13 +3,14 @@
 The full audit runs every product path and takes tens of seconds, so it
 is not run here; these tests pin what its reading is made of: which
 lines a recording counts, which code objects are function bodies, how
-functions are named, which are tagged abstract, how a failing example is
-reported, what ``measure`` writes for the real package, and which
-functions the ``--check`` ratchet reports.
+functions are named, which are tagged abstract or labelled, how a
+failing example is reported, what ``measure`` writes for the real
+package, and each rule of the ``--check`` ratchet.
 """
 
 import ast
 import importlib.util
+import itertools
 import json
 import sys
 import textwrap
@@ -174,10 +175,22 @@ def test_measure_counts_the_recorded_call_and_nothing_else(reading):
 
 def test_measure_tags_tracer_targets_abstract_functions_and_reprs(reading):
     tags = {(e["module"], e["function"]): e["tags"] for e in reading["never_entered"]}
-    assert tags[("repro/simulator/cycle_sim.py", "CycleSimulator.run_cycle")] == ["tracer-target"]
+    # ``cycle_sim.py`` is a module-level oracle, ``_serve`` a labelled worker.
+    assert tags[("repro/simulator/cycle_sim.py", "CycleSimulator.run_cycle")] == [
+        "tracer-target", "oracle",
+    ]
     assert "abstract" in tags[("repro/simulator/failures.py", "FailureModel.apply")]
-    assert tags[("repro/simulator/cycle_sim.py", "CycleSimulator.__repr__")] == ["repr"]
+    assert tags[("repro/simulator/cycle_sim.py", "CycleSimulator.__repr__")] == ["repr", "oracle"]
+    assert tags[("repro/experiments/runner.py", "_serve")] == ["worker"]
     assert tags[("repro/analysis/theory.py", "exchange_count_pmf")] == []
+
+
+def test_every_label_in_the_package_gives_a_reason(reading):
+    assert reading["label_errors"] == []
+    assert all(entry["reason"] for entry in reading["labels"])
+    labelled = {(entry["module"], entry["function"]) for entry in reading["labels"]}
+    assert ("repro/newscast/protocol.py", "<module>") in labelled
+    assert ("repro/core/count.py", "LeaderElection.elect") in labelled
 
 
 def test_the_ratchet_names_untagged_unlisted_functions_by_module_and_qualname():
@@ -206,9 +219,149 @@ def test_check_fails_when_a_function_stops_being_entered(reading, tmp_path, monk
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert reach.main(["--check", str(committed), str(tmp_path / "fresh.json")]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[-1] == (
+    assert (
         f"never entered, not in {committed}: "
         "repro/analysis/theory.py expected_exchanges_per_cycle"
-    )
+    ) in out
     fresh = json.loads((tmp_path / "fresh.json").read_text(encoding="utf-8"))
     assert reach.unlisted_never_entered(fresh, fresh) == []
+
+
+LABELLED = textwrap.dedent(
+    """\
+    import functools
+
+    # reach: oracle — checks above
+    def above():
+        return 1
+
+
+    def inline():  # reach: worker: runs in a child
+        return 2
+
+
+    @functools.lru_cache()  # reach: oracle - checks a decorated one
+    def decorated():
+        def nested():
+            return 3
+        return nested
+
+
+    def reasonless():  # reach: oracle
+        return 4
+
+
+    # reach: oracel — misspelt
+    def unknown():
+        return 5
+
+
+    def plain():
+        return 6
+    """
+)
+
+
+def test_labels_are_read_from_markers_and_module_constants():
+    labels, errors = reach._labels(ast.parse(LABELLED), LABELLED)
+    assert [(e["function"], e["first"], e["last"], e["label"], e["reason"]) for e in labels] == [
+        ("above", 4, 5, "oracle", "checks above"),
+        ("inline", 8, 9, "worker", "runs in a child"),
+        ("decorated", 12, 16, "oracle", "checks a decorated one"),
+    ]
+    assert errors == [
+        "line 19: reasonless is labelled oracle with no reason",
+        "line 23: unknown names no known label ('oracel')",
+    ]
+    module = 'ORACLE = "the reference"\nWORKER = ""\n\ndef f():\n    return 1\n'
+    labels, errors = reach._labels(ast.parse(module), module)
+    assert [(e["function"], e["first"], e["last"], e["label"]) for e in labels] == [
+        ("<module>", 1, 5, "oracle"),
+    ]
+    assert errors == ["line 2: <module> is labelled worker with no reason"]
+
+
+BASE = "def used(x):\n    if x:\n        return 1\n    return 2\n"
+ADDED = "\n\n{marker}def added():\n    return 3\n"
+
+
+@pytest.fixture
+def audit(package, tmp_path, monkeypatch, capsys):
+    """Run ``main`` over ``package``, whose one path calls ``mod.used(True)``.
+
+    ``audit(source, committed)`` writes ``source`` as ``mod.py`` and returns
+    the exit code, the fresh reading and what was printed.
+    """
+    monkeypatch.setattr(reach, "PACKAGE", package)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for name in ("run_examples", "run_workloads"):
+        monkeypatch.setattr(reach, name, lambda: None)
+    names = (f"reach_audit_mod_{index}" for index in itertools.count())
+    (package / "ref.py").write_text(
+        'ORACLE = "checks used"\n\n\ndef reference(x):\n    return 1 if x else 2\n',
+        encoding="utf-8",
+    )
+
+    def run(source, committed=None):
+        (package / "mod.py").write_text(source, encoding="utf-8")
+        monkeypatch.setattr(
+            reach, "run_figures", lambda: load(package / "mod.py", next(names)).used(True)
+        )
+        out = tmp_path / "fresh.json"
+        argv = [str(out)]
+        if committed is not None:
+            (tmp_path / "committed.json").write_text(json.dumps(committed), encoding="utf-8")
+            argv += ["--check", str(tmp_path / "committed.json")]
+        capsys.readouterr()
+        code = reach.main(argv)
+        return code, json.loads(out.read_text(encoding="utf-8")), capsys.readouterr().out
+
+    return run
+
+
+def test_a_labelled_never_entered_function_passes(audit):
+    _, committed, _ = audit(BASE)
+    code, fresh, out = audit(BASE + ADDED.format(marker="# reach: oracle — checks used\n"), committed)
+    assert code == 0, out
+    tags = {(e["module"], e["function"]): e["tags"] for e in fresh["never_entered"]}
+    assert tags[("pkg/mod.py", "added")] == ["oracle"]
+    assert tags[("pkg/ref.py", "reference")] == ["oracle"]
+
+
+def test_an_unlabelled_unlisted_function_fails(audit, tmp_path):
+    _, committed, _ = audit(BASE)
+    code, _, out = audit(BASE + ADDED.format(marker=""), committed)
+    assert code == 1
+    assert f"never entered, not in {tmp_path / 'committed.json'}: pkg/mod.py added" in out
+
+
+def test_a_label_with_no_reason_fails(audit):
+    _, committed, _ = audit(BASE)
+    code, fresh, out = audit(BASE + ADDED.format(marker="# reach: oracle —\n"), committed)
+    assert code == 1
+    assert fresh["label_errors"] == ["pkg/mod.py line 7: added is labelled oracle with no reason"]
+    assert "label error: pkg/mod.py line 7: added is labelled oracle with no reason" in out
+
+
+def test_unlabelled_reach_below_the_committed_reading_fails(audit, tmp_path):
+    # ``used`` runs 3 of its 4 lines; one more untaken line makes it 3 of 5.
+    _, committed, _ = audit(BASE)
+    code, _, out = audit(BASE.replace("    return 2", "    x += 1\n    return 2"), committed)
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        f"unlabelled reach 3/5 is below {tmp_path / 'committed.json'}'s 3/4"
+    )
+    assert audit(BASE, committed)[0] == 0
+
+
+def test_labelled_lines_leave_the_unlabelled_figure(audit):
+    _, fresh, _ = audit(BASE + ADDED.format(marker="# reach: oracle — checks used\n"))
+    total = fresh["total"]
+    # ``reference`` (module-level ORACLE) and ``added`` hold two lines each.
+    assert total["labelled"] == {"executed": 0, "executable": 4, "functions": 2}
+    assert total["executable"] == 8
+    assert total["unlabelled"] == {
+        "executed": 3, "executable": 4, "reach": 0.75,
+        "never_entered_untagged_functions": 0, "never_entered_untagged_lines": 0,
+    }
+    assert fresh["modules"]["pkg/ref.py"]["labelled"] == 2

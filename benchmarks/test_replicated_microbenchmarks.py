@@ -40,7 +40,7 @@ def traces_identical(left_traces, right_traces):
     for left_trace, right_trace in zip(left_traces, right_traces):
         if len(left_trace) != len(right_trace):
             return False
-        for left, right in zip(left_trace, right_trace):
+        for left, right in zip(left_trace.records, right_trace.records):
             if (
                 left.mean,
                 left.variance,

@@ -10,7 +10,7 @@ from .count import (
     network_size_from_estimate,
     peak_initial_values,
 )
-from .epoch import EpochConfig, cycles_for_accuracy
+from .epoch import EpochConfig
 from .functions import (
     AggregationFunction,
     AverageFunction,
@@ -45,7 +45,6 @@ __all__ = [
     "count_estimate_from_map",
     "count_estimates_from_matrix",
     "EpochConfig",
-    "cycles_for_accuracy",
     "MultiInstanceCount",
     "multi_instance_peak_values",
     "trimmed_size_estimates",

@@ -109,6 +109,7 @@ def network_size_from_estimate(average_estimate):
     return float(sizes) if sizes.ndim == 0 else sizes
 
 
+# reach: oracle — one dict map's COUNT estimate; count_estimates_from_matrix must match it
 def count_estimate_from_map(state: Mapping[int, float]) -> float:
     """Network-size estimate derived from a COUNT map.
 
@@ -183,6 +184,7 @@ class CountArrayFunction(AggregationFunction):
         ids = np.asarray(node_ids, dtype=np.int64)
         return np.where(np.isin(ids, self._slot_ids[:-1]), ids, -1).astype(np.float64)
 
+    # reach: oracle — a leader's column, for the scalar codec's dict maps
     def _slot(self, leader: int) -> int:
         try:
             return self._slot_of[leader]
@@ -191,6 +193,7 @@ class CountArrayFunction(AggregationFunction):
                 f"leader {leader} is not in this epoch's universe {self._leaders}"
             ) from exc
 
+    # reach: oracle — scalar codec of the reference engine; initial_state_array must match it
     def initial_state(self, local_value) -> Dict[int, float]:
         """Initial map: ``{id: 1.0}`` for a leader id, ``{}`` otherwise.
 
@@ -212,6 +215,7 @@ class CountArrayFunction(AggregationFunction):
             self._slot(leader)
         return state
 
+    # reach: oracle — scalar codec of the reference engine; merge_arrays must match it
     def merge(
         self, initiator_state: Dict[int, float], responder_state: Dict[int, float]
     ) -> Tuple[Dict[int, float], Dict[int, float]]:
@@ -227,6 +231,7 @@ class CountArrayFunction(AggregationFunction):
         # Both peers install the same merged map.
         return dict(merged), dict(merged)
 
+    # reach: oracle — scalar codec of the reference engine; estimate_array must match it
     def estimate(self, state: Dict[int, float]) -> Optional[float]:
         """The average of the per-leader estimates (``None`` if the map is empty).
 
@@ -238,6 +243,7 @@ class CountArrayFunction(AggregationFunction):
             return None
         return sum(state.values()) / len(state)
 
+    # reach: oracle — the scalar states' conserved mass, which tests check across exchanges
     def conserved_quantity(self, states: Sequence[Dict[int, float]]) -> float:
         """Total mass summed over all leaders and nodes (1 per live leader)."""
         return float(sum(sum(state.values()) for state in states))
@@ -289,6 +295,7 @@ class CountArrayFunction(AggregationFunction):
             where=counts > 0,
         )
 
+    # reach: oracle — a scalar state as an array row, for the reference engine's state_array
     def encode_state(self, state: Mapping[int, float]) -> np.ndarray:
         width = len(self._leaders)
         row = np.zeros(2 * width, dtype=np.float64)
@@ -395,6 +402,7 @@ class LeaderElection:
         """The per-node self-election probability ``P_lead``, capped at 1."""
         return min(1.0, self.concurrent_target / self.estimated_size)
 
+    # reach: oracle — the one-node-at-a-time election; elect_batch must draw the same leaders
     def elect(self, node_ids: Sequence[int], rng: RandomSource) -> List[int]:
         """Return the identifiers that elected themselves for this epoch."""
         probability = self.lead_probability

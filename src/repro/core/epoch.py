@@ -11,8 +11,8 @@ message, and a node that hears about a later epoch immediately abandons
 its current one and joins the newer epoch, so the whole network follows
 the pace set by the fastest nodes.
 
-This module provides the timing record shared by the practical protocol
-and the rule deriving γ from a target accuracy.  The engines keep the
+This module provides the timing record shared by the practical protocol.
+The engines keep the
 per-node epoch identifiers themselves, as arrays: the cycle-driven
 :class:`~repro.simulator.epochs.EpochDriver` and the asynchronous
 :class:`~repro.simulator.async_engine.AsyncPracticalSimulator`.
@@ -27,30 +27,7 @@ from typing import Optional
 from ..common.errors import ConfigurationError
 from ..common.validation import require, require_positive, require_positive_int
 
-__all__ = ["EpochConfig", "cycles_for_accuracy"]
-
-
-def cycles_for_accuracy(accuracy: float, convergence_factor: float) -> int:
-    """Number of cycles γ needed to shrink the variance by ``accuracy``.
-
-    Implements the rule of Section 4.5: after γ cycles the expected
-    variance is ρ^γ times the initial one, so γ ≥ log_ρ(ε).
-
-    Parameters
-    ----------
-    accuracy:
-        The target ratio ε between final and initial variance (0 < ε < 1).
-    convergence_factor:
-        The per-cycle variance reduction ρ of the overlay in use
-        (``1/(2√e)`` for sufficiently random overlays).
-    """
-    if not 0.0 < accuracy < 1.0:
-        raise ConfigurationError(f"accuracy must be in (0, 1), got {accuracy}")
-    if not 0.0 < convergence_factor < 1.0:
-        raise ConfigurationError(
-            f"convergence_factor must be in (0, 1), got {convergence_factor}"
-        )
-    return int(math.ceil(math.log(accuracy) / math.log(convergence_factor)))
+__all__ = ["EpochConfig"]
 
 
 @dataclass(frozen=True)
@@ -64,7 +41,11 @@ class EpochConfig:
         thread).
     cycles_per_epoch:
         γ — how many cycles a node executes before terminating the epoch
-        and reporting its estimate.
+        and reporting its estimate.  Section 4.5 derives it from a target
+        accuracy ε, the ratio of final to initial variance: after γ cycles
+        the expected variance is ρ^γ times the initial one, so
+        γ = ⌈log ε / log ρ⌉ for an overlay of per-cycle convergence factor
+        ρ (``1/(2√e)`` for sufficiently random overlays).
     epoch_length:
         Δ — the real-time length of an epoch, i.e. how often the protocol
         restarts with fresh local values.  Defaults to ``γ · δ`` (epochs
@@ -100,13 +81,3 @@ class EpochConfig:
         """The epoch nominally in progress at global time ``time``."""
         require(0 <= time < math.inf, f"time must be non-negative and finite, got {time!r}")
         return int(time // self.effective_epoch_length)
-
-    def cycle_for_time(self, time: float) -> int:
-        """The global cycle-equivalent window index at global time ``time``.
-
-        The asynchronous engines have no global cycles; validation against
-        the cycle model bins their continuous timeline into windows of
-        length δ, and this helper is the shared binning rule.
-        """
-        require(0 <= time < math.inf, f"time must be non-negative and finite, got {time!r}")
-        return int(time // self.cycle_length)

@@ -177,8 +177,8 @@ class AggregationFunction(abc.ABC):
         return f"{type(self).__name__}()"
 
 
-class _ScalarArrayCodec:
-    """Array codec shared by functions whose state is one plain float.
+class _FloatState:
+    """Both codecs of a function whose state is one plain float.
 
     The merge expressions are plain elementwise ufuncs, so they work on
     flat ``(m,)`` vectors as well as ``(m, 1)`` blocks — advertised via
@@ -186,6 +186,14 @@ class _ScalarArrayCodec:
     """
 
     flat_state_codec = True
+
+    # reach: oracle — scalar codec of the reference engine; initial_state_array must match it
+    def initial_state(self, local_value: float) -> float:
+        return float(local_value)
+
+    # reach: oracle — scalar codec of the reference engine; estimate_array must match it
+    def estimate(self, state: float) -> float:
+        return float(state)
 
     def state_width(self) -> int:
         return 1
@@ -197,25 +205,22 @@ class _ScalarArrayCodec:
     def estimate_array(self, states: np.ndarray) -> np.ndarray:
         return states[:, 0]
 
+    # reach: oracle — a scalar state as an array row, for the reference engine's state_array
     def encode_state(self, state: float) -> np.ndarray:
         return np.array([float(state)], dtype=np.float64)
 
 
-class AverageFunction(_ScalarArrayCodec, AggregationFunction):
+class AverageFunction(_FloatState, AggregationFunction):
     """The elementary averaging step: both peers adopt the pair mean."""
 
     name = "average"
 
-    def initial_state(self, local_value: float) -> float:
-        return float(local_value)
-
+    # reach: oracle — scalar codec of the reference engine; merge_arrays must match it
     def merge(self, initiator_state: float, responder_state: float) -> Tuple[float, float]:
         mean = (initiator_state + responder_state) / 2.0
         return mean, mean
 
-    def estimate(self, state: float) -> float:
-        return float(state)
-
+    # reach: oracle — the scalar states' conserved mass, which tests check across exchanges
     def conserved_quantity(self, states: Sequence[float]) -> float:
         return float(sum(states))
 
@@ -226,20 +231,15 @@ class AverageFunction(_ScalarArrayCodec, AggregationFunction):
         return mean, mean
 
 
-class MinFunction(_ScalarArrayCodec, AggregationFunction):
+class MinFunction(_FloatState, AggregationFunction):
     """Epidemic propagation of the minimum value."""
 
     name = "min"
 
-    def initial_state(self, local_value: float) -> float:
-        return float(local_value)
-
+    # reach: oracle — scalar codec of the reference engine; merge_arrays must match it
     def merge(self, initiator_state: float, responder_state: float) -> Tuple[float, float]:
         smallest = min(initiator_state, responder_state)
         return smallest, smallest
-
-    def estimate(self, state: float) -> float:
-        return float(state)
 
     def merge_arrays(
         self, initiator_states: np.ndarray, responder_states: np.ndarray
@@ -248,20 +248,15 @@ class MinFunction(_ScalarArrayCodec, AggregationFunction):
         return smallest, smallest
 
 
-class MaxFunction(_ScalarArrayCodec, AggregationFunction):
+class MaxFunction(_FloatState, AggregationFunction):
     """Epidemic propagation of the maximum value."""
 
     name = "max"
 
-    def initial_state(self, local_value: float) -> float:
-        return float(local_value)
-
+    # reach: oracle — scalar codec of the reference engine; merge_arrays must match it
     def merge(self, initiator_state: float, responder_state: float) -> Tuple[float, float]:
         largest = max(initiator_state, responder_state)
         return largest, largest
-
-    def estimate(self, state: float) -> float:
-        return float(state)
 
     def merge_arrays(
         self, initiator_states: np.ndarray, responder_states: np.ndarray
@@ -270,7 +265,7 @@ class MaxFunction(_ScalarArrayCodec, AggregationFunction):
         return largest, largest
 
 
-class GeometricMeanFunction(_ScalarArrayCodec, AggregationFunction):
+class GeometricMeanFunction(_FloatState, AggregationFunction):
     """Both peers adopt the geometric mean of their states.
 
     Requires non-negative local values; a zero anywhere drives the global
@@ -279,6 +274,7 @@ class GeometricMeanFunction(_ScalarArrayCodec, AggregationFunction):
 
     name = "geometric-mean"
 
+    # reach: oracle — scalar codec of the reference engine; initial_state_array must match it
     def initial_state(self, local_value: float) -> float:
         value = float(local_value)
         if value < 0:
@@ -287,13 +283,12 @@ class GeometricMeanFunction(_ScalarArrayCodec, AggregationFunction):
             )
         return value
 
+    # reach: oracle — scalar codec of the reference engine; merge_arrays must match it
     def merge(self, initiator_state: float, responder_state: float) -> Tuple[float, float]:
         mean = math.sqrt(initiator_state * responder_state)
         return mean, mean
 
-    def estimate(self, state: float) -> float:
-        return float(state)
-
+    # reach: oracle — the scalar states' conserved mass, which tests check across exchanges
     def conserved_quantity(self, states: Sequence[float]) -> float:
         product = 1.0
         for state in states:
@@ -326,9 +321,11 @@ class PushSumFunction(AggregationFunction):
 
     name = "push-sum"
 
+    # reach: oracle — push-only ablation baseline; the parity grids' one asymmetric merge
     def initial_state(self, local_value: float) -> Tuple[float, float]:
         return (float(local_value), 1.0)
 
+    # reach: oracle — push-only ablation baseline; the parity grids' one asymmetric merge
     def merge(
         self, initiator_state: Tuple[float, float], responder_state: Tuple[float, float]
     ) -> Tuple[Tuple[float, float], Tuple[float, float]]:
@@ -339,19 +336,23 @@ class PushSumFunction(AggregationFunction):
         new_responder = (value_r + half_value, weight_r + half_weight)
         return new_initiator, new_responder
 
+    # reach: oracle — push-only ablation baseline; the parity grids' one asymmetric merge
     def estimate(self, state: Tuple[float, float]) -> Optional[float]:
         value, weight = state
         if weight <= 0.0:
             return None
         return value / weight
 
+    # reach: oracle — push-only ablation baseline; the parity grids' one asymmetric merge
     def conserved_quantity(self, states: Sequence[Tuple[float, float]]) -> float:
         return float(sum(value for value, _ in states))
 
     # Array codec: column 0 carries the value, column 1 the weight.
+    # reach: oracle — push-only ablation baseline; the parity grids' one asymmetric merge
     def state_width(self) -> int:
         return 2
 
+    # reach: oracle — push-only ablation baseline; the parity grids' one asymmetric merge
     def initial_state_array(self, values: np.ndarray) -> np.ndarray:
         flat = np.asarray(values, dtype=np.float64).reshape(-1)
         states = np.empty((flat.size, 2), dtype=np.float64)
@@ -359,12 +360,14 @@ class PushSumFunction(AggregationFunction):
         states[:, 1] = 1.0
         return states
 
+    # reach: oracle — push-only ablation baseline; the parity grids' one asymmetric merge
     def merge_arrays(
         self, initiator_states: np.ndarray, responder_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         half = initiator_states / 2.0
         return half, responder_states + half
 
+    # reach: oracle — push-only ablation baseline; the parity grids' one asymmetric merge
     def estimate_array(self, states: np.ndarray) -> np.ndarray:
         weights = states[:, 1]
         positive = weights > 0.0
@@ -375,6 +378,7 @@ class PushSumFunction(AggregationFunction):
             where=positive,
         )
 
+    # reach: oracle — push-only ablation baseline; the parity grids' one asymmetric merge
     def encode_state(self, state: Tuple[float, float]) -> np.ndarray:
         return np.array([float(state[0]), float(state[1])], dtype=np.float64)
 
@@ -408,6 +412,7 @@ class VectorFunction(AggregationFunction):
     def __len__(self) -> int:
         return len(self._functions)
 
+    # reach: oracle — scalar codec of the reference engine; initial_state_array must match it
     def initial_state(self, local_value) -> Tuple[Any, ...]:
         """Initialise every component.
 
@@ -420,6 +425,7 @@ class VectorFunction(AggregationFunction):
             for function, value in zip(self._functions, values)
         )
 
+    # reach: oracle — scalar codec of the reference engine; merge_arrays must match it
     def merge(self, initiator_state, responder_state):
         new_initiator = []
         new_responder = []
@@ -431,6 +437,7 @@ class VectorFunction(AggregationFunction):
             new_responder.append(merged_r)
         return tuple(new_initiator), tuple(new_responder)
 
+    # reach: oracle — scalar codec of the reference engine; estimate_array must match it
     def estimate(self, state) -> Optional[float]:
         """The estimate of the *first* component (a scalar summary).
 
@@ -438,6 +445,7 @@ class VectorFunction(AggregationFunction):
         """
         return self._functions[0].estimate(state[0])
 
+    # reach: oracle — scalar codec of the reference engine; estimate_array must match it
     def estimates(self, state) -> Tuple[Optional[float], ...]:
         """Per-component estimates carried by ``state``."""
         return tuple(
@@ -445,6 +453,7 @@ class VectorFunction(AggregationFunction):
             for function, component in zip(self._functions, state)
         )
 
+    # reach: oracle — spreads one initial value over the components for the scalar codec
     def _broadcast(self, local_value):
         if isinstance(local_value, (tuple, list)):
             if len(local_value) != len(self._functions):
@@ -516,6 +525,7 @@ class VectorFunction(AggregationFunction):
         first, columns = self._column_slices()[0]
         return first.estimate_array(states[:, columns])
 
+    # reach: oracle — a scalar state as an array row, for the reference engine's state_array
     def encode_state(self, state) -> np.ndarray:
         return np.concatenate(
             [

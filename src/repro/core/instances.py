@@ -129,8 +129,3 @@ class MultiInstanceCount:
         values, leaders = multi_instance_peak_values(node_ids, instance_count, rng)
         function = VectorFunction([AverageFunction() for _ in range(instance_count)])
         return cls(function=function, initial_values=values, leaders=leaders)
-
-    @property
-    def instance_count(self) -> int:
-        """Number of concurrent instances ``t``."""
-        return len(self.function)

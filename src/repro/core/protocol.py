@@ -200,13 +200,6 @@ class AggregationResult:
     relative_error: float
     trace: SimulationTrace = field(repr=False)
 
-    def max_node_error(self) -> float:
-        """Worst relative error over all nodes (``inf`` if any diverged or none is left)."""
-        return max(
-            (_relative_error(value, self.exact_value) for value in self.node_estimates.values()),
-            default=math.inf,
-        )
-
 
 def aggregate(
     values: Sequence[float],

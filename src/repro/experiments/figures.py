@@ -97,10 +97,6 @@ class FigureResult:
             header = f"{header}\n[{params}]"
         return render_table(self.rows, title=header)
 
-    def column(self, name: str) -> List[object]:
-        """All values of one column, in row order."""
-        return [row[name] for row in self.rows]
-
 
 @dataclass(frozen=True)
 class Setting:

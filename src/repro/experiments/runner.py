@@ -75,9 +75,10 @@ T = TypeVar("T")
 #: 100-280 ns on a static overlay (random 20-out, N = 10^4 and 400) and
 #: 0.9-2.7 µs on NEWSCAST.  So a task at the floor takes at least 10 ms,
 #: about the pool's cost: above it a second worker saves more than the
-#: pool costs.  A SMOKE, BENCH or ``figures-bench`` point (at most
-#: 400 × 3 × 50) stays in process; a DEFAULT point (2,000 × 10 × 30) and a
-#: ``repeats-replicated-n10k`` group (10^4 × 5 × 20) fan out.
+#: pool costs.  A SMOKE, BENCH or ``figures-bench`` point stays in process
+#: (the largest, Figure 5's 400 nodes × 20 cycles × 10 repeats, is 80,000);
+#: a DEFAULT point (2,000 × 10 × 30) and a ``repeats-replicated-n10k``
+#: group (10^4 × 5 × 20) fan out.
 _FAN_OUT_FLOOR = 100_000
 
 #: Seconds per node-cycle on the cheapest path measured (random 20-out at
@@ -97,11 +98,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# reach: worker — installs the task in a forked fan_out worker
 def _serve(task: Callable[[int], object]) -> None:
     global _worker_task
     _worker_task = task
 
 
+# reach: worker — runs one task in a forked fan_out worker
 def _run_task(index: int) -> object:
     return _worker_task(index)
 
@@ -324,6 +327,7 @@ class RunPlan:
     def _failure_model(self) -> Optional[FailureModel]:
         return self.failure_factory() if self.failure_factory else None
 
+    # reach: oracle — one repetition alone, the serial side of the stacked-parity tests
     def serial_run(self, index: int, rng: RandomSource) -> T:
         """Run one repetition exactly as the historical closure path did."""
         overlay = build_overlay(self.topology, self.size, rng.child("topology"))

@@ -25,6 +25,8 @@ from ..common.validation import require_positive
 
 __all__ = ["CacheEntry", "NewscastCache"]
 
+ORACLE = "the scalar cache merge, which merge_packed_pairs must match bit for bit"
+
 
 @dataclass(frozen=True, order=True)
 class CacheEntry:

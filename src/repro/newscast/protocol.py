@@ -45,6 +45,8 @@ from .cache import CacheEntry, NewscastCache
 
 __all__ = ["NewscastOverlay"]
 
+ORACLE = "the dict NEWSCAST, which the array overlay must match cache for cache"
+
 
 class NewscastOverlay(OverlayProvider):
     """Dynamic overlay maintained by the NEWSCAST protocol.

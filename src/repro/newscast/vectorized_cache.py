@@ -140,6 +140,7 @@ _MERGE_BLOCK = 2048
 # ----------------------------------------------------------------------
 # Unpacking (cache_of)
 # ----------------------------------------------------------------------
+# reach: oracle — decodes a packed row for cache_of
 def unpack_entries(row: np.ndarray, base: int = 0) -> List[CacheEntry]:
     """The valid entries of a packed row (either dtype) as ``CacheEntry`` objects."""
     valid = row[row >= 0]
@@ -746,6 +747,7 @@ class VectorizedNewscastOverlay(OverlayProvider):
         """Clock of the one-way widening to int64, ``None`` while int32."""
         return self._block._widened_at
 
+    # reach: oracle — a node's cache as a NewscastCache, compared with the dict NEWSCAST
     def cache_of(self, node_id: int) -> NewscastCache:
         """The cache of ``node_id`` as a ``NewscastCache`` (for tests)."""
         row = self._row_of(node_id)

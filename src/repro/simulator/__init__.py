@@ -39,12 +39,7 @@ from .async_engine import (
 from .asynchrony import AsynchronyScenario
 from .adversarial import ByzantineReporterModel
 from .cycle_sim import CycleSimulator
-from .epochs import (
-    EpochDriver,
-    EpochRecord,
-    EpochedRunResult,
-    epoch_config_for_accuracy,
-)
+from .epochs import EpochDriver, EpochRecord, EpochedRunResult
 from .failures import (
     ChurnModel,
     CountCrashModel,
@@ -88,7 +83,6 @@ __all__ = [
     "EpochDriver",
     "EpochRecord",
     "EpochedRunResult",
-    "epoch_config_for_accuracy",
     "make_simulator",
     "FailureModel",
     "NoFailures",

@@ -488,19 +488,6 @@ class AsyncPracticalSimulator:
             self._record_window(self._window_index)
         return self.trace
 
-    def run_until(self, end_time: float) -> SimulationTrace:
-        """Run whole windows until global time reaches ``end_time``.
-
-        Windows follow the shared cycle-equivalent binning of
-        :meth:`~repro.core.epoch.EpochConfig.cycle_for_time`; a partial
-        final window is completed, never truncated.
-        """
-        require(math.isfinite(end_time), f"end_time must be finite, got {end_time!r}")
-        target = self._config.cycle_for_time(max(end_time, self._now))
-        if end_time > target * self._config.cycle_length:
-            target += 1
-        return self.run(max(0, target - self._window_index))
-
     # ------------------------------------------------------------------
     # Internals: epochs
     # ------------------------------------------------------------------

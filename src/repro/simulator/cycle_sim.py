@@ -55,6 +55,9 @@ from .transport import (
 
 __all__ = ["CycleSimulator"]
 
+ORACLE = "the per-exchange reference engine, which the array engines must match bit for bit"
+
+
 class CycleSimulator:
     """Run the push–pull aggregation protocol over an overlay, cycle by cycle.
 

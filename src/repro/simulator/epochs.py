@@ -21,10 +21,11 @@ epoch body one exchange at a time):
    :class:`~repro.core.count.AdaptiveCount` ledger, which draws
    :meth:`~repro.core.count.LeaderElection.elect_batch` on the epoch's
    ``"election"`` child stream.
-3. **The epoch run.**  γ cycles (``cycles_per_epoch``, derivable from a
-   target accuracy through :func:`epoch_config_for_accuracy`) of the
-   epoch's :class:`~repro.core.count.CountArrayFunction`: dict states on
-   the reference engine, a dense ``(participants, 2·leaders)`` block on
+3. **The epoch run.**  γ cycles (``cycles_per_epoch``, which Section
+   4.5's rule derives from a target accuracy; see
+   :class:`~repro.core.epoch.EpochConfig`) of the epoch's
+   :class:`~repro.core.count.CountArrayFunction`: dict states on the
+   reference engine, a dense ``(participants, 2·leaders)`` block on
    the vectorised engine, one row per node that started the epoch however
    many ids churn has issued — the merges are bit-identical, so both
    engines hold the same maps from the same seed.  An epoch nobody led is
@@ -55,12 +56,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..analysis.theory import PUSH_PULL_CONVERGENCE_FACTOR
 from ..common.errors import SimulationError
 from ..common.rng import RandomSource
 from ..common.validation import require, require_non_negative_int, require_positive_int
 from ..core.count import AdaptiveCount, CountEpochRecord, LeaderElection
-from ..core.epoch import EpochConfig, cycles_for_accuracy
+from ..core.epoch import EpochConfig
 from ..topology.base import OverlayProvider
 from .failures import FailureModel
 from .transport import PERFECT_TRANSPORT, TransportModel
@@ -70,34 +70,12 @@ __all__ = [
     "EpochRecord",
     "EpochedRunResult",
     "EpochDriver",
-    "epoch_config_for_accuracy",
 ]
 
 #: Per-epoch failure injection: a shared stateless model, or a factory
 #: called with the epoch identifier to build a fresh model per epoch
 #: (needed by models with per-run state such as ``SuddenDeathModel``).
 FailureFactory = Union[FailureModel, Callable[[int], Optional[FailureModel]], None]
-
-
-def epoch_config_for_accuracy(
-    accuracy: float,
-    convergence_factor: float = PUSH_PULL_CONVERGENCE_FACTOR,
-    cycle_length: float = 1.0,
-    epoch_length: Optional[float] = None,
-) -> EpochConfig:
-    """Build an :class:`EpochConfig` whose γ meets a target accuracy.
-
-    Applies the rule of Section 4.5 through
-    :func:`~repro.core.epoch.cycles_for_accuracy`: γ cycles shrink the
-    expected variance to ``accuracy`` times the initial one given the
-    overlay's per-cycle ``convergence_factor`` (default: the ``1/(2√e)``
-    of sufficiently random overlays).
-    """
-    return EpochConfig(
-        cycle_length=cycle_length,
-        cycles_per_epoch=cycles_for_accuracy(accuracy, convergence_factor),
-        epoch_length=epoch_length,
-    )
 
 
 @dataclass
@@ -130,13 +108,6 @@ class EpochedRunResult:
     initial_estimate: float
     records: List[EpochRecord] = field(default_factory=list)
 
-    @property
-    def final_estimate(self) -> float:
-        """The size estimate after the last executed epoch."""
-        if not self.records:
-            return self.initial_estimate
-        return self.records[-1].size_estimate
-
 
 class EpochDriver:
     """Run the adaptive multi-epoch COUNT protocol over a persistent overlay.
@@ -151,7 +122,7 @@ class EpochDriver:
         The :class:`~repro.core.count.LeaderElection` holding ``C`` and
         the running size estimate ``N̂`` (mutated by the feedback loop).
     epoch_config:
-        Timing parameters (γ, δ, Δ); see :func:`epoch_config_for_accuracy`.
+        Timing parameters (γ, δ, Δ).
     rng:
         Root randomness; epoch ``e`` uses the child streams
         ``rng.child("election", e)`` and ``rng.child("epoch", e)``, so

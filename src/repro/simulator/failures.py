@@ -240,6 +240,7 @@ class ReachabilityModel(abc.ABC):
         ``-1`` placeholders; callers discard those slots themselves.
         """
 
+    # reach: oracle — one pair's verdict, which tests compare with blocked_pairs
     def blocks(self, initiator: int, peer: int, cycle_index: int) -> bool:
         """Scalar convenience form of :meth:`blocked_pairs`."""
         mask = self.blocked_pairs(

@@ -103,9 +103,6 @@ class SimulationTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self):
-        return iter(self.records)
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
@@ -129,26 +126,6 @@ class SimulationTrace:
             if record.cycle == cycle:
                 return record
         raise SimulationError(f"no record for cycle {cycle}")
-
-    def cycles(self) -> List[int]:
-        """All recorded cycle indices."""
-        return [record.cycle for record in self.records]
-
-    def means(self) -> List[float]:
-        """Per-cycle empirical means."""
-        return [record.mean for record in self.records]
-
-    def variances(self) -> List[float]:
-        """Per-cycle empirical variances."""
-        return [record.variance for record in self.records]
-
-    def minima(self) -> List[float]:
-        """Per-cycle minimum estimates."""
-        return [record.minimum for record in self.records]
-
-    def maxima(self) -> List[float]:
-        """Per-cycle maximum estimates."""
-        return [record.maximum for record in self.records]
 
     # ------------------------------------------------------------------
     # Derived measures

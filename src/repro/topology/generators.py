@@ -24,8 +24,8 @@ from .watts_strogatz import watts_strogatz_topology
 
 __all__ = ["TopologySpec", "build_overlay", "TOPOLOGY_KINDS"]
 
-#: Names accepted by :func:`build_overlay` (NEWSCAST is built separately by
-#: :mod:`repro.newscast` because it is a protocol, not a static graph).
+#: Names accepted by :func:`build_overlay` (``"newscast"`` builds an
+#: overlay of :mod:`repro.newscast`, a protocol rather than a static graph).
 TOPOLOGY_KINDS = (
     "random",
     "complete",

@@ -132,8 +132,11 @@ def sample_distinct_peers(
     The uniform block is drawn ``_BAND_KEYS`` entries at a time, each
     int64 chunk cast straight into the int32 rows; chunked bounded draws
     equal one call value for value and leave the generator in the same
-    state.  The call therefore holds at most its int32 output, one int64
-    chunk and one bool mask (reused by every redraw pass and the shift).
+    state.  The redraw passes and the shift walk row bands of at most
+    ``_BAND_KEYS`` entries, and each pass still draws all its redraws in
+    one call, handed out band by band in row order.  The call therefore
+    holds at most its int32 output, one int64 chunk and one band's bool
+    mask (reused by every band, every redraw pass and the shift).
 
     When ``fill`` is close to ``size - 1`` the redraws keep colliding;
     rows still holding a duplicate after 64 passes are completed exactly
@@ -151,22 +154,38 @@ def sample_distinct_peers(
         stop = min(start + _BAND_KEYS, flat.size)
         flat[start:stop] = generator.integers(0, size - 1, size=stop - start, dtype=np.int64)
     draws.sort(axis=1)
-    duplicate = np.zeros((size, fill), dtype=bool)
+    band_rows = max(1, _BAND_KEYS // max(fill, 1))
+    starts = range(0, size, band_rows)
+    mask = np.zeros((min(band_rows, size), fill), dtype=bool)
+
+    def repeats(start: int) -> np.ndarray:
+        """Slots of the band at ``start`` that repeat the slot before them."""
+        band = draws[start : start + band_rows]
+        np.equal(band[:, 1:], band[:, :-1], out=mask[: len(band), 1:])
+        return mask[: len(band)]  # column 0 stays False until the shift
+
     for _ in range(64):
-        np.equal(draws[:, 1:], draws[:, :-1], out=duplicate[:, 1:])
-        count = int(np.count_nonzero(duplicate))
-        if count == 0:
+        counts = [int(np.count_nonzero(repeats(start))) for start in starts]
+        if not any(counts):
             break
-        draws[duplicate] = generator.integers(0, size - 1, size=count, dtype=np.int64)
-        draws.sort(axis=1)
+        redraws = generator.integers(0, size - 1, size=sum(counts), dtype=np.int64)
+        for start, chunk in zip(starts, np.split(redraws, np.cumsum(counts)[:-1])):
+            if chunk.size:
+                band = draws[start : start + band_rows]
+                band[repeats(start)] = chunk
+                band.sort(axis=1)
     else:
-        np.equal(draws[:, 1:], draws[:, :-1], out=duplicate[:, 1:])
-        stuck = np.flatnonzero(duplicate.any(axis=1))
+        stuck = np.concatenate(
+            [start + np.flatnonzero(repeats(start).any(axis=1)) for start in starts]
+        )
         if stuck.size:
             others = np.broadcast_to(np.arange(size - 1, dtype=np.int64), (stuck.size, size - 1))
             draws[stuck] = np.sort(generator.permuted(others, axis=1)[:, :fill], axis=1)
-    np.greater_equal(draws, np.arange(size, dtype=np.int32)[:, None], out=duplicate)
-    draws += duplicate
+    for start in starts:
+        # The skip-self shift: a draw at or above its own row's id moves up one.
+        band = draws[start : start + band_rows]
+        ids = np.arange(start, start + len(band), dtype=np.int32)[:, None]
+        band += np.greater_equal(band, ids, out=mask[: len(band)])
     return draws
 
 
@@ -512,16 +531,6 @@ class ReplicatedStaticBlock:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def replicas(self) -> int:
-        """Number of replicated overlays held by this block."""
-        return self._replicas
-
-    @property
-    def stride(self) -> int:
-        """Rows per replica: the node count it was built with."""
-        return self._stride
-
     def view(self, replica: int) -> "StaticBlockView":
         """The ``OverlayProvider`` facade of one replica."""
         if not 0 <= replica < self._replicas:
@@ -698,11 +707,6 @@ class StaticBlockView(OverlayProvider):
         self._block = block
         self._replica = replica
         self.name = block.name
-
-    @property
-    def replica(self) -> int:
-        """Index of this view's replica within the block."""
-        return self._replica
 
     def node_ids(self) -> np.ndarray:
         """Identifiers of all current nodes, ascending (a fresh int64 array)."""

@@ -372,7 +372,7 @@ def partition_window(figure):
 class TestRobustnessFigures:
     def test_byzantine_degradation_orders_reducers(self):
         figure = ALL_FIGURES["byzantine"](TINY, cycles=15)
-        fractions = figure.column("byzantine_fraction")
+        fractions = [row["byzantine_fraction"] for row in figure.rows]
         assert fractions[0] == 0.0 and fractions[-1] == pytest.approx(0.2)
         for row in figure.rows:
             if row["byzantine_fraction"] == 0.0:

@@ -149,7 +149,7 @@ class TestEngineBasics:
             )
             simulator.run(12)
             results.append(
-                (simulator.trace.variances(), dict(simulator.statistics))
+                ([record.variance for record in simulator.trace.records], dict(simulator.statistics))
             )
         assert results[0] == results[1]
 
@@ -175,16 +175,16 @@ class TestEngineBasics:
         assert all(0.95 <= rate <= 1.05 for rate in rates)
         assert max(rates) > 1.0 > min(rates)
 
-    def test_run_until_advances_whole_windows(self):
+    def test_run_advances_whole_windows(self):
         simulator, _ = build_average(seed=7)
-        simulator.run_until(5.5)
+        simulator.run(6)
         assert simulator.now == pytest.approx(6.0)
         assert simulator.window_index == 6
 
     def test_trace_counts_exchanges_per_window(self):
         simulator, _ = build_average(seed=8)
         simulator.run(10)
-        per_window = [record.completed_exchanges for record in simulator.trace][1:]
+        per_window = [record.completed_exchanges for record in simulator.trace.records][1:]
         # Each node ticks about once per window; totals must be per-window
         # deltas, not cumulative counters.
         assert all(0 < count <= SIZE + 5 for count in per_window)
@@ -349,8 +349,8 @@ class TestAsyncCount:
             + stats["response_lost"]
             + stats["stale_refused"]
         )
-        completed = sum(r.completed_exchanges for r in simulator.trace)
-        failed = sum(r.failed_exchanges for r in simulator.trace)
+        completed = sum(r.completed_exchanges for r in simulator.trace.records)
+        failed = sum(r.failed_exchanges for r in simulator.trace.records)
         assert completed == stats["completed"]
         assert failed == stats["ticks"] - stats["completed"]
 
@@ -531,7 +531,7 @@ class TestAsyncScaleAcceptance:
             name="byz-acceptance", network_size=10_000, repeats=3, sweep_points=5
         )
         figure = ALL_FIGURES["byzantine"](scale, cycles=30)
-        fractions = figure.column("byzantine_fraction")
+        fractions = [row["byzantine_fraction"] for row in figure.rows]
         assert fractions[0] == 0.0 and fractions[-1] == pytest.approx(0.2)
         for row in figure.rows:
             assert row["median_error"] < 0.05, row

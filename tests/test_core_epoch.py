@@ -1,30 +1,11 @@
-"""Tests for epoch configuration and the accuracy-driven γ rule."""
+"""Tests for epoch configuration."""
 
 import math
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core.epoch import EpochConfig, cycles_for_accuracy
-
-
-class TestCyclesForAccuracy:
-    def test_matches_log_formula(self):
-        # rho = 0.1: each cycle removes one decimal digit of variance.
-        assert cycles_for_accuracy(1e-6, 0.1) == 6
-
-    def test_rounds_up(self):
-        assert cycles_for_accuracy(1e-5, 0.3) >= 9
-
-    def test_invalid_accuracy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            cycles_for_accuracy(2.0, 0.3)
-        with pytest.raises(ConfigurationError):
-            cycles_for_accuracy(0.0, 0.3)
-
-    def test_invalid_factor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            cycles_for_accuracy(0.1, 1.5)
+from repro.core.epoch import EpochConfig
 
 
 class TestEpochConfig:
@@ -57,15 +38,6 @@ class TestEpochConfig:
         for epoch in range(5):
             assert config.epoch_for_time(config.epoch_start_time(epoch)) == epoch
 
-    def test_cycle_for_time_bins_by_cycle_length(self):
-        config = EpochConfig(cycle_length=0.5, cycles_per_epoch=10)
-        assert config.cycle_for_time(0.0) == 0
-        assert config.cycle_for_time(0.49) == 0
-        assert config.cycle_for_time(0.5) == 1
-        assert config.cycle_for_time(12.25) == 24
-        with pytest.raises(ConfigurationError):
-            config.cycle_for_time(-0.1)
-
     def test_epoch_for_time_with_explicit_epoch_length(self):
         config = EpochConfig(cycle_length=1.0, cycles_per_epoch=10, epoch_length=4.0)
         assert config.epoch_for_time(3.999) == 0
@@ -94,9 +66,8 @@ class TestEpochConfig:
 
 class TestNonFiniteTime:
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("rule", ["epoch_for_time", "cycle_for_time"])
-    def test_refused_with_a_configuration_error(self, rule, time):
+    def test_refused_with_a_configuration_error(self, time):
         # NaN and +inf used to escape as "cannot convert float NaN to
         # integer" from the floor division.
         with pytest.raises(ConfigurationError, match="time must be non-negative and finite"):
-            getattr(EpochConfig(), rule)(time)
+            EpochConfig().epoch_for_time(time)

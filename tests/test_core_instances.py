@@ -78,7 +78,7 @@ class TestTrimmedSizeEstimates:
 class TestMultiInstanceCount:
     def test_create_builds_matching_function_and_values(self):
         bundle = MultiInstanceCount.create(list(range(20)), 5, RandomSource(2))
-        assert bundle.instance_count == 5
+        assert len(bundle.function) == 5
         assert len(bundle.initial_values) == 20
         assert all(len(value) == 5 for value in bundle.initial_values.values())
         assert len(bundle.leaders) == 5

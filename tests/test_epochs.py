@@ -29,12 +29,7 @@ from repro.core.count import (
 from repro.core.epoch import EpochConfig
 from repro.core.instances import trimmed_size_estimates
 from repro.experiments.runner import run_epoched_count
-from repro.simulator import (
-    CycleSimulator,
-    EpochDriver,
-    VectorizedCycleSimulator,
-    epoch_config_for_accuracy,
-)
+from repro.simulator import CycleSimulator, EpochDriver, VectorizedCycleSimulator
 from repro.simulator.failures import ChurnModel, FailureModel, ProportionalCrashModel
 from repro.simulator.transport import TransportModel
 from repro.topology import TopologySpec, build_overlay
@@ -195,8 +190,8 @@ class TestEpochDriverEquivalence:
         # corrected estimate (P_lead ~ 8/80).
         assert result.records[0].lead_probability == pytest.approx(8 / 20)
         assert result.records[-1].lead_probability < 0.15
-        assert result.final_estimate == pytest.approx(80, rel=0.15)
-        assert driver.election.estimated_size == result.final_estimate
+        assert result.records[-1].size_estimate == pytest.approx(80, rel=0.15)
+        assert driver.election.estimated_size == result.records[-1].size_estimate
 
     def test_records_count_sync_events_and_reporters(self):
         result = build_driver(EpochDriver).run(EPOCHS)
@@ -208,7 +203,6 @@ class TestEpochDriverEquivalence:
             assert record.participant_count == record.reporters == SIZE
             assert record.jump_reporters == 0
             assert not record.dry
-        assert result.final_estimate == records[-1].size_estimate
 
 
 class ScriptedMembership(FailureModel):
@@ -276,7 +270,6 @@ class TestZeroLeaderEpoch:
             assert record.size_estimate == 1e9  # deterministic carry-forward
             assert (record.min_estimate, record.max_estimate) == (math.inf, -math.inf)
         assert driver.election.estimated_size == 1e9  # update never fed
-        assert result.final_estimate == 1e9
 
     def test_dry_epoch_still_advances_failures_and_recovery_works(self):
         # Epoch 0 is dry, churn still runs during it, and a later epoch
@@ -535,14 +528,3 @@ class TestBatchedElection:
         certain = LeaderElection(concurrent_target=20.0, estimated_size=10.0)
         assert certain.lead_probability == 1.0
         assert list(certain.elect_batch(ids, RandomSource(0))) == ids
-
-
-class TestEpochConfigForAccuracy:
-    def test_gamma_from_accuracy(self):
-        config = epoch_config_for_accuracy(1e-6, convergence_factor=0.1)
-        assert config.cycles_per_epoch == 6
-        assert config.effective_epoch_length == 6.0
-
-    def test_invalid_accuracy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            epoch_config_for_accuracy(2.0)

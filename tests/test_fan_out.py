@@ -20,8 +20,8 @@ from test_experiments_figures import GOLDEN_ROWS, rows_digest
 from test_stacked_memory import GROUPED_PLANS, group_budget, run_state
 
 from repro.experiments import runner
-from repro.experiments.config import ExperimentScale
-from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.config import BENCH, SMOKE, ExperimentScale
+from repro.experiments.figures import ALL_FIGURES, Setting
 from repro.experiments.runner import (
     RunPlan,
     fan_out,
@@ -156,3 +156,30 @@ class TestSafety:
         # here, a DEFAULT point and a repeats-replicated-n10k group fan out.
         assert 400 * 3 * 50 < runner._FAN_OUT_FLOOR <= 2_000 * 10 * 30
         assert runner._FAN_OUT_FLOOR <= 10_000 * 5 * 20
+
+
+@pytest.mark.parametrize("scale", [SMOKE, BENCH], ids=lambda scale: scale.name)
+def test_smoke_and_bench_points_stay_below_the_floor(scale):
+    # Built as ``Figure.__call__`` builds them, never run.  The traced e2e
+    # pass and the tracemalloc tests rely on these points staying in the
+    # calling process.  The largest is Figure 5's 400 × 20 × 10 at BENCH.
+    largest = 0
+    for figure in ALL_FIGURES.values():
+        if figure.body is not None:
+            continue
+        setting = Setting(
+            size=scale.network_size, cycles=figure.cycles,
+            repeats=max(scale.repeats, figure.min_repeats), seed=scale.seed,
+            constants=figure.constants,
+        )
+        swept = list(figure.points(scale)) if figure.points is not None else [None]
+        if figure.axis is not None:
+            swept = [figure.axis[1](point) for point in swept]
+        if figure.series is not None:
+            swept = [(curve, point) for curve in figure.series(setting.size) for point in swept]
+        for point in swept:
+            plan = figure.plan(setting, point)
+            work = plan.size * plan.cycles * setting.repeats
+            assert work < runner._FAN_OUT_FLOOR, (figure.figure_id, point, work)
+            largest = max(largest, work)
+    assert largest == {"smoke": 60_000, "bench": 80_000}[scale.name]

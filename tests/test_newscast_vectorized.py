@@ -249,7 +249,7 @@ def build_engine(engine, scenario_key, function_class=AverageFunction, seed=11):
 
 def assert_traces_match(reference, vectorized, label):
     assert len(reference.trace) == len(vectorized.trace), label
-    for expected, actual in zip(reference.trace, vectorized.trace):
+    for expected, actual in zip(reference.trace.records, vectorized.trace.records):
         assert expected.cycle == actual.cycle, label
         assert expected.participant_count == actual.participant_count, label
         assert expected.completed_exchanges == actual.completed_exchanges, label

@@ -106,7 +106,7 @@ def assert_traces_identical(serial_traces, replicated_traces):
     assert len(serial_traces) == len(replicated_traces)
     for serial, replicated in zip(serial_traces, replicated_traces):
         assert len(serial) == len(replicated)
-        for left, right in zip(serial, replicated):
+        for left, right in zip(serial.records, replicated.records):
             assert records_equal(left, right), (left, right)
 
 
@@ -712,7 +712,6 @@ class TestBlockViewScalarSurface:
         block, view = self.build_view()
         assert view.contains(0) and not view.contains(40)
         assert view.size() == 40
-        assert view.replica == 0
         with pytest.raises(Exception):
             block.view(5)
 

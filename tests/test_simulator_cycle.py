@@ -73,7 +73,7 @@ class TestAveraging:
     def test_variance_shrinks_every_cycle(self):
         simulator = make_simulator()
         simulator.run(8)
-        variances = simulator.trace.variances()
+        variances = [record.variance for record in simulator.trace.records]
         assert all(b <= a for a, b in zip(variances, variances[1:]))
 
     def test_converges_to_true_average(self):

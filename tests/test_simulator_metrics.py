@@ -9,24 +9,23 @@ from repro.common.errors import SimulationError
 from repro.simulator.metrics import CycleRecord, SimulationTrace, estimate_statistics
 
 
-def make_record(cycle: int, variance: float, mean: float = 1.0) -> CycleRecord:
+def make_record(cycle: int, variance: float) -> CycleRecord:
     return CycleRecord(
         cycle=cycle,
         participant_count=100,
-        mean=mean,
+        mean=1.0,
         variance=variance,
-        minimum=mean - 1.0,
-        maximum=mean + 1.0,
+        minimum=0.0,
+        maximum=2.0,
         completed_exchanges=90,
         failed_exchanges=10,
     )
 
 
-def make_trace(variances, means=None) -> SimulationTrace:
+def make_trace(variances) -> SimulationTrace:
     trace = SimulationTrace()
-    means = means or [1.0] * len(variances)
-    for cycle, (variance, mean) in enumerate(zip(variances, means)):
-        trace.add(make_record(cycle, variance, mean))
+    for cycle, variance in enumerate(variances):
+        trace.add(make_record(cycle, variance))
     return trace
 
 
@@ -74,18 +73,10 @@ class TestSimulationTrace:
         with pytest.raises(SimulationError):
             trace.record_at(9)
 
-    def test_column_accessors(self):
-        trace = make_trace([1.0, 0.5], means=[2.0, 2.5])
-        assert trace.cycles() == [0, 1]
-        assert trace.variances() == [1.0, 0.5]
-        assert trace.means() == [2.0, 2.5]
-        assert trace.minima() == [1.0, 1.5]
-        assert trace.maxima() == [3.0, 3.5]
-
-    def test_len_and_iter(self):
+    def test_len_counts_the_records(self):
         trace = make_trace([1.0, 0.5, 0.25])
         assert len(trace) == 3
-        assert [record.cycle for record in trace] == [0, 1, 2]
+        assert [record.cycle for record in trace.records] == [0, 1, 2]
 
     def test_variance_reduction_normalised_by_initial(self):
         trace = make_trace([4.0, 2.0, 1.0])

@@ -69,9 +69,9 @@ def budget_of(entries):
     return mock.patch.object(replicated, "_SETTLE_ENTRIES", entries)
 
 
-def block_state(block):
+def block_state(block, replicas):
     """Every replica's nodes, rows and degrees, as plain values."""
-    views = [block.view(replica) for replica in range(block.replicas)]
+    views = [block.view(replica) for replica in range(replicas)]
     return [
         (
             view.node_ids().tolist(),
@@ -118,7 +118,7 @@ class TestGroupedSettle:
                 grouped._settle()
             with one_pass():
                 whole._settle()
-            assert block_state(grouped) == block_state(whole)
+            assert block_state(grouped, 3) == block_state(whole, 3)
             assert np.array_equal(grouped._degrees, whole._degrees)
 
     def test_a_triangle_of_victims_one_entry_at_a_time(self):
@@ -195,7 +195,7 @@ class TestStackedRunMemoryLaw:
             tracemalloc.stop()
         stored = int(block._degrees.sum())
         width = engine.function.state_width()
-        rows = replicas * block.stride
+        rows = replicas * size
         # 4 B per stored neighbour and 17 B per row of the store, 8 B per
         # initial value, and per state row 8 B per float plus 13 B: the
         # participant mask (1), the scheduling scratch (4) and the
@@ -225,6 +225,25 @@ class TestBuildMemoryLaw:
         # Measured 34.0 MB, set by the sampler's chunk; sorting the
         # int64 keys of both directions at once peaked at 71.3 MB.
         assert peak <= rows + build_scratch(size, degree) + (1 << 20)
+
+    def test_a_small_budget_bounds_the_sampler_mask_and_shift(self):
+        # With a 16,384-key budget the law leaves no room for an (N, k)
+        # bool mask (2 MB) or an N-entry int32 skip-self range (0.4 MB):
+        # the sampler walks row bands of at most the budget.  Measured
+        # 25.9 MB against a 26.9 MB law; a whole-matrix mask read 28.0 MB.
+        size, degree = 100_000, 20
+        with mock.patch.object(replicated, "_BAND_KEYS", 1 << 14):
+            ReplicatedStaticBlock.build_k_out(100, degree, [RandomSource(1)])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                block = ReplicatedStaticBlock.build_k_out(size, degree, [RandomSource(2004)])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            arrays = (block._neighbours, block._offsets, block._degrees, block._alive)
+            rows = sum(array.nbytes for array in arrays)
+            assert peak <= rows + build_scratch(size, degree) + (1 << 20)
 
     def test_the_stacked_newscast_bootstrap_holds_one_store(self):
         # The block is the only store: each replica's draw is written

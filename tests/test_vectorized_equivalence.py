@@ -109,7 +109,7 @@ def build_engine(engine, function_key, overlay_key, scenario_key, seed=11):
 
 def assert_traces_match(reference, vectorized, label):
     assert len(reference.trace) == len(vectorized.trace), label
-    for expected, actual in zip(reference.trace, vectorized.trace):
+    for expected, actual in zip(reference.trace.records, vectorized.trace.records):
         assert expected.cycle == actual.cycle, label
         assert expected.participant_count == actual.participant_count, label
         assert expected.completed_exchanges == actual.completed_exchanges, label
@@ -177,7 +177,7 @@ class TestEngineEquivalence:
         vectorized = build(VectorizedCycleSimulator)
         reference.run(CYCLES)
         vectorized.run(CYCLES)
-        assert sum(record.failed_exchanges for record in vectorized.trace) > 0
+        assert sum(record.failed_exchanges for record in vectorized.trace.records) > 0
         assert_traces_match(reference, vectorized, f"stale/{overlay_key}")
         assert np.array_equal(reference.state_array(), vectorized.state_array())
 
@@ -375,7 +375,7 @@ class TestRecordEvery:
             record_every=3,
         )
         simulator.run(7)
-        assert simulator.trace.cycles() == [0, 3, 6, 7]
+        assert [record.cycle for record in simulator.trace.records] == [0, 3, 6, 7]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_skipped_cycles_accumulate_exchange_counters(self, engine):
@@ -396,8 +396,8 @@ class TestRecordEvery:
         dense.run(8)
         sparse.run(8)
         for counter in ("completed_exchanges", "failed_exchanges"):
-            assert sum(getattr(record, counter) for record in dense.trace) == sum(
-                getattr(record, counter) for record in sparse.trace
+            assert sum(getattr(record, counter) for record in dense.trace.records) == sum(
+                getattr(record, counter) for record in sparse.trace.records
             )
         # The sampled trace agrees with the dense one wherever both record.
         for cycle in (4, 8):
