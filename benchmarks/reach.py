@@ -102,11 +102,8 @@ SKIPPED = {
     ),
 }
 
-#: What each label marks; see the module docstring for how one is written.
-LABELS = {
-    "oracle": "a reference that tests compare a product path against",
-    "worker": "entered only by a forked worker process",
-}
+#: The labels; the module docstring says what each marks and how one is written.
+LABELS = ("oracle", "worker")
 MARKER = re.compile(r"#\s*reach:\s*(\w*)(.*)")
 
 Key = Tuple[str, int, str]  # (module path under src/, first line, name)
