@@ -255,12 +255,16 @@ def _labels(tree: ast.Module, source: str) -> Tuple[List[dict], List[str]]:
             reason = value.strip() if isinstance(value, str) else ""
             add("<module>", (1, len(lines)), node.targets[0].id.lower(), reason, node.lineno)
     qualnames = _qualnames(tree)
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    defs = [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    # A marker just above a nested def is that def's, not its enclosing def's.
+    above = {_first_line(node) - 1 for node in defs}
+    for node in defs:
         first = _first_line(node)
         # The line above the def, and every line of its header.
         for line in range(max(first - 1, 1), max(node.body[0].lineno, node.lineno + 1)):
+            if line >= first and line in above:
+                continue
             match = MARKER.search(lines[line - 1])
             if match:
                 add(qualnames[first, node.name], (first, node.end_lineno), match[1],

@@ -365,3 +365,62 @@ def test_labelled_lines_leave_the_unlabelled_figure(audit):
         "never_entered_untagged_functions": 0, "never_entered_untagged_lines": 0,
     }
     assert fresh["modules"]["pkg/ref.py"]["labelled"] == 2
+
+
+def unlabelled(executed, executable):
+    return {"total": {"unlabelled": {"executed": executed, "executable": executable}}}
+
+
+@pytest.mark.parametrize(
+    "committed, fresh, below",
+    [
+        (unlabelled(3, 4), unlabelled(6, 8), False),
+        (unlabelled(3, 4), unlabelled(7, 8), False),
+        (unlabelled(3, 4), unlabelled(5, 8), True),
+        # Both round to 0.6667, yet 66,666 of 100,000 is below two thirds.
+        (unlabelled(2, 3), unlabelled(66_666, 100_000), True),
+        # A reading from before the labels has no unlabelled total.
+        ({"total": {"reach": 0.9}}, unlabelled(1, 4), False),
+    ],
+    ids=["same-ratio", "above", "below", "below-within-rounding", "no-unlabelled-total"],
+)
+def test_the_floor_compares_exact_line_counts(committed, fresh, below):
+    assert reach.below_floor(committed, fresh) is below
+
+
+NESTED = textwrap.dedent(
+    """\
+    class Engine:
+        def step(self):  # reach: oracle — checks the step
+            # reach: worker — runs in a child
+            def child():
+                return 1
+            return child
+
+
+    def body_only():
+        value = 2  # reach: oracle — a body line labels nothing
+        return value
+    """
+)
+
+
+def test_a_method_and_a_nested_def_are_labelled_innermost_first():
+    labels, errors = reach._labels(ast.parse(NESTED), NESTED)
+    assert errors == []
+    assert [(e["function"], e["first"], e["last"], e["label"]) for e in labels] == [
+        ("Engine.step.<locals>.child", 4, 5, "worker"),
+        ("Engine.step", 2, 6, "oracle"),
+    ]
+
+
+def test_a_marker_on_a_body_line_labels_nothing():
+    labels, _ = reach._labels(ast.parse(NESTED), NESTED)
+    assert "body_only" not in {entry["function"] for entry in labels}
+
+
+def test_a_module_label_that_is_not_a_string_gives_no_reason():
+    module = "ORACLE = 1\n\n\ndef f():\n    return 1\n"
+    labels, errors = reach._labels(ast.parse(module), module)
+    assert labels == []
+    assert errors == ["line 1: <module> is labelled oracle with no reason"]

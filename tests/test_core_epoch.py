@@ -66,8 +66,9 @@ class TestEpochConfig:
 
 class TestNonFiniteTime:
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
-    def test_refused_with_a_configuration_error(self, time):
+    @pytest.mark.parametrize("rule", ["epoch_for_time"])
+    def test_refused_with_a_configuration_error(self, rule, time):
         # NaN and +inf used to escape as "cannot convert float NaN to
         # integer" from the floor division.
         with pytest.raises(ConfigurationError, match="time must be non-negative and finite"):
-            EpochConfig().epoch_for_time(time)
+            getattr(EpochConfig(), rule)(time)

@@ -74,13 +74,13 @@ class TestResultObject:
         result = aggregate([1.0] * 60, aggregate="average", seed=1)
         assert len(result.node_estimates) == 60
 
-    def test_every_node_estimate_is_close_after_convergence(self):
+    def test_max_node_error_small_after_convergence(self):
         result = aggregate([3.0, 9.0] * 40, aggregate="average", seed=1, cycles=40)
         errors = [abs(value - 6.0) / 6.0 for value in result.node_estimates.values()]
         assert max(errors) < 1e-6
 
     @pytest.mark.parametrize("name", sorted(AGGREGATES))
-    def test_an_empty_population_reports_an_infinite_error(self, name):
+    def test_max_node_error_of_an_empty_population(self, name):
         result = aggregate([0.0] * 50, name, failure_model=SuddenDeathModel(1.0, 1))
         assert result.node_estimates == {}
         assert result.mean_estimate == result.relative_error == math.inf
